@@ -320,8 +320,10 @@ func cmdStat(args []string, stdout, stderr io.Writer) int {
 
 	var t trace.Trailer
 	var trailer *trace.Trailer
+	var slot trace.WindowRecord // windows are only counted: decode them all into one
+	dest := func(uint16, int) *trace.WindowRecord { return &slot }
 	for {
-		rec, err := rd.Next()
+		rec, err := rd.NextInto(dest)
 		if err == io.EOF {
 			break
 		}
@@ -426,8 +428,10 @@ func cmdCat(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
+	var slot trace.WindowRecord // each window is printed and dropped: decode into one
+	dest := func(uint16, int) *trace.WindowRecord { return &slot }
 	for {
-		rec, err := rd.Next()
+		rec, err := rd.NextInto(dest)
 		if err == io.EOF {
 			return 0
 		}

@@ -24,13 +24,26 @@ type entry struct {
 // head. A full ring is backpressure — the producer waits on space,
 // which stalls its TCP read loop, which stalls the remote producer:
 // flow control end to end with no drops.
+//
+// head is written by the shard goroutine and tail by the session
+// goroutine, each on every record; side by side in one cache line,
+// every advance by one core would invalidate the line under the other
+// (false sharing). The pads keep each counter on a line of its own,
+// away from the read-only fields too.
 type ring struct {
 	slots []entry
 	mask  uint64
-	head  atomic.Uint64 // consumer position
-	tail  atomic.Uint64 // producer position
 	space chan struct{} // consumer → producer: slots freed
+	_     [cacheLine]byte
+	head  atomic.Uint64 // consumer position
+	_     [cacheLine - 8]byte
+	tail  atomic.Uint64 // producer position
+	_     [cacheLine - 8]byte
 }
+
+// cacheLine is the coherence granule the ring pads to (64 bytes on
+// amd64 and most arm64 parts).
+const cacheLine = 64
 
 // newRing sizes the queue to the next power of two ≥ capacity.
 func newRing(capacity int) *ring {

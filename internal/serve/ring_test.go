@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"flowpulse/internal/trace"
 )
@@ -53,5 +54,22 @@ func TestRingSizesToPowerOfTwo(t *testing.T) {
 		if got := len(newRing(tc.in).slots); got != tc.want {
 			t.Errorf("newRing(%d) -> %d slots, want %d", tc.in, got, tc.want)
 		}
+	}
+}
+
+// TestRingCountersOnSeparateCacheLines: head (consumer-written) and
+// tail (producer-written) must not share a 64-byte line with each other
+// or with the fields both sides only read.
+func TestRingCountersOnSeparateCacheLines(t *testing.T) {
+	var r ring
+	head, tail := unsafe.Offsetof(r.head), unsafe.Offsetof(r.tail)
+	if tail < head+cacheLine {
+		t.Errorf("head at %d, tail at %d: less than %d bytes apart", head, tail, cacheLine)
+	}
+	if readOnly := unsafe.Offsetof(r.space) + unsafe.Sizeof(r.space); head < readOnly+cacheLine-8 {
+		t.Errorf("head at %d shares a line with the read-only fields ending at %d", head, readOnly)
+	}
+	if end := unsafe.Sizeof(r); end < tail+cacheLine {
+		t.Errorf("tail at %d, struct ends at %d: a neighbouring allocation can share its line", tail, end)
 	}
 }

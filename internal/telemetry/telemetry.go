@@ -81,13 +81,27 @@ func (w *Window) Total() int64 {
 	return sum
 }
 
-// Clone deep-copies the window.
+// Clone deep-copies the window. The sender matrix is backed by one
+// array (one allocation instead of one per uplink); each row is cut
+// with cap == len, so appending to a row reallocates instead of
+// running into the next. PortBytes and AggPortBytes stay slices of
+// their own: folded into the same block, a 32×16 window would cross
+// into the next allocator size class and cost more memory, not less.
 func (w *Window) Clone() *Window {
 	cp := *w
 	cp.PortBytes = append([]int64(nil), w.PortBytes...)
+	cells := 0
+	for _, row := range w.SenderBytes {
+		cells += len(row)
+	}
+	flat := make([]int64, cells)
 	cp.SenderBytes = make([][]int64, len(w.SenderBytes))
-	for i := range w.SenderBytes {
-		cp.SenderBytes[i] = append([]int64(nil), w.SenderBytes[i]...)
+	for i, row := range w.SenderBytes {
+		if len(row) == 0 {
+			continue // an empty row clones to nil, as it always has
+		}
+		n := copy(flat, row)
+		cp.SenderBytes[i], flat = flat[:n:n], flat[n:]
 	}
 	if w.AggPortBytes != nil {
 		cp.AggPortBytes = append([]int64(nil), w.AggPortBytes...)

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"testing"
 
 	"flowpulse/internal/fabric"
@@ -177,5 +178,91 @@ func TestAttachAllEndToEnd(t *testing.T) {
 		if w.Iter != uint32(i+1) {
 			t.Fatalf("window %d iter %d", i, w.Iter)
 		}
+	}
+}
+
+// TestCloneIsIndependent pins what Clone promises its callers (the
+// pipeline's history, the learned model's warm-up set): a clone shares
+// no memory with its source, and — the sender matrix being one backing
+// array — its rows cannot grow into one another.
+func TestCloneIsIndependent(t *testing.T) {
+	cases := []struct {
+		name string
+		win  Window
+	}{
+		{"full", Window{
+			LeafOrdinal: 2, Job: 7, Iter: 9, Packets: 11, CEBytes: 13, OpenedAt: 5, ClosedAt: 17,
+			PortBytes:    []int64{10, 20, 30},
+			AggPortBytes: []int64{11, 21, 31},
+			SenderBytes:  [][]int64{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}},
+			aggOpen:      []int64{1, 1, 1},
+		}},
+		{"nil aggregate", Window{
+			PortBytes:   []int64{10, 20},
+			SenderBytes: [][]int64{{1, 2}, {3, 4}},
+		}},
+		{"ragged rows", Window{
+			PortBytes:   []int64{1, 2, 3, 4},
+			SenderBytes: [][]int64{{1, 2, 3}, nil, {4}, {}, {5, 6}},
+		}},
+		{"zero rows", Window{PortBytes: []int64{}, SenderBytes: nil}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src := tc.win
+			cp := src.Clone()
+
+			// The clone's values, snapshotted through fresh memory.
+			wantPort := append([]int64{}, src.PortBytes...)
+			wantAgg := append([]int64{}, src.AggPortBytes...)
+			var wantSender [][]int64
+			for _, row := range src.SenderBytes {
+				wantSender = append(wantSender, append([]int64{}, row...))
+			}
+
+			if cp.LeafOrdinal != src.LeafOrdinal || cp.Job != src.Job || cp.Iter != src.Iter ||
+				cp.Packets != src.Packets || cp.CEBytes != src.CEBytes ||
+				cp.OpenedAt != src.OpenedAt || cp.ClosedAt != src.ClosedAt {
+				t.Fatalf("scalars differ: %+v vs %+v", cp, src)
+			}
+			if cp.aggOpen != nil {
+				t.Fatal("clone kept the monitor's open-snapshot")
+			}
+			if (cp.AggPortBytes == nil) != (src.AggPortBytes == nil) {
+				t.Fatalf("AggPortBytes nil-ness changed: clone %v, source %v", cp.AggPortBytes, src.AggPortBytes)
+			}
+			if len(cp.SenderBytes) != len(src.SenderBytes) {
+				t.Fatalf("clone has %d sender rows, source %d", len(cp.SenderBytes), len(src.SenderBytes))
+			}
+
+			// Overwrite every source cell: the clone must not notice.
+			for i := range src.PortBytes {
+				src.PortBytes[i] = -1
+			}
+			for i := range src.AggPortBytes {
+				src.AggPortBytes[i] = -1
+			}
+			for _, row := range src.SenderBytes {
+				for i := range row {
+					row[i] = -1
+				}
+			}
+			// Appending to any clone row must not touch its neighbour.
+			for i, row := range cp.SenderBytes {
+				if cap(row) != len(row) {
+					t.Fatalf("sender row %d: cap %d != len %d", i, cap(row), len(row))
+				}
+				_ = append(row, -2)
+			}
+
+			if !slices.Equal(cp.PortBytes, wantPort) || !slices.Equal(cp.AggPortBytes, wantAgg) {
+				t.Fatalf("clone changed with its source: port %v agg %v", cp.PortBytes, cp.AggPortBytes)
+			}
+			for i, row := range cp.SenderBytes {
+				if !slices.Equal(row, wantSender[i]) {
+					t.Fatalf("sender row %d: got %v, want %v", i, row, wantSender[i])
+				}
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 )
 
 // castagnoli is the CRC32C table every frame checksum uses (the
@@ -63,7 +64,21 @@ func (d *dec) kind() byte {
 	return k
 }
 
+// u reads one uvarint. A value below 0x80 is one byte — nearly every
+// scalar and length in a window — and is read in place; multi-byte
+// values, truncation and the sticky error go through uSlow, which is
+// where the encoding/binary call and the re-slice now live.
 func (d *dec) u() uint64 {
+	if d.err == nil && d.off < len(d.b) {
+		if c := d.b[d.off]; c < 0x80 {
+			d.off++
+			return uint64(c)
+		}
+	}
+	return d.uSlow()
+}
+
+func (d *dec) uSlow() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -76,7 +91,18 @@ func (d *dec) u() uint64 {
 	return v
 }
 
+// i reads one zigzag varint, with the same single-byte fast path as u.
 func (d *dec) i() int64 {
+	if d.err == nil && d.off < len(d.b) {
+		if c := d.b[d.off]; c < 0x80 {
+			d.off++
+			return int64(c>>1) ^ -int64(c&1)
+		}
+	}
+	return d.iSlow()
+}
+
+func (d *dec) iSlow() int64 {
 	if d.err != nil {
 		return 0
 	}
@@ -87,6 +113,121 @@ func (d *dec) i() int64 {
 	}
 	d.off += n
 	return v
+}
+
+// zeroRun returns how many of b's leading bytes are 0x00, looking at
+// most eight ahead (one 64-bit load; one byte when fewer than eight are
+// left) and reporting at most max. b[0] must be zero and max ≥ 1.
+func zeroRun(b []byte, max int) int {
+	n := 1
+	if len(b) >= 8 {
+		// Little-endian load: leading zero bytes are trailing zero bits.
+		n = bits.TrailingZeros64(binary.LittleEndian.Uint64(b)) >> 3
+	}
+	if n > max {
+		n = max
+	}
+	return n
+}
+
+// The row kernels below decode a whole row per call: the offset lives
+// in a local and the sticky error is checked once, not per value. They
+// are built around what the format produces for a stable baseline —
+// runs of 0x00, one per unchanged value — and consume those up to eight
+// per load. Any other byte takes the same single-byte / encoding/binary
+// steps as u and i, so non-canonical encodings (0x80 0x00) decode and
+// truncated or overlong ones fail exactly as value-at-a-time reads do,
+// at the same offset. After a failure the rest of the row is filled as
+// if every remaining read had returned zero, which is what the sticky
+// error made them do.
+
+// deltaRow decodes len(row) zigzag varints as consecutive deltas and
+// stores their running sum (PortBytes, explicit AggPortBytes and each
+// SenderBytes row). A zero byte repeats the previous value.
+func (d *dec) deltaRow(row []int64) {
+	var prev int64
+	j := 0
+	if d.err == nil {
+		b, off := d.b, d.off
+		for j < len(row) {
+			if off < len(b) {
+				if c := b[off]; c == 0 {
+					n := zeroRun(b[off:], len(row)-j)
+					run := row[j : j+n]
+					for k := range run {
+						run[k] = prev
+					}
+					off += n
+					j += n
+					continue
+				} else if c < 0x80 {
+					off++
+					prev += int64(c>>1) ^ -int64(c&1)
+					row[j] = prev
+					j++
+					continue
+				}
+			}
+			v, n := binary.Varint(b[off:])
+			if n <= 0 {
+				d.fail("trace: bad varint at offset %d", off)
+				break
+			}
+			off += n
+			prev += v
+			row[j] = prev
+			j++
+		}
+		d.off = off
+	}
+	for ; j < len(row); j++ {
+		row[j] = prev
+	}
+}
+
+// xorRow decodes len(row) uvarints, XORs each into its word of cache
+// (the leaf's previous prediction, len(cache) ≥ len(row)) and stores
+// the result as a float. A zero byte leaves the cached word as it is
+// and copies it out.
+func (d *dec) xorRow(row []float64, cache []uint64) {
+	cache = cache[:len(row)]
+	j := 0
+	if d.err == nil {
+		b, off := d.b, d.off
+		for j < len(row) {
+			if off < len(b) {
+				if c := b[off]; c == 0 {
+					n := zeroRun(b[off:], len(row)-j)
+					run, kept := row[j:j+n], cache[j:j+n]
+					for k := range run {
+						run[k] = math.Float64frombits(kept[k])
+					}
+					off += n
+					j += n
+					continue
+				} else if c < 0x80 {
+					off++
+					cache[j] ^= uint64(c)
+					row[j] = math.Float64frombits(cache[j])
+					j++
+					continue
+				}
+			}
+			v, n := binary.Uvarint(b[off:])
+			if n <= 0 {
+				d.fail("trace: bad uvarint at offset %d", off)
+				break
+			}
+			off += n
+			cache[j] ^= v
+			row[j] = math.Float64frombits(cache[j])
+			j++
+		}
+		d.off = off
+	}
+	for ; j < len(row); j++ {
+		row[j] = math.Float64frombits(cache[j])
+	}
 }
 
 func (d *dec) raw64() uint64 {
@@ -128,7 +269,12 @@ func (d *dec) count(minBytes int) int {
 	if d.err != nil {
 		return 0
 	}
-	if n > uint64((len(d.b)-d.off)/minBytes+1) {
+	// Every per-window collection has minBytes 1: skip the division.
+	rem := len(d.b) - d.off
+	if minBytes > 1 {
+		rem /= minBytes
+	}
+	if n > uint64(rem+1) {
 		d.fail("trace: collection length %d exceeds payload", n)
 		return 0
 	}

@@ -2,12 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"flowpulse/internal/sim"
@@ -165,9 +168,394 @@ func floatsBitEqual(a, b []float64) bool {
 	return true
 }
 
+// refDec is the reference the differential fuzz target compares the
+// production decoder against: one value per call, every call through
+// encoding/binary, the sticky error re-checked each time. It is the
+// decoder as it was before the row kernels, kept here — in the test
+// file only — because it is obviously right.
+type refDec struct {
+	b   []byte
+	off int
+	err error
+}
+
+func (d *refDec) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (d *refDec) kind() byte {
+	if d.err != nil || d.off >= len(d.b) {
+		d.fail("trace: truncated record")
+		return 0
+	}
+	k := d.b[d.off]
+	d.off++
+	return k
+}
+
+func (d *refDec) u() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 {
+		d.fail("trace: bad uvarint at offset %d", d.off)
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+func (d *refDec) i() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.b[d.off:])
+	if n <= 0 {
+		d.fail("trace: bad varint at offset %d", d.off)
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+func (d *refDec) count() int {
+	n := d.u()
+	if d.err != nil {
+		return 0
+	}
+	if n > uint64(len(d.b)-d.off+1) {
+		d.fail("trace: collection length %d exceeds payload", n)
+		return 0
+	}
+	return int(n)
+}
+
+func (d *refDec) done() error {
+	if d.err != nil {
+		return d.err
+	}
+	if d.off != len(d.b) {
+		return fmt.Errorf("trace: %d trailing bytes in record", len(d.b)-d.off)
+	}
+	return nil
+}
+
+// refReader is the Reader state a window decode reads and writes.
+type refReader struct {
+	version  int
+	lastTime sim.Time
+	caches   map[uint64]*predCache
+}
+
+// decodeWindow is Reader.decodeWindow with the value-at-a-time loops,
+// always into a fresh record.
+func (r *refReader) decodeWindow(d *refDec) *WindowRecord {
+	w := &WindowRecord{}
+	w.Job = uint16(d.u())
+	w.LeafOrd = int(d.u())
+	w.Iter = uint32(d.u())
+	w.ClosedAt = r.lastTime + sim.Time(d.i())
+	w.OpenedAt = w.ClosedAt + sim.Time(d.i())
+	w.Packets = d.i()
+
+	nPorts := d.count()
+	w.PortBytes = make([]int64, nPorts)
+	var prev int64
+	for i := range w.PortBytes {
+		prev += d.i()
+		w.PortBytes[i] = prev
+	}
+
+	switch mode := d.kind(); mode {
+	case aggSame:
+		w.AggPortBytes = append([]int64{}, w.PortBytes...)
+	case aggDelta:
+		w.AggPortBytes = make([]int64, nPorts)
+		for i := range w.AggPortBytes {
+			w.AggPortBytes[i] = w.PortBytes[i] + d.i()
+		}
+	case aggAbsent:
+	case aggExplicit:
+		w.AggPortBytes = make([]int64, d.count())
+		prev = 0
+		for i := range w.AggPortBytes {
+			prev += d.i()
+			w.AggPortBytes[i] = prev
+		}
+	default:
+		d.fail("trace: bad agg mode %d", mode)
+	}
+
+	nRows := d.count()
+	w.SenderBytes = make([][]int64, nRows)
+	for i := 0; i < nRows && d.err == nil; i++ {
+		row := make([]int64, d.count())
+		prev = 0
+		for j := range row {
+			prev += d.i()
+			row[j] = prev
+		}
+		w.SenderBytes[i] = row
+	}
+
+	w.Ready = d.kind() != 0
+	if w.Ready && d.err == nil {
+		k := cacheKey(w.Job, w.LeafOrd)
+		c := r.caches[k]
+		if c == nil {
+			c = &predCache{}
+			r.caches[k] = c
+		}
+		nPort := d.count()
+		if d.err != nil {
+			return w
+		}
+		c.size(nPort, len(c.sender))
+		w.PortPred = make([]float64, nPort)
+		for i := range w.PortPred {
+			bits := d.u() ^ c.port[i]
+			c.port[i] = bits
+			w.PortPred[i] = math.Float64frombits(bits)
+		}
+		nPred := d.count()
+		if d.err != nil {
+			return w
+		}
+		c.size(nPort, nPred)
+		nPredRows := d.count()
+		w.SenderPred = make([][]float64, nPredRows)
+		k2 := 0
+		for i := 0; i < nPredRows && d.err == nil; i++ {
+			n := d.count()
+			if k2+n > nPred {
+				d.fail("trace: sender prediction rows exceed declared count %d", nPred)
+				return w
+			}
+			row := make([]float64, n)
+			for j := range row {
+				bits := d.u() ^ c.sender[k2]
+				c.sender[k2] = bits
+				row[j] = math.Float64frombits(bits)
+				k2++
+			}
+			w.SenderPred[i] = row
+		}
+		if d.err == nil && k2 != nPred {
+			d.fail("trace: sender prediction count %d, declared %d", k2, nPred)
+		}
+	}
+	if r.version >= 2 {
+		w.CEBytes = d.i()
+	}
+	if d.err == nil {
+		r.lastTime = w.ClosedAt
+	}
+	return w
+}
+
+// sameWindow compares a decoded window with the reference's, value by
+// value: floats by bit pattern (NaN predictions are legal) and slices
+// by length and content, since a reused slot holds empty slices where a
+// fresh record holds nil. The one nil that means something is an absent
+// aggregate (the detector falls back to PortBytes): where the reference
+// has none, got must have none.
+func sameWindow(got, ref *WindowRecord) bool {
+	if got.Job != ref.Job || got.LeafOrd != ref.LeafOrd || got.Iter != ref.Iter ||
+		got.OpenedAt != ref.OpenedAt || got.ClosedAt != ref.ClosedAt || got.Packets != ref.Packets ||
+		got.Ready != ref.Ready || got.CEBytes != ref.CEBytes ||
+		(ref.AggPortBytes == nil && got.AggPortBytes != nil) ||
+		len(got.SenderBytes) != len(ref.SenderBytes) || len(got.SenderPred) != len(ref.SenderPred) {
+		return false
+	}
+	if !slices.Equal(got.PortBytes, ref.PortBytes) || !slices.Equal(got.AggPortBytes, ref.AggPortBytes) ||
+		!floatsBitEqual(got.PortPred, ref.PortPred) {
+		return false
+	}
+	for i := range got.SenderBytes {
+		if !slices.Equal(got.SenderBytes[i], ref.SenderBytes[i]) {
+			return false
+		}
+	}
+	for i := range got.SenderPred {
+		if !floatsBitEqual(got.SenderPred[i], ref.SenderPred[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameCaches(a, b map[uint64]*predCache) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, ca := range a {
+		cb := b[k]
+		if cb == nil || !slices.Equal(ca.port, cb.port) || !slices.Equal(ca.sender, cb.sender) {
+			return false
+		}
+	}
+	return true
+}
+
+// diffSeed is one seed of FuzzWindowDecodeDifferential: two window
+// payloads (the bytes after the record-kind byte) decoded back to back
+// through the same reader state, and the format version they claim.
+type diffSeed struct {
+	name          string
+	first, second []byte
+	v1            bool
+}
+
+// diffSeeds are the shapes the row kernels have to get right: where a
+// zero run ends relative to a row and to the frame, what is not a
+// canonical zero, what is too long, what is cut short.
+func diffSeeds() []diffSeed {
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	zeros := func(n int) []byte { return make([]byte, n) }
+	// job 0, leaf 1, iter 3, closed +100, opened −50, 7 packets.
+	head := []byte{0, 1, 3, 0xc8, 0x01, 0x63, 0x0e}
+	big := []byte{0x80, 0x80, 0x20} // one 3-byte value, as a first delta is
+	// 16 ports (3-byte first delta, a 15-zero run), aggSame, two 9-wide
+	// sender rows whose 8-zero runs end exactly on the row boundary.
+	counters := cat(head, []byte{16}, big, zeros(15), []byte{aggSame},
+		[]byte{2}, []byte{9}, big, zeros(8), []byte{9}, big, zeros(8))
+	// Ready, 16 unchanged port words (two whole loads, ending exactly on
+	// the row), then 18 sender words in two rows of 9: each row's ninth
+	// zero sits one byte past a full load.
+	stable := cat([]byte{1, 16}, zeros(16), []byte{18, 2}, []byte{9}, zeros(9), []byte{9}, zeros(9))
+	// The same prediction, every word 3 bytes: what a first window or a
+	// re-baseline looks like, and what fills the cache for a second one.
+	fresh := cat([]byte{1, 16}, bytes.Repeat(big, 16), []byte{18, 2},
+		[]byte{9}, bytes.Repeat(big, 9), []byte{9}, bytes.Repeat(big, 9))
+	notReady := []byte{0}
+	ce0, ce := []byte{0}, []byte{0x2a}
+	overlong := append(bytes.Repeat([]byte{0x80}, 10), 0x01) // 11 bytes: overflows
+	longest := append(bytes.Repeat([]byte{0xff}, 9), 0x01)   // 10 bytes: the largest legal value
+	agg := func(mode ...byte) []byte {                       // 4 ports, the given aggregate, no senders
+		return cat(head, []byte{4}, big, zeros(3), mode, []byte{0})
+	}
+	return []diffSeed{
+		{name: "stable-then-stable", first: cat(counters, fresh, ce), second: cat(counters, stable, ce0)},
+		{name: "run-ends-at-frame-end-v1", first: cat(counters, stable), second: cat(counters, stable), v1: true},
+		{name: "run-then-zero-ce", first: cat(counters, stable, ce0), second: cat(counters, notReady, ce0)},
+		{name: "not-ready-then-ready", first: cat(counters, notReady, ce), second: cat(counters, fresh, ce)},
+		{name: "cache-resized", first: cat(counters, fresh, ce), second: cat(agg(aggSame), []byte{1, 4}, zeros(4), []byte{3, 1, 3}, zeros(3), ce0)},
+		{name: "noncanonical-zeros", first: cat(head, []byte{4, 0x80, 0x00, 0x00, 0x80, 0x80, 0x00, 0x00}, []byte{aggSame, 1, 3, 0x00, 0x80, 0x00, 0x02},
+			[]byte{1, 2, 0x80, 0x00, 0x00, 2, 1, 2, 0x00, 0x80, 0x80, 0x00}, ce0)},
+		{name: "overlong-delta", first: cat(head, []byte{4}, overlong, zeros(3), []byte{aggSame, 0, 0}, ce0)},
+		{name: "overlong-xor-word", first: cat(agg(aggSame), []byte{1, 2, 0}, overlong, []byte{0, 0}, ce0)},
+		{name: "longest-legal", first: cat(head, []byte{2}, longest, longest, []byte{aggSame, 0}, []byte{1, 2}, longest, longest, []byte{0, 0}, ce0)},
+		{name: "truncated-mid-run", first: cat(head, []byte{16}, big, zeros(15), []byte{aggSame, 1, 12}, big, zeros(10))},
+		{name: "truncated-mid-run-xor", first: cat(counters, []byte{1, 16}, zeros(15))},
+		// A zero row at the very end of the payload, with 7, 8, 9 and 10
+		// bytes left when it starts (ready bit and CE included): the first
+		// has no room for a 64-bit load, the second exactly.
+		{name: "row-with-7-left", first: cat(head, []byte{1}, big, []byte{aggSame, 1, 6}, zeros(6), notReady), v1: true},
+		{name: "row-with-8-left", first: cat(head, []byte{1}, big, []byte{aggSame, 1, 7}, zeros(7), notReady), v1: true},
+		{name: "row-with-9-left", first: cat(head, []byte{1}, big, []byte{aggSame, 1, 7}, zeros(7), notReady, ce0)},
+		{name: "row-with-10-left", first: cat(head, []byte{1}, big, []byte{aggSame, 1, 8}, zeros(8), notReady, ce0)},
+		{name: "row-longer-than-run", first: cat(head, []byte{1}, big, []byte{aggSame, 1, 10}, zeros(8), []byte{0x02, 0x01}, notReady, ce0)},
+		{name: "agg-absent", first: cat(agg(aggAbsent), notReady, ce0)},
+		{name: "agg-delta", first: cat(agg(aggDelta, 0, 0x02, 0, 0x80, 0x00), notReady, ce0)},
+		{name: "agg-explicit", first: cat(agg(aggExplicit, 9, 0x04), zeros(8), notReady, ce0)},
+		{name: "agg-bad-mode", first: cat(agg(4), notReady, ce0)},
+		{name: "pred-rows-exceed-declared", first: cat(agg(aggSame), []byte{1, 4}, zeros(4), []byte{2, 2, 2, 0, 0, 2, 0, 0}, ce0)},
+		{name: "trailing-bytes", first: cat(agg(aggSame), notReady, ce0, ce0)},
+	}
+}
+
+// FuzzWindowDecodeDifferential decodes arbitrary window payloads with
+// the production decoder (row kernels, one reused slot) and with refDec
+// above, and requires the same error or else the same record, and the
+// same reader state afterwards — prediction caches included — whatever
+// the bytes.
+// That is the proof behind "readers still accept every byte string they
+// accepted before".
+func FuzzWindowDecodeDifferential(f *testing.F) {
+	for _, s := range diffSeeds() {
+		f.Add(s.first, s.second, s.v1)
+	}
+	f.Fuzz(func(t *testing.T, first, second []byte, v1 bool) {
+		version := Version
+		if v1 {
+			version = 1
+		}
+		rd := &Reader{hdr: &Header{FormatVersion: version}, caches: map[uint64]*predCache{}}
+		ref := &refReader{version: version, caches: map[uint64]*predCache{}}
+		var slot WindowRecord
+		dest := func(uint16, int) *WindowRecord { return &slot }
+		for i, payload := range [][]byte{first, second} {
+			d := dec{b: payload}
+			got := rd.decodeWindow(&d, dest)
+			gotErr := d.done()
+			rd2 := refDec{b: payload}
+			want := ref.decodeWindow(&rd2)
+			wantErr := rd2.done()
+
+			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Fatalf("window %d: error %v, reference %v", i, gotErr, wantErr)
+			}
+			if rd.lastTime != ref.lastTime || !sameCaches(rd.caches, ref.caches) {
+				t.Fatalf("window %d: reader state diverged from the reference (err %v)", i, gotErr)
+			}
+			if gotErr != nil {
+				// NextInto hands out no record and the Reader is sticky-
+				// failed from here on; what a failed decode left in the
+				// slot (stale fields included) is nobody's to read.
+				return
+			}
+			if !sameWindow(got, want) {
+				t.Fatalf("window %d:\n got %+v\nwant %+v", i, got, want)
+			}
+		}
+	})
+}
+
+// TestWindowDecodeDifferentialSeeds checks that the seeds still are
+// what their names say: which decode cleanly and which must fail.
+func TestWindowDecodeDifferentialSeeds(t *testing.T) {
+	wantErr := map[string]string{
+		"overlong-delta":            "bad varint",
+		"overlong-xor-word":         "bad uvarint",
+		"truncated-mid-run":         "bad varint",
+		"truncated-mid-run-xor":     "bad uvarint",
+		"agg-bad-mode":              "bad agg mode",
+		"pred-rows-exceed-declared": "exceed declared count",
+		"trailing-bytes":            "trailing bytes",
+	}
+	for _, s := range diffSeeds() {
+		version := Version
+		if s.v1 {
+			version = 1
+		}
+		rd := &Reader{hdr: &Header{FormatVersion: version}, caches: map[uint64]*predCache{}}
+		var err error
+		for _, payload := range [][]byte{s.first, s.second} {
+			if payload == nil || err != nil {
+				continue
+			}
+			d := dec{b: payload}
+			rd.decodeWindow(&d, nil)
+			err = d.done()
+		}
+		switch want := wantErr[s.name]; {
+		case want == "" && err != nil:
+			t.Errorf("seed %s: %v", s.name, err)
+		case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+			t.Errorf("seed %s: error %v, want one containing %q", s.name, err, want)
+		}
+	}
+}
+
 // TestRegenFuzzCorpus rewrites the committed seed corpus (the same
 // inputs the f.Add calls register, in `go test fuzz v1` form) when run
 // with -regen-corpus, mirroring the golden files' -update convention.
+// The committed FuzzReaderRobust seeds are format-v1 recordings (no
+// CEBytes) and double as the v1 compatibility fixtures: regenerating
+// writes v2 ones, so do not commit that part of the rewrite.
 func TestRegenFuzzCorpus(t *testing.T) {
 	if !*regenCorpus {
 		t.Skip("run with -regen-corpus to rewrite testdata/fuzz")
@@ -192,6 +580,10 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	write("FuzzReaderRobust", "seed-truncated", fmt.Sprintf("[]byte(%q)", valid[:len(valid)-5]))
 	write("FuzzReaderRobust", "seed-magic-only", fmt.Sprintf("[]byte(%q)", valid[:len(Magic)]))
 	write("FuzzReaderRobust", "seed-corrupt", fmt.Sprintf("[]byte(%q)", corrupt))
+	for _, s := range diffSeeds() {
+		write("FuzzWindowDecodeDifferential", "seed-"+s.name,
+			fmt.Sprintf("[]byte(%q)", s.first), fmt.Sprintf("[]byte(%q)", s.second), fmt.Sprintf("bool(%t)", s.v1))
+	}
 	write("FuzzWindowRoundTrip", "seed-basic",
 		"uint16(0)", "byte(1)", "uint32(3)", "int64(100)", "int64(1000)", "int64(2000)", "int64(7)",
 		"float64(1.5)", "float64(-2.5)", "bool(true)")

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"flowpulse/internal/sim"
 	"flowpulse/internal/topology"
@@ -178,7 +177,10 @@ type WindowSlot func(job uint16, leafOrd int) *WindowRecord
 // Next returns the next record, or io.EOF after the last one. Records
 // with kinds this reader does not know are skipped. On a follow
 // Reader, a torn tail frame returns ErrAwaitMore (retry when the
-// source has more bytes).
+// source has more bytes). The Record and everything it points to are
+// freshly allocated and belong to the caller — keep them as long as you
+// like; a loop that drops each window after use should call NextInto
+// with one reused slot instead.
 func (r *Reader) Next() (*Record, error) {
 	rec, err := r.NextInto(nil)
 	if err != nil {
@@ -190,8 +192,9 @@ func (r *Reader) Next() (*Record, error) {
 
 // NextInto is Next with caller-owned window storage: window records
 // decode into the slot the dest callback picks (see WindowSlot), other
-// kinds allocate as usual. The returned Record is valid until the next
-// call. dest == nil behaves like Next.
+// kinds allocate as usual. The returned Record's Window points at that
+// slot, so it is valid until the slot is handed out again. dest == nil
+// behaves like Next.
 func (r *Reader) NextInto(dest WindowSlot) (Record, error) {
 	if r.err != nil {
 		return Record{}, r.err
@@ -322,7 +325,7 @@ func (r *Reader) fillTo(total int) error {
 		}
 		k, err := r.src.Read(r.stash[len(r.stash):cap(r.stash)])
 		if k > 0 {
-			r.stash = r.stash[: len(r.stash)+k]
+			r.stash = r.stash[:len(r.stash)+k]
 			continue
 		}
 		if err == nil {
@@ -403,11 +406,7 @@ func (r *Reader) decodeWindow(d *dec, dest WindowSlot) *WindowRecord {
 
 	nPorts := d.count(1)
 	w.PortBytes = i64Slice(w.PortBytes, nPorts)
-	var prev int64
-	for i := range w.PortBytes {
-		prev += d.i()
-		w.PortBytes[i] = prev
-	}
+	d.deltaRow(w.PortBytes)
 
 	switch mode := d.kind(); mode {
 	case aggSame:
@@ -423,11 +422,7 @@ func (r *Reader) decodeWindow(d *dec, dest WindowSlot) *WindowRecord {
 	case aggExplicit:
 		n := d.count(1)
 		w.AggPortBytes = i64Slice(w.AggPortBytes, n)
-		prev = 0
-		for i := range w.AggPortBytes {
-			prev += d.i()
-			w.AggPortBytes[i] = prev
-		}
+		d.deltaRow(w.AggPortBytes)
 	default:
 		d.fail("trace: bad agg mode %d", mode)
 	}
@@ -436,13 +431,8 @@ func (r *Reader) decodeWindow(d *dec, dest WindowSlot) *WindowRecord {
 	w.SenderBytes = i64Rows(w.SenderBytes, nRows)
 	for i := 0; i < nRows && d.err == nil; i++ {
 		n := d.count(1)
-		row := i64Slice(w.SenderBytes[i], n)
-		prev = 0
-		for j := range row {
-			prev += d.i()
-			row[j] = prev
-		}
-		w.SenderBytes[i] = row
+		w.SenderBytes[i] = i64Slice(w.SenderBytes[i], n)
+		d.deltaRow(w.SenderBytes[i])
 	}
 
 	w.Ready = d.bit()
@@ -458,11 +448,7 @@ func (r *Reader) decodeWindow(d *dec, dest WindowSlot) *WindowRecord {
 		}
 		c.size(nPort, len(c.sender))
 		w.PortPred = f64Slice(w.PortPred, nPort)
-		for i := range w.PortPred {
-			bits := d.u() ^ c.port[i]
-			c.port[i] = bits
-			w.PortPred[i] = math.Float64frombits(bits)
-		}
+		d.xorRow(w.PortPred, c.port)
 		// The flattened sender count precedes the rows (see Writer) so
 		// the XOR cache can be sized before their lengths are known.
 		nPred := d.count(1)
@@ -479,14 +465,9 @@ func (r *Reader) decodeWindow(d *dec, dest WindowSlot) *WindowRecord {
 				d.fail("trace: sender prediction rows exceed declared count %d", nPred)
 				return w
 			}
-			row := f64Slice(w.SenderPred[i], n)
-			for j := range row {
-				bits := d.u() ^ c.sender[k]
-				c.sender[k] = bits
-				row[j] = math.Float64frombits(bits)
-				k++
-			}
-			w.SenderPred[i] = row
+			w.SenderPred[i] = f64Slice(w.SenderPred[i], n)
+			d.xorRow(w.SenderPred[i], c.sender[k:])
+			k += n
 		}
 		if d.err == nil && k != nPred {
 			d.fail("trace: sender prediction count %d, declared %d", k, nPred)

@@ -160,7 +160,9 @@ type SnapshotPredictor struct {
 	sender [][]float64
 }
 
-// Set loads the snapshot recorded with the window about to be fed.
+// Set loads the snapshot recorded with the window about to be fed. The
+// slices are borrowed, not copied: they must stay untouched until the
+// detector has consumed the window, and may be reused after that.
 func (p *SnapshotPredictor) Set(ready bool, port []float64, sender [][]float64) {
 	p.ready, p.port, p.sender = ready, port, sender
 }
@@ -375,9 +377,14 @@ func (rp *Replayer) route(job uint16) *replayJob {
 	return rp.jobs[rp.hdr.Jobs[0].Job]
 }
 
-// Feed advances the offline stack by one decoded record. Window
-// storage may be reused by the caller between calls (NextInto slots):
-// the pipeline clones what it retains.
+// Feed advances the offline stack by one decoded record. It keeps no
+// reference to rec itself or to a window's storage once it returns: the
+// pipeline clones the counters it retains (PortBytes, AggPortBytes,
+// SenderBytes), and the job's SnapshotPredictor only borrows
+// PortPred/SenderPred until the next Feed. So the caller may overwrite
+// the Record and the WindowRecord — a NextInto slot — as soon as Feed
+// returns. The other payloads (Event, Action, Fault, Trailer) are
+// retained by pointer; the Reader allocates those fresh per record.
 func (rp *Replayer) Feed(rec *Record) error {
 	switch rec.Kind {
 	case KindWindow:
@@ -461,7 +468,8 @@ func (rp *Replayer) Result() *ReplayResult {
 }
 
 // Replay runs a recorded trace back through the detect → localize →
-// remediate stack offline, entirely without the fabric.
+// remediate stack offline, entirely without the fabric. Every window
+// decodes into one reused slot (see Feed for why that is safe).
 func Replay(src io.Reader, opts ReplayOptions) (*ReplayResult, error) {
 	rd, err := NewReader(src)
 	if err != nil {
@@ -471,15 +479,17 @@ func Replay(src io.Reader, opts ReplayOptions) (*ReplayResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	var slot WindowRecord
+	dest := func(uint16, int) *WindowRecord { return &slot }
 	for {
-		rec, err := rd.Next()
+		rec, err := rd.NextInto(dest)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		if err := rp.Feed(rec); err != nil {
+		if err := rp.Feed(&rec); err != nil {
 			return nil, err
 		}
 	}

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -205,5 +206,96 @@ func TestReplayWindowFilter(t *testing.T) {
 	tail := replay(t, raw, trace.ReplayOptions{FirstIter: uint32(tr.CleanIters + 1)})
 	if tail.Windows+clipped.Windows != full.Windows {
 		t.Errorf("head %d + tail %d != full %d", clipped.Windows, tail.Windows, full.Windows)
+	}
+}
+
+// TestFeedLeavesSlotToCaller pins the storage contract Replay and
+// flowpulse-serve rely on: once Feed returns, the caller may do what it
+// likes with the Record and the window slot it points to. Every window
+// decodes into one slot that is filled with garbage after each Feed;
+// the outcome must equal a replay fed freshly allocated records.
+func TestFeedLeavesSlotToCaller(t *testing.T) {
+	tr := quickTrial(filepath.Join(t.TempDir(), "t.fpt"))
+	tr.Remediate = true // probe callbacks outlive the window that queued them
+	tr.DropRate = 0.05
+	tr.FaultIters = 8
+	_, raw := record(t, tr)
+
+	drive := func(next func(rd *trace.Reader) (trace.Record, error), after func(*trace.Record)) *trace.ReplayResult {
+		t.Helper()
+		rd, err := trace.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, err := trace.NewReplayer(rd.Header(), rd.Topo(), trace.ReplayOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			rec, err := next(rd)
+			if err == io.EOF {
+				return rp.Result()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rp.Feed(&rec); err != nil {
+				t.Fatal(err)
+			}
+			after(&rec)
+		}
+	}
+
+	want := drive(func(rd *trace.Reader) (trace.Record, error) {
+		rec, err := rd.Next()
+		if err != nil {
+			return trace.Record{}, err
+		}
+		return *rec, nil
+	}, func(*trace.Record) {})
+
+	var slot trace.WindowRecord
+	dest := func(uint16, int) *trace.WindowRecord { return &slot }
+	scribbled := 0
+	got := drive(func(rd *trace.Reader) (trace.Record, error) { return rd.NextInto(dest) }, func(rec *trace.Record) {
+		if rec.Kind != trace.KindWindow {
+			return
+		}
+		const junk = -0x5a5a5a5a5a5a5a5a
+		w := rec.Window
+		for _, row := range append([][]int64{w.PortBytes, w.AggPortBytes}, w.SenderBytes...) {
+			for i := range row {
+				row[i] = junk
+			}
+		}
+		for _, row := range append([][]float64{w.PortPred}, w.SenderPred...) {
+			for i := range row {
+				row[i] = junk
+			}
+		}
+		w.Job, w.LeafOrd, w.Iter, w.Packets, w.CEBytes, w.Ready = 0xffff, -1, 1<<31, junk, junk, !w.Ready
+		w.OpenedAt, w.ClosedAt = junk, junk
+		*rec = trace.Record{}
+		scribbled++
+	})
+
+	if scribbled == 0 || scribbled != got.Windows {
+		t.Fatalf("scribbled over %d of %d windows", scribbled, got.Windows)
+	}
+	if len(want.Actions) == 0 || len(want.Events) == 0 {
+		t.Fatal("reference replay raised no events or actions; trial too weak")
+	}
+	if !got.Matches() {
+		t.Errorf("fingerprint %#x != recorded %#x after the slot was overwritten", got.Fingerprint, got.Trailer.Fingerprint)
+	}
+	if got.Fingerprint != want.Fingerprint || got.BucketFingerprint != want.BucketFingerprint {
+		t.Errorf("fingerprints differ from the fresh-record replay: %#x/%#x vs %#x/%#x",
+			got.Fingerprint, got.BucketFingerprint, want.Fingerprint, want.BucketFingerprint)
+	}
+	if !reflect.DeepEqual(got.Samples(), want.Samples()) {
+		t.Errorf("samples differ from the fresh-record replay:\nslot  %+v\nfresh %+v", got.Samples(), want.Samples())
+	}
+	if !reflect.DeepEqual(got.Events, want.Events) || !reflect.DeepEqual(got.Actions, want.Actions) {
+		t.Error("events or actions differ from the fresh-record replay")
 	}
 }

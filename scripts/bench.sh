@@ -32,8 +32,9 @@ awk -v date="$date" '
       if ($(i) == "ns/op")     ns = $(i-1)
       if ($(i) == "B/op")      bytes = $(i-1)
       if ($(i) == "allocs/op") allocs = $(i-1)
-      if ($(i) ~ /\/op$/ && $(i) != "ns/op" && $(i) != "B/op" && $(i) != "allocs/op")
-        extra = $(i-1) " " $(i)
+      # Custom b.ReportMetric units (delivered/op, windows/s, ns/window).
+      if ($(i) ~ /\// && $(i) != "ns/op" && $(i) != "B/op" && $(i) != "allocs/op" && $(i) != "MB/s")
+        extra = (extra == "" ? "" : extra "; ") $(i-1) " " $(i)
     }
     if (n++) printf ",\n"
     printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"extra\": \"%s\"}", \
