@@ -1,84 +1,58 @@
 // Multi-job cluster (§7 "Parallel Jobs"): two independent training
-// jobs share the fabric on disjoint host halves. FlowPulse measures
-// only the tagged, prioritized collective of the job it monitors, so
-// the second job's traffic — and low-priority background flows — do
-// not break temporal symmetry.
-//
-// This example drives the simulation through Cluster.Runtime(), the
-// advanced escape hatch into the internal packages.
+// jobs share the fabric on disjoint leaf halves, with low-priority
+// background flows on top. One Monitor call deploys one telemetry tap
+// per switch and one analysis pipeline per job; a fault on a link only
+// job 1 uses alerts in job 1's pipeline and leaves job 2's silent.
 package main
 
 import (
 	"fmt"
 
 	"flowpulse"
-	"flowpulse/internal/collective"
-	"flowpulse/internal/core"
-	"flowpulse/internal/detect"
-	"flowpulse/internal/sim"
-	"flowpulse/internal/workload"
 )
 
 func main() {
-	// 16 leaves: hosts 0-7 run job 1 (monitored), hosts 8-15 run job 2.
+	// 16 leaves: leaves 0-7 run job 1, leaves 8-15 run job 2 — a
+	// separate ring with a different size and cadence.
 	cluster, err := flowpulse.New(flowpulse.Scenario{
 		Leaves:       16,
 		Spines:       8,
 		BytesPerRank: 8 << 20,
 		Iterations:   6,
-		Job:          1,
 		Background:   4 * flowpulse.Microsecond, // plus unrelated datacenter chatter
 		Seed:         11,
+		Jobs: []flowpulse.JobSpec{
+			{Job: 1, LeafFirst: 0, LeafCount: 8},
+			{Job: 2, LeafFirst: 8, LeafCount: 8, BytesPerRank: 12 << 20, Iterations: 5},
+		},
 	})
 	if err != nil {
 		panic(err)
 	}
-	rt := cluster.Runtime()
-
-	// Restrict job 1's ring to the first half of the hosts.
-	groupA := rt.Group[:8]
-	collA := &collective.RingAllReduce{Group: groupA, BytesPerRank: 8 << 20}
-	rt.Coll = collA
-
-	// FlowPulse monitors job 1 only.
-	sys, err := core.Attach(core.Config{
-		Net: rt.Net, Stack: rt.Stack, Demand: collA.Demand(),
-		Kind: core.AnalyticalModel, Job: 1,
-		Detect: detect.Config{Threshold: 0.01},
-	})
+	mon, err := cluster.Monitor(flowpulse.MonitorConfig{})
 	if err != nil {
 		panic(err)
 	}
-
-	// Job 2: a separate ring on the other half, different size and
-	// cadence, also sentinel-tagged (its own FlowPulse could watch it).
-	workload.StartJob(rt.Stack, workload.JobConfig{
-		Job:        2,
-		Collective: &collective.RingAllReduce{Group: rt.Group[8:], BytesPerRank: 12 << 20},
-		Iterations: 5,
-		Sentinel:   true,
-		Priority:   1, // fabric.High
-		Seed:       12,
-	})
 
 	// Break a link used by job 1 (leaf 3 hosts job-1 rank 3) after two
 	// clean iterations.
 	faulty := flowpulse.Link{LeafOrd: 3, SpineOrd: 2}
-	rt.StartTraining(func(_ sim.Time, iter uint32) {
-		fmt.Printf("job 1 iteration %d complete\n", iter)
-		if iter == 2 {
-			rt.InjectSilentDrop(faulty, 0.03)
+	cluster.TrainAll(func(_ flowpulse.Duration, job uint16, iter uint32) {
+		fmt.Printf("job %d iteration %d complete\n", job, iter)
+		if job == 1 && iter == 2 {
+			cluster.BreakLink(faulty, 0.03)
 			fmt.Println("  (3% silent fault injected on leaf 3 / spine 2)")
 		}
-	}, nil)
-	rt.Run()
-	sys.Flush(rt.Engine.Now())
+	})
 
-	fmt.Printf("\njob-1 windows measured: %d (job 2 and background excluded by tag/job filter)\n", sys.Windows)
-	for _, e := range sys.Events {
-		fmt.Printf("ALERT %v\n", e.Alert)
+	fmt.Println()
+	for _, j := range mon.Jobs() {
+		fmt.Printf("job %d: %d windows measured, %d alerts\n", j.ID(), j.Windows(), len(j.Events()))
+		for _, e := range j.Events() {
+			fmt.Printf("  ALERT %v\n", e.Alert)
+		}
 	}
-	if len(sys.Events) == 0 {
-		fmt.Println("no alerts — unexpected; the fault should have been caught")
+	if len(mon.Job(1).Events()) == 0 {
+		fmt.Println("no alerts on job 1 — unexpected; the fault should have been caught")
 	}
 }

@@ -190,9 +190,8 @@ type MonitorConfig struct {
 // Cluster is a simulated training cluster: fabric, transport,
 // collective workload, and (optionally) a FlowPulse monitor.
 type Cluster struct {
-	rt     *core.Runtime
-	sys    *core.System
-	shared *core.SharedSystem
+	rt  *core.Runtime
+	sys *core.System
 }
 
 // New builds a cluster from a scenario.
@@ -207,101 +206,50 @@ func New(sc Scenario) (*Cluster, error) {
 // Monitor deploys FlowPulse on every leaf switch. Call it before
 // Train. Deploying twice is an error.
 //
-// On a multi-job cluster (Scenario.Jobs with two or more entries) this
-// deploys the shared monitoring plane: ONE telemetry tap per switch
-// feeds a per-job analysis pipeline for every job, and — when
-// Remediate is set — a single arbiter quarantines confirmed links
-// exactly once, with cross-job corroboration. Per-job results are on
-// Monitor.Jobs; the Simulation predictor is not supported there.
+// ONE telemetry tap per switch feeds an analysis pipeline for every job
+// of the scenario, and — when Remediate is set — a single arbiter
+// quarantines confirmed links exactly once, with cross-job
+// corroboration when there are several jobs (Scenario.Jobs). Per-job
+// results are on Monitor.Jobs; the Simulation predictor is not
+// supported with more than one job.
 func (c *Cluster) Monitor(cfg MonitorConfig) (*Monitor, error) {
-	if c.sys != nil || c.shared != nil {
+	if c.sys != nil {
 		return nil, fmt.Errorf("flowpulse: monitor already attached")
 	}
-	if len(c.rt.Jobs) > 1 {
-		return c.monitorShared(cfg)
+	job := core.JobConfig{
+		Kind:    cfg.Predictor,
+		Detect:  detect.Config{Threshold: cfg.Threshold},
+		OnEvent: cfg.OnEvent,
 	}
-	coreCfg := core.Config{
-		Net:        c.rt.Net,
-		Control:    c.rt.Plane,
-		Stack:      c.rt.Stack,
-		Demand:     c.rt.Coll.Demand(),
-		Kind:       cfg.Predictor,
-		Job:        int(c.rt.Scenario.Job),
-		Detect:     detect.Config{Threshold: cfg.Threshold},
-		Remediate:  cfg.Remediate,
-		Resilience: cfg.Resilience,
-		TracePath:  cfg.TracePath,
-		TraceLabel: cfg.TraceLabel,
-		Trace:      sinkWriter(cfg.TraceSink),
-		OnEvent: func(e Event) {
-			if cfg.OnEvent != nil {
-				cfg.OnEvent(e)
-			}
-		},
-	}
-	if coreCfg.Kind == "" {
-		coreCfg.Kind = core.AnalyticalModel
-	}
-	if coreCfg.Kind == core.SimulationModel {
+	if cfg.Predictor == core.SimulationModel {
+		if len(c.rt.Jobs) > 1 {
+			return nil, fmt.Errorf("flowpulse: the Simulation predictor needs a per-job reference run and is not supported on multi-job clusters")
+		}
 		iters := cfg.ReferenceIterations
 		if iters == 0 {
 			iters = 3
 		}
-		ref, err := core.ReferenceRun(c.rt.Scenario, iters)
-		if err != nil {
+		var err error
+		if job.ReferenceWindows, err = core.ReferenceRun(c.rt.Scenario, iters); err != nil {
 			return nil, err
 		}
-		coreCfg.ReferenceWindows = ref
+	}
+	coreCfg := c.rt.MonitorConfig(job)
+	coreCfg.Remediate, coreCfg.Resilience = cfg.Remediate, cfg.Resilience
+	coreCfg.TracePath, coreCfg.TraceLabel = cfg.TracePath, cfg.TraceLabel
+	if cfg.TraceSink != nil {
+		coreCfg.Trace = trace.NewWriter(cfg.TraceSink)
 	}
 	sys, err := core.Attach(coreCfg)
 	if err != nil {
 		return nil, err
 	}
 	c.sys = sys
-	return &Monitor{sys: sys}, nil
-}
-
-// sinkWriter wraps a MonitorConfig.TraceSink into the trace writer the
-// core attaches; nil stays nil (tracing off or TracePath-driven).
-func sinkWriter(sink io.Writer) *trace.Writer {
-	if sink == nil {
-		return nil
-	}
-	return trace.NewWriter(sink)
-}
-
-// monitorShared is Monitor's multi-job branch.
-func (c *Cluster) monitorShared(cfg MonitorConfig) (*Monitor, error) {
-	kind := cfg.Predictor
-	if kind == "" {
-		kind = core.AnalyticalModel
-	}
-	if kind == core.SimulationModel {
-		return nil, fmt.Errorf("flowpulse: the Simulation predictor needs a per-job reference run and is not supported on multi-job clusters")
-	}
-	scfg := core.SharedConfig{
-		Net: c.rt.Net, Control: c.rt.Plane, Stack: c.rt.Stack, Remediate: cfg.Remediate,
-		Resilience: cfg.Resilience,
-		TracePath:  cfg.TracePath, TraceLabel: cfg.TraceLabel,
-		Trace:      sinkWriter(cfg.TraceSink),
-	}
-	for _, jr := range c.rt.Jobs {
-		scfg.Jobs = append(scfg.Jobs, core.SharedJobConfig{
-			Job:     jr.Spec.Job,
-			Demand:  jr.Coll.Demand(),
-			Kind:    kind,
-			Detect:  detect.Config{Threshold: cfg.Threshold},
-			OnEvent: cfg.OnEvent,
-		})
-	}
-	shared, err := core.AttachShared(scfg)
-	if err != nil {
-		return nil, err
-	}
-	c.shared = shared
-	m := &Monitor{shared: shared}
-	for _, job := range shared.Jobs() {
-		m.jobs = append(m.jobs, &JobMonitor{job: job, pipe: shared.Pipeline(job)})
+	m := &Monitor{sys: sys}
+	if len(c.rt.Scenario.Jobs) > 0 {
+		for _, j := range sys.Jobs() {
+			m.jobs = append(m.jobs, &JobMonitor{job: j.ID, pipe: j.Pipeline})
+		}
 	}
 	return m, nil
 }
@@ -349,10 +297,10 @@ func (c *Cluster) FlapLink(l Link, period, downFor, phase Duration, lossRate flo
 	c.rt.InjectLossyFlap(l, period, downFor, phase, lossRate)
 }
 
-// TrackGoodput arms the per-iteration goodput timeline on the
-// (single-job) training loop and returns it. Call before Train; mark
-// fault onset on the returned timeline (MarkFault) and read Report
-// after training. Repeated calls return the same timeline.
+// TrackGoodput arms the per-iteration goodput timeline on the (first
+// job's) training loop and returns it. Call before Train; mark fault
+// onset on the returned timeline (MarkFault) and read Report after
+// training. Repeated calls return the same timeline.
 func (c *Cluster) TrackGoodput() *GoodputTimeline {
 	if c.rt.Goodput == nil {
 		c.rt.Goodput = &metrics.GoodputTimeline{}
@@ -360,61 +308,37 @@ func (c *Cluster) TrackGoodput() *GoodputTimeline {
 	return c.rt.Goodput
 }
 
-// Train runs the scenario's training job to completion. onIteration
-// (optional) fires after each iteration with the simulated time and
-// iteration number — inject or heal faults from it to script
-// mid-training events.
+// Train runs the scenario's training to completion. onIteration
+// (optional) fires after each iteration of the first job with the
+// simulated time and iteration number — inject or heal faults from it
+// to script mid-training events.
 func (c *Cluster) Train(onIteration func(now Duration, iter uint32)) {
-	var cb func(sim.Time, uint32)
-	if onIteration != nil {
-		cb = func(now sim.Time, iter uint32) { onIteration(Duration(now), iter) }
-	}
-	job := c.rt.StartTraining(cb, nil)
-	if c.sys != nil {
-		if err := c.sys.BindWorkload(job); err != nil {
-			panic(err) // scenario collective changed after Monitor validated it
+	first := c.rt.Jobs[0].Spec.Job
+	c.TrainAll(func(now Duration, job uint16, iter uint32) {
+		if onIteration != nil && job == first {
+			onIteration(now, iter)
 		}
-	}
-	c.rt.Run()
-	c.flush()
+	})
 }
 
-// TrainAll runs every job of a multi-job scenario to completion (it is
-// Train for clusters built with Scenario.Jobs; on a single-job cluster
-// it behaves exactly like Train). onIteration, when set, fires after
-// each iteration of EACH job.
+// TrainAll runs every job of the scenario to completion. onIteration,
+// when set, fires after each iteration of EACH job.
 func (c *Cluster) TrainAll(onIteration func(now Duration, job uint16, iter uint32)) {
-	if len(c.rt.Jobs) == 0 {
-		job := c.rt.Scenario.Job
-		var cb func(now Duration, iter uint32)
-		if onIteration != nil {
-			cb = func(now Duration, iter uint32) { onIteration(now, job, iter) }
-		}
-		c.Train(cb)
-		return
-	}
 	var cb func(sim.Time, uint16, uint32)
 	if onIteration != nil {
 		cb = func(now sim.Time, job uint16, iter uint32) { onIteration(Duration(now), job, iter) }
 	}
 	jobs := c.rt.StartAllJobs(cb, nil)
-	if c.shared != nil {
+	if c.sys != nil {
 		for i, j := range jobs {
-			if err := c.shared.BindWorkload(c.rt.Jobs[i].Spec.Job, j); err != nil {
+			if err := c.sys.BindWorkload(c.rt.Jobs[i].Spec.Job, j); err != nil {
 				panic(err) // job specs validated when the monitor attached
 			}
 		}
 	}
 	c.rt.Run()
-	c.flush()
-}
-
-func (c *Cluster) flush() {
 	if c.sys != nil {
 		c.sys.Flush(c.rt.Engine.Now())
-	}
-	if c.shared != nil {
-		c.shared.Flush(c.rt.Engine.Now())
 	}
 }
 
@@ -439,20 +363,19 @@ func (c *Cluster) Scenario() Scenario { return c.rt.Scenario }
 // (direct fault models, custom telemetry, 3-level fabrics).
 func (c *Cluster) Runtime() *core.Runtime { return c.rt }
 
-// Monitor is a deployed FlowPulse system: a single-job deployment, or
-// — on a multi-job cluster — the shared monitoring plane with one
-// analysis pipeline per job (see Jobs).
+// Monitor is a deployed FlowPulse system: one monitoring plane with an
+// analysis pipeline per job of the scenario (see Jobs).
 type Monitor struct {
-	sys    *core.System       // single-job form
-	shared *core.SharedSystem // multi-job form
-	jobs   []*JobMonitor
+	sys  *core.System
+	jobs []*JobMonitor
 }
 
-// Jobs returns the per-job monitor handles of a multi-job deployment,
-// in Scenario.Jobs order (nil for a single-job monitor).
+// Jobs returns the per-job monitor handles in Scenario.Jobs order (nil
+// when the scenario did not list Jobs).
 func (m *Monitor) Jobs() []*JobMonitor { return m.jobs }
 
-// Job returns the handle for one job id (nil if absent or single-job).
+// Job returns the handle for one job id (nil if absent, or when the
+// scenario did not list Jobs).
 func (m *Monitor) Job(id uint16) *JobMonitor {
 	for _, j := range m.jobs {
 		if j.job == id {
@@ -462,29 +385,33 @@ func (m *Monitor) Job(id uint16) *JobMonitor {
 	return nil
 }
 
-// Events returns every detection so far, in order. On a multi-job
-// monitor the jobs' events are concatenated in Scenario.Jobs order;
-// use Jobs for the per-job view.
-func (m *Monitor) Events() []Event {
-	if m.sys != nil {
-		return m.sys.Events
+// only returns the system's one job, or nil when it monitors several:
+// iteration clocks, detectors and expectations are per job, so the
+// whole-monitor forms of those answers exist only for a lone job.
+func (m *Monitor) only() *core.Job {
+	if jobs := m.sys.Jobs(); len(jobs) == 1 {
+		return jobs[0]
 	}
+	return nil
+}
+
+// Events returns every detection so far, in order. With several jobs
+// their events are concatenated in Scenario.Jobs order; use Jobs for
+// the per-job view.
+func (m *Monitor) Events() []Event {
 	var all []Event
-	for _, j := range m.jobs {
-		all = append(all, j.Events()...)
+	for _, j := range m.sys.Jobs() {
+		all = append(all, j.Pipeline.Events...)
 	}
 	return all
 }
 
 // Windows returns the number of measurement windows processed (summed
-// across jobs on a multi-job monitor).
+// across jobs).
 func (m *Monitor) Windows() int {
-	if m.sys != nil {
-		return m.sys.Windows
-	}
 	n := 0
-	for _, j := range m.jobs {
-		n += j.Windows()
+	for _, j := range m.sys.Jobs() {
+		n += j.Pipeline.Windows
 	}
 	return n
 }
@@ -495,68 +422,50 @@ func (m *Monitor) Windows() int {
 // per job, so on a multi-job monitor this is only defined per job
 // (Jobs); it returns nil there.
 func (m *Monitor) IterationScores() map[uint32]float64 {
-	if m.sys == nil {
-		return nil
+	if j := m.only(); j != nil {
+		return j.Pipeline.IterationScores()
 	}
-	return m.sys.IterationScores()
+	return nil
 }
 
 // DetectorStats returns detector counters (zero on a multi-job
 // monitor, whose detectors are per job).
 func (m *Monitor) DetectorStats() detect.Stats {
-	if m.sys == nil {
-		return detect.Stats{}
+	if j := m.only(); j != nil {
+		return j.Detector.Stats()
 	}
-	return m.sys.Detector().Stats()
+	return detect.Stats{}
 }
 
 // Rebaselines reports how many times the learned model replaced its
 // baseline (0 for other predictors and for multi-job monitors).
 func (m *Monitor) Rebaselines() int {
-	if m.sys == nil {
-		return 0
-	}
-	if l := m.sys.Learned(); l != nil {
-		return l.Rebaselines
+	if j := m.only(); j != nil && j.Learned() != nil {
+		return j.Learned().Rebaselines
 	}
 	return 0
 }
 
-// PredictorName reports the active load model.
-func (m *Monitor) PredictorName() string {
-	if m.sys != nil {
-		return m.sys.Predictor().Name()
-	}
-	return m.jobs[0].pipe.Predictor().Name()
-}
+// PredictorName reports the active load model (every job runs the
+// same kind).
+func (m *Monitor) PredictorName() string { return m.sys.Jobs()[0].Predictor.Name() }
 
 // PortPrediction returns the model's expected per-uplink volume for a
 // leaf (nil while a learned model warms up, and on multi-job monitors,
 // where expectations are per job).
 func (m *Monitor) PortPrediction(leafOrdinal int) []float64 {
-	if m.sys == nil {
-		return nil
+	if j := m.only(); j != nil && j.Predictor.Ready(leafOrdinal) {
+		return j.Predictor.PortLoad(leafOrdinal)
 	}
-	if !m.sys.Predictor().Ready(leafOrdinal) {
-		return nil
-	}
-	return m.sys.Predictor().PortLoad(leafOrdinal)
-}
-
-// remediator returns the active control plane from either form.
-func (m *Monitor) remediator() *remediate.Remediator {
-	if m.sys != nil {
-		return m.sys.Remediator()
-	}
-	return m.shared.Remediator()
+	return nil
 }
 
 // RemediationTimeline returns the remediator's action log (nil when
-// MonitorConfig.Remediate was not set). On a multi-job monitor this is
-// the ONE shared arbiter's log: cross-job confirmations appear here
-// once, regardless of how many jobs flagged the link.
+// MonitorConfig.Remediate was not set). This is the ONE arbiter's log:
+// cross-job confirmations appear here once, regardless of how many
+// jobs flagged the link.
 func (m *Monitor) RemediationTimeline() []RemediationAction {
-	if r := m.remediator(); r != nil {
+	if r := m.sys.Remediator(); r != nil {
 		return r.Timeline
 	}
 	return nil
@@ -565,7 +474,7 @@ func (m *Monitor) RemediationTimeline() []RemediationAction {
 // RemediationStats returns remediation counters (zero when
 // MonitorConfig.Remediate was not set).
 func (m *Monitor) RemediationStats() RemediationStats {
-	if r := m.remediator(); r != nil {
+	if r := m.sys.Remediator(); r != nil {
 		return r.Stats()
 	}
 	return RemediationStats{}
@@ -574,33 +483,23 @@ func (m *Monitor) RemediationStats() RemediationStats {
 // Quarantined returns the links currently held out of service by the
 // remediator, in quarantine order.
 func (m *Monitor) Quarantined() []LinkID {
-	if r := m.remediator(); r != nil {
+	if r := m.sys.Remediator(); r != nil {
 		return r.Quarantined()
 	}
 	return nil
 }
 
-// TraceWriter returns the attached trace writer (nil when
-// MonitorConfig.TracePath was not set). Harnesses use it to append
-// ground-truth fault records alongside the injections they script, and
-// to check Err once training ends.
-func (m *Monitor) TraceWriter() *trace.Writer {
-	if m.sys != nil {
-		return m.sys.TraceWriter()
-	}
-	return m.shared.TraceWriter()
-}
+// TraceWriter returns the attached trace writer (nil when neither
+// MonitorConfig.TracePath nor TraceSink was set). Harnesses use it to
+// append ground-truth fault records alongside the injections they
+// script, and to check Err once training ends.
+func (m *Monitor) TraceWriter() *trace.Writer { return m.sys.TraceWriter() }
 
-// System exposes the underlying core.System for advanced use (nil on a
-// multi-job monitor; see SharedSystem).
+// System exposes the underlying core.System for advanced use.
 func (m *Monitor) System() *core.System { return m.sys }
 
-// SharedSystem exposes the underlying shared plane for advanced use
-// (nil on a single-job monitor).
-func (m *Monitor) SharedSystem() *core.SharedSystem { return m.shared }
-
-// JobMonitor is one job's view of a multi-job monitor: the results of
-// that job's analysis pipeline on the shared plane.
+// JobMonitor is one job's view of a monitor: the results of that job's
+// analysis pipeline on the monitoring plane.
 type JobMonitor struct {
 	job  uint16
 	pipe *monitor.Pipeline

@@ -222,3 +222,130 @@ func TestCustomThreshold(t *testing.T) {
 		t.Fatal("iteration scores lost the deviation")
 	}
 }
+
+// TestOneEntryJobsList: a Scenario.Jobs of length one is monitored like
+// any other job list — that job's id selects its windows, and its own
+// demand matrix (host column, leaf span) is what the model predicts
+// from. The monitor and the training loop used to disagree on whether
+// such a scenario was "multi-job": a clean run raised 160 false alerts
+// against the all-hosts demand matrix, and a non-zero job id left the
+// monitor with no windows at all.
+func TestOneEntryJobsList(t *testing.T) {
+	cases := []struct {
+		name string
+		job  JobSpec
+	}{
+		{"second host column", JobSpec{HostIx: 1}},
+		{"leaf span", JobSpec{LeafFirst: 2, LeafCount: 5}},
+		{"non-zero job id", JobSpec{Job: 7, HostIx: 1, LeafFirst: 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := Scenario{
+				Leaves: 8, Spines: 4, HostsPerLeaf: 2,
+				BytesPerRank: 4 << 20, Iterations: 5, Seed: 21,
+				Jobs: []JobSpec{tc.job},
+			}
+			leaves := tc.job.LeafCount
+			if leaves == 0 {
+				leaves = sc.Leaves - tc.job.LeafFirst
+			}
+			run := func(breakAt uint32) *Monitor {
+				cluster, err := New(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mon, err := cluster.Monitor(MonitorConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cluster.Train(func(_ Duration, iter uint32) {
+					if iter == breakAt {
+						cluster.BreakLink(Link{LeafOrd: 3, SpineOrd: 1}, 0.05)
+					}
+				})
+				return mon
+			}
+
+			clean := run(0)
+			if got, want := clean.Windows(), leaves*sc.Iterations; got != want {
+				t.Fatalf("clean run: %d windows, want %d", got, want)
+			}
+			if n := len(clean.Events()); n != 0 {
+				t.Fatalf("clean run raised %d alerts, first %v", n, clean.Events()[0].Alert)
+			}
+			if len(clean.Jobs()) != 1 || clean.Jobs()[0].Windows() != clean.Windows() {
+				t.Fatalf("Jobs() = %v, want the one listed job with every window", clean.Jobs())
+			}
+			if clean.IterationScores() == nil || clean.PortPrediction(3) == nil {
+				t.Fatal("a lone job must answer the whole-monitor queries")
+			}
+
+			faulted := run(2)
+			detected := false
+			for _, e := range faulted.Events() {
+				if e.Alert.Iter <= 2 {
+					t.Fatalf("alert before the fault: %v", e.Alert)
+				}
+				if e.Alert.Deviation < 0 && e.Alert.LeafOrdinal == 3 && e.Alert.Uplink == 1 {
+					detected = true
+				}
+			}
+			if !detected {
+				t.Fatal("5% drop on leaf 3 / spine 1 not detected")
+			}
+		})
+	}
+}
+
+// TestMonitorContractByJobCount pins Monitor's documented answers: the
+// whole-monitor iteration scores, detector stats and port predictions
+// exist for one job and not for several, and Jobs() is nil exactly when
+// the scenario lists no Jobs.
+func TestMonitorContractByJobCount(t *testing.T) {
+	two := fastScenario(22)
+	two.HostsPerLeaf = 2
+	two.Jobs = []JobSpec{{Job: 1}, {Job: 2, HostIx: 1}}
+	for _, tc := range []struct {
+		sc   Scenario
+		jobs int // len(Monitor.Jobs())
+		one  bool
+	}{{fastScenario(22), 0, true}, {two, 2, false}} {
+		cluster, err := New(tc.sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mon, err := cluster.Monitor(MonitorConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cluster.TrainAll(nil)
+		if got := len(mon.Jobs()); got != tc.jobs || (tc.jobs == 0) != (mon.Jobs() == nil) {
+			t.Errorf("Jobs(): %d handles (nil=%v), want %d", got, mon.Jobs() == nil, tc.jobs)
+		}
+		if got := mon.IterationScores() != nil; got != tc.one {
+			t.Errorf("%d jobs: IterationScores() non-nil = %v", tc.jobs, got)
+		}
+		if got := mon.PortPrediction(0) != nil; got != tc.one {
+			t.Errorf("%d jobs: PortPrediction() non-nil = %v", tc.jobs, got)
+		}
+		if got := mon.DetectorStats().WindowsChecked > 0; got != tc.one {
+			t.Errorf("%d jobs: DetectorStats() counted = %v", tc.jobs, got)
+		}
+		if mon.System() == nil || len(mon.System().Jobs()) != max(tc.jobs, 1) {
+			t.Errorf("%d jobs: System() = %v", tc.jobs, mon.System())
+		}
+		if mon.Windows() == 0 {
+			t.Errorf("%d jobs: no windows", tc.jobs)
+		}
+	}
+	if _, err := func() (*Monitor, error) {
+		cluster, err := New(two)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cluster.Monitor(MonitorConfig{Predictor: Simulation})
+	}(); err == nil {
+		t.Error("Simulation predictor accepted on a multi-job cluster")
+	}
+}

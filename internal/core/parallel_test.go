@@ -206,14 +206,9 @@ func TestShardedSystemDetectsAndRemediates(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer rt.Close()
-		sys, err := Attach(Config{
-			Net: rt.Net, Stack: rt.Stack, Demand: rt.Coll.Demand(),
-			Kind: AnalyticalModel, Job: int(sc.Job),
-			Remediate: &remediate.Config{},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := rt.MonitorConfig(JobConfig{})
+		cfg.Remediate = &remediate.Config{}
+		sys := MustAttach(cfg)
 		rt.StartTraining(func(_ sim.Time, iter uint32) {
 			if iter == 2 {
 				rt.InjectSilentDrop(LeafSpineLink{LeafOrd: 2, SpineOrd: 1}, 0.05)
@@ -223,14 +218,15 @@ func TestShardedSystemDetectsAndRemediates(t *testing.T) {
 		sys.Flush(rt.Engine.Now())
 
 		fp, u64 := newFP()
-		for _, e := range sys.Events {
+		events := only(t, sys).Pipeline.Events
+		for _, e := range events {
 			u64(uint64(e.Alert.Leaf))
 			u64(uint64(e.Alert.Uplink))
 			u64(uint64(e.Alert.Iter))
 		}
 		u64(rt.Net.FIBRecomputes())
 		u64(uint64(rt.Engine.Now()))
-		return fp.h.Sum64(), len(sys.Events)
+		return fp.h.Sum64(), len(events)
 	}
 
 	want, events := run(1)

@@ -278,25 +278,30 @@ type Runtime struct {
 	// divergence reaches the predictor and remediator.
 	Plane *control.Plane
 	Stack *transport.Stack
+	// Group is every host in rank order and Coll the scenario-level
+	// collective over it. Training runs Jobs, not these: swap a job's
+	// collective after Build through Jobs[i].Coll.
 	Group []topology.HostID
 	Coll  collective.Collective
-	// Jobs holds the per-job runtimes of a multi-job scenario (empty
-	// for the classic single-job form).
+	// Jobs holds the per-job runtimes, one or more: Scenario.Jobs
+	// materialized, or — when that is empty — the one all-hosts job the
+	// scenario-level fields describe (Group and Coll above).
 	Jobs []JobRuntime
-	// Goodput, when set before StartTraining, receives every completed
-	// iteration of the (single-job) training loop — the raw material of
-	// the goodput/stall/recovery metric family. Call MarkFault on it at
-	// fault onset to split the timeline.
+	// Goodput, when set before training starts, receives every
+	// completed iteration of Jobs[0]'s training loop — the raw material
+	// of the goodput/stall/recovery metric family. Call MarkFault on it
+	// at fault onset to split the timeline.
 	Goodput *metrics.GoodputTimeline
 
 	bg      *workload.Background
 	incast  *workload.Incast
 	storm   *workload.Storm
-	running int // jobs still training (multi-job Background gating)
+	running int // jobs still training (Background gating)
 }
 
-// JobRuntime is one job of a multi-job scenario, built: its normalized
-// spec, host group, and collective.
+// JobRuntime is one training job, built: its normalized spec (the
+// placement fields stay zero for the all-hosts job of a scenario
+// without Jobs), host group, and collective.
 type JobRuntime struct {
 	Spec  JobScenario
 	Group []topology.HostID
@@ -418,6 +423,19 @@ func (sc Scenario) Build() (*Runtime, error) {
 	return rt, nil
 }
 
+// MonitorConfig returns the Config that monitors every job of this
+// runtime: the fabric, transport and control plane, and one JobConfig
+// per job — each a copy of tmpl (model kind, detector tuning, hooks)
+// with the job's id and demand matrix filled in.
+func (rt *Runtime) MonitorConfig(tmpl JobConfig) Config {
+	cfg := Config{Net: rt.Net, Stack: rt.Stack, Control: rt.Plane}
+	for _, jr := range rt.Jobs {
+		tmpl.Job, tmpl.Demand = jr.Spec.Job, jr.Coll.Demand()
+		cfg.Jobs = append(cfg.Jobs, tmpl)
+	}
+	return cfg
+}
+
 // Run drives the simulation until every event has drained, returning
 // the final simulated time. It dispatches to the sharded group when
 // the scenario was built with Shards ≥ 1.
@@ -465,6 +483,13 @@ func buildCollective(kind CollectiveKind, group []topology.HostID, bytesPerRank 
 func (rt *Runtime) buildJobs() error {
 	sc := rt.Scenario
 	if len(sc.Jobs) == 0 {
+		rt.Jobs = []JobRuntime{{
+			Spec: JobScenario{
+				Job: sc.Job, Collective: sc.Collective, BytesPerRank: sc.BytesPerRank,
+				Iterations: sc.Iterations, ComputeGap: sc.ComputeGap, JitterMax: sc.JitterMax,
+			},
+			Group: rt.Group, Coll: rt.Coll,
+		}}
 		return nil
 	}
 	seen := map[uint16]bool{}
@@ -599,57 +624,33 @@ func (rt *Runtime) InjectLossyFlap(ref LeafSpineLink, period, downFor, phase sim
 // ClearSilent removes silent faults from the referenced link.
 func (rt *Runtime) ClearSilent(ref LeafSpineLink) { rt.Net.ClearFault(rt.Link(ref)) }
 
-// StartTraining launches the scenario's training job (plus the
-// background generator when the scenario asks for one). For a
-// multi-job scenario it launches every job; onIter then reports the
-// iterations of Jobs[0] and onDone fires once ALL jobs finish.
+// StartTraining launches every job of the scenario (plus the
+// background generator when the scenario asks for one) and returns the
+// first: onIter reports the iterations of Jobs[0] and onDone fires once
+// ALL jobs finish.
 func (rt *Runtime) StartTraining(onIter func(now sim.Time, iter uint32), onDone func(now sim.Time)) *workload.Job {
-	if len(rt.Jobs) > 0 {
-		first := rt.Jobs[0].Spec.Job
-		jobs := rt.StartAllJobs(func(now sim.Time, job uint16, iter uint32) {
-			if onIter != nil && job == first {
-				onIter(now, iter)
-			}
-		}, onDone)
-		return jobs[0]
-	}
-	rt.startBackground()
-	rt.running = 1
-	job := workload.StartJob(rt.Stack, workload.JobConfig{
-		Job:              rt.Scenario.Job,
-		Collective:       rt.Coll,
-		Iterations:       rt.Scenario.Iterations,
-		ComputeGap:       rt.Scenario.ComputeGap,
-		JitterMax:        rt.Scenario.JitterMax,
-		Priority:         fabric.High,
-		Sentinel:         true,
-		Seed:             rt.Scenario.Seed,
-		StragglerOffsets: rt.stragglerOffsets(rt.Group),
-		Goodput:          rt.Goodput,
-		OnIteration: func(now sim.Time, iter uint32, _ *collective.Result) {
-			if onIter != nil {
-				onIter(now, iter)
-			}
-		},
-		OnDone: func(now sim.Time) {
-			rt.jobDone(now, onDone)
-		},
-	})
-	return job
+	first := rt.Jobs[0].Spec.Job
+	return rt.StartAllJobs(func(now sim.Time, job uint16, iter uint32) {
+		if onIter != nil && job == first {
+			onIter(now, iter)
+		}
+	}, onDone)[0]
 }
 
-// StartAllJobs launches every job of a multi-job scenario. onIter
-// fires per completed iteration of any job; onDone fires once after
-// the last job finishes (also stopping the background generator).
+// StartAllJobs launches every job of the scenario, in Jobs order.
+// onIter fires per completed iteration of any job; onDone fires once
+// after the last job finishes (also stopping the background
+// generator).
 func (rt *Runtime) StartAllJobs(onIter func(now sim.Time, job uint16, iter uint32), onDone func(now sim.Time)) []*workload.Job {
-	if len(rt.Jobs) == 0 {
-		panic("core: StartAllJobs without Scenario.Jobs")
-	}
 	rt.startBackground()
 	rt.running = len(rt.Jobs)
 	jobs := make([]*workload.Job, len(rt.Jobs))
 	for i, jr := range rt.Jobs {
 		spec := jr.Spec
+		var goodput *metrics.GoodputTimeline
+		if i == 0 {
+			goodput = rt.Goodput
+		}
 		jobs[i] = workload.StartJob(rt.Stack, workload.JobConfig{
 			Job:              spec.Job,
 			Collective:       jr.Coll,
@@ -660,6 +661,7 @@ func (rt *Runtime) StartAllJobs(onIter func(now sim.Time, job uint16, iter uint3
 			Sentinel:         true,
 			Seed:             rt.Scenario.Seed, // streams are per-job-id inside workload
 			StragglerOffsets: rt.stragglerOffsets(jr.Group),
+			Goodput:          goodput,
 			OnIteration: func(now sim.Time, iter uint32, _ *collective.Result) {
 				if onIter != nil {
 					onIter(now, spec.Job, iter)
@@ -794,7 +796,7 @@ func ReferenceRun(sc Scenario, iterations int) ([]*telemetry.Window, error) {
 	}
 	defer rt.Close()
 	var windows []*telemetry.Window
-	coll := telemetry.AttachAll(rt.Net, int(sc.Job), func(w *telemetry.Window) {
+	coll := telemetry.AttachAll(rt.Net, int(rt.Jobs[0].Spec.Job), func(w *telemetry.Window) {
 		windows = append(windows, w.Clone())
 	})
 	rt.StartTraining(nil, nil)

@@ -1,17 +1,17 @@
 // Package core assembles FlowPulse (§5, Fig 1): per-leaf telemetry
 // monitors feeding a load model, a deviation detector, and a
-// localizer — continuous, in-switch, coordination-free monitoring of a
-// training job for silent network faults.
+// localizer — continuous, in-switch, coordination-free monitoring of
+// the training jobs on one fabric for silent network faults.
 package core
 
 import (
 	"fmt"
+	"os"
 
 	"flowpulse/internal/collective"
 	"flowpulse/internal/control"
 	"flowpulse/internal/detect"
 	"flowpulse/internal/fabric"
-	"flowpulse/internal/localize"
 	"flowpulse/internal/monitor"
 	"flowpulse/internal/predict"
 	"flowpulse/internal/remediate"
@@ -44,13 +44,17 @@ const (
 // package defines).
 type Event = monitor.Event
 
-// Config assembles a System.
-type Config struct {
-	// Net and Stack are the fabric and transport under observation.
-	Net   *fabric.Network
-	Stack *transport.Stack
-	// Demand is the measured collective's demand matrix (required for
-	// the analytical model; used by all for localization references).
+// WindowScore pairs a window with its detector score (an alias of the
+// monitor package's WindowScore).
+type WindowScore = monitor.WindowScore
+
+// JobConfig configures one job's pipeline: its load model and detector
+// tuning.
+type JobConfig struct {
+	// Job is the job id this pipeline owns.
+	Job uint16
+	// Demand is the job's demand matrix (required for the analytical
+	// model).
 	Demand *collective.DemandMatrix
 	// Kind selects the load model. Defaults to AnalyticalModel.
 	Kind PredictorKind
@@ -60,207 +64,303 @@ type Config struct {
 	Learned predict.LearnedConfig
 	// Detect tunes the detector (threshold defaults to the paper's 1%).
 	Detect detect.Config
-	// Job filters measurement to one job id; telemetry.JobAny measures
-	// all sentinel-tagged traffic.
-	Job int
-	// Control is the control plane holding the believed topology view;
-	// the predictor consults its believed FIB and the remediator
-	// mutates the fabric only through it. Nil builds a fresh verified
-	// plane over Net (belief initialized from live state) — equivalent
-	// for every run that does not inject divergence. Scenario runs pass
-	// Runtime.Plane so injected divergence reaches the monitor.
-	Control *control.Plane
 	// OnEvent receives every localized detection as it happens.
 	OnEvent func(e Event)
 	// OnWindow receives every closed window after scoring but before
 	// the learned model observes it — the hook experiment harnesses use
 	// to snapshot the baseline in effect when the window was checked.
 	OnWindow func(ws WindowScore)
-	// Remediate, when set, attaches the closed-loop control plane:
-	// alert confirmation, link quarantine, re-baseline, and probed
-	// re-admission with flap damping. Use &remediate.Config{} for the
+}
+
+// Config assembles a System: one tap, one pipeline per job, one
+// arbiter.
+type Config struct {
+	// Net and Stack are the fabric and transport under observation.
+	Net   *fabric.Network
+	Stack *transport.Stack
+	// Jobs lists the monitored jobs, one or more. Order is the plane's
+	// registration order (deterministic fan-out and flush).
+	Jobs []JobConfig
+	// Control is the (single, fabric-scoped) control plane holding the
+	// believed topology view: every job's predictor reads its believed
+	// FIB and the remediator mutates links only through it. Nil builds a
+	// fresh verified plane over Net (belief initialized from live state)
+	// — equivalent for every run that does not inject divergence.
+	// Scenario runs pass Runtime.Plane so injected divergence reaches
+	// the monitor.
+	Control *control.Plane
+	// Remediate, when set, attaches ONE closed-loop control plane for
+	// every pipeline: alert confirmation, link quarantine, re-baseline,
+	// and probed re-admission with flap damping. Quarantine is
+	// fabric-scoped (an admin-down reroutes everyone), so a link
+	// confirmed through any job's windows — or corroborated across jobs
+	// — is quarantined exactly once. Use &remediate.Config{} for the
 	// defaults.
 	Remediate *remediate.Config
 	// Resilience, when set (requires Remediate), extends the loop into
-	// the workload: quarantines that degrade a leaf below the recovery
-	// target re-plan the collective (re-rank or degraded-mode ring) on
-	// the job bound via BindWorkload, and the predictors re-baseline
-	// against the new demand matrix. Use &resilience.Config{} for the
-	// defaults. Not supported with the simulation model, whose
-	// reference run cannot be re-derived for a new schedule.
+	// the workload: a quarantine that degrades a leaf below the recovery
+	// target re-plans the collective (re-rank or degraded-mode ring) of
+	// every job bound via BindWorkload — each keeps its own re-planner,
+	// its own ring, its own capacity exposure — and the predictors
+	// re-baseline against the new demand matrices. Use
+	// &resilience.Config{} for the defaults. Not supported for jobs on
+	// the simulation model, whose reference run cannot be re-derived for
+	// a new schedule.
 	Resilience *resilience.Config
-	// TracePath, when set, records the run — windows with their live
-	// predictions, events, remediation, fault schedule — to a .fpt
-	// trace file for offline replay (see internal/trace). Trace streams
-	// to an existing Writer instead (the caller keeps ownership); set
-	// at most one of the two. TraceLabel annotates the trace header.
+	// TracePath, when set, records the run — every job's windows with
+	// their live predictions, events, the remediation stream, the fault
+	// schedule — to one .fpt trace file for offline replay (see
+	// internal/trace). Trace streams to an existing Writer instead (the
+	// caller keeps ownership); set at most one of the two. TraceLabel
+	// annotates the trace header.
 	TracePath  string
 	Trace      *trace.Writer
 	TraceLabel string
 }
 
-// System is a running FlowPulse deployment over one network: one
-// job's monitor.Pipeline (embedded — Events, Windows, Scores, and
-// Subscribe are the pipeline's) fed by a per-leaf telemetry collector.
-type System struct {
-	cfg        Config
-	collector  *telemetry.Collector
-	detector   *detect.Detector
-	localizer  *localize.Localizer
-	learned    *predict.Learned // nil unless Kind == LearnedModel
-	pred       predict.Predictor
-	faults     *predict.FaultSet
-	remediator *remediate.Remediator // nil unless Config.Remediate set
-	plane      *control.Plane
-	trc        *trace.Writer // nil unless tracing
+// Job is one monitored job's stack on a System.
+type Job struct {
+	ID        uint16
+	Pipeline  *monitor.Pipeline
+	Predictor predict.Predictor
+	Detector  *detect.Detector
+	// Replanner is nil until BindWorkload arms it (and always when
+	// Config.Resilience was not set).
+	Replanner *resilience.Replanner
 
-	replanner *resilience.Replanner // nil unless Config.Resilience set
-	job       *workload.Job         // set by BindWorkload
-
-	*monitor.Pipeline
+	work *workload.Job // set by BindWorkload
 }
 
-// WindowScore pairs a window with its detector score (an alias of the
-// monitor package's WindowScore).
-type WindowScore = monitor.WindowScore
+// Learned returns the job's learned model, or nil for other kinds.
+func (j *Job) Learned() *predict.Learned {
+	l, _ := j.Predictor.(*predict.Learned)
+	return l
+}
+
+// System is a running FlowPulse deployment over one fabric (§5, and §7
+// "Parallel Jobs" for more than one job): one telemetry tap per switch
+// feeding one monitor.Pipeline per job through a monitor.Plane, with a
+// single known-fault set, control plane, trace writer and (optionally)
+// remediator — the fabric-scoped parts.
+//
+// Three things follow from the number of jobs and cannot be set.
+// Pipelines of a multi-job system always detect on the all-jobs
+// aggregate (detect.Config.AggregateSymmetry): jobs sharing a leaf's
+// uplinks comb each other's spray shares, and only the aggregate keeps
+// per-port symmetry. A lone job keeps the caller's setting, because the
+// scaled-shape basis rounds differently from the job's own counts. The
+// trace header's Shared flag and the "job N: " prefix on re-plan
+// details appear only with several jobs, which keeps single-job
+// recordings and fingerprints what they have always been.
+type System struct {
+	cfg        Config
+	plane      *monitor.Plane
+	ctrl       *control.Plane
+	faults     *predict.FaultSet
+	remediator *remediate.Remediator // nil unless Config.Remediate set
+	trc        *trace.Writer         // nil unless tracing
+	jobs       []*Job                // registration order
+}
 
 // Attach deploys FlowPulse on a network. It registers telemetry hooks
-// on every leaf; the caller then runs the workload and reads Events.
+// on every leaf; the caller then runs the workload and reads the jobs'
+// pipelines.
 func Attach(cfg Config) (*System, error) {
 	if cfg.Net == nil || cfg.Stack == nil {
 		return nil, fmt.Errorf("core: Config.Net and Config.Stack are required")
 	}
-	if cfg.Kind == "" {
-		cfg.Kind = AnalyticalModel
+	if len(cfg.Jobs) == 0 {
+		return nil, fmt.Errorf("core: Config.Jobs is empty")
+	}
+	if cfg.Resilience != nil && cfg.Remediate == nil {
+		return nil, fmt.Errorf("core: Config.Resilience requires Config.Remediate (re-plans are quarantine-triggered)")
+	}
+	if cfg.Trace != nil && cfg.TracePath != "" {
+		return nil, fmt.Errorf("core: set TracePath or Trace, not both")
 	}
 	topo := cfg.Net.Topology()
 	if cfg.Control == nil {
 		cfg.Control = control.New(control.Config{Verify: true}, cfg.Net)
 	}
+	s := &System{cfg: cfg, ctrl: cfg.Control, faults: predict.NewFaultSet()}
+	multi := len(cfg.Jobs) > 1
 
-	s := &System{cfg: cfg, faults: predict.NewFaultSet(), plane: cfg.Control}
-	var err error
-	// The predictor reads the control plane's *believed* FIB, not the
+	// Predictors first: the remediator's rebaseline closure spans all
+	// of them. They read the control plane's *believed* FIB, not the
 	// fabric's: that seam is what lets an injected belief error
 	// propagate into wrong expectations the way a production
 	// controller's stale model would. Belief and truth are identical
 	// (bit for bit — same table-build code, same predicate) unless
 	// divergence is injected.
-	s.pred, s.learned, err = buildPredictor(topo, s.plane, cfg.Stack, cfg.Kind, predictorOptions{
-		Demand: cfg.Demand, ReferenceWindows: cfg.ReferenceWindows, Learned: cfg.Learned,
-	}, s.faults)
-	if err != nil {
-		return nil, err
+	for _, jc := range cfg.Jobs {
+		if s.Job(jc.Job) != nil {
+			return nil, fmt.Errorf("core: duplicate job id %d in Config.Jobs", jc.Job)
+		}
+		if cfg.Resilience != nil && jc.Kind == SimulationModel {
+			return nil, fmt.Errorf("core: job %d: resilience is not supported with the simulation model: its reference run was recorded for the original schedule and cannot be re-derived mid-job", jc.Job)
+		}
+		pred, err := buildPredictor(topo, s.ctrl, cfg.Stack, jc, s.faults)
+		if err != nil {
+			return nil, fmt.Errorf("core: job %d: %w", jc.Job, err)
+		}
+		s.jobs = append(s.jobs, &Job{ID: jc.Job, Predictor: pred})
 	}
-
-	s.detector = detect.New(topo, s.pred, cfg.Detect)
-	s.detector.SetKnownFaults(s.faults)
-	s.localizer = localize.New(topo, s.detector.Threshold(), 0)
+	var rem monitor.RemediateStage
 	if cfg.Remediate != nil {
-		s.remediator = remediate.New(s.plane, s.faults, func() { s.Rebaseline() }, *cfg.Remediate)
+		s.remediator = remediate.New(s.ctrl, s.faults, func() { s.Rebaseline() }, *cfg.Remediate)
+		rem = s.remediator
 	}
 	if cfg.Resilience != nil {
-		if s.remediator == nil {
-			return nil, fmt.Errorf("core: Config.Resilience requires Config.Remediate (re-plans are quarantine-triggered)")
-		}
-		if cfg.Kind == SimulationModel {
-			return nil, fmt.Errorf("core: Resilience is not supported with the simulation model: its reference run was recorded for the original schedule and cannot be re-derived mid-job")
-		}
 		// A re-plan migrates flows onto surviving paths whose RTTs the
 		// transport's per-pair estimators have not seen; without pair-
 		// level timer backoff the stale timeouts melt down into a
 		// self-sustaining spurious-retransmission storm on the repair
 		// seam (see transport.Config.PairBackoff).
 		cfg.Stack.EnableMigrationHardening()
-		// The hooks fire before the remediation loop's own rebaseline,
-		// so the re-planned demand matrix is what the single
-		// post-quarantine (or post-re-admission) rebaseline computes
-		// from. They no-op until BindWorkload supplies the job.
+		// One fabric event fans out to every bound job, in binding
+		// order. The hooks fire before the remediation loop's own
+		// rebaseline, so the re-planned demand matrices are what the
+		// single post-quarantine (or post-re-admission) rebaseline
+		// computes from. They no-op until BindWorkload supplies a job.
 		s.remediator.OnQuarantine = func(now sim.Time, link topology.LinkID) {
-			if s.replanner != nil {
-				s.applyPlan(s.replanner.NoteQuarantine(now, link), link)
+			for _, j := range s.jobs {
+				if j.Replanner != nil {
+					s.applyPlan(j, j.Replanner.NoteQuarantine(now, link), link)
+				}
 			}
 		}
 		s.remediator.OnReadmit = func(now sim.Time, link topology.LinkID) {
-			if s.replanner != nil {
-				s.applyPlan(s.replanner.NoteReadmit(now, link), link)
+			for _, j := range s.jobs {
+				if j.Replanner != nil {
+					s.applyPlan(j, j.Replanner.NoteReadmit(now, link), link)
+				}
 			}
 		}
 	}
-	if err := s.attachTrace(topo, cfg); err != nil {
-		return nil, err
+
+	// The topology is checked before TracePath is opened: a rejected
+	// attach must not truncate a previous recording.
+	var hdr trace.Header
+	if cfg.Trace != nil || cfg.TracePath != "" {
+		var err error
+		if hdr, err = traceHeader(topo, cfg.TraceLabel, multi, s.remediator); err != nil {
+			return nil, err
+		}
+		if s.trc = cfg.Trace; s.trc == nil {
+			if s.trc, err = trace.Create(cfg.TracePath); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	ids := make([]uint16, len(s.jobs))
+	pipelines := make(map[uint16]*monitor.Pipeline, len(s.jobs))
+	for i, jc := range cfg.Jobs {
+		j := s.jobs[i]
+		if multi {
+			jc.Detect.AggregateSymmetry = true
+		}
+		onEvent, onWindow := jc.OnEvent, jc.OnWindow
+		if s.trc != nil {
+			// The trace hooks wrap the caller's: the window record is
+			// written (with the prediction the detector is about to
+			// consume) before detection runs, and every event/action
+			// folds into the writer's fingerprint as it is emitted.
+			onEvent = func(e Event) {
+				s.trc.Event(e)
+				if jc.OnEvent != nil {
+					jc.OnEvent(e)
+				}
+			}
+			onWindow = func(ws WindowScore) {
+				s.trc.WindowOf(j.Predictor, ws.Window)
+				if jc.OnWindow != nil {
+					jc.OnWindow(ws)
+				}
+			}
+		}
+		j.Pipeline, j.Detector = monitor.Build(monitor.Spec{
+			Topo: topo, Pred: j.Predictor, Detect: jc.Detect, Faults: s.faults,
+			Remediate: rem, OnEvent: onEvent, OnWindow: onWindow,
+		})
+		ids[i], pipelines[j.ID] = j.ID, j.Pipeline
+		dc := j.Detector.Config()
+		hdr.Jobs = append(hdr.Jobs, trace.JobHeader{
+			Job:               j.ID,
+			Predictor:         j.Predictor.Name(),
+			Threshold:         dc.Threshold,
+			MinPredicted:      dc.MinPredicted,
+			AggregateSymmetry: dc.AggregateSymmetry,
+			CEDiscount:        dc.CEDiscount,
+		})
 	}
 	if s.trc != nil {
-		// The trace hooks wrap the caller's: the window record is
-		// written (with the prediction the detector is about to
-		// consume) before detection runs, and every event/action folds
-		// into the writer's fingerprint as it is emitted.
-		userEvent, userWindow := cfg.OnEvent, cfg.OnWindow
-		cfg.OnEvent = func(e Event) {
-			s.trc.Event(e)
-			if userEvent != nil {
-				userEvent(e)
+		if err := s.trc.Begin(hdr); err != nil {
+			if cfg.TracePath != "" {
+				s.trc.Finish(0) // closes the file; the error is already err
+				os.Remove(cfg.TracePath)
 			}
-		}
-		cfg.OnWindow = func(ws WindowScore) {
-			s.trc.WindowOf(s.pred, ws.Window)
-			if userWindow != nil {
-				userWindow(ws)
-			}
+			return nil, err
 		}
 		if s.remediator != nil {
 			s.remediator.OnAction = s.trc.Action
 			s.remediator.OnProbeRound = s.trc.ProbeRound
 		}
 	}
-	pc := monitor.PipelineConfig{
-		Pred:     s.pred,
-		Detect:   s.detector,
-		Localize: s.localizer,
-		OnEvent:  cfg.OnEvent,
-		OnWindow: cfg.OnWindow,
-	}
-	if s.learned != nil {
-		pc.Observer = s.learned
-	}
-	if s.remediator != nil {
-		pc.Remediate = s.remediator
-	}
-	s.Pipeline = monitor.NewPipeline(pc)
-	s.collector = telemetry.AttachAll(cfg.Net, cfg.Job, s.Pipeline.OnWindow)
+	s.plane = monitor.NewPlane(cfg.Net, ids, pipelines)
 	return s, nil
 }
 
-// predictorOptions carries the model-specific knobs of buildPredictor.
-type predictorOptions struct {
-	Demand           *collective.DemandMatrix
-	ReferenceWindows []*telemetry.Window
-	Learned          predict.LearnedConfig
+// buildPredictor constructs one of §5.2's load models for a job;
+// faults is the known-fault set the analytical model consults.
+func buildPredictor(topo *topology.Topology, fib predict.FIBView, stack *transport.Stack,
+	jc JobConfig, faults *predict.FaultSet) (predict.Predictor, error) {
+	switch jc.Kind {
+	case "", AnalyticalModel:
+		if jc.Demand == nil {
+			return nil, fmt.Errorf("analytical model needs JobConfig.Demand")
+		}
+		a := predict.NewAnalytical(topo, fib, stack, jc.Demand)
+		a.SetFaults(faults)
+		return a, nil
+	case SimulationModel:
+		sp, err := predict.NewSimulation(len(topo.Leaves()), jc.ReferenceWindows)
+		if err != nil {
+			return nil, fmt.Errorf("simulation model: %w", err)
+		}
+		return sp, nil
+	case LearnedModel:
+		return predict.NewLearned(len(topo.Leaves()), jc.Learned), nil
+	}
+	return nil, fmt.Errorf("unknown predictor kind %q", jc.Kind)
 }
 
-// buildPredictor constructs one of §5.2's load models; faults is the
-// known-fault set the analytical model consults.
-func buildPredictor(topo *topology.Topology, fib predict.FIBView, stack *transport.Stack,
-	kind PredictorKind, o predictorOptions, faults *predict.FaultSet) (predict.Predictor, *predict.Learned, error) {
-	switch kind {
-	case AnalyticalModel:
-		if o.Demand == nil {
-			return nil, nil, fmt.Errorf("core: analytical model needs Config.Demand")
-		}
-		a := predict.NewAnalytical(topo, fib, stack, o.Demand)
-		a.SetFaults(faults)
-		return a, nil, nil
-	case SimulationModel:
-		sp, err := predict.NewSimulation(len(topo.Leaves()), o.ReferenceWindows)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: simulation model: %w", err)
-		}
-		return sp, nil, nil
-	case LearnedModel:
-		l := predict.NewLearned(len(topo.Leaves()), o.Learned)
-		return l, l, nil
+// traceHeader derives the trace header's fabric half from the
+// monitored topology; Attach appends one JobHeader per pipeline. Trace
+// v1 records two-level leaf/spine systems: the header's four topology
+// numbers rebuild the exact same fabric — and therefore the exact same
+// link and switch IDs — offline.
+func traceHeader(topo *topology.Topology, label string, shared bool, rem *remediate.Remediator) (trace.Header, error) {
+	if topo.Levels != 2 {
+		return trace.Header{}, fmt.Errorf("core: tracing supports two-level fat trees only (got %d levels)", topo.Levels)
 	}
-	return nil, nil, fmt.Errorf("core: unknown predictor kind %q", kind)
+	leaves := topo.Leaves()
+	hosts := len(topo.HostsOf(leaves[0]))
+	uplink := topo.Switch(leaves[0]).Ports[hosts].Link
+	hdr := trace.Header{
+		Label:        label,
+		Leaves:       len(leaves),
+		Spines:       len(topo.Spines()),
+		HostsPerLeaf: hosts,
+		Trunk:        topo.Trunk,
+		LinkRateBPS:  topo.Link(uplink).RateBPS,
+		Shared:       shared,
+	}
+	if rem != nil {
+		cfg := rem.Config()
+		hdr.Remediate = &cfg
+	}
+	return hdr, nil
 }
 
 // MustAttach is Attach for statically valid configurations.
@@ -272,99 +372,122 @@ func MustAttach(cfg Config) *System {
 	return s
 }
 
-// Predictor returns the active load model.
-func (s *System) Predictor() predict.Predictor { return s.pred }
+// Jobs returns the monitored jobs' stacks in registration order.
+func (s *System) Jobs() []*Job { return s.jobs }
 
-// Detector returns the deviation detector.
-func (s *System) Detector() *detect.Detector { return s.detector }
-
-// Learned returns the learned model, or nil for other kinds.
-func (s *System) Learned() *predict.Learned { return s.learned }
-
-// Remediator returns the closed-loop remediation engine, or nil when
-// Config.Remediate was not set.
-func (s *System) Remediator() *remediate.Remediator { return s.remediator }
-
-// ControlPlane returns the control plane holding the believed topology
-// view. Never nil: Attach builds a verified plane when the caller does
-// not supply one.
-func (s *System) ControlPlane() *control.Plane { return s.plane }
-
-// Replanner returns the workload re-planner, or nil until a job is
-// bound (or when Config.Resilience was not set).
-func (s *System) Replanner() *resilience.Replanner { return s.replanner }
-
-// BindWorkload connects the training job the resilience loop repairs.
-// The re-planner is armed with the job's current ring order; from then
-// on a quarantine that degrades a leaf below the recovery target
-// re-plans the collective at the job's next iteration barrier. A no-op
-// when Config.Resilience was not set; errors when the job's collective
-// cannot be re-planned.
-func (s *System) BindWorkload(j *workload.Job) error {
-	if s.cfg.Resilience == nil {
-		return nil
+// Job returns one job's stack (nil if the job is not monitored).
+func (s *System) Job(id uint16) *Job {
+	for _, j := range s.jobs {
+		if j.ID == id {
+			return j
+		}
 	}
-	coll := j.Collective()
-	if _, ok := coll.(collective.Replannable); !ok {
-		return fmt.Errorf("core: resilience needs a re-plannable collective, %s is not", coll.Name())
-	}
-	s.job = j
-	s.replanner = resilience.New(s.cfg.Net.Topology(), coll.Demand().Hosts, *s.cfg.Resilience)
 	return nil
 }
 
-// applyPlan executes one re-plan decision: record it on the
+// Plane returns the underlying monitoring plane.
+func (s *System) Plane() *monitor.Plane { return s.plane }
+
+// Remediator returns the closed-loop remediation engine shared by every
+// pipeline, or nil when Config.Remediate was not set.
+func (s *System) Remediator() *remediate.Remediator { return s.remediator }
+
+// ControlPlane returns the fabric-scoped control plane holding the
+// believed topology view. Never nil: Attach builds a verified plane
+// when the caller does not supply one.
+func (s *System) ControlPlane() *control.Plane { return s.ctrl }
+
+// KnownFaults returns the control plane's known-fault set: links
+// confirmed faulty and currently quarantined. Every analytical model
+// and detector consults it; quarantine mutates it.
+func (s *System) KnownFaults() *predict.FaultSet { return s.faults }
+
+// TraceWriter returns the attached trace writer, or nil when the
+// system is not recording. Harnesses use it to append ground-truth
+// fault records and to check Err after Flush.
+func (s *System) TraceWriter() *trace.Writer { return s.trc }
+
+// BindWorkload connects one monitored job's training loop to the
+// resilience loop. The job gets its own re-planner, armed with its
+// current ring order; from then on a quarantine that degrades a leaf
+// below the recovery target re-plans the collective at the job's next
+// iteration barrier. A no-op when Config.Resilience was not set;
+// errors when the job is not monitored or its collective cannot be
+// re-planned.
+func (s *System) BindWorkload(job uint16, w *workload.Job) error {
+	if s.cfg.Resilience == nil {
+		return nil
+	}
+	j := s.Job(job)
+	if j == nil {
+		return fmt.Errorf("core: BindWorkload: job %d is not monitored", job)
+	}
+	coll := w.Collective()
+	if _, ok := coll.(collective.Replannable); !ok {
+		return fmt.Errorf("core: job %d: resilience needs a re-plannable collective, %s is not", job, coll.Name())
+	}
+	j.work = w
+	j.Replanner = resilience.New(s.cfg.Net.Topology(), coll.Demand().Hosts, *s.cfg.Resilience)
+	return nil
+}
+
+// applyPlan executes one bound job's re-plan decision: record it on the
 // remediation timeline (and in the trace), swap the job's collective
 // at its next iteration barrier, and point the analytical model at the
 // new demand matrix. The caller is the quarantine/re-admission hook,
 // which fires before the remediation loop's own rebaseline — that
 // single rebaseline then recomputes the baseline for the new schedule.
-func (s *System) applyPlan(p *resilience.Plan, link topology.LinkID) {
-	if p == nil || s.job == nil {
+func (s *System) applyPlan(j *Job, p *resilience.Plan, link topology.LinkID) {
+	if p == nil {
 		return
 	}
 	kind := remediate.ActionReplan
 	if p.Kind == resilience.PlanRestore {
 		kind = remediate.ActionRestore
 	}
-	s.remediator.RecordWorkload(remediate.Action{At: p.At, Kind: kind, Link: link, Detail: p.Detail})
+	detail := p.Detail
+	if len(s.jobs) > 1 {
+		detail = fmt.Sprintf("job %d: %s", j.ID, detail)
+	}
+	s.remediator.RecordWorkload(remediate.Action{At: p.At, Kind: kind, Link: link, Detail: detail})
 	// Re-plans change no fabric state, but they are control-plane
 	// decisions: log them on the ChangeSet ledger so an audit of "what
 	// did the controller decide and when" reads one source.
-	s.plane.Note(p.At, kind.String(), p.Detail)
-	next := s.job.Collective().(collective.Replannable).Replan(p.Group)
-	s.job.Replan(next)
-	if ds, ok := s.pred.(interface {
+	s.ctrl.Note(p.At, kind.String(), detail)
+	next := j.work.Collective().(collective.Replannable).Replan(p.Group)
+	j.work.Replan(next)
+	if ds, ok := j.Predictor.(interface {
 		SetDemand(*collective.DemandMatrix)
 	}); ok {
 		ds.SetDemand(next.Demand())
 	}
 }
 
-// KnownFaults returns the control plane's known-fault set: links
-// confirmed faulty and currently quarantined. The analytical model and
-// the detector consult it; quarantine mutates it.
-func (s *System) KnownFaults() *predict.FaultSet { return s.faults }
-
-// Rebaseline asks the active load model to recompute its baseline
+// Rebaseline asks every job's load model to recompute its baseline
 // against the current routing state, known-fault set, and demand
-// matrix, and reports whether the model supports it. The simulation
-// model responds by discarding its stale per-iteration reference
-// windows (falling back to its run-average profile) — honest
-// blindness, since its reference run cannot be re-derived online.
+// matrix, and reports whether all of them support it. Quarantine and
+// re-admission call this: the fabric changed for every job, not just
+// the one whose windows confirmed the fault. The simulation model
+// responds by discarding its stale per-iteration reference windows
+// (falling back to its run-average profile) — honest blindness, since
+// its reference run cannot be re-derived online.
 func (s *System) Rebaseline() bool {
-	rb, ok := s.pred.(predict.Rebaseliner)
-	if ok {
-		rb.Rebaseline()
+	all := true
+	for _, j := range s.jobs {
+		rb, ok := j.Predictor.(predict.Rebaseliner)
+		if ok {
+			rb.Rebaseline()
+		}
+		all = all && ok
 	}
-	return ok
+	return all
 }
 
 // Flush closes all open telemetry windows (end of training) and, when
 // recording, seals the trace (trailer + fingerprint; check
 // TraceWriter().Err for I/O errors).
 func (s *System) Flush(now sim.Time) {
-	s.collector.FlushAll(now)
+	s.plane.Flush(now)
 	if s.trc != nil {
 		s.trc.Finish(now)
 	}

@@ -1,12 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"flowpulse/internal/localize"
+	"flowpulse/internal/remediate"
+	"flowpulse/internal/resilience"
 	"flowpulse/internal/sim"
 	"flowpulse/internal/telemetry"
+	"flowpulse/internal/trace"
 )
 
 // small is a fast test scenario: 8 leaves, 4 spines, 4 MiB per rank.
@@ -16,21 +23,53 @@ func small(seed uint64) Scenario {
 	return Scenario{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, Iterations: 5, Seed: seed}
 }
 
+// twoJobs is an 8×4 fat tree with two hosts per leaf and two
+// concurrent full-span ring jobs, one per host column.
+func twoJobs(seed uint64) Scenario {
+	return Scenario{
+		Leaves: 8, Spines: 4, HostsPerLeaf: 2,
+		BytesPerRank: 4 << 20, Iterations: 5, Seed: seed,
+		Jobs: []JobScenario{
+			{Job: 1, HostIx: 0},
+			{Job: 2, HostIx: 1},
+		},
+	}
+}
+
+// only returns the stack of a system that monitors exactly one job.
+func only(t *testing.T, sys *System) *Job {
+	t.Helper()
+	if len(sys.Jobs()) != 1 {
+		t.Fatalf("system monitors %d jobs, want 1", len(sys.Jobs()))
+	}
+	return sys.Jobs()[0]
+}
+
+// run builds a scenario with one job or several, monitors every job
+// with the given model, trains to completion and flushes. onIter sees
+// the first job's iterations.
 func run(t *testing.T, sc Scenario, kind PredictorKind, refIters int,
+	setup func(rt *Runtime, sys *System), onIter func(rt *Runtime, now sim.Time, iter uint32)) (*Runtime, *System) {
+	t.Helper()
+	return runWith(t, sc, JobConfig{Kind: kind}, refIters, nil, setup, onIter)
+}
+
+func runWith(t *testing.T, sc Scenario, job JobConfig, refIters int, rem *remediate.Config,
 	setup func(rt *Runtime, sys *System), onIter func(rt *Runtime, now sim.Time, iter uint32)) (*Runtime, *System) {
 	t.Helper()
 	rt, err := sc.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Net: rt.Net, Stack: rt.Stack, Demand: rt.Coll.Demand(), Kind: kind, Job: int(sc.Job)}
-	if kind == SimulationModel {
+	if job.Kind == SimulationModel {
 		ref, err := ReferenceRun(sc, refIters)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.ReferenceWindows = ref
+		job.ReferenceWindows = ref
 	}
+	cfg := rt.MonitorConfig(job)
+	cfg.Remediate = rem
 	sys, err := Attach(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -48,22 +87,115 @@ func run(t *testing.T, sc Scenario, kind PredictorKind, refIters int,
 	return rt, sys
 }
 
+// assertCleanRun is the healthy-fabric contract for any number of
+// jobs: every job's pipeline sees one window per (leaf of its span,
+// iteration), raises nothing, and no window goes unrouted.
+func assertCleanRun(t *testing.T, sc Scenario) *System {
+	t.Helper()
+	rt, sys := run(t, sc, AnalyticalModel, 0, nil, nil)
+	for i, j := range sys.Jobs() {
+		spec := rt.Jobs[i].Spec
+		leaves := spec.LeafCount
+		if leaves == 0 {
+			leaves = sc.Leaves
+		}
+		if want := leaves * spec.Iterations; j.Pipeline.Windows != want {
+			t.Errorf("job %d: windows = %d, want %d", j.ID, j.Pipeline.Windows, want)
+		}
+		if len(j.Pipeline.Events) != 0 {
+			t.Errorf("job %d: clean run produced %d alerts: %v", j.ID, len(j.Pipeline.Events), j.Pipeline.Events[0].Alert)
+		}
+	}
+	if n := sys.Plane().UnroutedWindows(); n != 0 {
+		t.Errorf("unrouted windows: %d", n)
+	}
+	return sys
+}
+
 func TestCleanRunRaisesNoAlerts(t *testing.T) {
 	sc := small(1)
 	sc.JitterMax = 5 * sim.Microsecond
 	sc.Background = 4 * sim.Microsecond
-	_, sys := run(t, sc, AnalyticalModel, 0, nil, nil)
-	if len(sys.Events) != 0 {
-		t.Fatalf("clean run produced %d alerts: %v", len(sys.Events), sys.Events[0].Alert)
-	}
-	if sys.Windows != sc.Leaves*sc.Iterations {
-		t.Fatalf("windows = %d, want %d", sys.Windows, sc.Leaves*sc.Iterations)
-	}
+	sys := assertCleanRun(t, sc)
 	// Temporal symmetry: every scored deviation is tiny.
-	for _, ws := range sys.Scores {
+	for _, ws := range only(t, sys).Pipeline.Scores {
 		if ws.Scored && ws.Score > 0.01 {
 			t.Fatalf("clean window score %v exceeds threshold", ws.Score)
 		}
+	}
+}
+
+func TestSharedPlaneCleanTwoJobs(t *testing.T) {
+	assertCleanRun(t, twoJobs(3))
+}
+
+func TestSharedPlaneSharedFaultSeenByBothQuarantinedOnce(t *testing.T) {
+	bad := LeafSpineLink{LeafOrd: 4, SpineOrd: 1}
+	_, sys := runWith(t, twoJobs(5), JobConfig{}, 0, &remediate.Config{}, nil,
+		func(rt *Runtime, _ sim.Time, iter uint32) {
+			if iter == 2 {
+				rt.InjectSilentDrop(bad, 0.05)
+			}
+		})
+	for _, j := range sys.Jobs() {
+		if len(j.Pipeline.Events) == 0 {
+			t.Errorf("job %d did not see the shared fault", j.ID)
+		}
+		if !j.Detector.Config().AggregateSymmetry {
+			t.Errorf("job %d: multi-job pipeline not on the aggregate basis", j.ID)
+		}
+	}
+	st := sys.Remediator().Stats()
+	if st.Quarantines != 1 {
+		t.Fatalf("shared fault quarantined %d times, want exactly once: %+v", st.Quarantines, st)
+	}
+	if sys.KnownFaults().Len() != 1 {
+		t.Fatalf("known faults: %d, want 1", sys.KnownFaults().Len())
+	}
+}
+
+func TestSharedPlaneJobLocalFaultFlagsOwnerOnly(t *testing.T) {
+	sc := twoJobs(7)
+	// Disjoint spans: job 1 on leaves 0–3, job 2 on leaves 4–7. A
+	// fault at leaf 0 lives outside job 2's slice entirely. (Spans
+	// must be identical or disjoint: a partially-overlapping span
+	// inherits the other job's spray comb at its private leaves — see
+	// DESIGN.md decision 10.)
+	sc.Jobs[0].LeafCount = 4
+	sc.Jobs[1].LeafFirst, sc.Jobs[1].LeafCount = 4, 4
+	local := LeafSpineLink{LeafOrd: 0, SpineOrd: 2}
+	_, sys := run(t, sc, AnalyticalModel, 0, nil, func(rt *Runtime, _ sim.Time, iter uint32) {
+		if iter == 2 {
+			rt.InjectSilentDrop(local, 0.05)
+		}
+	})
+	if len(sys.Job(1).Pipeline.Events) == 0 {
+		t.Error("owning job missed its local fault")
+	}
+	if n := len(sys.Job(2).Pipeline.Events); n != 0 {
+		t.Errorf("bystander job raised %d alerts for a fault outside its ring", n)
+	}
+}
+
+func TestScenarioJobsValidation(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(sc *Scenario)
+	}{
+		{"duplicate ids", func(sc *Scenario) { sc.Jobs[1].Job = 1 }},
+		{"HostIx out of range", func(sc *Scenario) { sc.Jobs[1].HostIx = 2 }},
+		{"leaf span too wide", func(sc *Scenario) { sc.Jobs[0].LeafFirst = 4 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := twoJobs(1)
+			// Pin span so LeafFirst mutations overflow.
+			sc.Jobs[0].LeafCount = 8
+			tc.mut(&sc)
+			if _, err := sc.Build(); err == nil {
+				t.Fatal("invalid Jobs accepted")
+			}
+		})
 	}
 }
 
@@ -73,12 +205,12 @@ func TestAnalyticalDetectsSilentFault(t *testing.T) {
 	_, sys := run(t, sc, AnalyticalModel, 0, func(rt *Runtime, _ *System) {
 		rt.InjectSilentDrop(ref, 0.03)
 	}, nil)
-	if len(sys.Events) == 0 {
+	if len(only(t, sys).Pipeline.Events) == 0 {
 		t.Fatal("3% silent fault not detected")
 	}
 	// Every deficit alert must be at leaf 3's spine-1 port.
 	deficits := 0
-	for _, e := range sys.Events {
+	for _, e := range only(t, sys).Pipeline.Events {
 		if e.Alert.Deviation >= 0 {
 			continue // retransmit spillover surpluses are possible
 		}
@@ -102,15 +234,15 @@ func TestDetectionIsImmediate(t *testing.T) {
 			rt.InjectSilentDrop(ref, 0.05)
 		}
 	})
-	if len(sys.Events) == 0 {
+	if len(only(t, sys).Pipeline.Events) == 0 {
 		t.Fatal("fault not detected")
 	}
-	first := sys.Events[0].Alert
+	first := only(t, sys).Pipeline.Events[0].Alert
 	if first.Iter != 3 {
 		t.Fatalf("first alert in iteration %d, want 3", first.Iter)
 	}
 	// Iterations 1-2 must be clean.
-	for _, e := range sys.Events {
+	for _, e := range only(t, sys).Pipeline.Events {
 		if e.Alert.Iter < 3 {
 			t.Fatalf("alert before fault injection: %v", e.Alert)
 		}
@@ -124,10 +256,10 @@ func TestSimulationModelDetects(t *testing.T) {
 	_, sys := run(t, sc, SimulationModel, 3, func(rt *Runtime, _ *System) {
 		rt.InjectSilentDrop(ref, 0.03)
 	}, nil)
-	if len(sys.Events) == 0 {
+	if len(only(t, sys).Pipeline.Events) == 0 {
 		t.Fatal("simulation model missed the fault")
 	}
-	for _, e := range sys.Events {
+	for _, e := range only(t, sys).Pipeline.Events {
 		if e.Alert.Deviation < 0 && (e.Alert.LeafOrdinal != 2 || e.Alert.Uplink != 3) {
 			t.Fatalf("deficit at wrong port: %v", e.Alert)
 		}
@@ -137,8 +269,8 @@ func TestSimulationModelDetects(t *testing.T) {
 func TestSimulationModelCleanRunSilent(t *testing.T) {
 	sc := small(5)
 	_, sys := run(t, sc, SimulationModel, 3, nil, nil)
-	if len(sys.Events) != 0 {
-		t.Fatalf("simulation model false-alerted: %v", sys.Events[0].Alert)
+	if len(only(t, sys).Pipeline.Events) != 0 {
+		t.Fatalf("simulation model false-alerted: %v", only(t, sys).Pipeline.Events[0].Alert)
 	}
 }
 
@@ -151,10 +283,10 @@ func TestLearnedModelWarmupThenDetect(t *testing.T) {
 			rt.InjectSilentDrop(ref, 0.05)
 		}
 	})
-	if len(sys.Events) == 0 {
+	if len(only(t, sys).Pipeline.Events) == 0 {
 		t.Fatal("learned model missed the fault")
 	}
-	for _, e := range sys.Events {
+	for _, e := range only(t, sys).Pipeline.Events {
 		if e.Alert.Iter <= 5 {
 			t.Fatalf("alert during warmup/clean phase: %v", e.Alert)
 		}
@@ -175,7 +307,7 @@ func TestLearnedModelRebaselinesAfterTransient(t *testing.T) {
 	}
 	// Heavy transient fault so the warmup baseline is clearly skewed.
 	rt.InjectSilentDrop(ref, 0.2)
-	sys := MustAttach(Config{Net: rt.Net, Stack: rt.Stack, Demand: rt.Coll.Demand(), Kind: LearnedModel, Job: int(sc.Job)})
+	sys := MustAttach(rt.MonitorConfig(JobConfig{Kind: LearnedModel}))
 	rt.StartTraining(func(_ sim.Time, iter uint32) {
 		if iter == 6 {
 			rt.ClearSilent(ref)
@@ -184,11 +316,12 @@ func TestLearnedModelRebaselinesAfterTransient(t *testing.T) {
 	rt.Engine.Run()
 	sys.Flush(rt.Engine.Now())
 
-	if sys.Learned().Rebaselines == 0 {
+	job := only(t, sys)
+	if job.Learned().Rebaselines == 0 {
 		t.Fatal("learned model never re-baselined after the transient healed")
 	}
 	// After re-baselining, later iterations must be quiet again.
-	last := sys.Events[len(sys.Events)-1].Alert
+	last := job.Pipeline.Events[len(job.Pipeline.Events)-1].Alert
 	if last.Iter >= 13 {
 		t.Fatalf("still alerting at iteration %d after rebaseline", last.Iter)
 	}
@@ -209,10 +342,10 @@ func TestPreExistingFaultsThenNewFault(t *testing.T) {
 			rt.InjectSilentDrop(newFault, 0.04)
 		}
 	})
-	if len(sys.Events) == 0 {
+	if len(only(t, sys).Pipeline.Events) == 0 {
 		t.Fatal("new fault not detected among pre-existing ones")
 	}
-	for _, e := range sys.Events {
+	for _, e := range only(t, sys).Pipeline.Events {
 		if e.Alert.Iter <= 2 {
 			t.Fatalf("pre-existing faults caused an alert: %v", e.Alert)
 		}
@@ -233,7 +366,7 @@ func TestLocalizationLocalVsRemote(t *testing.T) {
 			rt.InjectSilentDrop(ref, 0.2) // downstream: all senders affected
 		}, nil)
 		verdictCount := 0
-		for _, e := range sys.Events {
+		for _, e := range only(t, sys).Pipeline.Events {
 			if e.Alert.Deviation >= 0 || e.Alert.LeafOrdinal != 5 {
 				continue
 			}
@@ -259,7 +392,7 @@ func TestLocalizationLocalVsRemote(t *testing.T) {
 		// misattributions possible; the correct remote link must win by
 		// majority.
 		right, wrong := 0, 0
-		for _, e := range sys.Events {
+		for _, e := range only(t, sys).Pipeline.Events {
 			if e.Verdict.Kind != localize.RemoteLink {
 				continue
 			}
@@ -290,7 +423,7 @@ func TestIterationScores(t *testing.T) {
 	_, sys := run(t, sc, AnalyticalModel, 0, func(rt *Runtime, _ *System) {
 		rt.InjectSilentDrop(ref, 0.05)
 	}, nil)
-	scores := sys.IterationScores()
+	scores := only(t, sys).Pipeline.IterationScores()
 	if len(scores) == 0 {
 		t.Fatal("no iteration scores")
 	}
@@ -305,22 +438,179 @@ func TestIterationScores(t *testing.T) {
 }
 
 func TestAttachValidation(t *testing.T) {
-	if _, err := Attach(Config{}); err == nil {
-		t.Error("empty config accepted")
-	}
 	sc := small(11)
 	rt, err := sc.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Attach(Config{Net: rt.Net, Stack: rt.Stack, Kind: AnalyticalModel}); err == nil {
-		t.Error("analytical without demand accepted")
+	demand := rt.Coll.Demand()
+	base := func(jobs ...JobConfig) Config { return Config{Net: rt.Net, Stack: rt.Stack, Jobs: jobs} }
+	with := func(cfg Config, mut func(*Config)) Config { mut(&cfg); return cfg }
+	cases := []struct {
+		name string
+		cfg  Config
+		want string // substring of the error
+	}{
+		{"empty config", Config{}, "Net and Config.Stack"},
+		{"no jobs", base(), "Jobs is empty"},
+		{"analytical without demand", base(JobConfig{Kind: AnalyticalModel}), "needs JobConfig.Demand"},
+		{"default kind without demand", base(JobConfig{}), "needs JobConfig.Demand"},
+		{"unknown kind", base(JobConfig{Kind: "bogus", Demand: demand}), "unknown predictor kind"},
+		{"simulation without reference", base(JobConfig{Kind: SimulationModel}), "simulation model"},
+		{"duplicate job ids", base(JobConfig{Job: 3, Demand: demand}, JobConfig{Job: 3, Demand: demand}), "duplicate job id 3"},
+		{"second job invalid", base(JobConfig{Job: 1, Demand: demand}, JobConfig{Job: 2}), "job 2"},
+		{"resilience without remediate", with(base(JobConfig{Demand: demand}), func(c *Config) {
+			c.Resilience = &resilience.Config{}
+		}), "requires Config.Remediate"},
+		{"trace path and writer", with(base(JobConfig{Demand: demand}), func(c *Config) {
+			c.TracePath, c.Trace = filepath.Join(t.TempDir(), "x.fpt"), trace.NewWriter(&bytes.Buffer{})
+		}), "not both"},
 	}
-	if _, err := Attach(Config{Net: rt.Net, Stack: rt.Stack, Kind: "bogus", Demand: rt.Coll.Demand()}); err == nil {
-		t.Error("unknown kind accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Attach(tc.cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Attach error = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
-	if _, err := Attach(Config{Net: rt.Net, Stack: rt.Stack, Kind: SimulationModel}); err == nil {
-		t.Error("simulation without reference accepted")
+}
+
+// TestResilienceRejectsSimulationModelAtAttach: the rule is checked per
+// job when the system is attached — not deferred to BindWorkload — with
+// one error text for any number of jobs.
+func TestResilienceRejectsSimulationModelAtAttach(t *testing.T) {
+	for _, sc := range []Scenario{small(13), twoJobs(13)} {
+		rt, err := sc.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := rt.MonitorConfig(JobConfig{})
+		last := &cfg.Jobs[len(cfg.Jobs)-1]
+		last.Kind, last.ReferenceWindows = SimulationModel, []*telemetry.Window{{}}
+		cfg.Remediate, cfg.Resilience = &remediate.Config{}, &resilience.Config{}
+		_, err = Attach(cfg)
+		want := "resilience is not supported with the simulation model"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%d job(s): Attach error = %v, want one containing %q", len(cfg.Jobs), err, want)
+		}
+	}
+}
+
+// TestRejectedAttachLeavesTracePathAlone: tracing records two-level
+// fabrics only. An attach rejected for its topology must fail before
+// TracePath is opened — a recording already at that path survives, byte
+// for byte, and no file handle is left behind.
+func TestRejectedAttachLeavesTracePathAlone(t *testing.T) {
+	rt, err := clos3Scenario(1).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	path := filepath.Join(t.TempDir(), "previous.fpt")
+	previous := []byte("a recording from an earlier run")
+	if err := os.WriteFile(path, previous, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Attach(Config{
+		Net: rt.Net, Stack: rt.Stack,
+		Jobs:      []JobConfig{{Kind: LearnedModel}},
+		TracePath: path,
+	})
+	if err == nil || !strings.Contains(err.Error(), "two-level") {
+		t.Fatalf("Attach on a three-level fabric with TracePath: error = %v, want the two-level rejection", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, previous) {
+		t.Fatalf("rejected attach rewrote TracePath: %q", got)
+	}
+}
+
+// TestDerivedFromJobCount pins the three things a System derives from
+// how many jobs it monitors: the aggregate-symmetry basis, the trace
+// header's Shared flag, and (TestReplanDetailPrefix) the re-plan detail
+// prefix. A lone job keeps the caller's detector setting.
+func TestDerivedFromJobCount(t *testing.T) {
+	for _, tc := range []struct {
+		sc    Scenario
+		multi bool
+	}{{small(14), false}, {twoJobs(14), true}} {
+		rt, err := tc.sc.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		cfg := rt.MonitorConfig(JobConfig{})
+		cfg.Trace = trace.NewWriter(&buf)
+		sys := MustAttach(cfg)
+		sys.Flush(0)
+		rd, err := trace.NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rd.Header().Shared; got != tc.multi {
+			t.Errorf("%d job(s): header Shared = %v", len(cfg.Jobs), got)
+		}
+		if len(rd.Header().Jobs) != len(cfg.Jobs) {
+			t.Errorf("header lists %d jobs, want %d", len(rd.Header().Jobs), len(cfg.Jobs))
+		}
+		for _, j := range sys.Jobs() {
+			if got := j.Detector.Config().AggregateSymmetry; got != tc.multi {
+				t.Errorf("%d job(s): job %d AggregateSymmetry = %v", len(cfg.Jobs), j.ID, got)
+			}
+		}
+	}
+}
+
+// TestReplanDetailPrefix: a fabric-scoped quarantine re-plans every
+// bound job it cuts off, and the "job N: " prefix that tells the
+// timeline entries apart appears only when there are several jobs.
+func TestReplanDetailPrefix(t *testing.T) {
+	one := Scenario{Leaves: 4, Spines: 2, BytesPerRank: 1 << 20, Iterations: 2, Seed: 15}
+	two := one
+	two.HostsPerLeaf = 2
+	two.Jobs = []JobScenario{{Job: 1}, {Job: 2, HostIx: 1}}
+	for _, tc := range []struct {
+		sc   Scenario
+		want []string
+	}{{one, []string{"leaf 1 unreachable"}}, {two, []string{"job 1: leaf 1 unreachable", "job 2: leaf 1 unreachable"}}} {
+		rt, err := tc.sc.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := rt.MonitorConfig(JobConfig{})
+		cfg.Remediate, cfg.Resilience = &remediate.Config{}, &resilience.Config{}
+		sys := MustAttach(cfg)
+		for i, j := range rt.StartAllJobs(nil, nil) {
+			if err := sys.BindWorkload(rt.Jobs[i].Spec.Job, j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Both uplinks of leaf 1 quarantined: its hosts drop out of
+		// every ring that has one there.
+		for spine := 0; spine < tc.sc.Spines; spine++ {
+			sys.Remediator().OnQuarantine(0, rt.Link(LeafSpineLink{LeafOrd: 1, SpineOrd: spine}))
+		}
+		var got []string
+		for _, a := range sys.Remediator().Timeline {
+			if a.Kind == remediate.ActionReplan {
+				got = append(got, a.Detail)
+			}
+		}
+		if len(got) != len(tc.want) {
+			t.Fatalf("%d job(s): re-plan details %q, want %d entries", len(cfg.Jobs), got, len(tc.want))
+		}
+		for i, want := range tc.want {
+			if !strings.HasPrefix(got[i], want) {
+				t.Errorf("%d job(s): re-plan detail %q, want prefix %q", len(cfg.Jobs), got[i], want)
+			}
+		}
+		if err := sys.BindWorkload(99, nil); err == nil {
+			t.Error("BindWorkload accepted a job that is not monitored")
+		}
 	}
 }
 

@@ -103,10 +103,7 @@ func Blocking(cfg BlockingConfig) (*BlockingResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys, err := core.Attach(core.Config{
-			Net: rt.Net, Stack: rt.Stack, Demand: rt.Coll.Demand(),
-			Kind: core.AnalyticalModel, Job: int(sc.Job),
-		})
+		sys, err := core.Attach(rt.MonitorConfig(core.JobConfig{}))
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +119,7 @@ func Blocking(cfg BlockingConfig) (*BlockingResult, error) {
 		if rt.Net.Stats().PFCPauses > 0 {
 			res.Saturated = true
 		}
-		scores := sys.IterationScores()
+		scores := sys.Jobs()[0].Pipeline.IterationScores()
 		for iter := 1; iter <= sc.Iterations; iter++ {
 			s := metrics.Sample{Score: scores[uint32(iter)], Positive: iter > cfg.CleanIters}
 			samples = append(samples, s)

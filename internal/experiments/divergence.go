@@ -90,10 +90,9 @@ func divergenceTrial(sc core.Scenario, script func(rt *core.Runtime, sys *core.S
 	if err != nil {
 		return nil, nil, err
 	}
-	sys, err := core.Attach(core.Config{
-		Net: rt.Net, Stack: rt.Stack, Demand: rt.Coll.Demand(),
-		Job: int(sc.Job), Remediate: &remediate.Config{}, Control: rt.Plane,
-	})
+	cfg := rt.MonitorConfig(core.JobConfig{})
+	cfg.Remediate = &remediate.Config{}
+	sys, err := core.Attach(cfg)
 	if err != nil {
 		rt.Close()
 		return nil, nil, err
@@ -116,7 +115,7 @@ func divergenceRow(scenario, arm string, rt *core.Runtime, sys *core.System) Div
 		Scenario: scenario, Arm: arm,
 		InnocentQuarantines: rs.Quarantines,
 		Withheld:            rs.Reconciliations,
-		Alerts:              len(sys.Events),
+		Alerts:              len(sys.Jobs()[0].Pipeline.Events),
 		Converged:           len(rt.Plane.Divergent()) == 0,
 		TimeToReconcile:     ps.MaxDiverged,
 		Plane:               ps,

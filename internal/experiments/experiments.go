@@ -79,30 +79,26 @@ func (tr Trial) Run() (*TrialResult, error) {
 		return nil, err
 	}
 	defer rt.Close()
-	cfg := core.Config{
-		Net: rt.Net, Stack: rt.Stack, Demand: rt.Coll.Demand(),
-		Kind: tr.Kind, Detect: tr.Detect, Job: int(sc.Job),
-		TracePath: tr.TracePath, TraceLabel: tr.TraceLabel,
-		Control: rt.Plane,
-	}
-	if tr.Remediate {
-		cfg.Remediate = &remediate.Config{}
-	}
+	job := core.JobConfig{Kind: tr.Kind, Detect: tr.Detect}
 	if tr.Kind == core.SimulationModel {
 		iters := tr.ReferenceIters
 		if iters == 0 {
 			iters = 3
 		}
-		ref, err := core.ReferenceRun(sc, iters)
-		if err != nil {
+		if job.ReferenceWindows, err = core.ReferenceRun(sc, iters); err != nil {
 			return nil, err
 		}
-		cfg.ReferenceWindows = ref
+	}
+	cfg := rt.MonitorConfig(job)
+	cfg.TracePath, cfg.TraceLabel = tr.TracePath, tr.TraceLabel
+	if tr.Remediate {
+		cfg.Remediate = &remediate.Config{}
 	}
 	sys, err := core.Attach(cfg)
 	if err != nil {
 		return nil, err
 	}
+	pipe := sys.Jobs()[0].Pipeline
 
 	inject := func() {
 		if tr.DropRate <= 0 {
@@ -145,15 +141,15 @@ func (tr Trial) Run() (*TrialResult, error) {
 		}
 	}
 
-	res := &TrialResult{Events: sys.Events, Elapsed: sim.Duration(rt.Engine.Now())}
-	scores := sys.IterationScores()
+	res := &TrialResult{Events: pipe.Events, Elapsed: sim.Duration(rt.Engine.Now())}
+	scores := pipe.IterationScores()
 	for iter := 1; iter <= sc.Iterations; iter++ {
 		res.Samples = append(res.Samples, metrics.Sample{
 			Score:    scores[uint32(iter)],
 			Positive: tr.DropRate > 0 && iter > tr.CleanIters,
 		})
 	}
-	for _, e := range sys.Events {
+	for _, e := range pipe.Events {
 		if int(e.Alert.Iter) <= tr.CleanIters {
 			res.FalseAlerts++
 		} else if res.FirstDetection == 0 {

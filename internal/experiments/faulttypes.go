@@ -138,10 +138,7 @@ func FaultTypes(cfg FaultTypesConfig) (*FaultTypesResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			sys, err := core.Attach(core.Config{
-				Net: rt.Net, Stack: rt.Stack, Demand: rt.Coll.Demand(),
-				Kind: core.AnalyticalModel, Job: int(sc.Job),
-			})
+			sys, err := core.Attach(rt.MonitorConfig(core.JobConfig{}))
 			if err != nil {
 				return nil, err
 			}
@@ -156,14 +153,15 @@ func FaultTypes(cfg FaultTypesConfig) (*FaultTypesResult, error) {
 			rt.Run()
 			sys.Flush(rt.Engine.Now())
 
-			scores := sys.IterationScores()
+			pipe := sys.Jobs()[0].Pipeline
+			scores := pipe.IterationScores()
 			for iter := 1; iter <= sc.Iterations; iter++ {
 				samples = append(samples, metrics.Sample{
 					Score:    scores[uint32(iter)],
 					Positive: iter > cfg.CleanIters,
 				})
 			}
-			for _, e := range sys.Events {
+			for _, e := range pipe.Events {
 				if int(e.Alert.Iter) > cfg.CleanIters {
 					latencySum += float64(int(e.Alert.Iter) - cfg.CleanIters)
 					detected++

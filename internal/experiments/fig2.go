@@ -88,10 +88,11 @@ func Fig2(cfg Fig2Config) (*Fig2Result, error) {
 	// Replace the default collective with the single flow 0 → last.
 	src := topology.HostID(0)
 	dst := topology.HostID(len(rt.Group) - 1)
-	rt.Coll = &collective.SingleFlow{Src: src, Dst: dst, Bytes: cfg.FlowBytes}
+	flow := &collective.SingleFlow{Src: src, Dst: dst, Bytes: cfg.FlowBytes}
+	rt.Jobs[0].Coll = flow
 
 	dstLeafOrd := cfg.Leaves - 1
-	pred := predict.NewAnalytical(rt.Topo, rt.Net, rt.Stack, rt.Coll.Demand())
+	pred := predict.NewAnalytical(rt.Topo, rt.Net, rt.Stack, flow.Demand())
 	expected := pred.PortLoad(dstLeafOrd)
 
 	observed := make([]float64, cfg.Spines)

@@ -93,21 +93,21 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 	// Snapshot the baseline in effect at each window check.
 	baselines := map[uint32]float64{}
 	var sys *core.System
-	sys, err = core.Attach(core.Config{
-		Net: rt.Net, Stack: rt.Stack, Demand: rt.Coll.Demand(),
-		Kind: core.LearnedModel, Job: int(sc.Job),
+	sys, err = core.Attach(rt.MonitorConfig(core.JobConfig{
+		Kind: core.LearnedModel,
 		OnWindow: func(ws core.WindowScore) {
 			if ws.Window.LeafOrdinal != cfg.Fault.LeafOrd {
 				return
 			}
-			if l := sys.Learned(); l != nil && l.Ready(cfg.Fault.LeafOrd) {
+			if l := sys.Jobs()[0].Learned(); l.Ready(cfg.Fault.LeafOrd) {
 				baselines[ws.Window.Iter] = l.PortLoad(cfg.Fault.LeafOrd)[cfg.Fault.SpineOrd]
 			}
 		},
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
+	job := sys.Jobs()[0]
 
 	rt.StartTraining(func(_ sim.Time, iter uint32) {
 		if int(iter) == cfg.HealAfter {
@@ -122,12 +122,12 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 	// Reconstruct the series from the recorded window scores of the
 	// affected leaf.
 	alertIters := map[uint32]bool{}
-	for _, e := range sys.Events {
+	for _, e := range job.Pipeline.Events {
 		if e.Alert.LeafOrdinal == cfg.Fault.LeafOrd && e.Alert.Uplink == cfg.Fault.SpineOrd {
 			alertIters[e.Alert.Iter] = true
 		}
 	}
-	for _, ws := range sys.Scores {
+	for _, ws := range job.Pipeline.Scores {
 		w := ws.Window
 		if w.LeafOrdinal != cfg.Fault.LeafOrd {
 			continue
@@ -140,7 +140,7 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 		}
 		res.Series = append(res.Series, pt)
 	}
-	if l := sys.Learned(); l != nil {
+	if l := job.Learned(); l != nil {
 		rebases = l.Rebaselines
 	}
 	if rebases > 0 {

@@ -89,13 +89,9 @@ func parallelRun(name string, sc core.Scenario, rcfg remediate.Config, ref core.
 	if err != nil {
 		return row, err
 	}
-	scfg := core.SharedConfig{Net: rt.Net, Stack: rt.Stack, Remediate: &rcfg}
-	for _, jr := range rt.Jobs {
-		scfg.Jobs = append(scfg.Jobs, core.SharedJobConfig{
-			Job: jr.Spec.Job, Demand: jr.Coll.Demand(),
-		})
-	}
-	sys, err := core.AttachShared(scfg)
+	scfg := rt.MonitorConfig(core.JobConfig{})
+	scfg.Remediate = &rcfg
+	sys, err := core.Attach(scfg)
 	if err != nil {
 		return row, err
 	}
@@ -109,8 +105,8 @@ func parallelRun(name string, sc core.Scenario, rcfg remediate.Config, ref core.
 	rt.Run()
 	sys.Flush(rt.Engine.Now())
 
-	row.AlertsJob1 = len(sys.Pipeline(rt.Jobs[0].Spec.Job).Events)
-	row.AlertsJob2 = len(sys.Pipeline(rt.Jobs[1].Spec.Job).Events)
+	row.AlertsJob1 = len(sys.Jobs()[0].Pipeline.Events)
+	row.AlertsJob2 = len(sys.Jobs()[1].Pipeline.Events)
 	st := sys.Remediator().Stats()
 	row.Quarantines, row.Corroborations = st.Quarantines, st.Corroborations
 	for _, a := range sys.Remediator().Timeline {

@@ -102,10 +102,9 @@ func remediationRun(sc core.Scenario, rcfg remediate.Config,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	sys, err := core.Attach(core.Config{
-		Net: rt.Net, Stack: rt.Stack, Demand: rt.Coll.Demand(),
-		Job: int(sc.Job), Remediate: &rcfg,
-	})
+	cfg := rt.MonitorConfig(core.JobConfig{})
+	cfg.Remediate = &rcfg
+	sys, err := core.Attach(cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -151,7 +150,7 @@ func summarize(name string, rt *core.Runtime, sys *core.System, onsetAt sim.Time
 	}
 	degraded := map[uint32]bool{}
 	var lastQIter uint32
-	for _, e := range sys.Events {
+	for _, e := range sys.Jobs()[0].Pipeline.Events {
 		if firstQ > 0 && e.Alert.At <= firstQ {
 			degraded[e.Alert.Iter] = true
 		}
@@ -160,7 +159,7 @@ func summarize(name string, rt *core.Runtime, sys *core.System, onsetAt sim.Time
 		}
 	}
 	row.IterationsDegraded = len(degraded)
-	for _, e := range sys.Events {
+	for _, e := range sys.Jobs()[0].Pipeline.Events {
 		if e.Alert.Iter >= lastQIter+2 && e.Alert.Deviation < 0 {
 			row.PostQuarantineDeficits++
 		}

@@ -132,10 +132,8 @@ func resilienceArm(cfg ResilienceConfig, replan bool) (*ResilienceArm, error) {
 		return nil, err
 	}
 	rcfg := cfg.Remediate
-	coreCfg := core.Config{
-		Net: rt.Net, Stack: rt.Stack, Demand: rt.Coll.Demand(),
-		Job: int(sc.Job), Remediate: &rcfg,
-	}
+	coreCfg := rt.MonitorConfig(core.JobConfig{})
+	coreCfg.Remediate = &rcfg
 	if replan {
 		coreCfg.Resilience = &resilience.Config{RecoverTarget: cfg.RecoverTarget}
 	}
@@ -151,7 +149,7 @@ func resilienceArm(cfg ResilienceConfig, replan bool) (*ResilienceArm, error) {
 			rt.InjectSilentDrop(victim, cfg.DropRate)
 		}
 	}, nil)
-	if err := sys.BindWorkload(job); err != nil {
+	if err := sys.BindWorkload(sc.Job, job); err != nil {
 		return nil, err
 	}
 	rt.Run()

@@ -19,10 +19,9 @@ func runRemediated(t *testing.T, sc core.Scenario, rcfg *remediate.Config,
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.Attach(core.Config{
-		Net: rt.Net, Stack: rt.Stack, Demand: rt.Coll.Demand(),
-		Job: int(sc.Job), Remediate: rcfg,
-	})
+	cfg := rt.MonitorConfig(core.JobConfig{})
+	cfg.Remediate = rcfg
+	sys, err := core.Attach(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestPersistentFaultQuarantinedE2E(t *testing.T) {
 	}
 
 	// Re-baselined: after one straddling iteration, no alerts at all.
-	for _, e := range sys.Events {
+	for _, e := range sys.Jobs()[0].Pipeline.Events {
 		if e.Alert.Iter >= 7 {
 			t.Fatalf("alert after quarantine settled: %v", e.Alert)
 		}
@@ -100,8 +99,8 @@ func TestPersistentFaultQuarantinedE2E(t *testing.T) {
 		t.Fatalf("FIB recomputes = %d, want 1", got)
 	}
 	// Training itself completed: 32 leaves × 10 iterations of windows.
-	if sys.Windows != 32*10 {
-		t.Fatalf("windows = %d, want 320", sys.Windows)
+	if sys.Jobs()[0].Pipeline.Windows != 32*10 {
+		t.Fatalf("windows = %d, want 320", sys.Jobs()[0].Pipeline.Windows)
 	}
 }
 

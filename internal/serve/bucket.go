@@ -5,8 +5,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"flowpulse/internal/detect"
-	"flowpulse/internal/localize"
 	"flowpulse/internal/monitor"
 	"flowpulse/internal/remediate"
 	"flowpulse/internal/telemetry"
@@ -65,16 +63,7 @@ func newSeqBucket(s *session) (*bucket, error) {
 
 // newFanoutBucket builds one (job, leaf) substream bucket.
 func newFanoutBucket(s *session, job uint16, leafOrd int) (*bucket, error) {
-	var jh *trace.JobHeader
-	for i := range s.hdr.Jobs {
-		if s.hdr.Jobs[i].Job == job {
-			jh = &s.hdr.Jobs[i]
-			break
-		}
-	}
-	if jh == nil && !s.hdr.Shared {
-		jh = &s.hdr.Jobs[0]
-	}
+	jh := s.hdr.Job(s.hdr.PipelineJob(job))
 	if jh == nil {
 		return nil, fmt.Errorf("serve: window for job %d not in stream header", job)
 	}
@@ -87,17 +76,8 @@ func newFanoutBucket(s *session, job uint16, leafOrd int) (*bucket, error) {
 		pred: &trace.SnapshotPredictor{},
 		fp:   trace.NewStreamFP(),
 	}
-	det := detect.New(s.topo, b.pred, detect.Config{
-		Threshold:         jh.Threshold,
-		MinPredicted:      jh.MinPredicted,
-		AggregateSymmetry: jh.AggregateSymmetry,
-		CEDiscount:        jh.CEDiscount,
-	})
-	b.pipe = monitor.NewPipeline(monitor.PipelineConfig{
-		Pred:      b.pred,
-		Detect:    det,
-		Localize:  localize.New(s.topo, det.Threshold(), 0),
-		NoHistory: true,
+	b.pipe, _ = monitor.Build(monitor.Spec{
+		Topo: s.topo, Pred: b.pred, Detect: jh.DetectConfig(), NoHistory: true,
 		OnEvent: func(e monitor.Event) {
 			b.fp.Event(&e)
 			s.srv.publishEvent(s, &e)
@@ -116,22 +96,11 @@ func (b *bucket) process(e *entry) error {
 	if b.rp != nil {
 		return b.rp.Feed(&e.rec)
 	}
-	// Fan-out: only window records reach fan-out rings.
+	// Fan-out: only window records reach fan-out rings, and the bucket
+	// was opened for their (checked) leaf ordinal.
 	wr := e.rec.Window
 	b.pred.Set(wr.Ready, wr.PortPred, wr.SenderPred)
-	b.win = telemetry.Window{
-		Leaf:         b.sess.topo.Leaves()[wr.LeafOrd],
-		LeafOrdinal:  wr.LeafOrd,
-		Job:          wr.Job,
-		Iter:         wr.Iter,
-		PortBytes:    wr.PortBytes,
-		SenderBytes:  wr.SenderBytes,
-		Packets:      wr.Packets,
-		CEBytes:      wr.CEBytes,
-		AggPortBytes: wr.AggPortBytes,
-		OpenedAt:     wr.OpenedAt,
-		ClosedAt:     wr.ClosedAt,
-	}
+	b.win = wr.Window(b.sess.topo)
 	b.pipe.OnOwnedWindow(&b.win)
 	b.windows.Add(1)
 	return nil

@@ -11,8 +11,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"flowpulse/internal/trace"
 	"flowpulse/internal/topology"
+	"flowpulse/internal/trace"
 )
 
 // Stream modes. Sequential preserves the recording's global order
@@ -108,6 +108,13 @@ func (s *session) abort() {
 // defaults to ModeSeq); label names the session in alerts and logs.
 // It blocks until the stream ends — callers own the goroutine.
 func (s *Server) IngestStream(src io.Reader, mode, label string) (*SessionStatus, error) {
+	return s.ingest(src, nil, mode, label)
+}
+
+// ingest is the one session setup: validate the mode, default the
+// label, register for the session's lifetime, run the read loop. conn
+// is the producer's TCP connection (nil for HTTP/in-process streams).
+func (s *Server) ingest(src io.Reader, conn net.Conn, mode, label string) (*SessionStatus, error) {
 	if mode == "" {
 		mode = ModeSeq
 	}
@@ -120,10 +127,14 @@ func (s *Server) IngestStream(src io.Reader, mode, label string) (*SessionStatus
 		label:   label,
 		mode:    mode,
 		src:     src,
+		conn:    conn,
 		buckets: map[uint64]*bucket{},
 	}
 	if sess.label == "" {
 		sess.label = fmt.Sprintf("session-%d", sess.id)
+		if conn != nil {
+			sess.label = fmt.Sprintf("%s-%d", conn.RemoteAddr(), sess.id)
+		}
 	}
 	if err := s.register(sess); err != nil {
 		return nil, err
@@ -382,31 +393,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		fmt.Fprintf(conn, `{"error":"bad token"}`+"\n")
 		return
 	}
-	st, err := func() (*SessionStatus, error) {
-		sess := &session{
-			srv:     s,
-			id:      s.nextSession.Add(1),
-			label:   label,
-			mode:    mode,
-			src:     br,
-			conn:    conn,
-			buckets: map[uint64]*bucket{},
-		}
-		if sess.mode == "" {
-			sess.mode = ModeSeq
-		}
-		if sess.mode != ModeSeq && sess.mode != ModeFanout {
-			return nil, fmt.Errorf("serve: unknown mode %q", sess.mode)
-		}
-		if sess.label == "" {
-			sess.label = fmt.Sprintf("%s-%d", conn.RemoteAddr(), sess.id)
-		}
-		if err := s.register(sess); err != nil {
-			return nil, err
-		}
-		defer s.unregister(sess)
-		return sess.run()
-	}()
+	st, err := s.ingest(br, conn, mode, label)
 	if err != nil && st == nil {
 		fmt.Fprintf(conn, `{"error":%q}`+"\n", err.Error())
 		return

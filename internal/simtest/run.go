@@ -18,7 +18,6 @@ import (
 	"flowpulse/internal/remediate"
 	"flowpulse/internal/resilience"
 	"flowpulse/internal/sim"
-	"flowpulse/internal/telemetry"
 	"flowpulse/internal/topology"
 	"flowpulse/internal/trace"
 )
@@ -71,8 +70,9 @@ type runData struct {
 	itersDone   int
 	stats       fabric.Stats
 
-	// Fat tree.
-	events      []core.Event
+	// Fat tree: per-job pipeline events, in the plane's registration
+	// order (one entry for a single-job run).
+	jobs        []jobEvents
 	timeline    []remediate.Action
 	quarantined []topology.LinkID
 	blamedGroup []topology.LinkID // trunk group of the faulted pair
@@ -83,11 +83,6 @@ type runData struct {
 	// Resilience runs: the goodput report at the 90% recovery target.
 	goodput metrics.GoodputReport
 
-	// Shared plane (2-job fat tree): per-job pipeline events, in the
-	// plane's registration order.
-	jobIDs    []uint16
-	jobEvents map[uint16][]core.Event
-
 	// Three-level Clos.
 	leafAlerts, spineAlerts []detect.Alert
 
@@ -95,6 +90,12 @@ type runData struct {
 	// in-memory .fpt trace and replay it offline; the offline
 	// event/action stream must match the online one bit-identically).
 	traceViolations []string
+}
+
+// jobEvents is one monitored job's detections.
+type jobEvents struct {
+	id     uint16
+	events []core.Event
 }
 
 // Run executes a spec twice — the replay oracle — and checks every
@@ -117,9 +118,9 @@ func Run(spec Spec, opts Options) *Result {
 
 	res.Fingerprint = first.fingerprint
 	res.Windows = first.windows
-	res.Alerts = len(first.events) + len(first.leafAlerts) + len(first.spineAlerts)
-	for _, job := range first.jobIDs {
-		res.Alerts += len(first.jobEvents[job])
+	res.Alerts = len(first.leafAlerts) + len(first.spineAlerts)
+	for _, j := range first.jobs {
+		res.Alerts += len(j.events)
 	}
 	res.Quarantines = len(first.quarantined)
 
@@ -139,10 +140,12 @@ func execute(spec Spec, opts Options) (*runData, error) {
 	return executeFatTree(spec, opts)
 }
 
+// executeFatTree runs a fat-tree spec: one job over every host, or —
+// Work.Jobs == 2 — two full-span jobs, one per host column, whose
+// fault (when present) is a downstream Bernoulli drop keyed to the
+// first job's iteration clock (normalize() pinned that envelope, with
+// congestion, divergence, remediation and resilience all off).
 func executeFatTree(spec Spec, opts Options) (*runData, error) {
-	if spec.Work.Jobs == 2 {
-		return executeSharedFatTree(spec, opts)
-	}
 	sc := core.Scenario{
 		Leaves: spec.Topo.Leaves, Spines: spec.Topo.Spines,
 		HostsPerLeaf: spec.Topo.HostsPerLeaf, Trunk: spec.Topo.Trunk,
@@ -168,10 +171,24 @@ func executeFatTree(spec Spec, opts Options) (*runData, error) {
 		},
 		Divergence: divergenceScenario(spec),
 	}
-	var refWindows []*telemetry.Window
+	label := "simtest"
+	if spec.Work.Jobs == 2 {
+		sc.Jobs = []core.JobScenario{{Job: 1, HostIx: 0}, {Job: 2, HostIx: 1}}
+		label = "simtest-shared"
+	}
+	job := core.JobConfig{
+		Kind: spec.Work.Predictor,
+		Detect: detect.Config{
+			Threshold:  spec.DetectThreshold(),
+			CEDiscount: spec.Congest.CEDiscount,
+		},
+	}
+	if opts.MutateDetect != nil {
+		opts.MutateDetect(&job.Detect)
+	}
 	if spec.Work.Predictor == core.SimulationModel {
 		var err error
-		refWindows, err = core.ReferenceRun(sc, 0)
+		job.ReferenceWindows, err = core.ReferenceRun(sc, 0)
 		if err != nil {
 			return nil, fmt.Errorf("reference run: %w", err)
 		}
@@ -181,30 +198,17 @@ func executeFatTree(spec Spec, opts Options) (*runData, error) {
 		return nil, err
 	}
 	defer rt.Close()
-	detCfg := detect.Config{
-		Threshold:  spec.DetectThreshold(),
-		CEDiscount: spec.Congest.CEDiscount,
-	}
-	if opts.MutateDetect != nil {
-		opts.MutateDetect(&detCfg)
-	}
-	var remCfg *remediate.Config
+	var traceBuf bytes.Buffer
+	cfg := rt.MonitorConfig(job)
+	cfg.Trace, cfg.TraceLabel = trace.NewWriter(&traceBuf), label
 	if spec.Work.Remediate {
-		remCfg = &remediate.Config{}
+		cfg.Remediate = &remediate.Config{}
 	}
-	var resCfg *resilience.Config
 	if spec.Work.Resilience {
-		resCfg = &resilience.Config{}
+		cfg.Resilience = &resilience.Config{}
 		rt.Goodput = &metrics.GoodputTimeline{}
 	}
-	var traceBuf bytes.Buffer
-	sys, err := core.Attach(core.Config{
-		Net: rt.Net, Control: rt.Plane, Stack: rt.Stack, Demand: rt.Coll.Demand(),
-		Kind: spec.Work.Predictor, ReferenceWindows: refWindows,
-		Detect: detCfg, Job: int(sc.Job), Remediate: remCfg,
-		Resilience: resCfg,
-		Trace:      trace.NewWriter(&traceBuf), TraceLabel: "simtest",
-	})
+	sys, err := core.Attach(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -236,22 +240,28 @@ func executeFatTree(spec Spec, opts Options) (*runData, error) {
 	if f.Kind != FaultNone && f.Onset == 0 {
 		inject()
 	}
-	job := rt.StartTraining(func(_ sim.Time, iter uint32) {
+	first := rt.Jobs[0].Spec.Job
+	jobs := rt.StartAllJobs(func(_ sim.Time, job uint16, iter uint32) {
+		if job != first {
+			return
+		}
 		data.itersDone++
 		if f.Kind != FaultNone && int(iter) == f.Onset && f.Onset > 0 {
 			inject()
 		}
 	}, nil)
-	if resCfg != nil {
-		if err := sys.BindWorkload(job); err != nil {
+	for i, j := range jobs {
+		if err := sys.BindWorkload(rt.Jobs[i].Spec.Job, j); err != nil {
 			return nil, fmt.Errorf("bind workload: %w", err)
 		}
 	}
 	rt.Run()
 	sys.Flush(rt.Engine.Now())
 
-	data.windows = sys.Windows
-	data.events = sys.Events
+	for _, j := range sys.Jobs() {
+		data.windows += j.Pipeline.Windows
+		data.jobs = append(data.jobs, jobEvents{j.ID, j.Pipeline.Events})
+	}
 	data.stats = rt.Net.Stats()
 	data.audit = rt.Net.AuditConservation()
 	if rem := sys.Remediator(); rem != nil {
@@ -391,81 +401,6 @@ func injectFatTree(rt *core.Runtime, ref core.LeafSpineLink, f FaultSpec) {
 	}
 }
 
-// executeSharedFatTree runs a 2-job spec on the shared monitoring
-// plane: one tap per switch, one pipeline per job, aggregate-symmetry
-// detection. The fault (when present) is a downstream Bernoulli drop
-// keyed to job 1's iteration clock — normalize() pinned the envelope.
-func executeSharedFatTree(spec Spec, opts Options) (*runData, error) {
-	sc := core.Scenario{
-		Leaves: spec.Topo.Leaves, Spines: spec.Topo.Spines,
-		HostsPerLeaf: spec.Topo.HostsPerLeaf, Trunk: spec.Topo.Trunk,
-		Collective:   spec.Work.Collective,
-		BytesPerRank: spec.Work.BytesPerRank,
-		Iterations:   spec.Work.Iterations,
-		JitterMax:    sim.Duration(spec.Work.JitterPS),
-		Seed:         spec.Seed,
-		Shards:       opts.Shards,
-		Jobs: []core.JobScenario{
-			{Job: 1, HostIx: 0},
-			{Job: 2, HostIx: 1},
-		},
-	}
-	rt, err := sc.Build()
-	if err != nil {
-		return nil, err
-	}
-	defer rt.Close()
-	detCfg := detect.Config{Threshold: spec.DetectThreshold()}
-	if opts.MutateDetect != nil {
-		opts.MutateDetect(&detCfg)
-	}
-	var traceBuf bytes.Buffer
-	scfg := core.SharedConfig{
-		Net: rt.Net, Control: rt.Plane, Stack: rt.Stack,
-		Trace: trace.NewWriter(&traceBuf), TraceLabel: "simtest-shared",
-	}
-	for _, jr := range rt.Jobs {
-		scfg.Jobs = append(scfg.Jobs, core.SharedJobConfig{
-			Job: jr.Spec.Job, Demand: jr.Coll.Demand(), Detect: detCfg,
-		})
-	}
-	sys, err := core.AttachShared(scfg)
-	if err != nil {
-		return nil, err
-	}
-
-	data := &runData{jobEvents: map[uint16][]core.Event{}}
-	f := spec.Fault
-	ref := core.LeafSpineLink{LeafOrd: f.Leaf, SpineOrd: f.Spine, Trunk: f.Trunk}
-	if f.Kind == FaultBernoulli && f.Onset == 0 {
-		rt.InjectSilentDrop(ref, f.Rate)
-	}
-	first := rt.Jobs[0].Spec.Job
-	rt.StartAllJobs(func(_ sim.Time, job uint16, iter uint32) {
-		if job != first {
-			return
-		}
-		data.itersDone++
-		if f.Kind == FaultBernoulli && int(iter) == f.Onset && f.Onset > 0 {
-			rt.InjectSilentDrop(ref, f.Rate)
-		}
-	}, nil)
-	rt.Run()
-	sys.Flush(rt.Engine.Now())
-
-	for _, job := range sys.Jobs() {
-		p := sys.Pipeline(job)
-		data.jobIDs = append(data.jobIDs, job)
-		data.jobEvents[job] = p.Events
-		data.windows += p.Windows
-	}
-	data.stats = rt.Net.Stats()
-	data.audit = rt.Net.AuditConservation()
-	data.fingerprint = fingerprintShared(rt, sys)
-	data.traceViolations = checkTraceReplay(sys.TraceWriter(), &traceBuf)
-	return data, nil
-}
-
 func executeClos3(spec Spec, opts Options) (*runData, error) {
 	sc := core.Clos3Scenario{
 		Pods: spec.Topo.Pods, LeavesPerPod: spec.Topo.LeavesPerPod,
@@ -547,6 +482,7 @@ func checkOracles(spec Spec, opts Options, d *runData) []string {
 	}
 
 	f := spec.Fault
+	events := d.jobs[0].events
 	congested := spec.Congest.Active()
 	if f.Kind == FaultNone {
 		if congested {
@@ -564,7 +500,7 @@ func checkOracles(spec Spec, opts Options, d *runData) []string {
 			return bad
 		}
 		// Oracle 2: a healthy fabric is silent.
-		for _, e := range d.events {
+		for _, e := range events {
 			add("clean run: alert %s", e.Alert)
 			break
 		}
@@ -582,7 +518,7 @@ func checkOracles(spec Spec, opts Options, d *runData) []string {
 	// runs waive this: the storm skews pre-onset windows by design, and
 	// the quarantine/deadline oracles below carry the burden instead.
 	if !congested {
-		for _, e := range d.events {
+		for _, e := range events {
 			if int(e.Alert.Iter) < f.Onset {
 				add("clean prefix: alert before fault onset %d: %s", f.Onset, e.Alert)
 				break
@@ -600,7 +536,7 @@ func checkOracles(spec Spec, opts Options, d *runData) []string {
 		deadline = f.Onset + 2*opts.Deadline
 	}
 	detected, localized := false, false
-	for _, e := range d.events {
+	for _, e := range events {
 		a := e.Alert
 		if int(a.Iter) <= f.Onset {
 			continue
@@ -820,25 +756,25 @@ func checkSharedOracles(spec Spec, opts Options, d *runData) []string {
 	f := spec.Fault
 
 	if f.Kind == FaultNone {
-		for _, job := range d.jobIDs {
-			if evs := d.jobEvents[job]; len(evs) != 0 {
-				add("clean shared run: job %d alert %s", job, evs[0].Alert)
+		for _, j := range d.jobs {
+			if len(j.events) != 0 {
+				add("clean shared run: job %d alert %s", j.id, j.events[0].Alert)
 			}
 		}
 		return bad
 	}
 
 	deadline := f.Onset + opts.Deadline
-	for _, job := range d.jobIDs {
-		detected := false
-		for _, e := range d.jobEvents[job] {
+	for _, j := range d.jobs {
+		job, detected := j.id, false
+		for _, e := range j.events {
 			a := e.Alert
 			if int(a.Iter) < f.Onset {
 				add("clean prefix: job %d alert before fault onset %d: %s", job, f.Onset, a)
 				break
 			}
 		}
-		for _, e := range d.jobEvents[job] {
+		for _, e := range j.events {
 			a := e.Alert
 			if int(a.Iter) > f.Onset && int(a.Iter) <= deadline &&
 				a.Deviation < 0 && a.LeafOrdinal == f.Leaf {
@@ -974,27 +910,45 @@ func (f *fp) alert(a detect.Alert) {
 	f.i64(int64(a.At))
 }
 
+// fingerprintFatTree folds the run's observable timeline. A two-job
+// run also folds what tells its jobs apart (the job ids, each window's
+// job and its all-jobs aggregate); a one-job run does not, which keeps
+// every single-job seed's historical fingerprint.
 func fingerprintFatTree(rt *core.Runtime, sys *core.System) uint64 {
 	f := newFP()
 	f.i64(int64(rt.Engine.Now()))
 	f.links(rt.Net)
 	f.stats(rt.Net.Stats())
-	for _, ws := range sys.Scores {
-		w := ws.Window
-		f.i64(int64(w.Leaf))
-		f.i64(int64(w.Iter))
-		f.i64(int64(w.OpenedAt))
-		f.i64(int64(w.ClosedAt))
-		for _, b := range w.PortBytes {
-			f.i64(b)
+	multi := len(sys.Jobs()) > 1
+	for _, j := range sys.Jobs() {
+		if multi {
+			f.u64(uint64(j.ID))
 		}
-		f.f64(ws.Score)
-	}
-	for _, e := range sys.Events {
-		f.alert(e.Alert)
-		f.i64(int64(e.Verdict.Kind))
-		for _, l := range e.Verdict.Links {
-			f.i64(int64(l))
+		for _, ws := range j.Pipeline.Scores {
+			w := ws.Window
+			f.i64(int64(w.Leaf))
+			if multi {
+				f.i64(int64(w.Job))
+			}
+			f.i64(int64(w.Iter))
+			f.i64(int64(w.OpenedAt))
+			f.i64(int64(w.ClosedAt))
+			for _, b := range w.PortBytes {
+				f.i64(b)
+			}
+			if multi {
+				for _, b := range w.AggPortBytes {
+					f.i64(b)
+				}
+			}
+			f.f64(ws.Score)
+		}
+		for _, e := range j.Pipeline.Events {
+			f.alert(e.Alert)
+			f.i64(int64(e.Verdict.Kind))
+			for _, l := range e.Verdict.Links {
+				f.i64(int64(l))
+			}
 		}
 	}
 	if rem := sys.Remediator(); rem != nil {
@@ -1003,40 +957,6 @@ func fingerprintFatTree(rt *core.Runtime, sys *core.System) uint64 {
 			f.i64(int64(a.Kind))
 			f.i64(int64(a.Link))
 			f.str(a.Detail)
-		}
-	}
-	return f.sum()
-}
-
-func fingerprintShared(rt *core.Runtime, sys *core.SharedSystem) uint64 {
-	f := newFP()
-	f.i64(int64(rt.Engine.Now()))
-	f.links(rt.Net)
-	f.stats(rt.Net.Stats())
-	for _, job := range sys.Jobs() {
-		p := sys.Pipeline(job)
-		f.u64(uint64(job))
-		for _, ws := range p.Scores {
-			w := ws.Window
-			f.i64(int64(w.Leaf))
-			f.i64(int64(w.Job))
-			f.i64(int64(w.Iter))
-			f.i64(int64(w.OpenedAt))
-			f.i64(int64(w.ClosedAt))
-			for _, b := range w.PortBytes {
-				f.i64(b)
-			}
-			for _, b := range w.AggPortBytes {
-				f.i64(b)
-			}
-			f.f64(ws.Score)
-		}
-		for _, e := range p.Events {
-			f.alert(e.Alert)
-			f.i64(int64(e.Verdict.Kind))
-			for _, l := range e.Verdict.Links {
-				f.i64(int64(l))
-			}
 		}
 	}
 	return f.sum()

@@ -28,10 +28,12 @@
 package trace
 
 import (
+	"flowpulse/internal/detect"
 	"flowpulse/internal/localize"
 	"flowpulse/internal/monitor"
 	"flowpulse/internal/remediate"
 	"flowpulse/internal/sim"
+	"flowpulse/internal/telemetry"
 	"flowpulse/internal/topology"
 )
 
@@ -77,9 +79,8 @@ type Header struct {
 	// fat-tree fabric (trace v1 records two-level leaf/spine systems).
 	Leaves, Spines, HostsPerLeaf, Trunk int
 	LinkRateBPS                         int64
-	// Shared marks a shared-plane (multi-job) recording: windows route
-	// to pipelines by job id. Single-job recordings route every window
-	// through the one pipeline, exactly as core.System does online.
+	// Shared marks a multi-job recording (core sets it when it monitors
+	// more than one job); see PipelineJob for what it decides.
 	Shared bool
 	// Jobs holds one entry per monitored pipeline, in registration
 	// order.
@@ -100,6 +101,38 @@ type JobHeader struct {
 	MinPredicted      float64
 	AggregateSymmetry bool
 	CEDiscount        float64
+}
+
+// DetectConfig is the detector configuration the pipeline ran with.
+func (j *JobHeader) DetectConfig() detect.Config {
+	return detect.Config{
+		Threshold:         j.Threshold,
+		MinPredicted:      j.MinPredicted,
+		AggregateSymmetry: j.AggregateSymmetry,
+		CEDiscount:        j.CEDiscount,
+	}
+}
+
+// PipelineJob maps a window's job tag to the id of the header job whose
+// pipeline consumes it: a multi-job recording demuxes by job id, as the
+// monitoring plane did online; a single-pipeline recording sends every
+// window through its one pipeline. The header must list at least one
+// job (NewReplayer rejects one that does not).
+func (h *Header) PipelineJob(job uint16) uint16 {
+	if h.Shared {
+		return job
+	}
+	return h.Jobs[0].Job
+}
+
+// Job returns the header entry for one job id, nil when absent.
+func (h *Header) Job(id uint16) *JobHeader {
+	for i := range h.Jobs {
+		if h.Jobs[i].Job == id {
+			return &h.Jobs[i]
+		}
+	}
+	return nil
 }
 
 // WindowRecord is one recorded measurement window plus the prediction
@@ -124,6 +157,25 @@ type WindowRecord struct {
 	// CEBytes is the window's ECN congestion-experienced byte count
 	// (format v2; zero when replaying v1 traces or ECN-less fabrics).
 	CEBytes int64
+}
+
+// Window returns the record as the telemetry window a pipeline
+// consumes. The slices are shared with the record, not copied, and
+// LeafOrd must already be checked against topo.
+func (wr *WindowRecord) Window(topo *topology.Topology) telemetry.Window {
+	return telemetry.Window{
+		Leaf:         topo.Leaves()[wr.LeafOrd],
+		LeafOrdinal:  wr.LeafOrd,
+		Job:          wr.Job,
+		Iter:         wr.Iter,
+		PortBytes:    wr.PortBytes,
+		SenderBytes:  wr.SenderBytes,
+		Packets:      wr.Packets,
+		CEBytes:      wr.CEBytes,
+		AggPortBytes: wr.AggPortBytes,
+		OpenedAt:     wr.OpenedAt,
+		ClosedAt:     wr.ClosedAt,
+	}
 }
 
 // ProbeRecord is one completed OAM probe round on a quarantined link.

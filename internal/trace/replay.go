@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"flowpulse/internal/detect"
 	"flowpulse/internal/fabric"
-	"flowpulse/internal/localize"
 	"flowpulse/internal/metrics"
 	"flowpulse/internal/monitor"
 	"flowpulse/internal/predict"
@@ -238,10 +236,9 @@ func (f *offlinePlane) deliver(p *ProbeRecord) {
 
 // replayJob is one job's offline stack while the stream is replayed.
 type replayJob struct {
-	jr      *JobReplay
-	pred    *SnapshotPredictor // nil under the learned counterfactual
-	learned *predict.Learned   // nil unless Predictor == "learned"
-	win     telemetry.Window   // reused per fed window
+	jr   *JobReplay
+	pred *SnapshotPredictor // nil under the learned counterfactual
+	win  telemetry.Window   // reused per fed window
 }
 
 // Replayer re-drives the detect → localize → remediate stack from
@@ -306,32 +303,30 @@ func NewReplayer(hdr *Header, topo *topology.Topology, opts ReplayOptions) (*Rep
 		}
 	}
 
-	for _, jh := range hdr.Jobs {
-		dcfg := detect.Config{
-			Threshold:         jh.Threshold,
-			MinPredicted:      jh.MinPredicted,
-			AggregateSymmetry: jh.AggregateSymmetry,
-			CEDiscount:        jh.CEDiscount,
+	var rem monitor.RemediateStage
+	if rp.res.Remediator != nil {
+		rem = rp.res.Remediator
+	}
+	for i := range hdr.Jobs {
+		jh := &hdr.Jobs[i]
+		if rp.jobs[jh.Job] != nil {
+			return nil, fmt.Errorf("trace: duplicate job %d in header", jh.Job)
 		}
+		dcfg := jh.DetectConfig()
 		if opts.Threshold != 0 {
 			dcfg.Threshold = opts.Threshold
 		}
 		j := &replayJob{jr: &JobReplay{Job: jh.Job}}
 		var pred predict.Predictor
 		if useLearned {
-			j.learned = predict.NewLearned(len(topo.Leaves()), predict.LearnedConfig{})
-			pred = j.learned
+			pred = predict.NewLearned(len(topo.Leaves()), predict.LearnedConfig{})
 		} else {
 			j.pred = &SnapshotPredictor{}
 			pred = j.pred
 		}
-		det := detect.New(topo, pred, dcfg)
-		det.SetKnownFaults(faults)
-		pc := monitor.PipelineConfig{
-			Pred:      pred,
-			Detect:    det,
-			Localize:  localize.New(topo, det.Threshold(), 0),
-			NoHistory: opts.NoHistory,
+		j.jr.Pipeline, _ = monitor.Build(monitor.Spec{
+			Topo: topo, Pred: pred, Detect: dcfg, Faults: faults,
+			Remediate: rem, NoHistory: opts.NoHistory,
 			OnEvent: func(e monitor.Event) {
 				fpEvent(&rp.fp, &e)
 				bk := cacheKey(e.Alert.Job, e.Alert.LeafOrdinal)
@@ -349,32 +344,11 @@ func NewReplayer(hdr *Header, topo *topology.Topology, opts ReplayOptions) (*Rep
 					rp.OnEvent(e)
 				}
 			},
-		}
-		if j.learned != nil {
-			pc.Observer = j.learned
-		}
-		if rp.res.Remediator != nil {
-			pc.Remediate = rp.res.Remediator
-		}
-		j.jr.Pipeline = monitor.NewPipeline(pc)
-		if rp.jobs[jh.Job] != nil {
-			return nil, fmt.Errorf("trace: duplicate job %d in header", jh.Job)
-		}
+		})
 		rp.jobs[jh.Job] = j
 		rp.res.Jobs = append(rp.res.Jobs, j.jr)
 	}
 	return rp, nil
-}
-
-// route resolves the pipeline for one window's job id. A single-system
-// recording routes every window through its one pipeline, exactly as
-// core.System's collector does online; a shared-plane recording
-// demuxes by job id.
-func (rp *Replayer) route(job uint16) *replayJob {
-	if rp.hdr.Shared {
-		return rp.jobs[job]
-	}
-	return rp.jobs[rp.hdr.Jobs[0].Job]
 }
 
 // Feed advances the offline stack by one decoded record. It keeps no
@@ -395,7 +369,7 @@ func (rp *Replayer) Feed(rec *Record) error {
 		if rp.opts.LastIter > 0 && wr.Iter > rp.opts.LastIter {
 			return nil
 		}
-		j := rp.route(wr.Job)
+		j := rp.jobs[rp.hdr.PipelineJob(wr.Job)]
 		if j == nil {
 			return fmt.Errorf("trace: window for job %d not in header", wr.Job)
 		}
@@ -408,19 +382,7 @@ func (rp *Replayer) Feed(rec *Record) error {
 		if wr.Iter > j.jr.MaxIter {
 			j.jr.MaxIter = wr.Iter
 		}
-		j.win = telemetry.Window{
-			Leaf:         rp.topo.Leaves()[wr.LeafOrd],
-			LeafOrdinal:  wr.LeafOrd,
-			Job:          wr.Job,
-			Iter:         wr.Iter,
-			PortBytes:    wr.PortBytes,
-			SenderBytes:  wr.SenderBytes,
-			Packets:      wr.Packets,
-			CEBytes:      wr.CEBytes,
-			AggPortBytes: wr.AggPortBytes,
-			OpenedAt:     wr.OpenedAt,
-			ClosedAt:     wr.ClosedAt,
-		}
+		j.win = wr.Window(rp.topo)
 		j.jr.Pipeline.OnWindow(&j.win)
 		rp.res.Windows++
 	case KindProbe:
