@@ -4,25 +4,27 @@
 // link is invisible to every leaf monitor — only the spine deployment
 // catches it.
 //
-// Both levels use the learned load model: the analytical closed form
+// It is the ordinary Scenario → Attach stack: Pods and CoresPerGroup
+// make the fabric three-level, and every job then gets the same
+// pipeline at both tiers (Job.Pipeline for the leaves, Job.Spine one
+// tier up). Both use the learned load model: the analytical closed form
 // is specific to two-level spray geometry, while the measured baseline
-// works at any level unchanged.
+// works at any tier unchanged.
 package main
 
 import (
 	"fmt"
 
 	"flowpulse/internal/core"
-	"flowpulse/internal/detect"
 	"flowpulse/internal/predict"
 	"flowpulse/internal/sim"
 )
 
 func main() {
-	sc := core.Clos3Scenario{
+	sc := core.Scenario{
 		Pods:          4,
-		LeavesPerPod:  4,
-		SpinesPerPod:  2,
+		Leaves:        4, // per pod
+		Spines:        2, // per pod
 		CoresPerGroup: 4,
 		BytesPerRank:  8 << 20,
 		Iterations:    10,
@@ -33,10 +35,11 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("fabric: %d pods x %d leaves x %d spines + %d cores, ring over %d hosts\n",
-		sc.Pods, sc.LeavesPerPod, sc.SpinesPerPod,
-		sc.SpinesPerPod*sc.CoresPerGroup, len(rt.Group))
+		sc.Pods, sc.Leaves, sc.Spines, len(rt.Topo.Cores()), len(rt.Group))
 
-	sys := core.AttachClos3(rt, detect.Config{}, predict.LearnedConfig{Warmup: 3})
+	sys := core.MustAttach(rt.MonitorConfig(core.JobConfig{
+		Kind: core.LearnedModel, Learned: predict.LearnedConfig{Warmup: 3},
+	}))
 
 	// After warm-up, a core→spine link in pod 2 starts dropping 8% of
 	// its packets. No leaf is attached to that link.
@@ -45,16 +48,18 @@ func main() {
 			link := rt.InjectCoreSpineDrop(2, 1, 0, 0.08)
 			fmt.Printf("iteration 5: silent 8%% fault injected on core->spine link %d\n", link)
 		}
-	})
+	}, nil)
 	rt.Run()
 	sys.Flush(rt.Engine.Now())
 
-	fmt.Printf("\nleaf-level alerts:  %d\n", len(sys.LeafEvents))
-	fmt.Printf("spine-level alerts: %d\n", len(sys.SpineEvents))
-	for _, a := range sys.SpineEvents {
-		fmt.Printf("  spine monitor: %v\n", a)
+	job := sys.Jobs()[0]
+	spine := job.Spine.Pipeline.Events
+	fmt.Printf("\nleaf-level alerts:  %d\n", len(job.Pipeline.Events))
+	fmt.Printf("spine-level alerts: %d\n", len(spine))
+	for _, e := range spine {
+		fmt.Printf("  spine monitor: %v\n", e.Alert)
 	}
-	if len(sys.SpineEvents) > 0 {
+	if len(spine) > 0 {
 		fmt.Println("\nthe spine deployment caught a fault no leaf monitor could see.")
 	}
 }

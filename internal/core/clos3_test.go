@@ -1,6 +1,8 @@
 package core
 
 import (
+	"io"
+	"strings"
 	"testing"
 
 	"flowpulse/internal/detect"
@@ -8,59 +10,71 @@ import (
 	"flowpulse/internal/sim"
 	"flowpulse/internal/telemetry"
 	"flowpulse/internal/topology"
+	"flowpulse/internal/trace"
 )
 
-func clos3Scenario(seed uint64) Clos3Scenario {
-	return Clos3Scenario{
-		Pods: 4, LeavesPerPod: 4, SpinesPerPod: 2, CoresPerGroup: 4,
+func clos3Scenario(seed uint64) Scenario {
+	return Scenario{
+		Pods: 4, Leaves: 4, Spines: 2, CoresPerGroup: 4,
 		BytesPerRank: 8 << 20,
 		Iterations:   10,
 		Seed:         seed,
 	}
 }
 
-func runClos3(t *testing.T, sc Clos3Scenario, inject func(rt *Clos3Runtime), injectAt uint32) (*Clos3Runtime, *Clos3System) {
+// runClos3 trains a three-level scenario under dual-tier monitoring and
+// returns each tier's alerts.
+func runClos3(t *testing.T, sc Scenario, inject func(rt *Runtime), injectAt uint32) (sys *System, leaf, spine []detect.Alert) {
 	t.Helper()
 	rt, err := sc.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := AttachClos3(rt, detect.Config{}, predict.LearnedConfig{Warmup: 3})
+	sys = MustAttach(rt.MonitorConfig(JobConfig{Kind: LearnedModel, Learned: predict.LearnedConfig{Warmup: 3}}))
 	rt.StartTraining(func(_ sim.Time, iter uint32) {
 		if inject != nil && iter == injectAt {
 			inject(rt)
 		}
-	})
-	rt.Engine.Run()
+	}, nil)
+	rt.Run()
 	sys.Flush(rt.Engine.Now())
-	return rt, sys
+	j := sys.Jobs()[0]
+	for _, e := range j.Pipeline.Events {
+		leaf = append(leaf, e.Alert)
+	}
+	for _, e := range j.Spine.Pipeline.Events {
+		spine = append(spine, e.Alert)
+	}
+	return sys, leaf, spine
 }
 
 func TestClos3CleanBothLevelsSilent(t *testing.T) {
-	_, sys := runClos3(t, clos3Scenario(1), nil, 0)
-	if len(sys.LeafEvents) != 0 {
-		t.Fatalf("clean 3-level run: leaf alerts %v", sys.LeafEvents[0])
+	sys, leaf, spine := runClos3(t, clos3Scenario(1), nil, 0)
+	if len(leaf) != 0 {
+		t.Fatalf("clean 3-level run: leaf alerts %v", leaf[0])
 	}
-	if len(sys.SpineEvents) != 0 {
-		t.Fatalf("clean 3-level run: spine alerts %v", sys.SpineEvents[0])
+	if len(spine) != 0 {
+		t.Fatalf("clean 3-level run: spine alerts %v", spine[0])
 	}
 	// 16 leaves + 8 spines, 10 iterations each... every leaf window
 	// plus every spine window that saw cross-pod traffic.
-	if sys.Windows < 16*10 {
-		t.Fatalf("windows = %d, want >= 160", sys.Windows)
+	j := sys.Jobs()[0]
+	if n := j.Pipeline.Windows + j.Spine.Pipeline.Windows; n < 16*10 {
+		t.Fatalf("windows = %d, want >= 160", n)
+	}
+	if n := sys.Plane().UnroutedWindows(); n != 0 {
+		t.Fatalf("%d windows reached no pipeline", n)
 	}
 }
 
 func TestClos3SpineLeafFaultSeenByLeafMonitor(t *testing.T) {
-	var faulty topology.LinkID
-	_, sys := runClos3(t, clos3Scenario(2), func(rt *Clos3Runtime) {
-		faulty = rt.InjectSpineLeafDrop(1, 2, 0, 0.05)
+	_, leaf, _ := runClos3(t, clos3Scenario(2), func(rt *Runtime) {
+		rt.InjectSpineLeafDrop(1, 2, 0, 0.05)
 	}, 5)
-	_ = faulty
-	if len(sys.LeafEvents) == 0 {
+	if len(leaf) == 0 {
 		t.Fatal("spine->leaf fault not seen by leaf monitors")
 	}
-	for _, a := range sys.LeafEvents {
+	for _, a := range leaf {
 		if a.Iter <= 5 {
 			t.Fatalf("alert before injection: %v", a)
 		}
@@ -68,7 +82,7 @@ func TestClos3SpineLeafFaultSeenByLeafMonitor(t *testing.T) {
 	// The deficit must be at the right leaf: pod 1, leaf-in-pod 2 →
 	// global leaf ordinal 1*4+2 = 6, uplink 0 (spine-in-pod 0).
 	foundDeficit := false
-	for _, a := range sys.LeafEvents {
+	for _, a := range leaf {
 		if a.Deviation < 0 {
 			foundDeficit = true
 			if a.LeafOrdinal != 6 || a.Uplink != 0 {
@@ -82,21 +96,24 @@ func TestClos3SpineLeafFaultSeenByLeafMonitor(t *testing.T) {
 }
 
 func TestClos3CoreSpineFaultSeenBySpineMonitor(t *testing.T) {
-	_, sys := runClos3(t, clos3Scenario(3), func(rt *Clos3Runtime) {
+	_, _, spine := runClos3(t, clos3Scenario(3), func(rt *Runtime) {
 		rt.InjectCoreSpineDrop(2, 1, 0, 0.08)
 	}, 5)
-	if len(sys.SpineEvents) == 0 {
+	if len(spine) == 0 {
 		t.Fatal("core->spine fault not seen by spine monitors")
 	}
-	for _, a := range sys.SpineEvents {
+	for _, a := range spine {
 		if a.Iter <= 5 {
 			t.Fatalf("spine alert before injection: %v", a)
+		}
+		if a.Level != topology.Spine {
+			t.Fatalf("spine-tier alert carries level %v", a.Level)
 		}
 	}
 	// The faulted spine is pod 2, spine-in-pod 1 → global spine
 	// ordinal 2*2+1 = 5; core-in-group 0 → core port index 0.
 	foundDeficit := false
-	for _, a := range sys.SpineEvents {
+	for _, a := range spine {
 		if a.Deviation < 0 {
 			foundDeficit = true
 			if a.LeafOrdinal != 5 || a.Uplink != 0 {
@@ -110,30 +127,45 @@ func TestClos3CoreSpineFaultSeenBySpineMonitor(t *testing.T) {
 }
 
 func TestClos3SpineWindowsCarryKind(t *testing.T) {
-	rt, err := clos3Scenario(4).Build()
+	sc := clos3Scenario(4)
+	sc.Iterations = 2
+	rt, err := sc.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	leafK, spineK := 0, 0
-	coll := attachCounter(rt, func(kind topology.SwitchKind) {
-		if kind == topology.Spine {
+	coll := telemetry.AttachAll(rt.Net, int(rt.Scenario.Job), func(w *telemetry.Window) {
+		if w.SwitchKind == topology.Spine {
 			spineK++
 		} else {
 			leafK++
 		}
 	})
-	rt.Scenario.Iterations = 2
-	rt.StartTraining(nil)
-	rt.Engine.Run()
+	rt.StartTraining(nil, nil)
+	rt.Run()
 	coll.FlushAll(rt.Engine.Now())
 	if leafK == 0 || spineK == 0 {
 		t.Fatalf("window kinds: leaf=%d spine=%d", leafK, spineK)
 	}
 }
 
-// attachCounter is a tiny helper for the kind test.
-func attachCounter(rt *Clos3Runtime, f func(topology.SwitchKind)) interface{ FlushAll(sim.Time) } {
-	return telemetry.AttachClos3(rt.Net, int(rt.Scenario.Job), func(w *telemetry.Window) {
-		f(w.SwitchKind)
-	})
+// TestClos3AttachRejections: a three-level fabric takes the learned
+// model only and cannot be traced — each a rejection, not a panic or a
+// silently wrong baseline.
+func TestClos3AttachRejections(t *testing.T) {
+	rt, err := clos3Scenario(5).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*Config){
+		"analytical model": func(c *Config) { c.Jobs[0].Kind = AnalyticalModel },
+		"simulation model": func(c *Config) { c.Jobs[0].Kind = SimulationModel },
+		"trace writer":     func(c *Config) { c.Trace = trace.NewWriter(io.Discard) },
+	} {
+		cfg := rt.MonitorConfig(JobConfig{Kind: LearnedModel})
+		mutate(&cfg)
+		if _, err := Attach(cfg); err == nil || !strings.Contains(err.Error(), "two-level") {
+			t.Errorf("%s on a three-level fabric: error = %v, want the two-level rejection", name, err)
+		}
+	}
 }

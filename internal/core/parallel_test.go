@@ -132,7 +132,7 @@ func TestShardedPropertyRandomFatTrees(t *testing.T) {
 
 // clos3Fingerprint is fatTreeFingerprint for the three-level fabric,
 // exercising both monitor levels and the core→spine fault path.
-func clos3Fingerprint(t *testing.T, sc Clos3Scenario, shards int) uint64 {
+func clos3Fingerprint(t *testing.T, sc Scenario, shards int) uint64 {
 	t.Helper()
 	sc.Shards = shards
 	rt, err := sc.Build()
@@ -142,7 +142,7 @@ func clos3Fingerprint(t *testing.T, sc Clos3Scenario, shards int) uint64 {
 	defer rt.Close()
 
 	fp, u64 := newFP()
-	coll := telemetry.AttachClos3(rt.Net, int(sc.Job), func(w *telemetry.Window) {
+	coll := telemetry.AttachAll(rt.Net, int(sc.Job), func(w *telemetry.Window) {
 		u64(uint64(w.Leaf))
 		u64(uint64(w.SwitchKind))
 		u64(uint64(w.Iter))
@@ -153,7 +153,7 @@ func clos3Fingerprint(t *testing.T, sc Clos3Scenario, shards int) uint64 {
 		}
 	})
 	rt.InjectCoreSpineDrop(0, 0, 0, 0.03)
-	rt.StartTraining(nil)
+	rt.StartTraining(nil, nil)
 	final := rt.Run()
 	coll.FlushAll(rt.Engine.Now())
 
@@ -169,9 +169,9 @@ func clos3Fingerprint(t *testing.T, sc Clos3Scenario, shards int) uint64 {
 // and checks the same shards ∈ {1, 2, GOMAXPROCS} property.
 func TestShardedPropertyRandomClos3(t *testing.T) {
 	f := func(podsSeed, widthSeed uint8, seed uint64) bool {
-		sc := Clos3Scenario{
-			Pods:         2 + int(podsSeed)%2,
-			LeavesPerPod: 2, SpinesPerPod: 2,
+		sc := Scenario{
+			Pods:   2 + int(podsSeed)%2,
+			Leaves: 2, Spines: 2,
 			CoresPerGroup: 1 + int(widthSeed)%2,
 			BytesPerRank:  32 << 10, Iterations: 2,
 			Seed: seed%64 + 1,
@@ -247,13 +247,13 @@ func TestShardedSystemDetectsAndRemediates(t *testing.T) {
 // EXPERIMENTS.md "Large Clos") is the same scenario with
 // FLOWPULSE_SCALE=big, kept out of the default suite for time.
 func TestShardedLargeClos3(t *testing.T) {
-	sc := Clos3Scenario{
-		Pods: 4, LeavesPerPod: 8, SpinesPerPod: 4, CoresPerGroup: 2,
+	sc := Scenario{
+		Pods: 4, Leaves: 8, Spines: 4, CoresPerGroup: 2,
 		HostsPerLeaf: 32, BytesPerRank: 64 << 10, Iterations: 1, Seed: 3,
 		Shards: runtime.GOMAXPROCS(0),
 	}
 	if os.Getenv("FLOWPULSE_SCALE") == "big" {
-		sc.Pods, sc.LeavesPerPod, sc.SpinesPerPod, sc.CoresPerGroup = 16, 16, 8, 4
+		sc.Pods, sc.Leaves, sc.Spines, sc.CoresPerGroup = 16, 16, 8, 4
 		sc.HostsPerLeaf = 64
 		sc.BytesPerRank = 16 << 20
 	}
@@ -265,7 +265,7 @@ func TestShardedLargeClos3(t *testing.T) {
 	hosts := len(rt.Topo.Hosts)
 	iters := 0
 	t0 := time.Now()
-	rt.StartTraining(func(sim.Time, uint32) { iters++ })
+	rt.StartTraining(func(sim.Time, uint32) { iters++ }, nil)
 	final := rt.Run()
 	t.Logf("%d hosts (%d domains, %d workers): %d iteration(s), %v simulated, %d messages, %v wall",
 		hosts, rt.EngineGroup.Domains(), rt.EngineGroup.Workers(),
@@ -326,6 +326,23 @@ func TestShardedAgreesWithLegacyInvariants(t *testing.T) {
 			if legacyVals[r][c] != shardVals[r][c] {
 				t.Fatalf("checksum [%d][%d]: legacy %v, sharded %v", r, c, legacyVals[r][c], shardVals[r][c])
 			}
+		}
+	}
+}
+
+// TestFailedBuildReleasesShardWorkers: a Build that fails after the
+// sharded engine's worker pool is up — here on the collective, the last
+// thing built — must close the pool on its way out. Workers exit
+// asynchronously once their start channel closes, so the count is
+// polled back down to where it started.
+func TestFailedBuildReleasesShardWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if _, err := (Scenario{Leaves: 4, Spines: 2, Collective: "bogus", Shards: 2}).Build(); err == nil {
+		t.Fatal("built a scenario with an unknown collective")
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed build, %d before it: shard workers leaked", runtime.NumGoroutine(), before)
 		}
 	}
 }

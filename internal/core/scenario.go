@@ -40,6 +40,14 @@ type Scenario struct {
 	// Leaves, Spines, HostsPerLeaf, Trunk shape the fat tree.
 	// Defaults: the paper's 32×16, one host per leaf, single links.
 	Leaves, Spines, HostsPerLeaf, Trunk int
+	// Pods, when positive, makes the fabric a three-level Clos (§7
+	// "Network Topology"): Pods pods of Leaves × Spines each — the two
+	// counts are then per pod — joined by CoresPerGroup core switches per
+	// spine ordinal (see topology.Clos3Config). Leaf and spine ordinals
+	// everywhere else (LeafSpineLink, JobScenario spans, congestion
+	// victims) stay fabric-wide, pod-major. CoresPerGroup is read only
+	// when Pods is set.
+	Pods, CoresPerGroup int
 	// LinkRateBPS defaults to 400 Gb/s.
 	LinkRateBPS int64
 	// Spray selects the load-balancing policy (default least-loaded).
@@ -312,12 +320,20 @@ type JobRuntime struct {
 // scenario, applying pre-existing faults as administrative
 // disconnections (routing converges around them before training
 // starts, as in §6).
-func (sc Scenario) Build() (*Runtime, error) {
+func (sc Scenario) Build() (rt *Runtime, err error) {
 	sc.setDefaults()
-	topo, err := topology.NewFatTree(topology.FatTreeConfig{
-		Leaves: sc.Leaves, Spines: sc.Spines, HostsPerLeaf: sc.HostsPerLeaf,
-		Trunk: sc.Trunk, LinkRateBPS: sc.LinkRateBPS,
-	})
+	var topo *topology.Topology
+	if sc.Pods > 0 {
+		topo, err = topology.NewClos3(topology.Clos3Config{
+			Pods: sc.Pods, LeavesPerPod: sc.Leaves, SpinesPerPod: sc.Spines, CoresPerGroup: sc.CoresPerGroup,
+			HostsPerLeaf: sc.HostsPerLeaf, Trunk: sc.Trunk, LinkRateBPS: sc.LinkRateBPS,
+		})
+	} else {
+		topo, err = topology.NewFatTree(topology.FatTreeConfig{
+			Leaves: sc.Leaves, Spines: sc.Spines, HostsPerLeaf: sc.HostsPerLeaf,
+			Trunk: sc.Trunk, LinkRateBPS: sc.LinkRateBPS,
+		})
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -330,6 +346,12 @@ func (sc Scenario) Build() (*Runtime, error) {
 		part = topology.NewPartition(topo)
 		grp = sim.NewGroup(sim.GroupConfig{Domains: part.NumDomains, Lookahead: part.Lookahead, Workers: sc.Shards})
 		eng = grp.Control()
+		// A failed build must not leave the group's workers running.
+		defer func() {
+			if err != nil {
+				grp.Close()
+			}
+		}()
 	} else {
 		eng = sim.NewEngine()
 	}
@@ -342,9 +364,6 @@ func (sc Scenario) Build() (*Runtime, error) {
 		},
 	})
 	if err != nil {
-		if grp != nil {
-			grp.Close()
-		}
 		return nil, err
 	}
 	// The control plane is built (and armed with any divergence faults)
@@ -365,9 +384,6 @@ func (sc Scenario) Build() (*Runtime, error) {
 	for _, st := range sc.Divergence.Stale {
 		link, err := resolveLink(topo, st.Link)
 		if err != nil {
-			if grp != nil {
-				grp.Close()
-			}
 			return nil, err
 		}
 		plane.Inject(fault.Divergence{Kind: fault.DivergeStaleLSDB, At: st.At, Link: link, Up: st.Up})
@@ -381,9 +397,6 @@ func (sc Scenario) Build() (*Runtime, error) {
 		for _, pf := range sc.PreExisting {
 			link, err := resolveLink(topo, pf)
 			if err != nil {
-				if grp != nil {
-					grp.Close()
-				}
 				return nil, err
 			}
 			ops = append(ops, control.Op{Link: link, Up: false})
@@ -401,7 +414,7 @@ func (sc Scenario) Build() (*Runtime, error) {
 		// ranks walk leaves fastest.
 		k := 0
 		for ix := 0; ix < sc.HostsPerLeaf; ix++ {
-			for leaf := 0; leaf < sc.Leaves; leaf++ {
+			for leaf := range topo.Leaves() {
 				group[k] = topology.HostID(leaf*sc.HostsPerLeaf + ix)
 				k++
 			}
@@ -415,9 +428,8 @@ func (sc Scenario) Build() (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &Runtime{Scenario: sc, Topo: topo, Engine: eng, EngineGroup: grp, Net: net, Plane: plane, Stack: stack, Group: group, Coll: coll}
+	rt = &Runtime{Scenario: sc, Topo: topo, Engine: eng, EngineGroup: grp, Net: net, Plane: plane, Stack: stack, Group: group, Coll: coll}
 	if err := rt.buildJobs(); err != nil {
-		rt.Close()
 		return nil, err
 	}
 	return rt, nil
@@ -482,6 +494,9 @@ func buildCollective(kind CollectiveKind, group []topology.HostID, bytesPerRank 
 // collectives.
 func (rt *Runtime) buildJobs() error {
 	sc := rt.Scenario
+	// Spans are over the fabric's leaves, which Scenario.Leaves counts
+	// only per pod on a three-level fabric.
+	leaves := len(rt.Topo.Leaves())
 	if len(sc.Jobs) == 0 {
 		rt.Jobs = []JobRuntime{{
 			Spec: JobScenario{
@@ -524,13 +539,13 @@ func (rt *Runtime) buildJobs() error {
 			return fmt.Errorf("core: job %d HostIx %d outside HostsPerLeaf %d", spec.Job, spec.HostIx, sc.HostsPerLeaf)
 		}
 		if spec.LeafCount == 0 {
-			spec.LeafCount = sc.Leaves - spec.LeafFirst
+			spec.LeafCount = leaves - spec.LeafFirst
 		}
-		if spec.LeafFirst < 0 || spec.LeafCount < 2 || spec.LeafFirst+spec.LeafCount > sc.Leaves {
+		if spec.LeafFirst < 0 || spec.LeafCount < 2 || spec.LeafFirst+spec.LeafCount > leaves {
 			return fmt.Errorf("core: job %d leaf span [%d,%d) invalid for %d leaves",
-				spec.Job, spec.LeafFirst, spec.LeafFirst+spec.LeafCount, sc.Leaves)
+				spec.Job, spec.LeafFirst, spec.LeafFirst+spec.LeafCount, leaves)
 		}
-		// Fat-tree hosts are leaf-major: host = leaf*HostsPerLeaf + ix.
+		// Hosts are leaf-major: host = leaf*HostsPerLeaf + ix.
 		group := make([]topology.HostID, spec.LeafCount)
 		for j := range group {
 			group[j] = topology.HostID((spec.LeafFirst+j)*sc.HostsPerLeaf + spec.HostIx)
@@ -582,6 +597,30 @@ func (rt *Runtime) InjectSilentDropUpstream(ref LeafSpineLink, rate float64) {
 	spine := rt.Topo.Spines()[ref.SpineOrd]
 	rt.Net.InjectFault(link, rt.Net.DirToward(link, spine),
 		fault.NewBernoulliDrop(rate, sim.NewRNG(rt.Scenario.Seed, fmt.Sprintf("silentup/%d", link))))
+}
+
+// InjectSpineLeafDrop silently faults the spine→leaf direction of a
+// link inside one pod of a three-level fabric, named by pod-local
+// ordinals (seen by the LEAF monitors), and returns the link.
+func (rt *Runtime) InjectSpineLeafDrop(pod, leafInPod, spineInPod int, rate float64) topology.LinkID {
+	leaf := rt.Topo.LeavesOfPod(pod)[leafInPod]
+	link := rt.Topo.TrunkLinks(rt.Topo.SpinesOfPod(pod)[spineInPod], leaf)[0]
+	rt.Net.InjectFault(link, rt.Net.DirToward(link, leaf),
+		fault.NewBernoulliDrop(rate, sim.NewRNG(rt.Scenario.Seed, fmt.Sprintf("c3sl/%d", link))))
+	return link
+}
+
+// InjectCoreSpineDrop silently faults the core→spine direction of the
+// link between a pod's spine and the coreInGroup-th core of that
+// spine's group (seen by the SPINE monitors — the tier a two-level
+// deployment cannot watch), and returns the link.
+func (rt *Runtime) InjectCoreSpineDrop(pod, spineInPod, coreInGroup int, rate float64) topology.LinkID {
+	spine := rt.Topo.SpinesOfPod(pod)[spineInPod]
+	core := rt.Topo.Cores()[spineInPod*rt.Scenario.CoresPerGroup+coreInGroup]
+	link := rt.Topo.TrunkLinks(spine, core)[0]
+	rt.Net.InjectFault(link, rt.Net.DirToward(link, spine),
+		fault.NewBernoulliDrop(rate, sim.NewRNG(rt.Scenario.Seed, fmt.Sprintf("c3cs/%d", link))))
+	return link
 }
 
 // InjectFlap attaches a periodic up/down fault to both directions of

@@ -1,4 +1,4 @@
-// Package core assembles FlowPulse (§5, Fig 1): per-leaf telemetry
+// Package core assembles FlowPulse (§5, Fig 1): per-switch telemetry
 // monitors feeding a load model, a deviation detector, and a
 // localizer — continuous, in-switch, coordination-free monitoring of
 // the training jobs on one fabric for silent network faults.
@@ -118,17 +118,39 @@ type Config struct {
 	TraceLabel string
 }
 
-// Job is one monitored job's stack on a System.
-type Job struct {
-	ID        uint16
+// Tier is one job's stack for one tier of monitored switches: the load
+// model sized to the tier, the detector over it, and the pipeline the
+// plane routes that tier's windows to.
+type Tier struct {
 	Pipeline  *monitor.Pipeline
 	Predictor predict.Predictor
 	Detector  *detect.Detector
+}
+
+// Job is one monitored job's stack on a System.
+type Job struct {
+	ID uint16
+	// Tier is the leaf tier — the leaves' view of the spine→leaf links,
+	// all there is on a two-level fabric.
+	Tier
+	// Spine is the same stack one tier up (§7 "Network Topology"): the
+	// spines' view of the core→spine links, which no leaf can see. Nil
+	// on a two-level fabric.
+	Spine *Tier
 	// Replanner is nil until BindWorkload arms it (and always when
 	// Config.Resilience was not set).
 	Replanner *resilience.Replanner
 
 	work *workload.Job // set by BindWorkload
+}
+
+// tiers lists the job's stacks by topology.SwitchKind: leaf tier at
+// index topology.Leaf, then — three-level fabrics — topology.Spine.
+func (j *Job) tiers() []*Tier {
+	if j.Spine == nil {
+		return []*Tier{&j.Tier}
+	}
+	return []*Tier{&j.Tier, j.Spine}
 }
 
 // Learned returns the job's learned model, or nil for other kinds.
@@ -138,10 +160,16 @@ func (j *Job) Learned() *predict.Learned {
 }
 
 // System is a running FlowPulse deployment over one fabric (§5, and §7
-// "Parallel Jobs" for more than one job): one telemetry tap per switch
-// feeding one monitor.Pipeline per job through a monitor.Plane, with a
+// "Parallel Jobs" for more than one job, "Network Topology" for more
+// than one monitored tier): one telemetry tap per switch feeding one
+// monitor.Pipeline per (tier, job) through a monitor.Plane, with a
 // single known-fault set, control plane, trace writer and (optionally)
 // remediator — the fabric-scoped parts.
+//
+// A three-level fabric monitors its spines too, with the same stack one
+// tier up (Job.Spine), and takes the learned model only: §5.2's closed
+// form and the reference run are specific to the two-level spray
+// geometry, while a measured baseline works at any tier unchanged.
 //
 // Three things follow from the number of jobs and cannot be set.
 // Pipelines of a multi-job system always detect on the all-jobs
@@ -163,8 +191,8 @@ type System struct {
 }
 
 // Attach deploys FlowPulse on a network. It registers telemetry hooks
-// on every leaf; the caller then runs the workload and reads the jobs'
-// pipelines.
+// on every monitored switch; the caller then runs the workload and
+// reads the jobs' pipelines.
 func Attach(cfg Config) (*System, error) {
 	if cfg.Net == nil || cfg.Stack == nil {
 		return nil, fmt.Errorf("core: Config.Net and Config.Stack are required")
@@ -184,6 +212,7 @@ func Attach(cfg Config) (*System, error) {
 	}
 	s := &System{cfg: cfg, ctrl: cfg.Control, faults: predict.NewFaultSet()}
 	multi := len(cfg.Jobs) > 1
+	switches := []int{topology.Leaf: len(topo.Leaves()), topology.Spine: len(topo.Spines())}
 
 	// Predictors first: the remediator's rebaseline closure spans all
 	// of them. They read the control plane's *believed* FIB, not the
@@ -199,11 +228,17 @@ func Attach(cfg Config) (*System, error) {
 		if cfg.Resilience != nil && jc.Kind == SimulationModel {
 			return nil, fmt.Errorf("core: job %d: resilience is not supported with the simulation model: its reference run was recorded for the original schedule and cannot be re-derived mid-job", jc.Job)
 		}
-		pred, err := buildPredictor(topo, s.ctrl, cfg.Stack, jc, s.faults)
-		if err != nil {
-			return nil, fmt.Errorf("core: job %d: %w", jc.Job, err)
+		j := &Job{ID: jc.Job}
+		if topo.Levels == 3 {
+			j.Spine = &Tier{}
 		}
-		s.jobs = append(s.jobs, &Job{ID: jc.Job, Predictor: pred})
+		for kind, t := range j.tiers() {
+			var err error
+			if t.Predictor, err = buildPredictor(topo, switches[kind], s.ctrl, cfg.Stack, jc, s.faults); err != nil {
+				return nil, fmt.Errorf("core: job %d: %w", jc.Job, err)
+			}
+		}
+		s.jobs = append(s.jobs, j)
 	}
 	var rem monitor.RemediateStage
 	if cfg.Remediate != nil {
@@ -253,8 +288,7 @@ func Attach(cfg Config) (*System, error) {
 		}
 	}
 
-	ids := make([]uint16, len(s.jobs))
-	pipelines := make(map[uint16]*monitor.Pipeline, len(s.jobs))
+	pipelines := make(map[monitor.Key]*monitor.Pipeline, len(s.jobs))
 	for i, jc := range cfg.Jobs {
 		j := s.jobs[i]
 		if multi {
@@ -279,11 +313,13 @@ func Attach(cfg Config) (*System, error) {
 				}
 			}
 		}
-		j.Pipeline, j.Detector = monitor.Build(monitor.Spec{
-			Topo: topo, Pred: j.Predictor, Detect: jc.Detect, Faults: s.faults,
-			Remediate: rem, OnEvent: onEvent, OnWindow: onWindow,
-		})
-		ids[i], pipelines[j.ID] = j.ID, j.Pipeline
+		for kind, t := range j.tiers() {
+			t.Pipeline, t.Detector = monitor.Build(monitor.Spec{
+				Topo: topo, Pred: t.Predictor, Detect: jc.Detect, Faults: s.faults,
+				Remediate: rem, OnEvent: onEvent, OnWindow: onWindow,
+			})
+			pipelines[monitor.Key{Tier: topology.SwitchKind(kind), Job: j.ID}] = t.Pipeline
+		}
 		dc := j.Detector.Config()
 		hdr.Jobs = append(hdr.Jobs, trace.JobHeader{
 			Job:               j.ID,
@@ -307,14 +343,18 @@ func Attach(cfg Config) (*System, error) {
 			s.remediator.OnProbeRound = s.trc.ProbeRound
 		}
 	}
-	s.plane = monitor.NewPlane(cfg.Net, ids, pipelines)
+	s.plane = monitor.NewPlane(cfg.Net, pipelines)
 	return s, nil
 }
 
-// buildPredictor constructs one of §5.2's load models for a job;
-// faults is the known-fault set the analytical model consults.
-func buildPredictor(topo *topology.Topology, fib predict.FIBView, stack *transport.Stack,
+// buildPredictor constructs one of §5.2's load models for one tier of
+// n switches of a job; faults is the known-fault set the analytical
+// model consults.
+func buildPredictor(topo *topology.Topology, n int, fib predict.FIBView, stack *transport.Stack,
 	jc JobConfig, faults *predict.FaultSet) (predict.Predictor, error) {
+	if topo.Levels != 2 && jc.Kind != LearnedModel {
+		return nil, fmt.Errorf("the analytical and simulation models cover two-level fabrics; use the learned model for multi-level Clos")
+	}
 	switch jc.Kind {
 	case "", AnalyticalModel:
 		if jc.Demand == nil {
@@ -324,13 +364,13 @@ func buildPredictor(topo *topology.Topology, fib predict.FIBView, stack *transpo
 		a.SetFaults(faults)
 		return a, nil
 	case SimulationModel:
-		sp, err := predict.NewSimulation(len(topo.Leaves()), jc.ReferenceWindows)
+		sp, err := predict.NewSimulation(n, jc.ReferenceWindows)
 		if err != nil {
 			return nil, fmt.Errorf("simulation model: %w", err)
 		}
 		return sp, nil
 	case LearnedModel:
-		return predict.NewLearned(len(topo.Leaves()), jc.Learned), nil
+		return predict.NewLearned(n, jc.Learned), nil
 	}
 	return nil, fmt.Errorf("unknown predictor kind %q", jc.Kind)
 }
@@ -474,11 +514,13 @@ func (s *System) applyPlan(j *Job, p *resilience.Plan, link topology.LinkID) {
 func (s *System) Rebaseline() bool {
 	all := true
 	for _, j := range s.jobs {
-		rb, ok := j.Predictor.(predict.Rebaseliner)
-		if ok {
-			rb.Rebaseline()
+		for _, t := range j.tiers() {
+			rb, ok := t.Predictor.(predict.Rebaseliner)
+			if ok {
+				rb.Rebaseline()
+			}
+			all = all && ok
 		}
-		all = all && ok
 	}
 	return all
 }

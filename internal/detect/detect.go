@@ -65,13 +65,14 @@ func (c *Config) setDefaults() {
 
 // Alert is one port's deviation beyond the threshold.
 type Alert struct {
-	// Leaf and LeafOrdinal identify the reporting switch (for
-	// spine-level monitors — the §7 three-level extension — they hold
-	// the spine's id and ordinal, with Level set to topology.Spine).
+	// Leaf, LeafOrdinal and Level identify the reporting switch: its
+	// id, its ordinal within its tier, and that tier (zero value: leaf),
+	// copied from the window — so, like telemetry.Window's, the first
+	// two are named for the leaf tier and hold a spine's id and spine
+	// ordinal when Level is topology.Spine.
 	Leaf        topology.SwitchID
 	LeafOrdinal int
-	// Level is the reporting switch's layer (zero value: leaf).
-	Level topology.SwitchKind
+	Level       topology.SwitchKind
 	// Uplink is the deviating ingress port (uplink index).
 	Uplink int
 	// Job and Iter identify the measured collective iteration.

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"flowpulse/internal/core"
-	"flowpulse/internal/detect"
 	"flowpulse/internal/predict"
 	"flowpulse/internal/sim"
 )
@@ -86,9 +85,9 @@ func Clos3(cfg Clos3Config) (*Clos3Result, error) {
 
 	runCase := func(name string, coreLevel bool) (Clos3Case, error) {
 		c := Clos3Case{Name: name}
-		sc := core.Clos3Scenario{
-			Pods: cfg.Pods, LeavesPerPod: cfg.LeavesPerPod,
-			SpinesPerPod: cfg.SpinesPerPod, CoresPerGroup: cfg.CoresPerGroup,
+		sc := core.Scenario{
+			Pods: cfg.Pods, Leaves: cfg.LeavesPerPod,
+			Spines: cfg.SpinesPerPod, CoresPerGroup: cfg.CoresPerGroup,
 			BytesPerRank: cfg.BytesPerRank,
 			Iterations:   cfg.Iterations,
 			Seed:         cfg.Seed,
@@ -97,7 +96,12 @@ func Clos3(cfg Clos3Config) (*Clos3Result, error) {
 		if err != nil {
 			return c, err
 		}
-		sys := core.AttachClos3(rt, detect.Config{}, predict.LearnedConfig{Warmup: 3})
+		sys, err := core.Attach(rt.MonitorConfig(core.JobConfig{
+			Kind: core.LearnedModel, Learned: predict.LearnedConfig{Warmup: 3},
+		}))
+		if err != nil {
+			return c, err
+		}
 		rt.StartTraining(func(_ sim.Time, iter uint32) {
 			if int(iter) == cfg.InjectAt {
 				if coreLevel {
@@ -106,18 +110,19 @@ func Clos3(cfg Clos3Config) (*Clos3Result, error) {
 					rt.InjectSpineLeafDrop(1%cfg.Pods, 2%cfg.LeavesPerPod, 0, cfg.DropRate)
 				}
 			}
-		})
+		}, nil)
 		rt.Run()
 		sys.Flush(rt.Engine.Now())
 
-		expected, other := sys.LeafEvents, sys.SpineEvents
+		job := sys.Jobs()[0]
+		expected, other := job.Pipeline.Events, job.Spine.Pipeline.Events
 		c.DetectionLevel = "leaf"
 		if coreLevel {
-			expected, other = sys.SpineEvents, sys.LeafEvents
+			expected, other = other, expected
 			c.DetectionLevel = "spine"
 		}
-		for _, a := range expected {
-			if int(a.Iter) > cfg.InjectAt {
+		for _, e := range expected {
+			if a := e.Alert; int(a.Iter) > cfg.InjectAt {
 				if !c.Detected {
 					c.Detected = true
 					c.FirstAlertIter = a.Iter

@@ -8,10 +8,10 @@ import (
 )
 
 // Spec is everything one job's detect → localize (→ remediate)
-// pipeline is assembled from. Where its windows come from — a leaf
-// tap, a decoded .fpt record, a serve ring slot — is the caller's
-// business and the only thing that differs between the live system,
-// offline replay and flowpulse-serve.
+// pipeline for one switch tier is assembled from. Where its windows
+// come from — a switch tap, a decoded .fpt record, a serve ring slot —
+// is the caller's business and the only thing that differs between the
+// live system, offline replay and flowpulse-serve.
 type Spec struct {
 	Topo *topology.Topology
 	// Pred is the job's load model. A model that also learns from
@@ -34,14 +34,24 @@ type Spec struct {
 // effective configuration and counters callers report). It is the one
 // place a detector, its known-fault set, a localizer at the detector's
 // threshold and a Pipeline are wired together.
+//
+// The localizer is wired on two-level fabrics only: Fig. 4 infers the
+// faulty link from which sender leaves reach a port through which
+// spine, a one-hop geometry that a third tier breaks (several
+// core→spine→leaf paths lead to one port). Three-level pipelines
+// therefore report alerts with an empty verdict, at both tiers.
 func Build(s Spec) (*Pipeline, *detect.Detector) {
 	det := detect.New(s.Topo, s.Pred, s.Detect)
 	det.SetKnownFaults(s.Faults)
 	obs, _ := s.Pred.(WindowObserver)
+	var loc LocalizeStage
+	if s.Topo.Levels == 2 {
+		loc = localize.New(s.Topo, det.Threshold(), 0)
+	}
 	return NewPipeline(PipelineConfig{
 		Pred:      s.Pred,
 		Detect:    det,
-		Localize:  localize.New(s.Topo, det.Threshold(), 0),
+		Localize:  loc,
 		Remediate: s.Remediate,
 		Observer:  obs,
 		OnEvent:   s.OnEvent,

@@ -11,14 +11,12 @@ import (
 
 // TestBuildIsTheOnlyAssembly keeps the monitoring stack assembled in
 // one place, at the source level: outside this package, no non-test Go
-// file may call monitor.NewPipeline( — live system, offline replay and
-// flowpulse-serve all go through Build and differ only in where their
-// windows come from — and none but internal/core/clos3.go (the
-// three-level deployment, which has no pipeline yet) may call
-// detect.New(. A new call site is a sixth copy of the
-// detect → localize → remediate wiring that will drift from the other
-// users of Build; give Build's Spec what the new caller needs instead
-// of extending the allowlist. bench/ is a separate module whose probes
+// file may call monitor.NewPipeline( or detect.New( — live system (at
+// every monitored tier), offline replay and flowpulse-serve all go
+// through Build and differ only in where their windows come from. A new
+// call site is another copy of the detect → localize → remediate wiring
+// that will drift from the users of Build; give Build's Spec what the
+// new caller needs instead. bench/ is a separate module whose probes
 // time the stages one by one; it is not scanned.
 func TestBuildIsTheOnlyAssembly(t *testing.T) {
 	_, self, _, ok := runtime.Caller(0)
@@ -51,8 +49,7 @@ func TestBuildIsTheOnlyAssembly(t *testing.T) {
 			return err
 		}
 		for i, line := range strings.Split(string(src), "\n") {
-			if strings.Contains(line, "monitor.NewPipeline(") ||
-				(strings.Contains(line, "detect.New(") && rel != "internal/core/clos3.go") {
+			if strings.Contains(line, "monitor.NewPipeline(") || strings.Contains(line, "detect.New(") {
 				offenders = append(offenders, fmt.Sprintf("%s:%d: %s", rel, i+1, strings.TrimSpace(line)))
 			}
 		}

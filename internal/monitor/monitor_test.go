@@ -127,9 +127,11 @@ func TestPipelineIterationScores(t *testing.T) {
 	}
 }
 
+// testNet is the smallest three-level fabric: 2 pods of 2 leaves × 2
+// spines, one core per spine ordinal — both monitored tiers present.
 func testNet(t *testing.T) *fabric.Network {
 	t.Helper()
-	topo, err := topology.NewFatTree(topology.FatTreeConfig{Leaves: 2, Spines: 2})
+	topo, err := topology.NewClos3(topology.Clos3Config{Pods: 2, LeavesPerPod: 2, SpinesPerPod: 2, CoresPerGroup: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,38 +142,43 @@ func testNet(t *testing.T) *fabric.Network {
 	return net
 }
 
+// TestPlaneRoutesWindowsPerJob: a closed window reaches the pipeline
+// keyed by its switch tier and its job, and nobody else's.
 func TestPlaneRoutesWindowsPerJob(t *testing.T) {
 	net := testNet(t)
-	pipes := map[uint16]*Pipeline{
-		1: NewPipeline(PipelineConfig{Detect: &fakeDetect{}}),
-		2: NewPipeline(PipelineConfig{Detect: &fakeDetect{}}),
+	pipes := map[Key]*Pipeline{
+		{topology.Leaf, 1}:  NewPipeline(PipelineConfig{Detect: &fakeDetect{}}),
+		{topology.Leaf, 2}:  NewPipeline(PipelineConfig{Detect: &fakeDetect{}}),
+		{topology.Spine, 1}: NewPipeline(PipelineConfig{Detect: &fakeDetect{}}),
 	}
-	plane := NewPlane(net, []uint16{1, 2}, pipes)
+	plane := NewPlane(net, pipes)
 
-	if !reflect.DeepEqual(plane.Jobs(), []uint16{1, 2}) {
-		t.Fatalf("jobs: %v", plane.Jobs())
-	}
-	// Drive the shared tap directly: interleaved packets from three
-	// jobs, one of which (7) has no pipeline.
-	m := plane.Collector().Monitors[0]
+	// Drive the shared tap directly, on the first leaf (uplinks from
+	// port 1) and the first spine (core port 2): interleaved packets
+	// from three jobs. Job 7 has no pipeline at all, job 2 none at the
+	// spine tier.
+	monitors := plane.Collector().Monitors
+	leaf, spine := monitors[0], monitors[len(net.Topology().Leaves())]
 	for _, job := range []uint16{1, 2, 7} {
-		m.OnPacket(10, 1, &fabric.Packet{
+		p := &fabric.Packet{
 			Src: 0, Dst: 0, Size: 1000, Kind: fabric.Data,
 			Tag: fabric.FlowTag{Sentinel: true, Job: job, Iter: 1},
-		})
+		}
+		leaf.OnPacket(10, 1, p)
+		spine.OnPacket(10, 2, p)
 	}
 	plane.Flush(50)
 
-	for job, pipe := range pipes {
+	for key, pipe := range pipes {
 		if pipe.Windows != 1 {
-			t.Errorf("job %d: %d windows, want 1", job, pipe.Windows)
+			t.Errorf("%s tier, job %d: %d windows, want 1", key.Tier, key.Job, pipe.Windows)
+		}
+		if got := pipe.Scores[0].Window; got.SwitchKind != key.Tier || got.Job != key.Job {
+			t.Errorf("%s tier, job %d: got a %s window of job %d", key.Tier, key.Job, got.SwitchKind, got.Job)
 		}
 	}
-	if plane.UnroutedWindows() != 1 {
-		t.Errorf("unrouted windows = %d, want 1 (job 7 has no pipeline)", plane.UnroutedWindows())
-	}
-	if plane.Pipeline(1) != pipes[1] || plane.Pipeline(7) != nil {
-		t.Error("Pipeline lookup wrong")
+	if plane.UnroutedWindows() != 3 {
+		t.Errorf("unrouted windows = %d, want 3 (job 7 at both tiers, job 2 at the spine tier)", plane.UnroutedWindows())
 	}
 }
 
@@ -186,11 +193,8 @@ func TestPlaneValidation(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("count mismatch", func() {
-		NewPlane(net, []uint16{1}, map[uint16]*Pipeline{})
-	})
 	mustPanic("nil pipeline", func() {
-		NewPlane(net, []uint16{1}, map[uint16]*Pipeline{1: nil})
+		NewPlane(net, map[Key]*Pipeline{{topology.Leaf, 1}: nil})
 	})
 	mustPanic("missing Detect", func() {
 		NewPipeline(PipelineConfig{})

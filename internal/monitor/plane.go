@@ -2,153 +2,73 @@ package monitor
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"flowpulse/internal/fabric"
 	"flowpulse/internal/sim"
 	"flowpulse/internal/telemetry"
+	"flowpulse/internal/topology"
 )
+
+// Key names one pipeline on a Plane: the tier of the switches whose
+// windows it analyzes (leaves; on a three-level fabric also spines, §7
+// "Network Topology") and the job those windows measured.
+type Key struct {
+	Tier topology.SwitchKind
+	Job  uint16
+}
 
 // Plane is the shared monitoring plane: ONE telemetry tap per switch
 // (measuring every sentinel-tagged job, demultiplexed per job id by
-// the monitors), fanning each closed window out to the owning job's
-// pipeline. N jobs cost one per-packet hook instead of N — the tap is
-// on the forwarding hot path, the pipelines are not (they run once per
-// window close).
+// the monitors), fanning each closed window out to the pipeline that
+// owns its (tier, job). N jobs cost one per-packet hook instead of N —
+// the tap is on the forwarding hot path, the pipelines are not (they
+// run once per window close).
 //
-// Routing is safe against concurrent AttachJob/DetachJob while windows
-// are in flight (flowpulse-serve attaches jobs as producers connect):
-// the demux takes a read lock per window — uncontended in the embedded
-// single-threaded path — and attach/detach take the write lock. A
-// detach does not interrupt a window already being processed by the
-// departing pipeline; it returns once routing can no longer reach it.
-// Calls INTO one pipeline are not synchronized by the Plane: each
-// pipeline must keep a single feeder (the tap's window-close path, or
-// one serve shard), which is the SPSC discipline every current caller
-// follows.
+// Windows arrive on the control engine, one at a time (see
+// telemetry.AttachAll), so neither the Plane nor the pipelines behind
+// it are synchronized.
 type Plane struct {
 	collector *telemetry.Collector
+	pipelines map[Key]*Pipeline
 
-	mu        sync.RWMutex
-	pipelines map[uint16]*Pipeline
-	jobs      []uint16 // registration order
-
-	// unrouted counts closed windows whose job id has no registered
-	// pipeline (e.g. a tagged job deployed without a monitor); they are
-	// dropped, not misattributed.
-	unrouted atomic.Int64
+	// unrouted counts closed windows whose (tier, job) has no pipeline
+	// (e.g. a tagged job deployed without a monitor); they are dropped,
+	// not misattributed.
+	unrouted int64
 }
 
-// NewPlane deploys the shared tap on every leaf of the network and
-// routes closed windows to the given per-job pipelines. jobs lists the
-// pipeline keys in deterministic (registration) order.
-func NewPlane(net *fabric.Network, jobs []uint16, pipelines map[uint16]*Pipeline) *Plane {
-	if len(jobs) != len(pipelines) {
-		panic(fmt.Sprintf("monitor: %d job ids for %d pipelines", len(jobs), len(pipelines)))
-	}
-	p := &Plane{pipelines: make(map[uint16]*Pipeline, len(pipelines)), jobs: append([]uint16(nil), jobs...)}
-	for _, job := range p.jobs {
-		if pipelines[job] == nil {
-			panic(fmt.Sprintf("monitor: no pipeline for job %d", job))
+// NewPlane deploys the shared tap on every monitored switch of the
+// network and routes closed windows to the given pipelines, which the
+// Plane keeps (the caller must not modify the map afterwards).
+func NewPlane(net *fabric.Network, pipelines map[Key]*Pipeline) *Plane {
+	for k, pipe := range pipelines {
+		if pipe == nil {
+			panic(fmt.Sprintf("monitor: no pipeline for %s tier, job %d", k.Tier, k.Job))
 		}
-		p.pipelines[job] = pipelines[job]
 	}
+	p := &Plane{pipelines: pipelines}
 	p.collector = telemetry.AttachAll(net, telemetry.JobAny, p.route)
 	return p
-}
-
-// NewDetachedPlane builds a plane with no fabric tap and no initial
-// jobs: windows arrive via Route and jobs come and go via
-// AttachJob/DetachJob. This is flowpulse-serve's configuration — the
-// "tap" is the network ingestion path.
-func NewDetachedPlane() *Plane {
-	return &Plane{pipelines: map[uint16]*Pipeline{}}
-}
-
-// AttachJob registers a pipeline for a job id. It is safe while
-// windows are in flight; windows for the job routed before the attach
-// completes count as unrouted. Attaching an already-attached job id is
-// an error (detach first).
-func (p *Plane) AttachJob(job uint16, pipe *Pipeline) error {
-	if pipe == nil {
-		panic("monitor: AttachJob(nil pipeline)")
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.pipelines[job] != nil {
-		return fmt.Errorf("monitor: job %d already attached", job)
-	}
-	p.pipelines[job] = pipe
-	p.jobs = append(p.jobs, job)
-	return nil
-}
-
-// DetachJob unregisters a job's pipeline and returns it (nil if the
-// job was not attached). Once DetachJob returns, no new window will
-// reach the pipeline; a window concurrently in flight through route
-// may still complete against it.
-func (p *Plane) DetachJob(job uint16) *Pipeline {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pipe := p.pipelines[job]
-	if pipe == nil {
-		return nil
-	}
-	delete(p.pipelines, job)
-	for i, j := range p.jobs {
-		if j == job {
-			p.jobs = append(p.jobs[:i], p.jobs[i+1:]...)
-			break
-		}
-	}
-	return pipe
 }
 
 // route is the demux point between the fabric-scoped tap and the
 // job-scoped pipelines.
 func (p *Plane) route(w *telemetry.Window) {
-	p.mu.RLock()
-	pipe := p.pipelines[w.Job]
-	p.mu.RUnlock()
+	pipe := p.pipelines[Key{w.SwitchKind, w.Job}]
 	if pipe == nil {
-		p.unrouted.Add(1)
+		p.unrouted++
 		return
 	}
 	pipe.OnWindow(w)
 }
 
-// Route feeds one closed window through the demux, for planes without
-// a fabric tap (the pipeline clones what it retains, so the caller may
-// reuse the window's storage).
-func (p *Plane) Route(w *telemetry.Window) { p.route(w) }
+// UnroutedWindows reports how many closed windows had no pipeline for
+// their (tier, job).
+func (p *Plane) UnroutedWindows() int64 { return p.unrouted }
 
-// UnroutedWindows reports how many closed windows carried a job id
-// with no registered pipeline.
-func (p *Plane) UnroutedWindows() int64 { return p.unrouted.Load() }
-
-// Jobs returns the registered job ids in registration order.
-func (p *Plane) Jobs() []uint16 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return append([]uint16(nil), p.jobs...)
-}
-
-// Pipeline returns the pipeline monitoring one job (nil if absent).
-func (p *Plane) Pipeline(job uint16) *Pipeline {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.pipelines[job]
-}
-
-// Collector exposes the shared telemetry tap (nil for detached
-// planes).
+// Collector exposes the shared telemetry tap.
 func (p *Plane) Collector() *telemetry.Collector { return p.collector }
 
-// Flush closes all open telemetry windows (end of training). Windows
-// flush per leaf in ascending job order. No-op on detached planes.
-func (p *Plane) Flush(now sim.Time) {
-	if p.collector != nil {
-		p.collector.FlushAll(now)
-	}
-}
+// Flush closes all open telemetry windows (end of training): switch by
+// switch — leaves, then spines — and per switch in ascending job order.
+func (p *Plane) Flush(now sim.Time) { p.collector.FlushAll(now) }

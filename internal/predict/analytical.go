@@ -47,12 +47,12 @@ type Analytical struct {
 // (routing reconvergence invalidates the shares).
 //
 // The closed form is specific to the two-level spray geometry (§5.2);
-// three-level fabrics must use the simulation or learned models (see
-// core.AttachClos3), so NewAnalytical panics on them rather than
+// three-level fabrics use the learned model (core.Attach rejects the
+// others with an error), so NewAnalytical panics on them rather than
 // silently producing wrong shares.
 func NewAnalytical(topo *topology.Topology, fib FIBView, wire WireSizer, demand *collective.DemandMatrix) *Analytical {
 	if topo.Levels != 2 {
-		panic("predict: the analytical model covers two-level fabrics; use the simulation or learned model for multi-level Clos")
+		panic("predict: the analytical model covers two-level fabrics; use the learned model for multi-level Clos")
 	}
 	a := &Analytical{topo: topo, fib: fib, wire: wire, demand: demand}
 	a.Rebaseline()

@@ -14,7 +14,6 @@ import (
 	"flowpulse/internal/fabric"
 	"flowpulse/internal/fault"
 	"flowpulse/internal/metrics"
-	"flowpulse/internal/predict"
 	"flowpulse/internal/remediate"
 	"flowpulse/internal/resilience"
 	"flowpulse/internal/sim"
@@ -70,7 +69,7 @@ type runData struct {
 	itersDone   int
 	stats       fabric.Stats
 
-	// Fat tree: per-job pipeline events, in the plane's registration
+	// Per-job leaf-tier pipeline events, in the plane's registration
 	// order (one entry for a single-job run).
 	jobs        []jobEvents
 	timeline    []remediate.Action
@@ -83,10 +82,10 @@ type runData struct {
 	// Resilience runs: the goodput report at the 90% recovery target.
 	goodput metrics.GoodputReport
 
-	// Three-level Clos.
-	leafAlerts, spineAlerts []detect.Alert
+	// Three-level Clos: the (single) job's spine-tier events.
+	spineEvents []core.Event
 
-	// Trace-replay oracle findings (fat-tree runs record to an
+	// Trace-replay oracle findings (two-level runs record to an
 	// in-memory .fpt trace and replay it offline; the offline
 	// event/action stream must match the online one bit-identically).
 	traceViolations []string
@@ -118,7 +117,7 @@ func Run(spec Spec, opts Options) *Result {
 
 	res.Fingerprint = first.fingerprint
 	res.Windows = first.windows
-	res.Alerts = len(first.leafAlerts) + len(first.spineAlerts)
+	res.Alerts = len(first.spineEvents)
 	for _, j := range first.jobs {
 		res.Alerts += len(j.events)
 	}
@@ -133,19 +132,16 @@ func Run(spec Spec, opts Options) *Result {
 	return res
 }
 
+// execute runs a spec: one job over every host, or — Work.Jobs == 2 —
+// two full-span jobs, one per host column, whose fault (when present)
+// is a downstream Bernoulli drop keyed to the first job's iteration
+// clock (normalize() pinned that envelope, with congestion, divergence,
+// remediation and resilience all off). A Clos3 spec is the same run on
+// a three-level fabric: learned model, spines monitored too, the fault
+// on a pod-local spine→leaf or core→spine link, and no trace (the .fpt
+// format records two-level fabrics).
 func execute(spec Spec, opts Options) (*runData, error) {
-	if spec.Topo.Kind == Clos3 {
-		return executeClos3(spec, opts)
-	}
-	return executeFatTree(spec, opts)
-}
-
-// executeFatTree runs a fat-tree spec: one job over every host, or —
-// Work.Jobs == 2 — two full-span jobs, one per host column, whose
-// fault (when present) is a downstream Bernoulli drop keyed to the
-// first job's iteration clock (normalize() pinned that envelope, with
-// congestion, divergence, remediation and resilience all off).
-func executeFatTree(spec Spec, opts Options) (*runData, error) {
+	clos3 := spec.Topo.Kind == Clos3
 	sc := core.Scenario{
 		Leaves: spec.Topo.Leaves, Spines: spec.Topo.Spines,
 		HostsPerLeaf: spec.Topo.HostsPerLeaf, Trunk: spec.Topo.Trunk,
@@ -170,6 +166,10 @@ func executeFatTree(spec Spec, opts Options) (*runData, error) {
 			StragglerLeaf: spec.Congest.StragglerLeaf,
 		},
 		Divergence: divergenceScenario(spec),
+	}
+	if clos3 {
+		sc.Pods, sc.CoresPerGroup = spec.Topo.Pods, spec.Topo.CoresPerGroup
+		sc.Leaves, sc.Spines = spec.Topo.LeavesPerPod, spec.Topo.SpinesPerPod
 	}
 	label := "simtest"
 	if spec.Work.Jobs == 2 {
@@ -200,7 +200,9 @@ func executeFatTree(spec Spec, opts Options) (*runData, error) {
 	defer rt.Close()
 	var traceBuf bytes.Buffer
 	cfg := rt.MonitorConfig(job)
-	cfg.Trace, cfg.TraceLabel = trace.NewWriter(&traceBuf), label
+	if !clos3 {
+		cfg.Trace, cfg.TraceLabel = trace.NewWriter(&traceBuf), label
+	}
 	if spec.Work.Remediate {
 		cfg.Remediate = &remediate.Config{}
 	}
@@ -216,7 +218,13 @@ func executeFatTree(spec Spec, opts Options) (*runData, error) {
 	data := &runData{}
 	f := spec.Fault
 	inject := func() {}
-	if f.Kind != FaultNone {
+	switch {
+	case f.Kind == FaultNone:
+	case clos3 && f.CoreSpine:
+		inject = func() { rt.InjectCoreSpineDrop(f.Pod, f.SpineInPod, f.CoreIx, f.Rate) }
+	case clos3:
+		inject = func() { rt.InjectSpineLeafDrop(f.Pod, f.LeafInPod, f.SpineInPod, f.Rate) }
+	default:
 		ref := core.LeafSpineLink{LeafOrd: f.Leaf, SpineOrd: f.Spine, Trunk: f.Trunk}
 		spine := rt.Topo.Spines()[f.Spine]
 		data.blamedGroup = rt.Topo.TrunkLinks(rt.Topo.Leaves()[f.Leaf], spine)
@@ -264,6 +272,11 @@ func executeFatTree(spec Spec, opts Options) (*runData, error) {
 	}
 	data.stats = rt.Net.Stats()
 	data.audit = rt.Net.AuditConservation()
+	if clos3 {
+		spine := sys.Jobs()[0].Spine.Pipeline
+		data.windows += spine.Windows
+		data.spineEvents = spine.Events
+	}
 	if rem := sys.Remediator(); rem != nil {
 		data.timeline = rem.Timeline
 		data.quarantined = rem.Quarantined()
@@ -271,7 +284,7 @@ func executeFatTree(spec Spec, opts Options) (*runData, error) {
 	if rt.Goodput != nil {
 		data.goodput = rt.Goodput.Report(0.9)
 	}
-	data.fingerprint = fingerprintFatTree(rt, sys)
+	data.fingerprint = fingerprint(rt, sys)
 	if spec.Diverge.Active() {
 		data.divergent = rt.Plane.Divergent()
 		data.planeStats = rt.Plane.Stats()
@@ -281,7 +294,7 @@ func executeFatTree(spec Spec, opts Options) (*runData, error) {
 			}
 		}
 		data.fingerprint = fingerprintDivergence(data.fingerprint, rt.Plane)
-	} else {
+	} else if !clos3 {
 		// Offline replay re-derives remediation from the recorded alert
 		// stream; it cannot re-derive the control plane's reconcile
 		// decisions (belief state is not in the trace — DESIGN.md
@@ -401,56 +414,6 @@ func injectFatTree(rt *core.Runtime, ref core.LeafSpineLink, f FaultSpec) {
 	}
 }
 
-func executeClos3(spec Spec, opts Options) (*runData, error) {
-	sc := core.Clos3Scenario{
-		Pods: spec.Topo.Pods, LeavesPerPod: spec.Topo.LeavesPerPod,
-		SpinesPerPod: spec.Topo.SpinesPerPod, CoresPerGroup: spec.Topo.CoresPerGroup,
-		BytesPerRank: spec.Work.BytesPerRank,
-		Iterations:   spec.Work.Iterations,
-		Seed:         spec.Seed,
-		Shards:       opts.Shards,
-	}
-	rt, err := sc.Build()
-	if err != nil {
-		return nil, err
-	}
-	defer rt.Close()
-	detCfg := detect.Config{Threshold: spec.DetectThreshold()}
-	if opts.MutateDetect != nil {
-		opts.MutateDetect(&detCfg)
-	}
-	sys := core.AttachClos3(rt, detCfg, predict.LearnedConfig{})
-
-	data := &runData{}
-	f := spec.Fault
-	inject := func() {
-		if f.CoreSpine {
-			rt.InjectCoreSpineDrop(f.Pod, f.SpineInPod, f.CoreIx, f.Rate)
-		} else {
-			rt.InjectSpineLeafDrop(f.Pod, f.LeafInPod, f.SpineInPod, f.Rate)
-		}
-	}
-	if f.Kind != FaultNone && f.Onset == 0 {
-		inject()
-	}
-	rt.StartTraining(func(_ sim.Time, iter uint32) {
-		data.itersDone++
-		if f.Kind != FaultNone && int(iter) == f.Onset && f.Onset > 0 {
-			inject()
-		}
-	})
-	rt.Run()
-	sys.Flush(rt.Engine.Now())
-
-	data.windows = sys.Windows
-	data.leafAlerts = sys.LeafEvents
-	data.spineAlerts = sys.SpineEvents
-	data.stats = rt.Net.Stats()
-	data.audit = rt.Net.AuditConservation()
-	data.fingerprint = fingerprintClos3(rt, sys)
-	return data, nil
-}
-
 // --- oracles ---
 
 func checkOracles(spec Spec, opts Options, d *runData) []string {
@@ -468,9 +431,6 @@ func checkOracles(spec Spec, opts Options, d *runData) []string {
 		add("workload: completed %d of %d iterations", d.itersDone, spec.Work.Iterations)
 	}
 
-	if spec.Topo.Kind == Clos3 {
-		return append(bad, checkClos3Oracles(spec, opts, d)...)
-	}
 	if spec.Work.Jobs == 2 {
 		return append(bad, checkSharedOracles(spec, opts, d)...)
 	}
@@ -481,8 +441,17 @@ func checkOracles(spec Spec, opts Options, d *runData) []string {
 		return append(bad, checkDivergenceOracles(spec, d)...)
 	}
 
+	// A three-level run has a second tier of events, and its fault is
+	// seen by exactly one of the two: the spines for a core→spine link,
+	// the leaves otherwise (always, on a two-level fabric).
 	f := spec.Fault
-	events := d.jobs[0].events
+	clos3 := spec.Topo.Kind == Clos3
+	leaf := d.jobs[0].events
+	victim, victimTier := leaf, topology.Leaf
+	if clos3 && f.CoreSpine {
+		victim, victimTier = d.spineEvents, topology.Spine
+	}
+	events := append(leaf[:len(leaf):len(leaf)], d.spineEvents...)
 	congested := spec.Congest.Active()
 	if f.Kind == FaultNone {
 		if congested {
@@ -514,29 +483,37 @@ func checkOracles(spec Spec, opts Options, d *runData) []string {
 	// clean. The fault injects when iteration Onset completes, but that
 	// iteration's window only closes when the next iteration's traffic
 	// arrives — so window Onset straddles the injection and may
-	// legitimately catch the first retransmission spillover. Congested
+	// legitimately catch the first retransmission spillover (three-level
+	// runs are held to a clean window Onset as well — the bound their
+	// oracle has always enforced and every seed meets). Congested
 	// runs waive this: the storm skews pre-onset windows by design, and
 	// the quarantine/deadline oracles below carry the burden instead.
 	if !congested {
+		cleanBefore := f.Onset
+		if clos3 {
+			cleanBefore++
+		}
 		for _, e := range events {
-			if int(e.Alert.Iter) < f.Onset {
+			if int(e.Alert.Iter) < cleanBefore {
 				add("clean prefix: alert before fault onset %d: %s", f.Onset, e.Alert)
 				break
 			}
 		}
 	}
 
-	// Oracle 3: the fault is detected (deficit alert) — persistent
-	// kinds within the deadline, the flap by end of run — and some
-	// deficit alert's verdict blames the true link's trunk group.
+	// Oracle 3: the fault is detected (deficit alert at the tier that
+	// watches the faulted link) — persistent kinds within the deadline,
+	// the flap by end of run — and some deficit alert's verdict blames
+	// the true link's trunk group. Three-level pipelines carry no
+	// localizer (monitor.Build), so their runs stop at detection.
 	deadline := f.Onset + opts.Deadline
 	if f.Kind == FaultGE {
 		// Bursty loss only matches its steady-state rate on average;
 		// give the burst process twice the windows to show itself.
 		deadline = f.Onset + 2*opts.Deadline
 	}
-	detected, localized := false, false
-	for _, e := range events {
+	detected, localized := false, clos3
+	for _, e := range victim {
 		a := e.Alert
 		if int(a.Iter) <= f.Onset {
 			continue
@@ -571,8 +548,8 @@ func checkOracles(spec Spec, opts Options, d *runData) []string {
 		if f.Kind == FaultFlap {
 			add("detection: flap on leaf %d / spine %d never produced a deficit or sibling-surplus alert", f.Leaf, f.Spine)
 		} else {
-			add("detection: %s fault (rate %.3f, onset %d) not detected by iteration %d",
-				f.Kind, f.Rate, f.Onset, deadline)
+			add("detection: %s fault (rate %.3f, onset %d) not detected by the %s tier by iteration %d",
+				f.Kind, f.Rate, f.Onset, victimTier, deadline)
 		}
 	}
 	if !localized {
@@ -790,56 +767,6 @@ func checkSharedOracles(spec Spec, opts Options, d *runData) []string {
 	return bad
 }
 
-func checkClos3Oracles(spec Spec, opts Options, d *runData) []string {
-	var bad []string
-	add := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
-	f := spec.Fault
-
-	if f.Kind == FaultNone {
-		if n := len(d.leafAlerts) + len(d.spineAlerts); n != 0 {
-			add("clean clos3 run: %d alerts (first: %s)", n, firstAlert(d))
-		}
-		return bad
-	}
-	for _, a := range append(append([]detect.Alert(nil), d.leafAlerts...), d.spineAlerts...) {
-		if int(a.Iter) <= f.Onset {
-			add("clean prefix: clos3 alert before onset %d: %s", f.Onset, a)
-			break
-		}
-	}
-	victim, level := d.leafAlerts, "leaf"
-	if f.CoreSpine {
-		victim, level = d.spineAlerts, "spine"
-	}
-	deadline := f.Onset + opts.Deadline
-	detected := false
-	for _, a := range victim {
-		if int(a.Iter) > f.Onset && int(a.Iter) <= deadline && a.Deviation < 0 {
-			detected = true
-			break
-		}
-	}
-	if !detected {
-		add("detection: clos3 %s-level fault (rate %.3f, onset %d) not seen by %s monitors by iteration %d",
-			faultLevelName(f), f.Rate, f.Onset, level, deadline)
-	}
-	return bad
-}
-
-func faultLevelName(f FaultSpec) string {
-	if f.CoreSpine {
-		return "core-spine"
-	}
-	return "spine-leaf"
-}
-
-func firstAlert(d *runData) detect.Alert {
-	if len(d.leafAlerts) > 0 {
-		return d.leafAlerts[0]
-	}
-	return d.spineAlerts[0]
-}
-
 func linkInGroup(l topology.LinkID, group []topology.LinkID) bool {
 	for _, g := range group {
 		if g == l {
@@ -910,15 +837,25 @@ func (f *fp) alert(a detect.Alert) {
 	f.i64(int64(a.At))
 }
 
-// fingerprintFatTree folds the run's observable timeline. A two-job
-// run also folds what tells its jobs apart (the job ids, each window's
-// job and its all-jobs aggregate); a one-job run does not, which keeps
-// every single-job seed's historical fingerprint.
-func fingerprintFatTree(rt *core.Runtime, sys *core.System) uint64 {
+// fingerprint folds the run's observable timeline. A two-job run also
+// folds what tells its jobs apart (the job ids, each window's job and
+// its all-jobs aggregate); a one-job run does not, which keeps every
+// single-job seed's historical fingerprint. So does the three-level
+// arm: the window count, the leaf tier's alerts, then the spine tier's.
+func fingerprint(rt *core.Runtime, sys *core.System) uint64 {
 	f := newFP()
 	f.i64(int64(rt.Engine.Now()))
 	f.links(rt.Net)
 	f.stats(rt.Net.Stats())
+	if j := sys.Jobs()[0]; j.Spine != nil {
+		f.i64(int64(j.Pipeline.Windows + j.Spine.Pipeline.Windows))
+		for _, t := range []*core.Tier{&j.Tier, j.Spine} {
+			for _, e := range t.Pipeline.Events {
+				f.alert(e.Alert)
+			}
+		}
+		return f.sum()
+	}
 	multi := len(sys.Jobs()) > 1
 	for _, j := range sys.Jobs() {
 		if multi {
@@ -958,21 +895,6 @@ func fingerprintFatTree(rt *core.Runtime, sys *core.System) uint64 {
 			f.i64(int64(a.Link))
 			f.str(a.Detail)
 		}
-	}
-	return f.sum()
-}
-
-func fingerprintClos3(rt *core.Clos3Runtime, sys *core.Clos3System) uint64 {
-	f := newFP()
-	f.i64(int64(rt.Engine.Now()))
-	f.links(rt.Net)
-	f.stats(rt.Net.Stats())
-	f.i64(int64(sys.Windows))
-	for _, a := range sys.LeafEvents {
-		f.alert(a)
-	}
-	for _, a := range sys.SpineEvents {
-		f.alert(a)
 	}
 	return f.sum()
 }

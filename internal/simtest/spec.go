@@ -63,7 +63,7 @@ type TopoSpec struct {
 // WorkSpec shapes the training workload.
 type WorkSpec struct {
 	// Collective applies to fat trees; three-level runs are always
-	// Ring-AllReduce (the only collective Clos3Scenario builds).
+	// Ring-AllReduce (normalize pins it).
 	Collective   core.CollectiveKind `json:"collective,omitempty"`
 	BytesPerRank int64               `json:"bytesPerRank"`
 	Iterations   int                 `json:"iterations"`

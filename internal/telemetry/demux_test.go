@@ -182,19 +182,13 @@ func TestInterleavedJobsRegression(t *testing.T) {
 	}
 }
 
-// TestSpineMonitorDemuxInterleaved covers the same demux on the spine
-// program (three-level fabrics).
+// TestSpineMonitorDemuxInterleaved covers the same demux one tier up:
+// the program on a spine's core-facing ports (three-level fabrics).
 func TestSpineMonitorDemuxInterleaved(t *testing.T) {
 	topo := clos3Topo(t)
 	var closed []*Window
-	m := NewSpineMonitor(topo, topo.Spines()[0], JobAny, func(w *Window) { closed = append(closed, w) })
-	core := -1
-	for p := range topo.Switch(topo.Spines()[0]).Ports {
-		if m.corePorts[p] >= 0 {
-			core = p
-			break
-		}
-	}
+	m := NewLeafMonitor(topo, topo.Spines()[0], JobAny, func(w *Window) { closed = append(closed, w) })
+	core := m.upFirst
 	m.OnPacket(1, core, pkt(0, 100, fabric.FlowTag{Sentinel: true, Job: 1, Iter: 1}, fabric.Data))
 	m.OnPacket(2, core, pkt(0, 200, fabric.FlowTag{Sentinel: true, Job: 2, Iter: 3}, fabric.Data))
 	m.OnPacket(3, core, pkt(0, 50, fabric.FlowTag{Sentinel: true, Job: 1, Iter: 1}, fabric.Data))

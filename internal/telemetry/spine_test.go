@@ -22,9 +22,9 @@ func TestSpineMonitorCountsCorePortsOnly(t *testing.T) {
 	topo := clos3Topo(t)
 	spine := topo.Spines()[0]
 	var closed []*Window
-	m := NewSpineMonitor(topo, spine, JobAny, func(w *Window) { closed = append(closed, w.Clone()) })
-	if m.CorePorts() != 2 {
-		t.Fatalf("core ports = %d, want 2", m.CorePorts())
+	m := NewLeafMonitor(topo, spine, JobAny, func(w *Window) { closed = append(closed, w.Clone()) })
+	if m.Uplinks() != 2 {
+		t.Fatalf("core ports = %d, want 2", m.Uplinks())
 	}
 
 	tag := fabric.FlowTag{Sentinel: true, Iter: 1}
@@ -56,7 +56,7 @@ func TestSpineMonitorCountsCorePortsOnly(t *testing.T) {
 
 func TestSpineMonitorFiltersLikeLeaf(t *testing.T) {
 	topo := clos3Topo(t)
-	m := NewSpineMonitor(topo, topo.Spines()[1], 5, nil)
+	m := NewLeafMonitor(topo, topo.Spines()[1], 5, nil)
 	tag := fabric.FlowTag{Sentinel: true, Job: 4, Iter: 1}
 	m.OnPacket(1, 2, pkt(0, 100, tag, fabric.Data))                     // wrong job
 	m.OnPacket(2, 2, pkt(0, 100, fabric.FlowTag{Iter: 1}, fabric.Data)) // no sentinel
@@ -73,7 +73,7 @@ func TestSpineMonitorFiltersLikeLeaf(t *testing.T) {
 func TestSpineMonitorLateAndFlush(t *testing.T) {
 	topo := clos3Topo(t)
 	var closed []*Window
-	m := NewSpineMonitor(topo, topo.Spines()[0], JobAny, func(w *Window) { closed = append(closed, w) })
+	m := NewLeafMonitor(topo, topo.Spines()[0], JobAny, func(w *Window) { closed = append(closed, w) })
 	m.OnPacket(1, 2, pkt(0, 100, fabric.FlowTag{Sentinel: true, Iter: 3}, fabric.Data))
 	m.OnPacket(2, 2, pkt(0, 70, fabric.FlowTag{Sentinel: true, Iter: 2}, fabric.Data))
 	if m.LateBytes != 70 {
@@ -86,14 +86,15 @@ func TestSpineMonitorLateAndFlush(t *testing.T) {
 	}
 }
 
+// A core has no tier above it: nothing for the program to count.
 func TestSpineMonitorRejectsNonSpine(t *testing.T) {
 	topo := clos3Topo(t)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("accepted a leaf switch")
+			t.Fatal("accepted a core switch")
 		}
 	}()
-	NewSpineMonitor(topo, topo.Leaves()[0], JobAny, nil)
+	NewLeafMonitor(topo, topo.Cores()[0], JobAny, nil)
 }
 
 func TestSpineMonitorRejectsTwoLevel(t *testing.T) {
@@ -106,7 +107,39 @@ func TestSpineMonitorRejectsTwoLevel(t *testing.T) {
 			t.Fatal("accepted a two-level spine (no core ports)")
 		}
 	}()
-	NewSpineMonitor(topo, topo.Spines()[0], JobAny, nil)
+	NewLeafMonitor(topo, topo.Spines()[0], JobAny, nil)
+}
+
+// TestMonitorCountsCEBytes: congestion-experienced sentinel bytes count
+// toward the open window at either tier, in-window and late alike —
+// detect.Config.CEDiscount is a no-op on any window that misses them.
+func TestMonitorCountsCEBytes(t *testing.T) {
+	topo := clos3Topo(t)
+	for _, tc := range []struct {
+		name string
+		sw   topology.SwitchID
+		port int
+	}{
+		{"leaf spine-facing port", topo.Leaves()[0], 1},
+		{"spine core-facing port", topo.Spines()[0], 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewLeafMonitor(topo, tc.sw, JobAny, nil)
+			ce := func(size int, iter uint32) *fabric.Packet {
+				p := pkt(0, size, fabric.FlowTag{Sentinel: true, Iter: iter}, fabric.Data)
+				p.CE = true
+				return p
+			}
+			m.OnPacket(1, tc.port, ce(4096, 2))
+			if w := m.OpenWindow(0); w.CEBytes != 4096 {
+				t.Fatalf("in-window CE packet: CEBytes = %d, want 4096", w.CEBytes)
+			}
+			m.OnPacket(2, tc.port, ce(1000, 1)) // straggler from iteration 1
+			if w := m.OpenWindow(0); w.CEBytes != 5096 || w.Total() != 4096 {
+				t.Fatalf("late CE packet: CEBytes = %d total = %d, want 5096 / 4096", w.CEBytes, w.Total())
+			}
+		})
+	}
 }
 
 func TestLeafWindowDefaultKind(t *testing.T) {

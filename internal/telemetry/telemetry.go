@@ -1,8 +1,9 @@
 // Package telemetry implements the in-switch measurement program of
-// §5.1: every leaf switch counts, per spine-facing ingress port, the
-// bytes of sentinel-tagged collective packets, closing a job's
-// per-iteration window when the first packet of that job's next
-// iteration appears. The window-close rule makes the measurement
+// §5.1: every monitored switch counts, per ingress port facing the tier
+// above it (a leaf's spine-facing ports; in a three-level Clos, §7
+// "Network Topology", also a spine's core-facing ports), the bytes of
+// sentinel-tagged collective packets, closing a job's per-iteration
+// window when the first packet of that job's next iteration appears. The window-close rule makes the measurement
 // oblivious to stragglers: synchronous data-parallel training
 // guarantees iteration k's traffic has fully drained before any node
 // starts k+1. Monitors demultiplex per job id, so one tap per switch
@@ -23,22 +24,19 @@ import (
 // Window is one closed measurement interval: the traffic of one
 // collective iteration as seen by one switch.
 type Window struct {
-	// Leaf is the observing switch; LeafOrdinal its ordinal within its
-	// level. (The fields keep their historical names: for spine
-	// windows — the §7 three-level extension — Leaf holds the spine's
-	// id and LeafOrdinal its spine ordinal, with SwitchKind set to
-	// topology.Spine.)
+	// Leaf is the observing switch, LeafOrdinal its ordinal within its
+	// tier and SwitchKind that tier (zero value: topology.Leaf). The
+	// first two are named for the tier the program was written for: a
+	// spine's window carries the spine's id and spine ordinal in them.
 	Leaf        topology.SwitchID
 	LeafOrdinal int
-	// SwitchKind is the observing switch's level; the zero value is
-	// topology.Leaf.
-	SwitchKind topology.SwitchKind
+	SwitchKind  topology.SwitchKind
 	// Job and Iter identify the collective iteration measured.
 	Job  uint16
 	Iter uint32
 	// PortBytes[u] is the tagged byte count on uplink ingress port u
-	// (uplink index = switch port - host ports; one entry per
-	// spine×trunk).
+	// (uplink index = switch port - first up-facing port; one entry per
+	// upper-tier switch × trunk).
 	PortBytes []int64
 	// SenderBytes[u][l] is the tagged byte count on uplink u from
 	// packets whose source host sits under leaf ordinal l.
@@ -110,14 +108,21 @@ func (w *Window) Clone() *Window {
 	return &cp
 }
 
-// LeafMonitor is the per-leaf switch program. It must be registered as
-// the leaf's fabric ingress hook.
+// LeafMonitor is the switch program, one per monitored switch: a leaf,
+// or — the same program one tier up — a spine of a three-level fabric
+// (the type is named for the tier it was written for). It must be
+// registered as the switch's fabric ingress hook.
 type LeafMonitor struct {
-	topo        *topology.Topology
-	leaf        topology.SwitchID
-	leafOrdinal int
-	hostPorts   int
-	uplinks     int
+	topo    *topology.Topology
+	sw      topology.SwitchID
+	ordinal int
+	kind    topology.SwitchKind
+	// upFirst is the first port facing the tier above. Both port
+	// layouts (topology.NewFatTree, topology.NewClos3) put those ports
+	// last, so the dataplane test is one compare and the uplink index
+	// one subtraction.
+	upFirst int
+	uplinks int
 
 	// Job filters measurements to one training job; JobAny measures
 	// every sentinel-tagged packet, demultiplexed into per-job windows.
@@ -144,25 +149,41 @@ type LeafMonitor struct {
 // JobAny disables job filtering.
 const JobAny = -1
 
-// NewLeafMonitor builds the monitor for one leaf. onClose receives
-// every completed window (the detector attaches here). job restricts
-// measurement to one job id, or JobAny.
-func NewLeafMonitor(topo *topology.Topology, leaf topology.SwitchID, job int, onClose func(w *Window)) *LeafMonitor {
-	if topo.Switch(leaf).Kind != topology.Leaf {
-		panic(fmt.Sprintf("telemetry: switch %d is not a leaf", leaf))
+// NewLeafMonitor builds the monitor for one leaf or (three-level
+// fabrics) spine. onClose receives every completed window (the
+// detector attaches here). job restricts measurement to one job id, or
+// JobAny.
+func NewLeafMonitor(topo *topology.Topology, sw topology.SwitchID, job int, onClose func(w *Window)) *LeafMonitor {
+	d := topo.Switch(sw)
+	up := len(d.Ports)
+	for up > 0 {
+		peer := d.Ports[up-1].Peer
+		if peer.Kind != topology.SwitchEnd || topo.Switch(peer.Switch).Kind <= d.Kind {
+			break
+		}
+		up--
 	}
-	hostPorts := len(topo.HostsOf(leaf))
+	if up == len(d.Ports) {
+		// A core, or the spine of a two-level fabric.
+		panic(fmt.Sprintf("telemetry: %s switch %d has no ports facing a tier above it", d.Kind, sw))
+	}
+	uplinks := len(d.Ports) - up
 	m := &LeafMonitor{
-		topo:        topo,
-		leaf:        leaf,
-		leafOrdinal: topo.LeafOrdinal(leaf),
-		hostPorts:   hostPorts,
-		uplinks:     len(topo.Switch(leaf).Ports) - hostPorts,
-		job:         job,
-		dx:          newDemux(),
-		onClose:     onClose,
-		srcLeafOrd:  make([]int, len(topo.Hosts)),
-		aggCum:      make([]int64, len(topo.Switch(leaf).Ports)-hostPorts),
+		topo:       topo,
+		sw:         sw,
+		kind:       d.Kind,
+		upFirst:    up,
+		uplinks:    uplinks,
+		job:        job,
+		dx:         newDemux(),
+		onClose:    onClose,
+		srcLeafOrd: make([]int, len(topo.Hosts)),
+		aggCum:     make([]int64, uplinks),
+	}
+	if d.Kind == topology.Leaf {
+		m.ordinal = topo.LeafOrdinal(sw)
+	} else {
+		m.ordinal = topo.SpineOrdinal(sw)
 	}
 	for h := range topo.Hosts {
 		m.srcLeafOrd[h] = topo.LeafOrdinal(topo.LeafOf(topology.HostID(h)))
@@ -174,17 +195,17 @@ func NewLeafMonitor(topo *topology.Topology, leaf topology.SwitchID, job int, on
 func (m *LeafMonitor) Uplinks() int { return m.uplinks }
 
 // OnPacket is the switch dataplane hook. It must see every packet
-// accepted at the leaf's ingress.
+// accepted at the switch's ingress.
 func (m *LeafMonitor) OnPacket(now sim.Time, port int, pkt *fabric.Packet) {
 	// The measured quantity is downstream traffic arriving from the
-	// spines: only uplink ports, only tagged data packets.
-	if port < m.hostPorts {
+	// tier above: only uplink ports, only tagged data packets.
+	if port < m.upFirst {
 		return
 	}
 	if pkt.Kind != fabric.Data || !pkt.Tag.Sentinel {
 		return
 	}
-	u := port - m.hostPorts
+	u := port - m.upFirst
 	// The aggregate counter sees every sentinel packet, even under a
 	// job filter: it is the fabric-level symmetry view. It is bumped
 	// after any window close/open this packet triggers, so a window's
@@ -232,8 +253,9 @@ func (m *LeafMonitor) LateBytesFor(job uint16) int64 { return m.dx.lateByJob[job
 
 func (m *LeafMonitor) open(now sim.Time, tag fabric.FlowTag) *Window {
 	w := &Window{
-		Leaf:        m.leaf,
-		LeafOrdinal: m.leafOrdinal,
+		Leaf:        m.sw,
+		LeafOrdinal: m.ordinal,
+		SwitchKind:  m.kind,
 		Job:         tag.Job,
 		Iter:        tag.Iter,
 		PortBytes:   make([]int64, m.uplinks),
@@ -269,27 +291,36 @@ func (m *LeafMonitor) closeJob(now sim.Time, job uint16) {
 // close them.
 func (m *LeafMonitor) Flush(now sim.Time) { m.dx.flush(now, m.closeJob) }
 
-// Collector attaches a LeafMonitor to every leaf of a network and
-// funnels closed windows to one callback. There is deliberately no
-// cross-switch state: each monitor is autonomous (§5, "in-switch,
-// coordination-free").
+// Collector attaches a LeafMonitor to every monitored switch of a
+// network and funnels closed windows to one callback. There is
+// deliberately no cross-switch state: each monitor is autonomous (§5,
+// "in-switch, coordination-free").
 type Collector struct {
-	Monitors []*LeafMonitor // indexed by leaf ordinal
+	// Monitors lists the leaves' monitors by leaf ordinal, then — on a
+	// three-level fabric — the spines' by spine ordinal.
+	Monitors []*LeafMonitor
 }
 
-// AttachAll registers monitors on all leaves. onWindow receives every
-// closed window from every leaf. Monitors attach via AddIngressHook,
-// so several collectors (or other observers) compose on one fabric.
+// AttachAll registers a monitor on every switch with ports facing a
+// tier above it: all leaves, then the spines of a three-level fabric.
+// onWindow receives every closed window from every monitor
+// (Window.SwitchKind tells the tiers apart). Monitors attach via
+// AddIngressHook, so several collectors (or other observers) compose
+// on one fabric.
 //
 // On a sharded network each monitor runs inside its switch's domain
 // while onWindow is invoked on the control engine; see controlSink.
 func AttachAll(net *fabric.Network, job int, onWindow func(w *Window)) *Collector {
 	topo := net.Topology()
-	c := &Collector{Monitors: make([]*LeafMonitor, len(topo.Leaves()))}
-	for ord, leaf := range topo.Leaves() {
-		m := NewLeafMonitor(topo, leaf, job, controlSink(net, leaf, onWindow))
-		c.Monitors[ord] = m
-		net.AddIngressHook(leaf, m.OnPacket)
+	monitored := append([]topology.SwitchID(nil), topo.Leaves()...)
+	if len(topo.Cores()) > 0 {
+		monitored = append(monitored, topo.Spines()...)
+	}
+	c := &Collector{Monitors: make([]*LeafMonitor, len(monitored))}
+	for i, sw := range monitored {
+		m := NewLeafMonitor(topo, sw, job, controlSink(net, sw, onWindow))
+		c.Monitors[i] = m
+		net.AddIngressHook(sw, m.OnPacket)
 	}
 	return c
 }

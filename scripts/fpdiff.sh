@@ -1,0 +1,52 @@
+#!/usr/bin/env bash
+# Behaviour diff between a git ref and the working tree, by simulation
+# fingerprint: build flowpulse-check at both, scan the same seeds in the
+# five CI modes, and compare what each seed produced.
+#
+#   scripts/fpdiff.sh                # HEAD~1 vs working tree, 200 seeds
+#   scripts/fpdiff.sh origin/main 25
+#
+# A seed's line is its spec summary, oracle verdict, window and alert
+# counts and the FNV-64a fingerprint of the run's whole observable
+# timeline (internal/simtest), so "no differing line" is the proof a
+# refactor owes: same scenarios, same packets, same detections. Exits 1
+# if any line differs in any mode. The ref is unpacked with git archive
+# into a temporary directory; nothing is left behind in .git.
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+ref="${1:-HEAD~1}"
+seeds="${2:-200}"
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+mkdir "$tmp/src"
+git archive "$ref" | tar -x -C "$tmp/src"
+(cd "$tmp/src" && go build -o "$tmp/old" ./cmd/flowpulse-check)
+go build -o "$tmp/new" ./cmd/flowpulse-check
+
+# One line per seed, ordered by seed (workers finish out of order),
+# without the trailing wall-time column. flowpulse-check exits 1 when a
+# seed fails an oracle; that is the line's FAIL verdict, not this
+# script's business.
+scan() {
+  { "$@" -v -seeds "$seeds" || true; } | grep '^seed ' | sed -E 's/[[:space:]]+[^[:space:]]+$//' | sort -k2,2n
+}
+
+status=0
+for mode in "" "-shards 2" "-resilience" "-congestion" "-divergence"; do
+  for side in old new; do
+    # shellcheck disable=SC2086 # $mode is a flag list
+    scan "$tmp/$side" $mode > "$tmp/$side.txt"
+  done
+  if delta="$(diff "$tmp/old.txt" "$tmp/new.txt")"; then
+    echo "${mode:-classic}: $(wc -l < "$tmp/new.txt") seeds, none differ from $ref"
+  else
+    echo "${mode:-classic}: $(grep -c '^>' <<< "$delta") of $(wc -l < "$tmp/new.txt") seeds differ from $ref"
+    echo "$delta"
+    status=1
+  fi
+done
+exit "$status"
