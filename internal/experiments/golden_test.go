@@ -5,22 +5,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/eval_quick.golden from the current output")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/ from the current output")
 
-// goldenSubset is the quick-scale slice of the eval suite pinned by
-// the golden file: enough coverage (fat tree, Clos, trunking,
-// blocking, ablation) to catch an output or behavior drift, small
-// enough to run in seconds.
-var goldenSubset = []string{"fig2", "fig3", "fig4", "fig5b", "trunks", "clos3", "blocking", "congestion", "ablation", "paralleljobs"}
-
-// TestEvalGolden pins the exact text flowpulse-eval prints for a
-// quick-scale run at seed 1. The whole pipeline is deterministic, so
-// any diff is a real behavior change: either a regression, or an
-// intentional change to be blessed with
+// TestEvalGolden pins the exact text flowpulse-eval prints for every
+// experiment of a quick-scale run at seed 1 — the whole of EvalOrder,
+// so a new experiment cannot be left out. The pipeline is
+// deterministic, so any diff is a real behavior change: either a
+// regression, or an intentional change to be blessed with
 //
 //	go test ./internal/experiments -run TestEvalGolden -update
 func TestEvalGolden(t *testing.T) {
@@ -28,18 +25,52 @@ func TestEvalGolden(t *testing.T) {
 		t.Skip("quick-scale eval run is still a multi-second simulation")
 	}
 	runs := EvalExperiments(EvalOverrides{Quick: true, Seed: 1})
+	// Experiments share nothing (one engine per run), so they run
+	// concurrently; the output is assembled in EvalOrder.
+	out := make([]string, len(EvalOrder))
+	results := make([]fmt.Stringer, len(EvalOrder))
+	errs := make([]error, len(EvalOrder))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				res, err := runs[EvalOrder[i]]()
+				if errs[i] = err; err == nil {
+					out[i], results[i] = res.String(), res
+				}
+			}
+		}()
+	}
+	for i := range EvalOrder {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 	var b strings.Builder
-	for _, name := range goldenSubset {
-		res, err := runs[name]()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for i, name := range EvalOrder {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", name, errs[i])
 		}
 		fmt.Fprintf(&b, "%s\n", strings.Repeat("=", 72))
-		b.WriteString(res.String())
+		b.WriteString(out[i])
+		// The configuration the run reports is the one the
+		// simulation-free config golden pins for it.
+		o := EvalOverrides{Quick: true, Seed: 1}
+		if ran, pinned := reportedConfigLine(results[i]), resolvedConfigLine(name, o); ran != pinned {
+			t.Errorf("%s ran with\n  %s\nbut TestEvalConfigGolden pins\n  %s", name, ran, pinned)
+		}
 	}
-	got := b.String()
+	checkGolden(t, "eval_quick.golden", b.String())
+}
 
-	path := filepath.Join("testdata", "eval_quick.golden")
+// checkGolden compares got with testdata/<name>, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -55,7 +86,7 @@ func TestEvalGolden(t *testing.T) {
 		t.Fatalf("missing golden file (run with -update to create it): %v", err)
 	}
 	if got != string(want) {
-		t.Fatalf("eval output drifted from %s — diff:\n%s\n(bless intentional changes with -update)",
+		t.Fatalf("output drifted from %s — diff:\n%s\n(bless intentional changes with -update)",
 			path, diffLines(string(want), got))
 	}
 }
