@@ -26,9 +26,9 @@ import (
 func BenchmarkFig2AnalyticalVsSim(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig2(experiments.Fig2Config{
-			Leaves: 16, Spines: 8, FlowBytes: 8 << 20, Iterations: 2, Seed: uint64(i),
-		})
+		res, err := experiments.Fig2(experiments.Fig2Config{Grid: experiments.Grid{
+			Leaves: 16, Spines: 8, BytesPerRank: 8 << 20, CleanIters: 2, Seed: uint64(i),
+		}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -44,10 +44,9 @@ func BenchmarkFig3LearnedRebaseline(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Fig3(experiments.Fig3Config{
-			Leaves: 8, Spines: 4, BytesPerRank: 4 << 20,
-			Iterations: 12, HealAfter: 5,
+			// 12 iterations; the fault heals after the 5th.
+			Grid:  experiments.Grid{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, FaultIters: 5, CleanIters: 7, Seed: uint64(i)},
 			Fault: core.LeafSpineLink{LeafOrd: 2, SpineOrd: 1},
-			Seed:  uint64(i),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -63,10 +62,10 @@ func BenchmarkFig3LearnedRebaseline(b *testing.B) {
 func BenchmarkFig4Localization(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig4(experiments.Fig4Config{
+		res, err := experiments.Fig4(experiments.Fig4Config{Grid: experiments.Grid{
 			Leaves: 8, Spines: 4, BytesPerRank: 16 << 20,
-			Trials: 1, Iterations: 2, Seed: uint64(i),
-		})
+			Trials: 1, FaultIters: 2, Seed: uint64(i),
+		}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,12 +80,10 @@ func BenchmarkFig4Localization(b *testing.B) {
 func BenchmarkFig5aROC(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.Fig5aConfig{
+		if _, err := experiments.Fig5a(experiments.Fig5aConfig{
+			Grid:      experiments.Grid{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, Trials: 1, CleanIters: 2, FaultIters: 2, Seed: uint64(i)},
 			DropRates: []float64{0.008, 0.03},
-			Trials:    1, CleanIters: 2, FaultIters: 2,
-		}
-		cfg.Scenario = core.Scenario{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, Seed: uint64(i)}
-		if _, err := experiments.Fig5a(cfg); err != nil {
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,10 +95,8 @@ func BenchmarkFig5bRadixSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Fig5b(experiments.Fig5bConfig{
-			Radixes:      []int{8, 16},
-			BytesPerRank: 4 << 20,
-			Trials:       1, CleanIters: 2, FaultIters: 2,
-			Seed: uint64(i),
+			Grid:    experiments.Grid{BytesPerRank: 4 << 20, Trials: 1, CleanIters: 2, FaultIters: 2, Seed: uint64(i)},
+			Radixes: []int{8, 16},
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -114,11 +109,9 @@ func BenchmarkFig5cSizeSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Fig5c(experiments.Fig5cConfig{
-			Leaves: 8, Spines: 4,
+			Grid:      experiments.Grid{Leaves: 8, Spines: 4, Trials: 1, CleanIters: 2, FaultIters: 2, Seed: uint64(i)},
 			Sizes:     []int64{1 << 20, 8 << 20},
 			DropRates: []float64{0.025},
-			Trials:    1, CleanIters: 2, FaultIters: 2,
-			Seed: uint64(i),
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -131,11 +124,9 @@ func BenchmarkPreExistingFaults(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.PreExisting(experiments.PreExistingConfig{
-			Leaves: 8, Spines: 4, BytesPerRank: 8 << 20,
+			Grid:      experiments.Grid{Leaves: 8, Spines: 4, BytesPerRank: 8 << 20, Trials: 1, CleanIters: 2, FaultIters: 2, Seed: uint64(i)},
 			Counts:    []int{0, 2},
 			DropRates: []float64{0.03},
-			Trials:    1, CleanIters: 2, FaultIters: 2,
-			Seed: uint64(i),
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -148,11 +139,11 @@ func BenchmarkPreExistingFaults(b *testing.B) {
 func BenchmarkHeadlineDetection(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Headline(experiments.HeadlineConfig{
+		res, err := experiments.Headline(experiments.HeadlineConfig{Grid: experiments.Grid{
 			BytesPerRank: 16 << 20,
 			CleanIters:   1, FaultIters: 2,
 			Seed: uint64(i),
-		})
+		}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,10 +158,8 @@ func BenchmarkAblationSprayPolicy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Ablation(experiments.AblationConfig{
+			Grid:     experiments.Grid{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, CleanIters: 2, FaultIters: 2, Seed: uint64(i)},
 			Policies: []spray.Kind{spray.LeastLoaded, spray.Random},
-			Leaves:   8, Spines: 4, BytesPerRank: 4 << 20,
-			CleanIters: 2, FaultIters: 2,
-			Seed: uint64(i),
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -422,11 +411,11 @@ func BenchmarkMonitorOverhead(b *testing.B) {
 func BenchmarkFaultTypes(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FaultTypes(experiments.FaultTypesConfig{
+		if _, err := experiments.FaultTypes(experiments.FaultTypesConfig{Grid: experiments.Grid{
 			Leaves: 8, Spines: 4, BytesPerRank: 8 << 20,
 			Trials: 1, CleanIters: 2, FaultIters: 2,
 			Seed: uint64(i),
-		}); err != nil {
+		}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -437,10 +426,8 @@ func BenchmarkJitterSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Jitter(experiments.JitterConfig{
-			Leaves: 8, Spines: 4, BytesPerRank: 8 << 20,
+			Grid:        experiments.Grid{Leaves: 8, Spines: 4, BytesPerRank: 8 << 20, Trials: 1, CleanIters: 2, FaultIters: 2, Seed: uint64(i)},
 			JitterMaxes: []sim.Duration{0, 10 * sim.Microsecond},
-			Trials:      1, CleanIters: 2, FaultIters: 2,
-			Seed: uint64(i),
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -452,9 +439,8 @@ func BenchmarkTrunkFault(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Trunks(experiments.TrunkConfig{
-			Leaves: 8, Spines: 4, Trunk: 2, BytesPerRank: 8 << 20,
-			Trials: 1, CleanIters: 2, FaultIters: 2,
-			Seed: uint64(i),
+			Grid:  experiments.Grid{Leaves: 8, Spines: 4, BytesPerRank: 8 << 20, Trials: 1, CleanIters: 2, FaultIters: 2, Seed: uint64(i)},
+			Trunk: 2,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -468,10 +454,9 @@ func BenchmarkClos3DualLevel(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Clos3(experiments.Clos3Config{
-			Pods: 2, LeavesPerPod: 4, SpinesPerPod: 2, CoresPerGroup: 2,
-			BytesPerRank: 8 << 20,
-			Iterations:   8, InjectAt: 4,
-			Seed: uint64(i),
+			// 8 iterations, the fault injected after the 4th.
+			Grid: experiments.Grid{Leaves: 4, Spines: 2, BytesPerRank: 8 << 20, CleanIters: 4, FaultIters: 4, Seed: uint64(i)},
+			Pods: 2, CoresPerGroup: 2,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -485,9 +470,8 @@ func BenchmarkBlockingNetwork(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Blocking(experiments.BlockingConfig{
-			Leaves: 8, Spines: 4, HostsPerLeaf: 2, BytesPerRank: 8 << 20,
-			Trials: 1, CleanIters: 2, FaultIters: 2,
-			Seed: uint64(i),
+			Grid:         experiments.Grid{Leaves: 8, Spines: 4, BytesPerRank: 8 << 20, Trials: 1, CleanIters: 2, FaultIters: 2, Seed: uint64(i)},
+			HostsPerLeaf: 2,
 		}); err != nil {
 			b.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-// Command flowpulse-eval regenerates the paper's evaluation (§6):
+// Command flowpulse-eval regenerates the paper's evaluation (§6, §7):
 // every figure and table, printed as the rows/series the paper
 // reports.
 //
@@ -8,10 +8,9 @@
 //	flowpulse-eval -exp fig5a       # one experiment
 //	flowpulse-eval -exp headline -size 64 -drop 0.015
 //	flowpulse-eval -quick           # scaled-down smoke run
+//	flowpulse-eval -h               # the experiments, and which overrides each reads
 //
-// Experiments: fig2, fig3, fig4, fig5a, fig5b, fig5c, preexisting,
-// headline, faulttypes, jitter, trunks, clos3, blocking, remediate,
-// resilience, paralleljobs, ablation, all.
+// The experiment list is internal/experiments' table; -h prints it.
 package main
 
 import (
@@ -29,18 +28,23 @@ import (
 
 func main() {
 	var (
-		exp    = flag.String("exp", "all", "experiment to run (fig2|fig3|fig4|fig5a|fig5b|fig5c|preexisting|headline|faulttypes|jitter|trunks|clos3|blocking|remediate|resilience|paralleljobs|ablation|all)")
+		exp    = flag.String("exp", "all", "experiment to run ("+strings.Join(experiments.EvalOrder, "|")+"|all)")
 		quick  = flag.Bool("quick", false, "scaled-down configuration (smaller fabric and collectives)")
-		sizeMB = flag.Int64("size", 0, "override collective size per rank in MiB")
-		drop   = flag.Float64("drop", 0, "override injected drop rate (headline)")
-		trials = flag.Int("trials", 0, "override trials per configuration")
+		sizeMB = flag.Int64("size", 0, "override collective size per rank in MiB, in every experiment that runs one size")
+		drop   = flag.Float64("drop", 0, "override the injected drop rate, in every experiment that injects one rate")
+		trials = flag.Int("trials", 0, "override trials per configuration, in every experiment that repeats trials")
 		seed   = flag.Uint64("seed", 1, "root random seed")
 		csvDir = flag.String("csv", "", "also write plottable results as CSV files into this directory")
-		trcDir = flag.String("trace-dir", "", "record trace-capable experiments (fig5a) as .fpt traces into this directory")
-		shards = flag.Int("shards", runtime.GOMAXPROCS(0), "engine worker shards for sharded experiments (fig5a, fig5b); results are identical for every value >= 1 (0 = classic single-threaded engine, byte-compatible with older releases)")
+		trcDir = flag.String("trace-dir", "", "record trace-capable experiments as .fpt traces into this directory")
+		shards = flag.Int("shards", runtime.GOMAXPROCS(0), "engine worker shards for the sharded experiments; results are identical for every value >= 1 (0 = classic single-threaded engine, byte-compatible with older releases)")
 		cpu    = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		mem    = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	)
+	flag.Usage = func() {
+		w := flag.CommandLine.Output()
+		fmt.Fprintf(w, "Usage: flowpulse-eval [flags]\n\nExperiments (-exp), in the paper's order, and in brackets the overrides each\nreads — an axis it sweeps itself, or does not have, it ignores:\n%s\nFlags:\n", experiments.EvalHelp())
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
 	if *cpu != "" {
@@ -72,14 +76,19 @@ func main() {
 		}()
 	}
 
-	// The experiment registry lives in internal/experiments so the
-	// golden-file regression test drives the exact same configurations.
-	if *trcDir != "" {
-		if err := os.MkdirAll(*trcDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "trace-dir: %v\n", err)
+	// Output directories are created before the first (possibly
+	// minutes-long) experiment, not discovered missing after it.
+	for flagName, dir := range map[string]string{"trace-dir": *trcDir, "csv": *csvDir} {
+		if dir == "" {
+			continue
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", flagName, err)
 			os.Exit(1)
 		}
 	}
+	// The experiment table lives in internal/experiments so the
+	// golden-file regression tests drive the exact same configurations.
 	runs := experiments.EvalExperiments(experiments.EvalOverrides{
 		Quick: *quick, SizeMB: *sizeMB, Drop: *drop, Trials: *trials, Seed: *seed,
 		TraceDir: *trcDir, Shards: *shards,

@@ -12,11 +12,8 @@ import (
 
 func main() {
 	res, err := experiments.Fig5b(experiments.Fig5bConfig{
-		Radixes:      []int{8, 16, 32},
-		DropRate:     0.008,
-		BytesPerRank: 8 << 20,
-		Trials:       2,
-		Seed:         21,
+		Grid:    experiments.Grid{DropRate: 0.008, BytesPerRank: 8 << 20, Trials: 2, Seed: 21},
+		Radixes: []int{8, 16, 32},
 	})
 	if err != nil {
 		panic(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"flowpulse/internal/core"
 	"flowpulse/internal/metrics"
 	"flowpulse/internal/spray"
 )
@@ -15,41 +14,12 @@ import (
 // per-port deviation, which bounds the usable threshold) and the
 // detectability of a 1.5% fault at the 1% threshold.
 type AblationConfig struct {
+	// Grid: the fabric and collective (defaults 32×16, 16 MiB),
+	// DropRate for the fault phase (1.5%), CleanIters and FaultIters
+	// (3 + 3).
+	Grid
 	// Policies to compare (default: all built-ins).
 	Policies []spray.Kind
-	// Leaves, Spines, BytesPerRank (defaults 32×16, 16 MiB).
-	Leaves, Spines int
-	BytesPerRank   int64
-	// DropRate for the fault phase (default 1.5%).
-	DropRate float64
-	// CleanIters and FaultIters.
-	CleanIters, FaultIters int
-	// Seed roots the randomness.
-	Seed uint64
-}
-
-func (c *AblationConfig) setDefaults() {
-	if c.Policies == nil {
-		c.Policies = spray.Kinds()
-	}
-	if c.Leaves == 0 {
-		c.Leaves = 32
-	}
-	if c.Spines == 0 {
-		c.Spines = 16
-	}
-	if c.BytesPerRank == 0 {
-		c.BytesPerRank = 16 << 20
-	}
-	if c.DropRate == 0 {
-		c.DropRate = 0.015
-	}
-	if c.CleanIters == 0 {
-		c.CleanIters = 3
-	}
-	if c.FaultIters == 0 {
-		c.FaultIters = 3
-	}
 }
 
 // AblationRow is one policy's outcome.
@@ -70,32 +40,16 @@ type AblationResult struct {
 
 // Ablation runs the comparison.
 func Ablation(cfg AblationConfig) (*AblationResult, error) {
-	cfg.setDefaults()
+	cfg = resolve("ablation", cfg)
 	res := &AblationResult{Config: cfg}
 	for _, policy := range cfg.Policies {
-		sc := core.Scenario{
-			Leaves: cfg.Leaves, Spines: cfg.Spines,
-			BytesPerRank: cfg.BytesPerRank,
-			Spray:        policy,
-			Seed:         cfg.Seed + 17,
-		}
-		tr := Trial{
-			Scenario:   withNoise(sc),
-			Fault:      faultLinkFor(sc, 0),
-			DropRate:   cfg.DropRate,
-			CleanIters: cfg.CleanIters,
-			FaultIters: cfg.FaultIters,
-		}
-		out, err := tr.Run()
+		sc := cfg.scenario(cfg.Seed + 17)
+		sc.Spray = policy
+		out, err := cfg.trial(sc, 0).Run()
 		if err != nil {
 			return nil, err
 		}
-		row := AblationRow{Policy: policy}
-		for i, s := range out.Samples {
-			if i < cfg.CleanIters && s.Score > row.CleanNoise {
-				row.CleanNoise = s.Score
-			}
-		}
+		row := AblationRow{Policy: policy, CleanNoise: cleanNoise(out.Samples)}
 		row.FPR, row.FNR = metrics.RatesAt(out.Samples, 0.01)
 		res.Rows = append(res.Rows, row)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"flowpulse/internal/core"
 	"flowpulse/internal/metrics"
 	"flowpulse/internal/sim"
 )
@@ -17,57 +16,16 @@ import (
 // experiment compares a prioritized collective against an ablation
 // where the collective shares the background's class.
 type BlockingConfig struct {
-	// Leaves, Spines with HostsPerLeaf 2 give 2:1 oversubscription
-	// (defaults 16×8, two hosts per leaf).
-	Leaves, Spines, HostsPerLeaf int
-	// BytesPerRank (default 8 MiB).
-	BytesPerRank int64
+	// Grid: the fabric and collective (defaults 16×8, 8 MiB), DropRate
+	// of the injected fault (3%), Threshold (1%), Trials (2),
+	// CleanIters and FaultIters per trial (2 + 2).
+	Grid
+	// HostsPerLeaf 2 on the grid's fabric gives 2:1 oversubscription
+	// (the default).
+	HostsPerLeaf int
 	// BackgroundGap is the background generator's mean inter-message
 	// gap (default 1 µs — heavy load).
 	BackgroundGap sim.Duration
-	// DropRate of the injected fault (default 3%).
-	DropRate float64
-	// Threshold (default 1%).
-	Threshold float64
-	// Trials.
-	Trials int
-	// CleanIters and FaultIters per trial.
-	CleanIters, FaultIters int
-	// Seed roots the randomness.
-	Seed uint64
-}
-
-func (c *BlockingConfig) setDefaults() {
-	if c.Leaves == 0 {
-		c.Leaves = 16
-	}
-	if c.Spines == 0 {
-		c.Spines = 8
-	}
-	if c.HostsPerLeaf == 0 {
-		c.HostsPerLeaf = 2
-	}
-	if c.BytesPerRank == 0 {
-		c.BytesPerRank = 8 << 20
-	}
-	if c.BackgroundGap == 0 {
-		c.BackgroundGap = sim.Microsecond
-	}
-	if c.DropRate == 0 {
-		c.DropRate = 0.03
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 0.01
-	}
-	if c.Trials == 0 {
-		c.Trials = 2
-	}
-	if c.CleanIters == 0 {
-		c.CleanIters = 2
-	}
-	if c.FaultIters == 0 {
-		c.FaultIters = 2
-	}
 }
 
 // BlockingResult is the experiment outcome.
@@ -87,47 +45,23 @@ type BlockingResult struct {
 // background, and the usual fault-detection trial on the prioritized
 // collective.
 func Blocking(cfg BlockingConfig) (*BlockingResult, error) {
-	cfg.setDefaults()
+	cfg = resolve("blocking", cfg)
 	res := &BlockingResult{Config: cfg}
-	var samples []metrics.Sample
-	for tr := 0; tr < cfg.Trials; tr++ {
-		sc := core.Scenario{
-			Leaves: cfg.Leaves, Spines: cfg.Spines, HostsPerLeaf: cfg.HostsPerLeaf,
-			BytesPerRank:    cfg.BytesPerRank,
-			Background:      cfg.BackgroundGap,
-			BackgroundBytes: 256 << 10,
-			Seed:            cfg.Seed + uint64(tr)*389,
-		}
-		sc.Iterations = cfg.CleanIters + cfg.FaultIters
-		rt, err := sc.Build()
-		if err != nil {
-			return nil, err
-		}
-		sys, err := core.Attach(rt.MonitorConfig(core.JobConfig{}))
-		if err != nil {
-			return nil, err
-		}
-		fault := faultLinkFor(sc, tr)
-		rt.StartTraining(func(_ sim.Time, iter uint32) {
-			if int(iter) == cfg.CleanIters {
-				rt.InjectSilentDrop(fault, cfg.DropRate)
-			}
-		}, nil)
-		rt.Run()
-		sys.Flush(rt.Engine.Now())
-
-		if rt.Net.Stats().PFCPauses > 0 {
+	results, samples, err := runCell(cfg.Trials, func(tr int) Trial {
+		sc := cfg.scenario(cfg.Seed + uint64(tr)*389)
+		sc.HostsPerLeaf = cfg.HostsPerLeaf
+		sc.Background, sc.BackgroundBytes = cfg.BackgroundGap, 256<<10
+		return cfg.trial(sc, tr)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range results {
+		if r.Fabric.PFCPauses > 0 {
 			res.Saturated = true
 		}
-		scores := sys.Jobs()[0].Pipeline.IterationScores()
-		for iter := 1; iter <= sc.Iterations; iter++ {
-			s := metrics.Sample{Score: scores[uint32(iter)], Positive: iter > cfg.CleanIters}
-			samples = append(samples, s)
-			if !s.Positive && s.Score > res.CleanNoise {
-				res.CleanNoise = s.Score
-			}
-		}
 	}
+	res.CleanNoise = cleanNoise(samples)
 	res.FPR, res.FNR = metrics.RatesAt(samples, cfg.Threshold)
 	return res, nil
 }

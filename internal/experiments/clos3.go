@@ -14,47 +14,14 @@ import (
 // on spine→leaf links (leaf monitors) and core→spine links (spine
 // monitors — links a two-level deployment cannot see at all).
 type Clos3Config struct {
-	// Pods, LeavesPerPod, SpinesPerPod, CoresPerGroup shape the fabric.
-	Pods, LeavesPerPod, SpinesPerPod, CoresPerGroup int
-	// BytesPerRank (default 8 MiB).
-	BytesPerRank int64
-	// DropRate for both injected faults (default 5% leaf-level, 8%
-	// core-level — the core fault's signal is diluted across pods).
-	DropRate float64
-	// Iterations per phase (default 10; learned warm-up included).
-	Iterations int
-	// InjectAt is the iteration after which the fault appears
-	// (default 5).
-	InjectAt int
-	// Seed roots the randomness.
-	Seed uint64
-}
-
-func (c *Clos3Config) setDefaults() {
-	if c.Pods == 0 {
-		c.Pods = 4
-	}
-	if c.LeavesPerPod == 0 {
-		c.LeavesPerPod = 4
-	}
-	if c.SpinesPerPod == 0 {
-		c.SpinesPerPod = 2
-	}
-	if c.CoresPerGroup == 0 {
-		c.CoresPerGroup = 4
-	}
-	if c.BytesPerRank == 0 {
-		c.BytesPerRank = 8 << 20
-	}
-	if c.DropRate == 0 {
-		c.DropRate = 0.05
-	}
-	if c.Iterations == 0 {
-		c.Iterations = 10
-	}
-	if c.InjectAt == 0 {
-		c.InjectAt = 5
-	}
+	// Grid: Leaves and Spines per pod (defaults 4 and 2), BytesPerRank
+	// (8 MiB), DropRate for both injected faults (5% leaf-level, 1.6×
+	// that core-level — the core fault's signal is diluted across
+	// pods), CleanIters before the fault appears (5; the learned
+	// model's warm-up included) and FaultIters after (5).
+	Grid
+	// Pods and CoresPerGroup complete the three-level shape.
+	Pods, CoresPerGroup int
 }
 
 // Clos3Case is one fault level's outcome.
@@ -80,41 +47,30 @@ type Clos3Result struct {
 
 // Clos3 runs both cases.
 func Clos3(cfg Clos3Config) (*Clos3Result, error) {
-	cfg.setDefaults()
+	cfg = resolve("clos3", cfg)
 	res := &Clos3Result{Config: cfg}
 
 	runCase := func(name string, coreLevel bool) (Clos3Case, error) {
 		c := Clos3Case{Name: name}
-		sc := core.Scenario{
-			Pods: cfg.Pods, Leaves: cfg.LeavesPerPod,
-			Spines: cfg.SpinesPerPod, CoresPerGroup: cfg.CoresPerGroup,
-			BytesPerRank: cfg.BytesPerRank,
-			Iterations:   cfg.Iterations,
-			Seed:         cfg.Seed,
-		}
-		rt, err := sc.Build()
-		if err != nil {
-			return c, err
-		}
-		sys, err := core.Attach(rt.MonitorConfig(core.JobConfig{
-			Kind: core.LearnedModel, Learned: predict.LearnedConfig{Warmup: 3},
-		}))
-		if err != nil {
-			return c, err
-		}
-		rt.StartTraining(func(_ sim.Time, iter uint32) {
-			if int(iter) == cfg.InjectAt {
+		sc := cfg.scenario(cfg.Seed)
+		sc.Pods, sc.CoresPerGroup = cfg.Pods, cfg.CoresPerGroup
+		sc.Iterations = cfg.CleanIters + cfg.FaultIters
+		r, err := simulate(runSpec{
+			scenario: sc,
+			job:      core.JobConfig{Kind: core.LearnedModel, Learned: predict.LearnedConfig{Warmup: 3}},
+			onIter: after(cfg.CleanIters, func(r *simRun, _ sim.Time) {
 				if coreLevel {
-					rt.InjectCoreSpineDrop(2%cfg.Pods, 1%cfg.SpinesPerPod, 0, cfg.DropRate*1.6)
+					r.rt.InjectCoreSpineDrop(2%cfg.Pods, 1%cfg.Spines, 0, cfg.DropRate*1.6)
 				} else {
-					rt.InjectSpineLeafDrop(1%cfg.Pods, 2%cfg.LeavesPerPod, 0, cfg.DropRate)
+					r.rt.InjectSpineLeafDrop(1%cfg.Pods, 2%cfg.Leaves, 0, cfg.DropRate)
 				}
-			}
-		}, nil)
-		rt.Run()
-		sys.Flush(rt.Engine.Now())
+			}),
+		})
+		if err != nil {
+			return c, err
+		}
 
-		job := sys.Jobs()[0]
+		job := r.sys.Jobs()[0]
 		expected, other := job.Pipeline.Events, job.Spine.Pipeline.Events
 		c.DetectionLevel = "leaf"
 		if coreLevel {
@@ -122,7 +78,7 @@ func Clos3(cfg Clos3Config) (*Clos3Result, error) {
 			c.DetectionLevel = "spine"
 		}
 		for _, e := range expected {
-			if a := e.Alert; int(a.Iter) > cfg.InjectAt {
+			if a := e.Alert; int(a.Iter) > cfg.CleanIters {
 				if !c.Detected {
 					c.Detected = true
 					c.FirstAlertIter = a.Iter
@@ -149,8 +105,8 @@ func Clos3(cfg Clos3Config) (*Clos3Result, error) {
 func (r *Clos3Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Three-level Clos (§7) — dual-level monitoring, %d pods x %d leaves x %d spines, %d cores\n",
-		r.Config.Pods, r.Config.LeavesPerPod, r.Config.SpinesPerPod,
-		r.Config.SpinesPerPod*r.Config.CoresPerGroup)
+		r.Config.Pods, r.Config.Leaves, r.Config.Spines,
+		r.Config.Spines*r.Config.CoresPerGroup)
 	for _, c := range []Clos3Case{r.SpineLeaf, r.CoreSpine} {
 		status := "MISSED"
 		if c.Detected {

@@ -24,56 +24,21 @@ import (
 // two ROC curves differ only in how the detector weighs CE-marked
 // windows.
 type CongestionConfig struct {
-	// Leaves and Spines shape the fabric (default 16×8).
-	Leaves, Spines int
-	// BytesPerRank sizes the measured collective (default 16 MiB).
-	BytesPerRank int64
-	// DropRate is the silent Bernoulli drop of the faulted trials
-	// (default 12% — well above the whole threshold sweep even after incidental-mark discounting, so the study
-	// isolates the congestion/fault separation question from the
-	// small-fault sensitivity question fig5a answers).
-	DropRate float64
+	// Grid: the fabric and measured collective (defaults 16×8,
+	// 16 MiB), Trials per (level, clean/faulted) cell (2), CleanIters
+	// and FaultIters of each faulted trial (3 + 3). DropRate is the
+	// silent Bernoulli drop of the faulted trials (default 12% — well
+	// above the whole threshold sweep even after incidental-mark
+	// discounting, so the study isolates the congestion/fault
+	// separation question from the small-fault sensitivity question
+	// fig5a answers).
+	Grid
 	// Thresholds is the ROC sweep.
 	Thresholds []float64
-	// Trials per (level, clean/faulted) cell.
-	Trials int
-	// CleanIters and FaultIters split each faulted trial.
-	CleanIters, FaultIters int
 	// CEDiscount is the mitigation strength of the "after" arm
-	// (default 1.5: congestion evidence saturates at two-thirds marked, while a lightly marked fault window keeps most of its deviation).
+	// (default 1.5: congestion evidence saturates at two-thirds marked,
+	// while a lightly marked fault window keeps most of its deviation).
 	CEDiscount float64
-	// Seed roots the randomness.
-	Seed uint64
-}
-
-func (c *CongestionConfig) setDefaults() {
-	if c.Leaves == 0 {
-		c.Leaves = 16
-	}
-	if c.Spines == 0 {
-		c.Spines = 8
-	}
-	if c.BytesPerRank == 0 {
-		c.BytesPerRank = 16 << 20
-	}
-	if c.DropRate == 0 {
-		c.DropRate = 0.12
-	}
-	if c.Thresholds == nil {
-		c.Thresholds = DefaultThresholds()
-	}
-	if c.Trials == 0 {
-		c.Trials = 2
-	}
-	if c.CleanIters == 0 {
-		c.CleanIters = 3
-	}
-	if c.FaultIters == 0 {
-		c.FaultIters = 3
-	}
-	if c.CEDiscount == 0 {
-		c.CEDiscount = 1.5
-	}
 }
 
 // congestionLevel is one intensity step of the sweep: the incast
@@ -118,49 +83,40 @@ type CongestionResult struct {
 
 // Congestion runs the sweep.
 func Congestion(cfg CongestionConfig) (*CongestionResult, error) {
-	cfg.setDefaults()
+	cfg = resolve("congestion", cfg)
 	res := &CongestionResult{Config: cfg}
 	discounts := []float64{0, cfg.CEDiscount}
 	var pooled [2][]metrics.Sample
 	for _, lvl := range congestionLevels() {
 		var rates [2][2]float64
 		for arm, discount := range discounts {
-			var trials []Trial
-			for tr := 0; tr < cfg.Trials; tr++ {
-				for _, rate := range []float64{0, cfg.DropRate} {
-					sc := core.Scenario{
-						Leaves: cfg.Leaves, Spines: cfg.Spines,
-						BytesPerRank: cfg.BytesPerRank,
-						Seed:         cfg.Seed + uint64(tr)*7919,
-						Congestion: core.CongestionSpec{
-							ECN: true, DCQCN: true,
-							// Sensitive marking knees: the adversarial
-							// tenants here build tens-of-KiB queues, which
-							// the 100 KiB default knee would pass unmarked
-							// — congested windows must carry the evidence
-							// the after-arm discounts.
-							ECNKMin: 16 << 10, ECNKMax: 64 << 10,
-							Incast: lvl.Incast, IncastLeaf: (1 + tr) % cfg.Leaves,
-							IncastFanout: 2, IncastBytes: lvl.IncastBytes,
-							IncastHigh: true,
-							Storm:      lvl.Storm, StormBytes: 64 << 10,
-						},
-					}
-					trials = append(trials, Trial{
-						Scenario:   withNoise(sc),
-						Fault:      faultLinkFor(sc, tr),
-						DropRate:   rate,
-						CleanIters: cfg.CleanIters,
-						FaultIters: cfg.FaultIters,
-						Detect:     detect.Config{CEDiscount: discount},
-					})
+			// Each trial index runs twice: clean, then faulted.
+			_, samples, err := runCell(2*cfg.Trials, func(i int) Trial {
+				tr := i / 2
+				sc := cfg.scenario(cfg.Seed + uint64(tr)*7919)
+				sc.Congestion = core.CongestionSpec{
+					ECN: true, DCQCN: true,
+					// Sensitive marking knees: the adversarial tenants
+					// here build tens-of-KiB queues, which the 100 KiB
+					// default knee would pass unmarked — congested
+					// windows must carry the evidence the after-arm
+					// discounts.
+					ECNKMin: 16 << 10, ECNKMax: 64 << 10,
+					Incast: lvl.Incast, IncastLeaf: (1 + tr) % cfg.Leaves,
+					IncastFanout: 2, IncastBytes: lvl.IncastBytes,
+					IncastHigh: true,
+					Storm:      lvl.Storm, StormBytes: 64 << 10,
 				}
-			}
-			results, err := RunAll(trials)
+				trial := cfg.trial(sc, tr)
+				if i%2 == 0 {
+					trial.DropRate = 0
+				}
+				trial.Detect = detect.Config{CEDiscount: discount}
+				return trial
+			})
 			if err != nil {
 				return nil, err
 			}
-			samples := gatherSamples(results)
 			pooled[arm] = append(pooled[arm], samples...)
 			fpr, fnr := metrics.RatesAt(samples, 0.01)
 			rates[arm] = [2]float64{fpr, fnr}

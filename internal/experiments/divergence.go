@@ -21,36 +21,12 @@ import (
 // fault, so every quarantine the loop performs is an innocent link
 // taken out of service purely because belief lied.
 type DivergenceConfig struct {
-	// Leaves, Spines, BytesPerRank shape the fabric (defaults 8×4,
-	// 4 MiB — the experiment measures control-plane dynamics, not
-	// detection accuracy, so it runs at small scale).
-	Leaves, Spines int
-	BytesPerRank   int64
-	// Iterations is the run length per trial (default 14).
-	Iterations int
-	// Onset is the iteration at which the scripted mutation or
-	// corruption lands (default 3).
-	Onset int
-	// Seed roots the randomness.
-	Seed uint64
-}
-
-func (c *DivergenceConfig) setDefaults() {
-	if c.Leaves == 0 {
-		c.Leaves = 8
-	}
-	if c.Spines == 0 {
-		c.Spines = 4
-	}
-	if c.BytesPerRank == 0 {
-		c.BytesPerRank = 4 << 20
-	}
-	if c.Iterations == 0 {
-		c.Iterations = 14
-	}
-	if c.Onset == 0 {
-		c.Onset = 3
-	}
+	// Grid: the fabric and collective (defaults 8×4, 4 MiB — the
+	// experiment measures control-plane dynamics, not detection
+	// accuracy, so it runs at small scale), the iteration at which the
+	// scripted mutation or corruption lands as CleanIters (3) and the
+	// rest of each trial as FaultIters (11).
+	Grid
 }
 
 // DivergenceRow is one scenario × posture outcome.
@@ -80,35 +56,9 @@ type DivergenceResult struct {
 	Rows   []DivergenceRow
 }
 
-// divergenceTrial builds one scenario, attaches the monitored system
-// with the closed loop on the runtime's own control plane, and runs it
-// with an optional per-iteration script. The script receives the
-// attached system so scripted operator actions can refresh the
-// predictor baseline the way the remediator's own actions do.
-func divergenceTrial(sc core.Scenario, script func(rt *core.Runtime, sys *core.System, now sim.Time, iter uint32)) (*core.Runtime, *core.System, error) {
-	rt, err := sc.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := rt.MonitorConfig(core.JobConfig{})
-	cfg.Remediate = &remediate.Config{}
-	sys, err := core.Attach(cfg)
-	if err != nil {
-		rt.Close()
-		return nil, nil, err
-	}
-	rt.StartTraining(func(now sim.Time, iter uint32) {
-		if script != nil {
-			script(rt, sys, now, iter)
-		}
-	}, nil)
-	rt.Run()
-	sys.Flush(rt.Engine.Now())
-	return rt, sys, nil
-}
-
 // divergenceRow reduces one finished trial.
-func divergenceRow(scenario, arm string, rt *core.Runtime, sys *core.System) DivergenceRow {
+func divergenceRow(scenario, arm string, r *simRun) DivergenceRow {
+	rt, sys := r.rt, r.sys
 	ps := rt.Plane.Stats()
 	rs := sys.Remediator().Stats()
 	return DivergenceRow{
@@ -124,21 +74,29 @@ func divergenceRow(scenario, arm string, rt *core.Runtime, sys *core.System) Div
 
 // Divergence runs the three scenarios under both postures.
 func Divergence(cfg DivergenceConfig) (*DivergenceResult, error) {
-	cfg.setDefaults()
+	cfg = resolve("divergence", cfg)
 	res := &DivergenceResult{Config: cfg}
-	base := core.Scenario{
-		Leaves: cfg.Leaves, Spines: cfg.Spines,
-		BytesPerRank: cfg.BytesPerRank, Iterations: cfg.Iterations,
-		Seed: cfg.Seed,
-	}
+	base := cfg.scenario(cfg.Seed)
+	base.Iterations = cfg.CleanIters + cfg.FaultIters
 	target := core.LeafSpineLink{LeafOrd: cfg.Leaves / 2, SpineOrd: 1}
+	// trial runs one scenario with the closed loop on the runtime's own
+	// control plane and an optional per-iteration script. The script
+	// sees the attached system so scripted operator actions can refresh
+	// the predictor baseline the way the remediator's own actions do.
+	trial := func(scenario, arm string, sc core.Scenario, script func(r *simRun, now sim.Time, iter uint32)) error {
+		r, err := simulate(runSpec{scenario: sc, remediate: &remediate.Config{}, onIter: script})
+		if err == nil {
+			res.Rows = append(res.Rows, divergenceRow(scenario, arm, r))
+		}
+		return err
+	}
 
 	for _, arm := range []struct {
 		name       string
 		unverified bool
 	}{{"verified", false}, {"unverified", true}} {
 		// Scenario 1 — failed push: link F sits admin-down
-		// (pre-existing), and at Onset the operator re-admits it,
+		// (pre-existing), and at the onset the operator re-admits it,
 		// refreshing the predictor baseline the way any controller
 		// action does. The push is silently eaten (FailSkip covers the
 		// pre-existing ChangeSet's single push). The verified plane's
@@ -152,17 +110,12 @@ func Divergence(cfg DivergenceConfig) (*DivergenceResult, error) {
 		sc.Divergence = core.DivergenceSpec{
 			FailSkip: 1, FailPushes: 1, Unverified: arm.unverified,
 		}
-		rt, sys, err := divergenceTrial(sc, func(rt *core.Runtime, sys *core.System, now sim.Time, iter uint32) {
-			if int(iter) == cfg.Onset {
-				rt.Plane.Readmit(now, rt.Link(target))
-				sys.Rebaseline()
-			}
-		})
-		if err != nil {
+		if err := trial("failed-push readmit", arm.name, sc, after(cfg.CleanIters, func(r *simRun, now sim.Time) {
+			r.rt.Plane.Readmit(now, r.rt.Link(target))
+			r.sys.Rebaseline()
+		})); err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, divergenceRow("failed-push readmit", arm.name, rt, sys))
-		rt.Close()
 
 		// Scenario 2 — stale LSDB: a healthy link's advertisement is
 		// corrupted to "down" mid-run, and the next periodic predictor
@@ -175,22 +128,19 @@ func Divergence(cfg DivergenceConfig) (*DivergenceResult, error) {
 		// deficit.
 		sc = base
 		sc.Divergence = core.DivergenceSpec{Unverified: arm.unverified}
-		rt, sys, err = divergenceTrial(sc, func(rt *core.Runtime, sys *core.System, now sim.Time, iter uint32) {
+		if err := trial("stale LSDB advert", arm.name, sc, func(r *simRun, now sim.Time, iter uint32) {
 			switch int(iter) {
-			case cfg.Onset:
-				rt.Plane.Inject(fault.Divergence{
+			case cfg.CleanIters:
+				r.rt.Plane.Inject(fault.Divergence{
 					Kind: fault.DivergeStaleLSDB,
-					At:   now, Link: rt.Link(target), Up: false,
+					At:   now, Link: r.rt.Link(target), Up: false,
 				})
-			case cfg.Onset + 1:
-				sys.Rebaseline()
+			case cfg.CleanIters + 1:
+				r.sys.Rebaseline()
 			}
-		})
-		if err != nil {
+		}); err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, divergenceRow("stale LSDB advert", arm.name, rt, sys))
-		rt.Close()
 
 		// Scenario 3 — partial rollout: a two-trunk quarantine lands
 		// only its first operation on the fabric. Verification rolls
@@ -204,12 +154,9 @@ func Divergence(cfg DivergenceConfig) (*DivergenceResult, error) {
 			{LeafOrd: target.LeafOrd, SpineOrd: target.SpineOrd, Trunk: 1},
 		}
 		sc.Divergence = core.DivergenceSpec{PartialOps: 1, Unverified: arm.unverified}
-		rt, sys, err = divergenceTrial(sc, nil)
-		if err != nil {
+		if err := trial("partial rollout", arm.name, sc, nil); err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, divergenceRow("partial rollout", arm.name, rt, sys))
-		rt.Close()
 	}
 	return res, nil
 }
@@ -218,7 +165,7 @@ func Divergence(cfg DivergenceConfig) (*DivergenceResult, error) {
 func (r *DivergenceResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Belief vs truth — %dx%d fat tree, %d MiB per rank, %d iterations, fault-free fabric\n",
-		r.Config.Leaves, r.Config.Spines, r.Config.BytesPerRank>>20, r.Config.Iterations)
+		r.Config.Leaves, r.Config.Spines, r.Config.BytesPerRank>>20, r.Config.CleanIters+r.Config.FaultIters)
 	fmt.Fprintf(&b, "%-20s %-11s %9s %9s %7s %14s %10s\n",
 		"scenario", "plane", "innocent", "withheld", "alerts", "t-reconcile", "converged")
 	for _, row := range r.Rows {

@@ -1,23 +1,88 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation (§6). Each experiment has a Config with paper
-// defaults, a Result with the same rows/series the paper reports, and
-// a String renderer the flowpulse-eval CLI prints. DESIGN.md maps each
+// paper's evaluation (§6, §7). The package is three things: one Grid
+// (the nine values every experiment is described by), one runner
+// (simulate — the only place a scenario is built and a monitor
+// attached), and one table (eval.go: name, paper reference, full-scale
+// defaults, quick-scale overrides, run func, in paper order). Each
+// experiment adds a Config holding the Grid plus what is special to
+// it, a Result with the rows/series the paper reports, and a String
+// renderer the flowpulse-eval CLI prints. DESIGN.md maps each
 // experiment to the paper figure it reproduces; EXPERIMENTS.md records
 // paper-vs-measured outcomes.
 package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 
 	"flowpulse/internal/core"
 	"flowpulse/internal/detect"
+	"flowpulse/internal/fabric"
 	"flowpulse/internal/metrics"
 	"flowpulse/internal/remediate"
 	"flowpulse/internal/sim"
+	"flowpulse/internal/topology"
 	"flowpulse/internal/trace"
 )
+
+// Grid is what every experiment's configuration has in common. An
+// experiment's Config embeds it and adds only what is special to that
+// experiment; a zero field takes the experiment's full-scale default
+// from the table in eval.go. An experiment that sweeps an axis (drop
+// rates, sizes, radixes) or has none leaves the Grid field unread.
+type Grid struct {
+	// Leaves and Spines shape the fabric (per pod on a three-level one).
+	Leaves, Spines int
+	// BytesPerRank is the collective size.
+	BytesPerRank int64
+	// DropRate is the injected fault's loss rate.
+	DropRate float64
+	// Threshold is the detection operating point the result reports.
+	Threshold float64
+	// Trials is the number of trials per grid cell.
+	Trials int
+	// CleanIters and FaultIters are the iterations before and after the
+	// experiment's event — for most, the fault's onset.
+	CleanIters, FaultIters int
+	// Seed roots the randomness.
+	Seed uint64
+}
+
+// scenario is the grid's fabric and collective under the given seed.
+func (g Grid) scenario(seed uint64) core.Scenario {
+	return core.Scenario{Leaves: g.Leaves, Spines: g.Spines, BytesPerRank: g.BytesPerRank, Seed: seed}
+}
+
+// trial is the grid's standard trial on sc: background noise on, the
+// n-th fault location, the grid's drop rate and phase lengths.
+func (g Grid) trial(sc core.Scenario, n int) Trial {
+	return Trial{
+		Scenario: withNoise(sc), Fault: faultLinkFor(sc, n), DropRate: g.DropRate,
+		CleanIters: g.CleanIters, FaultIters: g.FaultIters,
+	}
+}
+
+// fillZero sets every zero field of cfg — the embedded Grid's fields
+// one by one — from the same field of def: the one defaulting rule of
+// the package.
+func fillZero(cfg, def reflect.Value) {
+	for i := 0; i < cfg.NumField(); i++ {
+		switch f := cfg.Field(i); {
+		case cfg.Type().Field(i).Anonymous:
+			fillZero(f, def.Field(i))
+		case f.IsZero():
+			f.Set(def.Field(i))
+		}
+	}
+}
+
+// withDefaults returns cfg with its zero fields taken from def.
+func withDefaults[C any](cfg, def C) C {
+	fillZero(reflect.ValueOf(&cfg).Elem(), reflect.ValueOf(def))
+	return cfg
+}
 
 // Trial is one simulation run: CleanIters fault-free iterations
 // followed by FaultIters iterations with a silent Bernoulli drop on
@@ -36,6 +101,10 @@ type Trial struct {
 	DropRate float64
 	// Upstream faults the leaf→spine direction instead of spine→leaf.
 	Upstream bool
+	// Inject, when set, replaces the Bernoulli drop with the caller's
+	// own fault: it runs once, at the point the drop would have been
+	// injected, and the iterations after it are labeled faulty.
+	Inject func(rt *core.Runtime)
 	// CleanIters and FaultIters split the run.
 	CleanIters, FaultIters int
 	// Detect tunes the detector; the zero value keeps the paper
@@ -65,6 +134,11 @@ type TrialResult struct {
 	FalseAlerts int
 	// Elapsed is the simulated duration of the whole run.
 	Elapsed sim.Duration
+	// FaultLink is the fabric link the Bernoulli drop was injected on
+	// (unset for fault-free and Inject trials).
+	FaultLink topology.LinkID
+	// Fabric holds the network-wide counters at the end of the run.
+	Fabric fabric.Stats
 }
 
 // Run executes the trial.
@@ -74,47 +148,27 @@ func (tr Trial) Run() (*TrialResult, error) {
 	if tr.Kind == "" {
 		tr.Kind = core.AnalyticalModel
 	}
-	rt, err := sc.Build()
-	if err != nil {
-		return nil, err
-	}
-	defer rt.Close()
-	job := core.JobConfig{Kind: tr.Kind, Detect: tr.Detect}
-	if tr.Kind == core.SimulationModel {
-		iters := tr.ReferenceIters
-		if iters == 0 {
-			iters = 3
-		}
-		if job.ReferenceWindows, err = core.ReferenceRun(sc, iters); err != nil {
-			return nil, err
-		}
-	}
-	cfg := rt.MonitorConfig(job)
-	cfg.TracePath, cfg.TraceLabel = tr.TracePath, tr.TraceLabel
-	if tr.Remediate {
-		cfg.Remediate = &remediate.Config{}
-	}
-	sys, err := core.Attach(cfg)
-	if err != nil {
-		return nil, err
-	}
-	pipe := sys.Jobs()[0].Pipeline
-
-	inject := func() {
-		if tr.DropRate <= 0 {
+	faulty := tr.DropRate > 0 || tr.Inject != nil
+	res := &TrialResult{}
+	inject := func(r *simRun, _ sim.Time) {
+		switch {
+		case tr.Inject != nil:
+			tr.Inject(r.rt)
 			return
+		case tr.DropRate <= 0:
+			return
+		case tr.Upstream:
+			r.rt.InjectSilentDropUpstream(tr.Fault, tr.DropRate)
+		default:
+			r.rt.InjectSilentDrop(tr.Fault, tr.DropRate)
 		}
-		if tr.Upstream {
-			rt.InjectSilentDropUpstream(tr.Fault, tr.DropRate)
-		} else {
-			rt.InjectSilentDrop(tr.Fault, tr.DropRate)
-		}
-		if trc := sys.TraceWriter(); trc != nil {
+		res.FaultLink = r.rt.Link(tr.Fault)
+		if trc := r.sys.TraceWriter(); trc != nil {
 			// Ground truth for the trace: the iteration label matches
 			// the Samples construction below (faulty strictly after
 			// CleanIters).
 			trc.Fault(trace.FaultRecord{
-				At:        rt.Engine.Now(),
+				At:        r.rt.Engine.Now(),
 				Kind:      "bernoulli",
 				LeafOrd:   tr.Fault.LeafOrd,
 				SpineOrd:  tr.Fault.SpineOrd,
@@ -125,28 +179,32 @@ func (tr Trial) Run() (*TrialResult, error) {
 			})
 		}
 	}
-	if tr.CleanIters == 0 {
-		inject()
+	spec := runSpec{
+		scenario:       sc,
+		job:            core.JobConfig{Kind: tr.Kind, Detect: tr.Detect},
+		referenceIters: tr.ReferenceIters,
+		tracePath:      tr.TracePath, traceLabel: tr.TraceLabel,
+		onIter: after(tr.CleanIters, inject),
 	}
-	rt.StartTraining(func(_ sim.Time, iter uint32) {
-		if int(iter) == tr.CleanIters {
-			inject()
-		}
-	}, nil)
-	rt.Run()
-	sys.Flush(rt.Engine.Now())
-	if trc := sys.TraceWriter(); trc != nil {
-		if err := trc.Err(); err != nil {
-			return nil, err
-		}
+	if tr.CleanIters == 0 {
+		spec.before = func(r *simRun) { inject(r, 0) }
+	}
+	if tr.Remediate {
+		spec.remediate = &remediate.Config{}
+	}
+	r, err := simulate(spec)
+	if err != nil {
+		return nil, err
 	}
 
-	res := &TrialResult{Events: pipe.Events, Elapsed: sim.Duration(rt.Engine.Now())}
+	pipe := r.sys.Jobs()[0].Pipeline
+	res.Events, res.Elapsed, res.Fabric = pipe.Events, sim.Duration(r.rt.Engine.Now()), r.rt.Net.Stats()
 	scores := pipe.IterationScores()
+	res.Samples = make([]metrics.Sample, 0, sc.Iterations)
 	for iter := 1; iter <= sc.Iterations; iter++ {
 		res.Samples = append(res.Samples, metrics.Sample{
 			Score:    scores[uint32(iter)],
-			Positive: tr.DropRate > 0 && iter > tr.CleanIters,
+			Positive: faulty && iter > tr.CleanIters,
 		})
 	}
 	for _, e := range pipe.Events {
@@ -195,19 +253,40 @@ func RunAll(trials []Trial) ([]*TrialResult, error) {
 	return results, nil
 }
 
+// runCell runs one grid cell — n trials, the i-th built by mk — and
+// returns their results with the samples pooled.
+func runCell(n int, mk func(i int) Trial) ([]*TrialResult, []metrics.Sample, error) {
+	trials := make([]Trial, n)
+	for i := range trials {
+		trials[i] = mk(i)
+	}
+	results, err := RunAll(trials)
+	if err != nil {
+		return nil, nil, err
+	}
+	var samples []metrics.Sample
+	for _, r := range results {
+		samples = append(samples, r.Samples...)
+	}
+	return results, samples, nil
+}
+
+// cleanNoise is the largest clean-phase score: the floor below which
+// no detection threshold is usable.
+func cleanNoise(samples []metrics.Sample) float64 {
+	var noise float64
+	for _, s := range samples {
+		if !s.Positive && s.Score > noise {
+			noise = s.Score
+		}
+	}
+	return noise
+}
+
 // DefaultThresholds is the threshold sweep of the ROC analysis:
 // 0.1% … 5%.
 func DefaultThresholds() []float64 {
 	return []float64{0.001, 0.002, 0.003, 0.005, 0.0075, 0.01, 0.015, 0.02, 0.03, 0.05}
-}
-
-// gatherSamples merges trial samples.
-func gatherSamples(results []*TrialResult) []metrics.Sample {
-	var out []metrics.Sample
-	for _, r := range results {
-		out = append(out, r.Samples...)
-	}
-	return out
 }
 
 func pct(x float64) string { return fmt.Sprintf("%.2f%%", 100*x) }
@@ -222,4 +301,13 @@ func withNoise(sc core.Scenario) core.Scenario {
 		sc.Background = 4 * sim.Microsecond
 	}
 	return sc
+}
+
+// faultLinkFor varies the faulted link across trials so results do not
+// hinge on one location.
+func faultLinkFor(sc core.Scenario, trial int) core.LeafSpineLink {
+	return core.LeafSpineLink{
+		LeafOrd:  (3 + trial*5) % sc.Leaves,
+		SpineOrd: (1 + trial*3) % sc.Spines,
+	}
 }

@@ -84,7 +84,7 @@ func TestRunAllPreservesOrder(t *testing.T) {
 }
 
 func TestFig2PredictionMatchesSimulation(t *testing.T) {
-	res, err := Fig2(Fig2Config{Leaves: 8, Spines: 4, FlowBytes: 8 << 20, Iterations: 3, Seed: 3})
+	res, err := Fig2(Fig2Config{Grid: Grid{Leaves: 8, Spines: 4, BytesPerRank: 8 << 20, CleanIters: 3, Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,10 @@ func TestFig2PredictionMatchesSimulation(t *testing.T) {
 }
 
 func TestFig3RebaselineHappens(t *testing.T) {
+	// The fault heals after iteration 5 of 12.
 	res, err := Fig3(Fig3Config{
-		Leaves: 8, Spines: 4, BytesPerRank: 4 << 20,
-		Iterations: 12, HealAfter: 5,
+		Grid:  Grid{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, FaultIters: 5, CleanIters: 7, Seed: 4},
 		Fault: core.LeafSpineLink{LeafOrd: 2, SpineOrd: 1},
-		Seed:  4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +122,8 @@ func TestFig3RebaselineHappens(t *testing.T) {
 	if res.RebaselinedAtIter == 0 {
 		t.Fatalf("no rebaseline:\n%s", res)
 	}
-	if int(res.RebaselinedAtIter) <= res.Config.HealAfter {
-		t.Fatalf("rebaseline at %d, before heal at %d", res.RebaselinedAtIter, res.Config.HealAfter)
+	if int(res.RebaselinedAtIter) <= res.Config.FaultIters {
+		t.Fatalf("rebaseline at %d, before heal at %d", res.RebaselinedAtIter, res.Config.FaultIters)
 	}
 	if res.AlertsAfterRebaseline != 0 {
 		t.Fatalf("%d alerts after rebaseline:\n%s", res.AlertsAfterRebaseline, res)
@@ -135,7 +134,7 @@ func TestFig3RebaselineHappens(t *testing.T) {
 		if int(pt.Iter) == 3 {
 			during = pt.Observed
 		}
-		if int(pt.Iter) == res.Config.Iterations {
+		if int(pt.Iter) == res.Config.FaultIters+res.Config.CleanIters {
 			after = pt.Observed
 		}
 	}
@@ -146,9 +145,8 @@ func TestFig3RebaselineHappens(t *testing.T) {
 
 func TestFig5aSeverityOrdering(t *testing.T) {
 	res, err := Fig5a(Fig5aConfig{
-		Scenario:  core.Scenario{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, Seed: 5},
+		Grid:      Grid{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, Trials: 2, CleanIters: 2, FaultIters: 2, Seed: 5},
 		DropRates: []float64{0.005, 0.03},
-		Trials:    2, CleanIters: 2, FaultIters: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,11 +186,9 @@ func TestFig5cSizeOrdering(t *testing.T) {
 	// 16 MiB (Poisson σ small) but frequently missed at 1 MiB, where a
 	// single dropped packet is 0.6%% of a port's volume.
 	res, err := Fig5c(Fig5cConfig{
-		Leaves: 8, Spines: 4,
+		Grid:      Grid{Leaves: 8, Spines: 4, Trials: 3, CleanIters: 2, FaultIters: 2, Seed: 6},
 		Sizes:     []int64{1 << 20, 16 << 20},
 		DropRates: []float64{0.025},
-		Trials:    3, CleanIters: 2, FaultIters: 2,
-		Seed: 6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,10 +210,8 @@ func TestFig5cSizeOrdering(t *testing.T) {
 
 func TestFig5bRuns(t *testing.T) {
 	res, err := Fig5b(Fig5bConfig{
-		Radixes:      []int{8, 16},
-		BytesPerRank: 2 << 20,
-		Trials:       1, CleanIters: 2, FaultIters: 2,
-		Seed: 7,
+		Grid:    Grid{BytesPerRank: 2 << 20, Trials: 1, CleanIters: 2, FaultIters: 2, Seed: 7},
+		Radixes: []int{8, 16},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,11 +236,9 @@ func TestFig5bRuns(t *testing.T) {
 
 func TestPreExistingPerfectAtHighRate(t *testing.T) {
 	res, err := PreExisting(PreExistingConfig{
-		Leaves: 8, Spines: 4, BytesPerRank: 8 << 20,
+		Grid:      Grid{Leaves: 8, Spines: 4, BytesPerRank: 8 << 20, Trials: 1, CleanIters: 2, FaultIters: 2, Seed: 8},
 		Counts:    []int{0, 2},
 		DropRates: []float64{0.03},
-		Trials:    1, CleanIters: 2, FaultIters: 2,
-		Seed: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,12 +253,12 @@ func TestPreExistingPerfectAtHighRate(t *testing.T) {
 func TestHeadlineScaledDown(t *testing.T) {
 	// The paper-scale headline (64 MiB per rank on 32×16) runs in the
 	// CLI; here a scaled variant with the same claim structure.
-	res, err := Headline(HeadlineConfig{
+	res, err := Headline(HeadlineConfig{Grid: Grid{
 		DropRate:     0.015,
 		BytesPerRank: 32 << 20,
 		CleanIters:   1, FaultIters: 3,
 		Seed: 9,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +274,11 @@ func TestHeadlineScaledDown(t *testing.T) {
 }
 
 func TestFig4LocalizationAccuracy(t *testing.T) {
-	res, err := Fig4(Fig4Config{
+	res, err := Fig4(Fig4Config{Grid: Grid{
 		Leaves: 8, Spines: 4, BytesPerRank: 16 << 20,
-		Trials: 1, Iterations: 3,
+		Trials: 1, FaultIters: 3,
 		Seed: 10,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +298,8 @@ func TestFig4LocalizationAccuracy(t *testing.T) {
 
 func TestAblationSprayPolicies(t *testing.T) {
 	res, err := Ablation(AblationConfig{
+		Grid:     Grid{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, CleanIters: 2, FaultIters: 2, Seed: 11},
 		Policies: []spray.Kind{spray.LeastLoaded, spray.Random},
-		Leaves:   8, Spines: 4, BytesPerRank: 4 << 20,
-		CleanIters: 2, FaultIters: 2,
-		Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)

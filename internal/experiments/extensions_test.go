@@ -8,11 +8,11 @@ import (
 )
 
 func TestFaultTypesAllDetected(t *testing.T) {
-	res, err := FaultTypes(FaultTypesConfig{
+	res, err := FaultTypes(FaultTypesConfig{Grid: Grid{
 		Leaves: 8, Spines: 4, BytesPerRank: 8 << 20,
 		Trials: 1, CleanIters: 2, FaultIters: 2,
 		Seed: 31,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +40,8 @@ func TestFaultTypesAllDetected(t *testing.T) {
 func TestJitterDoesNotBreakSymmetry(t *testing.T) {
 	// §7: jitter has no measurable effect on ring collectives.
 	res, err := Jitter(JitterConfig{
-		Leaves: 8, Spines: 4, BytesPerRank: 8 << 20,
+		Grid:        Grid{Leaves: 8, Spines: 4, BytesPerRank: 8 << 20, DropRate: 0.03, Trials: 1, CleanIters: 2, FaultIters: 2, Seed: 32},
 		JitterMaxes: []sim.Duration{0, 10 * sim.Microsecond},
-		DropRate:    0.03,
-		Trials:      1, CleanIters: 2, FaultIters: 2,
-		Seed: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,10 +58,8 @@ func TestJitterDoesNotBreakSymmetry(t *testing.T) {
 
 func TestTrunkMemberFaultNamed(t *testing.T) {
 	res, err := Trunks(TrunkConfig{
-		Leaves: 8, Spines: 4, Trunk: 2, BytesPerRank: 16 << 20,
-		DropRate: 0.04,
-		Trials:   1, CleanIters: 2, FaultIters: 2,
-		Seed: 33,
+		Grid:  Grid{Leaves: 8, Spines: 4, BytesPerRank: 16 << 20, DropRate: 0.04, Trials: 1, CleanIters: 2, FaultIters: 2, Seed: 33},
+		Trunk: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,11 +76,10 @@ func TestTrunkMemberFaultNamed(t *testing.T) {
 }
 
 func TestClos3ExperimentBothLevels(t *testing.T) {
+	// 8 iterations, the fault injected after the 4th.
 	res, err := Clos3(Clos3Config{
-		Pods: 2, LeavesPerPod: 4, SpinesPerPod: 2, CoresPerGroup: 2,
-		BytesPerRank: 8 << 20,
-		Iterations:   8, InjectAt: 4,
-		Seed: 34,
+		Grid: Grid{Leaves: 4, Spines: 2, BytesPerRank: 8 << 20, CleanIters: 4, FaultIters: 4, Seed: 34},
+		Pods: 2, CoresPerGroup: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,10 +94,8 @@ func TestClos3ExperimentBothLevels(t *testing.T) {
 
 func TestBlockingNetworkPrioritizationHolds(t *testing.T) {
 	res, err := Blocking(BlockingConfig{
-		Leaves: 8, Spines: 4, HostsPerLeaf: 2,
-		BytesPerRank: 8 << 20,
-		Trials:       1, CleanIters: 2, FaultIters: 2,
-		Seed: 35,
+		Grid:         Grid{Leaves: 8, Spines: 4, BytesPerRank: 8 << 20, Trials: 1, CleanIters: 2, FaultIters: 2, Seed: 35},
+		HostsPerLeaf: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +109,7 @@ func TestBlockingNetworkPrioritizationHolds(t *testing.T) {
 }
 
 func TestRemediationExperiment(t *testing.T) {
-	res, err := Remediation(RemediationConfig{Seed: 7})
+	res, err := Remediation(RemediationConfig{Grid: Grid{Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,41 +17,10 @@ import (
 // experiment injects each model on the same link and reports detection
 // at the 1% threshold.
 type FaultTypesConfig struct {
-	// Leaves, Spines, BytesPerRank (defaults 32×16, 16 MiB).
-	Leaves, Spines int
-	BytesPerRank   int64
-	// Threshold is the operating point (default 1%).
-	Threshold float64
-	// Trials per fault type.
-	Trials int
-	// CleanIters and FaultIters per trial.
-	CleanIters, FaultIters int
-	// Seed roots the randomness.
-	Seed uint64
-}
-
-func (c *FaultTypesConfig) setDefaults() {
-	if c.Leaves == 0 {
-		c.Leaves = 32
-	}
-	if c.Spines == 0 {
-		c.Spines = 16
-	}
-	if c.BytesPerRank == 0 {
-		c.BytesPerRank = 16 << 20
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 0.01
-	}
-	if c.Trials == 0 {
-		c.Trials = 2
-	}
-	if c.CleanIters == 0 {
-		c.CleanIters = 2
-	}
-	if c.FaultIters == 0 {
-		c.FaultIters = 3
-	}
+	// Grid: the fabric and collective (defaults 32×16, 16 MiB), the
+	// Threshold operating point (1%), Trials per fault type (2),
+	// CleanIters and FaultIters per trial (2 + 3).
+	Grid
 }
 
 // FaultTypeRow is one fault model's outcome.
@@ -80,7 +49,7 @@ type faultSpec struct {
 	make func(seed uint64) fault.Model
 }
 
-func faultSpecs(cfg FaultTypesConfig) []faultSpec {
+func faultSpecs() []faultSpec {
 	return []faultSpec{
 		{
 			name: "bernoulli-2.5%",
@@ -121,52 +90,27 @@ func faultSpecs(cfg FaultTypesConfig) []faultSpec {
 
 // FaultTypes runs the experiment.
 func FaultTypes(cfg FaultTypesConfig) (*FaultTypesResult, error) {
-	cfg.setDefaults()
+	cfg = resolve("faulttypes", cfg)
 	res := &FaultTypesResult{Config: cfg}
-	for _, spec := range faultSpecs(cfg) {
-		var samples []metrics.Sample
+	for _, spec := range faultSpecs() {
+		results, samples, err := runCell(cfg.Trials, func(tr int) Trial {
+			trial := cfg.trial(cfg.scenario(cfg.Seed+uint64(tr)*977), tr)
+			ref, model := trial.Fault, spec.make(trial.Scenario.Seed)
+			trial.Inject = func(rt *core.Runtime) {
+				link := rt.Link(ref)
+				rt.Net.InjectFault(link, rt.Net.DirToward(link, rt.Topo.Leaves()[ref.LeafOrd]), model)
+			}
+			return trial
+		})
+		if err != nil {
+			return nil, err
+		}
 		var latencySum float64
 		detected := 0
-		for tr := 0; tr < cfg.Trials; tr++ {
-			sc := withNoise(core.Scenario{
-				Leaves: cfg.Leaves, Spines: cfg.Spines,
-				BytesPerRank: cfg.BytesPerRank,
-				Seed:         cfg.Seed + uint64(tr)*977,
-			})
-			sc.Iterations = cfg.CleanIters + cfg.FaultIters
-			rt, err := sc.Build()
-			if err != nil {
-				return nil, err
-			}
-			sys, err := core.Attach(rt.MonitorConfig(core.JobConfig{}))
-			if err != nil {
-				return nil, err
-			}
-			link := rt.Link(faultLinkFor(sc, tr))
-			dir := rt.Net.DirToward(link, rt.Topo.Leaves()[faultLinkFor(sc, tr).LeafOrd])
-			model := spec.make(sc.Seed)
-			rt.StartTraining(func(_ sim.Time, iter uint32) {
-				if int(iter) == cfg.CleanIters {
-					rt.Net.InjectFault(link, dir, model)
-				}
-			}, nil)
-			rt.Run()
-			sys.Flush(rt.Engine.Now())
-
-			pipe := sys.Jobs()[0].Pipeline
-			scores := pipe.IterationScores()
-			for iter := 1; iter <= sc.Iterations; iter++ {
-				samples = append(samples, metrics.Sample{
-					Score:    scores[uint32(iter)],
-					Positive: iter > cfg.CleanIters,
-				})
-			}
-			for _, e := range pipe.Events {
-				if int(e.Alert.Iter) > cfg.CleanIters {
-					latencySum += float64(int(e.Alert.Iter) - cfg.CleanIters)
-					detected++
-					break
-				}
+		for _, r := range results {
+			if r.FirstDetection > 0 {
+				latencySum += float64(int(r.FirstDetection) - cfg.CleanIters)
+				detected++
 			}
 		}
 		fpr, fnr := metrics.RatesAt(samples, cfg.Threshold)

@@ -18,42 +18,10 @@ import (
 // volume the simulated leaf switch actually measures, in the presence
 // of pre-existing (known) faults that skew the expected distribution.
 type Fig2Config struct {
-	// Leaves, Spines shape the fabric (paper default 32×16).
-	Leaves, Spines int
-	// FlowBytes is the single flow's payload per iteration (default
-	// 16 MiB).
-	FlowBytes int64
-	// Iterations averages the observation (default 4).
-	Iterations int
-	// PreExisting disconnects known-faulty links so the expected
-	// distribution is non-uniform (default: two links on the
-	// destination side).
-	PreExisting []core.LeafSpineLink
-	// Seed roots the randomness.
-	Seed uint64
-}
-
-func (c *Fig2Config) setDefaults() {
-	if c.Leaves == 0 {
-		c.Leaves = 32
-	}
-	if c.Spines == 0 {
-		c.Spines = 16
-	}
-	if c.FlowBytes == 0 {
-		c.FlowBytes = 16 << 20
-	}
-	if c.Iterations == 0 {
-		c.Iterations = 4
-	}
-	if c.PreExisting == nil {
-		// Known faults touching the flow's destination leaf and source
-		// leaf, so the prediction must use d/(s−f).
-		c.PreExisting = []core.LeafSpineLink{
-			{LeafOrd: c.Leaves - 1, SpineOrd: 2},
-			{LeafOrd: 0, SpineOrd: 7 % c.Spines},
-		}
-	}
+	// Grid: the fabric (paper default 32×16), the single flow's payload
+	// per iteration as BytesPerRank (16 MiB), and CleanIters fault-free
+	// iterations averaging the observation (4).
+	Grid
 }
 
 // Fig2Port is one bar pair of the figure.
@@ -66,7 +34,9 @@ type Fig2Port struct {
 // Fig2Result is the reproduced figure.
 type Fig2Result struct {
 	Config Fig2Config
-	Ports  []Fig2Port
+	// PreExisting lists the known-faulty links disconnected up front.
+	PreExisting []core.LeafSpineLink
+	Ports       []Fig2Port
 	// MaxRelErr is the worst per-port relative error across ports with
 	// expected traffic — the figure's "close agreement" quantified.
 	MaxRelErr float64
@@ -74,21 +44,29 @@ type Fig2Result struct {
 
 // Fig2 runs the experiment.
 func Fig2(cfg Fig2Config) (*Fig2Result, error) {
-	cfg.setDefaults()
+	cfg = resolve("fig2", cfg)
 	sc := core.Scenario{
 		Leaves: cfg.Leaves, Spines: cfg.Spines,
-		Iterations:  cfg.Iterations,
-		PreExisting: cfg.PreExisting,
-		Seed:        cfg.Seed,
+		Iterations: cfg.CleanIters,
+		// Known faults touching the flow's destination leaf and source
+		// leaf, so the prediction must use d/(s−f).
+		PreExisting: []core.LeafSpineLink{
+			{LeafOrd: cfg.Leaves - 1, SpineOrd: 2},
+			{LeafOrd: 0, SpineOrd: 7 % cfg.Spines},
+		},
+		Seed: cfg.Seed,
 	}
+	// No detector here — the raw windows are the result — so Fig2 drives
+	// its own runtime instead of going through simulate.
 	rt, err := sc.Build()
 	if err != nil {
 		return nil, err
 	}
+	defer rt.Close()
 	// Replace the default collective with the single flow 0 → last.
 	src := topology.HostID(0)
 	dst := topology.HostID(len(rt.Group) - 1)
-	flow := &collective.SingleFlow{Src: src, Dst: dst, Bytes: cfg.FlowBytes}
+	flow := &collective.SingleFlow{Src: src, Dst: dst, Bytes: cfg.BytesPerRank}
 	rt.Jobs[0].Coll = flow
 
 	dstLeafOrd := cfg.Leaves - 1
@@ -116,7 +94,7 @@ func Fig2(cfg Fig2Config) (*Fig2Result, error) {
 		observed[u] /= float64(windows)
 	}
 
-	res := &Fig2Result{Config: cfg}
+	res := &Fig2Result{Config: cfg, PreExisting: sc.PreExisting}
 	for u := 0; u < cfg.Spines; u++ {
 		p := Fig2Port{Uplink: u, Predicted: expected[u], Observed: observed[u]}
 		if expected[u] > 1 {
@@ -134,7 +112,7 @@ func Fig2(cfg Fig2Config) (*Fig2Result, error) {
 func (r *Fig2Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 2 — analytical prediction vs simulation, single %d MiB flow, %dx%d fat tree, %d known faults\n",
-		r.Config.FlowBytes>>20, r.Config.Leaves, r.Config.Spines, len(r.Config.PreExisting))
+		r.Config.BytesPerRank>>20, r.Config.Leaves, r.Config.Spines, len(r.PreExisting))
 	fmt.Fprintf(&b, "%-8s %14s %14s %8s\n", "uplink", "predicted B", "observed B", "err")
 	for _, p := range r.Ports {
 		fmt.Fprintf(&b, "%-8d %14.0f %14.0f %8s\n", p.Uplink, p.Predicted, p.Observed, pct(p.RelErr))

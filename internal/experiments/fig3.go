@@ -14,45 +14,13 @@ import (
 // warm-up baseline absorbs it); when the fault heals, the observed
 // load re-balances, and the learned model replaces its baseline.
 type Fig3Config struct {
-	// Leaves, Spines shape the fabric (default 32×16).
-	Leaves, Spines int
-	// BytesPerRank is the collective size (default 8 MiB).
-	BytesPerRank int64
-	// Iterations is the series length (default 14).
-	Iterations int
-	// HealAfter is the iteration after which the transient fault
-	// disappears (default 6).
-	HealAfter int
+	// Grid: the fabric (default 32×16), the collective (8 MiB), the
+	// transient fault's DropRate (20%), and the series — the fault is
+	// present for the first FaultIters iterations (6), then heals and
+	// CleanIters healed iterations follow (8).
+	Grid
 	// Fault locates the transient fault (default leaf 5 / spine 3).
 	Fault core.LeafSpineLink
-	// DropRate of the transient fault (default 20%).
-	DropRate float64
-	// Seed roots the randomness.
-	Seed uint64
-}
-
-func (c *Fig3Config) setDefaults() {
-	if c.Leaves == 0 {
-		c.Leaves = 32
-	}
-	if c.Spines == 0 {
-		c.Spines = 16
-	}
-	if c.BytesPerRank == 0 {
-		c.BytesPerRank = 8 << 20
-	}
-	if c.Iterations == 0 {
-		c.Iterations = 14
-	}
-	if c.HealAfter == 0 {
-		c.HealAfter = 6
-	}
-	if c.Fault == (core.LeafSpineLink{}) {
-		c.Fault = core.LeafSpineLink{LeafOrd: 5, SpineOrd: 3}
-	}
-	if c.DropRate == 0 {
-		c.DropRate = 0.2
-	}
 }
 
 // Fig3Point is one iteration of the series at the affected port.
@@ -77,45 +45,36 @@ type Fig3Result struct {
 
 // Fig3 runs the experiment.
 func Fig3(cfg Fig3Config) (*Fig3Result, error) {
-	cfg.setDefaults()
-	sc := core.Scenario{
-		Leaves: cfg.Leaves, Spines: cfg.Spines,
-		BytesPerRank: cfg.BytesPerRank,
-		Iterations:   cfg.Iterations,
-		Seed:         cfg.Seed,
-	}
-	rt, err := sc.Build()
-	if err != nil {
-		return nil, err
-	}
-	rt.InjectSilentDrop(cfg.Fault, cfg.DropRate)
+	cfg = resolve("fig3", cfg)
+	sc := cfg.scenario(cfg.Seed)
+	sc.Iterations = cfg.FaultIters + cfg.CleanIters
 
 	// Snapshot the baseline in effect at each window check.
 	baselines := map[uint32]float64{}
 	var sys *core.System
-	sys, err = core.Attach(rt.MonitorConfig(core.JobConfig{
-		Kind: core.LearnedModel,
-		OnWindow: func(ws core.WindowScore) {
-			if ws.Window.LeafOrdinal != cfg.Fault.LeafOrd {
-				return
-			}
-			if l := sys.Jobs()[0].Learned(); l.Ready(cfg.Fault.LeafOrd) {
-				baselines[ws.Window.Iter] = l.PortLoad(cfg.Fault.LeafOrd)[cfg.Fault.SpineOrd]
-			}
+	r, err := simulate(runSpec{
+		scenario: sc,
+		job: core.JobConfig{
+			Kind: core.LearnedModel,
+			OnWindow: func(ws core.WindowScore) {
+				if ws.Window.LeafOrdinal != cfg.Fault.LeafOrd {
+					return
+				}
+				if l := sys.Jobs()[0].Learned(); l.Ready(cfg.Fault.LeafOrd) {
+					baselines[ws.Window.Iter] = l.PortLoad(cfg.Fault.LeafOrd)[cfg.Fault.SpineOrd]
+				}
+			},
 		},
-	}))
+		before: func(r *simRun) {
+			sys = r.sys
+			r.rt.InjectSilentDrop(cfg.Fault, cfg.DropRate)
+		},
+		onIter: after(cfg.FaultIters, func(r *simRun, _ sim.Time) { r.rt.ClearSilent(cfg.Fault) }),
+	})
 	if err != nil {
 		return nil, err
 	}
-	job := sys.Jobs()[0]
-
-	rt.StartTraining(func(_ sim.Time, iter uint32) {
-		if int(iter) == cfg.HealAfter {
-			rt.ClearSilent(cfg.Fault)
-		}
-	}, nil)
-	rt.Run()
-	sys.Flush(rt.Engine.Now())
+	job := r.sys.Jobs()[0]
 
 	res := &Fig3Result{Config: cfg}
 	rebases := 0
@@ -172,7 +131,7 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 func (r *Fig3Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 3 — learned baseline update after transient fault recovery (%s drop on leaf %d / spine %d, heals after iter %d)\n",
-		pct(r.Config.DropRate), r.Config.Fault.LeafOrd, r.Config.Fault.SpineOrd, r.Config.HealAfter)
+		pct(r.Config.DropRate), r.Config.Fault.LeafOrd, r.Config.Fault.SpineOrd, r.Config.FaultIters)
 	fmt.Fprintf(&b, "%-6s %14s %14s %s\n", "iter", "observed B", "baseline B", "alert")
 	for _, pt := range r.Series {
 		mark := ""

@@ -14,52 +14,20 @@ import (
 // fault on a remote sender's link to the same spine. The workload is
 // AllToAll so each monitored port carries traffic from many senders.
 type Fig4Config struct {
-	// Leaves, Spines shape the fabric (default 16×8, kept modest: the
-	// all-to-all workload is quadratic in leaves).
-	Leaves, Spines int
-	// BytesPerRank (default 32 MiB, split across peers).
-	BytesPerRank int64
-	// DropRate of the injected fault (default 5%). Much heavier rates
-	// push the RTO-recovery transport into a duplicate-heavy regime
-	// that smears volume surpluses across every port (see
-	// EXPERIMENTS.md).
-	DropRate float64
+	// Grid: the fabric (default 16×8, kept modest: the all-to-all
+	// workload is quadratic in leaves), BytesPerRank (32 MiB, split
+	// across peers), Trials per case (2) and FaultIters per trial (4,
+	// fault present throughout). DropRate is the injected fault's
+	// (default 5%): much heavier rates push the RTO-recovery transport
+	// into a duplicate-heavy regime that smears volume surpluses across
+	// every port (see EXPERIMENTS.md).
+	Grid
 	// UpstreamDropRate is the severity of the remote-link case
 	// (default 15%): an upstream fault's port-level deviation is
 	// diluted by the number of senders sharing the port, so it must be
 	// several times the detection threshold times the sender count to
 	// alert at all.
 	UpstreamDropRate float64
-	// Trials per case (default 2).
-	Trials int
-	// Iterations per trial (default 4, fault present throughout).
-	Iterations int
-	// Seed roots the randomness.
-	Seed uint64
-}
-
-func (c *Fig4Config) setDefaults() {
-	if c.Leaves == 0 {
-		c.Leaves = 16
-	}
-	if c.Spines == 0 {
-		c.Spines = 8
-	}
-	if c.BytesPerRank == 0 {
-		c.BytesPerRank = 32 << 20
-	}
-	if c.DropRate == 0 {
-		c.DropRate = 0.05
-	}
-	if c.UpstreamDropRate == 0 {
-		c.UpstreamDropRate = 0.15
-	}
-	if c.Trials == 0 {
-		c.Trials = 2
-	}
-	if c.Iterations == 0 {
-		c.Iterations = 4
-	}
 }
 
 // Fig4Case is the outcome for one fault direction.
@@ -82,33 +50,24 @@ type Fig4Result struct {
 
 // Fig4 runs both cases.
 func Fig4(cfg Fig4Config) (*Fig4Result, error) {
-	cfg.setDefaults()
+	cfg = resolve("fig4", cfg)
 	res := &Fig4Result{Config: cfg}
 
 	runCase := func(name string, upstream bool, rate float64) (Fig4Case, error) {
 		c := Fig4Case{Name: name}
+		results, _, err := runCell(cfg.Trials, func(tr int) Trial {
+			sc := cfg.scenario(cfg.Seed + uint64(tr)*101)
+			sc.Collective = core.AllToAllKind
+			return Trial{
+				Scenario: sc, Fault: faultLinkFor(sc, tr), DropRate: rate, Upstream: upstream,
+				FaultIters: cfg.FaultIters,
+			}
+		})
+		if err != nil {
+			return c, err
+		}
 		total := 0
-		for tr := 0; tr < cfg.Trials; tr++ {
-			sc := core.Scenario{
-				Leaves: cfg.Leaves, Spines: cfg.Spines,
-				Collective:   core.AllToAllKind,
-				BytesPerRank: cfg.BytesPerRank,
-				Seed:         cfg.Seed + uint64(tr)*101,
-			}
-			fault := faultLinkFor(sc, tr)
-			trial := Trial{
-				Scenario: sc, Fault: fault, DropRate: rate, Upstream: upstream,
-				CleanIters: 0, FaultIters: cfg.Iterations,
-			}
-			out, err := trial.Run()
-			if err != nil {
-				return c, err
-			}
-			rt, err := sc.Build() // resolve the faulty link id for scoring
-			if err != nil {
-				return c, err
-			}
-			faultyLink := rt.Link(fault)
+		for _, out := range results {
 			for _, e := range out.Events {
 				if e.Alert.Deviation >= 0 {
 					continue
@@ -123,7 +82,7 @@ func Fig4(cfg Fig4Config) (*Fig4Result, error) {
 					c.Indeterminate++
 				}
 				for _, l := range e.Verdict.Links {
-					if l == faultyLink {
+					if l == out.FaultLink {
 						c.CorrectLink++
 						break
 					}

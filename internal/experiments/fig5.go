@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"flowpulse/internal/core"
 	"flowpulse/internal/metrics"
 )
 
@@ -14,41 +13,20 @@ import (
 // rate. The paper's claim: a 1% threshold is a perfect classifier for
 // drop rates ≥ 1.5%.
 type Fig5aConfig struct {
-	// Scenario is the base network/workload (paper defaults).
-	Scenario core.Scenario
+	// Grid: the fabric and collective (paper defaults 32×16, 16 MiB),
+	// Trials per drop rate (3), CleanIters and FaultIters per trial
+	// (3 + 3).
+	Grid
 	// DropRates are the fault severities, one ROC curve each.
 	DropRates []float64
 	// Thresholds is the ROC sweep.
 	Thresholds []float64
-	// Trials per drop rate.
-	Trials int
-	// CleanIters and FaultIters per trial.
-	CleanIters, FaultIters int
 	// TraceDir, when set, records every trial to
 	// TraceDir/fig5a-r<rate>-t<trial>.fpt; `flowpulse-trace sweep` then
 	// reproduces any curve's ROC points from the recordings alone.
 	TraceDir string
-}
-
-func (c *Fig5aConfig) setDefaults() {
-	if c.Scenario.BytesPerRank == 0 {
-		c.Scenario.BytesPerRank = 16 << 20
-	}
-	if c.DropRates == nil {
-		c.DropRates = []float64{0.005, 0.008, 0.01, 0.015, 0.025, 0.05}
-	}
-	if c.Thresholds == nil {
-		c.Thresholds = DefaultThresholds()
-	}
-	if c.Trials == 0 {
-		c.Trials = 3
-	}
-	if c.CleanIters == 0 {
-		c.CleanIters = 3
-	}
-	if c.FaultIters == 0 {
-		c.FaultIters = 3
-	}
+	// Shards selects the engine mode per trial (see core.Scenario.Shards).
+	Shards int
 }
 
 // Fig5aCurve is one drop rate's operating curve.
@@ -69,31 +47,23 @@ type Fig5aResult struct {
 
 // Fig5a runs the experiment.
 func Fig5a(cfg Fig5aConfig) (*Fig5aResult, error) {
-	cfg.setDefaults()
+	cfg = resolve("fig5a", cfg)
 	res := &Fig5aResult{Config: cfg}
 	for _, rate := range cfg.DropRates {
-		var trials []Trial
-		for tr := 0; tr < cfg.Trials; tr++ {
-			sc := cfg.Scenario
-			sc.Seed = cfg.Scenario.Seed + uint64(tr)*7919 + uint64(rate*1e5)
-			trial := Trial{
-				Scenario:   withNoise(sc),
-				Fault:      faultLinkFor(sc, tr),
-				DropRate:   rate,
-				CleanIters: cfg.CleanIters,
-				FaultIters: cfg.FaultIters,
-			}
+		_, samples, err := runCell(cfg.Trials, func(tr int) Trial {
+			sc := cfg.scenario(cfg.Seed + uint64(tr)*7919 + uint64(rate*1e5))
+			sc.Shards = cfg.Shards
+			trial := cfg.trial(sc, tr)
+			trial.DropRate = rate
 			if cfg.TraceDir != "" {
 				trial.TracePath = filepath.Join(cfg.TraceDir, fmt.Sprintf("fig5a-r%.4f-t%d.fpt", rate, tr))
 				trial.TraceLabel = fmt.Sprintf("fig5a rate=%.4f trial=%d", rate, tr)
 			}
-			trials = append(trials, trial)
-		}
-		results, err := RunAll(trials)
+			return trial
+		})
 		if err != nil {
 			return nil, err
 		}
-		samples := gatherSamples(results)
 		curve := Fig5aCurve{
 			DropRate:          rate,
 			Points:            metrics.ROC(samples, cfg.Thresholds),
@@ -106,27 +76,11 @@ func Fig5a(cfg Fig5aConfig) (*Fig5aResult, error) {
 	return res, nil
 }
 
-// faultLinkFor varies the faulted link across trials so results do not
-// hinge on one location.
-func faultLinkFor(sc core.Scenario, trial int) core.LeafSpineLink {
-	leaves, spines := sc.Leaves, sc.Spines
-	if leaves == 0 {
-		leaves = 32
-	}
-	if spines == 0 {
-		spines = 16
-	}
-	return core.LeafSpineLink{
-		LeafOrd:  (3 + trial*5) % leaves,
-		SpineOrd: (1 + trial*3) % spines,
-	}
-}
-
 // String renders the curves.
 func (r *Fig5aResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 5(a) — ROC over detection thresholds, %d trials per drop rate, %d MiB per rank\n",
-		r.Config.Trials, r.Config.Scenario.BytesPerRank>>20)
+		r.Config.Trials, r.Config.BytesPerRank>>20)
 	for _, c := range r.Curves {
 		fmt.Fprintf(&b, "drop rate %s:\n", pct(c.DropRate))
 		fmt.Fprintf(&b, "  %-10s %8s %8s\n", "threshold", "FPR", "FNR")
@@ -144,46 +98,16 @@ func (r *Fig5aResult) String() string {
 // measurement gets noisier while the per-port deficit stays ~0.8%:
 // higher radixes are more challenging.
 type Fig5bConfig struct {
+	// Grid: DropRate on the faulty link (default 0.8%), BytesPerRank
+	// (16 MiB), Trials per radix (3), CleanIters and FaultIters per
+	// trial (3 + 3). The radix sets the fabric shape.
+	Grid
 	// Radixes to sweep (default 8, 16, 32, 64).
 	Radixes []int
-	// DropRate on the faulty link (default 0.8%).
-	DropRate float64
 	// Thresholds to report operating points at (default 0.5% and 1%).
 	Thresholds []float64
-	// BytesPerRank (default 16 MiB).
-	BytesPerRank int64
-	// Trials per radix.
-	Trials int
-	// CleanIters and FaultIters per trial.
-	CleanIters, FaultIters int
-	// Seed roots the randomness.
-	Seed uint64
 	// Shards selects the engine mode per trial (see core.Scenario.Shards).
 	Shards int
-}
-
-func (c *Fig5bConfig) setDefaults() {
-	if c.Radixes == nil {
-		c.Radixes = []int{8, 16, 32, 64}
-	}
-	if c.DropRate == 0 {
-		c.DropRate = 0.008
-	}
-	if c.Thresholds == nil {
-		c.Thresholds = []float64{0.005, 0.01}
-	}
-	if c.BytesPerRank == 0 {
-		c.BytesPerRank = 16 << 20
-	}
-	if c.Trials == 0 {
-		c.Trials = 3
-	}
-	if c.CleanIters == 0 {
-		c.CleanIters = 3
-	}
-	if c.FaultIters == 0 {
-		c.FaultIters = 3
-	}
 }
 
 // Fig5bRow is one radix's operating points.
@@ -202,31 +126,18 @@ type Fig5bResult struct {
 
 // Fig5b runs the experiment.
 func Fig5b(cfg Fig5bConfig) (*Fig5bResult, error) {
-	cfg.setDefaults()
+	cfg = resolve("fig5b", cfg)
 	res := &Fig5bResult{Config: cfg}
 	for _, radix := range cfg.Radixes {
 		leaves, spines := radix, radix/2
-		var trials []Trial
-		for tr := 0; tr < cfg.Trials; tr++ {
-			sc := core.Scenario{
-				Leaves: leaves, Spines: spines,
-				BytesPerRank: cfg.BytesPerRank,
-				Seed:         cfg.Seed + uint64(radix*1000+tr),
-				Shards:       cfg.Shards,
-			}
-			trials = append(trials, Trial{
-				Scenario:   withNoise(sc),
-				Fault:      faultLinkFor(sc, tr),
-				DropRate:   cfg.DropRate,
-				CleanIters: cfg.CleanIters,
-				FaultIters: cfg.FaultIters,
-			})
-		}
-		results, err := RunAll(trials)
+		_, samples, err := runCell(cfg.Trials, func(tr int) Trial {
+			sc := cfg.scenario(cfg.Seed + uint64(radix*1000+tr))
+			sc.Leaves, sc.Spines, sc.Shards = leaves, spines, cfg.Shards
+			return cfg.trial(sc, tr)
+		})
 		if err != nil {
 			return nil, err
 		}
-		samples := gatherSamples(results)
 		row := Fig5bRow{Radix: radix, Leaves: leaves, Spines: spines}
 		for _, th := range cfg.Thresholds {
 			fpr, fnr := metrics.RatesAt(samples, th)
@@ -263,47 +174,14 @@ func (r *Fig5bResult) String() string {
 // more packets, raising the signal-to-noise ratio of the per-port
 // measurement.
 type Fig5cConfig struct {
+	// Grid: the fabric (default 32×16), the Threshold operating point
+	// (1%), Trials per cell (2), CleanIters and FaultIters per trial
+	// (3 + 3).
+	Grid
 	// Sizes are the per-rank collective sizes (default 1, 4, 16, 64 MiB).
 	Sizes []int64
 	// DropRates per curve (default 1%, 1.5%, 2.5%).
 	DropRates []float64
-	// Threshold is the operating point (default 1%).
-	Threshold float64
-	// Leaves and Spines (default 32×16).
-	Leaves, Spines int
-	// Trials per cell.
-	Trials int
-	// CleanIters and FaultIters per trial.
-	CleanIters, FaultIters int
-	// Seed roots the randomness.
-	Seed uint64
-}
-
-func (c *Fig5cConfig) setDefaults() {
-	if c.Sizes == nil {
-		c.Sizes = []int64{1 << 20, 4 << 20, 16 << 20, 64 << 20}
-	}
-	if c.DropRates == nil {
-		c.DropRates = []float64{0.01, 0.015, 0.025}
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 0.01
-	}
-	if c.Leaves == 0 {
-		c.Leaves = 32
-	}
-	if c.Spines == 0 {
-		c.Spines = 16
-	}
-	if c.Trials == 0 {
-		c.Trials = 2
-	}
-	if c.CleanIters == 0 {
-		c.CleanIters = 3
-	}
-	if c.FaultIters == 0 {
-		c.FaultIters = 3
-	}
 }
 
 // Fig5cCell is one (size, drop rate) operating point.
@@ -321,30 +199,20 @@ type Fig5cResult struct {
 
 // Fig5c runs the experiment.
 func Fig5c(cfg Fig5cConfig) (*Fig5cResult, error) {
-	cfg.setDefaults()
+	cfg = resolve("fig5c", cfg)
 	res := &Fig5cResult{Config: cfg}
 	for _, size := range cfg.Sizes {
 		for _, rate := range cfg.DropRates {
-			var trials []Trial
-			for tr := 0; tr < cfg.Trials; tr++ {
-				sc := core.Scenario{
-					Leaves: cfg.Leaves, Spines: cfg.Spines,
-					BytesPerRank: size,
-					Seed:         cfg.Seed + uint64(size>>18) + uint64(rate*1e5) + uint64(tr)*31,
-				}
-				trials = append(trials, Trial{
-					Scenario:   withNoise(sc),
-					Fault:      faultLinkFor(sc, tr),
-					DropRate:   rate,
-					CleanIters: cfg.CleanIters,
-					FaultIters: cfg.FaultIters,
-				})
-			}
-			results, err := RunAll(trials)
+			_, samples, err := runCell(cfg.Trials, func(tr int) Trial {
+				sc := cfg.scenario(cfg.Seed + uint64(size>>18) + uint64(rate*1e5) + uint64(tr)*31)
+				sc.BytesPerRank = size
+				trial := cfg.trial(sc, tr)
+				trial.DropRate = rate
+				return trial
+			})
 			if err != nil {
 				return nil, err
 			}
-			samples := gatherSamples(results)
 			fpr, fnr := metrics.RatesAt(samples, cfg.Threshold)
 			res.Cells = append(res.Cells, Fig5cCell{Bytes: size, DropRate: rate, FPR: fpr, FNR: fnr})
 		}

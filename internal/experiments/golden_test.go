@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -58,9 +59,9 @@ func TestEvalGolden(t *testing.T) {
 		b.WriteString(out[i])
 		// The configuration the run reports is the one the
 		// simulation-free config golden pins for it.
-		o := EvalOverrides{Quick: true, Seed: 1}
-		if ran, pinned := reportedConfigLine(results[i]), resolvedConfigLine(name, o); ran != pinned {
-			t.Errorf("%s ran with\n  %s\nbut TestEvalConfigGolden pins\n  %s", name, ran, pinned)
+		ran := reflect.ValueOf(results[i]).Elem().FieldByName("Config").Interface()
+		if pinned := table[i].config(EvalOverrides{Quick: true, Seed: 1}); !reflect.DeepEqual(ran, pinned) {
+			t.Errorf("%s ran with\n  %s\nbut TestEvalConfigGolden pins\n  %s", name, configLine(ran), configLine(pinned))
 		}
 	}
 	checkGolden(t, "eval_quick.golden", b.String())

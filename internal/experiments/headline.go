@@ -13,35 +13,11 @@ import (
 // by checking temporal symmetry in a full two-level fat tree topology
 // with 32 leaf switches while performing Ring-AllReduce on all nodes."
 type HeadlineConfig struct {
-	// DropRate of the single faulty link (default 1.5%).
-	DropRate float64
-	// BytesPerRank (default 64 MiB — the paper notes LLM collectives
-	// reach GBs, "well beyond the amount needed").
-	BytesPerRank int64
-	// Threshold (default 1%).
-	Threshold float64
-	// CleanIters and FaultIters.
-	CleanIters, FaultIters int
-	// Seed roots the randomness.
-	Seed uint64
-}
-
-func (c *HeadlineConfig) setDefaults() {
-	if c.DropRate == 0 {
-		c.DropRate = 0.015
-	}
-	if c.BytesPerRank == 0 {
-		c.BytesPerRank = 64 << 20
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 0.01
-	}
-	if c.CleanIters == 0 {
-		c.CleanIters = 2
-	}
-	if c.FaultIters == 0 {
-		c.FaultIters = 4
-	}
+	// Grid: the paper's 32×16 fabric, DropRate of the single faulty
+	// link (default 1.5%), BytesPerRank (64 MiB — the paper notes LLM
+	// collectives reach GBs, "well beyond the amount needed"), Threshold
+	// (1%), CleanIters and FaultIters (2 + 4).
+	Grid
 }
 
 // HeadlineResult is the reproduced claim.
@@ -61,21 +37,13 @@ type HeadlineResult struct {
 	FPR, FNR float64
 }
 
-// Headline runs the experiment on the paper's 32×16 fabric.
+// Headline runs the experiment (on the paper's 32×16 fabric unless
+// the grid says otherwise).
 func Headline(cfg HeadlineConfig) (*HeadlineResult, error) {
-	cfg.setDefaults()
+	cfg = resolve("headline", cfg)
 	fault := core.LeafSpineLink{LeafOrd: 11, SpineOrd: 5}
-	tr := Trial{
-		Scenario: withNoise(core.Scenario{
-			Leaves: 32, Spines: 16,
-			BytesPerRank: cfg.BytesPerRank,
-			Seed:         cfg.Seed,
-		}),
-		Fault:      fault,
-		DropRate:   cfg.DropRate,
-		CleanIters: cfg.CleanIters,
-		FaultIters: cfg.FaultIters,
-	}
+	tr := cfg.trial(cfg.scenario(cfg.Seed), 0)
+	tr.Fault = fault
 	out, err := tr.Run()
 	if err != nil {
 		return nil, err
@@ -97,8 +65,8 @@ func Headline(cfg HeadlineConfig) (*HeadlineResult, error) {
 // String renders the result.
 func (r *HeadlineResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Headline — single link at %s drop, 32x16 fat tree, Ring-AllReduce %d MiB per rank, θ=%s\n",
-		pct(r.Config.DropRate), r.Config.BytesPerRank>>20, pct(r.Config.Threshold))
+	fmt.Fprintf(&b, "Headline — single link at %s drop, %dx%d fat tree, Ring-AllReduce %d MiB per rank, θ=%s\n",
+		pct(r.Config.DropRate), r.Config.Leaves, r.Config.Spines, r.Config.BytesPerRank>>20, pct(r.Config.Threshold))
 	fmt.Fprintf(&b, "detected: %v", r.Detected)
 	if r.Detected {
 		fmt.Fprintf(&b, " (latency %d iteration(s))", r.DetectionLatencyIters)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"flowpulse/internal/core"
 	"flowpulse/internal/metrics"
 	"flowpulse/internal/sim"
 )
@@ -17,52 +16,13 @@ import (
 // jitter magnitude and reports the clean-network noise floor and the
 // detectability of a reference fault.
 type JitterConfig struct {
+	// Grid: the fabric and collective (defaults 32×16, 16 MiB), the
+	// reference fault's DropRate (1.5%), Threshold (1%), Trials per
+	// jitter level (2), CleanIters and FaultIters per trial (2 + 2).
+	Grid
 	// JitterMaxes are the uniform per-rank, per-iteration start delays
 	// to sweep (default 0, 2 µs, 10 µs, 50 µs).
 	JitterMaxes []sim.Duration
-	// Leaves, Spines, BytesPerRank (defaults 32×16, 16 MiB).
-	Leaves, Spines int
-	BytesPerRank   int64
-	// DropRate of the reference fault (default 1.5%).
-	DropRate float64
-	// Threshold (default 1%).
-	Threshold float64
-	// Trials per jitter level.
-	Trials int
-	// CleanIters and FaultIters per trial.
-	CleanIters, FaultIters int
-	// Seed roots the randomness.
-	Seed uint64
-}
-
-func (c *JitterConfig) setDefaults() {
-	if c.JitterMaxes == nil {
-		c.JitterMaxes = []sim.Duration{0, 2 * sim.Microsecond, 10 * sim.Microsecond, 50 * sim.Microsecond}
-	}
-	if c.Leaves == 0 {
-		c.Leaves = 32
-	}
-	if c.Spines == 0 {
-		c.Spines = 16
-	}
-	if c.BytesPerRank == 0 {
-		c.BytesPerRank = 16 << 20
-	}
-	if c.DropRate == 0 {
-		c.DropRate = 0.015
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 0.01
-	}
-	if c.Trials == 0 {
-		c.Trials = 2
-	}
-	if c.CleanIters == 0 {
-		c.CleanIters = 2
-	}
-	if c.FaultIters == 0 {
-		c.FaultIters = 2
-	}
 }
 
 // JitterRow is one jitter level's outcome.
@@ -83,38 +43,19 @@ type JitterResult struct {
 
 // Jitter runs the experiment.
 func Jitter(cfg JitterConfig) (*JitterResult, error) {
-	cfg.setDefaults()
+	cfg = resolve("jitter", cfg)
 	res := &JitterResult{Config: cfg}
 	for _, jmax := range cfg.JitterMaxes {
-		var trials []Trial
-		for tr := 0; tr < cfg.Trials; tr++ {
-			sc := core.Scenario{
-				Leaves: cfg.Leaves, Spines: cfg.Spines,
-				BytesPerRank: cfg.BytesPerRank,
-				JitterMax:    jmax,
-				Seed:         cfg.Seed + uint64(jmax/1000) + uint64(tr)*131,
-			}
-			trials = append(trials, Trial{
-				Scenario:   withNoise(sc),
-				Fault:      faultLinkFor(sc, tr),
-				DropRate:   cfg.DropRate,
-				CleanIters: cfg.CleanIters,
-				FaultIters: cfg.FaultIters,
-			})
-		}
-		results, err := RunAll(trials)
+		_, samples, err := runCell(cfg.Trials, func(tr int) Trial {
+			sc := cfg.scenario(cfg.Seed + uint64(jmax/1000) + uint64(tr)*131)
+			sc.JitterMax = jmax
+			return cfg.trial(sc, tr)
+		})
 		if err != nil {
 			return nil, err
 		}
-		row := JitterRow{JitterMax: jmax}
-		for _, r := range results {
-			for i, s := range r.Samples {
-				if i < cfg.CleanIters && s.Score > row.CleanNoise {
-					row.CleanNoise = s.Score
-				}
-			}
-		}
-		row.FPR, row.FNR = metrics.RatesAt(gatherSamples(results), cfg.Threshold)
+		row := JitterRow{JitterMax: jmax, CleanNoise: cleanNoise(samples)}
+		row.FPR, row.FNR = metrics.RatesAt(samples, cfg.Threshold)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil

@@ -24,40 +24,12 @@ import (
 //     fault sits inside job 1's slice; job 2's pipeline must stay
 //     silent (attribution does not leak across jobs).
 type ParallelJobsConfig struct {
-	// Leaves, Spines, BytesPerRank shape the fabric (defaults 8×4,
-	// 8 MiB; HostsPerLeaf is 2 — one host column per job).
-	Leaves, Spines int
-	BytesPerRank   int64
-	// Iterations is the per-job run length (default 10).
-	Iterations int
-	// DropRate is the injected silent loss (default 5%).
-	DropRate float64
-	// Onset is the job-1 iteration after which the fault activates
-	// (default 2).
-	Onset int
-	// Seed roots the randomness.
-	Seed uint64
-}
-
-func (c *ParallelJobsConfig) setDefaults() {
-	if c.Leaves == 0 {
-		c.Leaves = 8
-	}
-	if c.Spines == 0 {
-		c.Spines = 4
-	}
-	if c.BytesPerRank == 0 {
-		c.BytesPerRank = 8 << 20
-	}
-	if c.Iterations == 0 {
-		c.Iterations = 10
-	}
-	if c.DropRate == 0 {
-		c.DropRate = 0.05
-	}
-	if c.Onset == 0 {
-		c.Onset = 2
-	}
+	// Grid: the fabric and collective (defaults 8×4, 8 MiB;
+	// HostsPerLeaf is 2 — one host column per job), the injected silent
+	// loss DropRate (5%), the job-1 iteration after which the fault
+	// activates as CleanIters (2) and the rest of the per-job run as
+	// FaultIters (8).
+	Grid
 }
 
 // ParallelJobsRow is one run's outcome.
@@ -81,29 +53,18 @@ type ParallelJobsResult struct {
 	Rows   []ParallelJobsRow
 }
 
-// parallelRun builds a two-job scenario, attaches the shared plane,
-// injects a fault at the onset iteration of job 1, and summarizes.
+// parallelRun runs a two-job scenario on the shared plane, injects a
+// fault at the onset iteration of job 1, and summarizes.
 func parallelRun(name string, sc core.Scenario, rcfg remediate.Config, ref core.LeafSpineLink, cfg ParallelJobsConfig) (ParallelJobsRow, error) {
 	row := ParallelJobsRow{Name: name}
-	rt, err := sc.Build()
+	run, err := simulate(runSpec{
+		scenario: sc, remediate: &rcfg,
+		onIter: after(cfg.CleanIters, func(r *simRun, _ sim.Time) { r.rt.InjectSilentDrop(ref, cfg.DropRate) }),
+	})
 	if err != nil {
 		return row, err
 	}
-	scfg := rt.MonitorConfig(core.JobConfig{})
-	scfg.Remediate = &rcfg
-	sys, err := core.Attach(scfg)
-	if err != nil {
-		return row, err
-	}
-	var onsetAt sim.Time
-	rt.StartAllJobs(func(now sim.Time, job uint16, iter uint32) {
-		if job == rt.Jobs[0].Spec.Job && int(iter) == cfg.Onset {
-			onsetAt = now
-			rt.InjectSilentDrop(ref, cfg.DropRate)
-		}
-	}, nil)
-	rt.Run()
-	sys.Flush(rt.Engine.Now())
+	sys, onsetAt := run.sys, run.iterEnd[cfg.CleanIters]
 
 	row.AlertsJob1 = len(sys.Jobs()[0].Pipeline.Events)
 	row.AlertsJob2 = len(sys.Jobs()[1].Pipeline.Events)
@@ -126,31 +87,15 @@ func parallelRun(name string, sc core.Scenario, rcfg remediate.Config, ref core.
 
 // ParallelJobs runs all three scenarios.
 func ParallelJobs(cfg ParallelJobsConfig) (*ParallelJobsResult, error) {
-	cfg.setDefaults()
-	base := core.Scenario{
-		Leaves: cfg.Leaves, Spines: cfg.Spines, HostsPerLeaf: 2,
-		BytesPerRank: cfg.BytesPerRank, Iterations: cfg.Iterations,
-		Seed: cfg.Seed,
-		Jobs: []core.JobScenario{
-			{Job: 1, HostIx: 0},
-			{Job: 2, HostIx: 1},
-		},
+	cfg = resolve("paralleljobs", cfg)
+	base := cfg.scenario(cfg.Seed)
+	base.HostsPerLeaf, base.Iterations = 2, cfg.CleanIters+cfg.FaultIters
+	base.Jobs = []core.JobScenario{
+		{Job: 1, HostIx: 0},
+		{Job: 2, HostIx: 1},
 	}
 	res := &ParallelJobsResult{Config: cfg}
 	sharedRef := core.LeafSpineLink{LeafOrd: cfg.Leaves / 2, SpineOrd: 1}
-
-	// Both jobs span every leaf: the faulty trunk carries both rings.
-	row, err := parallelRun("shared fault, corroborated", base, remediate.Config{}, sharedRef, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, row)
-
-	row, err = parallelRun("shared fault, K=3", base, remediate.Config{CorroborateWindows: -1}, sharedRef, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, row)
 
 	// Disjoint leaf spans: the fault sits inside job 1's slice, out of
 	// job 2's reach. (Spans must be identical or disjoint — a partial
@@ -162,11 +107,24 @@ func ParallelJobs(cfg ParallelJobsConfig) (*ParallelJobsResult, error) {
 		{Job: 2, HostIx: 1, LeafFirst: cfg.Leaves / 2, LeafCount: cfg.Leaves - cfg.Leaves/2},
 	}
 	localRef := core.LeafSpineLink{LeafOrd: 0, SpineOrd: cfg.Spines / 2}
-	row, err = parallelRun("job-local fault", local, remediate.Config{}, localRef, cfg)
-	if err != nil {
-		return nil, err
+
+	for _, run := range []struct {
+		name string
+		sc   core.Scenario
+		rcfg remediate.Config
+		ref  core.LeafSpineLink
+	}{
+		// Both jobs span every leaf: the faulty trunk carries both rings.
+		{"shared fault, corroborated", base, remediate.Config{}, sharedRef},
+		{"shared fault, K=3", base, remediate.Config{CorroborateWindows: -1}, sharedRef},
+		{"job-local fault", local, remediate.Config{}, localRef},
+	} {
+		row, err := parallelRun(run.name, run.sc, run.rcfg, run.ref, cfg)
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, row)
 	}
-	res.Rows = append(res.Rows, row)
 	return res, nil
 }
 

@@ -14,51 +14,14 @@ import (
 // model accounts for them, and new silent faults dropping ≥ 2.5% of
 // packets are classified perfectly.
 type PreExistingConfig struct {
+	// Grid: the fabric and collective (defaults 32×16, 16 MiB), the
+	// Threshold operating point (1%), Trials per cell (2), CleanIters
+	// and FaultIters per trial (3 + 3).
+	Grid
 	// Counts of pre-existing disconnected links to sweep.
 	Counts []int
 	// DropRates of the new silent fault.
 	DropRates []float64
-	// Threshold is the operating point (default 1%).
-	Threshold float64
-	// Leaves, Spines, BytesPerRank as usual (defaults 32×16, 16 MiB).
-	Leaves, Spines int
-	BytesPerRank   int64
-	// Trials per cell.
-	Trials int
-	// CleanIters and FaultIters per trial.
-	CleanIters, FaultIters int
-	// Seed roots the randomness.
-	Seed uint64
-}
-
-func (c *PreExistingConfig) setDefaults() {
-	if c.Counts == nil {
-		c.Counts = []int{0, 1, 2, 4, 8}
-	}
-	if c.DropRates == nil {
-		c.DropRates = []float64{0.015, 0.025}
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 0.01
-	}
-	if c.Leaves == 0 {
-		c.Leaves = 32
-	}
-	if c.Spines == 0 {
-		c.Spines = 16
-	}
-	if c.BytesPerRank == 0 {
-		c.BytesPerRank = 16 << 20
-	}
-	if c.Trials == 0 {
-		c.Trials = 2
-	}
-	if c.CleanIters == 0 {
-		c.CleanIters = 3
-	}
-	if c.FaultIters == 0 {
-		c.FaultIters = 3
-	}
 }
 
 // PreExistingCell is one (count, drop rate) operating point.
@@ -76,8 +39,9 @@ type PreExistingResult struct {
 }
 
 // preExistingLinks picks count distinct leaf-spine links to
-// disconnect, avoiding the new-fault link and never removing a leaf's
-// last uplink.
+// disconnect, avoiding the new-fault link and leaving every leaf at
+// least two uplinks. The caller checks that the fabric has that many
+// links to lose.
 func preExistingLinks(count, leaves, spines int, avoid core.LeafSpineLink, seed uint64) []core.LeafSpineLink {
 	rng := sim.NewRNG(seed, "preexisting")
 	used := map[[2]int]bool{{avoid.LeafOrd, avoid.SpineOrd}: true}
@@ -97,32 +61,26 @@ func preExistingLinks(count, leaves, spines int, avoid core.LeafSpineLink, seed 
 
 // PreExisting runs the experiment.
 func PreExisting(cfg PreExistingConfig) (*PreExistingResult, error) {
-	cfg.setDefaults()
+	cfg = resolve("preexisting", cfg)
 	res := &PreExistingResult{Config: cfg}
 	for _, count := range cfg.Counts {
+		// Every leaf keeps two uplinks; past that the picker would
+		// spin forever.
+		if most := cfg.Leaves * max(cfg.Spines-2, 0); count > most {
+			return nil, fmt.Errorf("experiments: preexisting: a %dx%d fabric can lose at most %d links, asked for %d",
+				cfg.Leaves, cfg.Spines, most, count)
+		}
 		for _, rate := range cfg.DropRates {
-			var trials []Trial
-			for tr := 0; tr < cfg.Trials; tr++ {
-				sc := core.Scenario{
-					Leaves: cfg.Leaves, Spines: cfg.Spines,
-					BytesPerRank: cfg.BytesPerRank,
-					Seed:         cfg.Seed + uint64(count*100+tr) + uint64(rate*1e5),
-				}
-				fault := faultLinkFor(sc, tr)
-				sc.PreExisting = preExistingLinks(count, cfg.Leaves, cfg.Spines, fault, sc.Seed)
-				trials = append(trials, Trial{
-					Scenario:   withNoise(sc),
-					Fault:      fault,
-					DropRate:   rate,
-					CleanIters: cfg.CleanIters,
-					FaultIters: cfg.FaultIters,
-				})
-			}
-			results, err := RunAll(trials)
+			_, samples, err := runCell(cfg.Trials, func(tr int) Trial {
+				sc := cfg.scenario(cfg.Seed + uint64(count*100+tr) + uint64(rate*1e5))
+				trial := cfg.trial(sc, tr)
+				trial.DropRate = rate
+				trial.Scenario.PreExisting = preExistingLinks(count, cfg.Leaves, cfg.Spines, trial.Fault, sc.Seed)
+				return trial
+			})
 			if err != nil {
 				return nil, err
 			}
-			samples := gatherSamples(results)
 			fpr, fnr := metrics.RatesAt(samples, cfg.Threshold)
 			res.Cells = append(res.Cells, PreExistingCell{
 				PreExisting: count, DropRate: rate, FPR: fpr, FNR: fnr,

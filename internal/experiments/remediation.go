@@ -16,52 +16,16 @@ import (
 // periodically degraded link (quarantine/re-admission cycles until
 // damping pins it down).
 type RemediationConfig struct {
-	// Leaves, Spines, BytesPerRank shape the fabric (defaults 8×4,
-	// 8 MiB — the experiment measures control-loop dynamics, not
-	// detection accuracy, so it runs at small scale).
-	Leaves, Spines int
-	BytesPerRank   int64
-	// DropRate is the persistent fault's loss rate (default 1.5%).
-	DropRate float64
+	// Grid: the fabric and collective (defaults 8×4, 8 MiB — the
+	// experiment measures control-loop dynamics, not detection
+	// accuracy, so it runs at small scale), the persistent fault's
+	// DropRate (1.5%), CleanIters before faults activate (2) and
+	// FaultIters the persistent run lasts after that (10).
+	Grid
 	// FlapLoss is the flapping link's down-phase loss (default 30%).
 	FlapLoss float64
-	// Onset is the iteration after which faults activate (default 2).
-	Onset int
-	// PersistIters and FlapIters are the run lengths (defaults 12, 36).
-	PersistIters, FlapIters int
-	// Remediate tunes the loop. The flapping run tightens Suppress to
-	// 1500 when left at zero, so the second quarantine already pins
-	// the link and the run stays short.
-	Remediate remediate.Config
-	// Seed roots the randomness.
-	Seed uint64
-}
-
-func (c *RemediationConfig) setDefaults() {
-	if c.Leaves == 0 {
-		c.Leaves = 8
-	}
-	if c.Spines == 0 {
-		c.Spines = 4
-	}
-	if c.BytesPerRank == 0 {
-		c.BytesPerRank = 8 << 20
-	}
-	if c.DropRate == 0 {
-		c.DropRate = 0.015
-	}
-	if c.FlapLoss == 0 {
-		c.FlapLoss = 0.3
-	}
-	if c.Onset == 0 {
-		c.Onset = 2
-	}
-	if c.PersistIters == 0 {
-		c.PersistIters = 12
-	}
-	if c.FlapIters == 0 {
-		c.FlapIters = 36
-	}
+	// FlapIters is the flapping run's length (default 36).
+	FlapIters int
 }
 
 // RemediationRow is one fault scenario's closed-loop outcome.
@@ -95,37 +59,10 @@ type RemediationResult struct {
 	Rows    []RemediationRow
 }
 
-// remediationRun is one scenario driven with the remediator attached.
-func remediationRun(sc core.Scenario, rcfg remediate.Config,
-	setup func(rt *core.Runtime), onIter func(rt *core.Runtime, now sim.Time, iter uint32)) (*core.Runtime, *core.System, map[uint32]sim.Time, error) {
-	rt, err := sc.Build()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cfg := rt.MonitorConfig(core.JobConfig{})
-	cfg.Remediate = &rcfg
-	sys, err := core.Attach(cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if setup != nil {
-		setup(rt)
-	}
-	iterEnd := map[uint32]sim.Time{}
-	rt.StartTraining(func(now sim.Time, iter uint32) {
-		iterEnd[iter] = now
-		if onIter != nil {
-			onIter(rt, now, iter)
-		}
-	}, nil)
-	rt.Run()
-	sys.Flush(rt.Engine.Now())
-	return rt, sys, iterEnd, nil
-}
-
 // summarize reduces one run to a row. onsetAt is when the fault
 // activated.
-func summarize(name string, rt *core.Runtime, sys *core.System, onsetAt sim.Time) RemediationRow {
+func summarize(name string, run *simRun, onsetAt sim.Time) RemediationRow {
+	rt, sys := run.rt, run.sys
 	r := sys.Remediator()
 	st := r.Stats()
 	row := RemediationRow{
@@ -169,21 +106,20 @@ func summarize(name string, rt *core.Runtime, sys *core.System, onsetAt sim.Time
 
 // Remediation runs both scenarios.
 func Remediation(cfg RemediationConfig) (*RemediationResult, error) {
-	cfg.setDefaults()
-	base := core.Scenario{
-		Leaves: cfg.Leaves, Spines: cfg.Spines,
-		BytesPerRank: cfg.BytesPerRank, Seed: cfg.Seed,
-	}
+	cfg = resolve("remediate", cfg)
 	ref := core.LeafSpineLink{LeafOrd: cfg.Leaves / 2, SpineOrd: 1}
+	scenario := func(iters int) core.Scenario {
+		sc := cfg.scenario(cfg.Seed)
+		sc.Iterations = iters
+		return sc
+	}
 
 	// Calibrate the clean iteration duration (sizes the flap cycle).
-	cal := base
-	cal.Iterations = 2
-	_, _, calEnd, err := remediationRun(cal, cfg.Remediate, nil, nil)
+	cal, err := simulate(runSpec{scenario: scenario(2), remediate: &remediate.Config{}})
 	if err != nil {
 		return nil, err
 	}
-	iterDur := sim.Duration(calEnd[2] - calEnd[1])
+	iterDur := sim.Duration(cal.iterEnd[2] - cal.iterEnd[1])
 	if iterDur <= 0 {
 		return nil, fmt.Errorf("experiments: iteration calibration failed")
 	}
@@ -191,38 +127,28 @@ func Remediation(cfg RemediationConfig) (*RemediationResult, error) {
 
 	// Persistent fault: quarantined once, probes keep failing, no
 	// re-admission.
-	persist := base
-	persist.Iterations = cfg.PersistIters
-	var onsetAt sim.Time
-	rt, sys, _, err := remediationRun(persist, cfg.Remediate, nil,
-		func(rt *core.Runtime, now sim.Time, iter uint32) {
-			if int(iter) == cfg.Onset {
-				onsetAt = now
-				rt.InjectSilentDrop(ref, cfg.DropRate)
-			}
-		})
+	persist, err := simulate(runSpec{
+		scenario: scenario(cfg.CleanIters + cfg.FaultIters), remediate: &remediate.Config{},
+		onIter: after(cfg.CleanIters, func(r *simRun, _ sim.Time) { r.rt.InjectSilentDrop(ref, cfg.DropRate) }),
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = append(res.Rows, summarize(fmt.Sprintf("persistent %s", pct(cfg.DropRate)), rt, sys, onsetAt))
+	res.Rows = append(res.Rows, summarize(fmt.Sprintf("persistent %s", pct(cfg.DropRate)), persist, persist.iterEnd[cfg.CleanIters]))
 
 	// Flapping link: degraded half the time, cycle sized in iteration
-	// units so down phases span whole windows.
-	flapCfg := cfg.Remediate
-	if flapCfg.Suppress == 0 {
-		flapCfg.Suppress = 1500
-	}
-	flap := base
-	flap.Iterations = cfg.FlapIters
-	rt, sys, _, err = remediationRun(flap, flapCfg, func(rt *core.Runtime) {
-		rt.InjectLossyFlap(ref, 6*iterDur, 3*iterDur, sim.Duration(cfg.Onset)*iterDur, cfg.FlapLoss)
-	}, nil)
+	// units so down phases span whole windows. Suppress is tightened so
+	// the second quarantine already pins the link and the run stays
+	// short.
+	onset := sim.Duration(cfg.CleanIters) * iterDur
+	flap, err := simulate(runSpec{
+		scenario: scenario(cfg.FlapIters), remediate: &remediate.Config{Suppress: 1500},
+		before: func(r *simRun) { r.rt.InjectLossyFlap(ref, 6*iterDur, 3*iterDur, onset, cfg.FlapLoss) },
+	})
 	if err != nil {
 		return nil, err
 	}
-	flapRow := summarize(fmt.Sprintf("flapping %s duty 0.50", pct(cfg.FlapLoss)), rt, sys,
-		sim.Time(sim.Duration(cfg.Onset)*iterDur))
-	res.Rows = append(res.Rows, flapRow)
+	res.Rows = append(res.Rows, summarize(fmt.Sprintf("flapping %s duty 0.50", pct(cfg.FlapLoss)), flap, sim.Time(onset)))
 	return res, nil
 }
 

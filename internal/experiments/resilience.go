@@ -38,62 +38,28 @@ import (
 // (see predict.Analytical), so detection stays quiet through the
 // repair instead of cascading into false quarantines.
 type ResilienceConfig struct {
-	// Leaves, Spines, HostsPerLeaf shape the fabric (defaults 8×2×4: a
+	// Grid: Leaves × Spines with HostsPerLeaf below (defaults 8×2×4: a
 	// 2:1 oversubscribed leaf-spine where the interleaved ring's
 	// crossing demand is twice what the uplinks carry at NIC rate, so
 	// uplink capacity gates goodput and losing 1 of 2 uplinks halves
-	// it).
-	Leaves, Spines, HostsPerLeaf int
-	// BytesPerRank is the collective size D (default 2 MiB: large
+	// it). BytesPerRank is the collective size D (default 2 MiB: large
 	// enough that the uplink bottleneck dominates the per-packet
 	// constants, small enough that the post-repair seam — the one
 	// congested trunk into the victim leaf — stays below the
 	// retransmission-ambiguity regime that would mask the recovery).
-	BytesPerRank int64
 	// DropRate is the persistent silent fault's loss rate (default 5%:
 	// heavy enough that the pre-quarantine drop phase itself stalls the
 	// workload below the recovery bar, so "recovered" cleanly separates
-	// the arms).
-	DropRate float64
-	// Onset is the iteration after which the fault activates (default 2).
-	Onset int
-	// Iterations is the run length (default 20: baseline, detect +
-	// quarantine, then enough post-fault iterations to score recovery).
-	Iterations int
+	// the arms). The fault activates after CleanIters iterations (2)
+	// and the run lasts FaultIters more (18: detect + quarantine, then
+	// enough post-fault iterations to score recovery). Both arms run
+	// the same Seed.
+	Grid
+	// HostsPerLeaf sets the oversubscription (default 4).
+	HostsPerLeaf int
 	// RecoverTarget is the goodput fraction that counts as recovered,
 	// for both the metric and the re-planner (default 0.9).
 	RecoverTarget float64
-	// Remediate tunes the fabric control loop (shared by both arms).
-	Remediate remediate.Config
-	// Seed roots the randomness; both arms run the same seed.
-	Seed uint64
-}
-
-func (c *ResilienceConfig) setDefaults() {
-	if c.Leaves == 0 {
-		c.Leaves = 8
-	}
-	if c.Spines == 0 {
-		c.Spines = 2
-	}
-	if c.HostsPerLeaf == 0 {
-		c.HostsPerLeaf = 4
-	}
-	if c.BytesPerRank == 0 {
-		c.BytesPerRank = 2 << 20
-	}
-	if c.DropRate == 0 {
-		c.DropRate = 0.05
-	}
-	if c.Onset == 0 {
-		c.Onset = 2
-	}
-	if c.Iterations == 0 {
-		c.Iterations = 20
-	}
-	if c.RecoverTarget == 0 {
-		c.RecoverTarget = 0.9
-	}
 }
 
 // ResilienceArm is one run's outcome (re-plan off or on).
@@ -120,40 +86,26 @@ type ResilienceResult struct {
 
 // resilienceArm runs the scenario once.
 func resilienceArm(cfg ResilienceConfig, replan bool) (*ResilienceArm, error) {
-	sc := core.Scenario{
-		Leaves: cfg.Leaves, Spines: cfg.Spines, HostsPerLeaf: cfg.HostsPerLeaf,
-		InterleaveRing: true,
-		BytesPerRank:   cfg.BytesPerRank,
-		Iterations:     cfg.Iterations,
-		Seed:           cfg.Seed,
+	sc := cfg.scenario(cfg.Seed)
+	sc.HostsPerLeaf, sc.InterleaveRing = cfg.HostsPerLeaf, true
+	sc.Iterations = cfg.CleanIters + cfg.FaultIters
+	spec := runSpec{
+		scenario:  sc,
+		remediate: &remediate.Config{},
+		before:    func(r *simRun) { r.rt.Goodput = &metrics.GoodputTimeline{} },
+		onIter: after(cfg.CleanIters, func(r *simRun, now sim.Time) {
+			r.rt.Goodput.MarkFault(int64(now))
+			r.rt.InjectSilentDrop(core.LeafSpineLink{LeafOrd: cfg.Leaves / 2, SpineOrd: 0}, cfg.DropRate)
+		}),
 	}
-	rt, err := sc.Build()
-	if err != nil {
-		return nil, err
-	}
-	rcfg := cfg.Remediate
-	coreCfg := rt.MonitorConfig(core.JobConfig{})
-	coreCfg.Remediate = &rcfg
 	if replan {
-		coreCfg.Resilience = &resilience.Config{RecoverTarget: cfg.RecoverTarget}
+		spec.resilience = &resilience.Config{RecoverTarget: cfg.RecoverTarget}
 	}
-	sys, err := core.Attach(coreCfg)
+	run, err := simulate(spec)
 	if err != nil {
 		return nil, err
 	}
-	rt.Goodput = &metrics.GoodputTimeline{}
-	victim := core.LeafSpineLink{LeafOrd: cfg.Leaves / 2, SpineOrd: 0}
-	job := rt.StartTraining(func(now sim.Time, iter uint32) {
-		if int(iter) == cfg.Onset {
-			rt.Goodput.MarkFault(int64(now))
-			rt.InjectSilentDrop(victim, cfg.DropRate)
-		}
-	}, nil)
-	if err := sys.BindWorkload(sc.Job, job); err != nil {
-		return nil, err
-	}
-	rt.Run()
-	sys.Flush(rt.Engine.Now())
+	rt, sys := run.rt, run.sys
 
 	name := "re-plan off"
 	if replan {
@@ -180,7 +132,7 @@ func resilienceArm(cfg ResilienceConfig, replan bool) (*ResilienceArm, error) {
 
 // Resilience runs both arms over the identical fault and seed.
 func Resilience(cfg ResilienceConfig) (*ResilienceResult, error) {
-	cfg.setDefaults()
+	cfg = resolve("resilience", cfg)
 	res := &ResilienceResult{Config: cfg}
 	for _, replan := range []bool{false, true} {
 		arm, err := resilienceArm(cfg, replan)
@@ -200,7 +152,7 @@ func (r *ResilienceResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Resilient collectives — %dx%d fat tree, %d hosts/leaf, interleaved ring, %d MiB per rank, %s persistent drop after iter %d (recover target %.0f%%)\n",
 		r.Config.Leaves, r.Config.Spines, r.Config.HostsPerLeaf,
-		r.Config.BytesPerRank>>20, pct(r.Config.DropRate), r.Config.Onset,
+		r.Config.BytesPerRank>>20, pct(r.Config.DropRate), r.Config.CleanIters,
 		100*r.Config.RecoverTarget)
 	fmt.Fprintf(&b, "%-12s %12s %12s %12s %10s %6s %10s %5s %7s\n",
 		"arm", "base it/ms", "during", "post", "stall", "quar", "recovery", "plans", "goodput")

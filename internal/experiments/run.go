@@ -1,0 +1,104 @@
+package experiments
+
+import (
+	"flowpulse/internal/core"
+	"flowpulse/internal/remediate"
+	"flowpulse/internal/resilience"
+	"flowpulse/internal/sim"
+)
+
+// runSpec describes one monitored simulation.
+type runSpec struct {
+	scenario core.Scenario
+	// job is the template for every job's monitor: model kind,
+	// detector tuning, hooks.
+	job core.JobConfig
+	// referenceIters sizes the reference run the simulation model is
+	// built from (default 3).
+	referenceIters int
+	// remediate and resilience attach the closed loops.
+	remediate  *remediate.Config
+	resilience *resilience.Config
+	// tracePath records the run to a .fpt trace labeled traceLabel.
+	tracePath, traceLabel string
+	// before runs once the monitor is attached, before training
+	// starts: faults present from the start, goodput timelines.
+	before func(r *simRun)
+	// onIter runs after every completed iteration of the first job:
+	// mid-run injection.
+	onIter func(r *simRun, now sim.Time, iter uint32)
+}
+
+// simRun is a simulation and its monitor, as the hooks see it and — once
+// it has drained — as simulate returns it.
+type simRun struct {
+	rt  *core.Runtime
+	sys *core.System
+	// iterEnd[i] is when the first job completed iteration i (1-based).
+	iterEnd []sim.Time
+}
+
+// after is an onIter hook that calls f once, when the first job
+// completes iteration n.
+func after(n int, f func(r *simRun, now sim.Time)) func(*simRun, sim.Time, uint32) {
+	return func(r *simRun, now sim.Time, iter uint32) {
+		if int(iter) == n {
+			f(r, now)
+		}
+	}
+}
+
+// simulate runs one monitored simulation start to finish — the one
+// place in the package that builds a scenario and attaches a monitor.
+// The runtime it returns has drained, been flushed and been closed: its
+// counters, pipelines and timelines are final.
+func simulate(spec runSpec) (*simRun, error) {
+	rt, err := spec.scenario.Build()
+	if err != nil {
+		return nil, err
+	}
+	defer rt.Close()
+	if spec.job.Kind == core.SimulationModel {
+		iters := spec.referenceIters
+		if iters == 0 {
+			iters = 3
+		}
+		if spec.job.ReferenceWindows, err = core.ReferenceRun(spec.scenario, iters); err != nil {
+			return nil, err
+		}
+	}
+	cfg := rt.MonitorConfig(spec.job)
+	cfg.Remediate, cfg.Resilience = spec.remediate, spec.resilience
+	cfg.TracePath, cfg.TraceLabel = spec.tracePath, spec.traceLabel
+	sys, err := core.Attach(cfg)
+	if err != nil {
+		return nil, err
+	}
+	r := &simRun{rt: rt, sys: sys, iterEnd: make([]sim.Time, rt.Jobs[0].Spec.Iterations+1)}
+	if spec.before != nil {
+		spec.before(r)
+	}
+	first := rt.Jobs[0].Spec.Job
+	jobs := rt.StartAllJobs(func(now sim.Time, job uint16, iter uint32) {
+		if job != first {
+			return
+		}
+		r.iterEnd[iter] = now
+		if spec.onIter != nil {
+			spec.onIter(r, now, iter)
+		}
+	}, nil)
+	for i, j := range jobs {
+		if err := sys.BindWorkload(rt.Jobs[i].Spec.Job, j); err != nil {
+			return nil, err
+		}
+	}
+	rt.Run()
+	sys.Flush(rt.Engine.Now())
+	if trc := sys.TraceWriter(); trc != nil {
+		if err := trc.Err(); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}

@@ -15,53 +15,14 @@ import (
 // is detected and named even though the trunk as a whole still
 // forwards.
 type TrunkConfig struct {
+	// Grid: the fabric and collective (defaults 16×8, 16 MiB — half
+	// the paper fabric, since the port count doubles with the trunk),
+	// DropRate on the single faulty trunk member (3%), Threshold (1%),
+	// Trials (2), CleanIters and FaultIters per trial (2 + 2).
+	Grid
 	// Trunk is the number of parallel links per leaf-spine pair
 	// (default 2).
 	Trunk int
-	// Leaves, Spines, BytesPerRank (defaults 16×8, 16 MiB — half the
-	// paper fabric, since the port count doubles with the trunk).
-	Leaves, Spines int
-	BytesPerRank   int64
-	// DropRate on the single faulty trunk member (default 3%).
-	DropRate float64
-	// Threshold (default 1%).
-	Threshold float64
-	// Trials.
-	Trials int
-	// CleanIters and FaultIters per trial.
-	CleanIters, FaultIters int
-	// Seed roots the randomness.
-	Seed uint64
-}
-
-func (c *TrunkConfig) setDefaults() {
-	if c.Trunk == 0 {
-		c.Trunk = 2
-	}
-	if c.Leaves == 0 {
-		c.Leaves = 16
-	}
-	if c.Spines == 0 {
-		c.Spines = 8
-	}
-	if c.BytesPerRank == 0 {
-		c.BytesPerRank = 16 << 20
-	}
-	if c.DropRate == 0 {
-		c.DropRate = 0.03
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 0.01
-	}
-	if c.Trials == 0 {
-		c.Trials = 2
-	}
-	if c.CleanIters == 0 {
-		c.CleanIters = 2
-	}
-	if c.FaultIters == 0 {
-		c.FaultIters = 2
-	}
 }
 
 // TrunkResult is the reproduced table.
@@ -78,28 +39,27 @@ type TrunkResult struct {
 // Trunks runs the experiment: a fault on trunk member 1 of one
 // leaf-spine pair.
 func Trunks(cfg TrunkConfig) (*TrunkResult, error) {
-	cfg.setDefaults()
+	cfg = resolve("trunks", cfg)
 	res := &TrunkResult{Config: cfg}
-	var samples []metrics.Sample
-	for tr := 0; tr < cfg.Trials; tr++ {
-		sc := withNoise(core.Scenario{
-			Leaves: cfg.Leaves, Spines: cfg.Spines, Trunk: cfg.Trunk,
-			BytesPerRank: cfg.BytesPerRank,
-			Seed:         cfg.Seed + uint64(tr)*631,
-		})
-		fault := faultLinkFor(sc, tr)
+	member := func(tr int) core.LeafSpineLink {
+		fault := faultLinkFor(cfg.scenario(0), tr)
 		fault.Trunk = 1 % cfg.Trunk
-		trial := Trial{
-			Scenario: sc, Fault: fault, DropRate: cfg.DropRate,
-			CleanIters: cfg.CleanIters, FaultIters: cfg.FaultIters,
-		}
-		out, err := trial.Run()
-		if err != nil {
-			return nil, err
-		}
-		samples = append(samples, out.Samples...)
+		return fault
+	}
+	results, samples, err := runCell(cfg.Trials, func(tr int) Trial {
+		sc := cfg.scenario(cfg.Seed + uint64(tr)*631)
+		sc.Trunk = cfg.Trunk
+		trial := cfg.trial(sc, tr)
+		trial.Fault = member(tr)
+		return trial
+	})
+	if err != nil {
+		return nil, err
+	}
+	for tr, out := range results {
 		// The faulty member's uplink index at the leaf: spine ordinal ×
 		// trunk + member.
+		fault := member(tr)
 		wantUplink := fault.SpineOrd*cfg.Trunk + fault.Trunk
 		for _, e := range out.Events {
 			if e.Alert.Deviation >= 0 || int(e.Alert.Iter) <= cfg.CleanIters {

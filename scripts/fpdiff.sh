@@ -1,17 +1,25 @@
 #!/usr/bin/env bash
-# Behaviour diff between a git ref and the working tree, by simulation
-# fingerprint: build flowpulse-check at both, scan the same seeds in the
-# five CI modes, and compare what each seed produced.
+# Behaviour diff between a git ref and the working tree, in two legs.
 #
 #   scripts/fpdiff.sh                # HEAD~1 vs working tree, 200 seeds
 #   scripts/fpdiff.sh origin/main 25
 #
-# A seed's line is its spec summary, oracle verdict, window and alert
-# counts and the FNV-64a fingerprint of the run's whole observable
-# timeline (internal/simtest), so "no differing line" is the proof a
-# refactor owes: same scenarios, same packets, same detections. Exits 1
-# if any line differs in any mode. The ref is unpacked with git archive
-# into a temporary directory; nothing is left behind in .git.
+# Fingerprint leg: build flowpulse-check at both, scan the same seeds in
+# the five CI modes, and compare what each seed produced. A seed's line
+# is its spec summary, oracle verdict, window and alert counts and the
+# FNV-64a fingerprint of the run's whole observable timeline
+# (internal/simtest), so "no differing line" is the proof a refactor
+# owes: same scenarios, same packets, same detections.
+#
+# Eval leg: build flowpulse-eval at both and compare everything it
+# prints for all experiments at -quick, seeds 1 and 7, on the classic
+# engine (-shards 0) and the sharded one (-shards 2; fig5a and fig5b
+# read it), minus the wall-clock "completed in" lines — the same proof
+# for the experiment drivers, which flowpulse-check does not run.
+#
+# Exits 1 if any line differs in either leg. The ref is unpacked with
+# git archive into a temporary directory; nothing is left behind in
+# .git.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,8 +32,9 @@ trap 'rm -rf "$tmp"' EXIT
 
 mkdir "$tmp/src"
 git archive "$ref" | tar -x -C "$tmp/src"
-(cd "$tmp/src" && go build -o "$tmp/old" ./cmd/flowpulse-check)
+(cd "$tmp/src" && go build -o "$tmp/old" ./cmd/flowpulse-check && go build -o "$tmp/old-eval" ./cmd/flowpulse-eval)
 go build -o "$tmp/new" ./cmd/flowpulse-check
+go build -o "$tmp/new-eval" ./cmd/flowpulse-eval
 
 # One line per seed, ordered by seed (workers finish out of order),
 # without the trailing wall-time column. flowpulse-check exits 1 when a
@@ -48,5 +57,20 @@ for mode in "" "-shards 2" "-resilience" "-congestion" "-divergence"; do
     echo "$delta"
     status=1
   fi
+done
+
+for seed in 1 7; do
+  for shards in 0 2; do
+    for side in old new; do
+      "$tmp/$side-eval" -quick -seed "$seed" -shards "$shards" | grep -v 'completed in' > "$tmp/$side.txt"
+    done
+    if delta="$(diff "$tmp/old.txt" "$tmp/new.txt")"; then
+      echo "eval -quick -seed $seed -shards $shards: $(wc -l < "$tmp/new.txt") lines, none differ from $ref"
+    else
+      echo "eval -quick -seed $seed -shards $shards: output differs from $ref"
+      echo "$delta"
+      status=1
+    fi
+  done
 done
 exit "$status"
