@@ -58,7 +58,7 @@ func Clos3(cfg Clos3Config) (*Clos3Result, error) {
 		r, err := simulate(runSpec{
 			scenario: sc,
 			job:      core.JobConfig{Kind: core.LearnedModel, Learned: predict.LearnedConfig{Warmup: 3}},
-			onIter: after(cfg.CleanIters, func(r *simRun, _ sim.Time) {
+			onIter: after(cfg.CleanIters, func(r simRun, _ sim.Time) {
 				if coreLevel {
 					r.rt.InjectCoreSpineDrop(2%cfg.Pods, 1%cfg.Spines, 0, cfg.DropRate*1.6)
 				} else {

@@ -57,7 +57,7 @@ type DivergenceResult struct {
 }
 
 // divergenceRow reduces one finished trial.
-func divergenceRow(scenario, arm string, r *simRun) DivergenceRow {
+func divergenceRow(scenario, arm string, r simRun) DivergenceRow {
 	rt, sys := r.rt, r.sys
 	ps := rt.Plane.Stats()
 	rs := sys.Remediator().Stats()
@@ -83,7 +83,7 @@ func Divergence(cfg DivergenceConfig) (*DivergenceResult, error) {
 	// control plane and an optional per-iteration script. The script
 	// sees the attached system so scripted operator actions can refresh
 	// the predictor baseline the way the remediator's own actions do.
-	trial := func(scenario, arm string, sc core.Scenario, script func(r *simRun, now sim.Time, iter uint32)) error {
+	trial := func(scenario, arm string, sc core.Scenario, script func(r simRun, now sim.Time, iter uint32)) error {
 		r, err := simulate(runSpec{scenario: sc, remediate: &remediate.Config{}, onIter: script})
 		if err == nil {
 			res.Rows = append(res.Rows, divergenceRow(scenario, arm, r))
@@ -110,7 +110,7 @@ func Divergence(cfg DivergenceConfig) (*DivergenceResult, error) {
 		sc.Divergence = core.DivergenceSpec{
 			FailSkip: 1, FailPushes: 1, Unverified: arm.unverified,
 		}
-		if err := trial("failed-push readmit", arm.name, sc, after(cfg.CleanIters, func(r *simRun, now sim.Time) {
+		if err := trial("failed-push readmit", arm.name, sc, after(cfg.CleanIters, func(r simRun, now sim.Time) {
 			r.rt.Plane.Readmit(now, r.rt.Link(target))
 			r.sys.Rebaseline()
 		})); err != nil {
@@ -128,7 +128,7 @@ func Divergence(cfg DivergenceConfig) (*DivergenceResult, error) {
 		// deficit.
 		sc = base
 		sc.Divergence = core.DivergenceSpec{Unverified: arm.unverified}
-		if err := trial("stale LSDB advert", arm.name, sc, func(r *simRun, now sim.Time, iter uint32) {
+		if err := trial("stale LSDB advert", arm.name, sc, func(r simRun, now sim.Time, iter uint32) {
 			switch int(iter) {
 			case cfg.CleanIters:
 				r.rt.Plane.Inject(fault.Divergence{

@@ -176,7 +176,8 @@ func init() {
 func resolve[C any](name string, cfg C) C {
 	for _, e := range table {
 		if e.name == name {
-			return withDefaults(cfg, e.full.(C))
+			fillZero(reflect.ValueOf(&cfg).Elem(), reflect.ValueOf(e.full))
+			return cfg
 		}
 	}
 	panic("experiments: no table row for " + name)

@@ -16,6 +16,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"flowpulse/internal/core"
 	"flowpulse/internal/detect"
@@ -76,12 +77,6 @@ func fillZero(cfg, def reflect.Value) {
 			f.Set(def.Field(i))
 		}
 	}
-}
-
-// withDefaults returns cfg with its zero fields taken from def.
-func withDefaults[C any](cfg, def C) C {
-	fillZero(reflect.ValueOf(&cfg).Elem(), reflect.ValueOf(def))
-	return cfg
 }
 
 // Trial is one simulation run: CleanIters fault-free iterations
@@ -150,8 +145,10 @@ func (tr Trial) Run() (*TrialResult, error) {
 	}
 	faulty := tr.DropRate > 0 || tr.Inject != nil
 	res := &TrialResult{}
-	inject := func(r *simRun, _ sim.Time) {
+	inject := func(r simRun, _ sim.Time, iter uint32) {
 		switch {
+		case int(iter) != tr.CleanIters:
+			return
 		case tr.Inject != nil:
 			tr.Inject(r.rt)
 			return
@@ -184,10 +181,7 @@ func (tr Trial) Run() (*TrialResult, error) {
 		job:            core.JobConfig{Kind: tr.Kind, Detect: tr.Detect},
 		referenceIters: tr.ReferenceIters,
 		tracePath:      tr.TracePath, traceLabel: tr.TraceLabel,
-		onIter: after(tr.CleanIters, inject),
-	}
-	if tr.CleanIters == 0 {
-		spec.before = func(r *simRun) { inject(r, 0) }
+		onIter: inject,
 	}
 	if tr.Remediate {
 		spec.remediate = &remediate.Config{}
@@ -222,29 +216,27 @@ func (tr Trial) Run() (*TrialResult, error) {
 func RunAll(trials []Trial) ([]*TrialResult, error) {
 	results := make([]*TrialResult, len(trials))
 	errs := make([]error, len(trials))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(trials) {
-		workers = len(trials)
+	workers := min(runtime.GOMAXPROCS(0), len(trials))
+	// The caller is one of the workers: a cell of one trial starts no
+	// goroutine at all.
+	var pool struct {
+		next atomic.Int64
+		sync.WaitGroup
 	}
-	if workers < 1 {
-		workers = 1
+	work := func() {
+		for i := pool.next.Add(1) - 1; int(i) < len(trials); i = pool.next.Add(1) - 1 {
+			results[i], errs[i] = trials[i].Run()
+		}
 	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	for w := 1; w < workers; w++ {
+		pool.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i], errs[i] = trials[i].Run()
-			}
+			defer pool.Done()
+			work()
 		}()
 	}
-	for i := range trials {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	work()
+	pool.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

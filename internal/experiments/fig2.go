@@ -94,7 +94,7 @@ func Fig2(cfg Fig2Config) (*Fig2Result, error) {
 		observed[u] /= float64(windows)
 	}
 
-	res := &Fig2Result{Config: cfg, PreExisting: sc.PreExisting}
+	res := &Fig2Result{Config: cfg, PreExisting: sc.PreExisting, Ports: make([]Fig2Port, 0, cfg.Spines)}
 	for u := 0; u < cfg.Spines; u++ {
 		p := Fig2Port{Uplink: u, Predicted: expected[u], Observed: observed[u]}
 		if expected[u] > 1 {

@@ -65,18 +65,22 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 				}
 			},
 		},
-		before: func(r *simRun) {
-			sys = r.sys
-			r.rt.InjectSilentDrop(cfg.Fault, cfg.DropRate)
+		onIter: func(r simRun, _ sim.Time, iter uint32) {
+			switch int(iter) {
+			case 0:
+				sys = r.sys
+				r.rt.InjectSilentDrop(cfg.Fault, cfg.DropRate)
+			case cfg.FaultIters:
+				r.rt.ClearSilent(cfg.Fault)
+			}
 		},
-		onIter: after(cfg.FaultIters, func(r *simRun, _ sim.Time) { r.rt.ClearSilent(cfg.Fault) }),
 	})
 	if err != nil {
 		return nil, err
 	}
 	job := r.sys.Jobs()[0]
 
-	res := &Fig3Result{Config: cfg}
+	res := &Fig3Result{Config: cfg, Series: make([]Fig3Point, 0, sc.Iterations)}
 	rebases := 0
 	// Reconstruct the series from the recorded window scores of the
 	// affected leaf.

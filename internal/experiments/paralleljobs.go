@@ -59,7 +59,7 @@ func parallelRun(name string, sc core.Scenario, rcfg remediate.Config, ref core.
 	row := ParallelJobsRow{Name: name}
 	run, err := simulate(runSpec{
 		scenario: sc, remediate: &rcfg,
-		onIter: after(cfg.CleanIters, func(r *simRun, _ sim.Time) { r.rt.InjectSilentDrop(ref, cfg.DropRate) }),
+		onIter: after(cfg.CleanIters, func(r simRun, _ sim.Time) { r.rt.InjectSilentDrop(ref, cfg.DropRate) }),
 	})
 	if err != nil {
 		return row, err

@@ -61,7 +61,7 @@ type RemediationResult struct {
 
 // summarize reduces one run to a row. onsetAt is when the fault
 // activated.
-func summarize(name string, run *simRun, onsetAt sim.Time) RemediationRow {
+func summarize(name string, run simRun, onsetAt sim.Time) RemediationRow {
 	rt, sys := run.rt, run.sys
 	r := sys.Remediator()
 	st := r.Stats()
@@ -129,7 +129,7 @@ func Remediation(cfg RemediationConfig) (*RemediationResult, error) {
 	// re-admission.
 	persist, err := simulate(runSpec{
 		scenario: scenario(cfg.CleanIters + cfg.FaultIters), remediate: &remediate.Config{},
-		onIter: after(cfg.CleanIters, func(r *simRun, _ sim.Time) { r.rt.InjectSilentDrop(ref, cfg.DropRate) }),
+		onIter: after(cfg.CleanIters, func(r simRun, _ sim.Time) { r.rt.InjectSilentDrop(ref, cfg.DropRate) }),
 	})
 	if err != nil {
 		return nil, err
@@ -143,7 +143,7 @@ func Remediation(cfg RemediationConfig) (*RemediationResult, error) {
 	onset := sim.Duration(cfg.CleanIters) * iterDur
 	flap, err := simulate(runSpec{
 		scenario: scenario(cfg.FlapIters), remediate: &remediate.Config{Suppress: 1500},
-		before: func(r *simRun) { r.rt.InjectLossyFlap(ref, 6*iterDur, 3*iterDur, onset, cfg.FlapLoss) },
+		onIter: after(0, func(r simRun, _ sim.Time) { r.rt.InjectLossyFlap(ref, 6*iterDur, 3*iterDur, onset, cfg.FlapLoss) }),
 	})
 	if err != nil {
 		return nil, err

@@ -92,11 +92,15 @@ func resilienceArm(cfg ResilienceConfig, replan bool) (*ResilienceArm, error) {
 	spec := runSpec{
 		scenario:  sc,
 		remediate: &remediate.Config{},
-		before:    func(r *simRun) { r.rt.Goodput = &metrics.GoodputTimeline{} },
-		onIter: after(cfg.CleanIters, func(r *simRun, now sim.Time) {
-			r.rt.Goodput.MarkFault(int64(now))
-			r.rt.InjectSilentDrop(core.LeafSpineLink{LeafOrd: cfg.Leaves / 2, SpineOrd: 0}, cfg.DropRate)
-		}),
+		onIter: func(r simRun, now sim.Time, iter uint32) {
+			switch int(iter) {
+			case 0:
+				r.rt.Goodput = &metrics.GoodputTimeline{}
+			case cfg.CleanIters:
+				r.rt.Goodput.MarkFault(int64(now))
+				r.rt.InjectSilentDrop(core.LeafSpineLink{LeafOrd: cfg.Leaves / 2, SpineOrd: 0}, cfg.DropRate)
+			}
+		},
 	}
 	if replan {
 		spec.resilience = &resilience.Config{RecoverTarget: cfg.RecoverTarget}

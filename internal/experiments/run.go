@@ -21,12 +21,11 @@ type runSpec struct {
 	resilience *resilience.Config
 	// tracePath records the run to a .fpt trace labeled traceLabel.
 	tracePath, traceLabel string
-	// before runs once the monitor is attached, before training
-	// starts: faults present from the start, goodput timelines.
-	before func(r *simRun)
-	// onIter runs after every completed iteration of the first job:
-	// mid-run injection.
-	onIter func(r *simRun, now sim.Time, iter uint32)
+	// onIter runs after every completed iteration of the first job —
+	// mid-run injection — and once with iter 0 when the monitor is
+	// attached and training is about to start: faults present from the
+	// start, goodput timelines.
+	onIter func(r simRun, now sim.Time, iter uint32)
 }
 
 // simRun is a simulation and its monitor, as the hooks see it and — once
@@ -34,14 +33,15 @@ type runSpec struct {
 type simRun struct {
 	rt  *core.Runtime
 	sys *core.System
-	// iterEnd[i] is when the first job completed iteration i (1-based).
+	// iterEnd[i] is when the first job completed iteration i
+	// (iterEnd[0] is the start of training).
 	iterEnd []sim.Time
 }
 
-// after is an onIter hook that calls f once, when the first job
-// completes iteration n.
-func after(n int, f func(r *simRun, now sim.Time)) func(*simRun, sim.Time, uint32) {
-	return func(r *simRun, now sim.Time, iter uint32) {
+// after is an onIter hook that calls f once, when the first job has
+// completed n iterations (before training starts when n is 0).
+func after(n int, f func(r simRun, now sim.Time)) func(simRun, sim.Time, uint32) {
+	return func(r simRun, now sim.Time, iter uint32) {
 		if int(iter) == n {
 			f(r, now)
 		}
@@ -52,10 +52,10 @@ func after(n int, f func(r *simRun, now sim.Time)) func(*simRun, sim.Time, uint3
 // place in the package that builds a scenario and attaches a monitor.
 // The runtime it returns has drained, been flushed and been closed: its
 // counters, pipelines and timelines are final.
-func simulate(spec runSpec) (*simRun, error) {
+func simulate(spec runSpec) (simRun, error) {
 	rt, err := spec.scenario.Build()
 	if err != nil {
-		return nil, err
+		return simRun{}, err
 	}
 	defer rt.Close()
 	if spec.job.Kind == core.SimulationModel {
@@ -64,7 +64,7 @@ func simulate(spec runSpec) (*simRun, error) {
 			iters = 3
 		}
 		if spec.job.ReferenceWindows, err = core.ReferenceRun(spec.scenario, iters); err != nil {
-			return nil, err
+			return simRun{}, err
 		}
 	}
 	cfg := rt.MonitorConfig(spec.job)
@@ -72,32 +72,31 @@ func simulate(spec runSpec) (*simRun, error) {
 	cfg.TracePath, cfg.TraceLabel = spec.tracePath, spec.traceLabel
 	sys, err := core.Attach(cfg)
 	if err != nil {
-		return nil, err
+		return simRun{}, err
 	}
-	r := &simRun{rt: rt, sys: sys, iterEnd: make([]sim.Time, rt.Jobs[0].Spec.Iterations+1)}
-	if spec.before != nil {
-		spec.before(r)
-	}
-	first := rt.Jobs[0].Spec.Job
-	jobs := rt.StartAllJobs(func(now sim.Time, job uint16, iter uint32) {
+	r := simRun{rt: rt, sys: sys, iterEnd: make([]sim.Time, rt.Jobs[0].Spec.Iterations+1)}
+	first, hook := rt.Jobs[0].Spec.Job, spec.onIter
+	onIter := func(now sim.Time, job uint16, iter uint32) {
 		if job != first {
 			return
 		}
 		r.iterEnd[iter] = now
-		if spec.onIter != nil {
-			spec.onIter(r, now, iter)
+		if hook != nil {
+			hook(r, now, iter)
 		}
-	}, nil)
+	}
+	onIter(rt.Engine.Now(), first, 0)
+	jobs := rt.StartAllJobs(onIter, nil)
 	for i, j := range jobs {
 		if err := sys.BindWorkload(rt.Jobs[i].Spec.Job, j); err != nil {
-			return nil, err
+			return simRun{}, err
 		}
 	}
 	rt.Run()
 	sys.Flush(rt.Engine.Now())
 	if trc := sys.TraceWriter(); trc != nil {
 		if err := trc.Err(); err != nil {
-			return nil, err
+			return simRun{}, err
 		}
 	}
 	return r, nil

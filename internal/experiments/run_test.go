@@ -52,7 +52,7 @@ func TestSimulateBindsWorkloadAndTimesIterations(t *testing.T) {
 	if r.sys.Jobs()[0].Replanner == nil {
 		t.Fatal("the job was not bound to the resilience loop")
 	}
-	if len(r.iterEnd) != 3 || r.iterEnd[1] <= 0 || r.iterEnd[2] <= r.iterEnd[1] {
+	if len(r.iterEnd) != 3 || r.iterEnd[1] <= r.iterEnd[0] || r.iterEnd[2] <= r.iterEnd[1] {
 		t.Fatalf("iteration end times %v, want two increasing instants", r.iterEnd)
 	}
 }
