@@ -259,6 +259,99 @@ func BenchmarkEngineEvents(b *testing.B) {
 	eng.Run()
 }
 
+// holdHorizons are the four distances ahead of now at which a training
+// run does nearly all of its scheduling: a 64 B ACK and a 4 KiB frame
+// serializing at 400 Gb/s (1.28 ns, 81.92 ns), one link propagation
+// delay (200 ns), and propagation plus queueing (≈450 ns).
+var holdHorizons = [4]sim.Duration{1280, 81920, 200 * sim.Nanosecond, 450 * sim.Nanosecond}
+
+// holdTimer is one resident event of BenchmarkEngineHold: every firing
+// re-arms it one horizon ahead, and every 128th replaces its 8 µs RTO,
+// leaving the cancelled one in the heap to be popped and skipped.
+type holdTimer struct {
+	eng  *sim.Engine
+	left *int
+	k    int
+	rto  sim.EventRef
+}
+
+func (t *holdTimer) Fire(sim.Time) {
+	if *t.left <= 0 {
+		return
+	}
+	*t.left--
+	t.k++
+	t.eng.AfterTimer(holdHorizons[t.k&3], t)
+	if t.k&127 == 0 {
+		t.eng.Cancel(t.rto)
+		t.rto = t.eng.AfterTimer(8*sim.Microsecond, nopTimer{})
+	}
+}
+
+type nopTimer struct{}
+
+func (nopTimer) Fire(sim.Time) {}
+
+// BenchmarkEngineHold is the classic hold model of a priority queue:
+// ≈1k events stay pending (768 resident timers plus the RTOs in
+// flight) and each op pops one and pushes one. BenchmarkEngineEvents
+// keeps a single event pending, so the heap is free in it; this row is
+// the one that prices a pop at a training run's queue depth.
+func BenchmarkEngineHold(b *testing.B) {
+	b.ReportAllocs()
+	eng := sim.NewEngine()
+	left := b.N
+	for i := 0; i < 768; i++ {
+		eng.AtTimer(sim.Time(i*97), &holdTimer{eng: eng, left: &left, k: i})
+	}
+	b.ResetTimer()
+	eng.Run()
+}
+
+// barrierToken is one circulating event of BenchmarkGroupBarrier: it
+// re-arms on its own domain one frame time ahead, except every 8th
+// firing, which posts it to the next worker domain across the barrier.
+type barrierToken struct {
+	g    *sim.Group
+	dom  int
+	left *int
+	k    int
+}
+
+func (t *barrierToken) Fire(now sim.Time) {
+	if *t.left <= 0 {
+		return
+	}
+	*t.left--
+	t.k++
+	if t.k&7 != 0 {
+		t.g.Engine(t.dom).AtTimer(now.Add(81920), t)
+		return
+	}
+	from := t.dom
+	t.dom = from%(t.g.Domains()-1) + 1
+	t.g.PostTimer(from, t.dom, now.Add(t.g.Lookahead()+81920), t)
+}
+
+// BenchmarkGroupBarrier prices the sharded engine's window loop and
+// mailbox drain with no fabric underneath: 48 domains (control plus 47
+// workers) with 8 tokens each, 1 firing in 8 a cross-domain post. One
+// worker, so the row is the barrier's own cost, not the box's core
+// count.
+func BenchmarkGroupBarrier(b *testing.B) {
+	b.ReportAllocs()
+	g := sim.NewGroup(sim.GroupConfig{Domains: 48, Lookahead: 200 * sim.Nanosecond, Workers: 1})
+	defer g.Close()
+	left := b.N
+	for d := 1; d < g.Domains(); d++ {
+		for i := 0; i < 8; i++ {
+			g.Engine(d).AtTimer(sim.Time(d*131+i*9973), &barrierToken{g: g, dom: d, left: &left, k: d + i})
+		}
+	}
+	b.ResetTimer()
+	g.Run()
+}
+
 // BenchmarkFabricForwarding measures raw packet forwarding through the
 // fat tree (no transport, no monitoring).
 func BenchmarkFabricForwarding(b *testing.B) {

@@ -38,7 +38,7 @@ func (t *serTimer) Fire(now sim.Time) {
 	ld := t.ld
 	ld.busy = false
 	ld.inflight[t.prio] = 0
-	ld.addRecent(now, t.size, t.prio, t.n.tau)
+	ld.addRecent(now, t.size, t.prio, &ld.sendD.decay)
 	t.n.kick(ld)
 }
 
@@ -139,15 +139,16 @@ func (ld *linkDir) queuedBytes() int64 {
 
 // load returns the spray metric this port shows to a packet of the
 // given priority: queued + in-flight + decayed recent bytes of that
-// class and every stricter class. tau <= 0 disables the memory term.
-func (ld *linkDir) load(now sim.Time, tau float64, prio int) int64 {
+// class and every stricter class. m is the sending domain's decay memo;
+// m.tau <= 0 disables the memory term.
+func (ld *linkDir) load(now sim.Time, m *decayMemo, prio int) int64 {
 	var total int64
 	for p := 0; p <= prio; p++ {
 		if ld.recent[p] > 0 {
-			if tau <= 0 {
+			if m.tau <= 0 {
 				ld.recent[p] = 0
 			} else if now > ld.recentAt[p] {
-				ld.recent[p] *= decayFactor(float64(now-ld.recentAt[p]), tau)
+				ld.recent[p] *= m.factor(now.Sub(ld.recentAt[p]))
 				ld.recentAt[p] = now
 				if ld.recent[p] < 1 {
 					ld.recent[p] = 0
@@ -159,15 +160,52 @@ func (ld *linkDir) load(now sim.Time, tau float64, prio int) int64 {
 	return total
 }
 
-func (ld *linkDir) addRecent(now sim.Time, size, prio int, tau float64) {
-	if tau <= 0 {
+func (ld *linkDir) addRecent(now sim.Time, size, prio int, m *decayMemo) {
+	if m.tau <= 0 {
 		return
 	}
 	if ld.recent[prio] > 0 && now > ld.recentAt[prio] {
-		ld.recent[prio] *= decayFactor(float64(now-ld.recentAt[prio]), tau)
+		ld.recent[prio] *= m.factor(now.Sub(ld.recentAt[prio]))
 	}
 	ld.recent[prio] += float64(size)
 	ld.recentAt[prio] = now
+}
+
+// decayMemo is a direct-mapped cache of exp(-dt/tau) for the load
+// estimator, one per domain. Every delay in the fabric is a whole
+// number of picoseconds built from a handful of frame sizes, link rates
+// and propagation delays, so the millions of decays in a training
+// iteration ask for only a few thousand distinct dt; the memo hands
+// back the very float64 math.Exp returned for that dt, which keeps
+// spray decisions bit-identical to calling it every time. The slot is
+// picked by a multiplicative hash, not by dt's low bits: those delays
+// are multiples of 1280 ps, which the low byte cannot tell apart (a 36%
+// miss rate, against 0.05%). It is kept small on purpose: a bigger
+// table buys almost no hits and is paid for once per domain.
+type decayMemo struct {
+	tau   float64 // spray-memory time constant in picoseconds; <= 0 disables
+	slots [256]struct {
+		dt sim.Duration
+		f  float64
+	}
+}
+
+func newDecayMemo(tau float64) decayMemo {
+	m := decayMemo{tau: tau}
+	// An empty slot reads as dt = 0, and only slot 0 can be asked for
+	// dt = 0: give it the right answer, so that correctness does not
+	// hang on callers decaying only when time has passed.
+	m.slots[0].f = 1
+	return m
+}
+
+// factor returns exp(-dt/tau).
+func (m *decayMemo) factor(dt sim.Duration) float64 {
+	s := &m.slots[uint64(dt)*0x9E3779B97F4A7C15>>56]
+	if s.dt != dt {
+		s.dt, s.f = dt, math.Exp(-float64(dt)/m.tau)
+	}
+	return s.f
 }
 
 // linkState is the dynamic state of one cable.
@@ -323,9 +361,6 @@ func (n *Network) LinkStats(link topology.LinkID, dir Direction) LinkDirStats {
 		Delivered: ld.delivered, DeliveredBytes: ld.deliveredBytes,
 		FaultDropped: ld.faultDropped, FaultDroppedBytes: ld.faultDroppedBytes,
 		AdminDropped: ld.adminDropped, AdminDroppedBytes: ld.adminDroppedBytes,
-		CEMarked:     ld.ceMarked,
+		CEMarked: ld.ceMarked,
 	}
 }
-
-// decayFactor computes exp(-dt/tau) for the load estimator.
-func decayFactor(dt, tau float64) float64 { return math.Exp(-dt / tau) }

@@ -170,6 +170,10 @@ type domainState struct {
 	freeArrivals []*arrivalTimer
 	freePauses   []*pauseTimer
 	nextPacketID uint64
+
+	// decay serves the load estimate of every link direction this
+	// domain sends on (it owns their recent/recentAt).
+	decay decayMemo
 }
 
 // Network is the simulated fabric. In legacy mode it is
@@ -201,8 +205,6 @@ type Network struct {
 
 	// fibRecomputes counts administrative transitions (FIB churn).
 	fibRecomputes uint64
-
-	tau float64 // spray-memory time constant in picoseconds; <= 0 disables
 }
 
 // allocArrival takes an arrival timer from a domain's pool (see
@@ -261,7 +263,6 @@ func New(cfg Config) (*Network, error) {
 		switches:     make([]switchState, len(cfg.Topo.Switches)),
 		links:        make([]linkState, len(cfg.Topo.Links)),
 		ingressHooks: make([][]IngressHook, len(cfg.Topo.Switches)),
-		tau:          float64(cfg.SprayMemory),
 	}
 
 	if n.par {
@@ -271,6 +272,9 @@ func New(cfg Config) (*Network, error) {
 		}
 	} else {
 		n.doms = []domainState{{eng: cfg.Engine, dom: 0}}
+	}
+	for d := range n.doms {
+		n.doms[d].decay = newDecayMemo(float64(cfg.SprayMemory))
 	}
 
 	for i := range n.links {

@@ -1,8 +1,13 @@
 package fabric
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"flowpulse/internal/sim"
+	"flowpulse/internal/topology"
 )
 
 func TestFifoBasics(t *testing.T) {
@@ -122,26 +127,26 @@ func TestPerPriorityLoadIsolation(t *testing.T) {
 	// measured collective.
 	ld := &linkDir{}
 	ld.queues[int(Low)].push(&Packet{Size: 1 << 20, Priority: Low})
-	tau := float64(5000000) // 5 µs in ps
-	if got := ld.load(0, tau, int(High)); got != 0 {
+	m := newDecayMemo(5000000) // 5 µs in ps
+	if got := ld.load(0, &m, int(High)); got != 0 {
 		t.Fatalf("High-class load sees Low bytes: %d", got)
 	}
-	if got := ld.load(0, tau, int(Low)); got != 1<<20 {
+	if got := ld.load(0, &m, int(Low)); got != 1<<20 {
 		t.Fatalf("Low-class load = %d, want its own bytes", got)
 	}
 	// Ctrl bytes are visible to every class.
 	ld.queues[int(Ctrl)].push(&Packet{Size: 64, Priority: Ctrl})
-	if got := ld.load(0, tau, int(High)); got != 64 {
+	if got := ld.load(0, &m, int(High)); got != 64 {
 		t.Fatalf("High-class load = %d, want 64 (Ctrl visible)", got)
 	}
 }
 
 func TestLoadRecentDecays(t *testing.T) {
 	ld := &linkDir{}
-	tau := float64(5 * 1000 * 1000) // 5 µs
-	ld.addRecent(0, 10000, int(High), tau)
-	early := ld.load(1000, tau, int(High))
-	late := ld.load(50*1000*1000, tau, int(High)) // 50 µs later
+	m := newDecayMemo(5 * 1000 * 1000) // 5 µs
+	ld.addRecent(0, 10000, int(High), &m)
+	early := ld.load(1000, &m, int(High))
+	late := ld.load(50*1000*1000, &m, int(High)) // 50 µs later
 	if early < 9000 {
 		t.Fatalf("recent bytes decayed too fast: %d", early)
 	}
@@ -149,10 +154,87 @@ func TestLoadRecentDecays(t *testing.T) {
 		t.Fatalf("recent bytes never decayed: %d", late)
 	}
 	// tau <= 0 disables the memory term entirely.
-	ld2 := &linkDir{}
-	ld2.addRecent(0, 10000, int(High), -1)
-	if got := ld2.load(1, -1, int(High)); got != 0 {
+	ld2, off := &linkDir{}, newDecayMemo(-1)
+	ld2.addRecent(0, 10000, int(High), &off)
+	if got := ld2.load(1, &off, int(High)); got != 0 {
 		t.Fatalf("disabled memory still contributes: %d", got)
+	}
+}
+
+// TestDecayMemoIsExact: the memo must hand back the float64 math.Exp
+// returns for that dt and that tau, bit for bit — spray decisions
+// compare these estimates, so one differing ulp is a different run.
+// Two networks with different time constants are driven through one dt
+// stream (a memo belongs to its network's domain; nothing is shared),
+// and the stream holds four times more distinct dt than the memo has
+// slots and goes round twice, so most lookups of the second lap find
+// their slot taken over by another dt.
+func TestDecayMemoIsExact(t *testing.T) {
+	topo, err := topology.NewFatTree(topology.FatTreeConfig{Leaves: 2, Spines: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	taus := []sim.Duration{5 * sim.Microsecond, 700 * sim.Nanosecond}
+	var memos []*decayMemo
+	for _, tau := range taus {
+		n := MustNew(Config{Topo: topo, Engine: sim.NewEngine(), SprayMemory: tau})
+		memos = append(memos, &n.doms[0].decay)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	var dts []sim.Duration
+	for len(dts) < 4*len(memos[0].slots) {
+		// What the fabric asks for: sums of a few serialization and
+		// propagation delays; and anything else an int64 can hold.
+		dts = append(dts,
+			sim.Duration(rng.IntN(40))*81920+sim.Duration(rng.IntN(40))*1280+sim.Duration(rng.IntN(3))*200*sim.Nanosecond+1,
+			sim.Duration(rng.Int64N(1<<62))+1)
+	}
+	// And one collision made by hand, back to back: two dt in one slot
+	// that differ only above bit 32. (A fresh memo per probe, so that
+	// finding the slot does not lean on the tag check under test.)
+	slotOf := func(dt sim.Duration) int {
+		m := newDecayMemo(1)
+		m.factor(dt)
+		for i := range m.slots {
+			if m.slots[i].dt == dt {
+				return i
+			}
+		}
+		panic("dt not in the memo it was just asked from")
+	}
+	twin := sim.Duration(81920 + 1<<32)
+	for slotOf(twin) != slotOf(81920) {
+		twin += 1 << 32
+	}
+	dts = append(dts, 81920, twin, 81920, twin)
+	for lap := 0; lap < 2; lap++ {
+		for _, dt := range dts {
+			for i, m := range memos {
+				got, want := m.factor(dt), math.Exp(-float64(dt)/float64(taus[i]))
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("lap %d tau %v: factor(%d) = %v (%#x), math.Exp gives %v (%#x)",
+						lap, taus[i], int64(dt), got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+
+	// dt = 0 is the key an empty slot appears to hold. load and
+	// addRecent never ask for it (they decay only when time has
+	// passed), but the memo answers it correctly anyway: from a fresh
+	// memo, and after another dt has held slot 0 in between.
+	m := newDecayMemo(float64(taus[0]))
+	if got := m.factor(0); got != 1 {
+		t.Fatalf("fresh memo: factor(0) = %v, want exp(0) = 1", got)
+	}
+	for dt := sim.Duration(1); m.slots[0].dt == 0; dt++ {
+		if dt > 1<<16 {
+			t.Fatal("no dt in 1..65536 took slot 0")
+		}
+		m.factor(dt)
+	}
+	if got := m.factor(0); got != 1 {
+		t.Fatalf("after slot 0 was reused: factor(0) = %v, want 1", got)
 	}
 }
 

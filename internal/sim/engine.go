@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // Handler is a callback invoked when an event fires. The engine passes
@@ -20,17 +22,14 @@ type Timer interface {
 	Fire(now Time)
 }
 
-// event is a scheduled callback. seq breaks ties between events
-// scheduled for the same instant so execution order is deterministic
-// (FIFO among same-time events). Exactly one of fn and tm is set.
+// event is a scheduled callback. Exactly one of fn and tm is set. Its
+// ordering key (at, seq) lives in the heap entry that points at it.
 type event struct {
-	at      Time
-	seq     uint64
 	gen     uint64 // incremented on every reuse of this struct
 	fn      Handler
 	tm      Timer
 	stopped bool
-	index   int // heap index, -1 when popped
+	queued  bool // in the heap: set by push, cleared by pop
 }
 
 // EventRef refers to a scheduled event and allows cancellation. The
@@ -45,97 +44,112 @@ type EventRef struct {
 // Valid reports whether the reference points at a scheduled event.
 func (r EventRef) Valid() bool { return r.ev != nil }
 
+// heapEntry is one heap slot. seq breaks ties between events scheduled
+// for the same instant so execution order is deterministic (FIFO among
+// same-time events). The key is held by value so that sifting compares
+// without dereferencing an event.
+type heapEntry struct {
+	at  Time
+	seq uint64
+	ev  *event
+}
+
+// lessBit is 1 when x orders strictly before y by (at, seq) and 0
+// otherwise: the borrow out of the 128-bit subtraction x − y with at as
+// the high word. It requires at >= 0 on both sides — which schedule
+// guarantees, since the clock starts at zero and scheduling before now
+// panics — so that the unsigned order of at is its signed order.
+func lessBit(x, y heapEntry) int {
+	_, b := bits.Sub64(x.seq, y.seq, 0)
+	_, b = bits.Sub64(uint64(x.at), uint64(y.at), b)
+	return int(b)
+}
+
 // eventHeap is a 4-ary min-heap ordered by (at, seq). A hand-rolled
 // d-ary heap beats container/heap here by a wide margin: the scheduler
 // is the simulator's hottest structure, and the interface-dispatched
 // Less/Swap calls plus the binary heap's extra levels account for half
-// the profile otherwise.
+// the profile otherwise. With a few hundred events queued the heap sits
+// in cache and what a pop pays for is mispredicted compare branches —
+// which child is smallest is a coin toss — so siftDown selects among a
+// full set of four children arithmetically, through lessBit.
 type eventHeap struct {
-	a []*event
-}
-
-func eventLess(x, y *event) bool {
-	if x.at != y.at {
-		return x.at < y.at
-	}
-	return x.seq < y.seq
+	a []heapEntry
 }
 
 func (h *eventHeap) len() int { return len(h.a) }
 
-func (h *eventHeap) peek() *event {
+// nextAt returns the time of the earliest queued event (cancelled ones
+// included), or Never when the heap is empty.
+func (h *eventHeap) nextAt() Time {
 	if len(h.a) == 0 {
-		return nil
+		return Never
 	}
-	return h.a[0]
+	return h.a[0].at
 }
 
-func (h *eventHeap) push(ev *event) {
-	h.a = append(h.a, ev)
-	i := len(h.a) - 1
-	h.a[i].index = i
-	h.siftUp(i)
+func (h *eventHeap) push(at Time, seq uint64, ev *event) {
+	ev.queued = true
+	h.a = append(h.a, heapEntry{})
+	h.siftUp(len(h.a)-1, heapEntry{at: at, seq: seq, ev: ev})
 }
 
 func (h *eventHeap) pop() *event {
 	a := h.a
-	top := a[0]
+	top := a[0].ev
 	n := len(a) - 1
-	a[0] = a[n]
-	a[0].index = 0
-	a[n] = nil
+	last := a[n]
+	a[n] = heapEntry{}
 	h.a = a[:n]
 	if n > 0 {
-		h.siftDown(0)
+		h.siftDown(0, last)
 	}
-	top.index = -1
+	top.queued = false
 	return top
 }
 
-func (h *eventHeap) siftUp(i int) {
+// siftUp places x at or above the hole i.
+func (h *eventHeap) siftUp(i int, x heapEntry) {
 	a := h.a
-	ev := a[i]
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !eventLess(ev, a[parent]) {
+		if lessBit(x, a[parent]) == 0 {
 			break
 		}
 		a[i] = a[parent]
-		a[i].index = i
 		i = parent
 	}
-	a[i] = ev
-	ev.index = i
+	a[i] = x
 }
 
-func (h *eventHeap) siftDown(i int) {
+// siftDown places x at or below the hole i.
+func (h *eventHeap) siftDown(i int, x heapEntry) {
 	a := h.a
 	n := len(a)
-	ev := a[i]
 	for {
 		first := i<<2 + 1
-		if first >= n {
+		var best int
+		if first+3 < n {
+			// Two semifinals and a final; -lessBit is an all-ones
+			// mask exactly when the challenger wins.
+			l := first + lessBit(a[first+1], a[first])
+			r := first + 2 + lessBit(a[first+3], a[first+2])
+			best = l + (r-l)&-lessBit(a[r], a[l])
+		} else if first < n {
+			best = first
+			for c := first + 1; c < n; c++ {
+				best += (c - best) & -lessBit(a[c], a[best])
+			}
+		} else {
 			break
 		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if eventLess(a[c], a[best]) {
-				best = c
-			}
-		}
-		if !eventLess(a[best], ev) {
+		if lessBit(a[best], x) == 0 {
 			break
 		}
 		a[i] = a[best]
-		a[i].index = i
 		i = best
 	}
-	a[i] = ev
-	ev.index = i
+	a[i] = x
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe
@@ -192,10 +206,8 @@ func (e *Engine) schedule(t Time) *event {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	ev := e.alloc()
-	ev.at = t
-	ev.seq = e.seq
+	e.queue.push(t, e.seq, ev)
 	e.seq++
-	e.queue.push(ev)
 	e.pending++
 	return ev
 }
@@ -243,7 +255,7 @@ func (e *Engine) AfterTimer(d Duration, tm Timer) EventRef {
 // fired or already cancelled event is a no-op and returns false.
 func (e *Engine) Cancel(r EventRef) bool {
 	ev := r.ev
-	if ev == nil || ev.gen != r.gen || ev.stopped || ev.index < 0 {
+	if ev == nil || ev.gen != r.gen || ev.stopped || !ev.queued {
 		return false
 	}
 	ev.stopped = true
@@ -262,41 +274,53 @@ func (e *Engine) Run() Time {
 // if an event at or beyond it exists, otherwise it stays at the last
 // fired event. It returns the final simulated time.
 func (e *Engine) RunUntil(deadline Time) Time {
-	if e.running {
-		panic("sim: Engine.Run called reentrantly")
-	}
-	e.running = true
 	e.stopped = false
-	defer func() { e.running = false }()
-
-	for e.queue.len() > 0 && !e.stopped {
-		next := e.queue.peek()
-		if next.at > deadline {
-			break
-		}
-		e.queue.pop()
-		if next.stopped {
-			e.free = append(e.free, next)
-			continue
-		}
-		if next.at < e.now {
-			panic("sim: event queue time went backwards")
-		}
-		e.now = next.at
-		fn, tm := next.fn, next.tm
-		e.free = append(e.free, next)
-		e.executed++
-		e.pending--
-		if fn != nil {
-			fn(e.now)
-		} else {
-			tm.Fire(e.now)
-		}
-	}
+	e.fire(deadline, math.MaxInt)
 	if deadline != Never && deadline > e.now && !e.stopped {
 		e.now = deadline
 	}
 	return e.now
+}
+
+// fire is the one pop-and-run loop behind RunUntil, Step and the
+// group's windows: it runs events in (at, seq) order while the head of
+// the queue is at or before last, until the queue empties, Stop is
+// called or limit events have run, and returns how many ran. The head's
+// time is checked before it is popped, so an event past last stays
+// queued.
+func (e *Engine) fire(last Time, limit int) int {
+	if e.running {
+		panic("sim: Engine run called reentrantly")
+	}
+	e.running = true
+	defer func() { e.running = false }()
+
+	fired := 0
+	for fired < limit && e.queue.len() > 0 && !e.stopped {
+		at := e.queue.a[0].at
+		if at > last {
+			break
+		}
+		next := e.queue.pop()
+		e.free = append(e.free, next)
+		if next.stopped {
+			continue
+		}
+		if at < e.now {
+			panic("sim: event queue time went backwards")
+		}
+		e.now = at
+		fn, tm := next.fn, next.tm
+		fired++
+		e.executed++
+		e.pending--
+		if fn != nil {
+			fn(at)
+		} else {
+			tm.Fire(at)
+		}
+	}
+	return fired
 }
 
 // Domain returns this engine's domain id within its Group (0 for a
@@ -311,38 +335,7 @@ func (e *Engine) Group() *Group { return e.grp }
 // conservative synchronization window. Unlike RunUntil it never
 // advances the clock past the last fired event: an idle domain's clock
 // simply stays behind until its next event arrives.
-func (e *Engine) runWindow(end Time) {
-	if e.running {
-		panic("sim: Engine window run called reentrantly")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-
-	for e.queue.len() > 0 && !e.stopped {
-		next := e.queue.peek()
-		if next.at >= end {
-			break
-		}
-		e.queue.pop()
-		if next.stopped {
-			e.free = append(e.free, next)
-			continue
-		}
-		if next.at < e.now {
-			panic("sim: event queue time went backwards")
-		}
-		e.now = next.at
-		fn, tm := next.fn, next.tm
-		e.free = append(e.free, next)
-		e.executed++
-		e.pending--
-		if fn != nil {
-			fn(e.now)
-		} else {
-			tm.Fire(e.now)
-		}
-	}
-}
+func (e *Engine) runWindow(end Time) { e.fire(end-1, math.MaxInt) }
 
 // scheduleLocal enqueues a drained post on this engine's heap. The
 // caller (the group barrier, or the engine's own domain during its
@@ -351,38 +344,15 @@ func (e *Engine) scheduleLocal(p post) {
 	if p.at < e.now {
 		panic(fmt.Sprintf("sim: post delivered at %v before domain %d clock %v", p.at, e.dom, e.now))
 	}
-	ev := e.alloc()
-	ev.at = p.at
-	ev.seq = e.seq
-	e.seq++
-	ev.fn = p.fn
-	ev.tm = p.tm
-	e.queue.push(ev)
-	e.pending++
+	ev := e.schedule(p.at)
+	ev.fn, ev.tm = p.fn, p.tm
 }
 
 // Step fires exactly one pending event, if any, and reports whether one
-// fired.
+// fired. Like RunUntil it starts from a clean Stop flag.
 func (e *Engine) Step() bool {
-	for e.queue.len() > 0 {
-		next := e.queue.pop()
-		if next.stopped {
-			e.free = append(e.free, next)
-			continue
-		}
-		e.now = next.at
-		fn, tm := next.fn, next.tm
-		e.free = append(e.free, next)
-		e.executed++
-		e.pending--
-		if fn != nil {
-			fn(e.now)
-		} else {
-			tm.Fire(e.now)
-		}
-		return true
-	}
-	return false
+	e.stopped = false
+	return e.fire(Never, 1) == 1
 }
 
 // Stop halts a Run in progress after the current event completes.

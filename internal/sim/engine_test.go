@@ -108,25 +108,52 @@ func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
+// TestEngineStop: Stop halts a run after the current event, and the
+// next Run picks up where it left off — on a standalone engine and on a
+// group stopped through its control engine, whose own flag Group.Run
+// used to leave set (control then skipped every event for good while
+// the workers ran on).
 func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.At(Time(i), func(Time) {
-			count++
-			if count == 3 {
-				e.Stop()
+	group := NewGroup(GroupConfig{Domains: 2, Lookahead: 3, Workers: 1})
+	defer group.Close()
+	classic := NewEngine()
+	for _, tc := range []struct {
+		name string
+		ctl  *Engine // where Stop is called and the events live
+		peer *Engine // a second domain's engine, nil on the classic engine
+		run  func() Time
+	}{
+		{"classic", classic, nil, classic.Run},
+		{"group", group.Control(), group.Engine(1), group.Run},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			count, peer := 0, 0
+			for i := 0; i < 10; i++ {
+				// Two events per instant, so that Stop leaves one
+				// behind at the very time it was called.
+				tc.ctl.At(Time(i/2), func(Time) {
+					count++
+					if count == 3 {
+						tc.ctl.Stop()
+					}
+				})
+			}
+			if tc.peer != nil {
+				tc.peer.At(4, func(Time) { peer++ })
+			}
+			tc.run()
+			if count != 3 {
+				t.Fatalf("Stop did not halt the run: fired %d events", count)
+			}
+			// The queue must be resumable after Stop.
+			tc.run()
+			if count != 10 {
+				t.Fatalf("resume after Stop fired %d total, want 10", count)
+			}
+			if tc.peer != nil && peer != 1 {
+				t.Fatalf("peer domain fired %d events, want 1", peer)
 			}
 		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("Stop did not halt the run: fired %d events", count)
-	}
-	// The queue must be resumable after Stop.
-	e.Run()
-	if count != 10 {
-		t.Fatalf("resume after Stop fired %d total, want 10", count)
 	}
 }
 
@@ -156,6 +183,31 @@ func TestEngineStep(t *testing.T) {
 	}
 	if !e.Step() || e.Step() {
 		t.Fatal("Step count mismatch")
+	}
+}
+
+// TestEngineStepGuardsReentrancy: Step shares RunUntil's loop and so
+// its guard — a handler may neither Step nor Run the engine that is
+// running it, whichever of the two started it.
+func TestEngineStepGuardsReentrancy(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		outer, inner func(e *Engine)
+	}{
+		{"step in run", func(e *Engine) { e.Run() }, func(e *Engine) { e.Step() }},
+		{"run in step", func(e *Engine) { e.Step() }, func(e *Engine) { e.Run() }},
+		{"step in step", func(e *Engine) { e.Step() }, func(e *Engine) { e.Step() }},
+	} {
+		e := NewEngine()
+		panicked := false
+		e.At(1, func(Time) {
+			defer func() { panicked = recover() != nil }()
+			tc.inner(e)
+		})
+		tc.outer(e)
+		if !panicked {
+			t.Errorf("%s: no reentrancy panic", tc.name)
+		}
 	}
 }
 

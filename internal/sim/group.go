@@ -5,16 +5,10 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 )
-
-// stableSortPosts sorts the barrier scratch through the sort.Interface
-// on *mergeBuf; the pointer conversion avoids the per-call allocation a
-// slice-to-interface conversion would pay.
-func stableSortPosts(m *mergeBuf) { sort.Stable(m) }
 
 // Group is a conservative parallel discrete-event scheduler: a set of
 // Engines (one per simulation domain) advanced in lockstep time
@@ -53,7 +47,6 @@ type Group struct {
 	// (the one executing that domain), so no locking is needed; the
 	// barrier drains them all on the coordinator goroutine.
 	outbox [][]post
-	merged mergeBuf
 
 	running bool
 	stopped bool
@@ -74,16 +67,6 @@ type post struct {
 	fn Handler
 	tm Timer
 }
-
-// mergeBuf is the barrier's reusable sort scratch. Sorting is stable
-// on time alone: posts are appended in ascending (from-domain,
-// emission-index) order, so stability yields the canonical
-// (time, from, index) total order without comparing secondary keys.
-type mergeBuf struct{ a []*post }
-
-func (m *mergeBuf) Len() int           { return len(m.a) }
-func (m *mergeBuf) Less(i, j int) bool { return m.a[i].at < m.a[j].at }
-func (m *mergeBuf) Swap(i, j int)      { m.a[i], m.a[j] = m.a[j], m.a[i] }
 
 // GroupConfig configures a Group.
 type GroupConfig struct {
@@ -257,6 +240,7 @@ func (g *Group) RunUntil(deadline Time) Time {
 	}
 	g.running = true
 	g.stopped = false
+	g.engines[0].stopped = false
 	defer func() { g.running = false }()
 
 	for !g.stopped {
@@ -316,8 +300,8 @@ func (g *Group) Close() {
 func (g *Group) minNextTime() Time {
 	min := Never
 	for _, e := range g.engines {
-		if next := e.queue.peek(); next != nil && next.at < min {
-			min = next.at
+		if at := e.queue.nextAt(); at < min {
+			min = at
 		}
 	}
 	return min
@@ -340,29 +324,18 @@ func (g *Group) runParallel(end Time) {
 }
 
 // drainPosts is the barrier: it moves every mailbox entry onto its
-// destination heap in the canonical order — time-major, then emitting
-// domain, then emission index — so destination-side sequence numbers
-// (and therefore intra-destination tie-breaking) are independent of
-// how domains were packed onto workers.
+// destination heap, mailboxes in emitting-domain order and each in
+// emission order. The destination orders by (at, seq) and assigns seq
+// on delivery, so delivery order decides only ties on equal at — which
+// makes this walk the canonical (time, from-domain, emission index)
+// order with no sort, independent of how domains were packed onto
+// workers.
 func (g *Group) drainPosts() {
-	m := g.merged.a[:0]
-	for from := range g.outbox {
-		ob := g.outbox[from]
+	for from, ob := range g.outbox {
 		for i := range ob {
-			m = append(m, &ob[i])
+			g.engines[ob[i].to].scheduleLocal(ob[i])
 		}
-	}
-	if len(m) > 1 {
-		g.merged.a = m
-		stableSortPosts(&g.merged)
-		m = g.merged.a
-	}
-	for _, p := range m {
-		g.engines[p.to].scheduleLocal(*p)
-	}
-	g.merged.a = m[:0]
-	for from := range g.outbox {
-		clear(g.outbox[from]) // drop closure/timer refs
-		g.outbox[from] = g.outbox[from][:0]
+		clear(ob) // drop closure/timer refs
+		g.outbox[from] = ob[:0]
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"sort"
 	"testing"
 )
 
@@ -96,38 +97,54 @@ func TestGroupDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestGroupCanonicalDrainOrder(t *testing.T) {
-	// Same-timestamp posts from several source domains to one
-	// destination must fire in ascending (from-domain, emission-index)
-	// order regardless of worker count.
+	// Posts from several source domains to one destination, emitted in
+	// no particular time order and with many equal times, must fire in
+	// (time, from-domain, emission-index) order regardless of worker
+	// count — to a worker domain and to control alike. The barrier
+	// delivers mailbox by mailbox without sorting, so the time-major
+	// part is the destination heap's doing and the rest is the walk's:
+	// draining the mailboxes in any other order fails here.
 	const L = 50 * Nanosecond
-	run := func(workers int) []string {
+	type key struct {
+		at         Time
+		from, emit int
+	}
+	offsets := []Duration{20, 0, 10, 0, 20, 10, 0} // shuffled, with ties
+	run := func(workers, to int) (got, want []key) {
 		g := NewGroup(GroupConfig{Domains: 6, Lookahead: L, Workers: workers})
 		defer g.Close()
-		var got []string
-		at := Time(L) // all posts land exactly at the first window end
 		for from := 1; from <= 4; from++ {
-			from := from
-			g.Engine(from).At(0, func(now Time) {
-				for i := 0; i < 3; i++ {
-					i := i
-					g.Post(from, 5, at, func(Time) {
-						got = append(got, fmt.Sprintf("%d.%d", from, i))
-					})
+			var emits []key
+			for i := range offsets {
+				// Rotated per domain: equal times meet across domains
+				// at different emission indices.
+				emits = append(emits, key{Time(L).Add(offsets[(i+from)%len(offsets)]), from, i})
+			}
+			want = append(want, emits...)
+			g.Engine(from).At(0, func(Time) {
+				for _, k := range emits {
+					g.Post(k.from, to, k.at, func(Time) { got = append(got, k) })
 				}
 			})
 		}
+		sort.Slice(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if a.at != b.at {
+				return a.at < b.at
+			}
+			if a.from != b.from {
+				return a.from < b.from
+			}
+			return a.emit < b.emit
+		})
 		g.Run()
-		return got
+		return got, want
 	}
-	want := []string{"1.0", "1.1", "1.2", "2.0", "2.1", "2.2", "3.0", "3.1", "3.2", "4.0", "4.1", "4.2"}
-	for _, w := range []int{1, 2, 4} {
-		got := run(w)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d events, want %d", w, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: order %v, want %v", w, got, want)
+	for _, to := range []int{5, 0} {
+		for _, w := range []int{1, 2, 4} {
+			got, want := run(w, to)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("workers=%d to=%d:\n got %v\nwant %v", w, to, got, want)
 			}
 		}
 	}

@@ -5,17 +5,19 @@
 #
 #   scripts/bench.sh                 # full suite (minutes)
 #   scripts/bench.sh FabricForwarding|TrainingIteration
+#   BENCH_OUT=BENCH_2026-10-02b.json scripts/bench.sh   # a second snapshot the same day
 #
 # The JSON is a small stable schema: {date, go, cpu, benchmarks:
 # [{name, ns_per_op, bytes_per_op, allocs_per_op, extra}]}. Compare two
-# snapshots with jq or feed them to benchstat-style tooling.
+# snapshots with `go run ./scripts/benchdiff OLD.json NEW.json`; CI does
+# so for the two newest by name, so a same-day pair sorts as …a, …b.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 pattern="${1:-.}"
 date="$(date -u +%Y-%m-%d)"
-out="BENCH_${date}.json"
+out="${BENCH_OUT:-BENCH_${date}.json}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
