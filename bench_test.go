@@ -311,6 +311,8 @@ func BenchmarkEngineHold(b *testing.B) {
 // barrierToken is one circulating event of BenchmarkGroupBarrier: it
 // re-arms on its own domain one frame time ahead, except every 8th
 // firing, which posts it to the next worker domain across the barrier.
+const barrierLookahead = 200 * sim.Nanosecond
+
 type barrierToken struct {
 	g    *sim.Group
 	dom  int
@@ -330,7 +332,7 @@ func (t *barrierToken) Fire(now sim.Time) {
 	}
 	from := t.dom
 	t.dom = from%(t.g.Domains()-1) + 1
-	t.g.PostTimer(from, t.dom, now.Add(t.g.Lookahead()+81920), t)
+	t.g.PostTimer(from, t.dom, now.Add(barrierLookahead+81920), t)
 }
 
 // BenchmarkGroupBarrier prices the sharded engine's window loop and
@@ -340,7 +342,7 @@ func (t *barrierToken) Fire(now sim.Time) {
 // count.
 func BenchmarkGroupBarrier(b *testing.B) {
 	b.ReportAllocs()
-	g := sim.NewGroup(sim.GroupConfig{Domains: 48, Lookahead: 200 * sim.Nanosecond, Workers: 1})
+	g := sim.NewGroup(sim.GroupConfig{Domains: 48, Lookahead: barrierLookahead, Workers: 1})
 	defer g.Close()
 	left := b.N
 	for d := 1; d < g.Domains(); d++ {

@@ -290,7 +290,7 @@ func main() {
 		inject()
 	}
 	injected := false
-	cluster.TrainAll(func(now flowpulse.Duration, job uint16, iter uint32) {
+	err = cluster.TrainAll(func(now flowpulse.Duration, job uint16, iter uint32) {
 		if *jobs > 1 {
 			fmt.Printf("job %d iteration %2d complete at %v\n", job, iter, now)
 		} else {
@@ -308,14 +308,12 @@ func main() {
 			fmt.Printf("  >> fault healed\n")
 		}
 	})
-	if trc := mon.TraceWriter(); trc != nil {
-		if err := trc.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *tracePath != "" {
-			fmt.Printf("trace recorded to %s\n", *tracePath)
-		}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	if *tracePath != "" {
+		fmt.Printf("trace recorded to %s\n", *tracePath)
 	}
 	if producer != nil {
 		st, err := producer.Close()

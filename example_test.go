@@ -25,11 +25,14 @@ func Example() {
 		panic(err)
 	}
 
-	cluster.Train(func(_ flowpulse.Duration, iter uint32) {
+	err = cluster.Train(func(_ flowpulse.Duration, iter uint32) {
 		if iter == 2 {
 			cluster.BreakLink(flowpulse.Link{LeafOrd: 3, SpineOrd: 1}, 0.05)
 		}
 	})
+	if err != nil {
+		panic(err)
+	}
 
 	deficits := 0
 	for _, e := range monitor.Events() {

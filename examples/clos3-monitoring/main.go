@@ -4,12 +4,12 @@
 // link is invisible to every leaf monitor — only the spine deployment
 // catches it.
 //
-// It is the ordinary Scenario → Attach stack: Pods and CoresPerGroup
-// make the fabric three-level, and every job then gets the same
-// pipeline at both tiers (Job.Pipeline for the leaves, Job.Spine one
-// tier up). Both use the learned load model: the analytical closed form
-// is specific to two-level spray geometry, while the measured baseline
-// works at any tier unchanged.
+// It is the ordinary Scenario → Attach → Train sequence: Pods and
+// CoresPerGroup make the fabric three-level, and every job then gets
+// the same pipeline at both tiers (Job.Pipeline for the leaves,
+// Job.Spine one tier up). Both use the learned load model: the
+// analytical closed form is specific to two-level spray geometry, while
+// the measured baseline works at any tier unchanged.
 package main
 
 import (
@@ -37,20 +37,24 @@ func main() {
 	fmt.Printf("fabric: %d pods x %d leaves x %d spines + %d cores, ring over %d hosts\n",
 		sc.Pods, sc.Leaves, sc.Spines, len(rt.Topo.Cores()), len(rt.Group))
 
-	sys := core.MustAttach(rt.MonitorConfig(core.JobConfig{
+	sys, err := rt.Attach(core.AttachOptions{Job: core.JobConfig{
 		Kind: core.LearnedModel, Learned: predict.LearnedConfig{Warmup: 3},
-	}))
+	}})
+	if err != nil {
+		panic(err)
+	}
 
 	// After warm-up, a core→spine link in pod 2 starts dropping 8% of
 	// its packets. No leaf is attached to that link.
-	rt.StartTraining(func(_ sim.Time, iter uint32) {
+	err = rt.Train(func(_ sim.Time, _ uint16, iter uint32) {
 		if iter == 5 {
 			link := rt.InjectCoreSpineDrop(2, 1, 0, 0.08)
 			fmt.Printf("iteration 5: silent 8%% fault injected on core->spine link %d\n", link)
 		}
-	}, nil)
-	rt.Run()
-	sys.Flush(rt.Engine.Now())
+	})
+	if err != nil {
+		panic(err)
+	}
 
 	job := sys.Jobs()[0]
 	spine := job.Spine.Pipeline.Events

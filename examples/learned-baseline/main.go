@@ -36,12 +36,15 @@ func main() {
 	transient := flowpulse.Link{LeafOrd: 4, SpineOrd: 3}
 	cluster.BreakLink(transient, 0.2)
 
-	cluster.Train(func(_ flowpulse.Duration, iter uint32) {
+	err = cluster.Train(func(_ flowpulse.Duration, iter uint32) {
 		if iter == 6 {
 			cluster.HealLink(transient)
 			fmt.Println("iteration 6: transient fault healed")
 		}
 	})
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("\nre-baselines performed: %d\n", monitor.Rebaselines())
 	fmt.Println("alerts (the healed network briefly looks anomalous, then the model adapts):")

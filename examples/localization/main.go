@@ -31,7 +31,9 @@ func run(title string, breakIt func(c *flowpulse.Cluster, l flowpulse.Link)) {
 
 	faulty := flowpulse.Link{LeafOrd: 5, SpineOrd: 2}
 	breakIt(cluster, faulty)
-	cluster.Train(nil)
+	if err := cluster.Train(nil); err != nil {
+		panic(err)
+	}
 
 	for _, e := range monitor.Events() {
 		if e.Alert.Deviation >= 0 {

@@ -37,13 +37,16 @@ func main() {
 	// Break a link used by job 1 (leaf 3 hosts job-1 rank 3) after two
 	// clean iterations.
 	faulty := flowpulse.Link{LeafOrd: 3, SpineOrd: 2}
-	cluster.TrainAll(func(_ flowpulse.Duration, job uint16, iter uint32) {
+	err = cluster.TrainAll(func(_ flowpulse.Duration, job uint16, iter uint32) {
 		fmt.Printf("job %d iteration %d complete\n", job, iter)
 		if job == 1 && iter == 2 {
 			cluster.BreakLink(faulty, 0.03)
 			fmt.Println("  (3% silent fault injected on leaf 3 / spine 2)")
 		}
 	})
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Println()
 	for _, j := range mon.Jobs() {

@@ -43,13 +43,16 @@ func main() {
 	// counter anywhere sees it.
 	faulty := flowpulse.Link{LeafOrd: 11, SpineOrd: 5}
 	fmt.Println("training...")
-	cluster.Train(func(now flowpulse.Duration, iter uint32) {
+	err = cluster.Train(func(now flowpulse.Duration, iter uint32) {
 		fmt.Printf("iteration %d done at %v\n", iter, now)
 		if iter == 3 {
 			cluster.BreakLink(faulty, 0.015)
 			fmt.Println("  (silent fault injected: 1.5% drop on leaf 11 / spine 5)")
 		}
 	})
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("\n%d measurement windows, %d alert(s), predictor %q\n",
 		monitor.Windows(), len(monitor.Events()), monitor.PredictorName())

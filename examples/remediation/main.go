@@ -38,11 +38,14 @@ func run(title string, iters int, rcfg flowpulse.RemediateConfig,
 	if setup != nil {
 		setup(cluster)
 	}
-	cluster.Train(func(_ flowpulse.Duration, iter uint32) {
+	err = cluster.Train(func(_ flowpulse.Duration, iter uint32) {
 		if onIter != nil {
 			onIter(cluster, iter)
 		}
 	})
+	if err != nil {
+		panic(err)
+	}
 
 	for _, a := range monitor.RemediationTimeline() {
 		fmt.Printf("  %v\n", a)

@@ -17,27 +17,26 @@
 //	})
 //	mon, _ := cluster.Monitor(flowpulse.MonitorConfig{})
 //	cluster.BreakLink(flowpulse.Link{LeafOrd: 3, SpineOrd: 1}, 0.015)
-//	cluster.Train(nil)
+//	if err := cluster.Train(nil); err != nil {
+//		log.Fatal(err)
+//	}
 //	for _, e := range mon.Events() {
 //		fmt.Println(e.Alert, e.Verdict)
 //	}
 package flowpulse
 
 import (
-	"fmt"
 	"io"
 
 	"flowpulse/internal/control"
 	"flowpulse/internal/core"
 	"flowpulse/internal/detect"
 	"flowpulse/internal/fabric"
-	"flowpulse/internal/localize"
 	"flowpulse/internal/metrics"
 	"flowpulse/internal/monitor"
 	"flowpulse/internal/remediate"
 	"flowpulse/internal/resilience"
 	"flowpulse/internal/sim"
-	"flowpulse/internal/telemetry"
 	"flowpulse/internal/topology"
 	"flowpulse/internal/trace"
 	"flowpulse/internal/transport"
@@ -68,26 +67,13 @@ type DivergenceSpec = core.DivergenceSpec
 // DivergenceSpec.Stale.
 type StaleSpec = core.StaleSpec
 
-// ControlStats counts control-plane activity: ChangeSets committed and
-// rolled back, verification mismatches, reconciliations, and the
-// belief/truth divergence episodes with their durations.
-type ControlStats = control.Stats
-
 // LinkID is a raw topology link identifier (as reported by the
 // remediation timeline and localization verdicts).
 type LinkID = topology.LinkID
 
-// Event is one fault detection with its localization verdict.
+// Event is one fault detection: the Alert (a single port's deviation
+// beyond the detection threshold) with the localizer's Verdict.
 type Event = core.Event
-
-// Alert is a single port's deviation beyond the detection threshold.
-type Alert = detect.Alert
-
-// Verdict is the localizer's attribution of an alert to link(s).
-type Verdict = localize.Verdict
-
-// Window is one leaf's measurement of one collective iteration.
-type Window = telemetry.Window
 
 // Duration is simulated time (picoseconds); use the sim constants
 // re-exported below.
@@ -141,12 +127,9 @@ type ResilienceConfig = resilience.Config
 
 // GoodputTimeline accumulates per-iteration training throughput; arm
 // one with Cluster.TrackGoodput before Train and read its Report
-// afterwards.
+// afterwards: baseline/during/post rates around a fault, total stall,
+// and time-to-recovery.
 type GoodputTimeline = metrics.GoodputTimeline
-
-// GoodputReport summarizes a training run's throughput around a fault:
-// baseline/during/post rates, total stall, and time-to-recovery.
-type GoodputReport = metrics.GoodputReport
 
 // MonitorConfig tunes the FlowPulse deployment on a cluster.
 type MonitorConfig struct {
@@ -190,8 +173,7 @@ type MonitorConfig struct {
 // Cluster is a simulated training cluster: fabric, transport,
 // collective workload, and (optionally) a FlowPulse monitor.
 type Cluster struct {
-	rt  *core.Runtime
-	sys *core.System
+	rt *core.Runtime
 }
 
 // New builds a cluster from a scenario.
@@ -213,38 +195,23 @@ func New(sc Scenario) (*Cluster, error) {
 // results are on Monitor.Jobs; the Simulation predictor is not
 // supported with more than one job.
 func (c *Cluster) Monitor(cfg MonitorConfig) (*Monitor, error) {
-	if c.sys != nil {
-		return nil, fmt.Errorf("flowpulse: monitor already attached")
+	opts := core.AttachOptions{
+		Job: core.JobConfig{
+			Kind:    cfg.Predictor,
+			Detect:  detect.Config{Threshold: cfg.Threshold},
+			OnEvent: cfg.OnEvent,
+		},
+		ReferenceIterations: cfg.ReferenceIterations,
+		Remediate:           cfg.Remediate, Resilience: cfg.Resilience,
+		TracePath: cfg.TracePath, TraceLabel: cfg.TraceLabel,
 	}
-	job := core.JobConfig{
-		Kind:    cfg.Predictor,
-		Detect:  detect.Config{Threshold: cfg.Threshold},
-		OnEvent: cfg.OnEvent,
-	}
-	if cfg.Predictor == core.SimulationModel {
-		if len(c.rt.Jobs) > 1 {
-			return nil, fmt.Errorf("flowpulse: the Simulation predictor needs a per-job reference run and is not supported on multi-job clusters")
-		}
-		iters := cfg.ReferenceIterations
-		if iters == 0 {
-			iters = 3
-		}
-		var err error
-		if job.ReferenceWindows, err = core.ReferenceRun(c.rt.Scenario, iters); err != nil {
-			return nil, err
-		}
-	}
-	coreCfg := c.rt.MonitorConfig(job)
-	coreCfg.Remediate, coreCfg.Resilience = cfg.Remediate, cfg.Resilience
-	coreCfg.TracePath, coreCfg.TraceLabel = cfg.TracePath, cfg.TraceLabel
 	if cfg.TraceSink != nil {
-		coreCfg.Trace = trace.NewWriter(cfg.TraceSink)
+		opts.Trace = trace.NewWriter(cfg.TraceSink)
 	}
-	sys, err := core.Attach(coreCfg)
+	sys, err := c.rt.Attach(opts)
 	if err != nil {
 		return nil, err
 	}
-	c.sys = sys
 	m := &Monitor{sys: sys}
 	if len(c.rt.Scenario.Jobs) > 0 {
 		for _, j := range sys.Jobs() {
@@ -266,22 +233,6 @@ func (c *Cluster) BreakLinkUpstream(l Link, dropRate float64) {
 
 // HealLink removes silent faults from a link.
 func (c *Cluster) HealLink(l Link) { c.rt.ClearSilent(l) }
-
-// DisconnectLink administratively removes a link: routing reconverges
-// around it, exactly like a switch OS disabling a detected-faulty
-// port. FlowPulse's analytical model reads the updated routing state
-// only if the monitor is attached afterwards (known faults at job
-// start, as in §6). The change goes through the control plane as a
-// verified ChangeSet, like every administrative mutation.
-func (c *Cluster) DisconnectLink(l Link) {
-	c.rt.Plane.Apply(c.rt.Engine.Now(), "disconnect", []control.Op{{Link: c.rt.Link(l), Up: false}})
-}
-
-// ReconnectLink administratively restores a disconnected link; routing
-// reconverges to include it again.
-func (c *Cluster) ReconnectLink(l Link) {
-	c.rt.Plane.Apply(c.rt.Engine.Now(), "reconnect", []control.Op{{Link: c.rt.Link(l), Up: true}})
-}
 
 // ControlPlane exposes the cluster's control plane — the believed
 // topology view, the ChangeSet ledger, and the divergence episode
@@ -311,40 +262,33 @@ func (c *Cluster) TrackGoodput() *GoodputTimeline {
 // Train runs the scenario's training to completion. onIteration
 // (optional) fires after each iteration of the first job with the
 // simulated time and iteration number — inject or heal faults from it
-// to script mid-training events.
-func (c *Cluster) Train(onIteration func(now Duration, iter uint32)) {
+// to script mid-training events. The error is a recording's I/O error
+// (MonitorConfig.TracePath, TraceSink) or a collective the Resilience
+// loop cannot re-plan.
+func (c *Cluster) Train(onIteration func(now Duration, iter uint32)) error {
+	if onIteration == nil {
+		return c.TrainAll(nil)
+	}
 	first := c.rt.Jobs[0].Spec.Job
-	c.TrainAll(func(now Duration, job uint16, iter uint32) {
-		if onIteration != nil && job == first {
+	return c.TrainAll(func(now Duration, job uint16, iter uint32) {
+		if job == first {
 			onIteration(now, iter)
 		}
 	})
 }
 
-// TrainAll runs every job of the scenario to completion. onIteration,
-// when set, fires after each iteration of EACH job.
-func (c *Cluster) TrainAll(onIteration func(now Duration, job uint16, iter uint32)) {
-	var cb func(sim.Time, uint16, uint32)
-	if onIteration != nil {
-		cb = func(now sim.Time, job uint16, iter uint32) { onIteration(Duration(now), job, iter) }
+// TrainAll is Train with onIteration firing after each iteration of
+// EACH job.
+func (c *Cluster) TrainAll(onIteration func(now Duration, job uint16, iter uint32)) error {
+	if onIteration == nil {
+		return c.rt.Train(nil)
 	}
-	jobs := c.rt.StartAllJobs(cb, nil)
-	if c.sys != nil {
-		for i, j := range jobs {
-			if err := c.sys.BindWorkload(c.rt.Jobs[i].Spec.Job, j); err != nil {
-				panic(err) // job specs validated when the monitor attached
-			}
-		}
-	}
-	c.rt.Run()
-	if c.sys != nil {
-		c.sys.Flush(c.rt.Engine.Now())
-	}
+	return c.rt.Train(func(now sim.Time, job uint16, iter uint32) { onIteration(Duration(now), job, iter) })
 }
 
 // Close releases the worker pool of a sharded cluster (Scenario.Shards
-// ≥ 1). It is a no-op for single-threaded clusters and safe to call
-// more than once.
+// ≥ 1) that will not be trained; Train releases it itself. It is a no-op
+// for single-threaded clusters and safe to call more than once.
 func (c *Cluster) Close() { c.rt.Close() }
 
 // Now returns the current simulated time.
@@ -516,6 +460,3 @@ func (j *JobMonitor) Windows() int { return j.pipe.Windows }
 
 // IterationScores returns this job's per-iteration max deviation.
 func (j *JobMonitor) IterationScores() map[uint32]float64 { return j.pipe.IterationScores() }
-
-// Pipeline exposes the underlying analysis pipeline for advanced use.
-func (j *JobMonitor) Pipeline() *monitor.Pipeline { return j.pipe }

@@ -1,6 +1,7 @@
 package flowpulse
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -120,12 +121,13 @@ func TestHealLink(t *testing.T) {
 }
 
 func TestDisconnectKnownFault(t *testing.T) {
-	cluster, err := New(fastScenario(5))
+	// Known fault BEFORE monitoring: the model must absorb it.
+	sc := fastScenario(5)
+	sc.PreExisting = []Link{{LeafOrd: 1, SpineOrd: 2}}
+	cluster, err := New(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Known fault BEFORE monitoring: the model must absorb it.
-	cluster.DisconnectLink(Link{LeafOrd: 1, SpineOrd: 2})
 	mon, err := cluster.Monitor(MonitorConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -347,5 +349,39 @@ func TestMonitorContractByJobCount(t *testing.T) {
 		return cluster.Monitor(MonitorConfig{Predictor: Simulation})
 	}(); err == nil {
 		t.Error("Simulation predictor accepted on a multi-job cluster")
+	}
+}
+
+type fullDisk struct{}
+
+func (fullDisk) Write([]byte) (int, error) { return 0, errFullDisk }
+
+var errFullDisk = errors.New("disk full")
+
+// TestTrainReturnsTheRunsError: what used to be a panic (a collective
+// the resilience loop cannot re-plan) or a value the caller had to
+// remember to fetch (the recording's I/O error) comes back from Train.
+func TestTrainReturnsTheRunsError(t *testing.T) {
+	sc := fastScenario(23)
+	cluster, err := New(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.Monitor(MonitorConfig{TraceSink: fullDisk{}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Train(nil); !errors.Is(err, errFullDisk) {
+		t.Errorf("Train over a failing TraceSink: error = %v, want %v", err, errFullDisk)
+	}
+
+	sc.Collective = AllToAll
+	if cluster, err = New(sc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.Monitor(MonitorConfig{Remediate: &RemediateConfig{}, Resilience: &ResilienceConfig{}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.TrainAll(nil); err == nil {
+		t.Error("TrainAll with Resilience over all-to-all: no error")
 	}
 }

@@ -32,29 +32,6 @@ type DemandMatrix struct {
 	Msgs [][][]int64
 }
 
-// N returns the number of ranks.
-func (d *DemandMatrix) N() int { return len(d.Hosts) }
-
-// Total returns the total payload bytes moved per iteration.
-func (d *DemandMatrix) Total() int64 {
-	var sum int64
-	for _, row := range d.Bytes {
-		for _, b := range row {
-			sum += b
-		}
-	}
-	return sum
-}
-
-// ToHost returns the aggregate demand into the given rank.
-func (d *DemandMatrix) ToHost(rank int) int64 {
-	var sum int64
-	for i := range d.Bytes {
-		sum += d.Bytes[i][rank]
-	}
-	return sum
-}
-
 // RunContext supplies a collective iteration with its environment.
 type RunContext struct {
 	// Stack is the transport to send over.

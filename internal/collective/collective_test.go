@@ -161,11 +161,11 @@ func TestRingAllReduceDemand(t *testing.T) {
 	}
 	// Total = N ranks * 2(N-1)/N * D.
 	want := int64(n) * 2 * int64(n-1) * D / int64(n)
-	if got := d.Total(); got != want {
+	if got := total(d); got != want {
 		t.Fatalf("total demand %d, want %d", got, want)
 	}
 	// Demand must equal what an actual run sends.
-	if got := d.ToHost(1); got != d.Bytes[0][1] {
+	if got := toHost(d, 1); got != d.Bytes[0][1] {
 		t.Fatalf("ToHost(1) = %d, want %d", got, d.Bytes[0][1])
 	}
 }
@@ -239,8 +239,8 @@ func TestAllToAllExchanges(t *testing.T) {
 		}
 	}
 	d := c.Demand()
-	if d.Total() != int64(n*(n-1))*(128<<10) {
-		t.Fatalf("all-to-all demand = %d", d.Total())
+	if total(d) != int64(n*(n-1))*(128<<10) {
+		t.Fatalf("all-to-all demand = %d", total(d))
 	}
 }
 
@@ -250,7 +250,7 @@ func TestLocalRingTrafficStaysLocal(t *testing.T) {
 	r := newRig(t, 4, 4, 4, 7)
 	spinePackets := 0
 	for _, spine := range r.topo.Spines() {
-		r.net.SetIngressHook(spine, func(sim.Time, int, *fabric.Packet) { spinePackets++ })
+		r.net.AddIngressHook(spine, func(sim.Time, int, *fabric.Packet) { spinePackets++ })
 	}
 	c := &RingAllReduce{Group: allHosts(r.topo), BytesPerRank: 256 << 10}
 	res := runCollective(t, r, c, nil, nil)
@@ -322,7 +322,7 @@ func TestRingScheduleProperty(t *testing.T) {
 				want += chunks[ringChunkAllReduce(n, rank, st)]
 			}
 		}
-		return d.Total() == want
+		return total(d) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

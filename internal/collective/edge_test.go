@@ -47,8 +47,8 @@ func TestUnevenChunkSizesEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	if msgs != d.Total() {
-		t.Fatalf("Msgs sum %d != Bytes total %d", msgs, d.Total())
+	if msgs != total(d) {
+		t.Fatalf("Msgs sum %d != Bytes total %d", msgs, total(d))
 	}
 }
 
@@ -73,7 +73,7 @@ func TestSingleFlowCollective(t *testing.T) {
 		t.Fatal("single flow never completed")
 	}
 	d := sf.Demand()
-	if d.Bytes[0][1] != 512<<10 || d.Total() != 512<<10 {
+	if d.Bytes[0][1] != 512<<10 || total(d) != 512<<10 {
 		t.Fatalf("single-flow demand wrong: %+v", d.Bytes)
 	}
 	if len(d.Msgs[0][1]) != 1 || d.Msgs[0][1][0] != 512<<10 {
@@ -105,9 +105,27 @@ func TestRingAllGatherDemandEqualsAllReduceHalf(t *testing.T) {
 	ar := (&RingAllReduce{Group: group, BytesPerRank: 1 << 20}).Demand()
 	rs := (&ReduceScatter{Group: group, BytesPerRank: 1 << 20}).Demand()
 	ag := (&AllGather{Group: group, BytesPerRank: 1 << 20}).Demand()
-	if rs.Total()+ag.Total() != ar.Total() {
-		t.Fatalf("RS(%d) + AG(%d) != AR(%d)", rs.Total(), ag.Total(), ar.Total())
+	if total(rs)+total(ag) != total(ar) {
+		t.Fatalf("RS(%d) + AG(%d) != AR(%d)", total(rs), total(ag), total(ar))
 	}
+}
+
+// total is the payload a demand matrix moves per iteration.
+func total(d *DemandMatrix) int64 {
+	var sum int64
+	for r := range d.Bytes {
+		sum += toHost(d, r)
+	}
+	return sum
+}
+
+// toHost is the aggregate demand into one rank.
+func toHost(d *DemandMatrix, rank int) int64 {
+	var sum int64
+	for i := range d.Bytes {
+		sum += d.Bytes[i][rank]
+	}
+	return sum
 }
 
 func TestDemandMatrixHelpers(t *testing.T) {
@@ -116,13 +134,13 @@ func TestDemandMatrixHelpers(t *testing.T) {
 		group[i] = topology.HostID(i)
 	}
 	d := (&RingAllReduce{Group: group, BytesPerRank: 4096}).Demand()
-	if d.N() != 4 {
-		t.Fatalf("N = %d", d.N())
+	if len(d.Hosts) != 4 {
+		t.Fatalf("N = %d", len(d.Hosts))
 	}
 	// Each rank receives only from its predecessor.
 	for r := 0; r < 4; r++ {
 		pred := (r + 3) % 4
-		if d.ToHost(r) != d.Bytes[pred][r] {
+		if toHost(d, r) != d.Bytes[pred][r] {
 			t.Fatalf("ToHost(%d) mismatch", r)
 		}
 	}

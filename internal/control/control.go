@@ -233,10 +233,6 @@ func (p *Plane) Topology() *topology.Topology { return p.topo }
 // fault.
 func (p *Plane) LinkAdminUp(link topology.LinkID) bool { return p.belief[link] }
 
-// FabricAdminUp reads the live state back — the truth side of every
-// verification and audit.
-func (p *Plane) FabricAdminUp(link topology.LinkID) bool { return p.fab.LinkAdminUp(link) }
-
 // LeafUplinkCandidates returns the believed spray set (predict.FIBView).
 func (p *Plane) LeafUplinkCandidates(leaf, dstLeaf topology.SwitchID) []int {
 	return p.fib.LeafUplinkCandidates(leaf, dstLeaf)
@@ -424,9 +420,6 @@ func (p *Plane) Divergent() []topology.LinkID {
 	}
 	return out
 }
-
-// Diverged reports whether a belief≠truth episode is currently open.
-func (p *Plane) Diverged() bool { return p.diverged }
 
 // Stats returns the plane's counters.
 func (p *Plane) Stats() Stats { return p.stats }

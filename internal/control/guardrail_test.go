@@ -10,20 +10,20 @@ import (
 	"testing"
 )
 
-// mutationCall matches a call through any of the raw fabric mutation
-// surfaces. Method declarations don't match (no leading dot), so the
-// fabric's own definitions are naturally exempt.
-var mutationCall = regexp.MustCompile(`\.(SetLinkAdmin|DisconnectLink|ReconnectLink)\(`)
+// mutationCall matches a call through the raw fabric mutation surface.
+// Method declarations don't match (no leading dot), so the fabric's own
+// definition is naturally exempt.
+var mutationCall = regexp.MustCompile(`\.SetLinkAdmin\(`)
 
 // TestPlaneIsTheOnlyMutationPath enforces the belief/truth seam at the
 // source level: no non-test Go file outside internal/fabric (the truth)
 // and internal/control (the only sanctioned mutator) may call
-// SetLinkAdmin, DisconnectLink, or ReconnectLink. Everything else —
-// remediator, resilience, scenarios, CLIs — must mutate the fabric
-// through a ChangeSet on the control plane, where the write is
-// verified, logged, and visible to reconciliation. A new call site is a
-// new way for belief to silently diverge from truth; route it through
-// Plane.Apply instead of extending the allowlist.
+// SetLinkAdmin. Everything else — remediator, resilience, scenarios,
+// CLIs — must mutate the fabric through a ChangeSet on the control
+// plane, where the write is verified, logged, and visible to
+// reconciliation. A new call site is a new way for belief to silently
+// diverge from truth; route it through Plane.Apply instead of extending
+// the allowlist.
 func TestPlaneIsTheOnlyMutationPath(t *testing.T) {
 	_, self, _, ok := runtime.Caller(0)
 	if !ok {

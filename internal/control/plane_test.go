@@ -145,7 +145,7 @@ func TestUnverifiedCommitsBlindly(t *testing.T) {
 	if p.Reconcile(200) {
 		t.Error("unverified plane must never reconcile")
 	}
-	if !p.Diverged() {
+	if !p.diverged {
 		t.Error("episode should still be open")
 	}
 }
@@ -164,7 +164,7 @@ func TestReconcileRepushesLostIntent(t *testing.T) {
 	// lost write surfacing late, or an out-of-band operator action.
 	net.SetLinkAdmin(link, true)
 	p.updateEpisode(150)
-	if !p.Diverged() {
+	if !p.diverged {
 		t.Fatal("episode should open when truth leaves intent")
 	}
 
@@ -199,11 +199,11 @@ func TestStaleLSDBAuditRepair(t *testing.T) {
 	p.Inject(fault.Divergence{Kind: fault.DivergeStaleLSDB, At: 500, Link: link, Up: false})
 
 	p.Tick(400)
-	if p.Diverged() {
+	if p.diverged {
 		t.Fatal("stale injection landed before its scheduled time")
 	}
 	p.Tick(500)
-	if !p.Diverged() || p.LinkAdminUp(link) {
+	if !p.diverged || p.LinkAdminUp(link) {
 		t.Fatal("stale advertisement did not poison belief")
 	}
 	if !net.LinkAdminUp(link) {
@@ -215,7 +215,7 @@ func TestStaleLSDBAuditRepair(t *testing.T) {
 	if st.Audits == 0 || st.AuditRepairs != 1 || st.StaleAdopted != 1 {
 		t.Errorf("audit accounting: %+v", st)
 	}
-	if !p.LinkAdminUp(link) || p.Diverged() {
+	if !p.LinkAdminUp(link) || p.diverged {
 		t.Error("audit did not adopt truth over the stale advertisement")
 	}
 	if st.MaxDiverged != 1100 {

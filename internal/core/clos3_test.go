@@ -30,14 +30,18 @@ func runClos3(t *testing.T, sc Scenario, inject func(rt *Runtime), injectAt uint
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys = MustAttach(rt.MonitorConfig(JobConfig{Kind: LearnedModel, Learned: predict.LearnedConfig{Warmup: 3}}))
-	rt.StartTraining(func(_ sim.Time, iter uint32) {
+	sys, err = rt.Attach(AttachOptions{Job: JobConfig{Kind: LearnedModel, Learned: predict.LearnedConfig{Warmup: 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = rt.Train(func(_ sim.Time, _ uint16, iter uint32) {
 		if inject != nil && iter == injectAt {
 			inject(rt)
 		}
-	}, nil)
-	rt.Run()
-	sys.Flush(rt.Engine.Now())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	j := sys.Jobs()[0]
 	for _, e := range j.Pipeline.Events {
 		leaf = append(leaf, e.Alert)
@@ -62,7 +66,7 @@ func TestClos3CleanBothLevelsSilent(t *testing.T) {
 	if n := j.Pipeline.Windows + j.Spine.Pipeline.Windows; n < 16*10 {
 		t.Fatalf("windows = %d, want >= 160", n)
 	}
-	if n := sys.Plane().UnroutedWindows(); n != 0 {
+	if n := sys.plane.UnroutedWindows(); n != 0 {
 		t.Fatalf("%d windows reached no pipeline", n)
 	}
 }
@@ -141,8 +145,9 @@ func TestClos3SpineWindowsCarryKind(t *testing.T) {
 			leafK++
 		}
 	})
-	rt.StartTraining(nil, nil)
-	rt.Run()
+	if err := rt.Train(nil); err != nil {
+		t.Fatal(err)
+	}
 	coll.FlushAll(rt.Engine.Now())
 	if leafK == 0 || spineK == 0 {
 		t.Fatalf("window kinds: leaf=%d spine=%d", leafK, spineK)
@@ -162,7 +167,7 @@ func TestClos3AttachRejections(t *testing.T) {
 		"simulation model": func(c *Config) { c.Jobs[0].Kind = SimulationModel },
 		"trace writer":     func(c *Config) { c.Trace = trace.NewWriter(io.Discard) },
 	} {
-		cfg := rt.MonitorConfig(JobConfig{Kind: LearnedModel})
+		cfg := rt.monitorConfig(JobConfig{Kind: LearnedModel})
 		mutate(&cfg)
 		if _, err := Attach(cfg); err == nil || !strings.Contains(err.Error(), "two-level") {
 			t.Errorf("%s on a three-level fabric: error = %v, want the two-level rejection", name, err)

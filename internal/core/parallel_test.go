@@ -61,7 +61,7 @@ func fatTreeFingerprint(t *testing.T, sc Scenario, shards int) uint64 {
 	})
 
 	rt.InjectSilentDrop(LeafSpineLink{LeafOrd: 1, SpineOrd: 0}, 0.02)
-	rt.StartTraining(nil, nil)
+	rt.startJobs(nil)
 	final := rt.Run()
 	coll.FlushAll(rt.Engine.Now())
 
@@ -153,7 +153,7 @@ func clos3Fingerprint(t *testing.T, sc Scenario, shards int) uint64 {
 		}
 	})
 	rt.InjectCoreSpineDrop(0, 0, 0, 0.03)
-	rt.StartTraining(nil, nil)
+	rt.startJobs(nil)
 	final := rt.Run()
 	coll.FlushAll(rt.Engine.Now())
 
@@ -206,16 +206,18 @@ func TestShardedSystemDetectsAndRemediates(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer rt.Close()
-		cfg := rt.MonitorConfig(JobConfig{})
-		cfg.Remediate = &remediate.Config{}
-		sys := MustAttach(cfg)
-		rt.StartTraining(func(_ sim.Time, iter uint32) {
+		sys, err := rt.Attach(AttachOptions{Remediate: &remediate.Config{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = rt.Train(func(_ sim.Time, _ uint16, iter uint32) {
 			if iter == 2 {
 				rt.InjectSilentDrop(LeafSpineLink{LeafOrd: 2, SpineOrd: 1}, 0.05)
 			}
-		}, nil)
-		rt.Run()
-		sys.Flush(rt.Engine.Now())
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		fp, u64 := newFP()
 		events := only(t, sys).Pipeline.Events
@@ -265,10 +267,10 @@ func TestShardedLargeClos3(t *testing.T) {
 	hosts := len(rt.Topo.Hosts)
 	iters := 0
 	t0 := time.Now()
-	rt.StartTraining(func(sim.Time, uint32) { iters++ }, nil)
+	rt.startJobs(func(sim.Time, uint16, uint32) { iters++ })
 	final := rt.Run()
 	t.Logf("%d hosts (%d domains, %d workers): %d iteration(s), %v simulated, %d messages, %v wall",
-		hosts, rt.EngineGroup.Domains(), rt.EngineGroup.Workers(),
+		hosts, rt.EngineGroup.Domains(), sc.Shards,
 		iters, sim.Duration(final), rt.Stack.Stats().MessagesSent, time.Since(t0).Round(time.Millisecond))
 	if iters != sc.Iterations {
 		t.Fatalf("completed %d iterations, want %d", iters, sc.Iterations)

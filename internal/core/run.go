@@ -1,0 +1,112 @@
+package core
+
+import (
+	"fmt"
+
+	"flowpulse/internal/remediate"
+	"flowpulse/internal/resilience"
+	"flowpulse/internal/sim"
+	"flowpulse/internal/trace"
+)
+
+// A monitored run is two steps on a built Runtime — Attach, then Train —
+// and every rig (experiments, the simtest fuzzer, the public facade, the
+// examples) takes exactly these two. They are two calls rather than one
+// because rigs time them separately and inject faults in between.
+
+// AttachOptions is what a rig chooses when it deploys the monitor on a
+// built scenario.
+type AttachOptions struct {
+	// Job is the template for every job's pipeline — model kind, detector
+	// tuning, hooks. Attach fills in each job's id and demand matrix and,
+	// for SimulationModel, the reference windows.
+	Job JobConfig
+	// ReferenceIterations sizes the reference run a SimulationModel
+	// template is built from (default 3).
+	ReferenceIterations int
+	// Remediate, Resilience, TracePath, Trace and TraceLabel are the
+	// Config fields of the same names.
+	Remediate  *remediate.Config
+	Resilience *resilience.Config
+	TracePath  string
+	Trace      *trace.Writer
+	TraceLabel string
+}
+
+// Attach deploys FlowPulse on every job of the runtime, over its fabric,
+// transport and control plane (so injected divergence reaches the
+// predictor and remediator). The system is remembered for Train;
+// attaching twice is an error.
+func (rt *Runtime) Attach(opts AttachOptions) (*System, error) {
+	if rt.sys != nil {
+		return nil, fmt.Errorf("core: a monitor is already attached to this runtime")
+	}
+	job := opts.Job
+	if job.Kind == SimulationModel {
+		// referenceRun taps Jobs[0] only: its windows are no other job's
+		// baseline.
+		if len(rt.Jobs) > 1 {
+			return nil, fmt.Errorf("core: the simulation model needs a per-job reference run and is not supported on multi-job scenarios")
+		}
+		iters := opts.ReferenceIterations
+		if iters == 0 {
+			iters = 3
+		}
+		var err error
+		if job.ReferenceWindows, err = referenceRun(rt.Scenario, iters); err != nil {
+			return nil, fmt.Errorf("core: reference run: %w", err)
+		}
+	}
+	cfg := rt.monitorConfig(job)
+	cfg.Remediate, cfg.Resilience = opts.Remediate, opts.Resilience
+	cfg.TracePath, cfg.Trace, cfg.TraceLabel = opts.TracePath, opts.Trace, opts.TraceLabel
+	sys, err := Attach(cfg)
+	if err != nil {
+		return nil, err
+	}
+	rt.sys = sys
+	return sys, nil
+}
+
+// monitorConfig returns the Config that monitors every job of this
+// runtime: the fabric, transport and control plane, and one JobConfig
+// per job — each a copy of tmpl with the job's id and demand matrix
+// filled in.
+func (rt *Runtime) monitorConfig(tmpl JobConfig) Config {
+	cfg := Config{Net: rt.Net, Stack: rt.Stack, Control: rt.Plane}
+	for _, jr := range rt.Jobs {
+		tmpl.Job, tmpl.Demand = jr.Spec.Job, jr.Coll.Demand()
+		cfg.Jobs = append(cfg.Jobs, tmpl)
+	}
+	return cfg
+}
+
+// Train runs every job of the scenario (plus the background and
+// congestion generators it asks for) to completion and releases the
+// runtime's workers: counters, pipelines and timelines are final when
+// it returns. onIter, when set, fires after each completed iteration of
+// each job — inject or heal faults from it to script mid-run events.
+//
+// With a system attached, every job's training loop is bound to the
+// resilience loop first, the open telemetry windows are flushed at the
+// end, and the trace writer's I/O error, if any, is returned. Without
+// one it only trains — what tap-only callers need.
+func (rt *Runtime) Train(onIter func(now sim.Time, job uint16, iter uint32)) error {
+	defer rt.Close()
+	jobs := rt.startJobs(onIter)
+	if rt.sys == nil {
+		rt.Run()
+		return nil
+	}
+	for i, j := range jobs {
+		if err := rt.sys.bindWorkload(rt.Jobs[i].Spec.Job, j); err != nil {
+			return err
+		}
+	}
+	rt.Run()
+	rt.sys.Flush(rt.Engine.Now())
+	if rt.sys.trc != nil {
+		return rt.sys.trc.Err()
+	}
+	return nil
+}

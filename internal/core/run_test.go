@@ -1,0 +1,112 @@
+package core
+
+import (
+	"errors"
+	"strings"
+	"testing"
+
+	"flowpulse/internal/remediate"
+	"flowpulse/internal/resilience"
+	"flowpulse/internal/trace"
+)
+
+// TestSimulationModelRejectsSeveralJobs: the reference run taps the
+// first job only, so handing its windows to every job of a multi-job
+// scenario would give the others a wrong baseline — every rig gets the
+// rejection from the shared attach step.
+func TestSimulationModelRejectsSeveralJobs(t *testing.T) {
+	rt, err := twoJobs(16).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	_, err = rt.Attach(AttachOptions{Job: JobConfig{Kind: SimulationModel}})
+	if err == nil || !strings.Contains(err.Error(), "per-job reference run") {
+		t.Fatalf("two-job SimulationModel attach: error = %v, want the per-job reference run rejection", err)
+	}
+}
+
+func TestAttachTwiceFails(t *testing.T) {
+	rt, err := small(17).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Attach(AttachOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Attach(AttachOptions{}); err == nil {
+		t.Fatal("second Attach on one runtime succeeded")
+	}
+}
+
+// TestTrainBindsAndReleases is the path examples/clos3-monitoring and
+// every other rig takes — Build, Attach, Train, nothing else — on a
+// sharded runtime with the resilience loop on: the two steps alone must
+// leave every job's workload bound to its re-planner and the engine
+// group's workers released.
+func TestTrainBindsAndReleases(t *testing.T) {
+	sc := twoJobs(18)
+	sc.Iterations, sc.Shards = 2, 2
+	rt, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := rt.Attach(AttachOptions{Remediate: &remediate.Config{}, Resilience: &resilience.Config{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Train(nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range sys.Jobs() {
+		if j.Replanner == nil || j.work == nil {
+			t.Errorf("job %d: Train did not bind the workload", j.ID)
+		}
+		if j.Pipeline.Windows != sc.Leaves*sc.Iterations {
+			t.Errorf("job %d: %d windows after Train, want %d (final flush missing?)", j.ID, j.Pipeline.Windows, sc.Leaves*sc.Iterations)
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "after Close") {
+			t.Errorf("Run after Train: recovered %v, want the engine group's after-Close panic", r)
+		}
+	}()
+	rt.Run()
+}
+
+// TestTrainReturnsBindAndTraceErrors: the two failures a caller of the
+// hand-rolled sequence could drop on the floor come back from Train.
+func TestTrainReturnsBindAndTraceErrors(t *testing.T) {
+	sc := small(19)
+	sc.Iterations = 2
+	sc.Collective = AllToAllKind // not re-plannable
+	rt, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Attach(AttachOptions{Remediate: &remediate.Config{}, Resilience: &resilience.Config{}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Train(nil); err == nil || !strings.Contains(err.Error(), "re-plannable") {
+		t.Errorf("Train with resilience over all-to-all: error = %v, want the re-plannable rejection", err)
+	}
+
+	sc.Collective = RingAllReduce
+	if rt, err = sc.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Attach(AttachOptions{Trace: trace.NewWriter(failingWriter{})}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Train(nil); !errors.Is(err, errDiskFull) {
+		t.Errorf("Train over a failing trace sink: error = %v, want %v", err, errDiskFull)
+	}
+}
+
+var errDiskFull = errors.New("disk full")
+
+// failingWriter fails every write; the trace writer buffers, so the
+// error surfaces when Train's flush seals the recording.
+type failingWriter struct{}
+
+func (failingWriter) Write(p []byte) (int, error) { return 0, errDiskFull }

@@ -108,7 +108,7 @@ type Scenario struct {
 	// results are bit-identical for EVERY N ≥ 1 (worker count only
 	// changes packing, never the schedule) but differ microscopically
 	// from the single-threaded schedule; see DESIGN.md decision 12.
-	// Sharded runtimes must be driven via Runtime.Run/RunUntil and
+	// Sharded runtimes must be driven via Runtime.Train (or Run) and
 	// released with Runtime.Close.
 	Shards int
 }
@@ -157,13 +157,6 @@ type CongestionSpec struct {
 	// no network involvement at all.
 	Straggler     sim.Duration
 	StragglerLeaf int
-}
-
-// Active reports whether any congestion source (traffic generator or
-// straggler) is configured; ECN/DCQCN alone are transport features,
-// not congestion sources.
-func (c *CongestionSpec) Active() bool {
-	return c.Incast > 0 || c.Storm > 0 || c.Straggler > 0
 }
 
 // DivergenceSpec describes a scenario's control-plane fault regime:
@@ -282,8 +275,6 @@ type Runtime struct {
 	EngineGroup *sim.Group
 	Net         *fabric.Network
 	// Plane is the control plane holding the believed topology view.
-	// Pass it as Config.Control when attaching a monitor so injected
-	// divergence reaches the predictor and remediator.
 	Plane *control.Plane
 	Stack *transport.Stack
 	// Group is every host in rank order and Coll the scenario-level
@@ -301,6 +292,7 @@ type Runtime struct {
 	// at fault onset to split the timeline.
 	Goodput *metrics.GoodputTimeline
 
+	sys     *System // set by Attach
 	bg      *workload.Background
 	incast  *workload.Incast
 	storm   *workload.Storm
@@ -435,19 +427,6 @@ func (sc Scenario) Build() (rt *Runtime, err error) {
 	return rt, nil
 }
 
-// MonitorConfig returns the Config that monitors every job of this
-// runtime: the fabric, transport and control plane, and one JobConfig
-// per job — each a copy of tmpl (model kind, detector tuning, hooks)
-// with the job's id and demand matrix filled in.
-func (rt *Runtime) MonitorConfig(tmpl JobConfig) Config {
-	cfg := Config{Net: rt.Net, Stack: rt.Stack, Control: rt.Plane}
-	for _, jr := range rt.Jobs {
-		tmpl.Job, tmpl.Demand = jr.Spec.Job, jr.Coll.Demand()
-		cfg.Jobs = append(cfg.Jobs, tmpl)
-	}
-	return cfg
-}
-
 // Run drives the simulation until every event has drained, returning
 // the final simulated time. It dispatches to the sharded group when
 // the scenario was built with Shards ≥ 1.
@@ -456,14 +435,6 @@ func (rt *Runtime) Run() sim.Time {
 		return rt.EngineGroup.Run()
 	}
 	return rt.Engine.Run()
-}
-
-// RunUntil drives the simulation up to the deadline.
-func (rt *Runtime) RunUntil(deadline sim.Time) sim.Time {
-	if rt.EngineGroup != nil {
-		return rt.EngineGroup.RunUntil(deadline)
-	}
-	return rt.Engine.RunUntil(deadline)
 }
 
 // Close releases the sharded engine's worker pool. It is a no-op for
@@ -623,24 +594,17 @@ func (rt *Runtime) InjectCoreSpineDrop(pod, spineInPod, coreInGroup int, rate fl
 	return link
 }
 
-// InjectFlap attaches a periodic up/down fault to both directions of
-// the referenced link: down for downFor out of every period, starting
-// at phase. While "down" the link silently blackholes — the FIB does
-// not know, which is what makes an intermittent cable the worst case
-// for any remediation loop (quarantine, probe clean, re-admit, fail
-// again).
-func (rt *Runtime) InjectFlap(ref LeafSpineLink, period, downFor, phase sim.Duration) {
-	link := rt.Link(ref)
-	rt.Net.InjectFault(link, fabric.DirBoth, fault.NewLinkFlap(period, downFor, phase))
-}
-
-// InjectLossyFlap is InjectFlap with a Bernoulli loss process during
-// the down phase instead of a full blackhole: an intermittently
-// degraded link. Unlike a dead link — which stalls the collective's
-// barrier until the flap lifts, collapsing each down phase into one
-// stretched iteration — a degraded link lets iterations complete, so
-// each down phase produces the consecutive deviating windows that
-// confirmation logic keys on.
+// InjectLossyFlap attaches a periodic fault to both directions of the
+// referenced link: for downFor out of every period, starting at phase,
+// it silently drops each packet with probability rate, then runs clean
+// for the rest of the cycle — an intermittently degraded link. The FIB
+// does not know, which is what makes an intermittent cable the worst
+// case for any remediation loop (quarantine, probe clean, re-admit, fail
+// again). Unlike a dead link — which stalls the collective's barrier
+// until the flap lifts, collapsing each down phase into one stretched
+// iteration — a degraded link lets iterations complete, so each down
+// phase produces the consecutive deviating windows that confirmation
+// logic keys on.
 func (rt *Runtime) InjectLossyFlap(ref LeafSpineLink, period, downFor, phase sim.Duration, rate float64) {
 	link := rt.Link(ref)
 	if rt.EngineGroup != nil {
@@ -663,24 +627,10 @@ func (rt *Runtime) InjectLossyFlap(ref LeafSpineLink, period, downFor, phase sim
 // ClearSilent removes silent faults from the referenced link.
 func (rt *Runtime) ClearSilent(ref LeafSpineLink) { rt.Net.ClearFault(rt.Link(ref)) }
 
-// StartTraining launches every job of the scenario (plus the
-// background generator when the scenario asks for one) and returns the
-// first: onIter reports the iterations of Jobs[0] and onDone fires once
-// ALL jobs finish.
-func (rt *Runtime) StartTraining(onIter func(now sim.Time, iter uint32), onDone func(now sim.Time)) *workload.Job {
-	first := rt.Jobs[0].Spec.Job
-	return rt.StartAllJobs(func(now sim.Time, job uint16, iter uint32) {
-		if onIter != nil && job == first {
-			onIter(now, iter)
-		}
-	}, onDone)[0]
-}
-
-// StartAllJobs launches every job of the scenario, in Jobs order.
-// onIter fires per completed iteration of any job; onDone fires once
-// after the last job finishes (also stopping the background
-// generator).
-func (rt *Runtime) StartAllJobs(onIter func(now sim.Time, job uint16, iter uint32), onDone func(now sim.Time)) []*workload.Job {
+// startJobs launches every job of the scenario, in Jobs order, plus the
+// background and congestion generators it asks for (they stop with the
+// last job). onIter fires per completed iteration of any job.
+func (rt *Runtime) startJobs(onIter func(now sim.Time, job uint16, iter uint32)) []*workload.Job {
 	rt.startBackground()
 	rt.running = len(rt.Jobs)
 	jobs := make([]*workload.Job, len(rt.Jobs))
@@ -706,9 +656,7 @@ func (rt *Runtime) StartAllJobs(onIter func(now sim.Time, job uint16, iter uint3
 					onIter(now, spec.Job, iter)
 				}
 			},
-			OnDone: func(now sim.Time) {
-				rt.jobDone(now, onDone)
-			},
+			OnDone: func(sim.Time) { rt.jobDone() },
 		})
 	}
 	return jobs
@@ -787,15 +735,8 @@ func (rt *Runtime) stragglerOffsets(group []topology.HostID) []sim.Duration {
 	return offs
 }
 
-// IncastGen and StormGen expose the running congestion generators for
-// harness assertions (nil when off or training has not started).
-func (rt *Runtime) IncastGen() *workload.Incast { return rt.incast }
-
-// StormGen returns the running storm generator, or nil.
-func (rt *Runtime) StormGen() *workload.Storm { return rt.storm }
-
 // jobDone gates shared teardown on the last job's completion.
-func (rt *Runtime) jobDone(now sim.Time, onDone func(now sim.Time)) {
+func (rt *Runtime) jobDone() {
 	rt.running--
 	if rt.running > 0 {
 		return
@@ -809,21 +750,15 @@ func (rt *Runtime) jobDone(now sim.Time, onDone func(now sim.Time)) {
 	if rt.storm != nil {
 		rt.storm.Stop()
 	}
-	if onDone != nil {
-		onDone(now)
-	}
 }
 
-// ReferenceRun produces the simulation-based predictor's input: it
+// referenceRun produces the simulation-based predictor's input: it
 // rebuilds the scenario from scratch — same topology, same known
 // faults, same seed, NO silent faults — runs the given number of
 // iterations, and returns every closed telemetry window. This is the
 // paper's "simulation before every training job" (§5.2).
-func ReferenceRun(sc Scenario, iterations int) ([]*telemetry.Window, error) {
-	sc.setDefaults()
-	if iterations > 0 {
-		sc.Iterations = iterations
-	}
+func referenceRun(sc Scenario, iterations int) ([]*telemetry.Window, error) {
+	sc.Iterations = iterations
 	// The reference predicts CLEAN conditions: congestion generators and
 	// stragglers are environmental noise, excluded exactly as silent
 	// faults are. ECN and DCQCN stay on — they are properties of the
@@ -833,13 +768,13 @@ func ReferenceRun(sc Scenario, iterations int) ([]*telemetry.Window, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer rt.Close()
 	var windows []*telemetry.Window
 	coll := telemetry.AttachAll(rt.Net, int(rt.Jobs[0].Spec.Job), func(w *telemetry.Window) {
 		windows = append(windows, w.Clone())
 	})
-	rt.StartTraining(nil, nil)
-	rt.Run()
+	if err := rt.Train(nil); err != nil {
+		return nil, err
+	}
 	coll.FlushAll(rt.Engine.Now()) // close the final iteration's windows
 	return windows, nil
 }

@@ -58,7 +58,8 @@ type JobConfig struct {
 	Demand *collective.DemandMatrix
 	// Kind selects the load model. Defaults to AnalyticalModel.
 	Kind PredictorKind
-	// ReferenceWindows feed the simulation model (see ReferenceRun).
+	// ReferenceWindows feed the simulation model (Runtime.Attach runs the
+	// reference simulation).
 	ReferenceWindows []*telemetry.Window
 	// Learned tunes the learned model.
 	Learned predict.LearnedConfig
@@ -100,7 +101,7 @@ type Config struct {
 	// Resilience, when set (requires Remediate), extends the loop into
 	// the workload: a quarantine that degrades a leaf below the recovery
 	// target re-plans the collective (re-rank or degraded-mode ring) of
-	// every job bound via BindWorkload — each keeps its own re-planner,
+	// every job Runtime.Train binds — each keeps its own re-planner,
 	// its own ring, its own capacity exposure — and the predictors
 	// re-baseline against the new demand matrices. Use
 	// &resilience.Config{} for the defaults. Not supported for jobs on
@@ -137,11 +138,11 @@ type Job struct {
 	// spines' view of the core→spine links, which no leaf can see. Nil
 	// on a two-level fabric.
 	Spine *Tier
-	// Replanner is nil until BindWorkload arms it (and always when
+	// Replanner is nil until Runtime.Train arms it (and always when
 	// Config.Resilience was not set).
 	Replanner *resilience.Replanner
 
-	work *workload.Job // set by BindWorkload
+	work *workload.Job // set by bindWorkload
 }
 
 // tiers lists the job's stacks by topology.SwitchKind: leaf tier at
@@ -256,7 +257,7 @@ func Attach(cfg Config) (*System, error) {
 		// order. The hooks fire before the remediation loop's own
 		// rebaseline, so the re-planned demand matrices are what the
 		// single post-quarantine (or post-re-admission) rebaseline
-		// computes from. They no-op until BindWorkload supplies a job.
+		// computes from. They no-op until bindWorkload supplies a job.
 		s.remediator.OnQuarantine = func(now sim.Time, link topology.LinkID) {
 			for _, j := range s.jobs {
 				if j.Replanner != nil {
@@ -403,15 +404,6 @@ func traceHeader(topo *topology.Topology, label string, shared bool, rem *remedi
 	return hdr, nil
 }
 
-// MustAttach is Attach for statically valid configurations.
-func MustAttach(cfg Config) *System {
-	s, err := Attach(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Jobs returns the monitored jobs' stacks in registration order.
 func (s *System) Jobs() []*Job { return s.jobs }
 
@@ -425,42 +417,29 @@ func (s *System) Job(id uint16) *Job {
 	return nil
 }
 
-// Plane returns the underlying monitoring plane.
-func (s *System) Plane() *monitor.Plane { return s.plane }
-
 // Remediator returns the closed-loop remediation engine shared by every
 // pipeline, or nil when Config.Remediate was not set.
 func (s *System) Remediator() *remediate.Remediator { return s.remediator }
 
-// ControlPlane returns the fabric-scoped control plane holding the
-// believed topology view. Never nil: Attach builds a verified plane
-// when the caller does not supply one.
-func (s *System) ControlPlane() *control.Plane { return s.ctrl }
-
-// KnownFaults returns the control plane's known-fault set: links
-// confirmed faulty and currently quarantined. Every analytical model
-// and detector consults it; quarantine mutates it.
-func (s *System) KnownFaults() *predict.FaultSet { return s.faults }
-
 // TraceWriter returns the attached trace writer, or nil when the
 // system is not recording. Harnesses use it to append ground-truth
-// fault records and to check Err after Flush.
+// fault records and to read the stream fingerprint.
 func (s *System) TraceWriter() *trace.Writer { return s.trc }
 
-// BindWorkload connects one monitored job's training loop to the
+// bindWorkload connects one monitored job's training loop to the
 // resilience loop. The job gets its own re-planner, armed with its
 // current ring order; from then on a quarantine that degrades a leaf
 // below the recovery target re-plans the collective at the job's next
 // iteration barrier. A no-op when Config.Resilience was not set;
 // errors when the job is not monitored or its collective cannot be
 // re-planned.
-func (s *System) BindWorkload(job uint16, w *workload.Job) error {
+func (s *System) bindWorkload(job uint16, w *workload.Job) error {
 	if s.cfg.Resilience == nil {
 		return nil
 	}
 	j := s.Job(job)
 	if j == nil {
-		return fmt.Errorf("core: BindWorkload: job %d is not monitored", job)
+		return fmt.Errorf("core: job %d is not monitored", job)
 	}
 	coll := w.Collective()
 	if _, ok := coll.(collective.Replannable); !ok {
@@ -526,8 +505,8 @@ func (s *System) Rebaseline() bool {
 }
 
 // Flush closes all open telemetry windows (end of training) and, when
-// recording, seals the trace (trailer + fingerprint; check
-// TraceWriter().Err for I/O errors).
+// recording, seals the trace (trailer + fingerprint; Runtime.Train
+// returns the writer's I/O error).
 func (s *System) Flush(now sim.Time) {
 	s.plane.Flush(now)
 	if s.trc != nil {

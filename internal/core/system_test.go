@@ -61,29 +61,22 @@ func runWith(t *testing.T, sc Scenario, job JobConfig, refIters int, rem *remedi
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Kind == SimulationModel {
-		ref, err := ReferenceRun(sc, refIters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		job.ReferenceWindows = ref
-	}
-	cfg := rt.MonitorConfig(job)
-	cfg.Remediate = rem
-	sys, err := Attach(cfg)
+	sys, err := rt.Attach(AttachOptions{Job: job, ReferenceIterations: refIters, Remediate: rem})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if setup != nil {
 		setup(rt, sys)
 	}
-	rt.StartTraining(func(now sim.Time, iter uint32) {
-		if onIter != nil {
+	first := rt.Jobs[0].Spec.Job
+	err = rt.Train(func(now sim.Time, job uint16, iter uint32) {
+		if onIter != nil && job == first {
 			onIter(rt, now, iter)
 		}
-	}, nil)
-	rt.Engine.Run()
-	sys.Flush(rt.Engine.Now())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return rt, sys
 }
 
@@ -106,7 +99,7 @@ func assertCleanRun(t *testing.T, sc Scenario) *System {
 			t.Errorf("job %d: clean run produced %d alerts: %v", j.ID, len(j.Pipeline.Events), j.Pipeline.Events[0].Alert)
 		}
 	}
-	if n := sys.Plane().UnroutedWindows(); n != 0 {
+	if n := sys.plane.UnroutedWindows(); n != 0 {
 		t.Errorf("unrouted windows: %d", n)
 	}
 	return sys
@@ -149,8 +142,8 @@ func TestSharedPlaneSharedFaultSeenByBothQuarantinedOnce(t *testing.T) {
 	if st.Quarantines != 1 {
 		t.Fatalf("shared fault quarantined %d times, want exactly once: %+v", st.Quarantines, st)
 	}
-	if sys.KnownFaults().Len() != 1 {
-		t.Fatalf("known faults: %d, want 1", sys.KnownFaults().Len())
+	if sys.faults.Len() != 1 {
+		t.Fatalf("known faults: %d, want 1", sys.faults.Len())
 	}
 }
 
@@ -307,14 +300,18 @@ func TestLearnedModelRebaselinesAfterTransient(t *testing.T) {
 	}
 	// Heavy transient fault so the warmup baseline is clearly skewed.
 	rt.InjectSilentDrop(ref, 0.2)
-	sys := MustAttach(rt.MonitorConfig(JobConfig{Kind: LearnedModel}))
-	rt.StartTraining(func(_ sim.Time, iter uint32) {
+	sys, err := rt.Attach(AttachOptions{Job: JobConfig{Kind: LearnedModel}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = rt.Train(func(_ sim.Time, _ uint16, iter uint32) {
 		if iter == 6 {
 			rt.ClearSilent(ref)
 		}
-	}, nil)
-	rt.Engine.Run()
-	sys.Flush(rt.Engine.Now())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	job := only(t, sys)
 	if job.Learned().Rebaselines == 0 {
@@ -477,7 +474,7 @@ func TestAttachValidation(t *testing.T) {
 }
 
 // TestResilienceRejectsSimulationModelAtAttach: the rule is checked per
-// job when the system is attached — not deferred to BindWorkload — with
+// job when the system is attached — not deferred to Train's bind — with
 // one error text for any number of jobs.
 func TestResilienceRejectsSimulationModelAtAttach(t *testing.T) {
 	for _, sc := range []Scenario{small(13), twoJobs(13)} {
@@ -485,7 +482,7 @@ func TestResilienceRejectsSimulationModelAtAttach(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := rt.MonitorConfig(JobConfig{})
+		cfg := rt.monitorConfig(JobConfig{})
 		last := &cfg.Jobs[len(cfg.Jobs)-1]
 		last.Kind, last.ReferenceWindows = SimulationModel, []*telemetry.Window{{}}
 		cfg.Remediate, cfg.Resilience = &remediate.Config{}, &resilience.Config{}
@@ -543,9 +540,12 @@ func TestDerivedFromJobCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		cfg := rt.MonitorConfig(JobConfig{})
+		cfg := rt.monitorConfig(JobConfig{})
 		cfg.Trace = trace.NewWriter(&buf)
-		sys := MustAttach(cfg)
+		sys, err := Attach(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sys.Flush(0)
 		rd, err := trace.NewReader(&buf)
 		if err != nil {
@@ -581,11 +581,12 @@ func TestReplanDetailPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := rt.MonitorConfig(JobConfig{})
-		cfg.Remediate, cfg.Resilience = &remediate.Config{}, &resilience.Config{}
-		sys := MustAttach(cfg)
-		for i, j := range rt.StartAllJobs(nil, nil) {
-			if err := sys.BindWorkload(rt.Jobs[i].Spec.Job, j); err != nil {
+		sys, err := rt.Attach(AttachOptions{Remediate: &remediate.Config{}, Resilience: &resilience.Config{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, j := range rt.startJobs(nil) {
+			if err := sys.bindWorkload(rt.Jobs[i].Spec.Job, j); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -601,15 +602,15 @@ func TestReplanDetailPrefix(t *testing.T) {
 			}
 		}
 		if len(got) != len(tc.want) {
-			t.Fatalf("%d job(s): re-plan details %q, want %d entries", len(cfg.Jobs), got, len(tc.want))
+			t.Fatalf("%d job(s): re-plan details %q, want %d entries", len(rt.Jobs), got, len(tc.want))
 		}
 		for i, want := range tc.want {
 			if !strings.HasPrefix(got[i], want) {
-				t.Errorf("%d job(s): re-plan detail %q, want prefix %q", len(cfg.Jobs), got[i], want)
+				t.Errorf("%d job(s): re-plan detail %q, want prefix %q", len(rt.Jobs), got[i], want)
 			}
 		}
-		if err := sys.BindWorkload(99, nil); err == nil {
-			t.Error("BindWorkload accepted a job that is not monitored")
+		if err := sys.bindWorkload(99, nil); err == nil {
+			t.Error("bindWorkload accepted a job that is not monitored")
 		}
 	}
 }
@@ -628,11 +629,11 @@ func TestScenarioValidation(t *testing.T) {
 
 func TestReferenceRunDeterministic(t *testing.T) {
 	sc := small(12)
-	a, err := ReferenceRun(sc, 2)
+	a, err := referenceRun(sc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReferenceRun(sc, 2)
+	b, err := referenceRun(sc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

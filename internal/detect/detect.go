@@ -133,9 +133,6 @@ func (d *Detector) Threshold() float64 { return d.cfg.Threshold }
 // Config returns the effective (defaulted) configuration.
 func (d *Detector) Config() Config { return d.cfg }
 
-// Predictor returns the underlying load model.
-func (d *Detector) Predictor() predict.Predictor { return d.pred }
-
 // Stats returns a snapshot of detector counters.
 func (d *Detector) Stats() Stats { return d.stats }
 

@@ -84,8 +84,9 @@ func Fig2(cfg Fig2Config) (*Fig2Result, error) {
 			observed[u] += float64(b)
 		}
 	})
-	rt.StartTraining(nil, nil)
-	rt.Run()
+	if err := rt.Train(nil); err != nil {
+		return nil, err
+	}
 	coll.FlushAll(rt.Engine.Now())
 	if windows == 0 {
 		return nil, fmt.Errorf("fig2: no measurement windows closed")

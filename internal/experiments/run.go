@@ -58,19 +58,11 @@ func simulate(spec runSpec) (simRun, error) {
 		return simRun{}, err
 	}
 	defer rt.Close()
-	if spec.job.Kind == core.SimulationModel {
-		iters := spec.referenceIters
-		if iters == 0 {
-			iters = 3
-		}
-		if spec.job.ReferenceWindows, err = core.ReferenceRun(spec.scenario, iters); err != nil {
-			return simRun{}, err
-		}
-	}
-	cfg := rt.MonitorConfig(spec.job)
-	cfg.Remediate, cfg.Resilience = spec.remediate, spec.resilience
-	cfg.TracePath, cfg.TraceLabel = spec.tracePath, spec.traceLabel
-	sys, err := core.Attach(cfg)
+	sys, err := rt.Attach(core.AttachOptions{
+		Job: spec.job, ReferenceIterations: spec.referenceIters,
+		Remediate: spec.remediate, Resilience: spec.resilience,
+		TracePath: spec.tracePath, TraceLabel: spec.traceLabel,
+	})
 	if err != nil {
 		return simRun{}, err
 	}
@@ -86,18 +78,8 @@ func simulate(spec runSpec) (simRun, error) {
 		}
 	}
 	onIter(rt.Engine.Now(), first, 0)
-	jobs := rt.StartAllJobs(onIter, nil)
-	for i, j := range jobs {
-		if err := sys.BindWorkload(rt.Jobs[i].Spec.Job, j); err != nil {
-			return simRun{}, err
-		}
-	}
-	rt.Run()
-	sys.Flush(rt.Engine.Now())
-	if trc := sys.TraceWriter(); trc != nil {
-		if err := trc.Err(); err != nil {
-			return simRun{}, err
-		}
+	if err := rt.Train(onIter); err != nil {
+		return simRun{}, err
 	}
 	return r, nil
 }

@@ -92,7 +92,7 @@ func TestTrunkMembersAllCarryTraffic(t *testing.T) {
 	dstLeaf := topo.LeafOf(1)
 	hostPorts := len(topo.HostsOf(dstLeaf))
 	byTrunk := map[[2]int]int{} // (spine ordinal, trunk index) -> packets
-	n.SetIngressHook(dstLeaf, func(_ sim.Time, port int, p *Packet) {
+	n.AddIngressHook(dstLeaf, func(_ sim.Time, port int, p *Packet) {
 		if port >= hostPorts {
 			so, k := topo.SpineOrdinalOfLeafPort(dstLeaf, port)
 			byTrunk[[2]int{so, k}]++

@@ -60,7 +60,7 @@ func TestLocalDeliveryStaysUnderLeaf(t *testing.T) {
 	// Watch every spine: no packet may appear there.
 	for _, spine := range n.Topology().Spines() {
 		spine := spine
-		n.SetIngressHook(spine, func(_ sim.Time, port int, p *Packet) {
+		n.AddIngressHook(spine, func(_ sim.Time, port int, p *Packet) {
 			t.Errorf("local packet reached spine %d port %d: %v", spine, port, p)
 		})
 	}
@@ -83,7 +83,7 @@ func spineArrivals(n *Network, dstLeaf topology.SwitchID) []int {
 	topo := n.Topology()
 	hostPorts := len(topo.HostsOf(dstLeaf))
 	counts := make([]int, len(topo.Spines()))
-	n.SetIngressHook(dstLeaf, func(_ sim.Time, port int, p *Packet) {
+	n.AddIngressHook(dstLeaf, func(_ sim.Time, port int, p *Packet) {
 		if port >= hostPorts {
 			so, _ := topo.SpineOrdinalOfLeafPort(dstLeaf, port)
 			counts[so]++
@@ -313,7 +313,7 @@ func TestTrunkedLinksShareLoad(t *testing.T) {
 	dstLeaf := topo.LeafOf(1)
 	hostPorts := 1
 	portCounts := map[int]int{}
-	n.SetIngressHook(dstLeaf, func(_ sim.Time, port int, p *Packet) {
+	n.AddIngressHook(dstLeaf, func(_ sim.Time, port int, p *Packet) {
 		if port >= hostPorts {
 			portCounts[port]++
 		}
@@ -344,7 +344,7 @@ func TestClos3EndToEnd(t *testing.T) {
 	n.SetReceiver(dst, func(sim.Time, *Packet) { got++ })
 	coreSaw := 0
 	for _, core := range topo.Cores() {
-		n.SetIngressHook(core, func(sim.Time, int, *Packet) { coreSaw++ })
+		n.AddIngressHook(core, func(sim.Time, int, *Packet) { coreSaw++ })
 	}
 	sendMany(n, src, dst, 500, 4096)
 	eng.Run()
@@ -387,16 +387,6 @@ func TestClos3RoutesAroundCoreFault(t *testing.T) {
 	}
 }
 
-func TestFlowTagCodecRoundTrip(t *testing.T) {
-	f := func(sentinel bool, job uint16, iter uint32) bool {
-		tag := FlowTag{Sentinel: sentinel, Job: job, Iter: iter}
-		return DecodeFlowTag(EncodeFlowTag(tag)) == tag
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: for random small scenarios with random faults, packet
 // conservation holds once the network drains.
 func TestPacketConservationProperty(t *testing.T) {
@@ -427,7 +417,7 @@ func TestIngressHookSeesUplinkPort(t *testing.T) {
 	topo := n.Topology()
 	dstLeaf := topo.LeafOf(1)
 	sawUplink := false
-	n.SetIngressHook(dstLeaf, func(_ sim.Time, port int, p *Packet) {
+	n.AddIngressHook(dstLeaf, func(_ sim.Time, port int, p *Packet) {
 		if so, _ := topo.SpineOrdinalOfLeafPort(dstLeaf, port); so >= 0 {
 			sawUplink = true
 			if p.Dst != 1 {
@@ -452,23 +442,6 @@ func TestIngressHooksCompose(t *testing.T) {
 	eng.Run()
 	if len(order) < 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("hooks did not both run in registration order: %v", order)
-	}
-
-	// SetIngressHook replaces the whole list.
-	calls := 0
-	n.SetIngressHook(dstLeaf, func(sim.Time, int, *Packet) { calls++ })
-	order = order[:0]
-	n.Send(SendSpec{Src: 0, Dst: 1, Size: 4096, Msg: 1})
-	eng.Run()
-	if len(order) != 0 || calls == 0 {
-		t.Fatalf("SetIngressHook did not replace appended hooks: appended=%v replacement=%d", order, calls)
-	}
-	n.SetIngressHook(dstLeaf, nil)
-	calls = 0
-	n.Send(SendSpec{Src: 0, Dst: 1, Size: 4096, Msg: 2})
-	eng.Run()
-	if calls != 0 {
-		t.Fatal("SetIngressHook(nil) did not remove hooks")
 	}
 }
 
@@ -516,9 +489,5 @@ func TestDirTowardResolution(t *testing.T) {
 	dirToSpine := n.DirToward(link, spine)
 	if dirToLeaf == dirToSpine {
 		t.Fatal("DirToward returned the same direction for both endpoints")
-	}
-	hl := topo.Host(0).Link
-	if n.DirTowardHost(hl, 0) == n.DirToward(hl, topo.LeafOf(0)) {
-		t.Fatal("host link directions not distinct")
 	}
 }

@@ -245,19 +245,6 @@ func (n *Network) DirToward(link topology.LinkID, receiver topology.SwitchID) Di
 	panic(fmt.Sprintf("fabric: switch %d not on link %d", receiver, link))
 }
 
-// DirTowardHost resolves the Direction of a link whose receiver is the
-// given host.
-func (n *Network) DirTowardHost(link topology.LinkID, receiver topology.HostID) Direction {
-	l := n.topo.Link(link)
-	if l.B.Kind == topology.HostEnd && l.B.Host == receiver {
-		return DirAtoB
-	}
-	if l.A.Kind == topology.HostEnd && l.A.Host == receiver {
-		return DirBtoA
-	}
-	panic(fmt.Sprintf("fabric: host %d not on link %d", receiver, link))
-}
-
 // InjectFault attaches a silent fault process to the given direction(s)
 // of a link. The FIB is deliberately NOT updated: the fault is silent,
 // so routing keeps using the link. Passing nil clears the fault.
@@ -282,7 +269,10 @@ func (n *Network) ClearFault(link topology.LinkID) {
 // SetLinkAdmin marks a link administratively up or down and reconverges
 // every FIB, exactly as a switch OS removing a *detected* faulty link
 // from routing (§1). Packets already in flight on a downed link are
-// dropped and counted as AdminDropped.
+// dropped and counted as AdminDropped. Idempotent, and up is the exact
+// inverse of down: the FIB recomputation is a pure function of the
+// administrative link predicate, so a down/up round trip is
+// byte-identical (reconnect_test.go pins this).
 func (n *Network) SetLinkAdmin(link topology.LinkID, up bool) {
 	if n.links[link].adminUp == up {
 		return
@@ -291,17 +281,6 @@ func (n *Network) SetLinkAdmin(link topology.LinkID, up bool) {
 	n.fibRecomputes++
 	n.recomputeFIBs()
 }
-
-// DisconnectLink administratively removes a link from routing — the
-// quarantine half of the remediation loop. Idempotent.
-func (n *Network) DisconnectLink(link topology.LinkID) { n.SetLinkAdmin(link, false) }
-
-// ReconnectLink is the exact inverse of DisconnectLink: the link
-// rejoins every spray set and the FIB reconverges to the pre-disconnect
-// state (the FIB recomputation is a pure function of the administrative
-// link predicate, so a disconnect/reconnect round trip is byte-identical
-// — reconnect_test.go pins this). Idempotent.
-func (n *Network) ReconnectLink(link topology.LinkID) { n.SetLinkAdmin(link, true) }
 
 // FIBRecomputes counts administrative link transitions that forced a
 // full FIB recomputation — the remediation experiments' churn metric.

@@ -403,9 +403,6 @@ func (n *Network) Engine() *sim.Engine { return n.engine }
 // Group returns the sharded scheduler, or nil in legacy mode.
 func (n *Network) Group() *sim.Group { return n.grp }
 
-// Partition returns the domain decomposition, or nil in legacy mode.
-func (n *Network) Partition() *topology.Partition { return n.cfg.Partition }
-
 // EngineOf returns the engine that executes a host's events: the
 // host's domain engine in sharded mode, the single engine otherwise.
 // Traffic sources (transports, injectors) must schedule a host's work
@@ -454,17 +451,6 @@ func (n *Network) SetDequeueHook(h topology.HostID, hook DequeueHook) {
 	n.hosts[h].onDequeue = hook
 }
 
-// SetIngressHook replaces every ingress observer on a switch with the
-// given hook (nil to remove all). Prefer AddIngressHook: independent
-// observers (telemetry monitors of several jobs, test probes) must
-// compose, and a bare set silently clobbers whoever attached first.
-func (n *Network) SetIngressHook(sw topology.SwitchID, hook IngressHook) {
-	n.ingressHooks[sw] = n.ingressHooks[sw][:0]
-	if hook != nil {
-		n.ingressHooks[sw] = append(n.ingressHooks[sw], hook)
-	}
-}
-
 // AddIngressHook appends an ingress observer to a switch. Hooks run in
 // registration order on every packet accepted at the switch's ingress.
 func (n *Network) AddIngressHook(sw topology.SwitchID, hook IngressHook) {
@@ -473,9 +459,6 @@ func (n *Network) AddIngressHook(sw topology.SwitchID, hook IngressHook) {
 	}
 	n.ingressHooks[sw] = append(n.ingressHooks[sw], hook)
 }
-
-// SprayPolicyName reports the active load-balancing policy.
-func (n *Network) SprayPolicyName() string { return n.switches[0].policy.Name() }
 
 func (n *Network) recomputeFIBs() {
 	up := func(l topology.LinkID) bool { return n.links[l].adminUp }

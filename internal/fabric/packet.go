@@ -57,25 +57,6 @@ type FlowTag struct {
 	Iter uint32
 }
 
-// EncodeFlowTag packs a tag into a 64-bit header field as a switch
-// dataplane would see it.
-func EncodeFlowTag(t FlowTag) uint64 {
-	v := uint64(t.Iter) | uint64(t.Job)<<32
-	if t.Sentinel {
-		v |= 1 << 63
-	}
-	return v
-}
-
-// DecodeFlowTag unpacks EncodeFlowTag.
-func DecodeFlowTag(v uint64) FlowTag {
-	return FlowTag{
-		Sentinel: v>>63 != 0,
-		Job:      uint16(v >> 32 & 0xffff),
-		Iter:     uint32(v),
-	}
-}
-
 // Packet is one frame on the wire. Packets are owned by the Network's
 // pool: the fabric frees delivered and dropped packets, so receivers
 // must copy anything they keep.

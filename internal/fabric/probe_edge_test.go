@@ -16,13 +16,13 @@ import (
 func TestProbeLinkRacingReconnect(t *testing.T) {
 	n := buildFatTree(t, 4, 2, 1)
 	link := n.topo.TrunkLinks(n.topo.Leaves()[0], n.topo.Spines()[1])[0]
-	n.DisconnectLink(link)
+	n.SetLinkAdmin(link, false)
 
 	var results []bool
 	n.ProbeLink(link, DirAtoB, 256, func(_ sim.Time, d bool) { results = append(results, d) })
 	// Reconnect before the engine delivers the probe: the in-flight
 	// probe must complete exactly once.
-	n.ReconnectLink(link)
+	n.SetLinkAdmin(link, true)
 	n.Engine().Run()
 	if len(results) != 1 || !results[0] {
 		t.Fatalf("probe racing reconnect: results %v, want [true]", results)
@@ -31,7 +31,7 @@ func TestProbeLinkRacingReconnect(t *testing.T) {
 	// The mirror race: probe a live link, disconnect before delivery.
 	results = nil
 	n.ProbeLink(link, DirBtoA, 256, func(_ sim.Time, d bool) { results = append(results, d) })
-	n.DisconnectLink(link)
+	n.SetLinkAdmin(link, false)
 	n.Engine().Run()
 	if len(results) != 1 || !results[0] {
 		t.Fatalf("probe racing disconnect: results %v, want [true]", results)

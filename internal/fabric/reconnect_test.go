@@ -58,8 +58,8 @@ func buildFatTree(t *testing.T, leaves, spines, trunk int) *Network {
 	return MustNew(Config{Topo: topo, Engine: sim.NewEngine(), Seed: 9})
 }
 
-// TestReconnectRoundTrip proves ReconnectLink is the exact inverse of
-// DisconnectLink: after the round trip the FIB candidate tables and
+// TestReconnectRoundTrip proves admin-up is the exact inverse of
+// admin-down: after the round trip the FIB candidate tables and
 // every leaf's spray sets are byte-identical to the pre-disconnect
 // state, and the disconnect really did change them in between.
 func TestReconnectRoundTrip(t *testing.T) {
@@ -72,18 +72,18 @@ func TestReconnectRoundTrip(t *testing.T) {
 
 		before := snapshotFIB(n)
 
-		n.DisconnectLink(link)
+		n.SetLinkAdmin(link, false)
 		if n.LinkAdminUp(link) {
-			t.Fatal("link still admin-up after DisconnectLink")
+			t.Fatal("link still admin-up after SetLinkAdmin(false)")
 		}
 		during := snapshotFIB(n)
 		if reflect.DeepEqual(before.leafUp, during.leafUp) {
 			t.Fatal("disconnect did not change the leaf FIB")
 		}
 
-		n.ReconnectLink(link)
+		n.SetLinkAdmin(link, true)
 		if !n.LinkAdminUp(link) {
-			t.Fatal("link not admin-up after ReconnectLink")
+			t.Fatal("link not admin-up after SetLinkAdmin(true)")
 		}
 		after := snapshotFIB(n)
 
@@ -109,10 +109,10 @@ func TestFIBRecomputeCounter(t *testing.T) {
 		t.Fatalf("FIBRecomputes after construction = %d, want 0", got)
 	}
 	link := n.topo.TrunkLinks(n.topo.Leaves()[0], n.topo.Spines()[0])[0]
-	n.DisconnectLink(link)
-	n.DisconnectLink(link) // idempotent: no extra churn
-	n.ReconnectLink(link)
-	n.ReconnectLink(link)
+	n.SetLinkAdmin(link, false)
+	n.SetLinkAdmin(link, false) // idempotent: no extra churn
+	n.SetLinkAdmin(link, true)
+	n.SetLinkAdmin(link, true)
 	if got := n.FIBRecomputes(); got != 2 {
 		t.Fatalf("FIBRecomputes = %d, want 2", got)
 	}
@@ -124,7 +124,7 @@ func TestFIBRecomputeCounter(t *testing.T) {
 func TestProbeLink(t *testing.T) {
 	n := buildFatTree(t, 4, 2, 1)
 	link := n.topo.TrunkLinks(n.topo.Leaves()[1], n.topo.Spines()[1])[0]
-	n.DisconnectLink(link)
+	n.SetLinkAdmin(link, false)
 
 	var got []bool
 	var at sim.Time

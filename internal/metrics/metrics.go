@@ -1,13 +1,10 @@
 // Package metrics computes the evaluation statistics of §6: ROC
 // curves over detection thresholds (Fig 5a), false-positive and
-// false-negative rates (Fig 5b/5c), and summary statistics used across
-// the experiment harness.
+// false-negative rates (Fig 5b/5c), and the goodput timeline of the
+// resilience experiments.
 package metrics
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Sample is one classifier observation: the detector's score for one
 // iteration (max absolute port deviation) and whether a fault was
@@ -98,63 +95,4 @@ func PerfectThresholds(samples []Sample, thresholds []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// Summary holds basic descriptive statistics.
-type Summary struct {
-	N             int
-	Mean, Std, CV float64
-	Min, Max, Sum float64
-}
-
-// Summarize computes descriptive statistics of xs.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if s.N == 0 {
-		return s
-	}
-	s.Min, s.Max = xs[0], xs[0]
-	for _, x := range xs {
-		s.Sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Sum / float64(s.N)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	s.Std = math.Sqrt(ss / float64(s.N))
-	if s.Mean != 0 {
-		s.CV = s.Std / s.Mean
-	}
-	return s
-}
-
-// Quantile returns the q-quantile (0..1) of xs by linear
-// interpolation. It panics on empty input.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("metrics: quantile of empty slice")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

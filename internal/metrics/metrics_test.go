@@ -96,38 +96,6 @@ func TestPerfectThresholds(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || s.Mean != 5 || math.Abs(s.Std-2) > 1e-12 {
-		t.Fatalf("summary: %+v", s)
-	}
-	if s.Min != 2 || s.Max != 9 || s.Sum != 40 {
-		t.Fatalf("summary extremes: %+v", s)
-	}
-	if math.Abs(s.CV-0.4) > 1e-12 {
-		t.Fatalf("cv = %v", s.CV)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Fatal("empty summary wrong")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 5 || Quantile(xs, 0.5) != 3 {
-		t.Fatal("quantile basics wrong")
-	}
-	if got := Quantile(xs, 0.25); got != 2 {
-		t.Fatalf("q25 = %v", got)
-	}
-	// Input must not be mutated.
-	ys := []float64{3, 1, 2}
-	Quantile(ys, 0.5)
-	if ys[0] != 3 {
-		t.Fatal("Quantile mutated input")
-	}
-}
-
 func TestROCEmptySamples(t *testing.T) {
 	pts := ROC(nil, []float64{0.01, 0.05})
 	if len(pts) != 2 {

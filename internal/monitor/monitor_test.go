@@ -72,7 +72,6 @@ func TestPipelineOnWindowOrdering(t *testing.T) {
 		OnEvent:   func(e Event) { hooks = append(hooks, "event") },
 		OnWindow:  func(ws WindowScore) { hooks = append(hooks, "window") },
 	})
-	p.Subscribe(func(e Event) { hooks = append(hooks, "sub") })
 
 	w := win(3, 1, 100)
 	p.OnWindow(w)
@@ -88,8 +87,8 @@ func TestPipelineOnWindowOrdering(t *testing.T) {
 	if p.Scores[0].Window == w || det.seen[0] == w {
 		t.Fatal("pipeline retained the caller's window instead of a clone")
 	}
-	// OnWindow fires before OnEvent; Subscribe callbacks after OnEvent.
-	if want := []string{"window", "event", "sub"}; !reflect.DeepEqual(hooks, want) {
+	// OnWindow fires before OnEvent.
+	if want := []string{"window", "event"}; !reflect.DeepEqual(hooks, want) {
 		t.Fatalf("hook order %v, want %v", hooks, want)
 	}
 	// Remediator sees the observation before the end-of-window tick.
@@ -157,7 +156,7 @@ func TestPlaneRoutesWindowsPerJob(t *testing.T) {
 	// port 1) and the first spine (core port 2): interleaved packets
 	// from three jobs. Job 7 has no pipeline at all, job 2 none at the
 	// spine tier.
-	monitors := plane.Collector().Monitors
+	monitors := plane.collector.Monitors
 	leaf, spine := monitors[0], monitors[len(net.Topology().Leaves())]
 	for _, job := range []uint16{1, 2, 7} {
 		p := &fabric.Packet{

@@ -29,7 +29,7 @@ type PipelineConfig struct {
 	// NoHistory drops per-window retention: Scores and Events stay
 	// empty (and windows are not cloned), so memory stays flat however
 	// long the pipeline runs. Long-running consumers (flowpulse-serve)
-	// set it and take detections through OnEvent/Subscribe instead;
+	// set it and take detections through OnEvent instead;
 	// IterationScores is unavailable with it. Callbacks must not retain
 	// the window past the call.
 	NoHistory bool
@@ -39,8 +39,7 @@ type PipelineConfig struct {
 // telemetry windows (from a Plane's shared tap, or a single-job
 // collector) and accumulates scores and events.
 type Pipeline struct {
-	cfg  PipelineConfig
-	subs []func(e Event)
+	cfg PipelineConfig
 
 	// Events accumulates every detection with its localization.
 	Events []Event
@@ -58,23 +57,6 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 		panic("monitor: PipelineConfig.Detect is required")
 	}
 	return &Pipeline{cfg: cfg}
-}
-
-// Predictor returns the pipeline's load model.
-func (p *Pipeline) Predictor() predict.Predictor { return p.cfg.Pred }
-
-// Subscribe registers a callback for every localized detection.
-// Ordering guarantee: callbacks run synchronously from the window-close
-// path — after the event is appended to Events and after
-// PipelineConfig.OnEvent — in subscription order; events arrive in
-// window-close order (per leaf, ascending iteration) and, within one
-// window, in ascending uplink order. Subscribe must not be called from
-// inside a callback.
-func (p *Pipeline) Subscribe(fn func(e Event)) {
-	if fn == nil {
-		panic("monitor: Subscribe(nil)")
-	}
-	p.subs = append(p.subs, fn)
 }
 
 // OnWindow is the window-close path: score, detect, localize, then let
@@ -141,9 +123,6 @@ func (p *Pipeline) process(wc *telemetry.Window) {
 		}
 		if p.cfg.OnEvent != nil {
 			p.cfg.OnEvent(e)
-		}
-		for _, fn := range p.subs {
-			fn(e)
 		}
 		if p.cfg.Remediate != nil {
 			p.cfg.Remediate.Observe(e.Alert, e.Verdict)

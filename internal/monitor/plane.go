@@ -66,9 +66,6 @@ func (p *Plane) route(w *telemetry.Window) {
 // their (tier, job).
 func (p *Plane) UnroutedWindows() int64 { return p.unrouted }
 
-// Collector exposes the shared telemetry tap.
-func (p *Plane) Collector() *telemetry.Collector { return p.collector }
-
 // Flush closes all open telemetry windows (end of training): switch by
 // switch — leaves, then spines — and per switch in ascending job order.
 func (p *Plane) Flush(now sim.Time) { p.collector.FlushAll(now) }

@@ -180,7 +180,3 @@ func (l *Learned) PortLoad(leafOrdinal int) []float64 { return l.leafs[leafOrdin
 
 // SenderLoad implements Predictor.
 func (l *Learned) SenderLoad(leafOrdinal int) [][]float64 { return l.leafs[leafOrdinal].senders }
-
-// BaselineCV exposes a leaf's baseline imbalance (diagnostics and Fig 3
-// reporting).
-func (l *Learned) BaselineCV(leafOrdinal int) float64 { return l.leafs[leafOrdinal].baseCV }

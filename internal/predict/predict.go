@@ -79,8 +79,7 @@ type Rebaseliner interface {
 // The zero value is unusable; use NewFaultSet. Not safe for concurrent
 // use (all access happens on the engine goroutine, like the fabric).
 type FaultSet struct {
-	links   map[topology.LinkID]bool
-	version uint64
+	links map[topology.LinkID]bool
 }
 
 // NewFaultSet returns an empty known-fault set.
@@ -92,7 +91,6 @@ func (s *FaultSet) Add(l topology.LinkID) bool {
 		return false
 	}
 	s.links[l] = true
-	s.version++
 	return true
 }
 
@@ -102,7 +100,6 @@ func (s *FaultSet) Remove(l topology.LinkID) bool {
 		return false
 	}
 	delete(s.links, l)
-	s.version++
 	return true
 }
 
@@ -111,6 +108,3 @@ func (s *FaultSet) Has(l topology.LinkID) bool { return s != nil && s.links[l] }
 
 // Len returns the number of known-faulty links.
 func (s *FaultSet) Len() int { return len(s.links) }
-
-// Version increments on every mutation (staleness checks).
-func (s *FaultSet) Version() uint64 { return s.version }

@@ -261,7 +261,7 @@ func TestAnalyticalRebaselineTracksAdminState(t *testing.T) {
 	before := append([]float64(nil), a.PortLoad(3)...)
 
 	link := topo.TrunkLinks(topo.Spines()[2], topo.LeafOf(3))[0]
-	net.DisconnectLink(link)
+	net.SetLinkAdmin(link, false)
 	a.Rebaseline()
 	wire := float64(wire4k{}.WireBytesFor(d))
 	ports := a.PortLoad(3)
@@ -272,7 +272,7 @@ func TestAnalyticalRebaselineTracksAdminState(t *testing.T) {
 		t.Fatalf("surviving port %v, want d/(s-1) = %v", ports[0], wire/7)
 	}
 
-	net.ReconnectLink(link)
+	net.SetLinkAdmin(link, true)
 	a.Rebaseline()
 	after := a.PortLoad(3)
 	for u := range before {
@@ -340,12 +340,8 @@ func TestFaultSetSemantics(t *testing.T) {
 	if !fs.Has(3) || fs.Len() != 1 {
 		t.Fatal("Add did not take")
 	}
-	v := fs.Version()
 	if !fs.Remove(3) || fs.Remove(3) {
 		t.Fatal("Remove change-reporting wrong")
-	}
-	if fs.Version() == v {
-		t.Fatal("version did not advance on mutation")
 	}
 	var nilSet *FaultSet
 	if nilSet.Has(1) {
@@ -452,7 +448,7 @@ func TestLearnedRebaselinesAfterTransientHeals(t *testing.T) {
 	if !l.Ready(0) {
 		t.Fatal("not ready after warmup")
 	}
-	if cv := l.BaselineCV(0); cv < 0.2 {
+	if cv := l.leafs[0].baseCV; cv < 0.2 {
 		t.Fatalf("faulty baseline CV %v unexpectedly low", cv)
 	}
 	// Fault heals: even distribution, same total (4000).
@@ -541,7 +537,7 @@ func TestAnalyticalWaterFillEqualizesAsymmetricSenders(t *testing.T) {
 	// host1 (leaf1) → host2 (leaf2): 2 MiB, forced via spine 1 below.
 	// host0 (leaf0) → host2 (leaf2): 6 MiB, flexible.
 	dm := multiDemand(hosts, [][3]int64{{1, 2, 2 << 20}, {0, 2, 6 << 20}})
-	net.DisconnectLink(topo.TrunkLinks(topo.Spines()[0], topo.LeafOf(1))[0])
+	net.SetLinkAdmin(topo.TrunkLinks(topo.Spines()[0], topo.LeafOf(1))[0], false)
 	a := NewAnalytical(topo, net, wire4k{}, dm)
 
 	wForced := float64(wire4k{}.WireBytesFor(2 << 20))
@@ -571,7 +567,7 @@ func TestAnalyticalWaterFillBindingSubset(t *testing.T) {
 	topo, net := buildNet(t, topology.FatTreeConfig{Leaves: 4, Spines: 2})
 	hosts := hostsOf(topo)
 	dm := multiDemand(hosts, [][3]int64{{1, 2, 8 << 20}, {0, 2, 2 << 20}})
-	net.DisconnectLink(topo.TrunkLinks(topo.Spines()[0], topo.LeafOf(1))[0])
+	net.SetLinkAdmin(topo.TrunkLinks(topo.Spines()[0], topo.LeafOf(1))[0], false)
 	a := NewAnalytical(topo, net, wire4k{}, dm)
 
 	wForced := float64(wire4k{}.WireBytesFor(8 << 20))

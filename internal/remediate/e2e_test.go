@@ -19,9 +19,7 @@ func runRemediated(t *testing.T, sc core.Scenario, rcfg *remediate.Config,
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := rt.MonitorConfig(core.JobConfig{})
-	cfg.Remediate = rcfg
-	sys, err := core.Attach(cfg)
+	sys, err := rt.Attach(core.AttachOptions{Remediate: rcfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,14 +27,15 @@ func runRemediated(t *testing.T, sc core.Scenario, rcfg *remediate.Config,
 		setup(rt)
 	}
 	iterEnd := map[uint32]sim.Time{}
-	rt.StartTraining(func(now sim.Time, iter uint32) {
+	err = rt.Train(func(now sim.Time, _ uint16, iter uint32) {
 		iterEnd[iter] = now
 		if onIter != nil {
 			onIter(rt, now, iter)
 		}
-	}, nil)
-	rt.Engine.Run()
-	sys.Flush(rt.Engine.Now())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return rt, sys, iterEnd
 }
 
@@ -65,7 +64,7 @@ func TestPersistentFaultQuarantinedE2E(t *testing.T) {
 	if q := r.Quarantined(); len(q) != 1 || q[0] != link {
 		t.Fatalf("quarantined the wrong link: %v, want %d", q, link)
 	}
-	if rt.Net.LinkAdminUp(link) || !sys.KnownFaults().Has(link) {
+	if rt.Net.LinkAdminUp(link) {
 		t.Fatal("quarantine did not take")
 	}
 
@@ -148,7 +147,7 @@ func TestFlappingLinkDampedE2E(t *testing.T) {
 		t.Fatalf("re-admissions not behind quarantines: %+v", st)
 	}
 	// The link ends pinned down despite passing probe rounds while up.
-	if rt.Net.LinkAdminUp(link) || !sys.KnownFaults().Has(link) {
+	if q := r.Quarantined(); rt.Net.LinkAdminUp(link) || len(q) != 1 || q[0] != link {
 		t.Fatal("flapping link not suppressed at end of run")
 	}
 	// Bounded churn: every FIB recompute is one quarantine or one

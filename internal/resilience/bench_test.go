@@ -25,7 +25,7 @@ func BenchmarkReplan(b *testing.B) {
 		if p == nil {
 			b.Fatal("no plan")
 		}
-		if d := ring.Replan(p.Group).Demand(); d.N() != len(group) {
+		if d := ring.Replan(p.Group).Demand(); len(d.Hosts) != len(group) {
 			b.Fatal("bad demand")
 		}
 	}

@@ -147,9 +147,6 @@ func New(topo *topology.Topology, group []topology.HostID, cfg Config) *Replanne
 	return rp
 }
 
-// Group returns the ring order currently planned.
-func (rp *Replanner) Group() []topology.HostID { return rp.current }
-
 // fraction is the leaf's surviving uplink capacity share.
 func (st *leafState) fraction() float64 {
 	if st.uplinks == 0 {

@@ -131,8 +131,8 @@ func TestDegradeExcludesLeafWithProxies(t *testing.T) {
 	}
 	// The degraded ring must still feed a valid collective.
 	ring := &collective.RingAllReduce{Group: group, BytesPerRank: 1 << 20}
-	if d := ring.Replan(last.Group).Demand(); d.N() != 12 || d.Total() == 0 {
-		t.Fatalf("replanned demand: %d ranks, %d bytes", d.N(), d.Total())
+	if d := ring.Replan(last.Group).Demand(); len(d.Hosts) != 12 || d.Bytes[0][1] == 0 {
+		t.Fatalf("replanned demand: %d ranks, %d bytes from rank 0 to its successor", len(d.Hosts), d.Bytes[0][1])
 	}
 }
 

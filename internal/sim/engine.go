@@ -323,14 +323,6 @@ func (e *Engine) fire(last Time, limit int) int {
 	return fired
 }
 
-// Domain returns this engine's domain id within its Group (0 for a
-// standalone engine, which behaves like the control domain).
-func (e *Engine) Domain() int { return e.dom }
-
-// Group returns the Group this engine belongs to, or nil for a
-// standalone engine.
-func (e *Engine) Group() *Group { return e.grp }
-
 // runWindow executes events with timestamps strictly below end — one
 // conservative synchronization window. Unlike RunUntil it never
 // advances the clock past the last fired event: an idle domain's clock

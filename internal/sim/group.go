@@ -140,12 +140,6 @@ func (g *Group) worker(id int) {
 // Domains returns the number of domains, including control.
 func (g *Group) Domains() int { return len(g.engines) }
 
-// Workers returns the effective worker count.
-func (g *Group) Workers() int { return g.workers }
-
-// Lookahead returns the synchronization window width.
-func (g *Group) Lookahead() Duration { return g.lookahead }
-
 // Engine returns the engine of one domain.
 func (g *Group) Engine(dom int) *Engine { return g.engines[dom] }
 
@@ -224,8 +218,8 @@ func (g *Group) post(from int, to int, p post, lax bool) {
 	g.outbox[from] = append(g.outbox[from], p)
 }
 
-// Run executes all domains until no events remain anywhere or Stop is
-// called. It returns the final simulated time, which all domain clocks
+// Run executes all domains until no events remain anywhere or the
+// control engine's Stop is called. It returns the final simulated time, which all domain clocks
 // agree on afterwards.
 func (g *Group) Run() Time { return g.RunUntil(Never) }
 
@@ -282,9 +276,6 @@ func (g *Group) RunUntil(deadline Time) Time {
 	}
 	return final
 }
-
-// Stop halts a Run in progress at the next window boundary.
-func (g *Group) Stop() { g.stopped = true }
 
 // Close shuts down the worker pool. The group must not be used after.
 func (g *Group) Close() {

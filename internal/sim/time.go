@@ -13,7 +13,6 @@ package sim
 import (
 	"fmt"
 	mathbits "math/bits"
-	"time"
 )
 
 // Time is a point in simulated time, in picoseconds since the start of
@@ -41,36 +40,8 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t is strictly later than u.
-func (t Time) After(u Time) bool { return t > u }
-
-// Nanoseconds returns the time as a float64 nanosecond count.
-func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
-
-// Microseconds returns the time as a float64 microsecond count.
-func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
-
-// Std converts a simulated time to a time.Duration from the simulation
-// epoch, saturating at the maximum representable value.
-func (t Time) Std() time.Duration {
-	const maxNS = int64(1<<63-1) / 1000
-	if int64(t) > maxNS*1000 {
-		return time.Duration(1<<63 - 1)
-	}
-	return time.Duration(int64(t) / 1000)
-}
-
 // String formats the time with an adaptive unit.
 func (t Time) String() string { return Duration(t).String() }
-
-// Nanoseconds returns the duration as a float64 nanosecond count.
-func (d Duration) Nanoseconds() float64 { return float64(d) / float64(Nanosecond) }
-
-// Seconds returns the duration as a float64 second count.
-func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
 // String formats the duration with an adaptive unit.
 func (d Duration) String() string {
@@ -89,12 +60,6 @@ func (d Duration) String() string {
 		return fmt.Sprintf("%.4gs", float64(d)/float64(Second))
 	}
 }
-
-// FromNanos converts a nanosecond count to a Duration.
-func FromNanos(ns float64) Duration { return Duration(ns * float64(Nanosecond)) }
-
-// FromStd converts a time.Duration to a simulated Duration.
-func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) * Nanosecond }
 
 // SerializationDelay returns the time to serialize size bytes onto a
 // link of rate bits per second. It panics if rateBPS is not positive.

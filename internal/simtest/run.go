@@ -186,31 +186,25 @@ func execute(spec Spec, opts Options) (*runData, error) {
 	if opts.MutateDetect != nil {
 		opts.MutateDetect(&job.Detect)
 	}
-	if spec.Work.Predictor == core.SimulationModel {
-		var err error
-		job.ReferenceWindows, err = core.ReferenceRun(sc, 0)
-		if err != nil {
-			return nil, fmt.Errorf("reference run: %w", err)
-		}
-	}
 	rt, err := sc.Build()
 	if err != nil {
 		return nil, err
 	}
 	defer rt.Close()
 	var traceBuf bytes.Buffer
-	cfg := rt.MonitorConfig(job)
+	// The reference run is as long as the run it predicts.
+	attach := core.AttachOptions{Job: job, ReferenceIterations: rt.Scenario.Iterations}
 	if !clos3 {
-		cfg.Trace, cfg.TraceLabel = trace.NewWriter(&traceBuf), label
+		attach.Trace, attach.TraceLabel = trace.NewWriter(&traceBuf), label
 	}
 	if spec.Work.Remediate {
-		cfg.Remediate = &remediate.Config{}
+		attach.Remediate = &remediate.Config{}
 	}
 	if spec.Work.Resilience {
-		cfg.Resilience = &resilience.Config{}
+		attach.Resilience = &resilience.Config{}
 		rt.Goodput = &metrics.GoodputTimeline{}
 	}
-	sys, err := core.Attach(cfg)
+	sys, err := rt.Attach(attach)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +243,7 @@ func execute(spec Spec, opts Options) (*runData, error) {
 		inject()
 	}
 	first := rt.Jobs[0].Spec.Job
-	jobs := rt.StartAllJobs(func(_ sim.Time, job uint16, iter uint32) {
+	err = rt.Train(func(_ sim.Time, job uint16, iter uint32) {
 		if job != first {
 			return
 		}
@@ -257,14 +251,10 @@ func execute(spec Spec, opts Options) (*runData, error) {
 		if f.Kind != FaultNone && int(iter) == f.Onset && f.Onset > 0 {
 			inject()
 		}
-	}, nil)
-	for i, j := range jobs {
-		if err := sys.BindWorkload(rt.Jobs[i].Spec.Job, j); err != nil {
-			return nil, fmt.Errorf("bind workload: %w", err)
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	rt.Run()
-	sys.Flush(rt.Engine.Now())
 
 	for _, j := range sys.Jobs() {
 		data.windows += j.Pipeline.Windows

@@ -20,9 +20,6 @@ type demux struct {
 	// traffic is bursty per job, so nearly every packet hits this
 	// pointer compare instead of the map.
 	cur *Window
-
-	// lateByJob tracks per-job late bytes (see LeafMonitor.LateBytes).
-	lateByJob map[uint16]int64
 }
 
 func newDemux() demux {
@@ -58,14 +55,6 @@ func (d *demux) take(job uint16) *Window {
 		d.cur = nil
 	}
 	return w
-}
-
-// late charges a late packet against its job.
-func (d *demux) late(job uint16, bytes int64) {
-	if d.lateByJob == nil {
-		d.lateByJob = map[uint16]int64{}
-	}
-	d.lateByJob[job] += bytes
 }
 
 // jobs returns the open-window job ids in ascending order — the

@@ -23,8 +23,8 @@ func TestSpineMonitorCountsCorePortsOnly(t *testing.T) {
 	spine := topo.Spines()[0]
 	var closed []*Window
 	m := NewLeafMonitor(topo, spine, JobAny, func(w *Window) { closed = append(closed, w.Clone()) })
-	if m.Uplinks() != 2 {
-		t.Fatalf("core ports = %d, want 2", m.Uplinks())
+	if m.uplinks != 2 {
+		t.Fatalf("core ports = %d, want 2", m.uplinks)
 	}
 
 	tag := fabric.FlowTag{Sentinel: true, Iter: 1}
@@ -61,11 +61,11 @@ func TestSpineMonitorFiltersLikeLeaf(t *testing.T) {
 	m.OnPacket(1, 2, pkt(0, 100, tag, fabric.Data))                     // wrong job
 	m.OnPacket(2, 2, pkt(0, 100, fabric.FlowTag{Iter: 1}, fabric.Data)) // no sentinel
 	m.OnPacket(3, 2, pkt(0, 64, fabric.FlowTag{Sentinel: true, Job: 5, Iter: 1}, fabric.Ack))
-	if m.OpenWindow(4) != nil {
+	if m.dx.open[4] != nil {
 		t.Fatal("filtered packets opened a spine window")
 	}
 	m.OnPacket(4, 2, pkt(0, 100, fabric.FlowTag{Sentinel: true, Job: 5, Iter: 1}, fabric.Data))
-	if w := m.OpenWindow(5); w == nil || w.PortBytes[0] != 100 {
+	if w := m.dx.open[5]; w == nil || w.PortBytes[0] != 100 {
 		t.Fatal("own job not measured")
 	}
 }
@@ -131,11 +131,11 @@ func TestMonitorCountsCEBytes(t *testing.T) {
 				return p
 			}
 			m.OnPacket(1, tc.port, ce(4096, 2))
-			if w := m.OpenWindow(0); w.CEBytes != 4096 {
+			if w := m.dx.open[0]; w.CEBytes != 4096 {
 				t.Fatalf("in-window CE packet: CEBytes = %d, want 4096", w.CEBytes)
 			}
 			m.OnPacket(2, tc.port, ce(1000, 1)) // straggler from iteration 1
-			if w := m.OpenWindow(0); w.CEBytes != 5096 || w.Total() != 4096 {
+			if w := m.dx.open[0]; w.CEBytes != 5096 || w.Total() != 4096 {
 				t.Fatalf("late CE packet: CEBytes = %d total = %d, want 5096 / 4096", w.CEBytes, w.Total())
 			}
 		})
@@ -146,7 +146,7 @@ func TestLeafWindowDefaultKind(t *testing.T) {
 	topo := clos3Topo(t)
 	m := NewLeafMonitor(topo, topo.Leaves()[0], JobAny, nil)
 	m.OnPacket(1, 1, pkt(0, 100, fabric.FlowTag{Sentinel: true, Iter: 1}, fabric.Data))
-	if w := m.OpenWindow(0); w.SwitchKind != topology.Leaf {
+	if w := m.dx.open[0]; w.SwitchKind != topology.Leaf {
 		t.Fatalf("leaf window kind = %v", w.SwitchKind)
 	}
 }

@@ -133,8 +133,7 @@ type LeafMonitor struct {
 	// LateBytes counts tagged bytes that arrived for an iteration
 	// older than their own job's open window (should stay zero in
 	// synchronous training; nonzero values indicate a workload
-	// violating the §5.1 assumptions). LateBytesFor breaks the count
-	// down per job.
+	// violating the §5.1 assumptions).
 	LateBytes int64
 
 	onClose func(w *Window)
@@ -191,9 +190,6 @@ func NewLeafMonitor(topo *topology.Topology, sw topology.SwitchID, job int, onCl
 	return m
 }
 
-// Uplinks returns the number of monitored ingress ports.
-func (m *LeafMonitor) Uplinks() int { return m.uplinks }
-
 // OnPacket is the switch dataplane hook. It must see every packet
 // accepted at the switch's ingress.
 func (m *LeafMonitor) OnPacket(now sim.Time, port int, pkt *fabric.Packet) {
@@ -227,7 +223,6 @@ func (m *LeafMonitor) OnPacket(now sim.Time, port int, pkt *fabric.Packet) {
 		w = m.open(now, pkt.Tag)
 	case pkt.Tag.Iter < w.Iter:
 		m.LateBytes += int64(pkt.Size)
-		m.dx.late(pkt.Tag.Job, int64(pkt.Size))
 		m.aggCum[u] += int64(pkt.Size)
 		if pkt.CE {
 			w.CEBytes += int64(pkt.Size)
@@ -243,13 +238,6 @@ func (m *LeafMonitor) OnPacket(now sim.Time, port int, pkt *fabric.Packet) {
 		w.CEBytes += int64(pkt.Size)
 	}
 }
-
-// OpenWindow returns the job's currently open (unclosed) window, or
-// nil. The returned window is live: it keeps accumulating.
-func (m *LeafMonitor) OpenWindow(job uint16) *Window { return m.dx.open[job] }
-
-// LateBytesFor returns the late-byte count attributed to one job.
-func (m *LeafMonitor) LateBytesFor(job uint16) int64 { return m.dx.lateByJob[job] }
 
 func (m *LeafMonitor) open(now sim.Time, tag fabric.FlowTag) *Window {
 	w := &Window{

@@ -61,7 +61,7 @@ func TestMonitorIgnoresUntaggedAcksAndHostPorts(t *testing.T) {
 	m.OnPacket(1, 0, pkt(0, 4096, tag, fabric.Data))                     // host port
 	m.OnPacket(2, 1, pkt(0, 64, tag, fabric.Ack))                        // ack
 	m.OnPacket(3, 1, pkt(0, 4096, fabric.FlowTag{Iter: 1}, fabric.Data)) // no sentinel
-	if m.OpenWindow(0) != nil {
+	if m.dx.open[0] != nil {
 		t.Fatal("filtered packets opened a window")
 	}
 }
@@ -70,11 +70,11 @@ func TestMonitorJobFilter(t *testing.T) {
 	topo := testTopo(t)
 	m := NewLeafMonitor(topo, topo.Leaves()[0], 5, nil)
 	m.OnPacket(1, 1, pkt(0, 100, fabric.FlowTag{Sentinel: true, Job: 4, Iter: 1}, fabric.Data))
-	if m.OpenWindow(4) != nil {
+	if m.dx.open[4] != nil {
 		t.Fatal("foreign job measured")
 	}
 	m.OnPacket(2, 1, pkt(0, 100, fabric.FlowTag{Sentinel: true, Job: 5, Iter: 1}, fabric.Data))
-	if w := m.OpenWindow(5); w == nil || w.PortBytes[0] != 100 {
+	if w := m.dx.open[5]; w == nil || w.PortBytes[0] != 100 {
 		t.Fatal("own job not measured")
 	}
 }
@@ -87,7 +87,7 @@ func TestMonitorLatePacketsCounted(t *testing.T) {
 	if m.LateBytes != 77 {
 		t.Fatalf("LateBytes = %d, want 77", m.LateBytes)
 	}
-	if m.OpenWindow(0).Total() != 100 {
+	if m.dx.open[0].Total() != 100 {
 		t.Fatal("late packet polluted the open window")
 	}
 }
@@ -98,7 +98,7 @@ func TestMonitorSenderAttribution(t *testing.T) {
 	tag := fabric.FlowTag{Sentinel: true, Iter: 1}
 	m.OnPacket(1, 1, pkt(0, 1000, tag, fabric.Data)) // host 0 under leaf ordinal 0
 	m.OnPacket(2, 1, pkt(2, 500, tag, fabric.Data))  // host 2 under leaf ordinal 2
-	w := m.OpenWindow(0)
+	w := m.dx.open[0]
 	if w.SenderBytes[0][0] != 1000 || w.SenderBytes[0][2] != 500 {
 		t.Fatalf("sender matrix wrong: %v", w.SenderBytes[0])
 	}
@@ -130,7 +130,7 @@ func TestSkippedIterationStillCloses(t *testing.T) {
 	if len(closed) != 1 || closed[0].Iter != 1 {
 		t.Fatal("skip-ahead did not close window")
 	}
-	if m.OpenWindow(0).Iter != 7 {
+	if m.dx.open[0].Iter != 7 {
 		t.Fatal("new window has wrong iteration")
 	}
 }

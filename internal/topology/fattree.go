@@ -31,12 +31,6 @@ type FatTreeConfig struct {
 	Propagation sim.Duration
 }
 
-// Radix returns the implied leaf switch radix: host ports plus uplink
-// ports.
-func (c FatTreeConfig) Radix() int {
-	return c.HostsPerLeaf + c.Spines*c.Trunk
-}
-
 func (c *FatTreeConfig) setDefaults() {
 	if c.Trunk == 0 {
 		c.Trunk = 1
@@ -66,16 +60,6 @@ func (c FatTreeConfig) validate() error {
 		return fmt.Errorf("topology: hosts per leaf and trunk must be positive")
 	}
 	return nil
-}
-
-// PaperFatTree returns the paper's default evaluation fabric: 32
-// leaves, 16 spines, one host per leaf.
-func PaperFatTree() *Topology {
-	t, err := NewFatTree(FatTreeConfig{Leaves: 32, Spines: 16})
-	if err != nil {
-		panic(err) // static config, cannot fail
-	}
-	return t
 }
 
 // NewFatTree builds a two-level fat tree.
@@ -156,12 +140,6 @@ func (t *Topology) SpineOrdinalOfLeafPort(leaf SwitchID, port int) (spineOrdinal
 	}
 	up := port - hosts
 	return up / t.Trunk, up % t.Trunk
-}
-
-// SpineDownPort returns the spine port index for the given leaf
-// ordinal and trunk index (two-level fabrics).
-func (t *Topology) SpineDownPort(leafOrdinal, trunk int) int {
-	return leafOrdinal*t.Trunk + trunk
 }
 
 // LeafOrdinal returns the position of a leaf in Leaves(), or -1.

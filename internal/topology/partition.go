@@ -75,12 +75,3 @@ func NewPartition(t *Topology) *Partition {
 	p.Lookahead = min
 	return p
 }
-
-// CrossDomain reports whether a link connects two distinct worker
-// domains (i.e. is a switch–switch link under the fixed partition).
-func (p *Partition) CrossDomain(l *Link) bool {
-	if l.A.Kind != SwitchEnd || l.B.Kind != SwitchEnd {
-		return false
-	}
-	return p.DomainOfSwitch[l.A.Switch] != p.DomainOfSwitch[l.B.Switch]
-}

@@ -48,12 +48,11 @@ func TestPartitionClos3(t *testing.T) {
 	cross := 0
 	for i := range topo.Links {
 		l := &topo.Links[i]
-		if p.CrossDomain(l) {
-			cross++
-			if l.A.Kind != SwitchEnd || l.B.Kind != SwitchEnd {
-				t.Fatalf("host link %d marked cross-domain", l.ID)
-			}
-		} else if l.A.Kind == SwitchEnd && l.B.Kind == SwitchEnd {
+		if l.A.Kind != SwitchEnd || l.B.Kind != SwitchEnd {
+			continue
+		}
+		cross++
+		if p.DomainOfSwitch[l.A.Switch] == p.DomainOfSwitch[l.B.Switch] {
 			t.Fatalf("switch-switch link %d not cross-domain", l.ID)
 		}
 	}

@@ -85,29 +85,6 @@ type Link struct {
 	Propagation sim.Duration
 }
 
-// Other returns the endpoint opposite to the given switch. It panics
-// if the switch is not attached to the link.
-func (l *Link) Other(sw SwitchID) Endpoint {
-	if l.A.Kind == SwitchEnd && l.A.Switch == sw {
-		return l.B
-	}
-	if l.B.Kind == SwitchEnd && l.B.Switch == sw {
-		return l.A
-	}
-	panic(fmt.Sprintf("topology: switch %d not on link %d", sw, l.ID))
-}
-
-// EndFor returns the endpoint on the given switch's side.
-func (l *Link) EndFor(sw SwitchID) Endpoint {
-	if l.A.Kind == SwitchEnd && l.A.Switch == sw {
-		return l.A
-	}
-	if l.B.Kind == SwitchEnd && l.B.Switch == sw {
-		return l.B
-	}
-	panic(fmt.Sprintf("topology: switch %d not on link %d", sw, l.ID))
-}
-
 // PortDesc describes one switch port: the link plugged into it and the
 // peer on the far side. Link < 0 means the port is unused.
 type PortDesc struct {
@@ -179,18 +156,6 @@ func (t *Topology) HostsOf(leaf SwitchID) []HostID {
 		}
 	}
 	return hosts
-}
-
-// SwitchLinks returns the links terminating at a switch, in port
-// order. Control-plane LSDBs are keyed this way: each switch
-// advertises the state of exactly the links it terminates.
-func (t *Topology) SwitchLinks(id SwitchID) []LinkID {
-	ports := t.Switches[id].Ports
-	links := make([]LinkID, len(ports))
-	for i, pd := range ports {
-		links[i] = pd.Link
-	}
-	return links
 }
 
 // TrunkLinks returns the parallel links between a leaf and a spine (or

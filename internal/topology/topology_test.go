@@ -5,8 +5,19 @@ import (
 	"testing/quick"
 )
 
+// paperFatTree is the paper's default evaluation fabric: 32 leaves, 16
+// spines, one host per leaf.
+func paperFatTree(t *testing.T) *Topology {
+	t.Helper()
+	top, err := NewFatTree(FatTreeConfig{Leaves: 32, Spines: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
+}
+
 func TestPaperFatTreeShape(t *testing.T) {
-	top := PaperFatTree()
+	top := paperFatTree(t)
 	if got := len(top.Leaves()); got != 32 {
 		t.Errorf("leaves = %d, want 32", got)
 	}
@@ -47,8 +58,8 @@ func TestFatTreePortLayout(t *testing.T) {
 		t.Errorf("host port misclassified as uplink: (%d,%d)", so, tr)
 	}
 	// Spine port for leaf ordinal 3, trunk 0 is 3*2 = 6.
-	if got := top.SpineDownPort(3, 0); got != 6 {
-		t.Errorf("SpineDownPort = %d, want 6", got)
+	if got := top.Switch(top.Spines()[0]).Ports[6].Peer.Switch; got != top.Leaves()[3] {
+		t.Errorf("spine port 6 faces switch %d, want leaf ordinal 3 (%d)", got, top.Leaves()[3])
 	}
 }
 
@@ -106,20 +117,20 @@ func TestFatTreeConfigValidation(t *testing.T) {
 	}
 }
 
+// TestLinkOther: the far end of a leaf's trunk link is the spine.
 func TestLinkOther(t *testing.T) {
-	top := PaperFatTree()
+	top := paperFatTree(t)
 	leaf, spine := top.Leaves()[0], top.Spines()[0]
 	link := top.Link(top.TrunkLinks(leaf, spine)[0])
-	if got := link.Other(leaf); got.Switch != spine {
-		t.Errorf("Other(leaf) = %v, want spine %d", got, spine)
-	}
-	if got := link.EndFor(spine); got.Switch != spine {
-		t.Errorf("EndFor(spine) = %v", got)
+	ends := [2]SwitchID{link.A.Switch, link.B.Switch}
+	if link.A.Kind != SwitchEnd || link.B.Kind != SwitchEnd ||
+		(ends != [2]SwitchID{leaf, spine} && ends != [2]SwitchID{spine, leaf}) {
+		t.Errorf("trunk link %d joins %v and %v, want leaf %d and spine %d", link.ID, link.A, link.B, leaf, spine)
 	}
 }
 
 func TestOrdinals(t *testing.T) {
-	top := PaperFatTree()
+	top := paperFatTree(t)
 	for i, l := range top.Leaves() {
 		if got := top.LeafOrdinal(l); got != i {
 			t.Fatalf("LeafOrdinal(%d) = %d, want %d", l, got, i)
@@ -175,7 +186,7 @@ func TestFatTreeInvariantsProperty(t *testing.T) {
 			return false
 		}
 		for _, leaf := range top.Leaves() {
-			if len(top.Switch(leaf).Ports) != cfg.Radix() {
+			if len(top.Switch(leaf).Ports) != cfg.HostsPerLeaf+cfg.Spines*cfg.Trunk {
 				return false
 			}
 		}

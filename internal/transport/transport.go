@@ -155,10 +155,6 @@ type Message struct {
 // ID returns the message's transport identifier (valid after Send).
 func (m *Message) ID() uint64 { return m.id }
 
-// Packets returns how many data packets the message occupies (valid
-// after Send).
-func (m *Message) Packets() int { return m.packets }
-
 // sendState tracks one in-flight message at the sender. Loss recovery
 // is NIC-style: instead of one scheduled closure per outstanding
 // packet, the state keeps a per-sequence deadline slice and a single
@@ -356,9 +352,6 @@ func NewStack(net *fabric.Network, cfg Config) *Stack {
 	return s
 }
 
-// Config returns the stack's effective configuration.
-func (s *Stack) Config() Config { return s.cfg }
-
 // EnableMigrationHardening switches on the two loss-recovery
 // disciplines a path-migrating workload needs — per-pair RTO backoff
 // and timestamp-echo RTT sampling (see Config.PairBackoff and
@@ -373,9 +366,6 @@ func (s *Stack) EnableMigrationHardening() {
 // Engine returns the engine driving this stack's network (the control
 // engine over a sharded fabric).
 func (s *Stack) Engine() *sim.Engine { return s.eng }
-
-// EngineFor returns the engine executing one host's transport events.
-func (s *Stack) EngineFor(h topology.HostID) *sim.Engine { return s.net.EngineOf(h) }
 
 // Network returns the fabric beneath this stack.
 func (s *Stack) Network() *fabric.Network { return s.net }

@@ -53,8 +53,8 @@ func TestMessageDeliveryCleanNetwork(t *testing.T) {
 		t.Fatalf("clean network caused %d retransmits", st.Retransmits)
 	}
 	// 1 MiB / 4096 = 256 packets.
-	if m.Packets() != 256 || st.DataPacketsSent != 256 {
-		t.Fatalf("packets = %d, sent = %d, want 256", m.Packets(), st.DataPacketsSent)
+	if m.packets != 256 || st.DataPacketsSent != 256 {
+		t.Fatalf("packets = %d, sent = %d, want 256", m.packets, st.DataPacketsSent)
 	}
 	if st.AcksSent != 256 {
 		t.Fatalf("acks = %d, want 256", st.AcksSent)
@@ -169,8 +169,8 @@ func TestSmallMessageSinglePacket(t *testing.T) {
 		OnDelivered: func(sim.Time, *Message) { delivered = true }}
 	r.stack.Send(m)
 	r.eng.Run()
-	if !delivered || m.Packets() != 1 {
-		t.Fatalf("delivered=%v packets=%d", delivered, m.Packets())
+	if !delivered || m.packets != 1 {
+		t.Fatalf("delivered=%v packets=%d", delivered, m.packets)
 	}
 }
 
@@ -234,7 +234,7 @@ func TestTaggedPacketsCarryTag(t *testing.T) {
 	tag := fabric.FlowTag{Sentinel: true, Job: 3, Iter: 17}
 	dstLeaf := r.topo.LeafOf(1)
 	taggedData, untaggedAcksSeen := 0, 0
-	r.net.SetIngressHook(dstLeaf, func(_ sim.Time, port int, p *fabric.Packet) {
+	r.net.AddIngressHook(dstLeaf, func(_ sim.Time, port int, p *fabric.Packet) {
 		if p.Kind == fabric.Data && p.Tag == tag {
 			taggedData++
 		}

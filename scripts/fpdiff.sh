@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Behaviour diff between a git ref and the working tree, in two legs.
+# Behaviour diff between a git ref and the working tree, in three legs.
 #
 #   scripts/fpdiff.sh                # HEAD~1 vs working tree, 200 seeds
 #   scripts/fpdiff.sh origin/main 25
@@ -17,7 +17,14 @@
 # read it), minus the wall-clock "completed in" lines — the same proof
 # for the experiment drivers, which flowpulse-check does not run.
 #
-# Exits 1 if any line differs in either leg. The ref is unpacked with
+# Facade leg: build flowpulse-sim and every examples/* main at both and
+# compare their whole stdout — the public flowpulse.New → Monitor →
+# Train path, which neither flowpulse-check nor flowpulse-eval drives.
+# flowpulse-sim runs the invocations of its usage header (default,
+# clean, closed loop, simulation and learned predictors, two jobs,
+# resilience, flap), each on the classic engine and the sharded one.
+#
+# Exits 1 if any line differs in any leg. The ref is unpacked with
 # git archive into a temporary directory; nothing is left behind in
 # .git.
 set -euo pipefail
@@ -32,9 +39,17 @@ trap 'rm -rf "$tmp"' EXIT
 
 mkdir "$tmp/src"
 git archive "$ref" | tar -x -C "$tmp/src"
-(cd "$tmp/src" && go build -o "$tmp/old" ./cmd/flowpulse-check && go build -o "$tmp/old-eval" ./cmd/flowpulse-eval)
-go build -o "$tmp/new" ./cmd/flowpulse-check
-go build -o "$tmp/new-eval" ./cmd/flowpulse-eval
+examples="$(cd examples && ls -d -- */ | tr -d /)"
+build() { # build <side>: the tree in the current directory
+  go build -o "$tmp/$1" ./cmd/flowpulse-check
+  go build -o "$tmp/$1-eval" ./cmd/flowpulse-eval
+  go build -o "$tmp/$1-sim" ./cmd/flowpulse-sim
+  for ex in $examples; do
+    go build -o "$tmp/$1-ex-$ex" "./examples/$ex"
+  done
+}
+(cd "$tmp/src" && build old)
+build new
 
 # One line per seed, ordered by seed (workers finish out of order),
 # without the trailing wall-time column. flowpulse-check exits 1 when a
@@ -59,18 +74,46 @@ for mode in "" "-shards 2" "-resilience" "-congestion" "-divergence"; do
   fi
 done
 
+# compare <binary suffix> [args...]: everything both sides print, minus
+# flowpulse-eval's wall-clock "completed in" lines.
+compare() {
+  local bin="$1"
+  shift
+  local label="${bin#-}${*:+ $*}"
+  for side in old new; do
+    "$tmp/$side$bin" "$@" | grep -v 'completed in' > "$tmp/$side.txt"
+  done
+  if delta="$(diff "$tmp/old.txt" "$tmp/new.txt")"; then
+    echo "$label: $(wc -l < "$tmp/new.txt") lines, none differ from $ref"
+  else
+    echo "$label: output differs from $ref"
+    echo "$delta"
+    status=1
+  fi
+}
+
 for seed in 1 7; do
   for shards in 0 2; do
-    for side in old new; do
-      "$tmp/$side-eval" -quick -seed "$seed" -shards "$shards" | grep -v 'completed in' > "$tmp/$side.txt"
-    done
-    if delta="$(diff "$tmp/old.txt" "$tmp/new.txt")"; then
-      echo "eval -quick -seed $seed -shards $shards: $(wc -l < "$tmp/new.txt") lines, none differ from $ref"
-    else
-      echo "eval -quick -seed $seed -shards $shards: output differs from $ref"
-      echo "$delta"
-      status=1
-    fi
+    compare -eval -quick -seed "$seed" -shards "$shards"
   done
+done
+
+for shards in 0 2; do
+  while read -r args; do
+    # shellcheck disable=SC2086 # $args is a flag list
+    compare -sim -shards "$shards" $args
+  done << 'ARGS'
+
+-drop 0
+-remediate
+-predictor simulation
+-predictor learned -iters 12 -heal-after 6
+-jobs 2 -leaves 8 -spines 4 -size 4 -remediate
+-resilience -interleave -leaves 8 -spines 2 -hosts 4 -size 2 -iters 20 -fault-leaf 4 -fault-spine 0 -drop 0.05
+-remediate -leaves 8 -spines 4 -size 8 -iters 48 -fault-leaf 4 -drop 0.3 -flap-period 2040 -flap-down 1020
+ARGS
+done
+for ex in $examples; do
+  compare "-ex-$ex"
 done
 exit "$status"
