@@ -262,12 +262,15 @@ func BenchmarkEngineEvents(b *testing.B) {
 // holdHorizons are the four distances ahead of now at which a training
 // run does nearly all of its scheduling: a 64 B ACK and a 4 KiB frame
 // serializing at 400 Gb/s (1.28 ns, 81.92 ns), one link propagation
-// delay (200 ns), and propagation plus queueing (≈450 ns).
+// delay (200 ns), and propagation plus queueing (≈450 ns). They are
+// constants, as the run's are (`flowpulse-sim -stats`: 99.8% of a
+// run's schedulings repeat one of five delays), so after the first few
+// firings the timers below sit in the engine's FIFO lanes, not its heap.
 var holdHorizons = [4]sim.Duration{1280, 81920, 200 * sim.Nanosecond, 450 * sim.Nanosecond}
 
 // holdTimer is one resident event of BenchmarkEngineHold: every firing
 // re-arms it one horizon ahead, and every 128th replaces its 8 µs RTO,
-// leaving the cancelled one in the heap to be popped and skipped.
+// leaving the cancelled one queued to be popped and skipped.
 type holdTimer struct {
 	eng  *sim.Engine
 	left *int
@@ -295,7 +298,7 @@ func (nopTimer) Fire(sim.Time) {}
 // BenchmarkEngineHold is the classic hold model of a priority queue:
 // ≈1k events stay pending (768 resident timers plus the RTOs in
 // flight) and each op pops one and pushes one. BenchmarkEngineEvents
-// keeps a single event pending, so the heap is free in it; this row is
+// keeps a single event pending, so the queue is free in it; this row is
 // the one that prices a pop at a training run's queue depth.
 func BenchmarkEngineHold(b *testing.B) {
 	b.ReportAllocs()

@@ -22,6 +22,7 @@
 //	                                               # verify-own-writes re-pushes it
 //	flowpulse-sim -remediate -drop 0 -stale-at 900 # corrupt the LSDB mid-run;
 //	                                               # the audit reconciles it
+//	flowpulse-sim -stats -shards 0                 # engine counters on stderr
 //	flowpulse-sim -stream localhost:9465           # live producer: stream the
 //	                                               # trace to flowpulse-serve,
 //	                                               # detection runs server-side
@@ -80,6 +81,7 @@ func main() {
 		streamMode = flag.String("stream-mode", "", "serve ingestion mode for -stream (seq|fanout; default seq)")
 		seed       = flag.Uint64("seed", 1, "random seed")
 		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "engine worker shards; results are identical for every value >= 1 (0 = classic single-threaded engine, byte-compatible with older releases)")
+		stats      = flag.Bool("stats", false, "print the engine's event counters on stderr: events executed, events per packet, and how many schedulings went to a FIFO lane vs the heap")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (shard workers carry pprof shard=N labels)")
 	)
 	flag.Parse()
@@ -425,4 +427,10 @@ func main() {
 	fmt.Printf("transport: messages=%d retransmits=%d spurious=%d duplicates=%d\n",
 		ts.MessagesSent, ts.Retransmits, ts.SpuriousRetransmits, ts.DuplicatesReceived)
 	fmt.Printf("simulated time: %v\n", cluster.Now())
+	if *stats {
+		ev, q := cluster.Runtime().EngineStats()
+		pushes := q.LanePushes + q.HeapPushes
+		fmt.Fprintf(os.Stderr, "engine: executed=%d events (%.2f per packet) scheduled=%d lane=%d (%.1f%%) heap=%d peak-pending=%d\n",
+			ev, float64(ev)/float64(ns.Sent), pushes, q.LanePushes, 100*float64(q.LanePushes)/float64(pushes), q.HeapPushes, q.PeakPending)
+	}
 }

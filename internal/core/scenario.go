@@ -437,6 +437,28 @@ func (rt *Runtime) Run() sim.Time {
 	return rt.Engine.Run()
 }
 
+// EngineStats returns how many events the run has executed and what its
+// event queue was asked to do, summed over every domain of a sharded
+// run (PeakPending is then the sum of the domains' peaks, an upper
+// bound on the run's).
+func (rt *Runtime) EngineStats() (executed uint64, q sim.QueueStats) {
+	add := func(e *sim.Engine) {
+		s := e.QueueStats()
+		executed += e.Executed()
+		q.LanePushes += s.LanePushes
+		q.HeapPushes += s.HeapPushes
+		q.PeakPending += s.PeakPending
+	}
+	if g := rt.EngineGroup; g != nil {
+		for d := 0; d < g.Domains(); d++ {
+			add(g.Engine(d))
+		}
+	} else {
+		add(rt.Engine)
+	}
+	return executed, q
+}
+
 // Close releases the sharded engine's worker pool. It is a no-op for
 // single-threaded runtimes, and safe to call more than once.
 func (rt *Runtime) Close() {

@@ -39,7 +39,7 @@ func runParallelFabric(t *testing.T, workers int) uint64 {
 			if k%4 == 3 {
 				prio = Low
 			}
-			eng.At(at, func(sim.Time) {
+			eng.After(sim.Duration(at), func(sim.Time) { // set-up: the clock is at zero
 				net.Send(SendSpec{Src: src, Dst: dst, Size: size, Priority: prio, Kind: Data})
 			})
 		}

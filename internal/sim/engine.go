@@ -17,7 +17,7 @@ type Handler func(now Time)
 // rearm it via AtTimer/AfterTimer, so steady-state scheduling performs
 // zero heap allocations — storing a pointer in the interface field of a
 // pooled event struct does not allocate, while every closure passed to
-// At/After does.
+// After does.
 type Timer interface {
 	Fire(now Time)
 }
@@ -29,7 +29,7 @@ type event struct {
 	fn      Handler
 	tm      Timer
 	stopped bool
-	queued  bool // in the heap: set by push, cleared by pop
+	queued  bool // in the queue: set by schedule, cleared by pop
 }
 
 // EventRef refers to a scheduled event and allows cancellation. The
@@ -77,19 +77,7 @@ type eventHeap struct {
 	a []heapEntry
 }
 
-func (h *eventHeap) len() int { return len(h.a) }
-
-// nextAt returns the time of the earliest queued event (cancelled ones
-// included), or Never when the heap is empty.
-func (h *eventHeap) nextAt() Time {
-	if len(h.a) == 0 {
-		return Never
-	}
-	return h.a[0].at
-}
-
 func (h *eventHeap) push(at Time, seq uint64, ev *event) {
-	ev.queued = true
 	h.a = append(h.a, heapEntry{})
 	h.siftUp(len(h.a)-1, heapEntry{at: at, seq: seq, ev: ev})
 }
@@ -104,7 +92,6 @@ func (h *eventHeap) pop() *event {
 	if n > 0 {
 		h.siftDown(0, last)
 	}
-	top.queued = false
 	return top
 }
 
@@ -152,18 +139,163 @@ func (h *eventHeap) siftDown(i int, x heapEntry) {
 	a[i] = x
 }
 
+const (
+	// numLanes bounds the scan a pop makes. A training run recurs at five
+	// delays (DESIGN.md decision 7); eight leave room for a few more.
+	numLanes = 8
+	// laneAdmit is how many recurrences earn a lane: more than compute
+	// gaps and exponential arrivals count, a handful of heap pushes once.
+	laneAdmit = 4
+	// candBits sizes the table recurrences are counted in: 1<<candBits
+	// slots, two to a delay. Recurring delays interleave, so each needs a
+	// slot to itself; choosing from two in twice numLanes, a dozen find one.
+	candBits = 4
+	// shallowHeap is the heap size below which every event goes to the
+	// heap: a lane saves sifting, and a root with one level under it has
+	// none to save. An engine with an event or two pending costs as before.
+	shallowHeap = 4
+)
+
+// lane is a FIFO ring of the events scheduled with one constant delay:
+// now never decreases, so they arrive in (at, seq) order, earliest first.
+type lane struct {
+	buf     []heapEntry // power-of-two ring, allocated on first use
+	head, n int
+}
+
+// eventQueue is the engine's pending set in two tiers: FIFO lanes for
+// events scheduled through After/AfterTimer with a delay that recurs,
+// and the heap for everything else — absolute times, one-off delays,
+// recurring delays beyond numLanes. Events leave by the (at, seq)
+// minimum over the lane heads and the heap's top: exactly the order one
+// heap would give them.
+type eventQueue struct {
+	heap  eventHeap
+	lanes [numLanes]lane
+	delay [numLanes]Duration // lanes[i] holds the events scheduled delay[i] ahead
+	// at[i], seq[i]: the key of lanes[i]'s head; (Never, max) while empty.
+	at      [numLanes]Time
+	seq     [numLanes]uint64
+	used    int // lanes[:used] have been assigned a delay
+	inLanes int // events in lanes
+	cand    [1 << candBits]struct {
+		d    Duration
+		hits int // recurrences counted while d has no lane
+	}
+}
+
+// top returns where the earliest queued event (cancelled ones included)
+// sits — 0 for the heap, i+1 for lanes[i], -1 for nowhere — and its time.
+// It scans the assigned lanes, selecting by mask like siftDown does.
+func (q *eventQueue) top() (int, Time) {
+	best, at, seq := -1, Never, uint64(math.MaxUint64)
+	if len(q.heap.a) > 0 {
+		best, at, seq = 0, q.heap.a[0].at, q.heap.a[0].seq
+	}
+	for i := 0; i < q.used; i++ {
+		m := -lessBit(heapEntry{at: q.at[i], seq: q.seq[i]}, heapEntry{at: at, seq: seq})
+		best += (i + 1 - best) & m
+		at += (q.at[i] - at) & Time(m)
+		seq += (q.seq[i] - seq) & uint64(m)
+	}
+	return best, at
+}
+
+// popLane removes the head of lanes[i].
+func (q *eventQueue) popLane(i int) *event {
+	l := &q.lanes[i]
+	ev := l.buf[l.head].ev
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	q.inLanes--
+	q.at[i], q.seq[i] = Never, math.MaxUint64
+	if l.n > 0 {
+		q.at[i], q.seq[i] = l.buf[l.head].at, l.buf[l.head].seq
+	}
+	return ev
+}
+
+// admit counts one more recurrence of d, which has no lane, and returns
+// the lane that earns it, or -1. A newcomer takes the slot, of its two,
+// that has counted less and takes one off the other's count, so a delay
+// reaches laneAdmit only by recurring faster than new delays turn up:
+// one of thousands drawn at random never does (nor pays for a branch
+// that depends on the draw). It gets an unassigned lane or else an empty
+// one, never one holding events: one-offs cannot displace what recurs.
+func (q *eventQueue) admit(d Duration) int {
+	h := uint64(d) * 0x9E3779B97F4A7C15
+	i1, i2 := h>>(64-candBits), h>>(64-2*candBits)&(1<<candBits-1)
+	c := &q.cand[i1]
+	if c.d != d {
+		if c = &q.cand[i2]; c.d != d {
+			less := uint64((c.hits - q.cand[i1].hits) >> 63) // all ones when slot i2 has counted less
+			v := i1 ^ (i1^i2)&less
+			other := &q.cand[i1^i2^v]
+			other.hits -= min(other.hits, 1)
+			c = &q.cand[v]
+			c.d, c.hits = d, 0
+		}
+	}
+	if c.hits++; c.hits < laneAdmit {
+		return -1
+	}
+	i := min(q.used, numLanes-1) // the first unassigned lane, else the last empty one
+	for ; q.lanes[i].n > 0; i-- {
+		if i == 0 {
+			return -1
+		}
+	}
+	q.used = max(q.used, i+1)
+	q.delay[i], c.hits = d, 0 // the slot is free to count another
+	return i
+}
+
+// lanePush enqueues an event scheduled d ahead of now on d's lane, if d
+// has one or earns one with this recurrence, and reports whether it did.
+func (q *eventQueue) lanePush(d Duration, at Time, seq uint64, ev *event) bool {
+	i := 0
+	for i < q.used && q.delay[i] != d {
+		i++
+	}
+	if i == q.used {
+		if i = q.admit(d); i < 0 {
+			return false
+		}
+	}
+	l := &q.lanes[i]
+	if l.n == len(l.buf) {
+		buf := make([]heapEntry, max(16, 2*l.n))
+		copy(buf[copy(buf, l.buf[l.head:]):], l.buf[:l.head])
+		l.buf, l.head = buf, 0
+	}
+	mask := len(l.buf) - 1
+	if l.n == 0 {
+		q.at[i], q.seq[i] = at, seq
+	} else if at < l.buf[(l.head+l.n-1)&mask].at {
+		panic(fmt.Sprintf("sim: delay %v scheduled for %v behind its lane's tail", d, at))
+	}
+	l.buf[(l.head+l.n)&mask] = heapEntry{at: at, seq: seq, ev: ev}
+	l.n++
+	q.inLanes++
+	return true
+}
+
 // Engine is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use; run independent simulations in separate Engines
 // (they share nothing), one per goroutine.
 type Engine struct {
+	// now never decreases — fire follows the queue's order, RunUntil and
+	// Group.RunUntil only jump it forward, a set-up post is clamped up to
+	// it — which is what keeps a lane sorted.
 	now     Time
 	seq     uint64
-	queue   eventHeap
+	queue   eventQueue
 	running bool
 	stopped bool
 
 	executed uint64 // number of events fired, for diagnostics
 	pending  int    // scheduled, uncancelled events (live counter)
+	stats    QueueStats
 
 	free []*event // recycled event structs
 
@@ -189,6 +321,20 @@ func (e *Engine) Pending() int { return e.pending }
 // Executed returns the number of events fired so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
+// QueueStats counts what the event queue was asked to do.
+type QueueStats struct {
+	LanePushes  uint64 // schedulings that went to a recurring delay's FIFO lane
+	HeapPushes  uint64 // all other schedulings (filled in by Engine.QueueStats)
+	PeakPending int    // high-water mark of Pending
+}
+
+// QueueStats returns the engine's queue counters so far.
+func (e *Engine) QueueStats() QueueStats {
+	s := e.stats
+	s.HeapPushes = e.seq - s.LanePushes // seq counts every scheduling
+	return s
+}
+
 func (e *Engine) alloc() *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -199,56 +345,48 @@ func (e *Engine) alloc() *event {
 	return &event{}
 }
 
-// schedule allocates and enqueues an event at t; the caller attaches
-// the callback.
-func (e *Engine) schedule(t Time) *event {
+// absolute is schedule's d for a caller that named a time, not a delay.
+const absolute Duration = math.MinInt64
+
+// schedule enqueues one of fn and tm at t. d is t's distance from now
+// when the caller scheduled by delay, which makes the event a candidate
+// for a lane, else absolute. Scheduling in the past — a negative delay
+// included — panics: it indicates a causality bug in the caller.
+func (e *Engine) schedule(t Time, d Duration, fn Handler, tm Timer) EventRef {
+	if fn == nil && tm == nil {
+		panic("sim: nil event callback")
+	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	ev := e.alloc()
-	e.queue.push(t, e.seq, ev)
+	ev.fn, ev.tm, ev.queued = fn, tm, true
+	if d != absolute && len(e.queue.heap.a) >= shallowHeap && e.queue.lanePush(d, t, e.seq, ev) {
+		e.stats.LanePushes++
+	} else {
+		e.queue.heap.push(t, e.seq, ev)
+	}
 	e.seq++
 	e.pending++
-	return ev
-}
-
-// At schedules fn to run at absolute time t. Scheduling in the past
-// panics: it indicates a causality bug in the caller.
-func (e *Engine) At(t Time, fn Handler) EventRef {
-	if fn == nil {
-		panic("sim: nil event handler")
-	}
-	ev := e.schedule(t)
-	ev.fn = fn
+	e.stats.PeakPending = max(e.stats.PeakPending, e.pending)
 	return EventRef{ev: ev, gen: ev.gen}
 }
 
 // After schedules fn to run d after the current time.
 func (e *Engine) After(d Duration, fn Handler) EventRef {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.At(e.now.Add(d), fn)
+	return e.schedule(e.now.Add(d), d, fn, nil)
 }
 
-// AtTimer schedules tm.Fire to run at absolute time t. Unlike At it
-// takes a pre-bound callback object, so steady-state rearming does not
+// AtTimer schedules tm.Fire to run at absolute time t. It takes a
+// pre-bound callback object, so steady-state rearming does not
 // allocate.
 func (e *Engine) AtTimer(t Time, tm Timer) EventRef {
-	if tm == nil {
-		panic("sim: nil timer")
-	}
-	ev := e.schedule(t)
-	ev.tm = tm
-	return EventRef{ev: ev, gen: ev.gen}
+	return e.schedule(t, absolute, nil, tm)
 }
 
 // AfterTimer schedules tm.Fire to run d after the current time.
 func (e *Engine) AfterTimer(d Duration, tm Timer) EventRef {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.AtTimer(e.now.Add(d), tm)
+	return e.schedule(e.now.Add(d), d, nil, tm)
 }
 
 // Cancel prevents a scheduled event from firing. Cancelling an already
@@ -269,10 +407,10 @@ func (e *Engine) Run() Time {
 	return e.RunUntil(Never)
 }
 
-// RunUntil executes events with timestamps <= deadline. Events beyond
-// the deadline remain queued; the clock advances to the deadline only
-// if an event at or beyond it exists, otherwise it stays at the last
-// fired event. It returns the final simulated time.
+// RunUntil executes events with timestamps <= deadline; later ones stay
+// queued. Unless Stop was called the clock then advances to the deadline
+// whether or not an event reached it (Never, Run's deadline, leaves it at
+// the last fired event). It returns the final simulated time.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
 	e.fire(deadline, math.MaxInt)
@@ -296,12 +434,25 @@ func (e *Engine) fire(last Time, limit int) int {
 	defer func() { e.running = false }()
 
 	fired := 0
-	for fired < limit && e.queue.len() > 0 && !e.stopped {
-		at := e.queue.a[0].at
+	q := &e.queue
+	for fired < limit && !e.stopped {
+		// While no lane holds an event the heap's top is the earliest: no scan.
+		src, at := 0, Never
+		if q.inLanes == 0 && len(q.heap.a) > 0 {
+			at = q.heap.a[0].at
+		} else if src, at = q.top(); src < 0 {
+			break
+		}
 		if at > last {
 			break
 		}
-		next := e.queue.pop()
+		var next *event
+		if src == 0 {
+			next = q.heap.pop()
+		} else {
+			next = q.popLane(src - 1)
+		}
+		next.queued = false
 		e.free = append(e.free, next)
 		if next.stopped {
 			continue
@@ -329,15 +480,14 @@ func (e *Engine) fire(last Time, limit int) int {
 // simply stays behind until its next event arrives.
 func (e *Engine) runWindow(end Time) { e.fire(end-1, math.MaxInt) }
 
-// scheduleLocal enqueues a drained post on this engine's heap. The
+// scheduleLocal enqueues a drained post on this engine's queue. The
 // caller (the group barrier, or the engine's own domain during its
 // window) guarantees p.at is not in this engine's past.
 func (e *Engine) scheduleLocal(p post) {
 	if p.at < e.now {
 		panic(fmt.Sprintf("sim: post delivered at %v before domain %d clock %v", p.at, e.dom, e.now))
 	}
-	ev := e.schedule(p.at)
-	ev.fn, ev.tm = p.fn, p.tm
+	e.schedule(p.at, absolute, p.fn, p.tm)
 }
 
 // Step fires exactly one pending event, if any, and reports whether one

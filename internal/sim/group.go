@@ -291,7 +291,7 @@ func (g *Group) Close() {
 func (g *Group) minNextTime() Time {
 	min := Never
 	for _, e := range g.engines {
-		if at := e.queue.nextAt(); at < min {
+		if _, at := e.queue.top(); at < min {
 			min = at
 		}
 	}

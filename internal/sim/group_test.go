@@ -58,9 +58,16 @@ func pingPong(t *testing.T, workers int) uint64 {
 	relay = func(dom, hops int) Handler {
 		return func(now Time) {
 			tr.add(dom, now, fmt.Sprintf("token/%d/%d", dom, hops))
-			// Local follow-up work inside the same window.
+			// Local follow-up work inside the same window, and an echo
+			// one window ahead: two delays that recur, so while the
+			// domain's heap holds a few of the tokens below they run from
+			// its lanes, and the echo ties with the tokens the barrier
+			// puts on the heap for the same instant.
 			g.Engine(dom).After(3*Nanosecond, func(now Time) {
 				tr.add(dom, now, fmt.Sprintf("local/%d/%d", dom, hops))
+			})
+			g.Engine(dom).After(L, func(now Time) {
+				tr.add(dom, now, fmt.Sprintf("echo/%d/%d", dom, hops))
 			})
 			// Report to control at the current instant (same-window
 			// delivery to the control phase).
@@ -74,15 +81,34 @@ func pingPong(t *testing.T, workers int) uint64 {
 		}
 	}
 
-	// Several interleaved tokens starting from different domains at
+	// Several interleaved tokens starting from each domain at
 	// staggered times, so windows carry multiple same-time posts from
 	// different senders (exercising the canonical drain order).
+	const perDomain = 6
 	for i := 1; i < domains; i++ {
-		g.Engine(i).At(Time(i%3)*Time(Nanosecond), relay(i, 20))
+		for k := 0; k < perDomain; k++ {
+			g.Engine(i).At(Time((i+k)%3)*Time(Nanosecond), relay(i, 20))
+		}
 	}
 	final := g.Run()
 	if final == 0 {
 		t.Fatal("simulation did not advance")
+	}
+	// Every token fires 21 times, and every firing adds a local event,
+	// an echo and a report.
+	var executed, lanePushes uint64
+	for d := 0; d < domains; d++ {
+		if n := g.Engine(d).Pending(); n != 0 {
+			t.Errorf("workers=%d: domain %d ended with %d events pending", workers, d, n)
+		}
+		executed += g.Engine(d).Executed()
+		lanePushes += g.Engine(d).QueueStats().LanePushes
+	}
+	if executed != (domains-1)*perDomain*21*4 {
+		t.Errorf("workers=%d: %d events executed, want %d", workers, executed, (domains-1)*perDomain*21*4)
+	}
+	if lanePushes == 0 {
+		t.Errorf("workers=%d: no local event went through a lane", workers)
 	}
 	return tr.fingerprint()
 }
@@ -93,6 +119,35 @@ func TestGroupDeterministicAcrossWorkerCounts(t *testing.T) {
 		if got := pingPong(t, w); got != want {
 			t.Fatalf("workers=%d: fingerprint %x, want %x (workers=1)", w, got, want)
 		}
+	}
+}
+
+// The window schedule must see the events in lanes: a domain whose heap
+// has drained while its lanes still hold events is not idle.
+func TestGroupWindowsOpenForLaneEvents(t *testing.T) {
+	g := NewGroup(GroupConfig{Domains: 3, Lookahead: 10, Workers: 1})
+	defer g.Close()
+	e := g.Engine(1)
+	fired := 0
+	// round puts shallowHeap events on the heap at time at and n events
+	// 50 ahead of now, in the lane the delay has earned by the second
+	// round, and runs the group dry.
+	round := func(at Time, n int) Time {
+		for i := 0; i < shallowHeap; i++ {
+			e.AtTimer(at, nopTimer{})
+		}
+		for i := 0; i < n; i++ {
+			e.After(50, func(Time) { fired++ })
+		}
+		return g.Run()
+	}
+	round(5, 2*laneAdmit)
+	before := e.QueueStats().LanePushes
+	if final := round(60, 3); final != 100 || fired != 2*laneAdmit+3 || e.Pending() != 0 {
+		t.Fatalf("run ended at %v with %d of %d events fired and %d pending", final, fired, 2*laneAdmit+3, e.Pending())
+	}
+	if e.QueueStats().LanePushes != before+3 {
+		t.Fatal("the second round's events did not wait in a lane")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package sim provides the discrete-event simulation substrate used by
 // every other FlowPulse package: a picosecond-resolution clock, an
-// event scheduler over a 4-ary heap, and deterministic named
-// random-number streams.
+// event scheduler over FIFO lanes and a 4-ary heap, and deterministic
+// named random-number streams.
 //
 // Time is kept in integer picoseconds so that serialization delays of
 // high-speed links (e.g. 400 Gb/s, where a 4 KiB frame takes 81.92 ns)

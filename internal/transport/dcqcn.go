@@ -198,7 +198,7 @@ func (s *Stack) pacerKick(d *dcqcnState, now sim.Time) {
 	for d.head < len(d.queue) {
 		ref := d.queue[d.head]
 		d.head++
-		if ref.st.finished || ref.st.acked[ref.seq] {
+		if ref.st.finished || ref.st.pkt[ref.seq].acked {
 			continue
 		}
 		d.advance(now)

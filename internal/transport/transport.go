@@ -157,8 +157,8 @@ func (m *Message) ID() uint64 { return m.id }
 
 // sendState tracks one in-flight message at the sender. Loss recovery
 // is NIC-style: instead of one scheduled closure per outstanding
-// packet, the state keeps a per-sequence deadline slice and a single
-// engine timer armed at the earliest deadline. ACKs clear their
+// packet, the state keeps a per-sequence deadline and a single engine
+// timer armed at the earliest one. ACKs clear their
 // deadline lazily (no timer surgery); a fire that finds nothing
 // expired simply rearms at the new minimum. sendState implements
 // sim.Timer, so rearming never allocates.
@@ -166,15 +166,20 @@ type sendState struct {
 	s        *Stack
 	eng      *sim.Engine // the source host's engine
 	msg      *Message
-	acked    []bool
+	pkt      []pktState // per seq: one allocation for the whole message
 	nAcked   int
-	deadline []sim.Time // per seq; Never when no RTO outstanding
-	retries  []int
-	wireOut  []sim.Time
 	finished bool
 
 	timer   sim.EventRef // the message's single RTO timer
 	timerAt sim.Time     // instant timer is armed for
+}
+
+// pktState is the sender's state of one packet of a message.
+type pktState struct {
+	deadline sim.Time // Never when no RTO outstanding
+	wireOut  sim.Time
+	retries  int32
+	acked    bool
 }
 
 // armAt ensures the message timer fires no later than d.
@@ -199,17 +204,17 @@ func (st *sendState) Fire(now sim.Time) {
 	if st.finished {
 		return
 	}
-	for seq, d := range st.deadline {
-		if d <= now && !st.acked[seq] {
+	for seq := range st.pkt {
+		if p := &st.pkt[seq]; p.deadline <= now && !p.acked {
 			// Clear before retransmitting: the retransmission's own
 			// wire-out re-arms this sequence with a fresh deadline.
-			st.deadline[seq] = sim.Never
+			p.deadline = sim.Never
 			st.s.onTimeout(st, seq, now)
 		}
 	}
 	min := sim.Never
-	for _, d := range st.deadline {
-		if d < min {
+	for i := range st.pkt {
+		if d := st.pkt[i].deadline; d < min {
 			min = d
 		}
 	}
@@ -432,17 +437,9 @@ func (s *Stack) Send(m *Message) uint64 {
 	}
 	m.packets = s.PacketsFor(m.Bytes)
 
-	st := &sendState{
-		s:        s,
-		eng:      eng,
-		msg:      m,
-		acked:    make([]bool, m.packets),
-		deadline: make([]sim.Time, m.packets),
-		retries:  make([]int, m.packets),
-		wireOut:  make([]sim.Time, m.packets),
-	}
-	for i := range st.deadline {
-		st.deadline[i] = sim.Never
+	st := &sendState{s: s, eng: eng, msg: m, pkt: make([]pktState, m.packets)}
+	for i := range st.pkt {
+		st.pkt[i].deadline = sim.Never
 	}
 	if s.par {
 		s.hosts[m.Src].sends[m.id] = st
@@ -519,18 +516,21 @@ func (s *Stack) onWireOut(now sim.Time, p *fabric.Packet) {
 	// the ACK (see Config.TimestampRTT).
 	p.Stamp = now
 	st := s.sendsAt(p.Src)[p.Msg]
-	if st == nil || st.acked[p.Seq] {
+	if st == nil {
 		return
 	}
-	seq := p.Seq
-	st.wireOut[seq] = now
+	pk := &st.pkt[p.Seq]
+	if pk.acked {
+		return
+	}
+	pk.wireOut = now
 	pair := &s.rtts[int(st.msg.Src)*s.nHosts+int(st.msg.Dst)]
 	rto := s.cfg.RTO
 	if !s.cfg.FixedRTO {
 		rto = pair.rto(s.cfg.RTO, s.cfg.TimestampRTT)
 	}
 	if !s.cfg.DisableBackoff {
-		shift := st.retries[seq]
+		shift := int(pk.retries)
 		if s.cfg.PairBackoff && pair.backoff > shift {
 			shift = pair.backoff
 		}
@@ -539,19 +539,20 @@ func (s *Stack) onWireOut(now sim.Time, p *fabric.Packet) {
 		}
 		rto <<= shift
 	}
-	st.deadline[seq] = now.Add(rto)
-	st.armAt(st.deadline[seq])
+	pk.deadline = now.Add(rto)
+	st.armAt(pk.deadline)
 }
 
 func (s *Stack) onTimeout(st *sendState, seq int, _ sim.Time) {
-	if st.acked[seq] || st.finished {
+	pk := &st.pkt[seq]
+	if pk.acked || st.finished {
 		return
 	}
-	if st.retries[seq] >= s.cfg.MaxRetries {
+	if int(pk.retries) >= s.cfg.MaxRetries {
 		s.statsAt(st.msg.Src).Abandoned++
 		return
 	}
-	st.retries[seq]++
+	pk.retries++
 	if s.cfg.PairBackoff {
 		if pair := &s.rtts[int(st.msg.Src)*s.nHosts+int(st.msg.Dst)]; pair.backoff < 6 {
 			pair.backoff++
@@ -559,10 +560,10 @@ func (s *Stack) onTimeout(st *sendState, seq int, _ sim.Time) {
 	}
 	if DebugTimeout != nil {
 		pair := s.rtts[int(st.msg.Src)*s.nHosts+int(st.msg.Dst)]
-		DebugTimeout(st.eng.Now(), st.msg.Src, st.msg.Dst, seq, st.retries[seq], pair.backoff, pair.srtt, pair.rttvar)
+		DebugTimeout(st.eng.Now(), st.msg.Src, st.msg.Dst, seq, int(pk.retries), pair.backoff, pair.srtt, pair.rttvar)
 	}
 	if DebugRetx != nil {
-		DebugRetx(st.eng.Now(), st.msg.ID(), seq, st.retries[seq])
+		DebugRetx(st.eng.Now(), st.msg.ID(), seq, int(pk.retries))
 	}
 	s.sendData(st, seq, true)
 }
@@ -686,11 +687,12 @@ func (s *Stack) onAck(now sim.Time, p *fabric.Packet) {
 	if st == nil || st.finished {
 		return
 	}
-	if st.acked[p.Seq] {
+	pk := &st.pkt[p.Seq]
+	if pk.acked {
 		return
 	}
 	if DebugAck != nil {
-		DebugAck(now, p.Msg, p.Seq, now.Sub(st.wireOut[p.Seq]))
+		DebugAck(now, p.Msg, p.Seq, now.Sub(pk.wireOut))
 	}
 	// RTT sampling. Every sample also decays the pair's timer backoff
 	// — by one step, not to zero: a collective re-bursts every
@@ -709,23 +711,23 @@ func (s *Stack) onAck(now sim.Time, p *fabric.Packet) {
 		if pair.backoff > 0 {
 			pair.backoff--
 		}
-	case st.retries[p.Seq] == 0:
+	case pk.retries == 0:
 		// Karn's rule: only unambiguous (never-retransmitted) packets
 		// feed the RTT estimator.
 		if !s.cfg.FixedRTO {
-			pair.observe(float64(now.Sub(st.wireOut[p.Seq])))
+			pair.observe(float64(now.Sub(pk.wireOut)))
 		}
 		if pair.backoff > 0 {
 			pair.backoff--
 		}
 	}
-	st.acked[p.Seq] = true
+	pk.acked = true
 	st.nAcked++
 	// Lazy cancellation: clear the deadline but leave the message
 	// timer armed. If this sequence held the earliest deadline, the
 	// timer fires spuriously, finds nothing expired, and rearms.
-	st.deadline[p.Seq] = sim.Never
-	if st.retries[p.Seq] > 0 {
+	pk.deadline = sim.Never
+	if pk.retries > 0 {
 		// The packet was retransmitted at least once before this first
 		// ACK came back; receiver-side dedup measures how many of those
 		// copies were unnecessary.

@@ -289,17 +289,14 @@ func TestEarliestDeadlineTimerMechanics(t *testing.T) {
 	m := &Message{Src: 0, Dst: 3, Bytes: 3 * 4096, packets: 3, id: 77}
 	st := &sendState{
 		s: s, eng: s.eng, msg: m,
-		acked:    make([]bool, 3),
-		deadline: []sim.Time{300, 100, 200},
-		retries:  make([]int, 3),
-		wireOut:  make([]sim.Time, 3),
+		pkt: []pktState{{deadline: 300}, {deadline: 100}, {deadline: 200}},
 	}
 
 	// Arming at a later deadline first, then an earlier one, must
 	// leave the timer at the minimum.
-	st.armAt(st.deadline[0])
-	st.armAt(st.deadline[2])
-	st.armAt(st.deadline[1])
+	st.armAt(st.pkt[0].deadline)
+	st.armAt(st.pkt[2].deadline)
+	st.armAt(st.pkt[1].deadline)
 	if !st.timer.Valid() || st.timerAt != 100 {
 		t.Fatalf("timer armed at %v, want earliest deadline 100", st.timerAt)
 	}
@@ -319,8 +316,8 @@ func TestEarliestDeadlineTimerMechanics(t *testing.T) {
 
 	// Lazily "ack" seq 2 the way onAck does: clear the deadline, leave
 	// the timer alone. The fire at 200 becomes spurious.
-	st.acked[2] = true
-	st.deadline[2] = sim.Never
+	st.pkt[2].acked = true
+	st.pkt[2].deadline = sim.Never
 
 	r.eng.Run()
 	// Expiries must fire in deadline order (seq 1 at 100, seq 0 at
@@ -328,7 +325,7 @@ func TestEarliestDeadlineTimerMechanics(t *testing.T) {
 	if len(retxOrder) != 2 || retxOrder[0] != 1 || retxOrder[1] != 0 {
 		t.Fatalf("retransmit order %v, want [1 0]", retxOrder)
 	}
-	if st.retries[2] != 0 {
+	if st.pkt[2].retries != 0 {
 		t.Fatal("lazily acked sequence was retransmitted")
 	}
 	// All deadlines consumed: the timer must be disarmed (retransmits
