@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -53,25 +54,13 @@ var deadExportAllow = map[string]string{
 // and probes the layers one by one — or implement an interface, or be
 // on deadExportAllow with a reason. An export only tests call is API
 // nobody uses: delete it (and the test, if the behaviour goes with it),
-// unexport it, or move it into a _test.go file. One test for the whole
-// module: type-checking the standard library from source dominates the
-// run time and is paid once.
+// unexport it, or move it into a _test.go file.
 func TestNoDeadExports(t *testing.T) {
-	pkgs, err := auditModule(".")
+	im, err := auditedModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No cgo: the source importer would otherwise run the cgo tool (and a
-	// C compiler) over package net.
-	cgo := build.Default.CgoEnabled
-	build.Default.CgoEnabled = false
-	defer func() { build.Default.CgoEnabled = cgo }()
-	fset := token.NewFileSet()
-	dead, err := deadExports(fset, pkgs, importer.ForCompiler(fset, "source", nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, msg := range checkDeadAllow(dead, deadExportAllow) {
+	for _, msg := range checkDeadAllow(deadExports(im), deadExportAllow) {
 		t.Error(msg)
 	}
 	if len(deadExportAllow) > 20 {
@@ -112,10 +101,11 @@ func main() {
 }
 `}},
 	}
-	dead, err := deadExports(token.NewFileSet(), pkgs, nil)
+	im, err := typeCheck(token.NewFileSet(), pkgs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dead := deadExports(im)
 	want := []string{"m/lib.Forgotten", "m/lib.Orphan", "m/lib.Square.Diagonal", "m/lib.Unused"}
 	if strings.Join(dead, " ") != strings.Join(want, " ") {
 		t.Errorf("dead exports = %v, want %v", dead, want)
@@ -224,6 +214,8 @@ type auditImporter struct {
 	done map[string]*types.Package
 	info *types.Info
 	std  types.Importer
+	// files maps the parsed files of every scanned package to it.
+	files map[*ast.File]*types.Package
 }
 
 func (im *auditImporter) Import(path string) (*types.Package, error) {
@@ -258,20 +250,18 @@ func (im *auditImporter) Import(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, f := range files {
+		im.files[f] = pkg
+	}
 	im.done[path] = pkg
 	return pkg, nil
 }
 
-// deadExports type-checks pkgs and returns, sorted, every exported
-// function, method ("pkg.Recv.Name"), type, constant and variable of a
-// non-main package that no scanned file references and that does not
-// implement a method of an interface — one written in the scanned files
-// (declared or inline), or exported by a package they import
-// (fmt.Stringer, sort.Interface, error, …) — since those are called
-// dynamically.
-func deadExports(fset *token.FileSet, pkgs []auditPkg, std types.Importer) ([]string, error) {
+// typeCheck type-checks every package of pkgs into one types.Info.
+func typeCheck(fset *token.FileSet, pkgs []auditPkg, std types.Importer) (*auditImporter, error) {
 	im := &auditImporter{
 		fset: fset, src: map[string]auditPkg{}, done: map[string]*types.Package{}, std: std,
+		files: map[*ast.File]*types.Package{},
 		info: &types.Info{
 			Defs:  map[*ast.Ident]types.Object{},
 			Uses:  map[*ast.Ident]types.Object{},
@@ -286,6 +276,34 @@ func deadExports(fset *token.FileSet, pkgs []auditPkg, std types.Importer) ([]st
 			return nil, fmt.Errorf("%s: %w", p.path, err)
 		}
 	}
+	return im, nil
+}
+
+// auditedModule type-checks the module and bench/ once for every audit
+// in this package: type-checking the standard library from source
+// dominates the run time.
+var auditedModule = sync.OnceValues(func() (*auditImporter, error) {
+	pkgs, err := auditModule(".")
+	if err != nil {
+		return nil, err
+	}
+	// No cgo: the source importer would otherwise run the cgo tool (and a
+	// C compiler) over package net.
+	cgo := build.Default.CgoEnabled
+	build.Default.CgoEnabled = false
+	defer func() { build.Default.CgoEnabled = cgo }()
+	fset := token.NewFileSet()
+	return typeCheck(fset, pkgs, importer.ForCompiler(fset, "source", nil))
+})
+
+// deadExports returns, sorted, every exported
+// function, method ("pkg.Recv.Name"), type, constant and variable of a
+// non-main package that no scanned file references and that does not
+// implement a method of an interface — one written in the scanned files
+// (declared or inline), or exported by a package they import
+// (fmt.Stringer, sort.Interface, error, …) — since those are called
+// dynamically.
+func deadExports(im *auditImporter) []string {
 
 	used := map[types.Object]bool{}
 	for _, obj := range im.info.Uses {
@@ -358,5 +376,5 @@ func deadExports(fset *token.FileSet, pkgs []auditPkg, std types.Importer) ([]st
 		}
 	}
 	sort.Strings(dead)
-	return dead, nil
+	return dead
 }

@@ -179,8 +179,7 @@ func BenchmarkAblationPredictors(b *testing.B) {
 				tr := experiments.Trial{
 					Scenario:   core.Scenario{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, Seed: uint64(i)},
 					Kind:       kind,
-					Fault:      core.LeafSpineLink{LeafOrd: 3, SpineOrd: 1},
-					DropRate:   0.05,
+					Fault:      core.FaultSpec{Kind: core.FaultBernoulli, Leaf: 3, Spine: 1, Rate: 0.05},
 					CleanIters: 3, FaultIters: 2,
 				}
 				if _, err := tr.Run(); err != nil {
@@ -403,7 +402,7 @@ func BenchmarkECNDCQCNTransport(b *testing.B) {
 				cfg.ECN = fabric.ECNConfig{Enabled: true, KMinBytes: 16 << 10, KMaxBytes: 64 << 10}
 			}
 			net := fabric.MustNew(cfg)
-			stack := transport.NewStack(net, transport.Config{DCQCN: transport.DCQCNConfig{Enabled: mode.on}})
+			stack := transport.NewStack(net, transport.Config{DCQCN: mode.on})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				stack.Send(&transport.Message{

@@ -41,7 +41,6 @@ import (
 	"flowpulse"
 	"flowpulse/internal/serve"
 	"flowpulse/internal/sim"
-	"flowpulse/internal/trace"
 )
 
 func main() {
@@ -132,6 +131,24 @@ func main() {
 		Unverified: *unverified,
 		AuditEvery: flowpulse.Duration(*auditUS) * flowpulse.Microsecond,
 	}
+	// The fault flags are one schedule entry. A clean run (-drop 0) lists
+	// none, but fault keeps the flags' timing for the iteration log below.
+	fault := flowpulse.FaultSpec{
+		Kind: flowpulse.FaultBernoulli, Rate: *drop,
+		Leaf: *faultLeaf, Spine: *faultSpine, Upstream: *upstream,
+		Onset: max(*faultIter, 0), Heal: max(*healAfter, 0),
+	}
+	if *flapPeriod > 0 {
+		fault.Kind = flowpulse.FaultFlap
+		fault.FlapPeriod = flowpulse.Duration(*flapPeriod) * flowpulse.Microsecond
+		fault.FlapDown = fault.FlapPeriod / 2
+		if *flapDown > 0 {
+			fault.FlapDown = flowpulse.Duration(*flapDown) * flowpulse.Microsecond
+		}
+	}
+	if *drop > 0 {
+		sc.Faults = []flowpulse.FaultSpec{fault}
+	}
 	if *staleAtUS > 0 {
 		sc.Divergence.Stale = append(sc.Divergence.Stale, flowpulse.StaleSpec{
 			At:   sim.Time(sim.Duration(*staleAtUS) * sim.Microsecond),
@@ -192,61 +209,6 @@ func main() {
 		goodput = cluster.TrackGoodput()
 	}
 
-	target := flowpulse.Link{LeafOrd: *faultLeaf, SpineOrd: *faultSpine}
-	// groundTruth appends the injection (or heal) to the trace so an
-	// offline sweep can label iterations without re-simulating.
-	groundTruth := func(clear bool, onset int) {
-		trc := mon.TraceWriter()
-		if trc == nil {
-			return
-		}
-		f := trace.FaultRecord{
-			At:       sim.Time(cluster.Now()),
-			Kind:     "bernoulli",
-			LeafOrd:  target.LeafOrd,
-			SpineOrd: target.SpineOrd,
-			Upstream: *upstream,
-			Rate:     *drop,
-			Clear:    clear,
-			OnsetIter: func() uint32 {
-				if onset < 0 {
-					return 0
-				}
-				return uint32(onset)
-			}(),
-		}
-		if *flapPeriod > 0 {
-			f.Kind = "flap"
-			f.FlapPeriod = sim.Duration(*flapPeriod) * sim.Microsecond
-			f.FlapDown = f.FlapPeriod / 2
-			if *flapDown > 0 {
-				f.FlapDown = sim.Duration(*flapDown) * sim.Microsecond
-			}
-		}
-		trc.Fault(f)
-	}
-	inject := func() {
-		if *drop <= 0 {
-			return
-		}
-		if goodput != nil {
-			goodput.MarkFault(int64(cluster.Now()))
-		}
-		if *flapPeriod > 0 {
-			period := flowpulse.Duration(*flapPeriod) * flowpulse.Microsecond
-			down := period / 2
-			if *flapDown > 0 {
-				down = flowpulse.Duration(*flapDown) * flowpulse.Microsecond
-			}
-			cluster.FlapLink(target, period, down, 0, *drop)
-		} else if *upstream {
-			cluster.BreakLinkUpstream(target, *drop)
-		} else {
-			cluster.BreakLink(target, *drop)
-		}
-		groundTruth(false, *faultIter)
-	}
-
 	fmt.Printf("FlowPulse simulation: %dx%d fat tree, %d host(s)/leaf, %s, %d MiB/rank, %d iterations\n",
 		*leaves, *spines, *hosts, *coll, *sizeMB, *iters)
 	if *jobs > 1 {
@@ -258,18 +220,9 @@ func main() {
 	} else {
 		fmt.Println("engine: single-threaded")
 	}
-	switch {
-	case *drop > 0 && *flapPeriod > 0:
-		fmt.Printf("fault: lossy flap (%.2f%% while down, period %dµs) on leaf %d / spine %d, after iteration %d\n",
-			*drop*100, *flapPeriod, *faultLeaf, *faultSpine, *faultIter)
-	case *drop > 0:
-		dir := "downstream (spine->leaf)"
-		if *upstream {
-			dir = "upstream (leaf->spine)"
-		}
-		fmt.Printf("fault: %.2f%% drop on leaf %d / spine %d, %s, after iteration %d\n",
-			*drop*100, *faultLeaf, *faultSpine, dir, *faultIter)
-	default:
+	if len(sc.Faults) > 0 {
+		fmt.Printf("fault: %v\n", fault)
+	} else {
 		fmt.Println("fault: none (clean run)")
 	}
 	if *remediated {
@@ -288,26 +241,21 @@ func main() {
 	}
 	fmt.Println()
 
-	if *faultIter <= 0 {
-		inject()
-	}
-	injected := false
 	err = cluster.TrainAll(func(now flowpulse.Duration, job uint16, iter uint32) {
 		if *jobs > 1 {
 			fmt.Printf("job %d iteration %2d complete at %v\n", job, iter, now)
 		} else {
 			fmt.Printf("iteration %2d complete at %v\n", iter, now)
 		}
-		// Multi-job runs key fault timing on the first job's clock.
-		if (*jobs <= 1 || job == 1) && int(iter) == *faultIter && !injected {
-			injected = true
-			inject()
-			fmt.Printf("  >> fault injected\n")
-		}
-		if (*jobs <= 1 || job == 1) && *healAfter > 0 && int(iter) == *healAfter {
-			cluster.HealLink(target)
-			groundTruth(true, *healAfter)
-			fmt.Printf("  >> fault healed\n")
+		// Train applied the schedule on the first job's clock, just before
+		// this hook. (A -drop 0 run logs the lines too, as it always has.)
+		if *jobs <= 1 || job == 1 {
+			if int(iter) == fault.Onset {
+				fmt.Printf("  >> fault injected\n")
+			}
+			if int(iter) == fault.Heal {
+				fmt.Printf("  >> fault healed\n")
+			}
 		}
 	})
 	if err != nil {

@@ -121,14 +121,14 @@ func cmdRecord(args []string, stdout, stderr io.Writer) int {
 			Shards:       *shards,
 		},
 		Kind:       core.PredictorKind(*predictor),
-		Fault:      core.LeafSpineLink{LeafOrd: *faultLeaf, SpineOrd: *faultSpine},
-		DropRate:   *drop,
-		Upstream:   *upstream,
 		CleanIters: *clean,
 		FaultIters: *faultIters,
 		Remediate:  *remediated,
 		TracePath:  *out,
 		TraceLabel: *label,
+	}
+	if *drop > 0 {
+		tr.Fault = core.FaultSpec{Kind: core.FaultBernoulli, Leaf: *faultLeaf, Spine: *faultSpine, Upstream: *upstream, Rate: *drop}
 	}
 	res, err := tr.Run()
 	if err != nil {

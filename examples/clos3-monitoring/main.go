@@ -48,7 +48,10 @@ func main() {
 	// its packets. No leaf is attached to that link.
 	err = rt.Train(func(_ sim.Time, _ uint16, iter uint32) {
 		if iter == 5 {
-			link := rt.InjectCoreSpineDrop(2, 1, 0, 0.08)
+			link, err := rt.Inject(core.FaultSpec{Kind: core.FaultBernoulli, CoreSpine: true, Pod: 2, SpineInPod: 1, Rate: 0.08})
+			if err != nil {
+				panic(err)
+			}
 			fmt.Printf("iteration 5: silent 8%% fault injected on core->spine link %d\n", link)
 		}
 	})

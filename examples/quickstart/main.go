@@ -19,6 +19,10 @@ func main() {
 		BytesPerRank: 16 << 20, // 16 MiB of gradients per rank
 		Iterations:   6,
 		Seed:         42,
+		// After iteration 3 a transceiver starts silently corrupting 1.5%
+		// of packets on the link between leaf 11 and spine 5 — no counter
+		// anywhere sees it.
+		Faults: []flowpulse.FaultSpec{{Kind: flowpulse.FaultBernoulli, Leaf: 11, Spine: 5, Rate: 0.015, Onset: 3}},
 	})
 	if err != nil {
 		panic(err)
@@ -38,15 +42,10 @@ func main() {
 		panic(err)
 	}
 
-	// Train; after iteration 3 a transceiver starts silently corrupting
-	// 1.5% of packets on the link between leaf 11 and spine 5 — no
-	// counter anywhere sees it.
-	faulty := flowpulse.Link{LeafOrd: 11, SpineOrd: 5}
 	fmt.Println("training...")
 	err = cluster.Train(func(now flowpulse.Duration, iter uint32) {
 		fmt.Printf("iteration %d done at %v\n", iter, now)
 		if iter == 3 {
-			cluster.BreakLink(faulty, 0.015)
 			fmt.Println("  (silent fault injected: 1.5% drop on leaf 11 / spine 5)")
 		}
 	})

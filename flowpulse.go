@@ -12,11 +12,17 @@
 //
 // Quick start:
 //
-//	cluster, _ := flowpulse.New(flowpulse.Scenario{
+//	cluster, err := flowpulse.New(flowpulse.Scenario{
 //		Leaves: 32, Spines: 16, BytesPerRank: 16 << 20, Iterations: 6,
+//		// After iteration 2, one link silently drops 1.5% of its packets.
+//		Faults: []flowpulse.FaultSpec{{
+//			Kind: flowpulse.FaultBernoulli, Leaf: 3, Spine: 1, Rate: 0.015, Onset: 2,
+//		}},
 //	})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	mon, _ := cluster.Monitor(flowpulse.MonitorConfig{})
-//	cluster.BreakLink(flowpulse.Link{LeafOrd: 3, SpineOrd: 1}, 0.015)
 //	if err := cluster.Train(nil); err != nil {
 //		log.Fatal(err)
 //	}
@@ -138,9 +144,6 @@ type MonitorConfig struct {
 	Predictor PredictorKind
 	// Threshold is the detection threshold; defaults to the paper's 1%.
 	Threshold float64
-	// ReferenceIterations sizes the reference run for the Simulation
-	// model (default 3).
-	ReferenceIterations int
 	// OnEvent streams detections as they happen.
 	OnEvent func(e Event)
 	// Remediate, when non-nil, closes the loop: confirmed faults are
@@ -201,8 +204,7 @@ func (c *Cluster) Monitor(cfg MonitorConfig) (*Monitor, error) {
 			Detect:  detect.Config{Threshold: cfg.Threshold},
 			OnEvent: cfg.OnEvent,
 		},
-		ReferenceIterations: cfg.ReferenceIterations,
-		Remediate:           cfg.Remediate, Resilience: cfg.Resilience,
+		Remediate: cfg.Remediate, Resilience: cfg.Resilience,
 		TracePath: cfg.TracePath, TraceLabel: cfg.TraceLabel,
 	}
 	if cfg.TraceSink != nil {
@@ -221,18 +223,48 @@ func (c *Cluster) Monitor(cfg MonitorConfig) (*Monitor, error) {
 	return m, nil
 }
 
+// FaultSpec is one entry of Scenario.Faults, the silent-fault schedule
+// Train applies: what loss process, on which link and direction, armed
+// after which iteration and (optionally) healed after which.
+type FaultSpec = core.FaultSpec
+
+// Loss processes for FaultSpec.Kind: a Bernoulli drop, and a link that
+// degrades periodically. The rest go by name: "blackhole",
+// "gilbert-elliott", and "model" for a caller-built FaultSpec.Model.
+const (
+	FaultBernoulli = core.FaultBernoulli
+	FaultFlap      = core.FaultFlap
+)
+
+// inject arms f now. The imperative wrappers below keep their
+// signatures, so bad input panics here as it always has; a schedule in
+// Scenario.Faults is validated by New instead.
+func (c *Cluster) inject(f FaultSpec, l Link) {
+	f.Leaf, f.Spine, f.Trunk = l.LeafOrd, l.SpineOrd, l.Trunk
+	if _, err := c.rt.Inject(f); err != nil {
+		panic(err)
+	}
+}
+
 // BreakLink injects a silent Bernoulli packet-drop fault on the
-// downstream (spine→leaf) direction of a link. Routing does not react:
-// the fault is silent.
-func (c *Cluster) BreakLink(l Link, dropRate float64) { c.rt.InjectSilentDrop(l, dropRate) }
+// downstream (spine→leaf) direction of a link, now — call it from a
+// Train hook to script what Scenario.Faults cannot phrase. Routing does
+// not react: the fault is silent.
+func (c *Cluster) BreakLink(l Link, dropRate float64) {
+	c.inject(FaultSpec{Kind: FaultBernoulli, Rate: dropRate}, l)
+}
 
 // BreakLinkUpstream faults the leaf→spine direction instead.
 func (c *Cluster) BreakLinkUpstream(l Link, dropRate float64) {
-	c.rt.InjectSilentDropUpstream(l, dropRate)
+	c.inject(FaultSpec{Kind: FaultBernoulli, Rate: dropRate, Upstream: true}, l)
 }
 
 // HealLink removes silent faults from a link.
-func (c *Cluster) HealLink(l Link) { c.rt.ClearSilent(l) }
+func (c *Cluster) HealLink(l Link) {
+	if err := c.rt.Heal(FaultSpec{Leaf: l.LeafOrd, Spine: l.SpineOrd, Trunk: l.Trunk}); err != nil {
+		panic(err)
+	}
+}
 
 // ControlPlane exposes the cluster's control plane — the believed
 // topology view, the ChangeSet ledger, and the divergence episode
@@ -245,7 +277,7 @@ func (c *Cluster) ControlPlane() *control.Plane { return c.rt.Plane }
 // intermittent-optics adversary the remediator's flap damping exists
 // for.
 func (c *Cluster) FlapLink(l Link, period, downFor, phase Duration, lossRate float64) {
-	c.rt.InjectLossyFlap(l, period, downFor, phase, lossRate)
+	c.inject(FaultSpec{Kind: FaultFlap, Rate: lossRate, FlapPeriod: period, FlapDown: downFor, FlapPhase: phase}, l)
 }
 
 // TrackGoodput arms the per-iteration goodput timeline on the (first
@@ -259,10 +291,11 @@ func (c *Cluster) TrackGoodput() *GoodputTimeline {
 	return c.rt.Goodput
 }
 
-// Train runs the scenario's training to completion. onIteration
-// (optional) fires after each iteration of the first job with the
-// simulated time and iteration number — inject or heal faults from it
-// to script mid-training events. The error is a recording's I/O error
+// Train runs the scenario's training to completion, arming and healing
+// the faults of Scenario.Faults on the way. onIteration (optional) fires
+// after each iteration of the first job with the simulated time and
+// iteration number — call BreakLink or HealLink from it to script what a
+// schedule cannot phrase. The error is a recording's I/O error
 // (MonitorConfig.TracePath, TraceSink) or a collective the Resilience
 // loop cannot re-plan.
 func (c *Cluster) Train(onIteration func(now Duration, iter uint32)) error {
@@ -434,9 +467,9 @@ func (m *Monitor) Quarantined() []LinkID {
 }
 
 // TraceWriter returns the attached trace writer (nil when neither
-// MonitorConfig.TracePath nor TraceSink was set). Harnesses use it to
-// append ground-truth fault records alongside the injections they
-// script, and to check Err once training ends.
+// MonitorConfig.TracePath nor TraceSink was set). Harnesses read the
+// stream fingerprint from it; the injector writes the ground-truth fault
+// records.
 func (m *Monitor) TraceWriter() *trace.Writer { return m.sys.TraceWriter() }
 
 // System exposes the underlying core.System for advanced use.

@@ -1,8 +1,12 @@
 package flowpulse
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"testing"
+
+	"flowpulse/internal/trace"
 )
 
 // fastScenario keeps facade tests quick: 8 leaves, 4 spines, 4 MiB.
@@ -72,7 +76,8 @@ func TestMidTrainingInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, err := cluster.Monitor(MonitorConfig{})
+	var rec bytes.Buffer
+	mon, err := cluster.Monitor(MonitorConfig{TraceSink: &rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +92,39 @@ func TestMidTrainingInjection(t *testing.T) {
 	}
 	if events[0].Alert.Iter != 3 {
 		t.Fatalf("first alert in iteration %d, want 3", events[0].Alert.Iter)
+	}
+
+	// The imperative call left its ground truth in the recording: an
+	// offline sweep labels iterations 3 and 4 faulty, 1 and 2 clean.
+	rr, err := trace.Replay(bytes.NewReader(rec.Bytes()), trace.ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rr.Faults) != 1 || rr.Faults[0].Kind != "bernoulli" || rr.Faults[0].LeafOrd != 5 || rr.Faults[0].OnsetIter != 2 {
+		t.Fatalf("recorded fault schedule %+v, want the BreakLink after iteration 2", rr.Faults)
+	}
+	for i, s := range rr.Samples() {
+		if s.Positive != (i+1 > 2) {
+			t.Errorf("iteration %d labeled faulty=%v", i+1, s.Positive)
+		}
+	}
+
+	// The same fault as data runs the same run.
+	sc := fastScenario(3)
+	sc.Faults = []FaultSpec{{Kind: FaultBernoulli, Leaf: 5, Spine: 0, Rate: 0.05, Onset: 2}}
+	scheduled, err := New(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon2, err := scheduled.Monitor(MonitorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := scheduled.Train(nil); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mon2.Events(), events) || scheduled.NetworkStats() != cluster.NetworkStats() {
+		t.Error("Scenario.Faults and BreakLink from the Train hook ran different runs")
 	}
 }
 

@@ -50,22 +50,20 @@ type Fabric interface {
 // Config tunes the plane.
 type Config struct {
 	// Verify enables verify-own-writes: after each push the plane
-	// reads the live state back, re-pushes on mismatch (MaxRetries
+	// reads the live state back, re-pushes on mismatch (maxRetries
 	// times), and rolls the ChangeSet back if the write never lands.
 	// When false the plane commits intent to belief blindly — the
 	// baseline arm of the divergence experiment, and how divergence
 	// persists.
 	Verify bool
-	// MaxRetries bounds re-pushes after a failed read-back. 0 means
-	// the default (2); negative means no retries.
-	MaxRetries int
 	// AuditEvery runs a belief-vs-truth audit over every link at this
 	// cadence (driven by window-close ticks, so it adds no engine
 	// events). 0 disables; leave it 0 unless divergence is injected.
 	AuditEvery sim.Duration
-	// OnAlert observes rollback and divergence alerts.
-	OnAlert func(Alert)
 }
+
+// maxRetries bounds re-pushes after a failed read-back.
+const maxRetries = 2
 
 // Op is one declarative operation: drive a link to an administrative
 // state.
@@ -183,12 +181,6 @@ type Plane struct {
 // New builds a plane over a fabric. Belief is initialized from the
 // live state, so a fresh plane is always consistent.
 func New(cfg Config, fab Fabric) *Plane {
-	switch {
-	case cfg.MaxRetries == 0:
-		cfg.MaxRetries = 2
-	case cfg.MaxRetries < 0:
-		cfg.MaxRetries = 0
-	}
 	topo := fab.Topology()
 	p := &Plane{
 		cfg:    cfg,
@@ -302,7 +294,7 @@ func (p *Plane) Apply(now sim.Time, reason string, ops []Op) bool {
 				continue
 			}
 			p.stats.VerifyMismatches++
-			for try := 0; try < p.cfg.MaxRetries && p.fab.LinkAdminUp(op.Link) != op.Up; try++ {
+			for try := 0; try < maxRetries && p.fab.LinkAdminUp(op.Link) != op.Up; try++ {
 				cs.Retries++
 				p.stats.Retries++
 				if !p.dropPush() {
@@ -565,7 +557,4 @@ func (p *Plane) updateEpisode(now sim.Time) {
 func (p *Plane) alert(now sim.Time, reason, detail string) {
 	a := Alert{At: now, Reason: reason, Detail: detail}
 	p.alerts = append(p.alerts, a)
-	if p.cfg.OnAlert != nil {
-		p.cfg.OnAlert(a)
-	}
 }

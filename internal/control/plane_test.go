@@ -90,10 +90,9 @@ func TestApplyRetriesFailedPush(t *testing.T) {
 // and an alert fires — the plane refuses to believe a write it cannot
 // read back.
 func TestApplyRollsBackExhaustedRetries(t *testing.T) {
-	var alerts []Alert
-	p, net := buildPlane(t, Config{Verify: true, OnAlert: func(a Alert) { alerts = append(alerts, a) }})
+	p, net := buildPlane(t, Config{Verify: true})
 	link := trunkLink(t, net, 1, 1)
-	// Initial push + MaxRetries (default 2) re-pushes, all eaten.
+	// Initial push + maxRetries (2) re-pushes, all eaten.
 	p.Inject(fault.Divergence{Kind: fault.DivergeFailedPush, Count: 3})
 
 	if p.Quarantine(100, link) {
@@ -112,7 +111,7 @@ func TestApplyRollsBackExhaustedRetries(t *testing.T) {
 	if st.RolledBack != 1 || st.Committed != 0 || st.Retries != 2 || st.PushesDropped != 3 {
 		t.Errorf("rollback accounting: %+v", st)
 	}
-	if len(alerts) != 1 || len(p.Alerts()) != 1 {
+	if alerts := p.Alerts(); len(alerts) != 1 {
 		t.Fatalf("want exactly one rollback alert, got %v", alerts)
 	}
 	if log := p.Log(); len(log) != 1 || log[0].Status != RolledBack {

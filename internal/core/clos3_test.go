@@ -7,7 +7,6 @@ import (
 
 	"flowpulse/internal/detect"
 	"flowpulse/internal/predict"
-	"flowpulse/internal/sim"
 	"flowpulse/internal/telemetry"
 	"flowpulse/internal/topology"
 	"flowpulse/internal/trace"
@@ -24,8 +23,9 @@ func clos3Scenario(seed uint64) Scenario {
 
 // runClos3 trains a three-level scenario under dual-tier monitoring and
 // returns each tier's alerts.
-func runClos3(t *testing.T, sc Scenario, inject func(rt *Runtime), injectAt uint32) (sys *System, leaf, spine []detect.Alert) {
+func runClos3(t *testing.T, sc Scenario, faults ...FaultSpec) (sys *System, leaf, spine []detect.Alert) {
 	t.Helper()
+	sc.Faults = faults
 	rt, err := sc.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -34,12 +34,7 @@ func runClos3(t *testing.T, sc Scenario, inject func(rt *Runtime), injectAt uint
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = rt.Train(func(_ sim.Time, _ uint16, iter uint32) {
-		if inject != nil && iter == injectAt {
-			inject(rt)
-		}
-	})
-	if err != nil {
+	if err := rt.Train(nil); err != nil {
 		t.Fatal(err)
 	}
 	j := sys.Jobs()[0]
@@ -53,7 +48,7 @@ func runClos3(t *testing.T, sc Scenario, inject func(rt *Runtime), injectAt uint
 }
 
 func TestClos3CleanBothLevelsSilent(t *testing.T) {
-	sys, leaf, spine := runClos3(t, clos3Scenario(1), nil, 0)
+	sys, leaf, spine := runClos3(t, clos3Scenario(1))
 	if len(leaf) != 0 {
 		t.Fatalf("clean 3-level run: leaf alerts %v", leaf[0])
 	}
@@ -72,9 +67,8 @@ func TestClos3CleanBothLevelsSilent(t *testing.T) {
 }
 
 func TestClos3SpineLeafFaultSeenByLeafMonitor(t *testing.T) {
-	_, leaf, _ := runClos3(t, clos3Scenario(2), func(rt *Runtime) {
-		rt.InjectSpineLeafDrop(1, 2, 0, 0.05)
-	}, 5)
+	_, leaf, _ := runClos3(t, clos3Scenario(2),
+		FaultSpec{Kind: FaultBernoulli, Pod: 1, LeafInPod: 2, SpineInPod: 0, Rate: 0.05, Onset: 5})
 	if len(leaf) == 0 {
 		t.Fatal("spine->leaf fault not seen by leaf monitors")
 	}
@@ -100,9 +94,8 @@ func TestClos3SpineLeafFaultSeenByLeafMonitor(t *testing.T) {
 }
 
 func TestClos3CoreSpineFaultSeenBySpineMonitor(t *testing.T) {
-	_, _, spine := runClos3(t, clos3Scenario(3), func(rt *Runtime) {
-		rt.InjectCoreSpineDrop(2, 1, 0, 0.08)
-	}, 5)
+	_, _, spine := runClos3(t, clos3Scenario(3),
+		FaultSpec{Kind: FaultBernoulli, CoreSpine: true, Pod: 2, SpineInPod: 1, CoreIx: 0, Rate: 0.08, Onset: 5})
 	if len(spine) == 0 {
 		t.Fatal("core->spine fault not seen by spine monitors")
 	}

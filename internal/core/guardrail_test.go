@@ -9,36 +9,58 @@ import (
 	"testing"
 )
 
-// runSequenceCall matches a hand-rolled piece of the run sequence:
-// attaching a System from a Config, or starting and binding jobs one by
-// one. The last three names are unexported today; they stay in the
-// pattern so that re-exporting one does not quietly reopen the door.
-var runSequenceCall = regexp.MustCompile(`core\.(Must)?Attach\(|\.(StartAllJobs|StartTraining|BindWorkload)\(`)
+// A sourceScan keeps one job in one place, at the source level: no
+// non-test Go file outside the exempt directories — bench/ is scanned
+// too — may contain a line matching call.
+type sourceScan struct {
+	call   *regexp.Regexp
+	exempt []string // directory prefixes, slash-separated
+}
 
-// runSequenceCalls lists the lines of one non-test Go file outside this
-// package that match runSequenceCall.
-func runSequenceCalls(rel, src string) []string {
-	if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") || strings.HasPrefix(rel, "internal/core/") {
+var (
+	// runSequence matches a hand-rolled piece of the run sequence:
+	// attaching a System from a Config, or starting and binding jobs one by
+	// one. The last three names are unexported today; they stay in the
+	// pattern so that re-exporting one does not quietly reopen the door.
+	runSequence = sourceScan{
+		regexp.MustCompile(`core\.(Must)?Attach\(|\.(StartAllJobs|StartTraining|BindWorkload)\(`),
+		[]string{"internal/core/"},
+	}
+	// faultInjection matches a silent fault armed or cleared on the fabric
+	// directly, past Runtime.Inject and Runtime.Heal.
+	faultInjection = sourceScan{
+		regexp.MustCompile(`(InjectFault|ClearFault)\(`),
+		[]string{"internal/core/", "internal/fabric/"},
+	}
+	// faultRecords matches a hand-written ground-truth record.
+	faultRecords = sourceScan{
+		regexp.MustCompile(`trace\.FaultRecord\{`),
+		[]string{"internal/core/", "internal/trace/"},
+	}
+)
+
+// in lists the lines of one file that the scan forbids.
+func (sc sourceScan) in(rel, src string) []string {
+	if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
 		return nil
+	}
+	for _, dir := range sc.exempt {
+		if strings.HasPrefix(rel, dir) {
+			return nil
+		}
 	}
 	var offenders []string
 	for i, line := range strings.Split(src, "\n") {
-		if runSequenceCall.MatchString(line) {
+		if sc.call.MatchString(line) {
 			offenders = append(offenders, fmt.Sprintf("%s:%d: %s", rel, i+1, strings.TrimSpace(line)))
 		}
 	}
 	return offenders
 }
 
-// TestRunSequenceLivesInCore keeps "a monitored run" one thing, at the
-// source level: outside this package no non-test Go file — bench/
-// included — may attach a System from a hand-assembled Config or start
-// and bind jobs itself. Every rig calls Runtime.Attach and Runtime.Train,
-// so the multi-job guard, the reference run, the workload binding, the
-// final flush, the trace writer's error and the release of the workers
-// cannot be forgotten by the next copy. Give AttachOptions or Train's
-// hook what a new rig needs instead of adding a call site.
-func TestRunSequenceLivesInCore(t *testing.T) {
+// repo runs the scan over every file of the repository.
+func (sc sourceScan) repo(t *testing.T) []string {
+	t.Helper()
 	root := filepath.Join("..", "..")
 	var offenders []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -59,13 +81,25 @@ func TestRunSequenceLivesInCore(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		offenders = append(offenders, runSequenceCalls(filepath.ToSlash(rel), string(src))...)
+		offenders = append(offenders, sc.in(filepath.ToSlash(rel), string(src))...)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(offenders) > 0 {
+	return offenders
+}
+
+// TestRunSequenceLivesInCore keeps "a monitored run" one thing, at the
+// source level: outside this package no non-test Go file — bench/
+// included — may attach a System from a hand-assembled Config or start
+// and bind jobs itself. Every rig calls Runtime.Attach and Runtime.Train,
+// so the multi-job guard, the reference run, the workload binding, the
+// final flush, the trace writer's error and the release of the workers
+// cannot be forgotten by the next copy. Give AttachOptions or Train's
+// hook what a new rig needs instead of adding a call site.
+func TestRunSequenceLivesInCore(t *testing.T) {
+	if offenders := runSequence.repo(t); len(offenders) > 0 {
 		t.Errorf("run sequence assembled outside internal/core — call Runtime.Attach and Runtime.Train instead:\n  %s",
 			strings.Join(offenders, "\n  "))
 	}
@@ -82,15 +116,63 @@ func run(rt *core.Runtime) {
 	}
 }
 `
-	if got := runSequenceCalls("internal/rig/run.go", copyOfTheSequence); len(got) != 3 {
+	if got := runSequence.in("internal/rig/run.go", copyOfTheSequence); len(got) != 3 {
 		t.Errorf("scan flagged %d lines of a hand-rolled run sequence, want 3: %q", len(got), got)
 	}
 	for _, exempt := range []string{"internal/rig/run_test.go", "internal/core/run.go", "README.md"} {
-		if got := runSequenceCalls(exempt, copyOfTheSequence); got != nil {
+		if got := runSequence.in(exempt, copyOfTheSequence); got != nil {
 			t.Errorf("%s is exempt, scan flagged %q", exempt, got)
 		}
 	}
-	if got := runSequenceCalls("internal/rig/run.go", "sys, err := rt.Attach(core.AttachOptions{})\nerr = rt.Train(nil)\n"); got != nil {
+	if got := runSequence.in("internal/rig/run.go", "sys, err := rt.Attach(core.AttachOptions{})\nerr = rt.Train(nil)\n"); got != nil {
 		t.Errorf("scan flagged the two steps themselves: %q", got)
+	}
+}
+
+// TestFaultInjectionLivesInCore keeps "a silent fault on a link" one
+// thing: a rig lists it in Scenario.Faults (or, from a hook, calls
+// Runtime.Inject / Runtime.Heal), so its RNG stream is named in one place,
+// the goodput timeline is marked, and a traced run carries the ground
+// truth flowpulse-trace sweep labels iterations with. A rig that reaches
+// past the injector gets the fault and loses the rest.
+func TestFaultInjectionLivesInCore(t *testing.T) {
+	if offenders := faultInjection.repo(t); len(offenders) > 0 {
+		t.Errorf("silent fault injected outside internal/core — list it in Scenario.Faults or call Runtime.Inject / Runtime.Heal:\n  %s",
+			strings.Join(offenders, "\n  "))
+	}
+	if offenders := faultRecords.repo(t); len(offenders) > 0 {
+		t.Errorf("ground-truth fault record written outside internal/core — Runtime.Inject and Runtime.Heal write it:\n  %s",
+			strings.Join(offenders, "\n  "))
+	}
+}
+
+// TestFaultInjectionScanCatchesACopy plants the bug the two scans exist
+// for: the hand-rolled injection every rig used to carry.
+func TestFaultInjectionScanCatchesACopy(t *testing.T) {
+	const handRolled = `package rig
+
+func inject(rt *core.Runtime, trc *trace.Writer) {
+	link := rt.Link(ref)
+	rt.Net.InjectFault(link, rt.Net.DirToward(link, leaf), fault.BlackHole{})
+	trc.Fault(trace.FaultRecord{Kind: "blackhole"})
+	rt.Net.ClearFault(link)
+}
+`
+	if got := faultInjection.in("internal/rig/run.go", handRolled); len(got) != 2 {
+		t.Errorf("scan flagged %d fabric calls of a hand-rolled injection, want 2: %q", len(got), got)
+	}
+	if got := faultRecords.in("bench/sim.go", handRolled); len(got) != 1 {
+		t.Errorf("scan flagged %d hand-written fault records, want 1: %q", len(got), got)
+	}
+	for _, exempt := range []string{"internal/rig/run_test.go", "internal/core/fault.go", "internal/fabric/link.go"} {
+		if got := faultInjection.in(exempt, handRolled); got != nil {
+			t.Errorf("%s is exempt, scan flagged %q", exempt, got)
+		}
+	}
+	if got := faultRecords.in("internal/trace/format.go", handRolled); got != nil {
+		t.Errorf("internal/trace is exempt, scan flagged %q", got)
+	}
+	if got := faultInjection.in("flowpulse.go", "c.rt.Inject(f)\nc.rt.Heal(f)\n"); got != nil {
+		t.Errorf("scan flagged the injector itself: %q", got)
 	}
 }

@@ -32,7 +32,7 @@ func newFP() (*fp64, func(v uint64)) {
 }
 
 // fatTreeFingerprint runs one full scenario — training, jitter,
-// background noise, a mid-run silent fault, telemetry — at the given
+// background noise, a silent fault, telemetry — at the given
 // shard count and fingerprints the whole observable surface: every
 // closed window, the final clock, and the fabric/transport counters.
 func fatTreeFingerprint(t *testing.T, sc Scenario, shards int) uint64 {
@@ -60,7 +60,9 @@ func fatTreeFingerprint(t *testing.T, sc Scenario, shards int) uint64 {
 		}
 	})
 
-	rt.InjectSilentDrop(LeafSpineLink{LeafOrd: 1, SpineOrd: 0}, 0.02)
+	if _, err := rt.Inject(FaultSpec{Kind: FaultBernoulli, Leaf: 1, Spine: 0, Rate: 0.02}); err != nil {
+		t.Fatal(err)
+	}
 	rt.startJobs(nil)
 	final := rt.Run()
 	coll.FlushAll(rt.Engine.Now())
@@ -152,7 +154,9 @@ func clos3Fingerprint(t *testing.T, sc Scenario, shards int) uint64 {
 			u64(uint64(b))
 		}
 	})
-	rt.InjectCoreSpineDrop(0, 0, 0, 0.03)
+	if _, err := rt.Inject(FaultSpec{Kind: FaultBernoulli, CoreSpine: true, Rate: 0.03}); err != nil {
+		t.Fatal(err)
+	}
 	rt.startJobs(nil)
 	final := rt.Run()
 	coll.FlushAll(rt.Engine.Now())
@@ -200,6 +204,7 @@ func TestShardedSystemDetectsAndRemediates(t *testing.T) {
 		sc := Scenario{
 			Leaves: 6, Spines: 3, BytesPerRank: 256 << 10,
 			Iterations: 8, Seed: 9, Shards: shards,
+			Faults: []FaultSpec{{Kind: FaultBernoulli, Leaf: 2, Spine: 1, Rate: 0.05, Onset: 2}},
 		}
 		rt, err := sc.Build()
 		if err != nil {
@@ -210,12 +215,7 @@ func TestShardedSystemDetectsAndRemediates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = rt.Train(func(_ sim.Time, _ uint16, iter uint32) {
-			if iter == 2 {
-				rt.InjectSilentDrop(LeafSpineLink{LeafOrd: 2, SpineOrd: 1}, 0.05)
-			}
-		})
-		if err != nil {
+		if err := rt.Train(nil); err != nil {
 			t.Fatal(err)
 		}
 

@@ -12,7 +12,7 @@ import (
 // A monitored run is two steps on a built Runtime — Attach, then Train —
 // and every rig (experiments, the simtest fuzzer, the public facade, the
 // examples) takes exactly these two. They are two calls rather than one
-// because rigs time them separately and inject faults in between.
+// because rigs time them separately.
 
 // AttachOptions is what a rig chooses when it deploys the monitor on a
 // built scenario.
@@ -65,6 +65,9 @@ func (rt *Runtime) Attach(opts AttachOptions) (*System, error) {
 		return nil, err
 	}
 	rt.sys = sys
+	for _, a := range rt.armed { // injected before the monitor was attached
+		rt.recordFault(a.spec, false)
+	}
 	return sys, nil
 }
 
@@ -84,8 +87,10 @@ func (rt *Runtime) monitorConfig(tmpl JobConfig) Config {
 // Train runs every job of the scenario (plus the background and
 // congestion generators it asks for) to completion and releases the
 // runtime's workers: counters, pipelines and timelines are final when
-// it returns. onIter, when set, fires after each completed iteration of
-// each job — inject or heal faults from it to script mid-run events.
+// it returns. The scenario's fault schedule (Scenario.Faults) is applied
+// on the first job's iteration clock: onset 0 before anything starts, the
+// rest as that job completes the iteration — ahead of onIter, which, when
+// set, fires after each completed iteration of each job.
 //
 // With a system attached, every job's training loop is bound to the
 // resilience loop first, the open telemetry windows are flushed at the
@@ -93,7 +98,17 @@ func (rt *Runtime) monitorConfig(tmpl JobConfig) Config {
 // one it only trains — what tap-only callers need.
 func (rt *Runtime) Train(onIter func(now sim.Time, job uint16, iter uint32)) error {
 	defer rt.Close()
-	jobs := rt.startJobs(onIter)
+	first := rt.Jobs[0].Spec.Job
+	rt.applyFaults()
+	jobs := rt.startJobs(func(now sim.Time, job uint16, iter uint32) {
+		if job == first {
+			rt.iter = iter
+			rt.applyFaults()
+		}
+		if onIter != nil {
+			onIter(now, job, iter)
+		}
+	})
 	if rt.sys == nil {
 		rt.Run()
 		return nil

@@ -48,8 +48,6 @@ type Scenario struct {
 	// victims) stay fabric-wide, pod-major. CoresPerGroup is read only
 	// when Pods is set.
 	Pods, CoresPerGroup int
-	// LinkRateBPS defaults to 400 Gb/s.
-	LinkRateBPS int64
 	// Spray selects the load-balancing policy (default least-loaded).
 	Spray spray.Kind
 	// Transport tunes the RoCE-like transport.
@@ -69,10 +67,16 @@ type Scenario struct {
 	BytesPerRank int64
 	// Iterations is the training length (default 8).
 	Iterations int
-	// ComputeGap and JitterMax shape the iteration timing.
-	ComputeGap, JitterMax sim.Duration
+	// JitterMax is the per-rank, per-iteration uniform start delay.
+	JitterMax sim.Duration
 	// PreExisting lists disconnected (known-faulty) links.
 	PreExisting []LeafSpineLink
+	// Faults is the silent-fault schedule: Runtime.Train arms (and heals)
+	// each entry when the first job completes the entry's iteration.
+	// Build rejects a link outside the topology, a rate outside [0,1], a
+	// flap down for longer than its period, and an Onset or Heal the
+	// training never reaches.
+	Faults []FaultSpec
 	// Background, when positive, runs a Low-priority random-pair
 	// traffic generator with this mean inter-message gap. Background
 	// load does not enter the measurement (it is untagged and
@@ -185,10 +189,6 @@ type DivergenceSpec struct {
 	// only). The backstop that catches stale-LSDB decay even when no
 	// deviation ever reaches the remediator.
 	AuditEvery sim.Duration
-	// MaxRetries overrides the per-operation re-push budget during
-	// verification (0 keeps the control package default; negative
-	// means no retries).
-	MaxRetries int
 }
 
 // StaleSpec is one scheduled advertisement corruption.
@@ -214,12 +214,11 @@ type JobScenario struct {
 	// Job is the job id. Jobs[0] defaults to Scenario.Job; entry i>0
 	// defaults to id i. Ids must be distinct across entries.
 	Job uint16
-	// Collective, BytesPerRank, Iterations, ComputeGap, and JitterMax
+	// Collective, BytesPerRank, Iterations, and JitterMax
 	// override the scenario-level fields for this job.
 	Collective   CollectiveKind
 	BytesPerRank int64
 	Iterations   int
-	ComputeGap   sim.Duration
 	JitterMax    sim.Duration
 	// HostIx selects which host on each leaf carries this job's ranks
 	// (0 ≤ HostIx < HostsPerLeaf): jobs sharing a leaf span stay on
@@ -292,7 +291,9 @@ type Runtime struct {
 	// at fault onset to split the timeline.
 	Goodput *metrics.GoodputTimeline
 
-	sys     *System // set by Attach
+	sys     *System      // set by Attach
+	armed   []armedFault // Inject's, until Heal
+	iter    uint32       // iterations the first job has completed
 	bg      *workload.Background
 	incast  *workload.Incast
 	storm   *workload.Storm
@@ -318,12 +319,12 @@ func (sc Scenario) Build() (rt *Runtime, err error) {
 	if sc.Pods > 0 {
 		topo, err = topology.NewClos3(topology.Clos3Config{
 			Pods: sc.Pods, LeavesPerPod: sc.Leaves, SpinesPerPod: sc.Spines, CoresPerGroup: sc.CoresPerGroup,
-			HostsPerLeaf: sc.HostsPerLeaf, Trunk: sc.Trunk, LinkRateBPS: sc.LinkRateBPS,
+			HostsPerLeaf: sc.HostsPerLeaf, Trunk: sc.Trunk,
 		})
 	} else {
 		topo, err = topology.NewFatTree(topology.FatTreeConfig{
 			Leaves: sc.Leaves, Spines: sc.Spines, HostsPerLeaf: sc.HostsPerLeaf,
-			Trunk: sc.Trunk, LinkRateBPS: sc.LinkRateBPS,
+			Trunk: sc.Trunk,
 		})
 	}
 	if err != nil {
@@ -364,7 +365,6 @@ func (sc Scenario) Build() (rt *Runtime, err error) {
 	// quarantine itself.
 	plane := control.New(control.Config{
 		Verify:     !sc.Divergence.Unverified,
-		MaxRetries: sc.Divergence.MaxRetries,
 		AuditEvery: sc.Divergence.AuditEvery,
 	}, net)
 	if sc.Divergence.FailPushes > 0 {
@@ -396,7 +396,7 @@ func (sc Scenario) Build() (rt *Runtime, err error) {
 		plane.Apply(0, "pre-existing", ops)
 	}
 	if sc.Congestion.DCQCN {
-		sc.Transport.DCQCN.Enabled = true
+		sc.Transport.DCQCN = true
 	}
 	stack := transport.NewStack(net, sc.Transport)
 
@@ -423,6 +423,11 @@ func (sc Scenario) Build() (rt *Runtime, err error) {
 	rt = &Runtime{Scenario: sc, Topo: topo, Engine: eng, EngineGroup: grp, Net: net, Plane: plane, Stack: stack, Group: group, Coll: coll}
 	if err := rt.buildJobs(); err != nil {
 		return nil, err
+	}
+	for _, f := range sc.Faults {
+		if err := f.checkSchedule(topo, rt.Jobs[0].Spec.Iterations); err != nil {
+			return nil, err
+		}
 	}
 	return rt, nil
 }
@@ -494,7 +499,7 @@ func (rt *Runtime) buildJobs() error {
 		rt.Jobs = []JobRuntime{{
 			Spec: JobScenario{
 				Job: sc.Job, Collective: sc.Collective, BytesPerRank: sc.BytesPerRank,
-				Iterations: sc.Iterations, ComputeGap: sc.ComputeGap, JitterMax: sc.JitterMax,
+				Iterations: sc.Iterations, JitterMax: sc.JitterMax,
 			},
 			Group: rt.Group, Coll: rt.Coll,
 		}}
@@ -521,9 +526,6 @@ func (rt *Runtime) buildJobs() error {
 		}
 		if spec.Iterations == 0 {
 			spec.Iterations = sc.Iterations
-		}
-		if spec.ComputeGap == 0 {
-			spec.ComputeGap = sc.ComputeGap
 		}
 		if spec.JitterMax == 0 {
 			spec.JitterMax = sc.JitterMax
@@ -573,82 +575,6 @@ func (rt *Runtime) Link(ref LeafSpineLink) topology.LinkID {
 	return link
 }
 
-// InjectSilentDrop attaches a Bernoulli drop process to the downstream
-// (spine→leaf) direction of the referenced link — §6's "configure a
-// single leaf-spine link to drop packets at a set rate".
-func (rt *Runtime) InjectSilentDrop(ref LeafSpineLink, rate float64) {
-	link := rt.Link(ref)
-	leaf := rt.Topo.Leaves()[ref.LeafOrd]
-	rt.Net.InjectFault(link, rt.Net.DirToward(link, leaf),
-		fault.NewBernoulliDrop(rate, sim.NewRNG(rt.Scenario.Seed, fmt.Sprintf("silent/%d", link))))
-}
-
-// InjectSilentDropUpstream faults the leaf→spine direction instead —
-// the "remote link" case of Fig 4 as seen by downstream receivers.
-func (rt *Runtime) InjectSilentDropUpstream(ref LeafSpineLink, rate float64) {
-	link := rt.Link(ref)
-	spine := rt.Topo.Spines()[ref.SpineOrd]
-	rt.Net.InjectFault(link, rt.Net.DirToward(link, spine),
-		fault.NewBernoulliDrop(rate, sim.NewRNG(rt.Scenario.Seed, fmt.Sprintf("silentup/%d", link))))
-}
-
-// InjectSpineLeafDrop silently faults the spine→leaf direction of a
-// link inside one pod of a three-level fabric, named by pod-local
-// ordinals (seen by the LEAF monitors), and returns the link.
-func (rt *Runtime) InjectSpineLeafDrop(pod, leafInPod, spineInPod int, rate float64) topology.LinkID {
-	leaf := rt.Topo.LeavesOfPod(pod)[leafInPod]
-	link := rt.Topo.TrunkLinks(rt.Topo.SpinesOfPod(pod)[spineInPod], leaf)[0]
-	rt.Net.InjectFault(link, rt.Net.DirToward(link, leaf),
-		fault.NewBernoulliDrop(rate, sim.NewRNG(rt.Scenario.Seed, fmt.Sprintf("c3sl/%d", link))))
-	return link
-}
-
-// InjectCoreSpineDrop silently faults the core→spine direction of the
-// link between a pod's spine and the coreInGroup-th core of that
-// spine's group (seen by the SPINE monitors — the tier a two-level
-// deployment cannot watch), and returns the link.
-func (rt *Runtime) InjectCoreSpineDrop(pod, spineInPod, coreInGroup int, rate float64) topology.LinkID {
-	spine := rt.Topo.SpinesOfPod(pod)[spineInPod]
-	core := rt.Topo.Cores()[spineInPod*rt.Scenario.CoresPerGroup+coreInGroup]
-	link := rt.Topo.TrunkLinks(spine, core)[0]
-	rt.Net.InjectFault(link, rt.Net.DirToward(link, spine),
-		fault.NewBernoulliDrop(rate, sim.NewRNG(rt.Scenario.Seed, fmt.Sprintf("c3cs/%d", link))))
-	return link
-}
-
-// InjectLossyFlap attaches a periodic fault to both directions of the
-// referenced link: for downFor out of every period, starting at phase,
-// it silently drops each packet with probability rate, then runs clean
-// for the rest of the cycle — an intermittently degraded link. The FIB
-// does not know, which is what makes an intermittent cable the worst
-// case for any remediation loop (quarantine, probe clean, re-admit, fail
-// again). Unlike a dead link — which stalls the collective's barrier
-// until the flap lifts, collapsing each down phase into one stretched
-// iteration — a degraded link lets iterations complete, so each down
-// phase produces the consecutive deviating windows that confirmation
-// logic keys on.
-func (rt *Runtime) InjectLossyFlap(ref LeafSpineLink, period, downFor, phase sim.Duration, rate float64) {
-	link := rt.Link(ref)
-	if rt.EngineGroup != nil {
-		// Sharded fabrics sample each direction's fault process in the
-		// domain that owns the receiving endpoint — two different
-		// domains for a leaf-spine link — so the directions cannot share
-		// one Bernoulli stream. Give each its own.
-		for i, dir := range []fabric.Direction{fabric.DirAtoB, fabric.DirBtoA} {
-			f := fault.NewLinkFlap(period, downFor, phase)
-			f.Inner = fault.NewBernoulliDrop(rate, sim.NewRNG(rt.Scenario.Seed, fmt.Sprintf("flap/%d/%d", link, i)))
-			rt.Net.InjectFault(link, dir, f)
-		}
-		return
-	}
-	f := fault.NewLinkFlap(period, downFor, phase)
-	f.Inner = fault.NewBernoulliDrop(rate, sim.NewRNG(rt.Scenario.Seed, fmt.Sprintf("flap/%d", link)))
-	rt.Net.InjectFault(link, fabric.DirBoth, f)
-}
-
-// ClearSilent removes silent faults from the referenced link.
-func (rt *Runtime) ClearSilent(ref LeafSpineLink) { rt.Net.ClearFault(rt.Link(ref)) }
-
 // startJobs launches every job of the scenario, in Jobs order, plus the
 // background and congestion generators it asks for (they stop with the
 // last job). onIter fires per completed iteration of any job.
@@ -666,7 +592,6 @@ func (rt *Runtime) startJobs(onIter func(now sim.Time, job uint16, iter uint32))
 			Job:              spec.Job,
 			Collective:       jr.Coll,
 			Iterations:       spec.Iterations,
-			ComputeGap:       spec.ComputeGap,
 			JitterMax:        spec.JitterMax,
 			Priority:         fabric.High,
 			Sentinel:         true,
@@ -785,6 +710,7 @@ func referenceRun(sc Scenario, iterations int) ([]*telemetry.Window, error) {
 	// stragglers are environmental noise, excluded exactly as silent
 	// faults are. ECN and DCQCN stay on — they are properties of the
 	// fabric and transport that shape the healthy run's windows too.
+	sc.Faults = nil
 	sc.Congestion.Incast, sc.Congestion.Storm, sc.Congestion.Straggler = 0, 0, 0
 	rt, err := sc.Build()
 	if err != nil {

@@ -422,8 +422,9 @@ func (s *System) Job(id uint16) *Job {
 func (s *System) Remediator() *remediate.Remediator { return s.remediator }
 
 // TraceWriter returns the attached trace writer, or nil when the
-// system is not recording. Harnesses use it to append ground-truth
-// fault records and to read the stream fingerprint.
+// system is not recording. Harnesses read the stream fingerprint from
+// it; Runtime.Inject and Runtime.Heal append the ground-truth fault
+// records.
 func (s *System) TraceWriter() *trace.Writer { return s.trc }
 
 // bindWorkload connects one monitored job's training loop to the

@@ -45,17 +45,22 @@ func only(t *testing.T, sys *System) *Job {
 	return sys.Jobs()[0]
 }
 
-// run builds a scenario with one job or several, monitors every job
-// with the given model, trains to completion and flushes. onIter sees
-// the first job's iterations.
-func run(t *testing.T, sc Scenario, kind PredictorKind, refIters int,
-	setup func(rt *Runtime, sys *System), onIter func(rt *Runtime, now sim.Time, iter uint32)) (*Runtime, *System) {
-	t.Helper()
-	return runWith(t, sc, JobConfig{Kind: kind}, refIters, nil, setup, onIter)
+// faulted is sc with a Bernoulli drop on ref, live after iteration onset
+// of the first job (0: from the start).
+func faulted(sc Scenario, ref LeafSpineLink, rate float64, onset int) Scenario {
+	sc.Faults = []FaultSpec{{Kind: FaultBernoulli, Leaf: ref.LeafOrd, Spine: ref.SpineOrd, Trunk: ref.Trunk, Rate: rate, Onset: onset}}
+	return sc
 }
 
-func runWith(t *testing.T, sc Scenario, job JobConfig, refIters int, rem *remediate.Config,
-	setup func(rt *Runtime, sys *System), onIter func(rt *Runtime, now sim.Time, iter uint32)) (*Runtime, *System) {
+// run builds a scenario with one job or several, monitors every job
+// with the given model, trains to completion — fault schedule included —
+// and flushes.
+func run(t *testing.T, sc Scenario, kind PredictorKind, refIters int) (*Runtime, *System) {
+	t.Helper()
+	return runWith(t, sc, JobConfig{Kind: kind}, refIters, nil)
+}
+
+func runWith(t *testing.T, sc Scenario, job JobConfig, refIters int, rem *remediate.Config) (*Runtime, *System) {
 	t.Helper()
 	rt, err := sc.Build()
 	if err != nil {
@@ -65,16 +70,7 @@ func runWith(t *testing.T, sc Scenario, job JobConfig, refIters int, rem *remedi
 	if err != nil {
 		t.Fatal(err)
 	}
-	if setup != nil {
-		setup(rt, sys)
-	}
-	first := rt.Jobs[0].Spec.Job
-	err = rt.Train(func(now sim.Time, job uint16, iter uint32) {
-		if onIter != nil && job == first {
-			onIter(rt, now, iter)
-		}
-	})
-	if err != nil {
+	if err := rt.Train(nil); err != nil {
 		t.Fatal(err)
 	}
 	return rt, sys
@@ -85,7 +81,7 @@ func runWith(t *testing.T, sc Scenario, job JobConfig, refIters int, rem *remedi
 // iteration), raises nothing, and no window goes unrouted.
 func assertCleanRun(t *testing.T, sc Scenario) *System {
 	t.Helper()
-	rt, sys := run(t, sc, AnalyticalModel, 0, nil, nil)
+	rt, sys := run(t, sc, AnalyticalModel, 0)
 	for i, j := range sys.Jobs() {
 		spec := rt.Jobs[i].Spec
 		leaves := spec.LeafCount
@@ -124,12 +120,7 @@ func TestSharedPlaneCleanTwoJobs(t *testing.T) {
 
 func TestSharedPlaneSharedFaultSeenByBothQuarantinedOnce(t *testing.T) {
 	bad := LeafSpineLink{LeafOrd: 4, SpineOrd: 1}
-	_, sys := runWith(t, twoJobs(5), JobConfig{}, 0, &remediate.Config{}, nil,
-		func(rt *Runtime, _ sim.Time, iter uint32) {
-			if iter == 2 {
-				rt.InjectSilentDrop(bad, 0.05)
-			}
-		})
+	_, sys := runWith(t, faulted(twoJobs(5), bad, 0.05, 2), JobConfig{}, 0, &remediate.Config{})
 	for _, j := range sys.Jobs() {
 		if len(j.Pipeline.Events) == 0 {
 			t.Errorf("job %d did not see the shared fault", j.ID)
@@ -157,11 +148,7 @@ func TestSharedPlaneJobLocalFaultFlagsOwnerOnly(t *testing.T) {
 	sc.Jobs[0].LeafCount = 4
 	sc.Jobs[1].LeafFirst, sc.Jobs[1].LeafCount = 4, 4
 	local := LeafSpineLink{LeafOrd: 0, SpineOrd: 2}
-	_, sys := run(t, sc, AnalyticalModel, 0, nil, func(rt *Runtime, _ sim.Time, iter uint32) {
-		if iter == 2 {
-			rt.InjectSilentDrop(local, 0.05)
-		}
-	})
+	_, sys := run(t, faulted(sc, local, 0.05, 2), AnalyticalModel, 0)
 	if len(sys.Job(1).Pipeline.Events) == 0 {
 		t.Error("owning job missed its local fault")
 	}
@@ -195,9 +182,7 @@ func TestScenarioJobsValidation(t *testing.T) {
 func TestAnalyticalDetectsSilentFault(t *testing.T) {
 	sc := small(2)
 	ref := LeafSpineLink{LeafOrd: 3, SpineOrd: 1}
-	_, sys := run(t, sc, AnalyticalModel, 0, func(rt *Runtime, _ *System) {
-		rt.InjectSilentDrop(ref, 0.03)
-	}, nil)
+	_, sys := run(t, faulted(sc, ref, 0.03, 0), AnalyticalModel, 0)
 	if len(only(t, sys).Pipeline.Events) == 0 {
 		t.Fatal("3% silent fault not detected")
 	}
@@ -222,11 +207,7 @@ func TestDetectionIsImmediate(t *testing.T) {
 	// window — detection latency is one iteration by construction.
 	sc := small(3)
 	ref := LeafSpineLink{LeafOrd: 5, SpineOrd: 2}
-	_, sys := run(t, sc, AnalyticalModel, 0, nil, func(rt *Runtime, _ sim.Time, iter uint32) {
-		if iter == 2 {
-			rt.InjectSilentDrop(ref, 0.05)
-		}
-	})
+	_, sys := run(t, faulted(sc, ref, 0.05, 2), AnalyticalModel, 0)
 	if len(only(t, sys).Pipeline.Events) == 0 {
 		t.Fatal("fault not detected")
 	}
@@ -246,9 +227,7 @@ func TestSimulationModelDetects(t *testing.T) {
 	sc := small(4)
 	sc.Background = 4 * sim.Microsecond // reference captures noisy conditions too
 	ref := LeafSpineLink{LeafOrd: 2, SpineOrd: 3}
-	_, sys := run(t, sc, SimulationModel, 3, func(rt *Runtime, _ *System) {
-		rt.InjectSilentDrop(ref, 0.03)
-	}, nil)
+	_, sys := run(t, faulted(sc, ref, 0.03, 0), SimulationModel, 3)
 	if len(only(t, sys).Pipeline.Events) == 0 {
 		t.Fatal("simulation model missed the fault")
 	}
@@ -261,7 +240,7 @@ func TestSimulationModelDetects(t *testing.T) {
 
 func TestSimulationModelCleanRunSilent(t *testing.T) {
 	sc := small(5)
-	_, sys := run(t, sc, SimulationModel, 3, nil, nil)
+	_, sys := run(t, sc, SimulationModel, 3)
 	if len(only(t, sys).Pipeline.Events) != 0 {
 		t.Fatalf("simulation model false-alerted: %v", only(t, sys).Pipeline.Events[0].Alert)
 	}
@@ -271,11 +250,7 @@ func TestLearnedModelWarmupThenDetect(t *testing.T) {
 	sc := small(6)
 	sc.Iterations = 8
 	ref := LeafSpineLink{LeafOrd: 1, SpineOrd: 0}
-	_, sys := run(t, sc, LearnedModel, 0, nil, func(rt *Runtime, _ sim.Time, iter uint32) {
-		if iter == 5 {
-			rt.InjectSilentDrop(ref, 0.05)
-		}
-	})
+	_, sys := run(t, faulted(sc, ref, 0.05, 5), LearnedModel, 0)
 	if len(only(t, sys).Pipeline.Events) == 0 {
 		t.Fatal("learned model missed the fault")
 	}
@@ -293,25 +268,10 @@ func TestLearnedModelRebaselinesAfterTransient(t *testing.T) {
 	// the healthier distribution and re-baselines.
 	sc := small(7)
 	sc.Iterations = 14
-	ref := LeafSpineLink{LeafOrd: 4, SpineOrd: 2}
-	rt, err := sc.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Heavy transient fault so the warmup baseline is clearly skewed.
-	rt.InjectSilentDrop(ref, 0.2)
-	sys, err := rt.Attach(AttachOptions{Job: JobConfig{Kind: LearnedModel}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = rt.Train(func(_ sim.Time, _ uint16, iter uint32) {
-		if iter == 6 {
-			rt.ClearSilent(ref)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc = faulted(sc, LeafSpineLink{LeafOrd: 4, SpineOrd: 2}, 0.2, 0)
+	sc.Faults[0].Heal = 6
+	_, sys := run(t, sc, LearnedModel, 0)
 
 	job := only(t, sys)
 	if job.Learned().Rebaselines == 0 {
@@ -334,11 +294,7 @@ func TestPreExistingFaultsThenNewFault(t *testing.T) {
 		{LeafOrd: 6, SpineOrd: 2},
 	}
 	newFault := LeafSpineLink{LeafOrd: 3, SpineOrd: 3}
-	_, sys := run(t, sc, AnalyticalModel, 0, nil, func(rt *Runtime, _ sim.Time, iter uint32) {
-		if iter == 2 {
-			rt.InjectSilentDrop(newFault, 0.04)
-		}
-	})
+	_, sys := run(t, faulted(sc, newFault, 0.04, 2), AnalyticalModel, 0)
 	if len(only(t, sys).Pipeline.Events) == 0 {
 		t.Fatal("new fault not detected among pre-existing ones")
 	}
@@ -359,9 +315,7 @@ func TestLocalizationLocalVsRemote(t *testing.T) {
 
 	t.Run("local", func(t *testing.T) {
 		ref := LeafSpineLink{LeafOrd: 5, SpineOrd: 1}
-		rt, sys := run(t, base, AnalyticalModel, 0, func(rt *Runtime, _ *System) {
-			rt.InjectSilentDrop(ref, 0.2) // downstream: all senders affected
-		}, nil)
+		rt, sys := run(t, faulted(base, ref, 0.2, 0), AnalyticalModel, 0) // downstream: all senders affected
 		verdictCount := 0
 		for _, e := range only(t, sys).Pipeline.Events {
 			if e.Alert.Deviation >= 0 || e.Alert.LeafOrdinal != 5 {
@@ -382,9 +336,9 @@ func TestLocalizationLocalVsRemote(t *testing.T) {
 
 	t.Run("remote", func(t *testing.T) {
 		ref := LeafSpineLink{LeafOrd: 2, SpineOrd: 1}
-		rt, sys := run(t, base, AnalyticalModel, 0, func(rt *Runtime, _ *System) {
-			rt.InjectSilentDropUpstream(ref, 0.2) // upstream: only leaf 2's traffic suffers
-		}, nil)
+		sc := faulted(base, ref, 0.2, 0)
+		sc.Faults[0].Upstream = true // only leaf 2's traffic suffers
+		rt, sys := run(t, sc, AnalyticalModel, 0)
 		// The per-sender noise floor under all-to-all makes occasional
 		// misattributions possible; the correct remote link must win by
 		// majority.
@@ -417,9 +371,7 @@ func TestLocalizationLocalVsRemote(t *testing.T) {
 func TestIterationScores(t *testing.T) {
 	sc := small(10)
 	ref := LeafSpineLink{LeafOrd: 3, SpineOrd: 1}
-	_, sys := run(t, sc, AnalyticalModel, 0, func(rt *Runtime, _ *System) {
-		rt.InjectSilentDrop(ref, 0.05)
-	}, nil)
+	_, sys := run(t, faulted(sc, ref, 0.05, 0), AnalyticalModel, 0)
 	scores := only(t, sys).Pipeline.IterationScores()
 	if len(scores) == 0 {
 		t.Fatal("no iteration scores")

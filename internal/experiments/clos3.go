@@ -6,7 +6,6 @@ import (
 
 	"flowpulse/internal/core"
 	"flowpulse/internal/predict"
-	"flowpulse/internal/sim"
 )
 
 // Clos3Config exercises §7's "Network Topology" extension: FlowPulse
@@ -55,16 +54,14 @@ func Clos3(cfg Clos3Config) (*Clos3Result, error) {
 		sc := cfg.scenario(cfg.Seed)
 		sc.Pods, sc.CoresPerGroup = cfg.Pods, cfg.CoresPerGroup
 		sc.Iterations = cfg.CleanIters + cfg.FaultIters
+		f := core.FaultSpec{Kind: core.FaultBernoulli, Pod: 1 % cfg.Pods, LeafInPod: 2 % cfg.Leaves, Rate: cfg.DropRate, Onset: cfg.CleanIters}
+		if coreLevel {
+			f.CoreSpine, f.Pod, f.SpineInPod, f.Rate = true, 2%cfg.Pods, 1%cfg.Spines, cfg.DropRate*1.6
+		}
+		sc.Faults = []core.FaultSpec{f}
 		r, err := simulate(runSpec{
 			scenario: sc,
 			job:      core.JobConfig{Kind: core.LearnedModel, Learned: predict.LearnedConfig{Warmup: 3}},
-			onIter: after(cfg.CleanIters, func(r simRun, _ sim.Time) {
-				if coreLevel {
-					r.rt.InjectCoreSpineDrop(2%cfg.Pods, 1%cfg.Spines, 0, cfg.DropRate*1.6)
-				} else {
-					r.rt.InjectSpineLeafDrop(1%cfg.Pods, 2%cfg.Leaves, 0, cfg.DropRate)
-				}
-			}),
 		})
 		if err != nil {
 			return c, err

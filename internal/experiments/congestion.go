@@ -109,7 +109,7 @@ func Congestion(cfg CongestionConfig) (*CongestionResult, error) {
 				}
 				trial := cfg.trial(sc, tr)
 				if i%2 == 0 {
-					trial.DropRate = 0
+					trial.Fault = core.FaultSpec{}
 				}
 				trial.Detect = detect.Config{CEDiscount: discount}
 				return trial

@@ -25,7 +25,6 @@ import (
 	"flowpulse/internal/remediate"
 	"flowpulse/internal/sim"
 	"flowpulse/internal/topology"
-	"flowpulse/internal/trace"
 )
 
 // Grid is what every experiment's configuration has in common. An
@@ -60,7 +59,7 @@ func (g Grid) scenario(seed uint64) core.Scenario {
 // n-th fault location, the grid's drop rate and phase lengths.
 func (g Grid) trial(sc core.Scenario, n int) Trial {
 	return Trial{
-		Scenario: withNoise(sc), Fault: faultLinkFor(sc, n), DropRate: g.DropRate,
+		Scenario: withNoise(sc), Fault: faultFor(sc, n, g.DropRate),
 		CleanIters: g.CleanIters, FaultIters: g.FaultIters,
 	}
 }
@@ -80,26 +79,16 @@ func fillZero(cfg, def reflect.Value) {
 }
 
 // Trial is one simulation run: CleanIters fault-free iterations
-// followed by FaultIters iterations with a silent Bernoulli drop on
-// one leaf-spine link.
+// followed by FaultIters iterations with a silent fault on one link.
 type Trial struct {
 	// Scenario shapes the network and workload. Iterations is
 	// overridden to CleanIters+FaultIters.
 	Scenario core.Scenario
 	// Kind selects the load model (default analytical, as in §6).
 	Kind core.PredictorKind
-	// ReferenceIters sizes the reference run for the simulation model.
-	ReferenceIters int
-	// Fault locates the silently faulty link.
-	Fault core.LeafSpineLink
-	// DropRate is the Bernoulli drop probability; 0 runs fault-free.
-	DropRate float64
-	// Upstream faults the leaf→spine direction instead of spine→leaf.
-	Upstream bool
-	// Inject, when set, replaces the Bernoulli drop with the caller's
-	// own fault: it runs once, at the point the drop would have been
-	// injected, and the iterations after it are labeled faulty.
-	Inject func(rt *core.Runtime)
+	// Fault is the silent fault; Run sets its Onset to CleanIters. The
+	// zero value runs fault-free.
+	Fault core.FaultSpec
 	// CleanIters and FaultIters split the run.
 	CleanIters, FaultIters int
 	// Detect tunes the detector; the zero value keeps the paper
@@ -129,8 +118,8 @@ type TrialResult struct {
 	FalseAlerts int
 	// Elapsed is the simulated duration of the whole run.
 	Elapsed sim.Duration
-	// FaultLink is the fabric link the Bernoulli drop was injected on
-	// (unset for fault-free and Inject trials).
+	// FaultLink is the fabric link the fault was injected on (unset for
+	// fault-free trials).
 	FaultLink topology.LinkID
 	// Fabric holds the network-wide counters at the end of the run.
 	Fabric fabric.Stats
@@ -143,45 +132,15 @@ func (tr Trial) Run() (*TrialResult, error) {
 	if tr.Kind == "" {
 		tr.Kind = core.AnalyticalModel
 	}
-	faulty := tr.DropRate > 0 || tr.Inject != nil
-	res := &TrialResult{}
-	inject := func(r simRun, _ sim.Time, iter uint32) {
-		switch {
-		case int(iter) != tr.CleanIters:
-			return
-		case tr.Inject != nil:
-			tr.Inject(r.rt)
-			return
-		case tr.DropRate <= 0:
-			return
-		case tr.Upstream:
-			r.rt.InjectSilentDropUpstream(tr.Fault, tr.DropRate)
-		default:
-			r.rt.InjectSilentDrop(tr.Fault, tr.DropRate)
-		}
-		res.FaultLink = r.rt.Link(tr.Fault)
-		if trc := r.sys.TraceWriter(); trc != nil {
-			// Ground truth for the trace: the iteration label matches
-			// the Samples construction below (faulty strictly after
-			// CleanIters).
-			trc.Fault(trace.FaultRecord{
-				At:        r.rt.Engine.Now(),
-				Kind:      "bernoulli",
-				LeafOrd:   tr.Fault.LeafOrd,
-				SpineOrd:  tr.Fault.SpineOrd,
-				Trunk:     tr.Fault.Trunk,
-				Upstream:  tr.Upstream,
-				Rate:      tr.DropRate,
-				OnsetIter: uint32(tr.CleanIters),
-			})
-		}
+	faulty := tr.Fault.Kind != ""
+	if faulty {
+		tr.Fault.Onset = tr.CleanIters
+		sc.Faults = []core.FaultSpec{tr.Fault}
 	}
 	spec := runSpec{
-		scenario:       sc,
-		job:            core.JobConfig{Kind: tr.Kind, Detect: tr.Detect},
-		referenceIters: tr.ReferenceIters,
-		tracePath:      tr.TracePath, traceLabel: tr.TraceLabel,
-		onIter: inject,
+		scenario:  sc,
+		job:       core.JobConfig{Kind: tr.Kind, Detect: tr.Detect},
+		tracePath: tr.TracePath, traceLabel: tr.TraceLabel,
 	}
 	if tr.Remediate {
 		spec.remediate = &remediate.Config{}
@@ -189,6 +148,10 @@ func (tr Trial) Run() (*TrialResult, error) {
 	r, err := simulate(spec)
 	if err != nil {
 		return nil, err
+	}
+	res := &TrialResult{}
+	if faulty {
+		res.FaultLink = r.rt.Link(core.LeafSpineLink{LeafOrd: tr.Fault.Leaf, SpineOrd: tr.Fault.Spine, Trunk: tr.Fault.Trunk})
 	}
 
 	pipe := r.sys.Jobs()[0].Pipeline
@@ -295,11 +258,13 @@ func withNoise(sc core.Scenario) core.Scenario {
 	return sc
 }
 
-// faultLinkFor varies the faulted link across trials so results do not
-// hinge on one location.
-func faultLinkFor(sc core.Scenario, trial int) core.LeafSpineLink {
-	return core.LeafSpineLink{
-		LeafOrd:  (3 + trial*5) % sc.Leaves,
-		SpineOrd: (1 + trial*3) % sc.Spines,
+// faultFor is the standard trial fault: a downstream Bernoulli drop whose
+// link varies across trials so results do not hinge on one location.
+func faultFor(sc core.Scenario, trial int, rate float64) core.FaultSpec {
+	return core.FaultSpec{
+		Kind:  core.FaultBernoulli,
+		Leaf:  (3 + trial*5) % sc.Leaves,
+		Spine: (1 + trial*3) % sc.Spines,
+		Rate:  rate,
 	}
 }

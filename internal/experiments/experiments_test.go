@@ -15,7 +15,7 @@ import (
 func TestTrialCleanHasNoPositives(t *testing.T) {
 	tr := Trial{
 		Scenario:   core.Scenario{Leaves: 8, Spines: 4, BytesPerRank: 2 << 20, Seed: 1},
-		CleanIters: 2, FaultIters: 0, DropRate: 0,
+		CleanIters: 2, FaultIters: 0,
 	}
 	out, err := tr.Run()
 	if err != nil {
@@ -37,8 +37,7 @@ func TestTrialCleanHasNoPositives(t *testing.T) {
 func TestTrialLabelsFaultPhase(t *testing.T) {
 	tr := Trial{
 		Scenario:   core.Scenario{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, Seed: 2},
-		Fault:      core.LeafSpineLink{LeafOrd: 3, SpineOrd: 1},
-		DropRate:   0.05,
+		Fault:      core.FaultSpec{Kind: core.FaultBernoulli, Leaf: 3, Spine: 1, Rate: 0.05},
 		CleanIters: 2, FaultIters: 2,
 	}
 	out, err := tr.Run()
@@ -61,12 +60,14 @@ func TestTrialLabelsFaultPhase(t *testing.T) {
 func TestRunAllPreservesOrder(t *testing.T) {
 	var trials []Trial
 	for i := 0; i < 3; i++ {
-		trials = append(trials, Trial{
+		tr := Trial{
 			Scenario:   core.Scenario{Leaves: 4, Spines: 2, BytesPerRank: 1 << 20, Seed: uint64(i)},
-			Fault:      core.LeafSpineLink{LeafOrd: 1, SpineOrd: 0},
-			DropRate:   float64(i) * 0.05, // trial 0 is clean
 			CleanIters: 1, FaultIters: 1,
-		})
+		}
+		if i > 0 { // trial 0 is clean
+			tr.Fault = core.FaultSpec{Kind: core.FaultBernoulli, Leaf: 1, Spine: 0, Rate: float64(i) * 0.05}
+		}
+		trials = append(trials, tr)
 	}
 	results, err := RunAll(trials)
 	if err != nil {

@@ -42,49 +42,28 @@ type FaultTypesResult struct {
 	Rows   []FaultTypeRow
 }
 
-// faultSpec builds a model instance per trial (fresh RNG streams).
-type faultSpec struct {
+// faultType is one row's model, built for one trial.
+type faultType struct {
 	name string
-	loss float64
-	make func(seed uint64) fault.Model
+	// loss is the model's average packet-loss probability.
+	loss  float64
+	model fault.Model
 }
 
-func faultSpecs() []faultSpec {
-	return []faultSpec{
-		{
-			name: "bernoulli-2.5%",
-			loss: 0.025,
-			make: func(seed uint64) fault.Model {
-				return fault.NewBernoulliDrop(0.025, sim.NewRNG(seed, "ft/bern"))
-			},
-		},
-		{
-			name: "blackhole",
-			loss: 1.0,
-			make: func(uint64) fault.Model { return fault.BlackHole{} },
-		},
-		{
-			name: "gilbert-elliott",
-			// Bursty: mostly clean, 30% loss bursts; steady state ~2.7%.
-			loss: func() float64 {
-				g := fault.NewGilbertElliott(0.01, 0.1, 0, 0.3, sim.NewRNG(0, "x"))
-				return g.SteadyStateLoss()
-			}(),
-			make: func(seed uint64) fault.Model {
-				return fault.NewGilbertElliott(0.01, 0.1, 0, 0.3, sim.NewRNG(seed, "ft/ge"))
-			},
-		},
-		{
-			name: "bit-error-1e-6",
-			// BER 1e-6 on 4160-byte frames ≈ 3.3% frame loss.
-			loss: func() float64 {
-				b := fault.NewBitError(1e-6, sim.NewRNG(0, "x"))
-				return b.DropProbability(4160)
-			}(),
-			make: func(seed uint64) fault.Model {
-				return fault.NewBitError(1e-6, sim.NewRNG(seed, "ft/ber"))
-			},
-		},
+// faultTypes builds one instance of each model on a trial's own RNG
+// streams. The models are the caller's, not core's kinds: the bit-error
+// process has no FaultKind, and the "ft/*" stream names predate the
+// fault schedule and are part of the table's numbers.
+func faultTypes(seed uint64) []faultType {
+	// Bursty: mostly clean, 30% loss bursts; steady state ~2.7%.
+	ge := fault.NewGilbertElliott(0.01, 0.1, 0, 0.3, sim.NewRNG(seed, "ft/ge"))
+	// BER 1e-6 on 4160-byte frames ≈ 3.3% frame loss.
+	ber := fault.NewBitError(1e-6, sim.NewRNG(seed, "ft/ber"))
+	return []faultType{
+		{"bernoulli-2.5%", 0.025, fault.NewBernoulliDrop(0.025, sim.NewRNG(seed, "ft/bern"))},
+		{"blackhole", 1.0, fault.BlackHole{}},
+		{"gilbert-elliott", ge.SteadyStateLoss(), ge},
+		{"bit-error-1e-6", ber.DropProbability(4160), ber},
 	}
 }
 
@@ -92,14 +71,10 @@ func faultSpecs() []faultSpec {
 func FaultTypes(cfg FaultTypesConfig) (*FaultTypesResult, error) {
 	cfg = resolve("faulttypes", cfg)
 	res := &FaultTypesResult{Config: cfg}
-	for _, spec := range faultSpecs() {
+	for i, spec := range faultTypes(0) {
 		results, samples, err := runCell(cfg.Trials, func(tr int) Trial {
 			trial := cfg.trial(cfg.scenario(cfg.Seed+uint64(tr)*977), tr)
-			ref, model := trial.Fault, spec.make(trial.Scenario.Seed)
-			trial.Inject = func(rt *core.Runtime) {
-				link := rt.Link(ref)
-				rt.Net.InjectFault(link, rt.Net.DirToward(link, rt.Topo.Leaves()[ref.LeafOrd]), model)
-			}
+			trial.Fault.Kind, trial.Fault.Model = core.FaultModel, faultTypes(trial.Scenario.Seed)[i].model
 			return trial
 		})
 		if err != nil {

@@ -48,6 +48,10 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 	cfg = resolve("fig3", cfg)
 	sc := cfg.scenario(cfg.Seed)
 	sc.Iterations = cfg.FaultIters + cfg.CleanIters
+	sc.Faults = []core.FaultSpec{{
+		Kind: core.FaultBernoulli, Leaf: cfg.Fault.LeafOrd, Spine: cfg.Fault.SpineOrd, Trunk: cfg.Fault.Trunk,
+		Rate: cfg.DropRate, Heal: cfg.FaultIters,
+	}}
 
 	// Snapshot the baseline in effect at each window check.
 	baselines := map[uint32]float64{}
@@ -69,9 +73,6 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 			switch int(iter) {
 			case 0:
 				sys = r.sys
-				r.rt.InjectSilentDrop(cfg.Fault, cfg.DropRate)
-			case cfg.FaultIters:
-				r.rt.ClearSilent(cfg.Fault)
 			}
 		},
 	})

@@ -58,8 +58,10 @@ func Fig4(cfg Fig4Config) (*Fig4Result, error) {
 		results, _, err := runCell(cfg.Trials, func(tr int) Trial {
 			sc := cfg.scenario(cfg.Seed + uint64(tr)*101)
 			sc.Collective = core.AllToAllKind
+			f := faultFor(sc, tr, rate)
+			f.Upstream = upstream
 			return Trial{
-				Scenario: sc, Fault: faultLinkFor(sc, tr), DropRate: rate, Upstream: upstream,
+				Scenario: sc, Fault: f,
 				FaultIters: cfg.FaultIters,
 			}
 		})

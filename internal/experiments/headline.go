@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"flowpulse/internal/core"
 	"flowpulse/internal/metrics"
 )
 
@@ -41,9 +40,8 @@ type HeadlineResult struct {
 // the grid says otherwise).
 func Headline(cfg HeadlineConfig) (*HeadlineResult, error) {
 	cfg = resolve("headline", cfg)
-	fault := core.LeafSpineLink{LeafOrd: 11, SpineOrd: 5}
 	tr := cfg.trial(cfg.scenario(cfg.Seed), 0)
-	tr.Fault = fault
+	tr.Fault.Leaf, tr.Fault.Spine = 11, 5
 	out, err := tr.Run()
 	if err != nil {
 		return nil, err
@@ -54,7 +52,7 @@ func Headline(cfg HeadlineConfig) (*HeadlineResult, error) {
 		res.DetectionLatencyIters = int(out.FirstDetection) - cfg.CleanIters
 	}
 	for _, e := range out.Events {
-		if e.Alert.Deviation < 0 && (e.Alert.LeafOrdinal != fault.LeafOrd || e.Alert.Uplink != fault.SpineOrd) {
+		if e.Alert.Deviation < 0 && (e.Alert.LeafOrdinal != tr.Fault.Leaf || e.Alert.Uplink != tr.Fault.Spine) {
 			res.CorrectPort = false
 		}
 	}

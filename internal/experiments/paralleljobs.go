@@ -57,10 +57,8 @@ type ParallelJobsResult struct {
 // fault at the onset iteration of job 1, and summarizes.
 func parallelRun(name string, sc core.Scenario, rcfg remediate.Config, ref core.LeafSpineLink, cfg ParallelJobsConfig) (ParallelJobsRow, error) {
 	row := ParallelJobsRow{Name: name}
-	run, err := simulate(runSpec{
-		scenario: sc, remediate: &rcfg,
-		onIter: after(cfg.CleanIters, func(r simRun, _ sim.Time) { r.rt.InjectSilentDrop(ref, cfg.DropRate) }),
-	})
+	sc.Faults = []core.FaultSpec{{Kind: core.FaultBernoulli, Leaf: ref.LeafOrd, Spine: ref.SpineOrd, Rate: cfg.DropRate, Onset: cfg.CleanIters}}
+	run, err := simulate(runSpec{scenario: sc, remediate: &rcfg})
 	if err != nil {
 		return row, err
 	}

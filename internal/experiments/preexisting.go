@@ -42,9 +42,9 @@ type PreExistingResult struct {
 // disconnect, avoiding the new-fault link and leaving every leaf at
 // least two uplinks. The caller checks that the fabric has that many
 // links to lose.
-func preExistingLinks(count, leaves, spines int, avoid core.LeafSpineLink, seed uint64) []core.LeafSpineLink {
+func preExistingLinks(count, leaves, spines int, avoid core.FaultSpec, seed uint64) []core.LeafSpineLink {
 	rng := sim.NewRNG(seed, "preexisting")
-	used := map[[2]int]bool{{avoid.LeafOrd, avoid.SpineOrd}: true}
+	used := map[[2]int]bool{{avoid.Leaf, avoid.Spine}: true}
 	perLeaf := map[int]int{}
 	var out []core.LeafSpineLink
 	for len(out) < count {
@@ -74,7 +74,7 @@ func PreExisting(cfg PreExistingConfig) (*PreExistingResult, error) {
 			_, samples, err := runCell(cfg.Trials, func(tr int) Trial {
 				sc := cfg.scenario(cfg.Seed + uint64(count*100+tr) + uint64(rate*1e5))
 				trial := cfg.trial(sc, tr)
-				trial.DropRate = rate
+				trial.Fault.Rate = rate
 				trial.Scenario.PreExisting = preExistingLinks(count, cfg.Leaves, cfg.Spines, trial.Fault, sc.Seed)
 				return trial
 			})

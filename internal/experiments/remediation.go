@@ -108,9 +108,9 @@ func summarize(name string, run simRun, onsetAt sim.Time) RemediationRow {
 func Remediation(cfg RemediationConfig) (*RemediationResult, error) {
 	cfg = resolve("remediate", cfg)
 	ref := core.LeafSpineLink{LeafOrd: cfg.Leaves / 2, SpineOrd: 1}
-	scenario := func(iters int) core.Scenario {
+	scenario := func(iters int, faults ...core.FaultSpec) core.Scenario {
 		sc := cfg.scenario(cfg.Seed)
-		sc.Iterations = iters
+		sc.Iterations, sc.Faults = iters, faults
 		return sc
 	}
 
@@ -128,8 +128,10 @@ func Remediation(cfg RemediationConfig) (*RemediationResult, error) {
 	// Persistent fault: quarantined once, probes keep failing, no
 	// re-admission.
 	persist, err := simulate(runSpec{
-		scenario: scenario(cfg.CleanIters + cfg.FaultIters), remediate: &remediate.Config{},
-		onIter: after(cfg.CleanIters, func(r simRun, _ sim.Time) { r.rt.InjectSilentDrop(ref, cfg.DropRate) }),
+		scenario: scenario(cfg.CleanIters+cfg.FaultIters, core.FaultSpec{
+			Kind: core.FaultBernoulli, Leaf: ref.LeafOrd, Spine: ref.SpineOrd, Rate: cfg.DropRate, Onset: cfg.CleanIters,
+		}),
+		remediate: &remediate.Config{},
 	})
 	if err != nil {
 		return nil, err
@@ -142,8 +144,11 @@ func Remediation(cfg RemediationConfig) (*RemediationResult, error) {
 	// short.
 	onset := sim.Duration(cfg.CleanIters) * iterDur
 	flap, err := simulate(runSpec{
-		scenario: scenario(cfg.FlapIters), remediate: &remediate.Config{Suppress: 1500},
-		onIter: after(0, func(r simRun, _ sim.Time) { r.rt.InjectLossyFlap(ref, 6*iterDur, 3*iterDur, onset, cfg.FlapLoss) }),
+		scenario: scenario(cfg.FlapIters, core.FaultSpec{
+			Kind: core.FaultFlap, Leaf: ref.LeafOrd, Spine: ref.SpineOrd, Rate: cfg.FlapLoss,
+			FlapPeriod: 6 * iterDur, FlapDown: 3 * iterDur, FlapPhase: onset,
+		}),
+		remediate: &remediate.Config{Suppress: 1500},
 	})
 	if err != nil {
 		return nil, err

@@ -89,18 +89,12 @@ func resilienceArm(cfg ResilienceConfig, replan bool) (*ResilienceArm, error) {
 	sc := cfg.scenario(cfg.Seed)
 	sc.HostsPerLeaf, sc.InterleaveRing = cfg.HostsPerLeaf, true
 	sc.Iterations = cfg.CleanIters + cfg.FaultIters
+	sc.Faults = []core.FaultSpec{{Kind: core.FaultBernoulli, Leaf: cfg.Leaves / 2, Spine: 0, Rate: cfg.DropRate, Onset: cfg.CleanIters}}
 	spec := runSpec{
 		scenario:  sc,
 		remediate: &remediate.Config{},
-		onIter: func(r simRun, now sim.Time, iter uint32) {
-			switch int(iter) {
-			case 0:
-				r.rt.Goodput = &metrics.GoodputTimeline{}
-			case cfg.CleanIters:
-				r.rt.Goodput.MarkFault(int64(now))
-				r.rt.InjectSilentDrop(core.LeafSpineLink{LeafOrd: cfg.Leaves / 2, SpineOrd: 0}, cfg.DropRate)
-			}
-		},
+		// The injector marks the fault on the timeline.
+		onIter: after(0, func(r simRun, _ sim.Time) { r.rt.Goodput = &metrics.GoodputTimeline{} }),
 	}
 	if replan {
 		spec.resilience = &resilience.Config{RecoverTarget: cfg.RecoverTarget}

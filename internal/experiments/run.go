@@ -13,18 +13,14 @@ type runSpec struct {
 	// job is the template for every job's monitor: model kind,
 	// detector tuning, hooks.
 	job core.JobConfig
-	// referenceIters sizes the reference run the simulation model is
-	// built from (default 3).
-	referenceIters int
 	// remediate and resilience attach the closed loops.
 	remediate  *remediate.Config
 	resilience *resilience.Config
 	// tracePath records the run to a .fpt trace labeled traceLabel.
 	tracePath, traceLabel string
-	// onIter runs after every completed iteration of the first job —
-	// mid-run injection — and once with iter 0 when the monitor is
-	// attached and training is about to start: faults present from the
-	// start, goodput timelines.
+	// onIter runs after every completed iteration of the first job, and
+	// once with iter 0 when the monitor is attached and training is about
+	// to start (goodput timelines). Faults are scenario.Faults.
 	onIter func(r simRun, now sim.Time, iter uint32)
 }
 
@@ -59,7 +55,7 @@ func simulate(spec runSpec) (simRun, error) {
 	}
 	defer rt.Close()
 	sys, err := rt.Attach(core.AttachOptions{
-		Job: spec.job, ReferenceIterations: spec.referenceIters,
+		Job:       spec.job,
 		Remediate: spec.remediate, Resilience: spec.resilience,
 		TracePath: spec.tracePath, TraceLabel: spec.traceLabel,
 	})

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"flowpulse/internal/core"
+	"flowpulse/internal/fault"
 	"flowpulse/internal/remediate"
 	"flowpulse/internal/resilience"
+	"flowpulse/internal/sim"
 )
 
 // smallRun is a 4×2, two-iteration scenario: enough to drive the runner.
@@ -79,7 +81,7 @@ func TestSimulateReportsTraceWriteError(t *testing.T) {
 func TestTrialReportsFaultLink(t *testing.T) {
 	sc := core.Scenario{Leaves: 4, Spines: 2, BytesPerRank: 1 << 20, Seed: 3}
 	ref := core.LeafSpineLink{LeafOrd: 2, SpineOrd: 1}
-	out, err := Trial{Scenario: sc, Fault: ref, DropRate: 0.05, FaultIters: 1}.Run()
+	out, err := Trial{Scenario: sc, Fault: core.FaultSpec{Kind: core.FaultBernoulli, Leaf: 2, Spine: 1, Rate: 0.05}, FaultIters: 1}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,22 +97,23 @@ func TestTrialReportsFaultLink(t *testing.T) {
 	}
 }
 
-// TestTrialCallerInjection: a caller-supplied fault replaces the
+// TestTrialCallerInjection: a caller-built fault model replaces the
 // Bernoulli drop at the same point of the run and labels the same
 // iterations faulty.
 func TestTrialCallerInjection(t *testing.T) {
-	ref := core.LeafSpineLink{LeafOrd: 2, SpineOrd: 1}
-	injected := 0
 	out, err := Trial{
-		Scenario:   core.Scenario{Leaves: 4, Spines: 2, BytesPerRank: 1 << 20, Seed: 3},
-		Inject:     func(rt *core.Runtime) { injected++; rt.InjectSilentDrop(ref, 0.2) },
+		Scenario: core.Scenario{Leaves: 4, Spines: 2, BytesPerRank: 1 << 20, Seed: 3},
+		Fault: core.FaultSpec{
+			Kind: core.FaultModel, Leaf: 2, Spine: 1,
+			Model: fault.NewBernoulliDrop(0.2, sim.NewRNG(3, "caller")),
+		},
 		CleanIters: 1, FaultIters: 2,
 	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if injected != 1 {
-		t.Fatalf("Inject ran %d times, want once", injected)
+	if out.Fabric.FaultDropped == 0 {
+		t.Fatal("the caller's model dropped nothing")
 	}
 	if out.Samples[0].Positive || !out.Samples[1].Positive || !out.Samples[2].Positive {
 		t.Fatalf("labels %+v, want clean then two faulty", out.Samples)

@@ -41,8 +41,8 @@ type TrunkResult struct {
 func Trunks(cfg TrunkConfig) (*TrunkResult, error) {
 	cfg = resolve("trunks", cfg)
 	res := &TrunkResult{Config: cfg}
-	member := func(tr int) core.LeafSpineLink {
-		fault := faultLinkFor(cfg.scenario(0), tr)
+	member := func(tr int) core.FaultSpec {
+		fault := faultFor(cfg.scenario(0), tr, cfg.DropRate)
 		fault.Trunk = 1 % cfg.Trunk
 		return fault
 	}
@@ -60,12 +60,12 @@ func Trunks(cfg TrunkConfig) (*TrunkResult, error) {
 		// The faulty member's uplink index at the leaf: spine ordinal ×
 		// trunk + member.
 		fault := member(tr)
-		wantUplink := fault.SpineOrd*cfg.Trunk + fault.Trunk
+		wantUplink := fault.Spine*cfg.Trunk + fault.Trunk
 		for _, e := range out.Events {
 			if e.Alert.Deviation >= 0 || int(e.Alert.Iter) <= cfg.CleanIters {
 				continue
 			}
-			if e.Alert.LeafOrdinal == fault.LeafOrd && e.Alert.Uplink == wantUplink {
+			if e.Alert.LeafOrdinal == fault.Leaf && e.Alert.Uplink == wantUplink {
 				res.CorrectMember++
 			} else {
 				res.WrongMember++

@@ -241,7 +241,7 @@ func (n *Network) switchReceive(sw topology.SwitchID, port int, p *Packet, now s
 
 // markECN applies RED-style CE marking at a switch egress enqueue:
 // below KMin nothing is marked, above KMax every data packet is,
-// between the two the probability ramps linearly up to PMax. The queue
+// between the two the probability ramps linearly up to ecnPMax. The queue
 // depth is the packet's own class including the arriving frame, so an
 // incast burst sees its own buildup immediately. Disabled networks
 // never reach the RNG (the per-direction streams are not even
@@ -258,7 +258,7 @@ func (n *Network) markECN(ld *linkDir, p *Packet) {
 		p.CE = true
 	} else {
 		frac := float64(depth-n.cfg.ECN.KMinBytes) / float64(n.cfg.ECN.KMaxBytes-n.cfg.ECN.KMinBytes)
-		if !ld.ecnRNG.Bernoulli(n.cfg.ECN.PMax * frac) {
+		if !ld.ecnRNG.Bernoulli(ecnPMax * frac) {
 			return
 		}
 		p.CE = true

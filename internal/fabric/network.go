@@ -46,16 +46,17 @@ type Config struct {
 // ECNConfig is the RED-style marking profile every switch egress queue
 // applies when enabled: a packet enqueued with its class's queue depth
 // above KMaxBytes is always marked CE, above KMinBytes with probability
-// PMax scaled linearly between the two thresholds.
+// ecnPMax scaled linearly between the two thresholds.
 type ECNConfig struct {
 	Enabled bool
 	// KMinBytes and KMaxBytes bound the marking ramp. Defaults
 	// (when Enabled): 100 KiB and 400 KiB — comfortably under the 1 MiB
 	// PFC Xoff threshold, so ECN reacts before PFC ever pauses.
 	KMinBytes, KMaxBytes int64
-	// PMax is the marking probability at KMaxBytes (default 0.2).
-	PMax float64
 }
+
+// ecnPMax is the marking probability at KMaxBytes.
+const ecnPMax = 0.2
 
 func (c *Config) setDefaults() {
 	if c.Spray == "" {
@@ -76,9 +77,6 @@ func (c *Config) setDefaults() {
 		}
 		if c.ECN.KMaxBytes == 0 {
 			c.ECN.KMaxBytes = 400 << 10
-		}
-		if c.ECN.PMax == 0 {
-			c.ECN.PMax = 0.2
 		}
 	}
 }

@@ -14,15 +14,18 @@ type LearnedConfig struct {
 	// RebaselineAfter is how many consecutive "healthier" windows
 	// trigger baseline replacement. Defaults to 3.
 	RebaselineAfter int
-	// CVImprovement is the relative drop in the coefficient of
-	// variation (across ports) that counts as "healthier". Defaults to
-	// 0.25, i.e. the spread must shrink by a quarter.
-	CVImprovement float64
-	// TotalTolerance bounds the relative difference in total volume
-	// for a window to be rebaseline-eligible (a different collective
-	// size is a workload change, not a healed fault). Defaults to 0.05.
-	TotalTolerance float64
 }
+
+const (
+	// cvImprovement is the relative drop in the coefficient of variation
+	// (across ports) that counts as "healthier": the spread must shrink by
+	// a quarter.
+	cvImprovement = 0.25
+	// totalTolerance bounds the relative difference in total volume for a
+	// window to be rebaseline-eligible (a different collective size is a
+	// workload change, not a healed fault).
+	totalTolerance = 0.05
+)
 
 func (c *LearnedConfig) setDefaults() {
 	if c.Warmup == 0 {
@@ -30,12 +33,6 @@ func (c *LearnedConfig) setDefaults() {
 	}
 	if c.RebaselineAfter == 0 {
 		c.RebaselineAfter = 3
-	}
-	if c.CVImprovement == 0 {
-		c.CVImprovement = 0.25
-	}
-	if c.TotalTolerance == 0 {
-		c.TotalTolerance = 0.05
 	}
 }
 
@@ -90,8 +87,8 @@ func (l *Learned) Observe(w *telemetry.Window) {
 	}
 
 	cv, tot := portCV(w.PortBytes)
-	healthier := cv < st.baseCV*(1-l.cfg.CVImprovement) &&
-		math.Abs(tot-st.baseTot) <= l.cfg.TotalTolerance*st.baseTot
+	healthier := cv < st.baseCV*(1-cvImprovement) &&
+		math.Abs(tot-st.baseTot) <= totalTolerance*st.baseTot
 	if !healthier {
 		st.healthier = st.healthier[:0]
 		return

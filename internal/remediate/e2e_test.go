@@ -9,11 +9,10 @@ import (
 	"flowpulse/internal/sim"
 )
 
-// runRemediated builds a scenario, attaches FlowPulse with the
-// remediation loop, runs training, and returns the system plus the
-// per-iteration completion times.
-func runRemediated(t *testing.T, sc core.Scenario, rcfg *remediate.Config,
-	setup func(rt *core.Runtime), onIter func(rt *core.Runtime, now sim.Time, iter uint32)) (*core.Runtime, *core.System, map[uint32]sim.Time) {
+// runRemediated builds a scenario (fault schedule included), attaches
+// FlowPulse with the remediation loop, runs training, and returns the
+// system plus the per-iteration completion times.
+func runRemediated(t *testing.T, sc core.Scenario, rcfg *remediate.Config) (*core.Runtime, *core.System, map[uint32]sim.Time) {
 	t.Helper()
 	rt, err := sc.Build()
 	if err != nil {
@@ -23,16 +22,8 @@ func runRemediated(t *testing.T, sc core.Scenario, rcfg *remediate.Config,
 	if err != nil {
 		t.Fatal(err)
 	}
-	if setup != nil {
-		setup(rt)
-	}
 	iterEnd := map[uint32]sim.Time{}
-	err = rt.Train(func(now sim.Time, _ uint16, iter uint32) {
-		iterEnd[iter] = now
-		if onIter != nil {
-			onIter(rt, now, iter)
-		}
-	})
+	err = rt.Train(func(now sim.Time, _ uint16, iter uint32) { iterEnd[iter] = now })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +37,12 @@ func runRemediated(t *testing.T, sc core.Scenario, rcfg *remediate.Config,
 // link never earns re-admission: its probe rounds keep losing packets.
 func TestPersistentFaultQuarantinedE2E(t *testing.T) {
 	const onset = 3 // fault injected after iteration 2 completes
-	sc := core.Scenario{BytesPerRank: 8 << 20, Iterations: 10, Seed: 42}
 	ref := core.LeafSpineLink{LeafOrd: 3, SpineOrd: 1}
-	rt, sys, iterEnd := runRemediated(t, sc, &remediate.Config{}, nil,
-		func(rt *core.Runtime, _ sim.Time, iter uint32) {
-			if iter == onset-1 {
-				rt.InjectSilentDrop(ref, 0.015)
-			}
-		})
+	sc := core.Scenario{
+		BytesPerRank: 8 << 20, Iterations: 10, Seed: 42,
+		Faults: []core.FaultSpec{{Kind: core.FaultBernoulli, Leaf: ref.LeafOrd, Spine: ref.SpineOrd, Rate: 0.015, Onset: onset - 1}},
+	}
+	rt, sys, iterEnd := runRemediated(t, sc, &remediate.Config{})
 	link := rt.Link(ref)
 	r := sys.Remediator()
 	st := r.Stats()
@@ -116,7 +105,7 @@ func TestFlappingLinkDampedE2E(t *testing.T) {
 	// Calibrate the iteration duration on a clean 2-iteration run.
 	cal := base
 	cal.Iterations = 2
-	_, _, calEnd := runRemediated(t, cal, nil, nil, nil)
+	_, _, calEnd := runRemediated(t, cal, nil)
 	iterDur := sim.Duration(calEnd[2] - calEnd[1])
 	if iterDur <= 0 {
 		t.Fatalf("calibration failed: %v", calEnd)
@@ -125,14 +114,16 @@ func TestFlappingLinkDampedE2E(t *testing.T) {
 	sc := base
 	sc.Iterations = 30
 	ref := core.LeafSpineLink{LeafOrd: 3, SpineOrd: 1}
+	// Degraded (30% loss) for 3 iterations out of every 6, starting after
+	// iteration 2.
+	sc.Faults = []core.FaultSpec{{
+		Kind: core.FaultFlap, Leaf: ref.LeafOrd, Spine: ref.SpineOrd, Rate: 0.3,
+		FlapPeriod: 6 * iterDur, FlapDown: 3 * iterDur, FlapPhase: 2 * iterDur,
+	}}
 	// Suppress at 1500 so the second quarantine (penalty ≈ 2000) pins
 	// the link; the run then only needs two flap cycles to prove
 	// damping instead of the default three.
-	rt, sys, _ := runRemediated(t, sc, &remediate.Config{Suppress: 1500}, func(rt *core.Runtime) {
-		// Degraded (30% loss) for 3 iterations out of every 6,
-		// starting after iteration 2.
-		rt.InjectLossyFlap(ref, 6*iterDur, 3*iterDur, 2*iterDur, 0.3)
-	}, nil)
+	rt, sys, _ := runRemediated(t, sc, &remediate.Config{Suppress: 1500})
 	link := rt.Link(ref)
 	r := sys.Remediator()
 	st := r.Stats()
@@ -166,14 +157,11 @@ func TestFlappingLinkDampedE2E(t *testing.T) {
 // requires byte-identical remediation timelines and stats.
 func TestRemediationDeterministic(t *testing.T) {
 	run := func() ([]remediate.Action, remediate.Stats) {
-		sc := core.Scenario{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, Iterations: 8, Seed: 11}
-		ref := core.LeafSpineLink{LeafOrd: 5, SpineOrd: 2}
-		_, sys, _ := runRemediated(t, sc, &remediate.Config{}, nil,
-			func(rt *core.Runtime, _ sim.Time, iter uint32) {
-				if iter == 2 {
-					rt.InjectSilentDrop(ref, 0.05)
-				}
-			})
+		sc := core.Scenario{
+			Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, Iterations: 8, Seed: 11,
+			Faults: []core.FaultSpec{{Kind: core.FaultBernoulli, Leaf: 5, Spine: 2, Rate: 0.05, Onset: 2}},
+		}
+		_, sys, _ := runRemediated(t, sc, &remediate.Config{})
 		return sys.Remediator().Timeline, sys.Remediator().Stats()
 	}
 	t1, s1 := run()

@@ -36,16 +36,14 @@ type Config struct {
 	// pre-fault rate needs no workload repair. Default 0.9 (the same
 	// fraction the recovery metric scores against).
 	RecoverTarget float64
-	// MinRanks is the smallest ring degraded mode may leave. Default 2.
-	MinRanks int
 }
+
+// minRanks is the smallest ring degraded mode may leave.
+const minRanks = 2
 
 func (c *Config) setDefaults() {
 	if c.RecoverTarget == 0 {
 		c.RecoverTarget = 0.9
-	}
-	if c.MinRanks == 0 {
-		c.MinRanks = 2
 	}
 }
 
@@ -247,7 +245,7 @@ func (rp *Replanner) emit(now sim.Time, leaf topology.SwitchID, kind PlanKind) *
 			group = rp.contiguize(group, l)
 		}
 	}
-	if len(group) < rp.cfg.MinRanks || sameGroup(group, rp.current) {
+	if len(group) < minRanks || sameGroup(group, rp.current) {
 		return nil // unrepairable or no-op: keep the current plan
 	}
 	rp.current = group

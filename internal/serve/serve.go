@@ -36,8 +36,6 @@ type Config struct {
 	// RingSize is each bucket's SPSC ring capacity in records (0: 256).
 	// A full ring stalls its producer — backpressure, not drops.
 	RingSize int
-	// ShardQueue bounds each shard's bucket work queue (0: 1024).
-	ShardQueue int
 	// Rules route alerts to sinks. Empty: one catch-all rule feeding
 	// the /alerts stream.
 	Rules []Rule
@@ -45,15 +43,15 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// shardQueue bounds each shard's bucket work queue.
+const shardQueue = 1024
+
 func (c *Config) defaults() {
 	if c.Shards <= 0 {
 		c.Shards = 4
 	}
 	if c.RingSize <= 0 {
 		c.RingSize = 256
-	}
-	if c.ShardQueue <= 0 {
-		c.ShardQueue = 1024
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -100,7 +98,7 @@ func New(cfg Config) (*Server, error) {
 		rules:    rules,
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := newShard(i, cfg.ShardQueue)
+		sh := newShard(i, shardQueue)
 		s.shards = append(s.shards, sh)
 		s.wg.Add(1)
 		go sh.run(&s.wg)

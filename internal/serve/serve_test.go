@@ -33,8 +33,7 @@ func recordRun(t *testing.T, remediated bool, seed uint64) []byte {
 			Background:   4 * sim.Microsecond,
 			Seed:         seed,
 		},
-		Fault:      core.LeafSpineLink{LeafOrd: 2, SpineOrd: 1},
-		DropRate:   0.05,
+		Fault:      core.FaultSpec{Kind: core.FaultBernoulli, Leaf: 2, Spine: 1, Rate: 0.05},
 		CleanIters: 2,
 		FaultIters: 4,
 		Remediate:  remediated,

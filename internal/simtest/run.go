@@ -12,7 +12,6 @@ import (
 	"flowpulse/internal/core"
 	"flowpulse/internal/detect"
 	"flowpulse/internal/fabric"
-	"flowpulse/internal/fault"
 	"flowpulse/internal/metrics"
 	"flowpulse/internal/remediate"
 	"flowpulse/internal/resilience"
@@ -134,9 +133,8 @@ func Run(spec Spec, opts Options) *Result {
 
 // execute runs a spec: one job over every host, or — Work.Jobs == 2 —
 // two full-span jobs, one per host column, whose fault (when present)
-// is a downstream Bernoulli drop keyed to the first job's iteration
-// clock (normalize() pinned that envelope, with congestion, divergence,
-// remediation and resilience all off). A Clos3 spec is the same run on
+// is a downstream Bernoulli drop (normalize() pinned that envelope, with
+// congestion, divergence, remediation and resilience all off). A Clos3 spec is the same run on
 // a three-level fabric: learned model, spines monitored too, the fault
 // on a pod-local spine→leaf or core→spine link, and no trace (the .fpt
 // format records two-level fabrics).
@@ -166,6 +164,9 @@ func execute(spec Spec, opts Options) (*runData, error) {
 			StragglerLeaf: spec.Congest.StragglerLeaf,
 		},
 		Divergence: divergenceScenario(spec),
+	}
+	if spec.Fault.Kind != core.FaultNone {
+		sc.Faults = []core.FaultSpec{spec.Fault}
 	}
 	if clos3 {
 		sc.Pods, sc.CoresPerGroup = spec.Topo.Pods, spec.Topo.CoresPerGroup
@@ -210,19 +211,10 @@ func execute(spec Spec, opts Options) (*runData, error) {
 	}
 
 	data := &runData{}
-	f := spec.Fault
-	inject := func() {}
-	switch {
-	case f.Kind == FaultNone:
-	case clos3 && f.CoreSpine:
-		inject = func() { rt.InjectCoreSpineDrop(f.Pod, f.SpineInPod, f.CoreIx, f.Rate) }
-	case clos3:
-		inject = func() { rt.InjectSpineLeafDrop(f.Pod, f.LeafInPod, f.SpineInPod, f.Rate) }
-	default:
-		ref := core.LeafSpineLink{LeafOrd: f.Leaf, SpineOrd: f.Spine, Trunk: f.Trunk}
+	if f := spec.Fault; f.Kind != core.FaultNone && !clos3 {
 		spine := rt.Topo.Spines()[f.Spine]
 		data.blamedGroup = rt.Topo.TrunkLinks(rt.Topo.Leaves()[f.Leaf], spine)
-		if f.Kind == FaultFlap {
+		if f.Kind == core.FaultFlap {
 			// The flap faults both directions. Its upstream half drops
 			// traffic from the faulted leaf's hosts toward their ring
 			// successor, whose port has a single sender — the victim leaf
@@ -232,24 +224,11 @@ func execute(spec Spec, opts Options) (*runData, error) {
 			succ := rt.Topo.Leaves()[(f.Leaf+1)%spec.Topo.Leaves]
 			data.blamedGroup = append(data.blamedGroup, rt.Topo.TrunkLinks(succ, spine)...)
 		}
-		inject = func() {
-			if rt.Goodput != nil {
-				rt.Goodput.MarkFault(int64(rt.Engine.Now()))
-			}
-			injectFatTree(rt, ref, f)
-		}
-	}
-	if f.Kind != FaultNone && f.Onset == 0 {
-		inject()
 	}
 	first := rt.Jobs[0].Spec.Job
-	err = rt.Train(func(_ sim.Time, job uint16, iter uint32) {
-		if job != first {
-			return
-		}
-		data.itersDone++
-		if f.Kind != FaultNone && int(iter) == f.Onset && f.Onset > 0 {
-			inject()
+	err = rt.Train(func(_ sim.Time, job uint16, _ uint32) {
+		if job == first {
+			data.itersDone++
 		}
 	})
 	if err != nil {
@@ -374,36 +353,6 @@ func checkTraceReplay(w *trace.Writer, buf *bytes.Buffer) []string {
 	return nil
 }
 
-func injectFatTree(rt *core.Runtime, ref core.LeafSpineLink, f FaultSpec) {
-	switch f.Kind {
-	case FaultBernoulli:
-		if f.Upstream {
-			rt.InjectSilentDropUpstream(ref, f.Rate)
-		} else {
-			rt.InjectSilentDrop(ref, f.Rate)
-		}
-	case FaultBlackHole:
-		link := rt.Link(ref)
-		rt.Net.InjectFault(link, rt.Net.DirToward(link, rt.Topo.Leaves()[ref.LeafOrd]), fault.BlackHole{})
-	case FaultGE:
-		link := rt.Link(ref)
-		toward := rt.Topo.Leaves()[ref.LeafOrd]
-		if f.Upstream {
-			toward = rt.Topo.Spines()[ref.SpineOrd]
-		}
-		// Rate is the target steady-state loss; solve for pGB given the
-		// burst shape (piB·lossBad = Rate, piB = pGB/(pGB+pBG)).
-		piB := f.Rate / f.GELossBad
-		pGB := piB * f.GEPBG / (1 - piB)
-		rt.Net.InjectFault(link, rt.Net.DirToward(link, toward),
-			fault.NewGilbertElliott(pGB, f.GEPBG, 0, f.GELossBad,
-				sim.NewRNG(rt.Scenario.Seed, fmt.Sprintf("simtest/ge/%d", link))))
-	case FaultFlap:
-		rt.InjectLossyFlap(ref, sim.Duration(f.FlapPeriodPS), sim.Duration(f.FlapDownPS),
-			sim.Duration(f.FlapPhasePS), f.Rate)
-	}
-}
-
 // --- oracles ---
 
 func checkOracles(spec Spec, opts Options, d *runData) []string {
@@ -443,7 +392,7 @@ func checkOracles(spec Spec, opts Options, d *runData) []string {
 	}
 	events := append(leaf[:len(leaf):len(leaf)], d.spineEvents...)
 	congested := spec.Congest.Active()
-	if f.Kind == FaultNone {
+	if f.Kind == core.FaultNone {
 		if congested {
 			// Oracle 2 (congestion form): adversarial traffic may trip
 			// deviation alerts — incast queues and storms genuinely skew
@@ -497,7 +446,7 @@ func checkOracles(spec Spec, opts Options, d *runData) []string {
 	// the true link's trunk group. Three-level pipelines carry no
 	// localizer (monitor.Build), so their runs stop at detection.
 	deadline := f.Onset + opts.Deadline
-	if f.Kind == FaultGE {
+	if f.Kind == core.FaultGE {
 		// Bursty loss only matches its steady-state rate on average;
 		// give the burst process twice the windows to show itself.
 		deadline = f.Onset + 2*opts.Deadline
@@ -509,7 +458,7 @@ func checkOracles(spec Spec, opts Options, d *runData) []string {
 			continue
 		}
 		if a.Deviation < 0 {
-			if int(a.Iter) <= deadline || f.Kind == FaultFlap {
+			if int(a.Iter) <= deadline || f.Kind == core.FaultFlap {
 				detected = true
 			}
 			for _, l := range e.Verdict.Links {
@@ -528,14 +477,14 @@ func checkOracles(spec Spec, opts Options, d *runData) []string {
 		// successor (the flap is bidirectional) — is the flap's only
 		// signature, and it pins the loss to the same trunk group the
 		// deficit would have.
-		if f.Kind == FaultFlap && a.Deviation > 0 &&
+		if f.Kind == core.FaultFlap && a.Deviation > 0 &&
 			(a.LeafOrdinal == f.Leaf || a.LeafOrdinal == (f.Leaf+1)%spec.Topo.Leaves) {
 			detected = true
 			localized = true
 		}
 	}
 	if !detected {
-		if f.Kind == FaultFlap {
+		if f.Kind == core.FaultFlap {
 			add("detection: flap on leaf %d / spine %d never produced a deficit or sibling-surplus alert", f.Leaf, f.Spine)
 		} else {
 			add("detection: %s fault (rate %.3f, onset %d) not detected by the %s tier by iteration %d",
@@ -663,7 +612,7 @@ func checkRemediation(spec Spec, d *runData) []string {
 			continue
 		}
 		quarCount[a.Link]++
-		if f.Kind == FaultBernoulli && !linkInGroup(a.Link, d.blamedGroup) &&
+		if f.Kind == core.FaultBernoulli && !linkInGroup(a.Link, d.blamedGroup) &&
 			(trueQuarAt == 0 || a.At < trueQuarAt) {
 			add("remediation: quarantined innocent link %d (fault is on leaf %d / spine %d)",
 				a.Link, f.Leaf, f.Spine)
@@ -685,11 +634,11 @@ func checkRemediation(spec Spec, d *runData) []string {
 	// loss process as data, so a Bernoulli or blackhole link cannot
 	// earn M clean rounds. (Bursty and flapping links legitimately can,
 	// while damping keeps the churn bounded above.)
-	if f.Kind == FaultBernoulli || f.Kind == FaultBlackHole {
+	if f.Kind == core.FaultBernoulli || f.Kind == core.FaultBlackHole {
 		if len(d.quarantined) == 0 {
 			add("remediation: persistent %s fault never quarantined", f.Kind)
 		}
-		if f.Kind == FaultBernoulli {
+		if f.Kind == core.FaultBernoulli {
 			// Only innocents caught before the true link count — the
 			// post-remediation equilibrium shift above can legitimately
 			// hold a bystander down through the end of a short run.
@@ -722,7 +671,7 @@ func checkSharedOracles(spec Spec, opts Options, d *runData) []string {
 	add := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
 	f := spec.Fault
 
-	if f.Kind == FaultNone {
+	if f.Kind == core.FaultNone {
 		for _, j := range d.jobs {
 			if len(j.events) != 0 {
 				add("clean shared run: job %d alert %s", j.id, j.events[0].Alert)

@@ -41,6 +41,25 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReproFormatUnchanged: Spec.Fault is core's FaultSpec now, under the
+// JSON keys the repro format has always had — these are seeds' repros as
+// the release before the type moved printed them, flap timing, pod-local
+// link and burst shape included, so an old -spec line still reruns.
+func TestReproFormatUnchanged(t *testing.T) {
+	for seed, old := range map[uint64]string{
+		1: `{"seed":1,"topo":{"kind":"fat-tree","leaves":5,"spines":4,"hostsPerLeaf":2,"trunk":1},"work":{"collective":"ring-allreduce","bytesPerRank":2097152,"iterations":7,"predictor":"analytical"},"fault":{"kind":"flap","onset":1,"rate":0.5223901184256299,"leaf":2,"spine":2,"flapPeriodPS":251658240,"flapDownPS":167772160,"flapPhasePS":218078999},"congest":{},"diverge":{"stale":[{},{}]}}`,
+		7: `{"seed":7,"topo":{"kind":"clos3","pods":3,"leavesPerPod":3,"spinesPerPod":2,"coresPerGroup":2},"work":{"collective":"ring-allreduce","bytesPerRank":2097152,"iterations":12,"predictor":"learned"},"fault":{"kind":"bernoulli","onset":4,"rate":0.10260377254291142,"coreSpine":true,"pod":2,"leafInPod":1,"coreIx":1},"congest":{},"diverge":{"stale":[{},{}]}}`,
+		9: `{"seed":9,"topo":{"kind":"fat-tree","leaves":5,"spines":2,"hostsPerLeaf":1,"trunk":1},"work":{"collective":"ring-allreduce","bytesPerRank":2097152,"iterations":10,"predictor":"analytical"},"fault":{"kind":"gilbert-elliott","onset":1,"rate":0.08828306594742283,"leaf":2,"spine":1,"gePBG":0.1736165614397276,"geLossBad":0.5840829919203699},"congest":{},"diverge":{"stale":[{},{}]}}`,
+	} {
+		if got := Generate(seed).MarshalCompact(); got != old {
+			t.Errorf("seed %d repro changed:\n got %s\nwant %s", seed, got, old)
+		}
+		if back, err := ParseSpec(old); err != nil || back != Generate(seed) {
+			t.Errorf("seed %d: old repro parses to %+v (err %v)", seed, back, err)
+		}
+	}
+}
+
 // TestGenerateEnvelope: generated fault schedules respect the
 // constraints the oracles rely on.
 func TestGenerateEnvelope(t *testing.T) {
@@ -49,15 +68,15 @@ func TestGenerateEnvelope(t *testing.T) {
 		thr := spec.DetectThreshold()
 		f := spec.Fault
 		switch f.Kind {
-		case FaultNone:
-			if f != (FaultSpec{Kind: FaultNone}) {
+		case core.FaultNone:
+			if f != (core.FaultSpec{Kind: core.FaultNone}) {
 				t.Fatalf("seed %d: fault-free spec carries fault fields: %s", seed, spec.MarshalCompact())
 			}
-		case FaultBernoulli, FaultFlap:
+		case core.FaultBernoulli, core.FaultFlap:
 			if f.Rate < 3*thr && f.Rate < 0.6 {
 				t.Fatalf("seed %d: %s rate %.4f below 3×threshold %.4f", seed, f.Kind, f.Rate, thr)
 			}
-		case FaultGE:
+		case core.FaultGE:
 			if f.Rate < 4*thr && f.Rate < 0.45 {
 				t.Fatalf("seed %d: GE rate %.4f below 4×threshold %.4f", seed, f.Rate, thr)
 			}
@@ -65,7 +84,7 @@ func TestGenerateEnvelope(t *testing.T) {
 				t.Fatalf("seed %d: GE steady-state %.4f too close to in-burst loss %.4f", seed, f.Rate, f.GELossBad)
 			}
 		}
-		if f.Kind != FaultNone {
+		if f.Kind != core.FaultNone {
 			if f.Onset > spec.Work.Iterations-4 {
 				t.Fatalf("seed %d: onset %d leaves no deadline room in %d iterations", seed, f.Onset, spec.Work.Iterations)
 			}
@@ -85,7 +104,7 @@ func TestGenerateEnvelope(t *testing.T) {
 				spec.Work.Remediate {
 				t.Fatalf("seed %d: 2-job spec outside the shared-plane envelope: %s", seed, spec.MarshalCompact())
 			}
-			if f.Kind != FaultNone && (f.Kind != FaultBernoulli || f.Upstream) {
+			if f.Kind != core.FaultNone && (f.Kind != core.FaultBernoulli || f.Upstream) {
 				t.Fatalf("seed %d: 2-job spec with fault %s (upstream=%v): %s", seed, f.Kind, f.Upstream, spec.MarshalCompact())
 			}
 		}
@@ -96,7 +115,7 @@ func TestGenerateEnvelope(t *testing.T) {
 				spec.Topo.Trunk != 1 || spec.Work.BytesPerRank != 2<<20 {
 				t.Fatalf("seed %d: resilience spec outside its envelope: %s", seed, spec.MarshalCompact())
 			}
-			if f.Kind != FaultNone && (f.Kind != FaultBernoulli || f.Upstream || f.Onset < 2) {
+			if f.Kind != core.FaultNone && (f.Kind != core.FaultBernoulli || f.Upstream || f.Onset < 2) {
 				t.Fatalf("seed %d: resilience spec with fault %s (upstream=%v, onset=%d): %s",
 					seed, f.Kind, f.Upstream, f.Onset, spec.MarshalCompact())
 			}
@@ -131,7 +150,7 @@ func TestSharedPlaneSeedsRun(t *testing.T) {
 	ran := 0
 	for seed := uint64(0); seed < 300 && ran < want; seed++ {
 		spec := Generate(seed)
-		if spec.Work.Jobs != 2 || spec.Fault.Kind == FaultNone {
+		if spec.Work.Jobs != 2 || spec.Fault.Kind == core.FaultNone {
 			continue
 		}
 		if res := Run(spec, Options{}); !res.OK() {
@@ -156,7 +175,7 @@ func TestResilienceSeedsRun(t *testing.T) {
 	ran := 0
 	for seed := uint64(0); seed < 400 && ran < want; seed++ {
 		spec := Generate(seed)
-		if !spec.Work.Resilience || spec.Fault.Kind == FaultNone {
+		if !spec.Work.Resilience || spec.Fault.Kind == core.FaultNone {
 			continue
 		}
 		if res := Run(spec, Options{}); !res.OK() {
@@ -216,7 +235,7 @@ func TestInjectedDetectorBugCaught(t *testing.T) {
 		// A 10× threshold cannot mask a blackhole (the deficit is
 		// −100%), so hunt on the rate-bounded fault kinds.
 		switch spec.Fault.Kind {
-		case FaultBernoulli, FaultGE:
+		case core.FaultBernoulli, core.FaultGE:
 		default:
 			continue
 		}
@@ -268,7 +287,7 @@ func TestShrinkBudgetAndNormalization(t *testing.T) {
 	found := false
 	for seed := uint64(0); seed < 40 && !found; seed++ {
 		spec := Generate(seed)
-		if spec.Fault.Kind != FaultBernoulli {
+		if spec.Fault.Kind != core.FaultBernoulli {
 			continue
 		}
 		if res := Run(spec, opts); !res.OK() {

@@ -30,18 +30,6 @@ const (
 // Spec is a self-contained JSON document).
 type PredictorKind = core.PredictorKind
 
-// FaultKind names a fault schedule entry.
-type FaultKind string
-
-// The fault processes the fuzzer injects.
-const (
-	FaultNone      FaultKind = "none"
-	FaultBernoulli FaultKind = "bernoulli"
-	FaultBlackHole FaultKind = "blackhole"
-	FaultGE        FaultKind = "gilbert-elliott"
-	FaultFlap      FaultKind = "flap"
-)
-
 // TopoSpec shapes the fabric. Fat-tree fields and Clos fields are
 // mutually exclusive by Kind.
 type TopoSpec struct {
@@ -133,41 +121,6 @@ func (s Spec) DetectThreshold() float64 {
 	return thr
 }
 
-// FaultSpec is the fault schedule: at most one fault process, attached
-// when the workload completes iteration Onset (0 = before training).
-type FaultSpec struct {
-	Kind FaultKind `json:"kind"`
-	// Onset is the iteration after which the fault is live; iterations
-	// 1..Onset are clean.
-	Onset int `json:"onset,omitempty"`
-	// Rate is the Bernoulli drop probability, the flap's in-burst loss,
-	// or (for Gilbert–Elliott) the target steady-state loss.
-	Rate float64 `json:"rate,omitempty"`
-
-	// Fat-tree location (leaf-spine link by ordinals) and direction.
-	Leaf     int  `json:"leaf,omitempty"`
-	Spine    int  `json:"spine,omitempty"`
-	Trunk    int  `json:"trunk,omitempty"`
-	Upstream bool `json:"upstream,omitempty"`
-
-	// Clos location: CoreSpine selects a core→spine fault (seen by
-	// spine monitors) instead of spine→leaf (seen by leaf monitors).
-	CoreSpine  bool `json:"coreSpine,omitempty"`
-	Pod        int  `json:"pod,omitempty"`
-	LeafInPod  int  `json:"leafInPod,omitempty"`
-	SpineInPod int  `json:"spineInPod,omitempty"`
-	CoreIx     int  `json:"coreIx,omitempty"`
-
-	// Gilbert–Elliott shape (Rate fixes the steady-state loss).
-	GEPBG     float64 `json:"gePBG,omitempty"`
-	GELossBad float64 `json:"geLossBad,omitempty"`
-
-	// Flap timing in picoseconds.
-	FlapPeriodPS int64 `json:"flapPeriodPS,omitempty"`
-	FlapDownPS   int64 `json:"flapDownPS,omitempty"`
-	FlapPhasePS  int64 `json:"flapPhasePS,omitempty"`
-}
-
 // CongestSpec is a spec's congestion regime: the ECN/DCQCN transport
 // loop, the detector's CE-discount mitigation, and the adversarial
 // traffic generators whose queue build-up mimics loss without any
@@ -251,12 +204,14 @@ func (d *DivergeSpec) Active() bool {
 // meaningful, so a Spec round-trips through JSON losslessly and the
 // compact encoding is the repro format.
 type Spec struct {
-	Seed    uint64      `json:"seed"`
-	Topo    TopoSpec    `json:"topo"`
-	Work    WorkSpec    `json:"work"`
-	Fault   FaultSpec   `json:"fault"`
-	Congest CongestSpec `json:"congest,omitempty"`
-	Diverge DivergeSpec `json:"diverge,omitempty"`
+	Seed uint64   `json:"seed"`
+	Topo TopoSpec `json:"topo"`
+	Work WorkSpec `json:"work"`
+	// Fault is the fault schedule: at most one entry (Kind core.FaultNone:
+	// none), handed to core.Scenario.Faults as is.
+	Fault   core.FaultSpec `json:"fault"`
+	Congest CongestSpec    `json:"congest,omitempty"`
+	Diverge DivergeSpec    `json:"diverge,omitempty"`
 }
 
 // Generate derives the Spec for a seed. Every draw comes from named
@@ -351,7 +306,7 @@ func Generate(seed uint64) Spec {
 	jobsRNG := sim.NewRNG(seed, "simtest/jobs")
 	if s.Topo.Kind == FatTree2 && s.Work.Predictor == core.AnalyticalModel &&
 		s.Work.Collective == core.RingAllReduce && !s.Work.Remediate &&
-		(s.Fault.Kind == FaultNone || (s.Fault.Kind == FaultBernoulli && !s.Fault.Upstream)) &&
+		(s.Fault.Kind == core.FaultNone || (s.Fault.Kind == core.FaultBernoulli && !s.Fault.Upstream)) &&
 		jobsRNG.Float64() < 0.3 {
 		s.Work.Jobs = 2
 	}
@@ -368,15 +323,15 @@ func Generate(seed uint64) Spec {
 	return s
 }
 
-func generateFault(s *Spec, rng *sim.RNG) FaultSpec {
+func generateFault(s *Spec, rng *sim.RNG) core.FaultSpec {
 	// Rates are drawn as multiples of the spec's derived detection
 	// threshold so every persistent fault is comfortably detectable and
 	// the detection-deadline oracle is meaningful at any scale.
 	thr := s.DetectThreshold()
-	f := FaultSpec{Kind: FaultNone}
+	f := core.FaultSpec{Kind: core.FaultNone}
 	if s.Topo.Kind == Clos3 {
 		if rng.Float64() < 0.6 {
-			f.Kind = FaultBernoulli
+			f.Kind = core.FaultBernoulli
 			f.Rate = thr * (3 + 2*rng.Float64())
 			f.CoreSpine = rng.Float64() < 0.5
 			f.Pod = rng.IntN(s.Topo.Pods)
@@ -394,18 +349,18 @@ func generateFault(s *Spec, rng *sim.RNG) FaultSpec {
 	case p < 0.25:
 		return f
 	case p < 0.55:
-		f.Kind = FaultBernoulli
+		f.Kind = core.FaultBernoulli
 		f.Rate = thr * (3 + 3*rng.Float64())
 	case p < 0.65:
-		f.Kind = FaultBlackHole
+		f.Kind = core.FaultBlackHole
 		f.Rate = 1
 	case p < 0.82:
-		f.Kind = FaultGE
+		f.Kind = core.FaultGE
 		f.Rate = thr * (4 + 2*rng.Float64()) // steady-state loss
 		f.GEPBG = 0.05 + 0.15*rng.Float64()
 		f.GELossBad = 0.4 + 0.4*rng.Float64()
 	default:
-		f.Kind = FaultFlap
+		f.Kind = core.FaultFlap
 		// Per-packet least-loaded spray actively refills a lossy port
 		// (drops drain its queue, so it looks *least* loaded), masking
 		// duty-cycle-averaged loss below ~15% entirely. A 2/3-duty down
@@ -416,9 +371,9 @@ func generateFault(s *Spec, rng *sim.RNG) FaultSpec {
 			f.Rate = 3 * thr
 		}
 		est := estIterTime(s)
-		f.FlapPeriodPS = int64(3 * est)
-		f.FlapDownPS = int64(2 * est)
-		f.FlapPhasePS = int64(rng.UniformDuration(3 * est))
+		f.FlapPeriod = 3 * est
+		f.FlapDown = 2 * est
+		f.FlapPhase = rng.UniformDuration(3 * est)
 	}
 	f.Leaf = rng.IntN(s.Topo.Leaves)
 	f.Spine = rng.IntN(s.Topo.Spines)
@@ -429,12 +384,12 @@ func generateFault(s *Spec, rng *sim.RNG) FaultSpec {
 	// while many-sender ports localize it exactly (one affected sender,
 	// the rest clean). Port-level detection dilutes the deficit by the
 	// sender count, so normalize() scales the rate up to match.
-	if f.Kind == FaultBernoulli && s.Work.Collective == core.AllToAllKind &&
+	if f.Kind == core.FaultBernoulli && s.Work.Collective == core.AllToAllKind &&
 		s.Work.Predictor == core.SimulationModel {
 		f.Upstream = rng.Float64() < 0.5
 	}
 	maxOnset := s.Work.Iterations / 2
-	if f.Kind != FaultNone {
+	if f.Kind != core.FaultNone {
 		f.Onset = rng.IntN(maxOnset + 1)
 	}
 	return f
@@ -476,16 +431,16 @@ func (s *Spec) normalize() {
 		if w.Predictor != core.AnalyticalModel || w.Collective != core.RingAllReduce {
 			w.Remediate = false
 		}
-		if f.Kind == FaultFlap {
+		if f.Kind == core.FaultFlap {
 			// Flap timing is phrased in iteration wall time, which only
 			// the ring's fixed schedule makes predictable.
 			w.Collective = core.RingAllReduce
 			f.Upstream = false
-			if f.FlapPeriodPS <= 0 {
-				f.FlapPeriodPS = int64(3 * estIterTime(s))
+			if f.FlapPeriod <= 0 {
+				f.FlapPeriod = 3 * estIterTime(s)
 			}
-			f.FlapDownPS = clamp64(f.FlapDownPS, 1, f.FlapPeriodPS)
-			f.FlapPhasePS = clamp64(f.FlapPhasePS, 0, f.FlapPeriodPS-1)
+			f.FlapDown = sim.Duration(clamp64(int64(f.FlapDown), 1, int64(f.FlapPeriod)))
+			f.FlapPhase = sim.Duration(clamp64(int64(f.FlapPhase), 0, int64(f.FlapPeriod)-1))
 		}
 		f.Leaf = clamp(f.Leaf, 0, t.Leaves-1)
 		f.Spine = clamp(f.Spine, 0, t.Spines-1)
@@ -500,8 +455,8 @@ func (s *Spec) normalize() {
 		w.Predictor = core.LearnedModel
 		w.Remediate = false
 		w.JitterPS = 0
-		if f.Kind != FaultNone && f.Kind != FaultBernoulli {
-			f.Kind = FaultBernoulli
+		if f.Kind != core.FaultNone && f.Kind != core.FaultBernoulli {
+			f.Kind = core.FaultBernoulli
 			if f.Rate <= 0 || f.Rate >= 1 {
 				f.Rate = 0.05
 			}
@@ -529,8 +484,8 @@ func (s *Spec) normalize() {
 		w.Collective = core.RingAllReduce
 		w.Predictor = core.AnalyticalModel
 		w.Remediate = false
-		if f.Kind != FaultNone && f.Kind != FaultBernoulli {
-			f.Kind = FaultBernoulli
+		if f.Kind != core.FaultNone && f.Kind != core.FaultBernoulli {
+			f.Kind = core.FaultBernoulli
 		}
 		f.Upstream = false
 	}
@@ -643,8 +598,8 @@ func (s *Spec) normalize() {
 		t.HostsPerLeaf = 4
 		t.Trunk = 1
 		w.BytesPerRank = 2 << 20
-		if f.Kind != FaultNone && f.Kind != FaultBernoulli {
-			f.Kind = FaultBernoulli
+		if f.Kind != core.FaultNone && f.Kind != core.FaultBernoulli {
+			f.Kind = core.FaultBernoulli
 		}
 		f.Upstream = false
 		f.Trunk = 0
@@ -652,25 +607,25 @@ func (s *Spec) normalize() {
 	}
 
 	switch f.Kind {
-	case FaultNone, FaultBernoulli, FaultBlackHole, FaultGE, FaultFlap:
+	case core.FaultNone, core.FaultBernoulli, core.FaultBlackHole, core.FaultGE, core.FaultFlap:
 	default:
-		f.Kind = FaultNone
+		f.Kind = core.FaultNone
 	}
 	// Rates are pinned to the derived threshold: ≥3× so the
 	// detection-deadline oracle holds, capped so the collective still
 	// completes through retransmission.
 	thr := s.DetectThreshold()
-	if f.Kind == FaultGE && thr > 0.12 {
+	if f.Kind == core.FaultGE && thr > 0.12 {
 		// GE's burst variance eats the detection margin at coarse
 		// thresholds; the steady Bernoulli process keeps the oracle sound.
-		f.Kind = FaultBernoulli
+		f.Kind = core.FaultBernoulli
 	}
-	if f.Upstream && (f.Kind != FaultBernoulli || w.Collective != core.AllToAllKind ||
+	if f.Upstream && (f.Kind != core.FaultBernoulli || w.Collective != core.AllToAllKind ||
 		w.Predictor != core.SimulationModel) {
 		f.Upstream = false
 	}
 	switch f.Kind {
-	case FaultBernoulli:
+	case core.FaultBernoulli:
 		if f.Rate <= 0 || f.Rate >= 1 {
 			f.Rate = 0.05
 		}
@@ -693,9 +648,9 @@ func (s *Spec) normalize() {
 			}
 		}
 		f.Rate = clampF(f.Rate, lo, hi)
-	case FaultBlackHole:
+	case core.FaultBlackHole:
 		f.Rate = 1
-	case FaultGE:
+	case core.FaultGE:
 		if f.GELossBad <= 0 || f.GELossBad > 1 {
 			f.GELossBad = 0.5
 		}
@@ -714,7 +669,7 @@ func (s *Spec) normalize() {
 		if f.Rate >= 0.8*f.GELossBad {
 			f.GELossBad = clampF(f.Rate/0.7, 0, 0.9)
 		}
-	case FaultFlap:
+	case core.FaultFlap:
 		if f.Rate <= 0 || f.Rate >= 1 {
 			f.Rate = 0.4
 		}
@@ -732,8 +687,8 @@ func (s *Spec) normalize() {
 		minIters = 6
 	}
 	w.Iterations = clamp(w.Iterations, minIters, 32)
-	if f.Kind == FaultNone {
-		*f = FaultSpec{Kind: FaultNone}
+	if f.Kind == core.FaultNone {
+		*f = core.FaultSpec{Kind: core.FaultNone}
 		return
 	}
 	minOnset := 0
@@ -750,7 +705,7 @@ func (s *Spec) normalize() {
 	if w.Resilience {
 		maxOnset = w.Iterations - 9 // confirm + re-plan + sustained recovery
 	}
-	if f.Kind == FaultGE {
+	if f.Kind == core.FaultGE {
 		maxOnset = w.Iterations - 8 // the oracle doubles GE's deadline
 	}
 	if maxOnset < minOnset {
@@ -758,6 +713,7 @@ func (s *Spec) normalize() {
 		maxOnset = minOnset
 	}
 	f.Onset = clamp(f.Onset, minOnset, maxOnset)
+	f.Heal = 0 // the oracles are specified for faults that stay
 }
 
 func clamp(v, lo, hi int) int {

@@ -26,26 +26,18 @@ type Clos3Config struct {
 	// Trunk is the number of parallel links per adjacent switch pair.
 	// Defaults to 1.
 	Trunk int
-	// LinkRateBPS is the switch-switch link rate. Defaults to 400 Gb/s.
-	LinkRateBPS int64
-	// HostRateBPS is the host-leaf link rate. Defaults to LinkRateBPS.
-	HostRateBPS int64
-	// Propagation is the one-way propagation delay. Defaults to 500 ns.
-	Propagation sim.Duration
 }
+
+// Every link of a three-level fabric, switch-switch and host-leaf, runs
+// at clos3LinkRateBPS with one-way propagation delay clos3Propagation.
+const (
+	clos3LinkRateBPS = 400e9
+	clos3Propagation = 200 * sim.Nanosecond
+)
 
 func (c *Clos3Config) setDefaults() {
 	if c.Trunk == 0 {
 		c.Trunk = 1
-	}
-	if c.LinkRateBPS == 0 {
-		c.LinkRateBPS = 400e9
-	}
-	if c.HostRateBPS == 0 {
-		c.HostRateBPS = c.LinkRateBPS
-	}
-	if c.Propagation == 0 {
-		c.Propagation = 200 * sim.Nanosecond
 	}
 	if c.HostsPerLeaf == 0 {
 		c.HostsPerLeaf = 1
@@ -109,7 +101,7 @@ func NewClos3(cfg Clos3Config) (*Topology, error) {
 				link := t.addLink(
 					Endpoint{Kind: HostEnd, Host: hid},
 					Endpoint{Kind: SwitchEnd, Switch: leaf, Port: h},
-					cfg.HostRateBPS, cfg.Propagation,
+					clos3LinkRateBPS, clos3Propagation,
 				)
 				t.Hosts = append(t.Hosts, HostDesc{ID: hid, Leaf: leaf, LeafPort: h, Link: link})
 			}
@@ -124,7 +116,7 @@ func NewClos3(cfg Clos3Config) (*Topology, error) {
 					link := t.addLink(
 						Endpoint{Kind: SwitchEnd, Switch: leaf, Port: cfg.HostsPerLeaf + si*cfg.Trunk + k},
 						Endpoint{Kind: SwitchEnd, Switch: spine, Port: li*cfg.Trunk + k},
-						cfg.LinkRateBPS, cfg.Propagation,
+						clos3LinkRateBPS, clos3Propagation,
 					)
 					t.recordTrunk(leaf, spine, link)
 				}
@@ -143,7 +135,7 @@ func NewClos3(cfg Clos3Config) (*Topology, error) {
 					link := t.addLink(
 						Endpoint{Kind: SwitchEnd, Switch: spine, Port: spineUpBase + g*cfg.Trunk + k},
 						Endpoint{Kind: SwitchEnd, Switch: core, Port: p*cfg.Trunk + k},
-						cfg.LinkRateBPS, cfg.Propagation,
+						clos3LinkRateBPS, clos3Propagation,
 					)
 					t.recordTrunk(spine, core, link)
 				}

@@ -22,10 +22,9 @@ type FatTreeConfig struct {
 	// Trunk is the number of parallel links between each leaf-spine
 	// pair (§7 "Parallel Links"). Defaults to 1.
 	Trunk int
-	// LinkRateBPS is the leaf-spine link rate. Defaults to 400 Gb/s.
+	// LinkRateBPS is the rate of every link, leaf-spine and host-leaf.
+	// Defaults to 400 Gb/s.
 	LinkRateBPS int64
-	// HostRateBPS is the host-leaf link rate. Defaults to LinkRateBPS.
-	HostRateBPS int64
 	// Propagation is the one-way propagation delay of every link.
 	// Defaults to 200 ns.
 	Propagation sim.Duration
@@ -37,9 +36,6 @@ func (c *FatTreeConfig) setDefaults() {
 	}
 	if c.LinkRateBPS == 0 {
 		c.LinkRateBPS = 400e9
-	}
-	if c.HostRateBPS == 0 {
-		c.HostRateBPS = c.LinkRateBPS
 	}
 	if c.Propagation == 0 {
 		c.Propagation = 200 * sim.Nanosecond
@@ -96,7 +92,7 @@ func NewFatTree(cfg FatTreeConfig) (*Topology, error) {
 			link := t.addLink(
 				Endpoint{Kind: HostEnd, Host: hid},
 				Endpoint{Kind: SwitchEnd, Switch: leaf, Port: h},
-				cfg.HostRateBPS, cfg.Propagation,
+				cfg.LinkRateBPS, cfg.Propagation,
 			)
 			t.Hosts = append(t.Hosts, HostDesc{ID: hid, Leaf: leaf, LeafPort: h, Link: link})
 		}

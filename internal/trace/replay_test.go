@@ -25,8 +25,7 @@ func quickTrial(path string) experiments.Trial {
 			Seed:         7,
 			Background:   4 * sim.Microsecond,
 		},
-		Fault:      core.LeafSpineLink{LeafOrd: 2, SpineOrd: 1},
-		DropRate:   0.02,
+		Fault:      core.FaultSpec{Kind: core.FaultBernoulli, Leaf: 2, Spine: 1, Rate: 0.02},
 		CleanIters: 2,
 		FaultIters: 5,
 		TracePath:  path,
@@ -88,8 +87,8 @@ func TestReplayMatchesOnline(t *testing.T) {
 		t.Fatalf("faults = %d, want 1", len(rr.Faults))
 	}
 	f := rr.Faults[0]
-	if f.LeafOrd != tr.Fault.LeafOrd || f.SpineOrd != tr.Fault.SpineOrd ||
-		f.Rate != tr.DropRate || int(f.OnsetIter) != tr.CleanIters {
+	if f.LeafOrd != tr.Fault.Leaf || f.SpineOrd != tr.Fault.Spine ||
+		f.Rate != tr.Fault.Rate || int(f.OnsetIter) != tr.CleanIters {
 		t.Errorf("fault record %+v does not match injected fault", *f)
 	}
 	// The offline events must be field-identical to the online ones,
@@ -107,7 +106,7 @@ func TestReplayRemediation(t *testing.T) {
 	// A harder fault alerts every iteration, so the K=3 consecutive-
 	// window streak confirms and quarantine (plus probe rounds) makes
 	// it into the trace.
-	tr.DropRate = 0.05
+	tr.Fault.Rate = 0.05
 	tr.FaultIters = 8
 	_, raw := record(t, tr)
 
@@ -217,7 +216,7 @@ func TestReplayWindowFilter(t *testing.T) {
 func TestFeedLeavesSlotToCaller(t *testing.T) {
 	tr := quickTrial(filepath.Join(t.TempDir(), "t.fpt"))
 	tr.Remediate = true // probe callbacks outlive the window that queued them
-	tr.DropRate = 0.05
+	tr.Fault.Rate = 0.05
 	tr.FaultIters = 8
 	_, raw := record(t, tr)
 

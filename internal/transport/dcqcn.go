@@ -8,61 +8,30 @@ import (
 	"flowpulse/internal/topology"
 )
 
-// DCQCNConfig parameterizes the per-pair DCQCN-style rate limiter (the
-// reaction point of the ECN loop: switches mark CE above a queue
-// threshold, receivers echo the mark on ACKs, and the sender cuts its
-// injection rate). Zero value = disabled: Send pushes every packet into
-// the NIC queue immediately, byte-identical to pre-DCQCN builds.
-type DCQCNConfig struct {
-	Enabled bool
-	// G is the alpha EWMA gain (default 1/16).
-	G float64
-	// CutInterval is the minimum spacing between rate cuts — one cut
-	// per congestion notification window, however many marked ACKs
-	// arrive inside it (default 50 µs).
-	CutInterval sim.Duration
-	// AlphaDecay is the alpha-decay period while no marks arrive
-	// (default 55 µs).
-	AlphaDecay sim.Duration
-	// IncPeriod is the rate-increase period (default 25 µs).
-	IncPeriod sim.Duration
-	// FastRecovery is the number of increase rounds that halve toward
-	// the pre-cut target before additive increase starts (default 5).
-	FastRecovery int
-	// AIRateBPS is the additive-increase step in bits/s (default
-	// line rate / 50); hyper increase (5x the step) starts after
-	// 3x FastRecovery uncut rounds.
-	AIRateBPS float64
-	// MinRateBPS floors the paced rate (default line rate / 1000).
-	MinRateBPS float64
-}
-
-func (c *DCQCNConfig) setDefaults(lineBPS float64) {
-	if !c.Enabled {
-		return
-	}
-	if c.G == 0 {
-		c.G = 1.0 / 16
-	}
-	if c.CutInterval == 0 {
-		c.CutInterval = 50 * sim.Microsecond
-	}
-	if c.AlphaDecay == 0 {
-		c.AlphaDecay = 55 * sim.Microsecond
-	}
-	if c.IncPeriod == 0 {
-		c.IncPeriod = 25 * sim.Microsecond
-	}
-	if c.FastRecovery == 0 {
-		c.FastRecovery = 5
-	}
-	if c.AIRateBPS == 0 {
-		c.AIRateBPS = lineBPS / 50
-	}
-	if c.MinRateBPS == 0 {
-		c.MinRateBPS = lineBPS / 1000
-	}
-}
+// The per-pair DCQCN-style rate limiter (Config.DCQCN) is the reaction
+// point of the ECN loop: switches mark CE above a queue threshold,
+// receivers echo the mark on ACKs, and the sender cuts its injection
+// rate. Its parameters are the ones every run has used.
+const (
+	// dcqcnG is the alpha EWMA gain.
+	dcqcnG = 1.0 / 16
+	// dcqcnCutInterval is the minimum spacing between rate cuts — one cut
+	// per congestion notification window, however many marked ACKs arrive
+	// inside it.
+	dcqcnCutInterval = 50 * sim.Microsecond
+	// dcqcnAlphaDecay is the alpha-decay period while no marks arrive.
+	dcqcnAlphaDecay = 55 * sim.Microsecond
+	// dcqcnIncPeriod is the rate-increase period.
+	dcqcnIncPeriod = 25 * sim.Microsecond
+	// dcqcnFastRecovery is the number of increase rounds that halve toward
+	// the pre-cut target before additive increase starts; hyper increase
+	// (5x the step) starts after 3x as many uncut rounds.
+	dcqcnFastRecovery = 5
+	// The additive-increase step is the line rate / dcqcnAIDivisor, and the
+	// paced rate never falls below the line rate / dcqcnMinDivisor.
+	dcqcnAIDivisor  = 50
+	dcqcnMinDivisor = 1000
+)
 
 // pacedRef is one queued first transmission awaiting its pacing slot.
 // Retransmissions bypass the pacer entirely: RTO recovery must not sit
@@ -79,13 +48,14 @@ type pacedRef struct {
 // computed lazily from elapsed time at each pacer or ACK event instead
 // of standing timers, so an idle pair costs nothing.
 type dcqcnState struct {
-	s        *Stack
-	eng      *sim.Engine
-	src      topology.HostID
-	line     float64 // source NIC line rate, bits/s
+	s         *Stack
+	eng       *sim.Engine
+	src       topology.HostID
+	line      float64 // source NIC line rate, bits/s
+	ai, floor float64 // additive-increase step and rate floor, bits/s
 	rc, rt    float64 // current / target rate, bits/s
 	alpha     float64
-	lastCut   sim.Time // spacing clock: at most one cut per CutInterval
+	lastCut   sim.Time // spacing clock: at most one cut per dcqcnCutInterval
 	lastAlpha sim.Time // decay clock: alpha halves-toward-0 while unmarked
 	lastInc   sim.Time
 	incStage  int
@@ -105,29 +75,28 @@ func (d *dcqcnState) Fire(now sim.Time) {
 // pair's last event. Fully recovered pairs snap their clocks forward so
 // long idle gaps never loop.
 func (d *dcqcnState) advance(now sim.Time) {
-	cfg := &d.s.cfg.DCQCN
-	if elapsed := now.Sub(d.lastAlpha); d.alpha > 0 && elapsed >= cfg.AlphaDecay {
-		d.alpha *= math.Pow(1-cfg.G, float64(elapsed/cfg.AlphaDecay))
+	if elapsed := now.Sub(d.lastAlpha); d.alpha > 0 && elapsed >= dcqcnAlphaDecay {
+		d.alpha *= math.Pow(1-dcqcnG, float64(elapsed/dcqcnAlphaDecay))
 		if d.alpha < 1e-9 {
 			d.alpha = 0
 		}
-		d.lastAlpha = now.Add(-(elapsed % cfg.AlphaDecay))
+		d.lastAlpha = now.Add(-(elapsed % dcqcnAlphaDecay))
 	}
 	if d.rc >= d.line {
 		d.rc, d.rt = d.line, d.line
 		d.lastInc = now
 		return
 	}
-	for now.Sub(d.lastInc) >= cfg.IncPeriod {
-		d.lastInc = d.lastInc.Add(cfg.IncPeriod)
+	for now.Sub(d.lastInc) >= dcqcnIncPeriod {
+		d.lastInc = d.lastInc.Add(dcqcnIncPeriod)
 		d.incStage++
 		switch {
-		case d.incStage <= cfg.FastRecovery:
+		case d.incStage <= dcqcnFastRecovery:
 			// Fast recovery: halve toward the pre-cut target.
-		case d.incStage > 3*cfg.FastRecovery:
-			d.rt += 5 * cfg.AIRateBPS // hyper increase
+		case d.incStage > 3*dcqcnFastRecovery:
+			d.rt += 5 * d.ai // hyper increase
 		default:
-			d.rt += cfg.AIRateBPS // additive increase
+			d.rt += d.ai // additive increase
 		}
 		if d.rt > d.line {
 			d.rt = d.line
@@ -143,18 +112,17 @@ func (d *dcqcnState) advance(now sim.Time) {
 
 // cut reacts to one congestion notification (a CE-echoed ACK): EWMA the
 // congestion estimate up and multiplicatively cut the rate, at most
-// once per CutInterval.
+// once per dcqcnCutInterval.
 func (d *dcqcnState) cut(now sim.Time) {
-	cfg := &d.s.cfg.DCQCN
 	d.advance(now)
-	if d.lastCut != 0 && now.Sub(d.lastCut) < cfg.CutInterval {
+	if d.lastCut != 0 && now.Sub(d.lastCut) < dcqcnCutInterval {
 		return
 	}
-	d.alpha = (1-cfg.G)*d.alpha + cfg.G
+	d.alpha = (1-dcqcnG)*d.alpha + dcqcnG
 	d.rt = d.rc
 	d.rc *= 1 - d.alpha/2
-	if d.rc < cfg.MinRateBPS {
-		d.rc = cfg.MinRateBPS
+	if d.rc < d.floor {
+		d.rc = d.floor
 	}
 	d.incStage = 0
 	d.lastCut = now
@@ -172,6 +140,7 @@ func (s *Stack) pacer(src, dst topology.HostID) *dcqcnState {
 		d = &dcqcnState{
 			s: s, eng: s.net.EngineOf(src), src: src,
 			line: line, rc: line, rt: line,
+			ai: line / dcqcnAIDivisor, floor: line / dcqcnMinDivisor,
 		}
 		s.pacers[ix] = d
 	}

@@ -19,14 +19,15 @@ import (
 	"flowpulse/internal/topology"
 )
 
+// ackBytes is the wire size of an acknowledgement.
+const ackBytes = 64
+
 // Config parameterizes a Stack.
 type Config struct {
 	// MTU is the payload bytes per data packet. Defaults to 4096.
 	MTU int
 	// HeaderBytes is the per-packet wire overhead. Defaults to 64.
 	HeaderBytes int
-	// AckBytes is the wire size of an acknowledgement. Defaults to 64.
-	AckBytes int
 	// RTO is the minimum retransmission timeout, measured from the
 	// instant a packet leaves the NIC. Defaults to 5 µs (§6). Unless
 	// FixedRTO is set, an SRTT+4·RTTVAR estimator (per src-dst pair,
@@ -76,11 +77,10 @@ type Config struct {
 	// by default for byte-identity with historical runs; enabled with
 	// PairBackoff by the resilience loop.
 	TimestampRTT bool
-	// DCQCN configures the per-pair ECN-reacting rate limiter (see
-	// DCQCNConfig). It only has an effect when the fabric marks CE
-	// (fabric.Config.ECN); disabled by default for byte-identity with
-	// historical runs.
-	DCQCN DCQCNConfig
+	// DCQCN enables the per-pair ECN-reacting rate limiter (dcqcn.go). It
+	// only has an effect when the fabric marks CE (fabric.Config.ECN);
+	// disabled by default for byte-identity with historical runs.
+	DCQCN bool
 }
 
 func (c *Config) setDefaults() {
@@ -89,9 +89,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.HeaderBytes == 0 {
 		c.HeaderBytes = 64
-	}
-	if c.AckBytes == 0 {
-		c.AckBytes = 64
 	}
 	if c.RTO == 0 {
 		c.RTO = 5 * sim.Microsecond
@@ -329,9 +326,7 @@ func NewStack(net *fabric.Network, cfg Config) *Stack {
 		rtts:   make([]rttEstimator, len(net.Topology().Hosts)*len(net.Topology().Hosts)),
 		nHosts: len(net.Topology().Hosts),
 	}
-	if cfg.DCQCN.Enabled {
-		h0 := net.Topology().Host(0)
-		s.cfg.DCQCN.setDefaults(float64(net.Topology().Link(h0.Link).RateBPS))
+	if cfg.DCQCN {
 		s.pacers = make([]*dcqcnState, s.nHosts*s.nHosts)
 	}
 	if s.par {
@@ -662,7 +657,7 @@ func (s *Stack) sendAck(p *fabric.Packet) {
 	s.net.Send(fabric.SendSpec{
 		Src:      p.Dst,
 		Dst:      p.Src,
-		Size:     s.cfg.AckBytes,
+		Size:     ackBytes,
 		Priority: fabric.Ctrl,
 		Kind:     fabric.Ack,
 		Tag:      fabric.FlowTag{}, // ACKs are never part of the measured collective

@@ -122,7 +122,7 @@ func (in *Incast) burst() {
 
 // StormConfig describes a bursty on/off heavy-flow generator: a
 // multi-tenant neighbor that alternates between saturating one random
-// pair and going quiet. It defaults to High priority — sharing the
+// pair and going quiet. It runs at High priority — sharing the
 // measured class is precisely what perturbs the detector's per-port
 // load model (Low-priority storms cannot shift High's spray decisions;
 // see the fabric's per-class load estimator).
@@ -136,8 +136,6 @@ type StormConfig struct {
 	OnMean, OffMean sim.Duration
 	// MeanGap is the mean message gap inside a burst. Defaults to 5 µs.
 	MeanGap sim.Duration
-	// Priority is the traffic class. Defaults to High.
-	Priority fabric.Priority
 	// Until stops generation at this simulated time.
 	Until sim.Time
 	// Seed feeds the generator's stream.
@@ -178,9 +176,6 @@ func StartStorm(stack *transport.Stack, cfg StormConfig) *Storm {
 	}
 	if cfg.MeanGap == 0 {
 		cfg.MeanGap = 5 * sim.Microsecond
-	}
-	if cfg.Priority == 0 {
-		cfg.Priority = fabric.High
 	}
 	st := &Storm{
 		cfg:   cfg,
@@ -229,7 +224,7 @@ func (st *Storm) pump(now sim.Time) {
 		Src:      st.src,
 		Dst:      st.dst,
 		Bytes:    st.cfg.MessageBytes,
-		Priority: st.cfg.Priority,
+		Priority: fabric.High,
 	})
 	st.MessagesSent++
 	st.eng.After(st.rng.Exponential(st.cfg.MeanGap), st.pump)

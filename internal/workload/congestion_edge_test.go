@@ -94,9 +94,6 @@ func TestStormZeroConfigDefaults(t *testing.T) {
 	if st.cfg.OnMean != 50*sim.Microsecond || st.cfg.OffMean != 150*sim.Microsecond {
 		t.Errorf("on/off defaults = %v/%v, want 50µs/150µs", st.cfg.OnMean, st.cfg.OffMean)
 	}
-	if st.cfg.Priority != fabric.High {
-		t.Errorf("Priority default = %v, want High", st.cfg.Priority)
-	}
 	r.eng.Run()
 	if st.Bursts == 0 {
 		t.Fatal("default-config storm generated nothing")

@@ -28,7 +28,7 @@ func ecnRig(t *testing.T, leaves, spines int, seed uint64) *rig {
 		Topo: topo, Engine: eng, Seed: seed,
 		ECN: fabric.ECNConfig{Enabled: true, KMinBytes: 8 << 10, KMaxBytes: 32 << 10},
 	})
-	stack := transport.NewStack(net, transport.Config{DCQCN: transport.DCQCNConfig{Enabled: true}})
+	stack := transport.NewStack(net, transport.Config{DCQCN: true})
 	return &rig{topo: topo, eng: eng, net: net, stack: stack}
 }
 

@@ -23,10 +23,6 @@ type JobConfig struct {
 	Collective collective.Collective
 	// Iterations is how many training iterations to run.
 	Iterations int
-	// ComputeGap separates an iteration's completion from the next
-	// iteration's start (forward/backward pass time). Defaults to
-	// 20 µs.
-	ComputeGap sim.Duration
 	// JitterMax is the per-rank, per-iteration uniform start delay —
 	// zero disables jitter.
 	JitterMax sim.Duration
@@ -42,8 +38,6 @@ type JobConfig struct {
 	// Sentinel tags packets for FlowPulse measurement. Defaults true
 	// via StartJob.
 	Sentinel bool
-	// StartIter numbers the first iteration. Defaults to 1.
-	StartIter uint32
 	// TrackValues enables reduction-checksum bookkeeping.
 	TrackValues bool
 	// Seed feeds the jitter stream.
@@ -58,6 +52,10 @@ type JobConfig struct {
 	// OnDone fires after the last iteration.
 	OnDone func(now sim.Time)
 }
+
+// computeGap separates an iteration's completion from the next
+// iteration's start (forward/backward pass time).
+const computeGap = 20 * sim.Microsecond
 
 // Job is a running training job.
 type Job struct {
@@ -87,18 +85,12 @@ func StartJob(stack *transport.Stack, cfg JobConfig) *Job {
 	if cfg.Collective == nil || cfg.Iterations <= 0 {
 		panic("workload: job needs a collective and a positive iteration count")
 	}
-	if cfg.ComputeGap == 0 {
-		cfg.ComputeGap = 20 * sim.Microsecond
-	}
-	if cfg.StartIter == 0 {
-		cfg.StartIter = 1
-	}
 	j := &Job{
 		cfg:       cfg,
 		stack:     stack,
 		eng:       stackEngine(stack),
 		rng:       sim.NewRNG(cfg.Seed, fmt.Sprintf("jitter/job%d", cfg.Job)),
-		iter:      cfg.StartIter,
+		iter:      1,
 		remaining: cfg.Iterations,
 	}
 	if cfg.TrackValues {
@@ -210,7 +202,7 @@ func (j *Job) onIterationDone(now sim.Time, iter uint32, res *collective.Result)
 		return
 	}
 	j.iter++
-	j.eng.After(j.cfg.ComputeGap, func(sim.Time) { j.startIteration() })
+	j.eng.After(computeGap, func(sim.Time) { j.startIteration() })
 }
 
 // BackgroundConfig describes low-priority filler traffic.

@@ -48,7 +48,6 @@ func TestJobRunsIterationsSequentially(t *testing.T) {
 		Collective: &collective.RingAllReduce{Group: groupOf(r.topo), BytesPerRank: 256 << 10},
 		Iterations: 4,
 		Sentinel:   true,
-		ComputeGap: 20 * sim.Microsecond,
 		OnIteration: func(now sim.Time, iter uint32, _ *collective.Result) {
 			iters = append(iters, iter)
 			times = append(times, now)

@@ -22,7 +22,9 @@
 # Train path, which neither flowpulse-check nor flowpulse-eval drives.
 # flowpulse-sim runs the invocations of its usage header (default,
 # clean, closed loop, simulation and learned predictors, two jobs,
-# resilience, flap), each on the classic engine and the sharded one.
+# resilience, flap) and one per remaining fault flag (-fault-at 0,
+# -upstream, -heal-after, an unremediated -flap-period), each on the
+# classic engine and the sharded one.
 #
 # Exits 1 if any line differs in any leg. The ref is unpacked with
 # git archive into a temporary directory; nothing is left behind in
@@ -111,6 +113,10 @@ for shards in 0 2; do
 -jobs 2 -leaves 8 -spines 4 -size 4 -remediate
 -resilience -interleave -leaves 8 -spines 2 -hosts 4 -size 2 -iters 20 -fault-leaf 4 -fault-spine 0 -drop 0.05
 -remediate -leaves 8 -spines 4 -size 8 -iters 48 -fault-leaf 4 -drop 0.3 -flap-period 2040 -flap-down 1020
+-fault-at 0
+-upstream
+-heal-after 4
+-drop 0.3 -flap-period 500
 ARGS
 done
 for ex in $examples; do
