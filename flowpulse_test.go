@@ -14,6 +14,52 @@ func fastScenario(seed uint64) Scenario {
 	return Scenario{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, Iterations: 4, Seed: seed}
 }
 
+// TestBreakLinkOnThreeLevels: a Link's ordinals are fabric-wide on a
+// three-level cluster too (pod-major), so the wrappers fault — and heal —
+// the link Link names, not pod 0's first.
+func TestBreakLinkOnThreeLevels(t *testing.T) {
+	cluster, err := New(Scenario{Pods: 4, Leaves: 4, Spines: 2, CoresPerGroup: 4, BytesPerRank: 8 << 20, Iterations: 10, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := cluster.Monitor(MonitorConfig{Predictor: Learned})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := Link{LeafOrd: 6, SpineOrd: 2} // pod 1: its leaf 2, its spine 0
+	var atHeal uint64
+	cluster.Train(func(_ Duration, iter uint32) {
+		switch iter {
+		case 5:
+			cluster.BreakLink(target, 0.05)
+		case 8:
+			cluster.HealLink(target)
+			atHeal = cluster.NetworkStats().FaultDropped
+		}
+	})
+	deficits := 0
+	for _, e := range mon.Events() {
+		if a := e.Alert; a.Deviation < 0 {
+			deficits++
+			if a.LeafOrdinal != 6 || a.Uplink != 0 || a.Iter <= 5 {
+				t.Errorf("deficit %v, want leaf 6 uplink 0 after iteration 5", a)
+			}
+		}
+	}
+	if deficits == 0 {
+		t.Error("the leaf monitors saw no deficit")
+	}
+	if end := cluster.NetworkStats().FaultDropped; atHeal == 0 || end != atHeal {
+		t.Errorf("%d packets dropped by HealLink, %d by the end; want some, then no more", atHeal, end)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("BreakLink accepted a leaf and a spine of different pods")
+		}
+	}()
+	cluster.BreakLink(Link{LeafOrd: 6, SpineOrd: 0}, 0.05)
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	cluster, err := New(fastScenario(1))
 	if err != nil {

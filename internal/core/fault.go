@@ -15,9 +15,6 @@ type FaultKind string
 
 // The silent-fault processes a scenario can schedule.
 const (
-	// FaultNone marks an unused single-fault slot (simtest.Spec.Fault);
-	// it is not a valid Scenario.Faults entry.
-	FaultNone FaultKind = "none"
 	// FaultBernoulli drops each packet independently with probability
 	// Rate — §6's "configure a single leaf-spine link to drop packets at a
 	// set rate".
@@ -58,22 +55,26 @@ type FaultSpec struct {
 	// or (for Gilbert–Elliott) the target steady-state loss.
 	Rate float64 `json:"rate,omitempty"`
 
-	// Two-level fabrics name the leaf-spine link by ordinals, as
-	// LeafSpineLink does. Upstream faults the direction toward the upper
-	// tier (leaf→spine — the "remote link" case of Fig 4 as seen by
-	// downstream receivers) instead of the one toward the lower; it
-	// applies to every form of link and every kind but the flap.
+	// Leaf, Spine and Trunk name a leaf-spine link by fabric-wide ordinals,
+	// as LeafSpineLink does (pod-major on a three-level fabric). Upstream
+	// faults the direction toward the upper tier (leaf→spine — the "remote
+	// link" case of Fig 4 as seen by downstream receivers) instead of the
+	// one toward the lower; it and Trunk apply to every form of link, and
+	// Upstream to every kind but the flap.
 	Leaf     int  `json:"leaf,omitempty"`
 	Spine    int  `json:"spine,omitempty"`
 	Trunk    int  `json:"trunk,omitempty"`
 	Upstream bool `json:"upstream,omitempty"`
 
-	// Three-level fabrics (Scenario.Pods > 0) name the link by pod-local
-	// ordinals instead: the spine→leaf link (Pod, LeafInPod, SpineInPod),
+	// Three-level fabrics (Scenario.Pods > 0) can also name the link by
+	// pod-local ordinals: the spine→leaf link (Pod, LeafInPod, SpineInPod),
 	// seen by the leaf monitors, or — CoreSpine — the core→spine link
 	// between (Pod, SpineInPod) and the CoreIx-th core of that spine's
 	// group, seen by the spine monitors: the tier a two-level deployment
-	// cannot watch.
+	// cannot watch. A spec names its link one way: pod-local fields next
+	// to a nonzero Leaf or Spine, or on a two-level fabric, are an error.
+	// (The all-zero link is the same link under both forms; on three
+	// levels it draws from the pod-local RNG stream.)
 	CoreSpine  bool `json:"coreSpine,omitempty"`
 	Pod        int  `json:"pod,omitempty"`
 	LeafInPod  int  `json:"leafInPod,omitempty"`
@@ -122,12 +123,17 @@ func (f FaultSpec) String() string {
 	return fmt.Sprintf("%s on %s, %s, after iteration %d", what, f.link(), dir, f.Onset)
 }
 
+// podLocal reports whether f names its link by pod-local ordinals.
+func (f FaultSpec) podLocal() bool {
+	return f.CoreSpine || f.Pod != 0 || f.LeafInPod != 0 || f.SpineInPod != 0 || f.CoreIx != 0
+}
+
 // link names the faulted link in the form the spec's fields select.
 func (f FaultSpec) link() string {
 	switch {
 	case f.CoreSpine:
 		return fmt.Sprintf("pod %d spine %d / core %d", f.Pod, f.SpineInPod, f.CoreIx)
-	case f.Pod != 0 || f.LeafInPod != 0 || f.SpineInPod != 0:
+	case f.podLocal():
 		return fmt.Sprintf("pod %d leaf %d / spine %d", f.Pod, f.LeafInPod, f.SpineInPod)
 	}
 	return fmt.Sprintf("leaf %d / spine %d", f.Leaf, f.Spine)
@@ -174,20 +180,24 @@ func (f FaultSpec) check(topo *topology.Topology) (faultSite, error) {
 	return f.site(topo)
 }
 
-// site resolves the link f names.
+// site resolves the link f names, in whichever of its forms: the same
+// decision link prints.
 func (f FaultSpec) site(topo *topology.Topology) (s faultSite, err error) {
 	at := func(what string, of []topology.SwitchID, i int) topology.SwitchID {
 		if i >= 0 && i < len(of) {
 			return of[i]
 		}
 		if err == nil {
-			err = fmt.Errorf("core: fault link %s: %s %d outside topology", f.link(), what, i)
+			err = fmt.Errorf("core: link %s: %s %d outside topology", f.link(), what, i)
 		}
 		return -1
 	}
+	fabricWide := f.Leaf != 0 || f.Spine != 0
 	switch {
-	case topo.Levels == 2:
-		s = faultSite{lower: at("leaf", topo.Leaves(), f.Leaf), upper: at("spine", topo.Spines(), f.Spine), stream: "silent"}
+	case f.podLocal() && fabricWide:
+		err = fmt.Errorf("core: link %s: also named leaf %d / spine %d; name it one way", f.link(), f.Leaf, f.Spine)
+	case f.podLocal() && topo.Levels == 2:
+		err = fmt.Errorf("core: link %s: pod-local ordinals on a two-level fabric", f.link())
 	case f.CoreSpine:
 		spines := topo.SpinesOfPod(f.Pod)
 		s = faultSite{lower: at("spine", spines, f.SpineInPod), stream: "c3cs"}
@@ -196,15 +206,18 @@ func (f FaultSpec) site(topo *topology.Topology) (s faultSite, err error) {
 			per := len(topo.Cores()) / len(spines)
 			s.upper = at("core", topo.Cores()[f.SpineInPod*per:][:per], f.CoreIx)
 		}
+	case topo.Levels == 2 || fabricWide:
+		s = faultSite{lower: at("leaf", topo.Leaves(), f.Leaf), upper: at("spine", topo.Spines(), f.Spine), stream: "silent"}
 	default:
 		s = faultSite{lower: at("leaf", topo.LeavesOfPod(f.Pod), f.LeafInPod), upper: at("spine", topo.SpinesOfPod(f.Pod), f.SpineInPod), stream: "c3sl"}
 	}
 	if err != nil {
 		return faultSite{}, err
 	}
+	// (A leaf and a spine of different pods share no link.)
 	trunks := topo.TrunkLinks(s.lower, s.upper)
 	if f.Trunk < 0 || f.Trunk >= len(trunks) {
-		return faultSite{}, fmt.Errorf("core: fault link %s: trunk %d outside topology", f.link(), f.Trunk)
+		return faultSite{}, fmt.Errorf("core: link %s: trunk %d outside topology (its ends share %d links)", f.link(), f.Trunk, len(trunks))
 	}
 	s.link = trunks[f.Trunk]
 	return s, nil
@@ -220,17 +233,32 @@ func (f FaultSpec) gePGB() (pGB float64, ok bool) {
 	return pGB, ok
 }
 
-// checkSchedule is check plus the timing Runtime.Train reads, against
-// the first job's iteration count.
-func (f FaultSpec) checkSchedule(topo *topology.Topology, iterations int) error {
-	if _, err := f.check(topo); err != nil {
-		return err
-	}
-	if f.Onset < 0 || f.Onset > iterations {
-		return fmt.Errorf("core: %s fault: onset after iteration %d, but training runs %d", f.Kind, f.Onset, iterations)
-	}
-	if f.Heal != 0 && (f.Heal <= f.Onset || f.Heal > iterations) {
-		return fmt.Errorf("core: %s fault: heal after iteration %d outside (onset %d, %d iterations]", f.Kind, f.Heal, f.Onset, iterations)
+// checkFaults validates a scenario's schedule: each entry's check, its
+// timing against the first job's iteration count, and that a link carries
+// one scheduled fault at a time — the fabric holds one loss process per
+// direction and Heal clears the whole link, so a second entry live on the
+// same link would be replaced by the first's injection or removed by its
+// heal.
+func checkFaults(faults []FaultSpec, topo *topology.Topology, iterations int) error {
+	links := make([]topology.LinkID, len(faults))
+	for i, f := range faults {
+		s, err := f.check(topo)
+		switch {
+		case err != nil:
+			return err
+		case f.Onset < 0 || f.Onset > iterations:
+			return fmt.Errorf("core: %s fault: onset after iteration %d, but training runs %d", f.Kind, f.Onset, iterations)
+		case f.Heal != 0 && (f.Heal <= f.Onset || f.Heal > iterations):
+			return fmt.Errorf("core: %s fault: heal after iteration %d outside (onset %d, %d iterations]", f.Kind, f.Heal, f.Onset, iterations)
+		}
+		links[i] = s.link
+		for j, g := range faults[:i] {
+			// An entry is live from its onset through its heal, or the end.
+			if links[j] == s.link && (g.Heal == 0 || f.Onset <= g.Heal) && (f.Heal == 0 || g.Onset <= f.Heal) {
+				return fmt.Errorf("core: faults %d and %d are both live on %s after iteration %d; a link carries one scheduled fault at a time",
+					j, i, f.link(), max(f.Onset, g.Onset))
+			}
+		}
 	}
 	return nil
 }
@@ -327,7 +355,8 @@ func (rt *Runtime) Heal(f FaultSpec) error {
 
 // recordFault appends the ground truth of one injection (or heal) to the
 // run's trace, labeled with the first job's current iteration: the fault
-// is active for iterations strictly after it.
+// is active for iterations strictly after it. (Only two-level runs are
+// traced, where Leaf and Spine are the only names a link has.)
 func (rt *Runtime) recordFault(f FaultSpec, clear bool) {
 	if rt.sys == nil || rt.sys.trc == nil {
 		return

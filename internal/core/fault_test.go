@@ -40,7 +40,7 @@ func TestBuildRejectsBadFaults(t *testing.T) {
 		{"heal beyond training", small(1), with(func(f *FaultSpec) { f.Heal = 6 }), "heal after iteration 6"},
 		{"heal at onset", small(1), with(func(f *FaultSpec) { f.Heal = 2 }), "heal after iteration 2"},
 		{"unknown kind", small(1), with(func(f *FaultSpec) { f.Kind = "gremlin" }), "unknown kind"},
-		{"none is not an entry", small(1), with(func(f *FaultSpec) { f.Kind = FaultNone }), "unknown kind"},
+		{"none is not an entry", small(1), with(func(f *FaultSpec) { f.Kind = "none" }), "unknown kind"},
 		{"model without a model", small(1), with(func(f *FaultSpec) { f.Kind = FaultModel }), "no Model"},
 		{"flap down longer than its period", small(1),
 			FaultSpec{Kind: FaultFlap, Rate: 0.3, FlapPeriod: 10 * sim.Microsecond, FlapDown: 20 * sim.Microsecond},
@@ -56,6 +56,13 @@ func TestBuildRejectsBadFaults(t *testing.T) {
 		{"valid pod-local link", clos, FaultSpec{Kind: FaultBernoulli, Pod: 3, LeafInPod: 3, SpineInPod: 1, Rate: 0.05}, ""},
 		{"pod outside topology", clos, FaultSpec{Kind: FaultBernoulli, Pod: 4, Rate: 0.05}, "outside topology"},
 		{"core outside its group", clos, FaultSpec{Kind: FaultBernoulli, CoreSpine: true, CoreIx: 4, Rate: 0.05}, "core 4 outside topology"},
+		{"valid fabric-wide link on three levels", clos, FaultSpec{Kind: FaultBernoulli, Leaf: 5, Spine: 2, Rate: 0.05}, ""},
+		{"fabric-wide leaf outside topology", clos, FaultSpec{Kind: FaultBernoulli, Leaf: 16, Spine: 2, Rate: 0.05}, "leaf 16 outside topology"},
+		{"leaf and spine of different pods", clos, FaultSpec{Kind: FaultBernoulli, Leaf: 5, Spine: 0, Rate: 0.05}, "its ends share 0 links"},
+		{"link named both ways", clos, FaultSpec{Kind: FaultBernoulli, Leaf: 5, Spine: 2, Pod: 1, Rate: 0.05}, "name it one way"},
+		{"core link named both ways", clos, FaultSpec{Kind: FaultBernoulli, CoreSpine: true, Spine: 2, Rate: 0.05}, "name it one way"},
+		{"pod-local ordinals on two levels", small(1), FaultSpec{Kind: FaultBernoulli, Pod: 1, Rate: 0.05}, "two-level fabric"},
+		{"core link on two levels", small(1), FaultSpec{Kind: FaultBernoulli, CoreSpine: true, Rate: 0.05}, "two-level fabric"},
 	} {
 		tc.sc.Faults = []FaultSpec{tc.f}
 		rt, err := tc.sc.Build()
@@ -69,6 +76,32 @@ func TestBuildRejectsBadFaults(t *testing.T) {
 			t.Errorf("%s: Build error = %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
+	// A link carries one scheduled fault at a time: a heal clears the whole
+	// link, and would take a second entry live there with it.
+	up := with(func(f *FaultSpec) { f.Upstream = true })
+	for _, tc := range []struct {
+		name   string
+		a, b   FaultSpec
+		reject bool
+	}{
+		{"one after the other's heal", with(func(f *FaultSpec) { f.Onset, f.Heal = 1, 2 }), with(func(f *FaultSpec) { f.Onset = 3 }), false},
+		{"different links", drop, with(func(f *FaultSpec) { f.Leaf = 2 }), false},
+		{"both directions at once", drop, up, true},
+		{"second armed before the first heals", with(func(f *FaultSpec) { f.Heal = 4 }), with(func(f *FaultSpec) { f.Upstream, f.Onset = true, 3 }), true},
+		{"second armed as the first heals", with(func(f *FaultSpec) { f.Heal = 4 }), with(func(f *FaultSpec) { f.Onset = 4 }), true},
+		{"first healed under a later one", with(func(f *FaultSpec) { f.Onset = 3 }), with(func(f *FaultSpec) { f.Onset, f.Heal = 1, 5 }), true},
+	} {
+		sc := small(1)
+		sc.Faults = []FaultSpec{tc.a, tc.b}
+		rt, err := sc.Build()
+		if err == nil {
+			rt.Close()
+		}
+		if rejected := err != nil && strings.Contains(err.Error(), "one scheduled fault at a time"); rejected != tc.reject {
+			t.Errorf("%s: Build error = %v, want rejected=%v", tc.name, err, tc.reject)
+		}
+	}
+
 	// The imperative injector shares the checks (it returns them; the
 	// facade's wrappers panic, as they always have).
 	rt, err := small(1).Build()
@@ -81,6 +114,60 @@ func TestBuildRejectsBadFaults(t *testing.T) {
 	}
 	if err := rt.Heal(FaultSpec{Spine: 99}); err == nil {
 		t.Error("Heal accepted a link outside the topology")
+	}
+}
+
+// TestFaultLinkForms: on a three-level fabric a spine→leaf link has two
+// names — LeafSpineLink's fabric-wide ordinals (what the facade's
+// BreakLink passes) and pod-local ones — and both reach the same link,
+// each on the RNG stream it always had; Heal finds it by either name.
+func TestFaultLinkForms(t *testing.T) {
+	wide := FaultSpec{Kind: FaultBernoulli, Leaf: 5, Spine: 2, Rate: 0.05}
+	local := FaultSpec{Kind: FaultBernoulli, Pod: 1, LeafInPod: 1, SpineInPod: 0, Rate: 0.05}
+	for _, tc := range []struct {
+		f, heal      FaultSpec
+		stream, name string
+	}{
+		{wide, local, "silent", "5.00% drop on leaf 5 / spine 2, downstream (spine->leaf), after iteration 0"},
+		{local, wide, "c3sl", "5.00% drop on pod 1 leaf 1 / spine 0, downstream (spine->leaf), after iteration 0"},
+	} {
+		rt, err := clos3Scenario(1).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rt.Link(LeafSpineLink{LeafOrd: 5, SpineOrd: 2})
+		s, err := tc.f.site(rt.Topo)
+		if err != nil || s.link != want || s.stream != tc.stream {
+			t.Errorf("%s: site = %+v, %v; want link %d on stream %q", tc.f, s, err, want, tc.stream)
+		}
+		if got := tc.f.String(); got != tc.name {
+			t.Errorf("String() = %q, want %q", got, tc.name)
+		}
+		// The all-zero link is the one link both forms give the same name.
+		first := rt.Topo.TrunkLinks(rt.Topo.Leaves()[0], rt.Topo.Spines()[0])[0]
+		if s, err := (FaultSpec{}).site(rt.Topo); err != nil || s.link != first {
+			t.Errorf("the zero spec's site = %+v, %v; want link %d", s, err, first)
+		}
+		var atHeal uint64
+		err = rt.Train(func(_ sim.Time, _ uint16, iter uint32) {
+			switch iter {
+			case 2:
+				if link, err := rt.Inject(tc.f); err != nil || link != want {
+					t.Errorf("%s: Inject = link %d, %v; want link %d", tc.f, link, err, want)
+				}
+			case 4:
+				if err := rt.Heal(tc.heal); err != nil {
+					t.Error(err)
+				}
+				atHeal = rt.Net.Stats().FaultDropped
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if end := rt.Net.Stats().FaultDropped; atHeal == 0 || end != atHeal {
+			t.Errorf("%s: %d packets dropped by the heal, %d by the end; want some, then no more", tc.f, atHeal, end)
+		}
 	}
 }
 

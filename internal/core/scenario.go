@@ -74,8 +74,8 @@ type Scenario struct {
 	// Faults is the silent-fault schedule: Runtime.Train arms (and heals)
 	// each entry when the first job completes the entry's iteration.
 	// Build rejects a link outside the topology, a rate outside [0,1], a
-	// flap down for longer than its period, and an Onset or Heal the
-	// training never reaches.
+	// flap down for longer than its period, an Onset or Heal the training
+	// never reaches, and two entries live on one link at once.
 	Faults []FaultSpec
 	// Background, when positive, runs a Low-priority random-pair
 	// traffic generator with this mean inter-message gap. Background
@@ -424,10 +424,8 @@ func (sc Scenario) Build() (rt *Runtime, err error) {
 	if err := rt.buildJobs(); err != nil {
 		return nil, err
 	}
-	for _, f := range sc.Faults {
-		if err := f.checkSchedule(topo, rt.Jobs[0].Spec.Iterations); err != nil {
-			return nil, err
-		}
+	if err := checkFaults(sc.Faults, topo, rt.Jobs[0].Spec.Iterations); err != nil {
+		return nil, err
 	}
 	return rt, nil
 }
@@ -554,16 +552,11 @@ func (rt *Runtime) buildJobs() error {
 	return nil
 }
 
+// resolveLink maps a leaf-spine reference to its link: the fabric-wide
+// form of a FaultSpec's link, with the same checks.
 func resolveLink(topo *topology.Topology, ref LeafSpineLink) (topology.LinkID, error) {
-	if ref.LeafOrd < 0 || ref.LeafOrd >= len(topo.Leaves()) ||
-		ref.SpineOrd < 0 || ref.SpineOrd >= len(topo.Spines()) {
-		return 0, fmt.Errorf("core: link %+v outside topology", ref)
-	}
-	trunks := topo.TrunkLinks(topo.Leaves()[ref.LeafOrd], topo.Spines()[ref.SpineOrd])
-	if ref.Trunk < 0 || ref.Trunk >= len(trunks) {
-		return 0, fmt.Errorf("core: trunk %d of %+v outside range", ref.Trunk, ref)
-	}
-	return trunks[ref.Trunk], nil
+	s, err := FaultSpec{Leaf: ref.LeafOrd, Spine: ref.SpineOrd, Trunk: ref.Trunk}.site(topo)
+	return s.link, err
 }
 
 // Link resolves a leaf-spine link reference against this runtime.

@@ -87,7 +87,8 @@ type Trial struct {
 	// Kind selects the load model (default analytical, as in §6).
 	Kind core.PredictorKind
 	// Fault is the silent fault; Run sets its Onset to CleanIters. The
-	// zero value runs fault-free.
+	// zero value runs fault-free, and so does a Bernoulli drop of rate 0
+	// (the standard trial of a Grid with no DropRate).
 	Fault core.FaultSpec
 	// CleanIters and FaultIters split the run.
 	CleanIters, FaultIters int
@@ -132,7 +133,7 @@ func (tr Trial) Run() (*TrialResult, error) {
 	if tr.Kind == "" {
 		tr.Kind = core.AnalyticalModel
 	}
-	faulty := tr.Fault.Kind != ""
+	faulty := tr.Fault.Kind != "" && (tr.Fault.Kind != core.FaultBernoulli || tr.Fault.Rate > 0)
 	if faulty {
 		tr.Fault.Onset = tr.CleanIters
 		sc.Faults = []core.FaultSpec{tr.Fault}

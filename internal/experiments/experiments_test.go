@@ -34,6 +34,24 @@ func TestTrialCleanHasNoPositives(t *testing.T) {
 	}
 }
 
+// TestGridTrialWithoutDropRateIsFaultFree: the standard trial of a grid
+// whose DropRate is 0 arms nothing and labels nothing faulty.
+func TestGridTrialWithoutDropRateIsFaultFree(t *testing.T) {
+	g := Grid{Leaves: 8, Spines: 4, BytesPerRank: 2 << 20, CleanIters: 1, FaultIters: 2}
+	out, err := g.trial(g.scenario(1), 0).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range out.Samples {
+		if s.Positive {
+			t.Errorf("iteration %d labeled faulty", i+1)
+		}
+	}
+	if len(out.Samples) != 3 || out.FaultLink != 0 {
+		t.Errorf("%d samples, fault link %d; want 3 and none", len(out.Samples), out.FaultLink)
+	}
+}
+
 func TestTrialLabelsFaultPhase(t *testing.T) {
 	tr := Trial{
 		Scenario:   core.Scenario{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, Seed: 2},

@@ -42,39 +42,43 @@ type FaultTypesResult struct {
 	Rows   []FaultTypeRow
 }
 
-// faultType is one row's model, built for one trial.
+// faultType is one row of the table.
 type faultType struct {
 	name string
 	// loss is the model's average packet-loss probability.
-	loss  float64
-	model fault.Model
+	loss float64
+	// model builds the row's loss process on a trial's own RNG stream. The
+	// models are the caller's, not core's kinds: the bit-error process has
+	// no FaultKind, and the "ft/*" stream names predate the fault schedule
+	// and are part of the table's numbers.
+	model func(seed uint64) fault.Model
 }
 
-// faultTypes builds one instance of each model on a trial's own RNG
-// streams. The models are the caller's, not core's kinds: the bit-error
-// process has no FaultKind, and the "ft/*" stream names predate the
-// fault schedule and are part of the table's numbers.
-func faultTypes(seed uint64) []faultType {
-	// Bursty: mostly clean, 30% loss bursts; steady state ~2.7%.
-	ge := fault.NewGilbertElliott(0.01, 0.1, 0, 0.3, sim.NewRNG(seed, "ft/ge"))
-	// BER 1e-6 on 4160-byte frames ≈ 3.3% frame loss.
-	ber := fault.NewBitError(1e-6, sim.NewRNG(seed, "ft/ber"))
-	return []faultType{
-		{"bernoulli-2.5%", 0.025, fault.NewBernoulliDrop(0.025, sim.NewRNG(seed, "ft/bern"))},
-		{"blackhole", 1.0, fault.BlackHole{}},
-		{"gilbert-elliott", ge.SteadyStateLoss(), ge},
-		{"bit-error-1e-6", ber.DropProbability(4160), ber},
-	}
+// Bursty: mostly clean, 30% loss bursts; steady state ~2.7%.
+func ftBursty(seed uint64) *fault.GilbertElliott {
+	return fault.NewGilbertElliott(0.01, 0.1, 0, 0.3, sim.NewRNG(seed, "ft/ge"))
+}
+
+// BER 1e-6 on 4160-byte frames ≈ 3.3% frame loss.
+func ftBitError(seed uint64) *fault.BitError {
+	return fault.NewBitError(1e-6, sim.NewRNG(seed, "ft/ber"))
+}
+
+var faultTypes = []faultType{
+	{"bernoulli-2.5%", 0.025, func(seed uint64) fault.Model { return fault.NewBernoulliDrop(0.025, sim.NewRNG(seed, "ft/bern")) }},
+	{"blackhole", 1.0, func(uint64) fault.Model { return fault.BlackHole{} }},
+	{"gilbert-elliott", ftBursty(0).SteadyStateLoss(), func(seed uint64) fault.Model { return ftBursty(seed) }},
+	{"bit-error-1e-6", ftBitError(0).DropProbability(4160), func(seed uint64) fault.Model { return ftBitError(seed) }},
 }
 
 // FaultTypes runs the experiment.
 func FaultTypes(cfg FaultTypesConfig) (*FaultTypesResult, error) {
 	cfg = resolve("faulttypes", cfg)
 	res := &FaultTypesResult{Config: cfg}
-	for i, spec := range faultTypes(0) {
+	for _, spec := range faultTypes {
 		results, samples, err := runCell(cfg.Trials, func(tr int) Trial {
 			trial := cfg.trial(cfg.scenario(cfg.Seed+uint64(tr)*977), tr)
-			trial.Fault.Kind, trial.Fault.Model = core.FaultModel, faultTypes(trial.Scenario.Seed)[i].model
+			trial.Fault.Kind, trial.Fault.Model = core.FaultModel, spec.model(trial.Scenario.Seed)
 			return trial
 		})
 		if err != nil {

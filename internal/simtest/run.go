@@ -165,7 +165,7 @@ func execute(spec Spec, opts Options) (*runData, error) {
 		},
 		Divergence: divergenceScenario(spec),
 	}
-	if spec.Fault.Kind != core.FaultNone {
+	if spec.Fault.Kind != faultNone {
 		sc.Faults = []core.FaultSpec{spec.Fault}
 	}
 	if clos3 {
@@ -211,7 +211,7 @@ func execute(spec Spec, opts Options) (*runData, error) {
 	}
 
 	data := &runData{}
-	if f := spec.Fault; f.Kind != core.FaultNone && !clos3 {
+	if f := spec.Fault; f.Kind != faultNone && !clos3 {
 		spine := rt.Topo.Spines()[f.Spine]
 		data.blamedGroup = rt.Topo.TrunkLinks(rt.Topo.Leaves()[f.Leaf], spine)
 		if f.Kind == core.FaultFlap {
@@ -392,7 +392,7 @@ func checkOracles(spec Spec, opts Options, d *runData) []string {
 	}
 	events := append(leaf[:len(leaf):len(leaf)], d.spineEvents...)
 	congested := spec.Congest.Active()
-	if f.Kind == core.FaultNone {
+	if f.Kind == faultNone {
 		if congested {
 			// Oracle 2 (congestion form): adversarial traffic may trip
 			// deviation alerts — incast queues and storms genuinely skew
@@ -671,7 +671,7 @@ func checkSharedOracles(spec Spec, opts Options, d *runData) []string {
 	add := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
 	f := spec.Fault
 
-	if f.Kind == core.FaultNone {
+	if f.Kind == faultNone {
 		for _, j := range d.jobs {
 			if len(j.events) != 0 {
 				add("clean shared run: job %d alert %s", j.id, j.events[0].Alert)

@@ -93,7 +93,7 @@ var shrinkSteps = []shrinkStep{
 	{"earlier-onset", func(s *Spec) bool {
 		// The earliest-failing prefix of the fault schedule: pull the
 		// onset to the front (normalize keeps learned-model warm-up).
-		if s.Fault.Kind == core.FaultNone || s.Fault.Onset == 0 {
+		if s.Fault.Kind == faultNone || s.Fault.Onset == 0 {
 			return false
 		}
 		s.Fault.Onset = 0

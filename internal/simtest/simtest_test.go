@@ -68,8 +68,8 @@ func TestGenerateEnvelope(t *testing.T) {
 		thr := spec.DetectThreshold()
 		f := spec.Fault
 		switch f.Kind {
-		case core.FaultNone:
-			if f != (core.FaultSpec{Kind: core.FaultNone}) {
+		case faultNone:
+			if f != (core.FaultSpec{Kind: faultNone}) {
 				t.Fatalf("seed %d: fault-free spec carries fault fields: %s", seed, spec.MarshalCompact())
 			}
 		case core.FaultBernoulli, core.FaultFlap:
@@ -84,7 +84,7 @@ func TestGenerateEnvelope(t *testing.T) {
 				t.Fatalf("seed %d: GE steady-state %.4f too close to in-burst loss %.4f", seed, f.Rate, f.GELossBad)
 			}
 		}
-		if f.Kind != core.FaultNone {
+		if f.Kind != faultNone {
 			if f.Onset > spec.Work.Iterations-4 {
 				t.Fatalf("seed %d: onset %d leaves no deadline room in %d iterations", seed, f.Onset, spec.Work.Iterations)
 			}
@@ -104,7 +104,7 @@ func TestGenerateEnvelope(t *testing.T) {
 				spec.Work.Remediate {
 				t.Fatalf("seed %d: 2-job spec outside the shared-plane envelope: %s", seed, spec.MarshalCompact())
 			}
-			if f.Kind != core.FaultNone && (f.Kind != core.FaultBernoulli || f.Upstream) {
+			if f.Kind != faultNone && (f.Kind != core.FaultBernoulli || f.Upstream) {
 				t.Fatalf("seed %d: 2-job spec with fault %s (upstream=%v): %s", seed, f.Kind, f.Upstream, spec.MarshalCompact())
 			}
 		}
@@ -115,7 +115,7 @@ func TestGenerateEnvelope(t *testing.T) {
 				spec.Topo.Trunk != 1 || spec.Work.BytesPerRank != 2<<20 {
 				t.Fatalf("seed %d: resilience spec outside its envelope: %s", seed, spec.MarshalCompact())
 			}
-			if f.Kind != core.FaultNone && (f.Kind != core.FaultBernoulli || f.Upstream || f.Onset < 2) {
+			if f.Kind != faultNone && (f.Kind != core.FaultBernoulli || f.Upstream || f.Onset < 2) {
 				t.Fatalf("seed %d: resilience spec with fault %s (upstream=%v, onset=%d): %s",
 					seed, f.Kind, f.Upstream, f.Onset, spec.MarshalCompact())
 			}
@@ -150,7 +150,7 @@ func TestSharedPlaneSeedsRun(t *testing.T) {
 	ran := 0
 	for seed := uint64(0); seed < 300 && ran < want; seed++ {
 		spec := Generate(seed)
-		if spec.Work.Jobs != 2 || spec.Fault.Kind == core.FaultNone {
+		if spec.Work.Jobs != 2 || spec.Fault.Kind == faultNone {
 			continue
 		}
 		if res := Run(spec, Options{}); !res.OK() {
@@ -175,7 +175,7 @@ func TestResilienceSeedsRun(t *testing.T) {
 	ran := 0
 	for seed := uint64(0); seed < 400 && ran < want; seed++ {
 		spec := Generate(seed)
-		if !spec.Work.Resilience || spec.Fault.Kind == core.FaultNone {
+		if !spec.Work.Resilience || spec.Fault.Kind == faultNone {
 			continue
 		}
 		if res := Run(spec, Options{}); !res.OK() {

@@ -26,6 +26,10 @@ const (
 	Clos3    TopoKind = "clos3"
 )
 
+// faultNone is the Kind of an unused Spec.Fault slot — the repro format
+// has always spelled it out. It is not a core.FaultKind a scenario takes.
+const faultNone core.FaultKind = "none"
+
 // PredictorKind mirrors core.PredictorKind (kept as its own string so a
 // Spec is a self-contained JSON document).
 type PredictorKind = core.PredictorKind
@@ -207,8 +211,8 @@ type Spec struct {
 	Seed uint64   `json:"seed"`
 	Topo TopoSpec `json:"topo"`
 	Work WorkSpec `json:"work"`
-	// Fault is the fault schedule: at most one entry (Kind core.FaultNone:
-	// none), handed to core.Scenario.Faults as is.
+	// Fault is the fault schedule: at most one entry, handed to
+	// core.Scenario.Faults as is — or, Kind faultNone, not at all.
 	Fault   core.FaultSpec `json:"fault"`
 	Congest CongestSpec    `json:"congest,omitempty"`
 	Diverge DivergeSpec    `json:"diverge,omitempty"`
@@ -306,7 +310,7 @@ func Generate(seed uint64) Spec {
 	jobsRNG := sim.NewRNG(seed, "simtest/jobs")
 	if s.Topo.Kind == FatTree2 && s.Work.Predictor == core.AnalyticalModel &&
 		s.Work.Collective == core.RingAllReduce && !s.Work.Remediate &&
-		(s.Fault.Kind == core.FaultNone || (s.Fault.Kind == core.FaultBernoulli && !s.Fault.Upstream)) &&
+		(s.Fault.Kind == faultNone || (s.Fault.Kind == core.FaultBernoulli && !s.Fault.Upstream)) &&
 		jobsRNG.Float64() < 0.3 {
 		s.Work.Jobs = 2
 	}
@@ -328,7 +332,7 @@ func generateFault(s *Spec, rng *sim.RNG) core.FaultSpec {
 	// threshold so every persistent fault is comfortably detectable and
 	// the detection-deadline oracle is meaningful at any scale.
 	thr := s.DetectThreshold()
-	f := core.FaultSpec{Kind: core.FaultNone}
+	f := core.FaultSpec{Kind: faultNone}
 	if s.Topo.Kind == Clos3 {
 		if rng.Float64() < 0.6 {
 			f.Kind = core.FaultBernoulli
@@ -389,7 +393,7 @@ func generateFault(s *Spec, rng *sim.RNG) core.FaultSpec {
 		f.Upstream = rng.Float64() < 0.5
 	}
 	maxOnset := s.Work.Iterations / 2
-	if f.Kind != core.FaultNone {
+	if f.Kind != faultNone {
 		f.Onset = rng.IntN(maxOnset + 1)
 	}
 	return f
@@ -445,6 +449,7 @@ func (s *Spec) normalize() {
 		f.Leaf = clamp(f.Leaf, 0, t.Leaves-1)
 		f.Spine = clamp(f.Spine, 0, t.Spines-1)
 		f.Trunk = clamp(f.Trunk, 0, t.Trunk-1)
+		f.CoreSpine, f.Pod, f.LeafInPod, f.SpineInPod, f.CoreIx = false, 0, 0, 0, 0
 	case Clos3:
 		t.Pods = clamp(t.Pods, 2, 4)
 		t.LeavesPerPod = clamp(t.LeavesPerPod, 2, 4)
@@ -455,7 +460,7 @@ func (s *Spec) normalize() {
 		w.Predictor = core.LearnedModel
 		w.Remediate = false
 		w.JitterPS = 0
-		if f.Kind != core.FaultNone && f.Kind != core.FaultBernoulli {
+		if f.Kind != faultNone && f.Kind != core.FaultBernoulli {
 			f.Kind = core.FaultBernoulli
 			if f.Rate <= 0 || f.Rate >= 1 {
 				f.Rate = 0.05
@@ -465,6 +470,7 @@ func (s *Spec) normalize() {
 		f.LeafInPod = clamp(f.LeafInPod, 0, t.LeavesPerPod-1)
 		f.SpineInPod = clamp(f.SpineInPod, 0, t.SpinesPerPod-1)
 		f.CoreIx = clamp(f.CoreIx, 0, t.CoresPerGroup-1)
+		f.Leaf, f.Spine, f.Trunk = 0, 0, 0
 	}
 
 	// The shared-plane envelope (see WorkSpec.Jobs): two full-span
@@ -484,7 +490,7 @@ func (s *Spec) normalize() {
 		w.Collective = core.RingAllReduce
 		w.Predictor = core.AnalyticalModel
 		w.Remediate = false
-		if f.Kind != core.FaultNone && f.Kind != core.FaultBernoulli {
+		if f.Kind != faultNone && f.Kind != core.FaultBernoulli {
 			f.Kind = core.FaultBernoulli
 		}
 		f.Upstream = false
@@ -598,7 +604,7 @@ func (s *Spec) normalize() {
 		t.HostsPerLeaf = 4
 		t.Trunk = 1
 		w.BytesPerRank = 2 << 20
-		if f.Kind != core.FaultNone && f.Kind != core.FaultBernoulli {
+		if f.Kind != faultNone && f.Kind != core.FaultBernoulli {
 			f.Kind = core.FaultBernoulli
 		}
 		f.Upstream = false
@@ -607,9 +613,9 @@ func (s *Spec) normalize() {
 	}
 
 	switch f.Kind {
-	case core.FaultNone, core.FaultBernoulli, core.FaultBlackHole, core.FaultGE, core.FaultFlap:
+	case faultNone, core.FaultBernoulli, core.FaultBlackHole, core.FaultGE, core.FaultFlap:
 	default:
-		f.Kind = core.FaultNone
+		f.Kind = faultNone
 	}
 	// Rates are pinned to the derived threshold: ≥3× so the
 	// detection-deadline oracle holds, capped so the collective still
@@ -687,8 +693,8 @@ func (s *Spec) normalize() {
 		minIters = 6
 	}
 	w.Iterations = clamp(w.Iterations, minIters, 32)
-	if f.Kind == core.FaultNone {
-		*f = core.FaultSpec{Kind: core.FaultNone}
+	if f.Kind == faultNone {
+		*f = core.FaultSpec{Kind: faultNone}
 		return
 	}
 	minOnset := 0
