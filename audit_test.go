@@ -42,7 +42,6 @@ var deadExportAllow = map[string]string{
 	"flowpulse/internal/control.Plane.Alerts": "only reader of the rollback/divergence alerts the plane keeps next to the ledger",
 
 	"flowpulse/internal/monitor.Plane.UnroutedWindows": "routing-health counter: core's clean-run contract asserts it stays zero for every job count and tier",
-	"flowpulse/internal/detect.Detector.Subscribe":     "alert fan-out with a pinned ordering contract (TestSubscribeFanOutAndOrder); the consumer ROADMAP's provenance item plans",
 	"flowpulse/internal/transport.Stack.PairRateBPS":   "test probe: TestDCQCNRateRecoveryShape samples the paced rate to check the cut-and-recover shape of the DCQCN loop",
 	"flowpulse/internal/trace.StreamFP.Action":         "internal/trace is out of this audit's scope (ISSUE 21); the action half of the stream fingerprint whose Event half internal/serve uses",
 }
@@ -88,6 +87,8 @@ func Unused() int                { return helper() }        // dead function
 func helper() int                { return UsedInPackage }
 const UsedInPackage, Orphan = 1, 2                          // Orphan: dead constant
 type Forgotten struct{}                                     // dead type
+type Ghost struct{}                                         // dead type, though its method is not:
+func (g Ghost) Area() int        { return Ghost{}.Area() }  // Shape could call it
 `}},
 		{path: "m/app", files: map[string]string{"main.go": `package main
 
@@ -106,13 +107,13 @@ func main() {
 		t.Fatal(err)
 	}
 	dead := deadExports(im)
-	want := []string{"m/lib.Forgotten", "m/lib.Orphan", "m/lib.Square.Diagonal", "m/lib.Unused"}
+	want := []string{"m/lib.Forgotten", "m/lib.Ghost", "m/lib.Orphan", "m/lib.Square.Diagonal", "m/lib.Unused"}
 	if strings.Join(dead, " ") != strings.Join(want, " ") {
 		t.Errorf("dead exports = %v, want %v", dead, want)
 	}
 
 	allow := map[string]string{
-		"m/lib.Forgotten": "kept for the test", "m/lib.Orphan": "kept for the test",
+		"m/lib.Forgotten": "kept for the test", "m/lib.Ghost": "kept for the test", "m/lib.Orphan": "kept for the test",
 		"m/lib.Square.Diagonal": "kept for the test", "m/lib.Unused": "kept for the test",
 	}
 	if msgs := checkDeadAllow(dead, allow); len(msgs) != 0 {
@@ -304,9 +305,36 @@ var auditedModule = sync.OnceValues(func() (*auditImporter, error) {
 // (fmt.Stringer, sort.Interface, error, …) — since those are called
 // dynamically.
 func deadExports(im *auditImporter) []string {
-
+	// A type's own methods naming it — the receiver, a Clone's result —
+	// keep nothing alive: a type only they mention is constructed by no
+	// one, whatever interface its methods satisfy.
+	self := map[*ast.Ident]bool{}
+	for f := range im.files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil {
+				continue
+			}
+			var recv types.Object
+			ast.Inspect(fd.Recv.List[0].Type, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && recv == nil {
+					recv = im.info.Uses[id]
+				}
+				return recv == nil
+			})
+			ast.Inspect(fd, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && im.info.Uses[id] == recv {
+					self[id] = true
+				}
+				return true
+			})
+		}
+	}
 	used := map[types.Object]bool{}
-	for _, obj := range im.info.Uses {
+	for id, obj := range im.info.Uses {
+		if self[id] {
+			continue
+		}
 		if f, ok := obj.(*types.Func); ok {
 			obj = f.Origin() // a call on an instantiated generic type
 		}

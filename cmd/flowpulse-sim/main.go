@@ -131,8 +131,8 @@ func main() {
 		Unverified: *unverified,
 		AuditEvery: flowpulse.Duration(*auditUS) * flowpulse.Microsecond,
 	}
-	// The fault flags are one schedule entry. A clean run (-drop 0) lists
-	// none, but fault keeps the flags' timing for the iteration log below.
+	// The fault flags are one schedule entry; a clean run (-drop 0) lists
+	// none.
 	fault := flowpulse.FaultSpec{
 		Kind: flowpulse.FaultBernoulli, Rate: *drop,
 		Leaf: *faultLeaf, Spine: *faultSpine, Upstream: *upstream,
@@ -248,8 +248,8 @@ func main() {
 			fmt.Printf("iteration %2d complete at %v\n", iter, now)
 		}
 		// Train applied the schedule on the first job's clock, just before
-		// this hook. (A -drop 0 run logs the lines too, as it always has.)
-		if *jobs <= 1 || job == 1 {
+		// this hook.
+		if len(sc.Faults) > 0 && (*jobs <= 1 || job == 1) {
 			if int(iter) == fault.Onset {
 				fmt.Printf("  >> fault injected\n")
 			}

@@ -319,9 +319,10 @@ func (c *Cluster) TrainAll(onIteration func(now Duration, job uint16, iter uint3
 	return c.rt.Train(func(now sim.Time, job uint16, iter uint32) { onIteration(Duration(now), job, iter) })
 }
 
-// Close releases the worker pool of a sharded cluster (Scenario.Shards
-// ≥ 1) that will not be trained; Train releases it itself. It is a no-op
-// for single-threaded clusters and safe to call more than once.
+// Close releases the engine of a cluster that will not be trained (and
+// with it the worker pool of one built with Scenario.Shards ≥ 1); Train
+// releases it itself. A closed cluster cannot run again, whatever its
+// Shards. Safe to call more than once.
 func (c *Cluster) Close() { c.rt.Close() }
 
 // Now returns the current simulated time.

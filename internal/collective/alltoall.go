@@ -123,5 +123,5 @@ func (st *a2aState) onRecv(now sim.Time, rank, from, round int, value float64) {
 		st.send(rank, round+1)
 	}
 	// Shared counter — only the control domain may decrement it.
-	st.ctx.finish(st.a.Group[rank], now, st.done)
+	st.ctx.finish(st.a.Group[rank], st.done)
 }

@@ -36,8 +36,6 @@ type DemandMatrix struct {
 type RunContext struct {
 	// Stack is the transport to send over.
 	Stack *transport.Stack
-	// Engine schedules the start-time jitter.
-	Engine *sim.Engine
 	// Tag marks every data packet of this iteration (§5.1: sentinel +
 	// job + iteration).
 	Tag fabric.FlowTag
@@ -65,35 +63,24 @@ type Result struct {
 	MessagesSent int
 }
 
-// scheduleStart schedules a rank's first send on the engine that owns
-// its host. With a single engine this is ctx.Engine.After, byte for
-// byte the historical behavior. In sharded runs the start is posted
-// (lax) from the control domain into the host's domain; offsets
-// shorter than the group lookahead land at the first window boundary,
-// which is deterministic but may round the requested jitter up by at
-// most one lookahead.
+// scheduleStart schedules a rank's first send, off from now, on the
+// engine that owns its host. The collective is driven from the control
+// domain; across domains fabric.Network.After may round an offset
+// shorter than the group lookahead up to the window boundary — by at
+// most one lookahead, deterministically.
 func (ctx *RunContext) scheduleStart(h topology.HostID, off sim.Duration, fn sim.Handler) {
 	net := ctx.Stack.Network()
-	if g := net.Group(); g != nil {
-		g.PostLax(0, net.DomainOf(h), ctx.Engine.Now().Add(off), fn)
-		return
-	}
-	ctx.Engine.After(off, fn)
+	net.After(0, net.DomainOf(h), off, fn)
 }
 
-// finish routes a per-rank completion event from the domain owning
-// host h to the control domain, where the collective's shared
-// remaining-counter lives. Cross-domain posts are drained in canonical
-// order at the window barrier, so the counter decrements in the same
-// order for every worker count. With a single engine fn runs inline,
-// preserving the historical event order exactly.
-func (ctx *RunContext) finish(h topology.HostID, now sim.Time, fn sim.Handler) {
+// finish hands a per-rank completion event from the domain owning host
+// h to the control domain, where the collective's shared
+// remaining-counter lives (fabric.Network.Call: inline within a domain,
+// drained in canonical order at the window barrier across them, so the
+// counter decrements in the same order for every worker count).
+func (ctx *RunContext) finish(h topology.HostID, fn sim.Handler) {
 	net := ctx.Stack.Network()
-	if g := net.Group(); g != nil {
-		g.Post(net.DomainOf(h), 0, now, fn)
-		return
-	}
-	fn(now)
+	net.Call(net.DomainOf(h), 0, fn)
 }
 
 // Collective is a repeatable communication pattern.

@@ -64,7 +64,6 @@ func runCollective(t *testing.T, r *rig, c Collective, values [][]float64, offse
 	var res *Result
 	c.Run(&RunContext{
 		Stack:        r.stack,
-		Engine:       r.eng,
 		Tag:          fabric.FlowTag{Sentinel: true, Iter: 1},
 		Priority:     fabric.High,
 		Values:       values,

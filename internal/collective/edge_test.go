@@ -58,7 +58,6 @@ func TestSingleFlowCollective(t *testing.T) {
 	var done sim.Time
 	sf.Run(&RunContext{
 		Stack:    r.stack,
-		Engine:   r.eng,
 		Tag:      fabric.FlowTag{Sentinel: true, Iter: 1},
 		Priority: fabric.High,
 		OnComplete: func(now sim.Time, res *Result) {
@@ -87,7 +86,6 @@ func TestSingleFlowWithJitterOffset(t *testing.T) {
 	var started sim.Time
 	sf.Run(&RunContext{
 		Stack:        r.stack,
-		Engine:       r.eng,
 		StartOffsets: []sim.Duration{7 * sim.Microsecond, 0},
 		OnComplete:   func(now sim.Time, _ *Result) { started = now },
 	})

@@ -236,5 +236,5 @@ func (rs *ringState) onRecv(now sim.Time, rank, step, chunk int, value float64) 
 	}
 	// The remaining-counter is shared by every rank; in sharded runs it
 	// must only ever be touched from the control domain.
-	rs.ctx.finish(rs.group[rank], now, rs.done)
+	rs.ctx.finish(rs.group[rank], rs.done)
 }

@@ -47,7 +47,7 @@ func (s *SingleFlow) Run(ctx *RunContext) {
 			Priority: ctx.Priority,
 			Tag:      ctx.Tag,
 			OnDelivered: func(now sim.Time, _ *transport.Message) {
-				ctx.finish(s.Dst, now, func(now sim.Time) {
+				ctx.finish(s.Dst, func(now sim.Time) {
 					if ctx.OnComplete != nil {
 						ctx.OnComplete(now, &Result{FinishedAt: now, MessagesSent: 1})
 					}

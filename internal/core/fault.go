@@ -309,17 +309,19 @@ func (rt *Runtime) Inject(f FaultSpec) (topology.LinkID, error) {
 			m.Inner = fault.NewBernoulliDrop(f.Rate, inner)
 			return m
 		}
-		if rt.EngineGroup == nil {
-			arms = []arm{{fabric.DirBoth, flap(rng("flap/%d", s.link))}}
-		} else {
-			// Sharded fabrics sample each direction's fault process in the
-			// domain that owns the receiving endpoint — two different
-			// domains for a leaf-spine link — so the directions cannot share
-			// one Bernoulli stream. Give each its own.
+		// Contract decision 3, the flap's streams. A fabric samples each
+		// direction's fault process in the domain that owns the receiving
+		// endpoint — two different domains for a leaf-spine link on the
+		// per-switch partition — so there the directions cannot share one
+		// Bernoulli stream and each gets its own. One domain keeps the
+		// shared stream its fingerprints were recorded with.
+		if rt.EngineGroup.Domains() > 1 {
 			arms = []arm{
 				{fabric.DirAtoB, flap(rng("flap/%d/0", s.link))},
 				{fabric.DirBtoA, flap(rng("flap/%d/1", s.link))},
 			}
+		} else {
+			arms = []arm{{fabric.DirBoth, flap(rng("flap/%d", s.link))}}
 		}
 	}
 	if rt.Goodput != nil {

@@ -105,15 +105,14 @@ type Scenario struct {
 	Jobs []JobScenario
 	// Seed roots every random stream in the scenario.
 	Seed uint64
-	// Shards selects the event-engine execution mode. 0 (the default)
-	// runs the classic single-threaded engine, byte-compatible with
-	// earlier releases. N ≥ 1 runs the sharded conservative-parallel
-	// engine — one event-heap domain per switch, N workers — whose
-	// results are bit-identical for EVERY N ≥ 1 (worker count only
-	// changes packing, never the schedule) but differ microscopically
-	// from the single-threaded schedule; see DESIGN.md decision 12.
-	// Sharded runtimes must be driven via Runtime.Train (or Run) and
-	// released with Runtime.Close.
+	// Shards picks the partition the one event engine (sim.Group) runs
+	// the fabric on. 0 (the default) is the one-domain partition: a
+	// single-threaded run, byte-compatible with earlier releases. N ≥ 1
+	// is one domain per switch on N workers, whose results are
+	// bit-identical for EVERY N ≥ 1 (worker count only changes packing,
+	// never the schedule) but differ microscopically from the one-domain
+	// schedule; see DESIGN.md decision 12. Either way the runtime is
+	// driven via Runtime.Train (or Run) and released with Runtime.Close.
 	Shards int
 }
 
@@ -268,9 +267,12 @@ func (sc *Scenario) setDefaults() {
 type Runtime struct {
 	Scenario Scenario
 	Topo     *topology.Topology
-	Engine   *sim.Engine
-	// EngineGroup is the sharded engine group (nil when Shards == 0);
-	// Engine is then its control engine.
+	// Engine is EngineGroup's control engine: domain 0, where workload
+	// orchestration, monitoring and remediation run — and, when Shards is
+	// 0, everything else.
+	Engine *sim.Engine
+	// EngineGroup runs the simulation, on the partition Scenario.Shards
+	// picked.
 	EngineGroup *sim.Group
 	Net         *fabric.Network
 	// Plane is the control plane holding the believed topology view.
@@ -330,26 +332,19 @@ func (sc Scenario) Build() (rt *Runtime, err error) {
 	if err != nil {
 		return nil, err
 	}
-	var (
-		eng  *sim.Engine
-		grp  *sim.Group
-		part *topology.Partition
-	)
+	part := topology.OneDomain(topo)
 	if sc.Shards >= 1 {
 		part = topology.NewPartition(topo)
-		grp = sim.NewGroup(sim.GroupConfig{Domains: part.NumDomains, Lookahead: part.Lookahead, Workers: sc.Shards})
-		eng = grp.Control()
-		// A failed build must not leave the group's workers running.
-		defer func() {
-			if err != nil {
-				grp.Close()
-			}
-		}()
-	} else {
-		eng = sim.NewEngine()
 	}
+	grp := sim.NewGroup(sim.GroupConfig{Domains: part.NumDomains, Lookahead: part.Lookahead, Workers: sc.Shards})
+	// A failed build must not leave the group's workers running.
+	defer func() {
+		if err != nil {
+			grp.Close()
+		}
+	}()
 	net, err := fabric.New(fabric.Config{
-		Topo: topo, Engine: eng, Group: grp, Partition: part, Spray: sc.Spray, Seed: sc.Seed,
+		Topo: topo, Group: grp, Partition: part, Spray: sc.Spray, Seed: sc.Seed,
 		ECN: fabric.ECNConfig{
 			Enabled:   sc.Congestion.ECN,
 			KMinBytes: sc.Congestion.ECNKMin,
@@ -420,7 +415,7 @@ func (sc Scenario) Build() (rt *Runtime, err error) {
 	if err != nil {
 		return nil, err
 	}
-	rt = &Runtime{Scenario: sc, Topo: topo, Engine: eng, EngineGroup: grp, Net: net, Plane: plane, Stack: stack, Group: group, Coll: coll}
+	rt = &Runtime{Scenario: sc, Topo: topo, Engine: grp.Control(), EngineGroup: grp, Net: net, Plane: plane, Stack: stack, Group: group, Coll: coll}
 	if err := rt.buildJobs(); err != nil {
 		return nil, err
 	}
@@ -431,44 +426,28 @@ func (sc Scenario) Build() (rt *Runtime, err error) {
 }
 
 // Run drives the simulation until every event has drained, returning
-// the final simulated time. It dispatches to the sharded group when
-// the scenario was built with Shards ≥ 1.
-func (rt *Runtime) Run() sim.Time {
-	if rt.EngineGroup != nil {
-		return rt.EngineGroup.Run()
-	}
-	return rt.Engine.Run()
-}
+// the final simulated time.
+func (rt *Runtime) Run() sim.Time { return rt.EngineGroup.Run() }
 
 // EngineStats returns how many events the run has executed and what its
-// event queue was asked to do, summed over every domain of a sharded
-// run (PeakPending is then the sum of the domains' peaks, an upper
-// bound on the run's).
+// event queue was asked to do, summed over the partition's domains
+// (PeakPending is the sum of the domains' peaks, an upper bound on the
+// run's).
 func (rt *Runtime) EngineStats() (executed uint64, q sim.QueueStats) {
-	add := func(e *sim.Engine) {
+	for d := 0; d < rt.EngineGroup.Domains(); d++ {
+		e := rt.EngineGroup.Engine(d)
 		s := e.QueueStats()
 		executed += e.Executed()
 		q.LanePushes += s.LanePushes
 		q.HeapPushes += s.HeapPushes
 		q.PeakPending += s.PeakPending
 	}
-	if g := rt.EngineGroup; g != nil {
-		for d := 0; d < g.Domains(); d++ {
-			add(g.Engine(d))
-		}
-	} else {
-		add(rt.Engine)
-	}
 	return executed, q
 }
 
-// Close releases the sharded engine's worker pool. It is a no-op for
-// single-threaded runtimes, and safe to call more than once.
-func (rt *Runtime) Close() {
-	if rt.EngineGroup != nil {
-		rt.EngineGroup.Close()
-	}
-}
+// Close releases the engine group (its worker pool, when it has one):
+// the runtime cannot Run again. Safe to call more than once.
+func (rt *Runtime) Close() { rt.EngineGroup.Close() }
 
 // buildCollective constructs one collective over a host group.
 func buildCollective(kind CollectiveKind, group []topology.HostID, bytesPerRank int64) (collective.Collective, error) {

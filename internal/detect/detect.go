@@ -113,12 +113,6 @@ type Detector struct {
 	topo   *topology.Topology
 	stats  Stats
 	faults *predict.FaultSet
-
-	// OnAlert, when set, receives every alert as it is raised. It runs
-	// before any Subscribe callbacks.
-	OnAlert func(a Alert)
-
-	subs []func(a Alert)
 }
 
 // New builds a detector over a prediction model.
@@ -137,7 +131,7 @@ func (d *Detector) Config() Config { return d.cfg }
 func (d *Detector) Stats() Stats { return d.stats }
 
 // SetKnownFaults attaches the control plane's known-fault set: leaf
-// ports whose uplink is in the set are skipped by Check and Score. A
+// ports whose uplink is in the set are skipped by Evaluate. A
 // quarantined link legitimately carries nothing, so alerting on its
 // port (ghost traffic from the window straddling the quarantine, then
 // a permanent 100% deficit) would be noise, not detection.
@@ -152,17 +146,6 @@ func (d *Detector) portQuarantined(w *telemetry.Window, u int) bool {
 	}
 	p := u + len(d.topo.HostsOf(w.Leaf))
 	return d.faults.Has(d.topo.Switch(w.Leaf).Ports[p].Link)
-}
-
-// Subscribe registers a callback for every alert the detector raises.
-// Callbacks run synchronously from Check, in subscription order, after
-// OnAlert; within one window, alerts arrive in ascending uplink order.
-// Subscribe must not be called from inside a callback.
-func (d *Detector) Subscribe(fn func(a Alert)) {
-	if fn == nil {
-		panic("detect: Subscribe(nil)")
-	}
-	d.subs = append(d.subs, fn)
 }
 
 // portLoadFor resolves the model's expectation for one window,
@@ -234,32 +217,40 @@ func (d *Detector) ceScale(w *telemetry.Window) float64 {
 	return 0
 }
 
-// Check compares one closed window against the model and returns the
-// alerts (nil if the window is clean or the model is not ready).
-func (d *Detector) Check(w *telemetry.Window) []Alert {
+// evaluate is the one pass over a closed window: every unquarantined
+// port's relative deviation from the model, CE-discounted. score is the
+// maximum absolute deviation across ports — the statistic the ROC
+// analysis thresholds (Fig 5a) — and alerts holds the ports beyond the
+// threshold, in ascending uplink order. ok is false while the model is
+// not ready for the leaf.
+func (d *Detector) evaluate(w *telemetry.Window) (score float64, ok bool, alerts []Alert) {
 	if !d.pred.Ready(w.LeafOrdinal) {
-		d.stats.WindowsSkipped++
-		return nil
+		return 0, false, nil
 	}
-	d.stats.WindowsChecked++
 	obsPorts, pred := d.basis(w)
 	scale := d.ceScale(w)
 	if scale == 0 {
 		// Fully congestion-attributed window (and 0·±Inf on a ghost
 		// port would be NaN, not suppression).
-		return nil
+		return 0, true, nil
 	}
-	var alerts []Alert
 	for u, obs := range obsPorts {
 		if d.portQuarantined(w, u) {
 			continue
 		}
-		dev, ok := Deviation(float64(obs), pred[u], d.cfg.MinPredicted)
-		dev *= scale
-		if !ok || math.Abs(dev) <= d.cfg.Threshold {
+		dev, valid := Deviation(float64(obs), pred[u], d.cfg.MinPredicted)
+		if !valid {
 			continue
 		}
-		a := Alert{
+		dev *= scale
+		abs := math.Abs(dev)
+		if abs > score {
+			score = abs
+		}
+		if abs <= d.cfg.Threshold {
+			continue
+		}
+		alerts = append(alerts, Alert{
 			Leaf:        w.Leaf,
 			LeafOrdinal: w.LeafOrdinal,
 			Level:       w.SwitchKind,
@@ -270,41 +261,37 @@ func (d *Detector) Check(w *telemetry.Window) []Alert {
 			Observed:    float64(obs),
 			Deviation:   dev,
 			At:          w.ClosedAt,
-		}
-		alerts = append(alerts, a)
-		d.stats.Alerts++
-		if d.OnAlert != nil {
-			d.OnAlert(a)
-		}
-		for _, fn := range d.subs {
-			fn(a)
-		}
+		})
 	}
+	return score, true, alerts
+}
+
+// Evaluate scores one closed window against the model and returns its
+// alerts (see evaluate), counting the window in Stats. It is what a
+// pipeline calls, once per window.
+func (d *Detector) Evaluate(w *telemetry.Window) (score float64, ok bool, alerts []Alert) {
+	score, ok, alerts = d.evaluate(w)
+	if ok {
+		d.stats.WindowsChecked++
+	} else {
+		d.stats.WindowsSkipped++
+	}
+	d.stats.Alerts += uint64(len(alerts))
+	return score, ok, alerts
+}
+
+// Check is Evaluate's alerts alone (nil if the window is clean or the
+// model is not ready).
+func (d *Detector) Check(w *telemetry.Window) []Alert {
+	_, _, alerts := d.Evaluate(w)
 	return alerts
 }
 
-// Score returns the window's maximum absolute relative deviation
-// across ports — the statistic the ROC analysis thresholds (Fig 5a).
-// ok is false when the model is not ready for the leaf.
+// Score is the window's score alone, uncounted: ok is false when the
+// model is not ready for the leaf.
 func (d *Detector) Score(w *telemetry.Window) (score float64, ok bool) {
-	if !d.pred.Ready(w.LeafOrdinal) {
-		return 0, false
-	}
-	obsPorts, pred := d.basis(w)
-	scale := d.ceScale(w)
-	if scale == 0 {
-		return 0, true
-	}
-	for u, obs := range obsPorts {
-		if d.portQuarantined(w, u) {
-			continue
-		}
-		dev, valid := Deviation(float64(obs), pred[u], d.cfg.MinPredicted)
-		if valid && math.Abs(dev)*scale > score {
-			score = math.Abs(dev) * scale
-		}
-	}
-	return score, true
+	score, ok, _ = d.evaluate(w)
+	return score, ok
 }
 
 // Deviation computes the signed relative deviation of observed from

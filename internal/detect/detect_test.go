@@ -37,12 +37,9 @@ func TestDetectorFlagsDeficitAndSurplus(t *testing.T) {
 	pred := &stubPred{ports: [][]float64{{1e6, 1e6, 1e6, 1e6}}, ready: []bool{true}}
 	d := New(topo, pred, Config{Threshold: 0.01})
 
-	var seen []Alert
-	d.OnAlert = func(a Alert) { seen = append(seen, a) }
-
 	// Port 1 down 2%, port 3 up 5%, others within threshold.
 	alerts := d.Check(window(0, 7, []int64{1_000_000, 980_000, 1_005_000, 1_050_000}))
-	if len(alerts) != 2 || len(seen) != 2 {
+	if len(alerts) != 2 {
 		t.Fatalf("alerts = %v", alerts)
 	}
 	if alerts[0].Uplink != 1 || math.Abs(alerts[0].Deviation+0.02) > 1e-9 {
@@ -136,44 +133,59 @@ func TestDeviationHelper(t *testing.T) {
 	}
 }
 
-func TestSubscribeFanOutAndOrder(t *testing.T) {
+// TestEvaluateIsScoreAndCheckInOnePass pins the one pass against its two
+// views on clean, deviating, ghost-port, CE-discounted, fully discounted
+// and unready windows: the same score bits, the same alerts, and one
+// count per window however many views looked at it.
+func TestEvaluateIsScoreAndCheckInOnePass(t *testing.T) {
 	topo := testTopo(t)
-	pred := &stubPred{ports: [][]float64{{1e6, 1e6, 1e6, 1e6}}, ready: []bool{true}}
-	d := New(topo, pred, Config{Threshold: 0.01})
-
-	var order []string
-	d.OnAlert = func(a Alert) { order = append(order, "legacy") }
-	d.Subscribe(func(a Alert) { order = append(order, "first") })
-	var uplinks []int
-	d.Subscribe(func(a Alert) {
-		order = append(order, "second")
-		uplinks = append(uplinks, a.Uplink)
-	})
-
-	// Two deviating ports: each alert fans out to OnAlert then the
-	// subscribers in subscription order.
-	d.Check(window(0, 1, []int64{900_000, 1_000_000, 1_100_000, 1_000_000}))
-	want := []string{"legacy", "first", "second", "legacy", "first", "second"}
-	if len(order) != len(want) {
-		t.Fatalf("fan-out calls: %v", order)
+	pred := &stubPred{ports: [][]float64{{1e6, 1e6, 1e6, 0}, {1e6, 1e6, 1e6, 1e6}}, ready: []bool{true, false}}
+	d := New(topo, pred, Config{Threshold: 0.01, CEDiscount: 2})
+	wins := []*telemetry.Window{
+		window(0, 1, []int64{1_000_000, 999_000, 1_001_000, 0}),
+		window(0, 2, []int64{900_000, 1_000_000, 1_100_000, 0}),
+		window(0, 3, []int64{1_000_000, 1_000_000, 1_000_000, 50_000}), // ghost port: +Inf
+		ceWindow([]int64{960_000, 1_000_000, 1_040_000, 0}, 750_000),
+		ceWindow([]int64{500_000, 1_000_000, 1_000_000, 0}, 2_000_000), // scale 0
+		window(1, 4, []int64{1, 2, 3, 4}),                              // model not ready
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("fan-out order: %v", order)
+	var wantChecked, wantSkipped, wantAlerts uint64
+	for i, w := range wins {
+		score, ok := d.Score(w)
+		if before := d.Stats(); before.WindowsChecked != wantChecked || before.WindowsSkipped != wantSkipped {
+			t.Fatalf("window %d: Score counted the window: %+v", i, before)
+		}
+		gotScore, gotOK, alerts := d.Evaluate(w)
+		if gotOK != ok || math.Float64bits(gotScore) != math.Float64bits(score) {
+			t.Errorf("window %d: Evaluate scored %v/%v, Score %v/%v", i, gotScore, gotOK, score, ok)
+		}
+		if ok {
+			wantChecked++
+		} else {
+			wantSkipped++
+		}
+		wantAlerts += uint64(len(alerts))
+		var worst float64
+		for _, a := range alerts {
+			worst = math.Max(worst, math.Abs(a.Deviation))
+		}
+		if len(alerts) > 0 && worst != gotScore {
+			t.Errorf("window %d: score %v is not the worst alert's |deviation| %v", i, gotScore, worst)
+		}
+		if st := d.Stats(); st.WindowsChecked != wantChecked || st.WindowsSkipped != wantSkipped || st.Alerts != wantAlerts {
+			t.Fatalf("window %d: stats %+v, want checked=%d skipped=%d alerts=%d", i, st, wantChecked, wantSkipped, wantAlerts)
 		}
 	}
-	if len(uplinks) != 2 || uplinks[0] != 0 || uplinks[1] != 2 {
-		t.Fatalf("uplink order within window: %v", uplinks)
+	if wantAlerts == 0 || wantSkipped != 1 {
+		t.Fatalf("the windows above should alert and skip once: alerts=%d skipped=%d", wantAlerts, wantSkipped)
 	}
-}
-
-func TestSubscribeNilPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for nil subscriber")
-		}
-	}()
-	New(testTopo(t), &stubPred{ports: [][]float64{nil}, ready: []bool{true}}, Config{}).Subscribe(nil)
+	// Check is the same pass, counted.
+	if got := d.Check(wins[1]); len(got) != 2 || got[0].Uplink != 0 || got[1].Uplink != 2 {
+		t.Fatalf("Check alerts: %+v", got)
+	}
+	if st := d.Stats(); st.WindowsChecked != wantChecked+1 || st.Alerts != wantAlerts+2 {
+		t.Fatalf("Check did not count once: %+v", st)
+	}
 }
 
 func TestAlertString(t *testing.T) {

@@ -71,8 +71,8 @@ type linkDir struct {
 	rate     int64
 	prop     sim.Duration
 
-	// sendD/recvD are the partition domains of the two endpoints (the
-	// single shared domain in legacy mode). The sender's domain owns
+	// sendD/recvD are the partition domains of the two endpoints (one
+	// and the same on the one-domain partition). The sender's domain owns
 	// the transmitter state and the sent* counters; the receiver's
 	// domain owns the fault process and the delivered*/dropped*
 	// counters — disjoint field sets, so the direction needs no lock.

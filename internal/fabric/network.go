@@ -14,14 +14,14 @@ type Config struct {
 	Topo *topology.Topology
 	// Engine drives the simulation. Required unless Group is set, in
 	// which case it defaults to (and must be) the group's control
-	// engine.
+	// engine. Engine alone is the one-domain fabric: every node executes
+	// on it.
 	Engine *sim.Engine
-	// Group, when set, runs the fabric in sharded-parallel mode: each
+	// Group and Partition place the fabric on a group's domains: each
 	// switch (plus its attached hosts) executes on the engine of its
 	// Partition domain, and cross-domain packet handoff goes through
-	// the group's barrier mailboxes. Requires Partition.
-	Group *sim.Group
-	// Partition is the domain decomposition matching Group.
+	// the group's barrier mailboxes. Set both or neither.
+	Group     *sim.Group
 	Partition *topology.Partition
 	// Spray selects the upstream load-balancing policy. Defaults to
 	// spray.LeastLoaded, the paper's APS.
@@ -153,11 +153,10 @@ type switchState struct {
 }
 
 // domainState is the per-domain mutable slice of the fabric: counters,
-// object pools, and packet-ID allocation. In legacy (single-threaded)
-// mode there is exactly one, shared by every node; in sharded mode
-// each partition domain owns one and touches only its own, so worker
-// domains never contend — the only cross-domain traffic is the posts
-// at the window barrier.
+// object pools, and packet-ID allocation. Each partition domain owns
+// one and touches only its own, so worker domains never contend — the
+// only cross-domain traffic is the posts at the window barrier. The
+// one-domain partition has exactly one, shared by every node.
 type domainState struct {
 	eng *sim.Engine
 	dom int
@@ -174,27 +173,25 @@ type domainState struct {
 	decay decayMemo
 }
 
-// Network is the simulated fabric. In legacy mode it is
-// single-threaded: all access must happen from the owning engine's
-// goroutine. In sharded mode (Config.Group) each node's state belongs
-// to its partition domain and is touched only by that domain's events;
+// Network is the simulated fabric. Each node's state belongs to its
+// partition domain and is touched only by that domain's events;
 // administrative operations (fault injection, SetLinkAdmin, ProbeLink)
-// must run on the control engine.
+// must run on the control engine. On the one-domain partition that is
+// one goroutine for everything.
 type Network struct {
 	cfg    Config
 	topo   *topology.Topology
 	engine *sim.Engine // control engine
 
-	grp *sim.Group // nil in legacy mode
-	par bool
+	grp *sim.Group // nil over a bare Config.Engine, which never posts
 
 	hosts    []hostState
 	switches []switchState
 	links    []linkState
 
-	// doms holds the per-domain state; exactly one entry in legacy
-	// mode. The slice is allocated once and never grows, so the
-	// interior pointers held by nodes and link directions stay valid.
+	// doms holds the per-domain state. The slice is allocated once and
+	// never grows, so the interior pointers held by nodes and link
+	// directions stay valid.
 	doms []domainState
 
 	fib *fibTable
@@ -232,7 +229,17 @@ func (n *Network) allocPause(d *domainState) *pauseTimer {
 // New builds a Network over the given topology. All links start
 // administratively up and fault-free.
 func New(cfg Config) (*Network, error) {
-	if cfg.Group != nil {
+	if cfg.Topo == nil {
+		return nil, fmt.Errorf("fabric: Config.Topo is required")
+	}
+	if cfg.Group == nil {
+		// A bare engine is the control engine of the one-domain partition.
+		// Nothing below asks again which form the caller used.
+		if cfg.Engine == nil {
+			return nil, fmt.Errorf("fabric: Config.Engine or Config.Group is required")
+		}
+		cfg.Partition = topology.OneDomain(cfg.Topo)
+	} else {
 		if cfg.Partition == nil {
 			return nil, fmt.Errorf("fabric: Config.Group requires Config.Partition")
 		}
@@ -246,9 +253,6 @@ func New(cfg Config) (*Network, error) {
 			return nil, fmt.Errorf("fabric: Config.Engine must be the group's control engine")
 		}
 	}
-	if cfg.Topo == nil || cfg.Engine == nil {
-		return nil, fmt.Errorf("fabric: Config.Topo and Config.Engine are required")
-	}
 	cfg.setDefaults()
 
 	n := &Network{
@@ -256,23 +260,19 @@ func New(cfg Config) (*Network, error) {
 		topo:         cfg.Topo,
 		engine:       cfg.Engine,
 		grp:          cfg.Group,
-		par:          cfg.Group != nil,
 		hosts:        make([]hostState, len(cfg.Topo.Hosts)),
 		switches:     make([]switchState, len(cfg.Topo.Switches)),
 		links:        make([]linkState, len(cfg.Topo.Links)),
 		ingressHooks: make([][]IngressHook, len(cfg.Topo.Switches)),
 	}
 
-	if n.par {
-		n.doms = make([]domainState, cfg.Partition.NumDomains)
-		for d := range n.doms {
-			n.doms[d] = domainState{eng: cfg.Group.Engine(d), dom: d}
-		}
-	} else {
-		n.doms = []domainState{{eng: cfg.Engine, dom: 0}}
-	}
+	n.doms = make([]domainState, cfg.Partition.NumDomains)
 	for d := range n.doms {
-		n.doms[d].decay = newDecayMemo(float64(cfg.SprayMemory))
+		eng := cfg.Engine // domain 0 is control
+		if d > 0 {
+			eng = cfg.Group.Engine(d)
+		}
+		n.doms[d] = domainState{eng: eng, dom: d, decay: newDecayMemo(float64(cfg.SprayMemory))}
 	}
 
 	for i := range n.links {
@@ -344,11 +344,7 @@ func New(cfg Config) (*Network, error) {
 		}
 		ss.policy = spray.MustNew(cfg.Spray, sim.NewRNG(cfg.Seed, fmt.Sprintf("spray/%d", i)))
 		ss.cands = make([]spray.Candidate, 0, len(sd.Ports))
-		if n.par {
-			ss.d = &n.doms[cfg.Partition.DomainOfSwitch[i]]
-		} else {
-			ss.d = &n.doms[0]
-		}
+		ss.d = &n.doms[cfg.Partition.DomainOfSwitch[i]]
 	}
 
 	for i := range n.hosts {
@@ -362,11 +358,7 @@ func New(cfg Config) (*Network, error) {
 		} else {
 			hs.egress = &ls.dirs[DirBtoA]
 		}
-		if n.par {
-			hs.d = &n.doms[cfg.Partition.DomainOfHost[i]]
-		} else {
-			hs.d = &n.doms[0]
-		}
+		hs.d = &n.doms[cfg.Partition.DomainOfHost[i]]
 	}
 
 	n.fib = newFIBTable(n.topo)
@@ -385,36 +377,66 @@ func MustNew(cfg Config) *Network {
 
 // domOfEndpoint resolves the domain state owning one link endpoint.
 func (n *Network) domOfEndpoint(ep topology.Endpoint) *domainState {
-	if !n.par {
-		return &n.doms[0]
-	}
 	if ep.Kind == topology.HostEnd {
 		return &n.doms[n.cfg.Partition.DomainOfHost[ep.Host]]
 	}
 	return &n.doms[n.cfg.Partition.DomainOfSwitch[ep.Switch]]
 }
 
-// Engine returns the driving event engine (the control engine in
-// sharded mode).
+// Engine returns the control engine — domain 0's, the only one on the
+// one-domain partition.
 func (n *Network) Engine() *sim.Engine { return n.engine }
 
-// Group returns the sharded scheduler, or nil in legacy mode.
-func (n *Network) Group() *sim.Group { return n.grp }
+// Domains returns how many domains the fabric is partitioned into,
+// control included.
+func (n *Network) Domains() int { return len(n.doms) }
 
-// EngineOf returns the engine that executes a host's events: the
-// host's domain engine in sharded mode, the single engine otherwise.
-// Traffic sources (transports, injectors) must schedule a host's work
-// here.
+// EngineOf returns the engine that executes a host's events, its
+// domain's. Traffic sources (transports, injectors) must schedule a
+// host's work here.
 func (n *Network) EngineOf(h topology.HostID) *sim.Engine { return n.hosts[h].d.eng }
 
-// EngineOfSwitch returns the engine that executes a switch's events.
-func (n *Network) EngineOfSwitch(sw topology.SwitchID) *sim.Engine { return n.switches[sw].d.eng }
-
-// DomainOf returns a host's partition domain (0 in legacy mode).
+// DomainOf returns a host's partition domain.
 func (n *Network) DomainOf(h topology.HostID) int { return n.hosts[h].d.dom }
 
-// DomainOfSwitch returns a switch's partition domain (0 in legacy mode).
+// DomainOfSwitch returns a switch's partition domain.
 func (n *Network) DomainOfSwitch(sw topology.SwitchID) int { return n.switches[sw].d.dom }
+
+// After and Call are the domain rule for everything above the fabric
+// that one domain hands another — a collective's start and completion,
+// a generator's send, a monitor's closed window: within a domain a
+// hand-off is a call, between domains it is a post. Callers name the
+// domain they execute in (from) and the one that owns the state fn
+// touches (to), and never ask how the run is partitioned: on one domain
+// every hand-off takes the first branch, and a host or switch of a
+// several-domain partition is never in the control domain, so every
+// hand-off to or from control takes the second. (A packet's hops follow
+// the same rule with pooled timers; see linkDir.crossDom.)
+//
+// After runs fn d after from's clock: scheduled on from's own engine,
+// or posted lax — control emits after the workers' share of a window,
+// so a time inside it is deferred to the window's end.
+func (n *Network) After(from, to int, d sim.Duration, fn sim.Handler) {
+	eng := n.doms[from].eng
+	if from == to {
+		eng.After(d, fn)
+		return
+	}
+	n.grp.PostLax(from, to, eng.Now().Add(d), fn)
+}
+
+// Call runs fn at from's clock: inline, or posted for to's engine to
+// run at that instant. Outside a run nothing would drain a post and one
+// goroutine owns every domain (set-up, the final flush), so there too
+// it is inline.
+func (n *Network) Call(from, to int, fn sim.Handler) {
+	eng := n.doms[from].eng
+	if from == to || !n.grp.Running() {
+		fn(eng.Now())
+		return
+	}
+	n.grp.PostLax(from, to, eng.Now(), fn)
+}
 
 // Topology returns the wiring the network was built over.
 func (n *Network) Topology() *topology.Topology { return n.topo }
@@ -465,8 +487,8 @@ func (n *Network) recomputeFIBs() {
 
 // MaxQueueObserver, when non-nil, is called on every egress enqueue
 // with the queue's depth after the push (test/diagnostic hook). The
-// global trace hooks below are legacy-mode only: in sharded mode they
-// would be invoked from several domains at once.
+// global trace hooks below are for one domain only: several would
+// invoke them at once.
 var MaxQueueObserver func(now sim.Time, sender topology.Endpoint, queuedBytes int64)
 
 // TracePacket, when non-nil, observes packet progress (test hook).

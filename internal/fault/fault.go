@@ -38,14 +38,6 @@ type Model interface {
 	String() string
 }
 
-// None is the absence of a fault; it delivers everything.
-type None struct{}
-
-// Apply implements Model.
-func (None) Apply(sim.Time, int) Verdict { return Deliver }
-
-func (None) String() string { return "none" }
-
 // BernoulliDrop drops each packet independently with a fixed
 // probability — the paper's primary injected fault ("drop packets at a
 // set rate").
@@ -81,25 +73,6 @@ type BlackHole struct{}
 func (BlackHole) Apply(sim.Time, int) Verdict { return Drop }
 
 func (BlackHole) String() string { return "blackhole" }
-
-// Window activates an inner model only inside [Start, End) — a
-// transient fault such as a link flap (§5.2 Learning, Fig 3).
-type Window struct {
-	Start, End sim.Time
-	Inner      Model
-}
-
-// Apply implements Model.
-func (w *Window) Apply(now sim.Time, size int) Verdict {
-	if now >= w.Start && now < w.End {
-		return w.Inner.Apply(now, size)
-	}
-	return Deliver
-}
-
-func (w *Window) String() string {
-	return fmt.Sprintf("window[%v,%v) %s", w.Start, w.End, w.Inner)
-}
 
 // BitError drops a packet if any of its bits is corrupted beyond FEC,
 // modeling an elevated bit-error-rate transceiver (§7 "Fault Types":
@@ -239,9 +212,6 @@ func (f *LinkFlap) Down(now sim.Time) bool {
 	return since%f.Period < f.DownFor
 }
 
-// DutyCycle returns the long-run fraction of time spent down.
-func (f *LinkFlap) DutyCycle() float64 { return float64(f.DownFor) / float64(f.Period) }
-
 // Apply implements Model.
 func (f *LinkFlap) Apply(now sim.Time, size int) Verdict {
 	if !f.Down(now) {
@@ -254,30 +224,5 @@ func (f *LinkFlap) Apply(now sim.Time, size int) Verdict {
 }
 
 func (f *LinkFlap) String() string {
-	return fmt.Sprintf("linkflap(period=%v duty=%.2f)", f.Period, f.DutyCycle())
-}
-
-// Chain applies models in order and drops if any of them drops,
-// composing independent fault processes on the same link direction.
-type Chain []Model
-
-// Apply implements Model.
-func (c Chain) Apply(now sim.Time, size int) Verdict {
-	for _, m := range c {
-		if m.Apply(now, size) == Drop {
-			return Drop
-		}
-	}
-	return Deliver
-}
-
-func (c Chain) String() string {
-	s := "chain["
-	for i, m := range c {
-		if i > 0 {
-			s += ", "
-		}
-		s += m.String()
-	}
-	return s + "]"
+	return fmt.Sprintf("linkflap(period=%v duty=%.2f)", f.Period, float64(f.DownFor)/float64(f.Period))
 }

@@ -36,11 +36,9 @@ type WindowScore struct {
 // DetectStage scores closed windows against a load model and emits
 // per-port alerts. *detect.Detector implements it.
 type DetectStage interface {
-	// Score returns the window's max |relative deviation| (false while
-	// the model warms up).
-	Score(w *telemetry.Window) (float64, bool)
-	// Check returns one alert per deviating port.
-	Check(w *telemetry.Window) []detect.Alert
+	// Evaluate returns the window's max |relative deviation| (scored is
+	// false while the model warms up) and one alert per deviating port.
+	Evaluate(w *telemetry.Window) (score float64, scored bool, alerts []detect.Alert)
 }
 
 // LocalizeStage attributes one alert to suspect links using the

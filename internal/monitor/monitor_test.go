@@ -21,10 +21,9 @@ type fakeDetect struct {
 	seen   []*telemetry.Window
 }
 
-func (f *fakeDetect) Score(w *telemetry.Window) (float64, bool) { return f.score, f.scored }
-func (f *fakeDetect) Check(w *telemetry.Window) []detect.Alert {
+func (f *fakeDetect) Evaluate(w *telemetry.Window) (float64, bool, []detect.Alert) {
 	f.seen = append(f.seen, w)
-	return f.alerts
+	return f.score, f.scored, f.alerts
 }
 
 type fakeLocalize struct {

@@ -86,7 +86,7 @@ func (p *Pipeline) OnOwnedWindow(w *telemetry.Window) {
 
 func (p *Pipeline) process(wc *telemetry.Window) {
 	p.Windows++
-	score, ok := p.cfg.Detect.Score(wc)
+	score, ok, alerts := p.cfg.Detect.Evaluate(wc)
 	ws := WindowScore{Window: wc, Score: score, Scored: ok}
 	if !p.cfg.NoHistory {
 		p.Scores = append(p.Scores, ws)
@@ -95,7 +95,6 @@ func (p *Pipeline) process(wc *telemetry.Window) {
 		p.cfg.OnWindow(ws)
 	}
 
-	alerts := p.cfg.Detect.Check(wc)
 	// The sender reference is snapshotted once per window, before any
 	// alert reaches the remediator: all of a window's alerts share the
 	// window's (leaf, iter), and a remediation triggered by an earlier

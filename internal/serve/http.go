@@ -46,11 +46,13 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	// Subscribed before the headers go out: a client that has its 200 is
+	// on the stream, and sees every alert published from then on.
+	ch, cancel := s.hub.subscribe(256)
+	defer cancel()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
-	ch, cancel := s.hub.subscribe(256)
-	defer cancel()
 	for {
 		select {
 		case line, ok := <-ch:

@@ -30,6 +30,11 @@ import (
 // window schedule, and the canonical (time, from-domain, emission
 // index) mailbox drain order. Workers only pack domains onto OS
 // threads; runs with 1 worker and 64 workers are bit-identical.
+//
+// A group of one domain is the single-threaded scheduler: with nothing
+// to wait out, its lookahead is unbounded, a run is the one window
+// [t, Never), no post ever reaches a mailbox, and RunUntil fires the
+// control engine exactly as Engine.RunUntil would.
 type Group struct {
 	engines   []*Engine
 	lookahead Duration
@@ -70,12 +75,13 @@ type post struct {
 
 // GroupConfig configures a Group.
 type GroupConfig struct {
-	// Domains is the number of domains including the control domain.
-	// Must be at least 2 (control plus one worker domain).
+	// Domains is the number of domains including the control domain:
+	// at least 1 (control alone).
 	Domains int
 	// Lookahead is the synchronization window width: the minimum
 	// latency of any cross-domain interaction. Posts between worker
-	// domains must land at least this far past the window start.
+	// domains must land at least this far past the window start. One
+	// domain has no such interaction and ignores it.
 	Lookahead Duration
 	// Workers is the number of concurrent OS workers executing worker
 	// domains; 0 defaults to GOMAXPROCS. 1 runs windows inline on the
@@ -87,8 +93,11 @@ type GroupConfig struct {
 // NewGroup builds a domain group. Engines are created fresh, clock at
 // zero; retrieve them with Engine/Control.
 func NewGroup(cfg GroupConfig) *Group {
-	if cfg.Domains < 2 {
-		panic(fmt.Sprintf("sim: group needs >= 2 domains, got %d", cfg.Domains))
+	if cfg.Domains < 1 {
+		panic(fmt.Sprintf("sim: group needs >= 1 domain, got %d", cfg.Domains))
+	}
+	if cfg.Domains == 1 {
+		cfg.Lookahead = Duration(Never)
 	}
 	if cfg.Lookahead <= 0 {
 		panic(fmt.Sprintf("sim: group lookahead must be positive, got %v", cfg.Lookahead))
@@ -151,23 +160,15 @@ func (g *Group) Running() bool { return g.running }
 // Control returns the control domain's engine (domain 0).
 func (g *Group) Control() *Engine { return g.engines[0] }
 
-// Post schedules fn at absolute time `at` on domain `to`, emitted by
-// domain `from`. During a window, posts between distinct worker
+// PostTimer schedules tm at absolute time `at` on domain `to`, emitted
+// by domain `from`. During a window, posts between distinct worker
 // domains must satisfy at >= windowEnd (the lookahead contract);
 // violating it panics, because it means the caller found a
 // cross-domain interaction faster than the configured lookahead — a
 // partitioning bug. Posts to the control domain may land anywhere in
 // the current window (control runs after the barrier). Posts within a
-// domain are ordinary local scheduling.
-func (g *Group) Post(from, to int, at Time, fn Handler) {
-	if fn == nil {
-		panic("sim: nil post handler")
-	}
-	g.post(from, to, post{at: at, to: int32(to), fn: fn}, false)
-}
-
-// PostTimer is Post with a pre-bound Timer; steady-state cross-domain
-// handoff through pooled timers does not allocate.
+// domain are ordinary local scheduling. Steady-state handoff through
+// pooled timers does not allocate.
 func (g *Group) PostTimer(from, to int, at Time, tm Timer) {
 	if tm == nil {
 		panic("sim: nil post timer")
@@ -175,11 +176,11 @@ func (g *Group) PostTimer(from, to int, at Time, tm Timer) {
 	g.post(from, to, post{at: at, to: int32(to), tm: tm}, false)
 }
 
-// PostLax is Post for callers whose natural delay may undercut the
-// lookahead (workload start jitter, background injection gaps): instead
-// of panicking, the event is deterministically deferred to the window
-// end. The deferral is bounded by the lookahead (sub-microsecond) and
-// is identical for every worker count.
+// PostLax is PostTimer with a closure, for callers whose natural delay
+// may undercut the lookahead (workload start jitter, background
+// injection gaps): instead of panicking, the event is deterministically
+// deferred to the window end. The deferral is bounded by the lookahead
+// (sub-microsecond) and is identical for every worker count.
 func (g *Group) PostLax(from, to int, at Time, fn Handler) {
 	if fn == nil {
 		panic("sim: nil post handler")

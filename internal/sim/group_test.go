@@ -3,9 +3,11 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 )
 
 // groupTrace records, per domain, the (time, label) sequence of fired
@@ -71,12 +73,12 @@ func pingPong(t *testing.T, workers int) uint64 {
 			})
 			// Report to control at the current instant (same-window
 			// delivery to the control phase).
-			g.Post(dom, 0, now, func(now Time) {
+			g.PostLax(dom, 0, now, func(now Time) {
 				tr.add(0, now, fmt.Sprintf("report/%d/%d", dom, hops))
 			})
 			if hops > 0 {
 				next := 1 + dom%(domains-1)
-				g.Post(dom, next, now.Add(L), relay(next, hops-1))
+				g.PostLax(dom, next, now.Add(L), relay(next, hops-1))
 			}
 		}
 	}
@@ -178,7 +180,7 @@ func TestGroupCanonicalDrainOrder(t *testing.T) {
 			want = append(want, emits...)
 			g.Engine(from).At(0, func(Time) {
 				for _, k := range emits {
-					g.Post(k.from, to, k.at, func(Time) { got = append(got, k) })
+					g.PostLax(k.from, to, k.at, func(Time) { got = append(got, k) })
 				}
 			})
 		}
@@ -215,7 +217,7 @@ func TestGroupLookaheadViolationPanics(t *testing.T) {
 			}
 		}()
 		// Cross-domain post 1ns ahead: far below the 100ns window end.
-		g.Post(1, 2, now.Add(Nanosecond), func(Time) {})
+		g.PostTimer(1, 2, now.Add(Nanosecond), nopTimer{})
 	})
 	g.Run()
 }
@@ -337,7 +339,7 @@ func TestGroupControlStopHaltsRun(t *testing.T) {
 	defer g.Close()
 	fired := 0
 	g.Engine(1).At(0, func(now Time) {
-		g.Post(1, 0, now, func(Time) { g.Control().Stop() })
+		g.PostLax(1, 0, now, func(Time) { g.Control().Stop() })
 	})
 	g.Engine(1).At(Time(Microsecond), func(Time) { fired++ })
 	g.Run()
@@ -356,5 +358,109 @@ func TestGroupSetupPhasePosts(t *testing.T) {
 	g.Run()
 	if fired != 7*Time(Nanosecond) {
 		t.Fatalf("setup post fired at %v, want 7ns", fired)
+	}
+}
+
+// fnTimer is a closure scheduled through the Timer calls.
+type fnTimer Handler
+
+func (f fnTimer) Fire(now Time) { f(now) }
+
+// TestGroupOfOneIsTheEngine runs one script — closures and timers by
+// delay and by absolute time, cancellations, same-instant ties, delays
+// that recur until they run from lanes over a heap deep enough to admit
+// them, a Stop and its resume, a deadline with an event exactly on it,
+// an idle stretch past the last event — on a bare Engine and on the
+// control engine of a one-domain Group, and requires the same execution
+// order, clocks and counters after every run. The deadline legs are what
+// a window end off by one fails: [t, deadline) never reaches the event
+// at 400ns, [t, deadline+1] runs the one a picosecond later early.
+func TestGroupOfOneIsTheEngine(t *testing.T) {
+	type outcome struct {
+		order    []string
+		clocks   []Time
+		executed uint64
+		pending  int
+		queue    QueueStats
+	}
+	script := func(e *Engine, runUntil func(Time) Time) outcome {
+		var out outcome
+		log := func(id string) Handler {
+			return func(now Time) { out.order = append(out.order, fmt.Sprintf("%s@%d", id, now)) }
+		}
+		timer := func(id string) Timer { return fnTimer(log(id)) }
+		ns := Time(Nanosecond)
+
+		// Same-instant ties between every scheduling call, FIFO by seq.
+		e.After(10*Nanosecond, log("after"))
+		e.AfterTimer(10*Nanosecond, timer("afterTimer"))
+		e.AtTimer(10*ns, timer("atTimer"))
+		e.At(10*ns, log("at"))
+		// Cancelled before and after the run reaches them.
+		e.Cancel(e.After(10*Nanosecond, log("cancelled-early")))
+		late := e.After(300*Nanosecond, log("cancelled-late"))
+		// Two recurring delays over a heap of one-offs: lane residents.
+		for i := 0; i < 8; i++ {
+			e.At(Time(1000+i)*ns, log(fmt.Sprintf("heap%d", i)))
+		}
+		var tick, tock Handler
+		ticks, tocks := 0, 0
+		tick = func(now Time) {
+			log("tick")(now)
+			if ticks++; ticks < 40 {
+				e.After(7*Nanosecond, tick)
+			}
+			if ticks == 12 {
+				e.Stop()
+			}
+			if ticks == 20 {
+				e.Cancel(late)
+			}
+		}
+		tock = func(now Time) {
+			log("tock")(now)
+			if tocks++; tocks < 40 {
+				e.AfterTimer(7*Nanosecond, timer("tock-timer"))
+				e.After(11*Nanosecond, tock)
+			}
+		}
+		e.After(20*Nanosecond, tick)
+		e.After(20*Nanosecond, tock)
+		e.At(400*ns, log("on-the-deadline"))
+		e.At(400*ns+1, log("past-the-deadline"))
+
+		for _, deadline := range []Time{Never /* stopped by tick 12 */, 400 * ns, 400 * ns, 900 * ns, Never, 5000 * ns} {
+			final := runUntil(deadline)
+			out.clocks = append(out.clocks, final, e.Now())
+			out.order = append(out.order, fmt.Sprintf("-- ran until %d: executed %d, pending %d", deadline, e.Executed(), e.Pending()))
+		}
+		out.executed, out.pending, out.queue = e.Executed(), e.Pending(), e.QueueStats()
+		return out
+	}
+
+	eng := NewEngine()
+	want := script(eng, eng.RunUntil)
+	g := NewGroup(GroupConfig{Domains: 1})
+	defer g.Close()
+	// A window that ends on its own start never advances; fail, not hang.
+	done := make(chan outcome, 1)
+	go func() { done <- script(g.Control(), g.RunUntil) }()
+	var got outcome
+	select {
+	case got = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the group of one is still running a script the engine finished at once")
+	}
+
+	if want.queue.LanePushes == 0 || want.queue.HeapPushes == 0 {
+		t.Fatalf("the script should schedule through lanes and the heap: %+v", want.queue)
+	}
+	if !reflect.DeepEqual(got, want) {
+		for i := range want.order {
+			if i >= len(got.order) || got.order[i] != want.order[i] {
+				t.Fatalf("execution diverges at step %d of %d:\n group  %v\n engine %v", i, len(want.order), got.order[max(0, i-3):min(len(got.order), i+2)], want.order[max(0, i-3):i+2])
+			}
+		}
+		t.Fatalf("group of one differs from the engine:\n group  %+v\n engine %+v", got, want)
 	}
 }

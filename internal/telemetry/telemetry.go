@@ -313,31 +313,23 @@ func AttachAll(net *fabric.Network, job int, onWindow func(w *Window)) *Collecto
 	return c
 }
 
-// controlSink adapts a window consumer to a sharded fabric: monitors
-// close windows inside the domain that owns their switch, but the
-// consumers (detector pipelines, collectors, trace recorders) are
-// shared across switches and live on the control engine. The returned
-// callback posts each closed window to the control domain; the barrier
-// gives the handoff its happens-before, and the post carries the
-// *Window exclusively (the monitor drops its reference at close).
-// Posts from distinct switches in one window drain in canonical
-// (time, domain, emission) order, so delivery order does not depend on
-// the worker count. Single-engine networks — and flushes after the run
-// has drained — invoke the consumer inline, preserving the historical
-// behavior exactly.
+// controlSink hands a monitor's closed windows to their consumer.
+// Monitors close windows inside the domain that owns their switch, but
+// the consumers (detector pipelines, collectors, trace recorders) are
+// shared across switches and live on the control engine. The hand-off
+// is fabric.Network.Call's: inline within a domain and for flushes
+// after the run has drained, otherwise a post the barrier gives its
+// happens-before — it carries the *Window exclusively (the monitor
+// drops its reference at close), and posts from distinct switches in
+// one window drain in canonical (time, domain, emission) order, so
+// delivery order does not depend on the worker count.
 func controlSink(net *fabric.Network, sw topology.SwitchID, onWindow func(w *Window)) func(w *Window) {
-	g := net.Group()
-	if g == nil || onWindow == nil {
-		return onWindow
+	if onWindow == nil {
+		return nil
 	}
 	dom := net.DomainOfSwitch(sw)
-	eng := net.EngineOfSwitch(sw)
 	return func(w *Window) {
-		if !g.Running() {
-			onWindow(w)
-			return
-		}
-		g.Post(dom, 0, eng.Now(), func(sim.Time) { onWindow(w) })
+		net.Call(dom, 0, func(sim.Time) { onWindow(w) })
 	}
 }
 

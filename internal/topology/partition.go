@@ -6,21 +6,22 @@ import (
 	"flowpulse/internal/sim"
 )
 
-// Partition maps a topology onto parallel simulation domains for the
-// sharded engine (sim.Group). The decomposition rule is fixed, not
-// heuristic: every switch roots its own domain, every host joins its
-// leaf's domain, and domain 0 is reserved for the control plane
-// (workload orchestration, monitoring pipelines, remediation). Because
-// the partition depends only on the topology — never on the worker
-// count — the logical event schedule, and therefore every simulation
-// observable, is identical however many OS threads execute it.
+// Partition maps a topology onto the simulation domains of a
+// sim.Group. There are two, OneDomain and NewPartition's, and the rule
+// of the second is fixed, not heuristic: every switch roots its own
+// domain, every host joins its leaf's domain, and domain 0 is reserved
+// for the control plane (workload orchestration, monitoring pipelines,
+// remediation). Because the partition depends only on the topology —
+// never on the worker count — the logical event schedule, and therefore
+// every simulation observable, is identical however many OS threads
+// execute it.
 //
 // Host–leaf links are internal to a domain, so the synchronization
 // lookahead is bounded only by switch–switch propagation delays: the
 // minimum such delay is the earliest a packet leaving one domain can
 // possibly affect another.
 type Partition struct {
-	// DomainOfSwitch maps SwitchID -> domain (1-based; 0 is control).
+	// DomainOfSwitch maps SwitchID -> domain (0 is control).
 	DomainOfSwitch []int
 	// DomainOfHost maps HostID -> its leaf's domain.
 	DomainOfHost []int
@@ -31,10 +32,21 @@ type Partition struct {
 	Lookahead sim.Duration
 }
 
-// NewPartition computes the domain decomposition of a topology. It
-// panics if any switch–switch link has zero propagation delay: such a
-// link would make the conservative lookahead zero and parallel
-// execution impossible.
+// OneDomain is the partition that leaves a topology whole: every
+// switch and host in the control domain, nothing to synchronize (no
+// Lookahead). The single-threaded run is this partition.
+func OneDomain(t *Topology) *Partition {
+	return &Partition{
+		DomainOfSwitch: make([]int, len(t.Switches)),
+		DomainOfHost:   make([]int, len(t.Hosts)),
+		NumDomains:     1,
+	}
+}
+
+// NewPartition computes the per-switch domain decomposition of a
+// topology. It panics if any switch–switch link has zero propagation
+// delay: such a link would make the conservative lookahead zero and
+// parallel execution impossible.
 func NewPartition(t *Topology) *Partition {
 	p := &Partition{
 		DomainOfSwitch: make([]int, len(t.Switches)),

@@ -128,7 +128,7 @@ func (d *dcqcnState) cut(now sim.Time) {
 	d.lastCut = now
 	d.lastAlpha = now
 	d.lastInc = now
-	d.s.statsAt(d.src).RateCuts++
+	d.s.hosts[d.src].stats.RateCuts++
 }
 
 // pacer returns (creating on first use) the rate limiter of a pair.

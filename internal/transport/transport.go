@@ -269,83 +269,60 @@ func (e *rttEstimator) rto(floor sim.Duration, tailMargin bool) sim.Duration {
 	return floor
 }
 
-// hostTP is one host's slice of the sharded transport: its own message
-// numbering, in-flight maps, and counters, touched only by events on
-// the host's domain engine.
+// hostTP is one host's slice of the transport: its in-flight maps and
+// counters, touched only by events on the host's domain engine.
 type hostTP struct {
 	eng     *sim.Engine
-	dom     int
-	nextSeq uint64
+	nextSeq uint64 // per-source message numbering (see Stack.Send)
 	sends   map[uint64]*sendState
 	recvs   map[uint64]*recvState
 	// recvDone tombstones completed receptions: straggler duplicates
 	// still get an ACK (the original ACK may be lost) without
-	// recreating state or re-firing OnDelivered. In legacy mode the
-	// sender's final ACK reaps receive state instead; sharded mode
-	// cannot — that would mutate another domain's map.
+	// recreating state or re-firing OnDelivered. Who reaps a tombstone
+	// depends on the partition; see onData.
 	recvDone map[uint64]bool
 	stats    Stats
 }
 
-// Stack is the transport layer over one fabric. In legacy mode it is
-// single-threaded within its engine; over a sharded fabric every
-// host's state lives on the host's domain engine.
+// Stack is the transport layer over one fabric. Every host's state
+// lives on the host's domain engine.
 type Stack struct {
 	cfg Config
 	net *fabric.Network
-	eng *sim.Engine // control engine in sharded mode
-	par bool
+	eng *sim.Engine // the fabric's control engine
 
-	// Legacy (single-threaded) state. The sharded per-host message-id
-	// scheme cannot reproduce the global nextID sequence (it would
-	// serialize every Send), and message ids feed the spray hash, so
-	// keeping the historical scheme here keeps legacy runs
-	// byte-identical with pre-sharding builds.
-	nextID uint64
-	sends  map[uint64]*sendState
-	recvs  map[uint64]*recvState
-
-	hosts []hostTP // sharded mode only
+	nextID uint64 // stack-wide message numbering (see Send)
+	hosts  []hostTP
 
 	rtts   []rttEstimator // per (src, dst) pair, src*nHosts+dst; only src-side events touch a row
 	pacers []*dcqcnState  // per pair like rtts; nil unless Config.DCQCN is enabled
 	nHosts int
-
-	stats Stats
 }
 
 // NewStack attaches a transport to every host of the network. It takes
 // over the hosts' receive and NIC-dequeue hooks.
 func NewStack(net *fabric.Network, cfg Config) *Stack {
 	cfg.setDefaults()
+	n := len(net.Topology().Hosts)
 	s := &Stack{
 		cfg:    cfg,
 		net:    net,
 		eng:    net.Engine(),
-		par:    net.Group() != nil,
-		rtts:   make([]rttEstimator, len(net.Topology().Hosts)*len(net.Topology().Hosts)),
-		nHosts: len(net.Topology().Hosts),
+		hosts:  make([]hostTP, n),
+		rtts:   make([]rttEstimator, n*n),
+		nHosts: n,
 	}
 	if cfg.DCQCN {
 		s.pacers = make([]*dcqcnState, s.nHosts*s.nHosts)
 	}
-	if s.par {
-		s.hosts = make([]hostTP, s.nHosts)
-		for h := range s.hosts {
-			s.hosts[h] = hostTP{
-				eng:      net.EngineOf(topology.HostID(h)),
-				dom:      net.DomainOf(topology.HostID(h)),
-				sends:    make(map[uint64]*sendState),
-				recvs:    make(map[uint64]*recvState),
-				recvDone: make(map[uint64]bool),
-			}
-		}
-	} else {
-		s.sends = make(map[uint64]*sendState)
-		s.recvs = make(map[uint64]*recvState)
-	}
-	for h := range net.Topology().Hosts {
+	for h := range s.hosts {
 		host := topology.HostID(h)
+		s.hosts[h] = hostTP{
+			eng:      net.EngineOf(host),
+			sends:    make(map[uint64]*sendState),
+			recvs:    make(map[uint64]*recvState),
+			recvDone: make(map[uint64]bool),
+		}
 		net.SetReceiver(host, s.onReceive)
 		net.SetDequeueHook(host, s.onWireOut)
 	}
@@ -357,26 +334,21 @@ func NewStack(net *fabric.Network, cfg Config) *Stack {
 // and timestamp-echo RTT sampling (see Config.PairBackoff and
 // Config.TimestampRTT) — on an already-built stack. The resilience
 // loop calls it at attach time, before any traffic; calling it mid-run
-// is not supported (sharded hosts read cfg unsynchronized).
+// is not supported (hosts read cfg unsynchronized).
 func (s *Stack) EnableMigrationHardening() {
 	s.cfg.PairBackoff = true
 	s.cfg.TimestampRTT = true
 }
 
-// Engine returns the engine driving this stack's network (the control
-// engine over a sharded fabric).
+// Engine returns the control engine of this stack's network.
 func (s *Stack) Engine() *sim.Engine { return s.eng }
 
 // Network returns the fabric beneath this stack.
 func (s *Stack) Network() *fabric.Network { return s.net }
 
 // Stats returns a snapshot of the transport counters, summed over
-// hosts in sharded mode. Do not call concurrently with a running
-// group window.
+// hosts. Do not call concurrently with a running group window.
 func (s *Stack) Stats() Stats {
-	if !s.par {
-		return s.stats
-	}
 	var t Stats
 	for h := range s.hosts {
 		st := &s.hosts[h].stats
@@ -416,32 +388,28 @@ func (s *Stack) Send(m *Message) uint64 {
 	if m.Src == m.Dst {
 		panic("transport: loopback messages are not modeled")
 	}
-	eng := s.eng
-	if s.par {
-		// Per-source message ids: host-unique without shared state.
-		// The id feeds the spray flow key, so sharded and legacy runs
-		// draw different (but each internally deterministic) spray
-		// sequences — see DESIGN.md decision 12.
-		h := &s.hosts[m.Src]
+	h := &s.hosts[m.Src]
+	// Contract decision 1, the message-id scheme. Ids feed the spray flow
+	// key, so each scheme draws its own (internally deterministic) spray
+	// sequence — DESIGN.md decision 12. Several domains number per source,
+	// host-unique without shared state; one domain keeps the stack-wide
+	// counter its fingerprints were recorded with, which several cannot
+	// reproduce without serializing every Send.
+	if s.net.Domains() > 1 {
 		h.nextSeq++
 		m.id = (uint64(m.Src)+1)<<40 | h.nextSeq
-		eng = h.eng
 	} else {
 		s.nextID++
 		m.id = s.nextID
 	}
 	m.packets = s.PacketsFor(m.Bytes)
 
-	st := &sendState{s: s, eng: eng, msg: m, pkt: make([]pktState, m.packets)}
+	st := &sendState{s: s, eng: h.eng, msg: m, pkt: make([]pktState, m.packets)}
 	for i := range st.pkt {
 		st.pkt[i].deadline = sim.Never
 	}
-	if s.par {
-		s.hosts[m.Src].sends[m.id] = st
-	} else {
-		s.sends[m.id] = st
-	}
-	s.statsAt(m.Src).MessagesSent++
+	h.sends[m.id] = st
+	h.stats.MessagesSent++
 
 	if s.pacers != nil {
 		// DCQCN: first transmissions flow through the pair's pacer at
@@ -455,22 +423,6 @@ func (s *Stack) Send(m *Message) uint64 {
 	return m.id
 }
 
-// statsAt returns the counter block a host's events update.
-func (s *Stack) statsAt(h topology.HostID) *Stats {
-	if s.par {
-		return &s.hosts[h].stats
-	}
-	return &s.stats
-}
-
-// sendsAt returns the in-flight send map owned by a source host.
-func (s *Stack) sendsAt(h topology.HostID) map[uint64]*sendState {
-	if s.par {
-		return s.hosts[h].sends
-	}
-	return s.sends
-}
-
 func (s *Stack) payloadBytes(m *Message, seq int) int {
 	if seq == m.packets-1 {
 		return m.Bytes - s.cfg.MTU*(m.packets-1)
@@ -481,9 +433,9 @@ func (s *Stack) payloadBytes(m *Message, seq int) int {
 func (s *Stack) sendData(st *sendState, seq int, retx bool) {
 	m := st.msg
 	if retx {
-		s.statsAt(m.Src).Retransmits++
+		s.hosts[m.Src].stats.Retransmits++
 	} else {
-		s.statsAt(m.Src).DataPacketsSent++
+		s.hosts[m.Src].stats.DataPacketsSent++
 	}
 	s.net.Send(fabric.SendSpec{
 		Src:      m.Src,
@@ -495,8 +447,8 @@ func (s *Stack) sendData(st *sendState, seq int, retx bool) {
 		Msg:      m.id,
 		Seq:      seq,
 		Retx:     retx,
-		// The message rides along so a sharded receiver can build its
-		// state without reaching into the sender's domain. Immutable
+		// The message rides along so the receiver can build its state
+		// without reaching into the sender's domain. Immutable
 		// once the first packet is on the wire.
 		Ctx: m,
 	})
@@ -510,7 +462,7 @@ func (s *Stack) onWireOut(now sim.Time, p *fabric.Packet) {
 	// Stamp this copy's wire-out instant; the receiver echoes it in
 	// the ACK (see Config.TimestampRTT).
 	p.Stamp = now
-	st := s.sendsAt(p.Src)[p.Msg]
+	st := s.hosts[p.Src].sends[p.Msg]
 	if st == nil {
 		return
 	}
@@ -544,7 +496,7 @@ func (s *Stack) onTimeout(st *sendState, seq int, _ sim.Time) {
 		return
 	}
 	if int(pk.retries) >= s.cfg.MaxRetries {
-		s.statsAt(st.msg.Src).Abandoned++
+		s.hosts[st.msg.Src].stats.Abandoned++
 		return
 	}
 	pk.retries++
@@ -572,48 +524,10 @@ func (s *Stack) onReceive(now sim.Time, p *fabric.Packet) {
 	}
 }
 
+// onData runs on the destination host's engine and touches only that
+// host's state: message metadata comes from the packet's Ctx, and a
+// reception is tombstoned when its last payload byte lands.
 func (s *Stack) onData(now sim.Time, p *fabric.Packet) {
-	if s.par {
-		s.onDataSharded(now, p)
-		return
-	}
-	st := s.recvs[p.Msg]
-	if st == nil {
-		// First packet of the message to arrive. Look up the sender's
-		// metadata (in a real deployment this is the pre-established
-		// queue pair).
-		send := s.sends[p.Msg]
-		if send == nil {
-			return // stale packet of a completed, reaped message
-		}
-		st = &recvState{msg: send.msg, got: make([]bool, send.msg.packets)}
-		s.recvs[p.Msg] = st
-	}
-	fresh := !st.got[p.Seq]
-	if fresh {
-		st.got[p.Seq] = true
-		st.nGot++
-	} else {
-		s.stats.DuplicatesReceived++
-	}
-	// Always acknowledge, even duplicates: the original ACK may have
-	// been lost, and an unacked sender retransmits forever.
-	s.stats.AcksSent++
-	s.sendAck(p)
-	if fresh && st.nGot == st.msg.packets {
-		s.stats.MessagesDelivered++
-		if st.msg.OnDelivered != nil {
-			st.msg.OnDelivered(now, st.msg)
-		}
-	}
-}
-
-// onDataSharded is the receive path over a sharded fabric: it runs on
-// the destination host's engine and touches only that host's state.
-// Message metadata comes from the packet's Ctx instead of the sender's
-// send map (another domain), and reception state is reaped here when
-// the last payload byte lands rather than by the sender's final ACK.
-func (s *Stack) onDataSharded(now sim.Time, p *fabric.Packet) {
 	h := &s.hosts[p.Dst]
 	st := h.recvs[p.Msg]
 	if st == nil {
@@ -624,6 +538,14 @@ func (s *Stack) onDataSharded(now sim.Time, p *fabric.Packet) {
 			h.stats.DuplicatesReceived++
 			h.stats.AcksSent++
 			s.sendAck(p)
+			return
+		}
+		// Contract decision 2, who reaps a tombstone. On one domain the
+		// sender's final ACK does (onAck), and a straggler that arrives
+		// after it — no tombstone, no send state — is dropped silently.
+		// Several domains cannot: that would mutate another domain's map.
+		// There the tombstone stays and stragglers are re-ACKed above.
+		if s.net.Domains() == 1 && s.hosts[p.Src].sends[p.Msg] == nil {
 			return
 		}
 		msg, _ := p.Ctx.(*Message)
@@ -640,6 +562,8 @@ func (s *Stack) onDataSharded(now sim.Time, p *fabric.Packet) {
 	} else {
 		h.stats.DuplicatesReceived++
 	}
+	// Always acknowledge, even duplicates: the original ACK may have
+	// been lost, and an unacked sender retransmits forever.
 	h.stats.AcksSent++
 	s.sendAck(p)
 	if fresh && st.nGot == st.msg.packets {
@@ -676,8 +600,8 @@ func (s *Stack) onAck(now sim.Time, p *fabric.Packet) {
 		s.onCongestionNotification(now, p)
 	}
 	// ACKs arrive at the message's source host, which owns the send
-	// state in sharded mode.
-	sends := s.sendsAt(p.Dst)
+	// state.
+	sends := s.hosts[p.Dst].sends
 	st := sends[p.Msg]
 	if st == nil || st.finished {
 		return
@@ -726,7 +650,7 @@ func (s *Stack) onAck(now sim.Time, p *fabric.Packet) {
 		// The packet was retransmitted at least once before this first
 		// ACK came back; receiver-side dedup measures how many of those
 		// copies were unnecessary.
-		s.statsAt(st.msg.Src).SpuriousRetransmits++
+		s.hosts[st.msg.Src].stats.SpuriousRetransmits++
 	}
 	if st.nAcked == st.msg.packets {
 		st.finished = true
@@ -737,13 +661,11 @@ func (s *Stack) onAck(now sim.Time, p *fabric.Packet) {
 		if st.msg.OnAcked != nil {
 			st.msg.OnAcked(now, st.msg)
 		}
-		// Reap transport state. Straggler duplicates of this message
-		// (already-acked retransmits in flight) are ignored on arrival.
-		// The receiver's state is reaped here in legacy mode, at
-		// reception completion in sharded mode (another domain).
+		// Reap transport state — on one domain the receiver's tombstone
+		// too (contract decision 2, see onData).
 		delete(sends, p.Msg)
-		if !s.par {
-			delete(s.recvs, p.Msg)
+		if s.net.Domains() == 1 {
+			delete(s.hosts[st.msg.Dst].recvDone, p.Msg)
 		}
 	}
 }

@@ -337,3 +337,61 @@ func TestEarliestDeadlineTimerMechanics(t *testing.T) {
 		t.Fatalf("Retransmits = %d, want 2", got)
 	}
 }
+
+// TestStragglerAfterFinalAckFollowsTheReapRule pins contract decision 2
+// on both partitions. A retransmitted copy still in flight when the
+// sender sees its final ACK arrives at a receiver that finished long
+// ago. On one domain the final ACK reaped the receiver's tombstone with
+// the send state, and the straggler is dropped without a trace; on
+// several the tombstone outlives the message and answers with another
+// ACK, which the sender — its state gone — ignores. Neither delivers the
+// message twice or rebuilds reception state.
+func TestStragglerAfterFinalAckFollowsTheReapRule(t *testing.T) {
+	topo, err := topology.NewFatTree(topology.FatTreeConfig{Leaves: 4, Spines: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name          string
+		part          *topology.Partition
+		reAcked, tomb int
+	}{
+		{"one domain", topology.OneDomain(topo), 0, 0},
+		{"a domain per switch", topology.NewPartition(topo), 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			grp := sim.NewGroup(sim.GroupConfig{Domains: tc.part.NumDomains, Lookahead: tc.part.Lookahead, Workers: 1})
+			defer grp.Close()
+			net := fabric.MustNew(fabric.Config{Topo: topo, Group: grp, Partition: tc.part, Seed: 3})
+			stack := NewStack(net, Config{})
+			delivered := 0
+			m := &Message{Src: 0, Dst: 3, Bytes: 3 * 4096, Priority: fabric.High,
+				OnDelivered: func(sim.Time, *Message) { delivered++ }}
+			stack.Send(m)
+			grp.Run()
+			before := stack.Stats()
+			if delivered != 1 || before.AcksSent != 3 || len(stack.hosts[0].sends) != 0 {
+				t.Fatalf("message did not complete cleanly: delivered=%d stats=%+v", delivered, before)
+			}
+
+			net.Send(fabric.SendSpec{
+				Src: m.Src, Dst: m.Dst, Size: 4096 + 64, Priority: m.Priority,
+				Kind: fabric.Data, Msg: m.ID(), Seq: 1, Retx: true, Ctx: m,
+			})
+			grp.Run()
+			after := stack.Stats()
+			want := before
+			want.DuplicatesReceived += uint64(tc.reAcked)
+			want.AcksSent += uint64(tc.reAcked)
+			if after != want {
+				t.Errorf("straggler changed the counters to %+v, want %+v", after, want)
+			}
+			if delivered != 1 {
+				t.Errorf("message delivered %d times", delivered)
+			}
+			if h := &stack.hosts[m.Dst]; len(h.recvs) != 0 || len(h.recvDone) != tc.tomb {
+				t.Errorf("receiver keeps %d receptions and %d tombstones, want 0 and %d", len(h.recvs), len(h.recvDone), tc.tomb)
+			}
+		})
+	}
+}

@@ -108,7 +108,7 @@ func (in *Incast) burst() {
 		if src == victim {
 			continue
 		}
-		sendSharded(in.stack, &transport.Message{
+		sendFromControl(in.stack, &transport.Message{
 			Src:      src,
 			Dst:      victim,
 			Bytes:    in.cfg.MessageBytes,
@@ -220,7 +220,7 @@ func (st *Storm) pump(now sim.Time) {
 		st.scheduleBurst()
 		return
 	}
-	sendSharded(st.stack, &transport.Message{
+	sendFromControl(st.stack, &transport.Message{
 		Src:      st.src,
 		Dst:      st.dst,
 		Bytes:    st.cfg.MessageBytes,
@@ -230,17 +230,13 @@ func (st *Storm) pump(now sim.Time) {
 	st.eng.After(st.rng.Exponential(st.cfg.MeanGap), st.pump)
 }
 
-// sendSharded injects a message honoring the sharded-engine ownership
-// rule: the generator (and its RNG) lives on the control engine, but a
-// sharded stack may only be entered from the domain owning the source
-// host. The lax post rounds the injection instant up to the next window
-// boundary — at most one lookahead late, and equally so for every
-// worker count.
-func sendSharded(stack *transport.Stack, m *transport.Message) {
+// sendFromControl injects a message from a generator. The generator
+// (and its RNG) lives on the control engine, but the stack may only be
+// entered from the domain owning the source host: the hand-off is
+// fabric.Network.Call's — inline within a domain, a post that lands at
+// the next window boundary across them, at most one lookahead late and
+// equally so for every worker count.
+func sendFromControl(stack *transport.Stack, m *transport.Message) {
 	net := stack.Network()
-	if g := net.Group(); g != nil {
-		g.PostLax(0, net.DomainOf(m.Src), net.Engine().Now(), func(sim.Time) { stack.Send(m) })
-	} else {
-		stack.Send(m)
-	}
+	net.Call(0, net.DomainOf(m.Src), func(sim.Time) { stack.Send(m) })
 }

@@ -171,7 +171,6 @@ func (j *Job) startIteration() {
 	iter := j.iter
 	j.cfg.Collective.Run(&collective.RunContext{
 		Stack:        j.stack,
-		Engine:       j.eng,
 		Tag:          fabric.FlowTag{Sentinel: j.cfg.Sentinel, Job: j.cfg.Job, Iter: iter},
 		Priority:     j.cfg.Priority,
 		StartOffsets: offsets,
@@ -282,16 +281,6 @@ func (b *Background) sendOne() {
 		Bytes:    b.cfg.MessageBytes,
 		Priority: fabric.Low,
 	}
-	// The generator (and its RNG) lives on the control engine, but a
-	// sharded stack may only be entered from the domain owning the
-	// source host. The lax post rounds the injection instant up to the
-	// next window boundary — at most one lookahead late, and equally so
-	// for every worker count.
-	net := b.stack.Network()
-	if g := net.Group(); g != nil {
-		g.PostLax(0, net.DomainOf(src), b.eng.Now(), func(sim.Time) { b.stack.Send(m) })
-	} else {
-		b.stack.Send(m)
-	}
+	sendFromControl(b.stack, m)
 	b.MessagesSent++
 }
