@@ -25,7 +25,10 @@ type Event struct {
 	Verdict localize.Verdict
 }
 
-// WindowScore pairs a window with its detector score.
+// WindowScore pairs a window with its detector score. In
+// Pipeline.Scores the window is the pipeline's compact record: key
+// fields, PortBytes and AggPortBytes, no SenderBytes. The OnWindow
+// callback gets the caller's full window instead, for the call only.
 type WindowScore struct {
 	Window *telemetry.Window
 	Score  float64

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -63,13 +64,14 @@ func TestPipelineOnWindowOrdering(t *testing.T) {
 	rem := &fakeRemediate{}
 	obs := &fakeObserver{}
 	var hooks []string
+	var hooked *telemetry.Window
 	p := NewPipeline(PipelineConfig{
 		Detect:    det,
 		Localize:  loc,
 		Remediate: rem,
 		Observer:  obs,
 		OnEvent:   func(e Event) { hooks = append(hooks, "event") },
-		OnWindow:  func(ws WindowScore) { hooks = append(hooks, "window") },
+		OnWindow:  func(ws WindowScore) { hooks, hooked = append(hooks, "window"), ws.Window },
 	})
 
 	w := win(3, 1, 100)
@@ -81,10 +83,13 @@ func TestPipelineOnWindowOrdering(t *testing.T) {
 	if p.Scores[0].Score != 0.5 || !p.Scores[0].Scored {
 		t.Fatalf("score record: %+v", p.Scores[0])
 	}
-	// The pipeline analyses a clone: the caller's window must not be
-	// retained (the tap may reuse it).
-	if p.Scores[0].Window == w || det.seen[0] == w {
-		t.Fatal("pipeline retained the caller's window instead of a clone")
+	// Stages and callbacks see the caller's window; the history keeps a
+	// record of its own (the tap may reuse the window).
+	if det.seen[0] != w || hooked != w {
+		t.Fatal("a stage or callback saw something other than the caller's window")
+	}
+	if rec := p.Scores[0].Window; rec == w || rec.SenderBytes != nil {
+		t.Fatalf("history kept %p (caller's %p) with sender rows %v, want its own record without them", rec, w, rec.SenderBytes)
 	}
 	// OnWindow fires before OnEvent.
 	if want := []string{"window", "event"}; !reflect.DeepEqual(hooks, want) {
@@ -122,6 +127,209 @@ func TestPipelineIterationScores(t *testing.T) {
 	want := map[uint32]float64{1: 0.7, 2: 0.1}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("iteration scores %v, want %v", got, want)
+	}
+}
+
+// feedReused drives n windows through onWindow the way trace.Replay's
+// reused slot and flowpulse-serve's ring slots do: one caller window
+// whose slices are refilled before each call and scribbled over after
+// it. Row lengths vary (a 300-port window forces an early slab
+// replacement, every third window has no aggregate row) and n crosses
+// several chunks. It returns the record each window should leave in the
+// history: the window as it was during its call, minus the sender
+// matrix.
+func feedReused(n int, onWindow func(*telemetry.Window)) []telemetry.Window {
+	const maxPorts, leaves = 300, 3
+	port, agg := make([]int64, maxPorts), make([]int64, maxPorts)
+	senders := make([][]int64, maxPorts)
+	for u := range senders {
+		senders[u] = make([]int64, leaves)
+	}
+	w := &telemetry.Window{}
+	want := make([]telemetry.Window, 0, n)
+	for i := 0; i < n; i++ {
+		ports := 4
+		if i%97 == 50 {
+			ports = maxPorts
+		}
+		*w = telemetry.Window{
+			Leaf: topology.SwitchID(i % 5), LeafOrdinal: i % 5, SwitchKind: topology.SwitchKind(i % 2),
+			Job: uint16(i % 3), Iter: uint32(i / 5), Packets: int64(i), CEBytes: int64(2 * i),
+			OpenedAt: sim.Time(10 * i), ClosedAt: sim.Time(10*i + 7),
+			PortBytes: port[:ports], SenderBytes: senders[:ports],
+		}
+		if i%3 != 0 {
+			w.AggPortBytes = agg[:ports]
+		}
+		for u := 0; u < ports; u++ {
+			port[u], agg[u] = int64(1000*i+u), int64(2000*i+u)
+			for l := range senders[u] {
+				senders[u][l] = int64(i + u + l)
+			}
+		}
+		rec := *w.Clone()
+		rec.SenderBytes = nil
+		want = append(want, rec)
+
+		onWindow(w)
+
+		const junk = -0x5a5a5a5a5a5a5a5a
+		for _, row := range append([][]int64{port, agg}, senders...) {
+			for j := range row {
+				row[j] = junk
+			}
+		}
+		*w = telemetry.Window{Leaf: -1, Iter: 1 << 31, Packets: junk, PortBytes: port, AggPortBytes: agg, SenderBytes: senders}
+	}
+	return want
+}
+
+// historyFaults checks a score history against the records it should
+// hold (feedReused's) and names every way it breaks the storage
+// contract: a record that changed once the caller reused its window, a
+// record still carrying sender rows, a port row whose spare capacity
+// runs into another record's rows, or a chunk that grew in place.
+func historyFaults(a *scoreArena, recs []WindowScore, want []telemetry.Window) []string {
+	var faults []string
+	changed := func(when string) {
+		for i, ws := range recs {
+			if !reflect.DeepEqual(*ws.Window, want[i]) {
+				faults = append(faults, fmt.Sprintf("record %d changed %s: %+v, want %+v", i, when, *ws.Window, want[i]))
+				return
+			}
+		}
+	}
+	if len(recs) != len(want) {
+		return []string{fmt.Sprintf("%d records for %d windows", len(recs), len(want))}
+	}
+	changed("when the caller reused its window")
+	for i, ws := range recs {
+		if ws.Window.SenderBytes != nil {
+			faults = append(faults, fmt.Sprintf("record %d keeps sender rows", i))
+			break
+		}
+	}
+	// A row cut with cap == len reallocates on append; one with spare
+	// capacity writes into whatever was cut after it.
+	for _, ws := range recs {
+		_ = append(ws.Window.PortBytes, -1)
+		_ = append(ws.Window.AggPortBytes, -1)
+	}
+	changed("after appends to every record's rows")
+	// A chunk that grew in place moved its records: the history points
+	// at stale copies that pin the old array.
+	if cap(a.wins) != arenaChunk {
+		faults = append(faults, fmt.Sprintf("chunk cap %d, want %d", cap(a.wins), arenaChunk))
+	}
+	base := len(recs) - len(a.wins)
+	for j := range a.wins {
+		if base < 0 || recs[base+j].Window != &a.wins[j] {
+			faults = append(faults, fmt.Sprintf("record %d is not the arena's slot %d of the current chunk", base+j, j))
+			break
+		}
+	}
+	return faults
+}
+
+// TestPipelineHistoryOwnsItsRecords: history is independent of the
+// caller's storage. A caller that reuses one window, as Replay and
+// serve do, must find every score record as its window was at the
+// call, however the window was overwritten since.
+func TestPipelineHistoryOwnsItsRecords(t *testing.T) {
+	det := &fakeDetect{scored: true}
+	p := NewPipeline(PipelineConfig{Detect: det})
+	var caller *telemetry.Window
+	want := feedReused(3*arenaChunk+7, func(w *telemetry.Window) {
+		caller = w
+		p.OnWindow(w)
+	})
+	for i, seen := range det.seen {
+		if seen != caller {
+			t.Fatalf("window %d: the detector saw %p, not the caller's %p", i, seen, caller)
+		}
+	}
+	for _, f := range historyFaults(&p.hist, p.Scores, want) {
+		t.Error(f)
+	}
+}
+
+// TestHistoryFaultsCatchPlantedBugs shows historyFaults trips on a
+// record that aliases the caller's rows, and on the two arena bugs that
+// leave every value right at first sight: port rows cut as slab[:n],
+// whose capacity runs into the next rows, and a chunk grown in place by
+// append instead of replaced when full.
+func TestHistoryFaultsCatchPlantedBugs(t *testing.T) {
+	planted := map[string]func(a *scoreArena, w *telemetry.Window) *telemetry.Window{
+		"rows shared with the caller": func(a *scoreArena, w *telemetry.Window) *telemetry.Window {
+			rec := a.keep(w)
+			rec.PortBytes, rec.AggPortBytes = w.PortBytes, w.AggPortBytes
+			return rec
+		},
+		"uncapped row": func(a *scoreArena, w *telemetry.Window) *telemetry.Window {
+			rec := a.keep(w)
+			// Re-cut both rows from the arena's slab, without the cap
+			// limit.
+			cut := func(src []int64) []int64 {
+				if len(src) == 0 {
+					return nil
+				}
+				if len(a.slab) < len(src) {
+					a.slab = make([]int64, arenaChunk*len(src))
+				}
+				row := a.slab[:len(src)]
+				copy(row, src)
+				a.slab = a.slab[len(src):]
+				return row
+			}
+			rec.PortBytes, rec.AggPortBytes = cut(w.PortBytes), cut(w.AggPortBytes)
+			return rec
+		},
+		"chunk grown in place": func(a *scoreArena, w *telemetry.Window) *telemetry.Window {
+			if a.wins == nil {
+				a.wins = make([]telemetry.Window, 0, arenaChunk)
+			}
+			a.wins = append(a.wins, telemetry.Window{})
+			rec := &a.wins[len(a.wins)-1]
+			w.CompactInto(rec, make([]int64, len(w.PortBytes)+len(w.AggPortBytes)))
+			return rec
+		},
+	}
+	for name, keep := range planted {
+		t.Run(name, func(t *testing.T) {
+			a := &scoreArena{}
+			var recs []WindowScore
+			want := feedReused(3*arenaChunk+7, func(w *telemetry.Window) {
+				recs = append(recs, WindowScore{Window: keep(a, w)})
+			})
+			if faults := historyFaults(a, recs, want); len(faults) == 0 {
+				t.Fatal("planted bug not caught")
+			} else {
+				t.Log(faults[0])
+			}
+		})
+	}
+}
+
+// quietDetect scores every window 0 and raises nothing, allocating
+// nothing.
+type quietDetect struct{}
+
+func (quietDetect) Evaluate(*telemetry.Window) (float64, bool, []detect.Alert) { return 0, true, nil }
+
+// TestPipelineOnWindowAllocs is the window-close allocation budget: the
+// serve path (NoHistory) allocates nothing, and a history costs only
+// its arena's chunks and slabs and the growth of Scores — well under
+// one allocation per window.
+func TestPipelineOnWindowAllocs(t *testing.T) {
+	w := win(1, 1, 10)
+	w.PortBytes, w.AggPortBytes = make([]int64, 16), make([]int64, 16)
+	serve := NewPipeline(PipelineConfig{Detect: quietDetect{}, NoHistory: true})
+	if avg := testing.AllocsPerRun(1000, func() { serve.OnOwnedWindow(w) }); avg != 0 {
+		t.Errorf("NoHistory window close: %v allocs/window, want 0", avg)
+	}
+	hist := NewPipeline(PipelineConfig{Detect: quietDetect{}})
+	if avg := testing.AllocsPerRun(4*arenaChunk*8, func() { hist.OnWindow(w) }); avg > 0.05 {
+		t.Errorf("history window close: %v allocs/window, want ≤ 0.05", avg)
 	}
 }
 

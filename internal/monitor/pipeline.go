@@ -24,14 +24,15 @@ type PipelineConfig struct {
 	// OnEvent receives every localized detection as it happens.
 	OnEvent func(e Event)
 	// OnWindow receives every closed window after scoring but before
-	// the observer sees it.
+	// the observer sees it. Its WindowScore carries the caller's window,
+	// not the history record.
 	OnWindow func(ws WindowScore)
 	// NoHistory drops per-window retention: Scores and Events stay
-	// empty (and windows are not cloned), so memory stays flat however
-	// long the pipeline runs. Long-running consumers (flowpulse-serve)
-	// set it and take detections through OnEvent instead;
-	// IterationScores is unavailable with it. Callbacks must not retain
-	// the window past the call.
+	// empty, so memory stays flat however long the pipeline runs.
+	// Long-running consumers (flowpulse-serve) set it and take
+	// detections through OnEvent instead; IterationScores is
+	// unavailable with it. With or without it, stages and callbacks see
+	// the caller's window and must not retain it past the call.
 	NoHistory bool
 }
 
@@ -46,9 +47,40 @@ type Pipeline struct {
 	// Windows counts closed windows processed.
 	Windows int
 	// Scores holds (per closed window, in arrival order) the max
-	// absolute deviation and the window itself — the ROC analysis
-	// input.
+	// absolute deviation and a compact record of the window: its key
+	// fields and port rows, without the sender matrix (see
+	// WindowScore). It is the ROC analysis input.
 	Scores []WindowScore
+
+	hist scoreArena
+}
+
+// scoreArena owns the windows a history-keeping pipeline retains:
+// compact copies (telemetry.Window.CompactInto) stored in fixed-size
+// chunks, their port rows cut from int64 slabs. A full chunk or slab is
+// replaced, never grown in place, so a record never moves once Scores
+// points at it; a retired chunk lives as long as those pointers.
+type scoreArena struct {
+	wins []telemetry.Window // current chunk, cap arenaChunk
+	slab []int64            // unused tail of the current slab
+}
+
+// arenaChunk is how many records one chunk holds; a new slab is sized
+// for as many records like the one that needed it.
+const arenaChunk = 128
+
+// keep stores a compact copy of w and returns it.
+func (a *scoreArena) keep(w *telemetry.Window) *telemetry.Window {
+	if len(a.wins) == cap(a.wins) {
+		a.wins = make([]telemetry.Window, 0, arenaChunk)
+	}
+	if n := len(w.PortBytes) + len(w.AggPortBytes); len(a.slab) < n {
+		a.slab = make([]int64, arenaChunk*n)
+	}
+	a.wins = a.wins[:len(a.wins)+1]
+	rec := &a.wins[len(a.wins)-1]
+	a.slab = w.CompactInto(rec, a.slab)
+	return rec
 }
 
 // NewPipeline builds a pipeline. Detect is required.
@@ -61,35 +93,15 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 
 // OnWindow is the window-close path: score, detect, localize, then let
 // the observer (learned model) see the window and the remediator tick.
-// The window is cloned before anything retains it; callers may reuse
-// its storage after the call.
+// Every stage and callback sees the caller's window, synchronously; the
+// history keeps its own compact record, so callers may reuse the
+// window's storage as soon as the call returns.
 func (p *Pipeline) OnWindow(w *telemetry.Window) {
-	if p.cfg.NoHistory {
-		// Nothing retains the window, so nothing needs the clone.
-		p.OnOwnedWindow(w)
-		return
-	}
-	p.process(w.Clone())
-}
-
-// OnOwnedWindow is OnWindow for callers that own (and reuse) the
-// window's storage: the pipeline neither clones nor retains it, so the
-// hot ingestion path stays allocation-free. Only valid with NoHistory
-// set; stages and callbacks see the caller's storage and must be done
-// with it when they return.
-func (p *Pipeline) OnOwnedWindow(w *telemetry.Window) {
-	if !p.cfg.NoHistory {
-		panic("monitor: OnOwnedWindow without PipelineConfig.NoHistory")
-	}
-	p.process(w)
-}
-
-func (p *Pipeline) process(wc *telemetry.Window) {
 	p.Windows++
-	score, ok, alerts := p.cfg.Detect.Evaluate(wc)
-	ws := WindowScore{Window: wc, Score: score, Scored: ok}
+	score, ok, alerts := p.cfg.Detect.Evaluate(w)
+	ws := WindowScore{Window: w, Score: score, Scored: ok}
 	if !p.cfg.NoHistory {
-		p.Scores = append(p.Scores, ws)
+		p.Scores = append(p.Scores, WindowScore{Window: p.hist.keep(w), Score: score, Scored: ok})
 	}
 	if p.cfg.OnWindow != nil {
 		p.cfg.OnWindow(ws)
@@ -105,17 +117,17 @@ func (p *Pipeline) process(wc *telemetry.Window) {
 	// exactly this snapshot.)
 	var senders [][]float64
 	haveSenders := false
-	if len(alerts) > 0 && p.cfg.Localize != nil && p.cfg.Pred != nil && p.cfg.Pred.Ready(wc.LeafOrdinal) {
-		senders = p.cfg.Pred.SenderLoad(wc.LeafOrdinal)
+	if len(alerts) > 0 && p.cfg.Localize != nil && p.cfg.Pred != nil && p.cfg.Pred.Ready(w.LeafOrdinal) {
+		senders = p.cfg.Pred.SenderLoad(w.LeafOrdinal)
 		if ip, ok := p.cfg.Pred.(predict.IterPredictor); ok {
-			senders = ip.SenderLoadAt(wc.LeafOrdinal, wc.Iter)
+			senders = ip.SenderLoadAt(w.LeafOrdinal, w.Iter)
 		}
 		haveSenders = true
 	}
 	for _, a := range alerts {
 		e := Event{Alert: a}
 		if haveSenders {
-			e.Verdict = p.cfg.Localize.Localize(a, wc, senders)
+			e.Verdict = p.cfg.Localize.Localize(a, w, senders)
 		}
 		if !p.cfg.NoHistory {
 			p.Events = append(p.Events, e)
@@ -129,11 +141,22 @@ func (p *Pipeline) process(wc *telemetry.Window) {
 	}
 
 	if p.cfg.Observer != nil {
-		p.cfg.Observer.Observe(wc)
+		p.cfg.Observer.Observe(w)
 	}
 	if p.cfg.Remediate != nil {
-		p.cfg.Remediate.Tick(wc.ClosedAt)
+		p.cfg.Remediate.Tick(w.ClosedAt)
 	}
+}
+
+// OnOwnedWindow is OnWindow on the serve path, where the caller reuses
+// the window's storage for every record: only valid with NoHistory set,
+// so nothing is retained and the hot ingestion path stays
+// allocation-free.
+func (p *Pipeline) OnOwnedWindow(w *telemetry.Window) {
+	if !p.cfg.NoHistory {
+		panic("monitor: OnOwnedWindow without PipelineConfig.NoHistory")
+	}
+	p.OnWindow(w)
 }
 
 // IterationScores aggregates window scores per iteration across all

@@ -95,17 +95,42 @@ func (w *Window) Clone() *Window {
 	flat := make([]int64, cells)
 	cp.SenderBytes = make([][]int64, len(w.SenderBytes))
 	for i, row := range w.SenderBytes {
-		if len(row) == 0 {
-			continue // an empty row clones to nil, as it always has
-		}
-		n := copy(flat, row)
-		cp.SenderBytes[i], flat = flat[:n:n], flat[n:]
+		cp.SenderBytes[i], flat = cutRow(flat, row)
 	}
 	if w.AggPortBytes != nil {
 		cp.AggPortBytes = append([]int64(nil), w.AggPortBytes...)
 	}
 	cp.aggOpen = nil
 	return &cp
+}
+
+// CompactInto copies the window into dst the way a score history keeps
+// it: every key field (switch, tier, job, iteration, packet and CE
+// counts, open and close times) and the PortBytes and AggPortBytes
+// rows, but no sender matrix (dst.SenderBytes is nil). The rows are cut
+// from the front of slab, which must hold len(PortBytes) +
+// len(AggPortBytes) values, with cap == len as Clone cuts its sender
+// rows; the unused rest of slab is returned. dst shares no storage with
+// w, and an empty row copies to nil, as it clones to nil.
+func (w *Window) CompactInto(dst *Window, slab []int64) []int64 {
+	*dst = *w
+	dst.SenderBytes, dst.aggOpen = nil, nil
+	dst.PortBytes, slab = cutRow(slab, w.PortBytes)
+	dst.AggPortBytes, slab = cutRow(slab, w.AggPortBytes)
+	return slab
+}
+
+// cutRow copies src into the front of buf and returns that row (cap ==
+// len, so appending to it reallocates instead of running into the next
+// row) and the rest of buf. An empty src yields a nil row.
+func cutRow(buf, src []int64) (row, rest []int64) {
+	if len(src) == 0 {
+		return nil, buf
+	}
+	n := len(src)
+	row = buf[:n:n]
+	copy(row, src)
+	return row, buf[n:]
 }
 
 // LeafMonitor is the switch program, one per monitored switch: a leaf,

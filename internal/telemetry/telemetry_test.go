@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -182,9 +183,10 @@ func TestAttachAllEndToEnd(t *testing.T) {
 }
 
 // TestCloneIsIndependent pins what Clone promises its callers (the
-// pipeline's history, the learned model's warm-up set): a clone shares
-// no memory with its source, and — the sender matrix being one backing
-// array — its rows cannot grow into one another.
+// learned model's warm-up set): a clone shares no memory with its
+// source, and — the sender matrix being one backing array — its rows
+// cannot grow into one another. CompactInto (the pipeline's history)
+// must make the same copy minus the sender matrix.
 func TestCloneIsIndependent(t *testing.T) {
 	cases := []struct {
 		name string
@@ -211,6 +213,10 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			src := tc.win
 			cp := src.Clone()
+			var rec Window
+			if rest := src.CompactInto(&rec, make([]int64, len(src.PortBytes)+len(src.AggPortBytes)+1)); len(rest) != 1 {
+				t.Fatalf("CompactInto left %d slab values, want 1", len(rest))
+			}
 
 			// The clone's values, snapshotted through fresh memory.
 			wantPort := append([]int64{}, src.PortBytes...)
@@ -262,6 +268,18 @@ func TestCloneIsIndependent(t *testing.T) {
 				if !slices.Equal(row, wantSender[i]) {
 					t.Fatalf("sender row %d: got %v, want %v", i, row, wantSender[i])
 				}
+			}
+
+			// The compact copy is the clone without its sender matrix,
+			// its rows as capped as the clone's.
+			want := *cp
+			want.SenderBytes = nil
+			if !reflect.DeepEqual(rec, want) {
+				t.Fatalf("compact copy %+v, want %+v", rec, want)
+			}
+			if cap(rec.PortBytes) != len(rec.PortBytes) || cap(rec.AggPortBytes) != len(rec.AggPortBytes) {
+				t.Fatalf("compact rows have spare capacity: port %d/%d agg %d/%d",
+					len(rec.PortBytes), cap(rec.PortBytes), len(rec.AggPortBytes), cap(rec.AggPortBytes))
 			}
 		})
 	}

@@ -206,7 +206,8 @@ func BenchmarkTraceDecode(b *testing.B) {
 }
 
 // BenchmarkTraceReplay is one offline Replay of the 32×16 recording:
-// decode, history (Clone), detect. ns/window is the per-window figure.
+// decode into the reused slot, detect, and one compact score record
+// per window. ns/window is the per-window figure.
 func BenchmarkTraceReplay(b *testing.B) {
 	shape := benchShapes[0]
 	raw, windows := benchRecording(b, shape.leaves, shape.spines, shape.iters, shape.noisy)
@@ -224,6 +225,33 @@ func BenchmarkTraceReplay(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windows), "ns/window")
 	})
+}
+
+// TestReplayAllocs is the offline path's allocation budget: a
+// history-keeping Replay of the 32×16 shape may allocate only its score
+// arena's chunks and slabs and the Scores slice's growth — a small
+// fraction of an allocation per window, where cloning every window
+// cost five. The long recording minus the short one cancels the
+// per-replay set-up (reader, topology, pipelines, prediction caches).
+func TestReplayAllocs(t *testing.T) {
+	const short, extra = 8, 48 // iterations; × 32 leaves = windows
+	shape := benchShapes[0]
+	measure := func(iters int) float64 {
+		raw, _ := benchRecording(t, shape.leaves, shape.spines, iters, shape.noisy)
+		return testing.AllocsPerRun(5, func() {
+			res, err := trace.Replay(bytes.NewReader(raw), trace.ReplayOptions{})
+			if err != nil || !res.Matches() {
+				panic(fmt.Sprintf("replay: %v", err))
+			}
+		})
+	}
+	aShort, aLong := measure(short), measure(short+extra)
+	perWindow := (aLong - aShort) / float64(extra*shape.leaves)
+	if perWindow > 0.05 {
+		t.Fatalf("history-keeping replay: %.3f allocs/window past set-up (short=%v long=%v), want ≤ 0.05",
+			perWindow, aShort, aLong)
+	}
+	t.Logf("%.4f allocs/window past set-up (short=%v long=%v)", perWindow, aShort, aLong)
 }
 
 // TestTraceDecodeAllocs is the decode-side allocation budget: once the

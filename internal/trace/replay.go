@@ -33,7 +33,9 @@ type ReplayOptions struct {
 	// recorded streams): the replay keeps only fingerprints, counters
 	// and callbacks. Long-running consumers (flowpulse-serve sessions)
 	// set it so memory stays flat however long the stream runs;
-	// ReplayResult.Samples and Sweep are unavailable with it.
+	// ReplayResult.Samples and Sweep are unavailable with it. Without
+	// it, each window costs one compact score record (key fields and
+	// port rows, no sender matrix; see monitor.Pipeline.Scores).
 	NoHistory bool
 }
 
@@ -353,8 +355,8 @@ func NewReplayer(hdr *Header, topo *topology.Topology, opts ReplayOptions) (*Rep
 
 // Feed advances the offline stack by one decoded record. It keeps no
 // reference to rec itself or to a window's storage once it returns: the
-// pipeline clones the counters it retains (PortBytes, AggPortBytes,
-// SenderBytes), and the job's SnapshotPredictor only borrows
+// pipeline copies what it retains (key fields, PortBytes, AggPortBytes)
+// into its own score records, and the job's SnapshotPredictor only borrows
 // PortPred/SenderPred until the next Feed. So the caller may overwrite
 // the Record and the WindowRecord — a NextInto slot — as soon as Feed
 // returns. The other payloads (Event, Action, Fault, Trailer) are

@@ -10,7 +10,9 @@ import (
 
 	"flowpulse/internal/core"
 	"flowpulse/internal/experiments"
+	"flowpulse/internal/monitor"
 	"flowpulse/internal/sim"
+	"flowpulse/internal/telemetry"
 	"flowpulse/internal/trace"
 )
 
@@ -205,6 +207,75 @@ func TestReplayWindowFilter(t *testing.T) {
 	tail := replay(t, raw, trace.ReplayOptions{FirstIter: uint32(tr.CleanIters + 1)})
 	if tail.Windows+clipped.Windows != full.Windows {
 		t.Errorf("head %d + tail %d != full %d", clipped.Windows, tail.Windows, full.Windows)
+	}
+}
+
+// TestReplayHistoryMatchesClones: the compact score records answer the
+// ROC questions exactly as full clones of the windows would. On the
+// committed fixture every record must equal its decoded window's Clone
+// minus the sender matrix, and IterationScores, Samples and Sweep
+// computed from a history of those Clones (with the replay's scores)
+// must equal the replay's own.
+func TestReplayHistoryMatchesClones(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "cmd", "flowpulse-trace", "testdata", "quick.fpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := replay(t, raw, trace.ReplayOptions{})
+
+	rd, err := trace.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clones := map[uint16][]*telemetry.Window{}
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Kind == trace.KindWindow {
+			job := rd.Header().PipelineJob(rec.Window.Job)
+			w := rec.Window.Window(rd.Topo())
+			clones[job] = append(clones[job], w.Clone())
+		}
+	}
+
+	ref := &trace.ReplayResult{Faults: rr.Faults}
+	scored := 0
+	for _, jr := range rr.Jobs {
+		cl := clones[jr.Job]
+		if len(cl) != len(jr.Pipeline.Scores) {
+			t.Fatalf("job %d: %d score records for %d decoded windows", jr.Job, len(jr.Pipeline.Scores), len(cl))
+		}
+		full := &monitor.Pipeline{}
+		for i, ws := range jr.Pipeline.Scores {
+			want := *cl[i]
+			want.SenderBytes = nil
+			if !reflect.DeepEqual(*ws.Window, want) {
+				t.Fatalf("job %d record %d: %+v, want %+v", jr.Job, i, *ws.Window, want)
+			}
+			if ws.Scored {
+				scored++
+			}
+			full.Scores = append(full.Scores, monitor.WindowScore{Window: cl[i], Score: ws.Score, Scored: ws.Scored})
+		}
+		if got, want := jr.Pipeline.IterationScores(), full.IterationScores(); !reflect.DeepEqual(got, want) {
+			t.Errorf("job %d iteration scores %v, from clones %v", jr.Job, got, want)
+		}
+		ref.Jobs = append(ref.Jobs, &trace.JobReplay{Job: jr.Job, Pipeline: full, MaxIter: jr.MaxIter})
+	}
+	if scored == 0 || len(rr.Faults) == 0 {
+		t.Fatalf("fixture too weak: %d scored windows, %d faults", scored, len(rr.Faults))
+	}
+	if got, want := rr.Samples(), ref.Samples(); !reflect.DeepEqual(got, want) {
+		t.Errorf("samples %+v, from clones %+v", got, want)
+	}
+	ths := experiments.DefaultThresholds()
+	if got, want := rr.Sweep(ths), ref.Sweep(ths); !reflect.DeepEqual(got, want) {
+		t.Errorf("sweep %+v, from clones %+v", got, want)
 	}
 }
 
