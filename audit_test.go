@@ -21,13 +21,11 @@ import (
 // fails on an unlisted dead export AND on a listed one that is no longer
 // dead, so the list only shrinks.
 var deadExportAllow = map[string]string{
-	// The facade's enums are exported whole: flowpulse-sim casts its
-	// -collective/-predictor flags to the kind, the examples name one
-	// member each.
+	// The facade's enums are exported whole: scenario files name the
+	// kinds as strings, the examples name one member each.
 	"flowpulse.RingAllReduce": "completes the CollectiveKind enum (the Scenario.Collective default)",
 	"flowpulse.ReduceScatter": "completes the CollectiveKind enum",
 	"flowpulse.AllGather":     "completes the CollectiveKind enum",
-	"flowpulse.Analytical":    "completes the PredictorKind enum (the MonitorConfig.Predictor default)",
 	"flowpulse.Simulation":    "completes the PredictorKind enum",
 	"flowpulse.Nanosecond":    "completes the Duration units next to Microsecond and Millisecond",
 

@@ -16,7 +16,7 @@
 // Reproduce a failure:
 //
 //	flowpulse-check -seed 17
-//	flowpulse-check -spec '{"seed":17,...}'
+//	flowpulse-check -spec '{"scenario":{...,"seed":17},...}'
 package main
 
 import (
@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"flowpulse/internal/core"
 	"flowpulse/internal/simtest"
 )
 
@@ -39,7 +40,7 @@ func main() {
 		deadline = flag.Int("deadline", 0, "detection deadline in iterations after fault onset (default 4)")
 		noShrink = flag.Bool("no-shrink", false, "report failures unshrunk")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel seed workers (clamped to the seed count)")
-		shards   = flag.Int("shards", 0, "engine worker shards per simulation (0 = classic single-threaded engine); fingerprints depend on the mode (0 vs >= 1) but not on the count, so reproduce failures with the same -shards mode")
+		shards   = flag.Int("shards", 0, "engine worker shards per simulation (0 = the one-domain partition, a single-threaded run; N >= 1 = one domain per switch on N workers); fingerprints depend on the partition (0 vs >= 1) but not on the count, so reproduce failures with the same -shards partition")
 		resil    = flag.Bool("resilience", false, "force the workload re-planner on for every remediated seed, so each control-loop scenario exercises the full quarantine -> re-plan -> recover path (forced specs repro via -spec, not -seed)")
 		congest  = flag.Bool("congestion", false, "run every fat-tree seed under ECN/DCQCN with seed-drawn incast bursts, traffic storms, and stragglers, checking that pure congestion never quarantines and faults still meet their deadlines (forced specs repro via -spec, not -seed)")
 		diverge  = flag.Bool("divergence", false, "inject seed-drawn control-plane belief/truth faults (failed pushes, stale LSDB advertisements) into every remediated seed, checking that belief reconverges to truth and no healthy link is left wrongly down (forced specs repro via -spec, not -seed)")
@@ -80,8 +81,8 @@ func runOne(spec simtest.Spec, opts simtest.Options, noShrink bool) int {
 	res := simtest.Run(spec, opts)
 	if res.OK() {
 		fmt.Printf("seed %d ok: %s topology, %s/%s, fault %s — %d windows, %d alerts, fingerprint %016x\n",
-			spec.Seed, spec.Topo.Kind, spec.Work.Collective, spec.Work.Predictor,
-			spec.Fault.Kind, res.Windows, res.Alerts, res.Fingerprint)
+			spec.Scenario.Seed, topology(spec), spec.Scenario.Collective, spec.Predictor,
+			fault(spec).Kind, res.Windows, res.Alerts, res.Fingerprint)
 		return 0
 	}
 	report(res, opts, noShrink)
@@ -135,7 +136,7 @@ func scan(gen func(uint64) simtest.Spec, start uint64, n, workers int, opts simt
 		res := tr.res
 		busy += tr.elapsed
 		if tr.elapsed > slowest {
-			slowest, slowestSeed = tr.elapsed, res.Spec.Seed
+			slowest, slowestSeed = tr.elapsed, res.Spec.Scenario.Seed
 		}
 		if verbose {
 			status := "ok"
@@ -143,8 +144,8 @@ func scan(gen func(uint64) simtest.Spec, start uint64, n, workers int, opts simt
 				status = "FAIL"
 			}
 			fmt.Printf("seed %-6d %-4s %-9s %-14s %-8s fault=%-15s windows=%-4d alerts=%-3d fp=%016x %8v\n",
-				res.Spec.Seed, status, res.Spec.Topo.Kind, res.Spec.Work.Collective,
-				res.Spec.Work.Predictor, res.Spec.Fault.Kind, res.Windows, res.Alerts, res.Fingerprint,
+				res.Spec.Scenario.Seed, status, topology(res.Spec), res.Spec.Scenario.Collective,
+				res.Spec.Predictor, fault(res.Spec).Kind, res.Windows, res.Alerts, res.Fingerprint,
 				tr.elapsed.Round(time.Millisecond))
 		}
 		if !res.OK() {
@@ -170,16 +171,17 @@ func scan(gen func(uint64) simtest.Spec, start uint64, n, workers int, opts simt
 
 // report prints a failure, shrinking it first unless disabled.
 func report(res *simtest.Result, opts simtest.Options, noShrink bool) {
+	f := fault(res.Spec)
 	fmt.Printf("\nFAIL seed %d (%s topology, %s/%s, fault %s at onset %d):\n",
-		res.Spec.Seed, res.Spec.Topo.Kind, res.Spec.Work.Collective,
-		res.Spec.Work.Predictor, res.Spec.Fault.Kind, res.Spec.Fault.Onset)
+		res.Spec.Scenario.Seed, topology(res.Spec), res.Spec.Scenario.Collective,
+		res.Spec.Predictor, f.Kind, f.Onset)
 	for _, v := range res.Violations {
 		fmt.Printf("  %s\n", v)
 	}
 	spec := res.Spec
 	if !noShrink {
 		shrunk, runs := simtest.Shrink(spec, opts, 0)
-		if shrunk != spec {
+		if shrunk.MarshalCompact() != spec.MarshalCompact() {
 			fmt.Printf("  shrunk after %d runs:\n", runs)
 			final := simtest.Run(shrunk, opts)
 			for _, v := range final.Violations {
@@ -189,4 +191,20 @@ func report(res *simtest.Result, opts simtest.Options, noShrink bool) {
 		}
 	}
 	fmt.Printf("  repro: %s\n", spec.ReproCommand())
+}
+
+// topology names a spec's fabric family for the report lines.
+func topology(s simtest.Spec) string {
+	if s.Scenario.Pods > 0 {
+		return "clos3"
+	}
+	return "fat-tree"
+}
+
+// fault is a spec's one scheduled fault; a clean run reports kind none.
+func fault(s simtest.Spec) core.FaultSpec {
+	if len(s.Scenario.Faults) == 0 {
+		return core.FaultSpec{Kind: "none"}
+	}
+	return s.Scenario.Faults[0]
 }

@@ -3,32 +3,41 @@
 // scenario, the injected fault, every alert with its localization
 // verdict, and traffic/transport statistics.
 //
-// Usage:
+// The run is a scenario file: a flowpulse.Scenario in its JSON form
+// (lowerCamel field names, durations in picoseconds under keys ending
+// in PS, an absent field is the default) plus the monitor to deploy:
 //
-//	flowpulse-sim                                  # paper defaults, 1.5% fault
-//	flowpulse-sim -leaves 16 -spines 8 -size 32
-//	flowpulse-sim -drop 0.008 -fault-leaf 7 -fault-spine 2
-//	flowpulse-sim -predictor learned -iters 12 -heal-after 6
-//	flowpulse-sim -drop 0                          # clean run
-//	flowpulse-sim -remediate                       # closed-loop quarantine
-//	flowpulse-sim -remediate -leaves 8 -spines 4 -size 8 -iters 48 \
-//	    -fault-leaf 4 -drop 0.3 -flap-period 2040 -flap-down 1020
-//	flowpulse-sim -jobs 2 -leaves 8 -spines 4 -size 4 -remediate
-//	                                               # two jobs, one shared plane
-//	flowpulse-sim -resilience -interleave -leaves 8 -spines 2 -hosts 4 \
-//	    -size 2 -iters 20 -fault-leaf 4 -fault-spine 0 -drop 0.05
-//	                                               # quarantine + ring re-plan
-//	flowpulse-sim -remediate -fail-pushes 1        # drop the quarantine push;
-//	                                               # verify-own-writes re-pushes it
-//	flowpulse-sim -remediate -drop 0 -stale-at 900 # corrupt the LSDB mid-run;
-//	                                               # the audit reconciles it
-//	flowpulse-sim -stats -shards 0                 # engine counters on stderr
-//	flowpulse-sim -stream localhost:9465           # live producer: stream the
-//	                                               # trace to flowpulse-serve,
-//	                                               # detection runs server-side
+//	{"scenario": {"leaves": 8, "spines": 4, "bytesPerRank": 4194304, "iterations": 6,
+//	              "faults": [{"kind": "bernoulli", "rate": 0.015, "leaf": 3, "spine": 1, "onset": 2}]},
+//	 "monitor": {"predictor": "learned", "threshold": 0.01, "remediate": true}}
+//
+// A key the format does not have is an error. Without -scenario the run
+// is the built-in one, cmd/flowpulse-sim/testdata/default.json: the
+// paper's 32×16 fat tree, 16 MiB per rank, 6 iterations, a 1.5% silent
+// drop on leaf 3 / spine 1 after iteration 2, seed 1.
+//
+// Usage (from the repository root; testdata is cmd/flowpulse-sim/testdata):
+//
+//	flowpulse-sim                                    # the built-in run
+//	flowpulse-sim -scenario testdata/clean.json      # no fault
+//	flowpulse-sim -scenario testdata/remediate.json  # closed-loop quarantine
+//	flowpulse-sim -scenario testdata/remediate-flap.json
+//	                                                 # a flapping link, damped
+//	flowpulse-sim -scenario testdata/two-jobs.json   # two jobs, one shared plane
+//	flowpulse-sim -scenario testdata/resilience.json # quarantine + ring re-plan
+//	flowpulse-sim -scenario testdata/failed-push.json
+//	                                                 # drop the quarantine push;
+//	                                                 # verify-own-writes re-pushes it
+//	flowpulse-sim -scenario testdata/stale-lsdb.json # corrupt the LSDB mid-run;
+//	                                                 # the audit reconciles it
+//	flowpulse-sim -seed 7 -shards 0 -stats           # engine counters on stderr
+//	flowpulse-sim -stream localhost:9465             # live producer: stream the
+//	                                                 # trace to flowpulse-serve,
+//	                                                 # detection runs server-side
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -40,46 +49,75 @@ import (
 
 	"flowpulse"
 	"flowpulse/internal/serve"
-	"flowpulse/internal/sim"
 )
+
+// document is a -scenario file: the run and the monitor deployed on it.
+type document struct {
+	Scenario flowpulse.Scenario `json:"scenario"`
+	Monitor  monitorChoice      `json:"monitor,omitzero"`
+}
+
+// monitorChoice is the monitor a document deploys; a zero field is the
+// default.
+type monitorChoice struct {
+	// Predictor is the load model (default analytical).
+	Predictor flowpulse.PredictorKind `json:"predictor,omitempty"`
+	// Threshold is the detection threshold (default the paper's 1%).
+	Threshold float64 `json:"threshold,omitempty"`
+	// Remediate closes the loop: confirm, quarantine, probe, re-admit.
+	Remediate bool `json:"remediate,omitempty"`
+	// Resilience extends the loop into the workload: re-plan the ring
+	// when a quarantine degrades a leaf below 90% capacity. It implies
+	// Remediate.
+	Resilience bool `json:"resilience,omitempty"`
+}
+
+// builtin is the run without -scenario.
+func builtin() document {
+	return document{Scenario: flowpulse.Scenario{
+		BytesPerRank: 16 << 20, Iterations: 6, Seed: 1,
+		Faults: []flowpulse.FaultSpec{{Kind: flowpulse.FaultBernoulli, Rate: 0.015, Leaf: 3, Spine: 1, Onset: 2}},
+	}}
+}
+
+// load reads a -scenario file (the built-in run for ""), refusing keys
+// the format does not have, and fills in the monitor's defaults.
+func load(path string) (document, error) {
+	var doc document
+	if path == "" {
+		doc = builtin()
+	} else {
+		f, err := os.Open(path)
+		if err != nil {
+			return document{}, err
+		}
+		defer f.Close()
+		dec := json.NewDecoder(f)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&doc); err != nil {
+			return document{}, fmt.Errorf("%s: %w", path, err)
+		}
+	}
+	m := &doc.Monitor
+	if m.Predictor == "" {
+		m.Predictor = flowpulse.Analytical
+	}
+	if m.Threshold == 0 {
+		m.Threshold = 0.01
+	}
+	m.Remediate = m.Remediate || m.Resilience
+	return doc, nil
+}
 
 func main() {
 	var (
-		leaves     = flag.Int("leaves", 32, "leaf switches")
-		spines     = flag.Int("spines", 16, "spine switches")
-		hosts      = flag.Int("hosts", 1, "hosts per leaf")
-		sizeMB     = flag.Int64("size", 16, "collective size per rank (MiB)")
-		iters      = flag.Int("iters", 6, "training iterations")
-		coll       = flag.String("collective", "ring-allreduce", "collective (ring-allreduce|reduce-scatter|all-gather|all-to-all)")
-		predictor  = flag.String("predictor", "analytical", "load model (analytical|simulation|learned)")
-		threshold  = flag.Float64("threshold", 0.01, "detection threshold")
-		drop       = flag.Float64("drop", 0.015, "silent fault drop rate (0 = clean run)")
-		faultLeaf  = flag.Int("fault-leaf", 3, "faulty link: leaf ordinal")
-		faultSpine = flag.Int("fault-spine", 1, "faulty link: spine ordinal")
-		faultIter  = flag.Int("fault-at", 2, "inject after this iteration (0 = from start)")
-		healAfter  = flag.Int("heal-after", 0, "heal the fault after this iteration (0 = never)")
-		upstream   = flag.Bool("upstream", false, "fault the leaf-to-spine direction instead")
-		preDown    = flag.Int("preexisting", 0, "number of pre-existing disconnected links")
-		jitterUS   = flag.Int64("jitter", 0, "per-rank start jitter (µs)")
-		remediated = flag.Bool("remediate", false, "close the loop: confirm, quarantine, probe, re-admit")
-		resilient  = flag.Bool("resilience", false, "extend the loop into the workload: re-plan the ring when a quarantine degrades a leaf below 90% capacity (implies -remediate)")
-		interleave = flag.Bool("interleave", false, "interleave the ring across leaves (placement-oblivious rank order) so every ring edge crosses the fabric")
-		flapPeriod = flag.Int64("flap-period", 0, "make the fault a lossy flap with this period (µs, 0 = persistent)")
-		flapDown   = flag.Int64("flap-down", 0, "flap down-phase length (µs, default period/2)")
-		jobs       = flag.Int("jobs", 1, "concurrent training jobs on one shared monitoring plane")
-		failSkip   = flag.Int("fail-skip", 0, "divergence: let this many control-plane pushes through before dropping starts")
-		failPushes = flag.Int("fail-pushes", 0, "divergence: silently drop this many control-plane pushes after -fail-skip (verify-own-writes re-pushes; -unverified commits the lie)")
-		partialOps = flag.Int("partial-ops", 0, "divergence: land only the first N operations of the next multi-op ChangeSet")
-		staleAtUS  = flag.Int64("stale-at", 0, "divergence: corrupt the LSDB advertisement for the fault link at this time (µs); lands on the next remediation tick, so needs -remediate")
-		staleUp    = flag.Bool("stale-up", false, "advertise the stale link as up instead of down")
-		unverified = flag.Bool("unverified", false, "divergence baseline: the plane trusts every push — no verify-own-writes, no reconciliation, no audit")
-		auditUS    = flag.Int64("audit-every", 0, "divergence: audit belief against truth at this cadence (µs; verified planes only)")
+		scenario   = flag.String("scenario", "", "run this scenario file (see the package documentation; default: the built-in run)")
+		seed       = flag.Uint64("seed", 0, "random seed, replacing the scenario's (the built-in run's is 1)")
+		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "engine worker shards: 0 = the one-domain partition, a single-threaded run; N >= 1 = one domain per switch on N workers, with identical results for every N >= 1")
 		tracePath  = flag.String("trace", "", "record the run to this .fpt trace file for offline replay (see flowpulse-trace)")
 		stream     = flag.String("stream", "", "stream the live trace to a flowpulse-serve instance at this host:port (combine with -trace for a local copy)")
 		streamTok  = flag.String("stream-token", "", "producer token for -stream")
 		streamMode = flag.String("stream-mode", "", "serve ingestion mode for -stream (seq|fanout; default seq)")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "engine worker shards; results are identical for every value >= 1 (0 = classic single-threaded engine, byte-compatible with older releases)")
 		stats      = flag.Bool("stats", false, "print the engine's event counters on stderr: events executed, events per packet, and how many schedulings went to a FIFO lane vs the heap")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (shard workers carry pprof shard=N labels)")
 	)
@@ -99,73 +137,30 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *resilient {
-		*remediated = true
+	doc, err := load(*scenario)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if *jobs > 1 && *hosts < *jobs {
-		*hosts = *jobs // one host column per job
-	}
-	sc := flowpulse.Scenario{
-		Leaves: *leaves, Spines: *spines, HostsPerLeaf: *hosts,
-		Collective:     flowpulse.CollectiveKind(*coll),
-		InterleaveRing: *interleave,
-		BytesPerRank:   *sizeMB << 20,
-		Iterations:     *iters,
-		JitterMax:      flowpulse.Duration(*jitterUS) * flowpulse.Microsecond,
-		Seed:           *seed,
-		Shards:         *shards,
-	}
-	for j := 1; j <= *jobs && *jobs > 1; j++ {
-		sc.Jobs = append(sc.Jobs, flowpulse.JobSpec{Job: uint16(j), HostIx: j - 1})
-	}
-	for i := 0; i < *preDown; i++ {
-		sc.PreExisting = append(sc.PreExisting, flowpulse.Link{
-			LeafOrd:  (i*7 + 1) % *leaves,
-			SpineOrd: (i*3 + 2) % *spines,
-		})
-	}
-	sc.Divergence = flowpulse.DivergenceSpec{
-		FailSkip:   *failSkip,
-		FailPushes: *failPushes,
-		PartialOps: *partialOps,
-		Unverified: *unverified,
-		AuditEvery: flowpulse.Duration(*auditUS) * flowpulse.Microsecond,
-	}
-	// The fault flags are one schedule entry; a clean run (-drop 0) lists
-	// none.
-	fault := flowpulse.FaultSpec{
-		Kind: flowpulse.FaultBernoulli, Rate: *drop,
-		Leaf: *faultLeaf, Spine: *faultSpine, Upstream: *upstream,
-		Onset: max(*faultIter, 0), Heal: max(*healAfter, 0),
-	}
-	if *flapPeriod > 0 {
-		fault.Kind = flowpulse.FaultFlap
-		fault.FlapPeriod = flowpulse.Duration(*flapPeriod) * flowpulse.Microsecond
-		fault.FlapDown = fault.FlapPeriod / 2
-		if *flapDown > 0 {
-			fault.FlapDown = flowpulse.Duration(*flapDown) * flowpulse.Microsecond
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			doc.Scenario.Seed = *seed
 		}
-	}
-	if *drop > 0 {
-		sc.Faults = []flowpulse.FaultSpec{fault}
-	}
-	if *staleAtUS > 0 {
-		sc.Divergence.Stale = append(sc.Divergence.Stale, flowpulse.StaleSpec{
-			At:   sim.Time(sim.Duration(*staleAtUS) * sim.Microsecond),
-			Link: flowpulse.Link{LeafOrd: *faultLeaf, SpineOrd: *faultSpine},
-			Up:   *staleUp,
-		})
-	}
+	})
+	doc.Scenario.Shards = *shards
+	choice := doc.Monitor
 
-	cluster, err := flowpulse.New(sc)
+	cluster, err := flowpulse.New(doc.Scenario)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	defer cluster.Close()
+	sc := cluster.Scenario()
+	multi := len(sc.Jobs) > 1
 	monCfg := flowpulse.MonitorConfig{
-		Predictor:  flowpulse.PredictorKind(*predictor),
-		Threshold:  *threshold,
+		Predictor:  choice.Predictor,
+		Threshold:  choice.Threshold,
 		TracePath:  *tracePath,
 		TraceLabel: "flowpulse-sim",
 	}
@@ -193,10 +188,10 @@ func main() {
 			monCfg.TraceSink = io.MultiWriter(f, p)
 		}
 	}
-	if *remediated {
+	if choice.Remediate {
 		monCfg.Remediate = &flowpulse.RemediateConfig{}
 	}
-	if *resilient {
+	if choice.Resilience {
 		monCfg.Resilience = &flowpulse.ResilienceConfig{}
 	}
 	mon, err := cluster.Monitor(monCfg)
@@ -205,55 +200,64 @@ func main() {
 		os.Exit(1)
 	}
 	var goodput *flowpulse.GoodputTimeline
-	if *resilient && *jobs <= 1 {
+	if choice.Resilience && !multi {
 		goodput = cluster.TrackGoodput()
 	}
 
-	fmt.Printf("FlowPulse simulation: %dx%d fat tree, %d host(s)/leaf, %s, %d MiB/rank, %d iterations\n",
-		*leaves, *spines, *hosts, *coll, *sizeMB, *iters)
-	if *jobs > 1 {
-		fmt.Printf("jobs: %d concurrent (one shared tap per switch, per-job pipelines)\n", *jobs)
+	fabric := fmt.Sprintf("%dx%d fat tree", sc.Leaves, sc.Spines)
+	if sc.Pods > 0 {
+		fabric = fmt.Sprintf("%d-pod Clos of %dx%d pods (%d cores per spine group)", sc.Pods, sc.Leaves, sc.Spines, sc.CoresPerGroup)
 	}
-	fmt.Printf("predictor=%s threshold=%.2f%% pre-existing=%d\n", *predictor, *threshold*100, *preDown)
+	fmt.Printf("FlowPulse simulation: %s, %d host(s)/leaf, %s, %g MiB/rank, %d iterations\n",
+		fabric, sc.HostsPerLeaf, sc.Collective, float64(sc.BytesPerRank)/(1<<20), sc.Iterations)
+	if multi {
+		fmt.Printf("jobs: %d concurrent (one shared tap per switch, per-job pipelines)\n", len(sc.Jobs))
+	}
+	fmt.Printf("predictor=%s threshold=%.2f%% pre-existing=%d\n", choice.Predictor, choice.Threshold*100, len(sc.PreExisting))
 	if *shards >= 1 {
 		fmt.Printf("engine: sharded (%d workers, one domain per switch)\n", *shards)
 	} else {
 		fmt.Println("engine: single-threaded")
 	}
-	if len(sc.Faults) > 0 {
-		fmt.Printf("fault: %v\n", fault)
-	} else {
+	for _, f := range sc.Faults {
+		fmt.Printf("fault: %v\n", f)
+	}
+	if len(sc.Faults) == 0 {
 		fmt.Println("fault: none (clean run)")
 	}
-	if *remediated {
+	if choice.Remediate {
 		fmt.Println("remediation: enabled (confirm K=3, probe M=3, flap damping)")
 	}
-	if *resilient {
+	if choice.Resilience {
 		fmt.Println("resilience: enabled (ring re-plan when a quarantine degrades a leaf)")
 	}
-	if sc.Divergence.Enabled() {
+	if d := sc.Divergence; d.Enabled() {
 		posture := "verified (verify-own-writes + reconciliation)"
-		if *unverified {
+		if d.Unverified {
 			posture = "UNVERIFIED (pushes trusted blindly)"
 		}
 		fmt.Printf("control plane: %s; injecting fail-pushes=%d (skip %d) partial-ops=%d stale-flips=%d audit-every=%dµs\n",
-			posture, *failPushes, *failSkip, *partialOps, len(sc.Divergence.Stale), *auditUS)
+			posture, d.FailPushes, d.FailSkip, d.PartialOps, len(d.Stale), d.AuditEvery/flowpulse.Microsecond)
 	}
 	fmt.Println()
 
+	first := cluster.Runtime().Jobs[0].Spec.Job
 	err = cluster.TrainAll(func(now flowpulse.Duration, job uint16, iter uint32) {
-		if *jobs > 1 {
+		if multi {
 			fmt.Printf("job %d iteration %2d complete at %v\n", job, iter, now)
 		} else {
 			fmt.Printf("iteration %2d complete at %v\n", iter, now)
 		}
 		// Train applied the schedule on the first job's clock, just before
 		// this hook.
-		if len(sc.Faults) > 0 && (*jobs <= 1 || job == 1) {
-			if int(iter) == fault.Onset {
+		if job != first {
+			return
+		}
+		for _, f := range sc.Faults {
+			if int(iter) == f.Onset {
 				fmt.Printf("  >> fault injected\n")
 			}
-			if int(iter) == fault.Heal {
+			if int(iter) == f.Heal {
 				fmt.Printf("  >> fault healed\n")
 			}
 		}
@@ -314,7 +318,7 @@ func main() {
 		printScores("", mon.IterationScores())
 	}
 
-	if *remediated {
+	if choice.Remediate {
 		fmt.Println()
 		timeline := mon.RemediationTimeline()
 		if len(timeline) == 0 {

@@ -54,7 +54,8 @@ import (
 // tree, one GPU host per leaf, Ring-AllReduce over all hosts,
 // adaptive per-packet spraying, lossless PFC Ethernet at 400 Gb/s.
 // Populate Scenario.Jobs to run several concurrent training jobs on
-// one fabric (§7 "Parallel Jobs").
+// one fabric (§7 "Parallel Jobs"). Its JSON form is the scenario of a
+// flowpulse-sim -scenario file.
 type Scenario = core.Scenario
 
 // JobSpec describes one training job of a multi-job scenario
@@ -64,14 +65,6 @@ type JobSpec = core.JobScenario
 
 // Link names a leaf-spine link by (leaf ordinal, spine ordinal, trunk).
 type Link = core.LeafSpineLink
-
-// DivergenceSpec configures Scenario.Divergence: injected control-plane
-// belief/truth splits and the control plane's verification posture.
-type DivergenceSpec = core.DivergenceSpec
-
-// StaleSpec is one scheduled link-state advertisement corruption for
-// DivergenceSpec.Stale.
-type StaleSpec = core.StaleSpec
 
 // LinkID is a raw topology link identifier (as reported by the
 // remediation timeline and localization verdicts).
@@ -91,9 +84,6 @@ const (
 	Microsecond = sim.Microsecond
 	Millisecond = sim.Millisecond
 )
-
-// CollectiveKind names a workload pattern for Scenario.Collective.
-type CollectiveKind = core.CollectiveKind
 
 // Collective kinds for Scenario.Collective.
 const (

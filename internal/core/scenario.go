@@ -30,16 +30,25 @@ const (
 // LeafSpineLink names a leaf-spine link by ordinals (stable across
 // rebuilds of the same scenario, unlike raw LinkIDs).
 type LeafSpineLink struct {
-	LeafOrd, SpineOrd, Trunk int
+	LeafOrd  int `json:"leafOrd,omitempty"`
+	SpineOrd int `json:"spineOrd,omitempty"`
+	Trunk    int `json:"trunk,omitempty"`
 }
 
 // Scenario is a complete, reproducible experiment description: build
 // the same Scenario twice and the fabrics are identical (the
-// simulation-based predictor depends on this).
+// simulation-based predictor depends on this). Its JSON form is the one
+// written description of a simulated run — flowpulse-sim's -scenario
+// file and the simtest repro line: lowerCamel keys, a zero or absent
+// field is the default, durations and times are picoseconds under keys
+// ending in PS.
 type Scenario struct {
 	// Leaves, Spines, HostsPerLeaf, Trunk shape the fat tree.
 	// Defaults: the paper's 32×16, one host per leaf, single links.
-	Leaves, Spines, HostsPerLeaf, Trunk int
+	Leaves       int `json:"leaves,omitempty"`
+	Spines       int `json:"spines,omitempty"`
+	HostsPerLeaf int `json:"hostsPerLeaf,omitempty"`
+	Trunk        int `json:"trunk,omitempty"`
 	// Pods, when positive, makes the fabric a three-level Clos (§7
 	// "Network Topology"): Pods pods of Leaves × Spines each — the two
 	// counts are then per pod — joined by CoresPerGroup core switches per
@@ -47,13 +56,14 @@ type Scenario struct {
 	// everywhere else (LeafSpineLink, JobScenario spans, congestion
 	// victims) stay fabric-wide, pod-major. CoresPerGroup is read only
 	// when Pods is set.
-	Pods, CoresPerGroup int
+	Pods          int `json:"pods,omitempty"`
+	CoresPerGroup int `json:"coresPerGroup,omitempty"`
 	// Spray selects the load-balancing policy (default least-loaded).
-	Spray spray.Kind
-	// Transport tunes the RoCE-like transport.
-	Transport transport.Config
+	Spray spray.Kind `json:"spray,omitempty"`
+	// Transport tunes the RoCE-like transport. It is set from Go only.
+	Transport transport.Config `json:"-"`
 	// Collective selects the workload (default RingAllReduce).
-	Collective CollectiveKind
+	Collective CollectiveKind `json:"collective,omitempty"`
 	// InterleaveRing orders the (single-job) collective's ranks
 	// column-major across leaves — host (leaf, ix) gets rank
 	// ix·Leaves + leaf — instead of the default leaf-major order. Every
@@ -62,49 +72,49 @@ type Scenario struct {
 	// regime where resilience re-planning has something to repair (a
 	// leaf-major ring keeps each leaf at two crossing edges and is
 	// NIC-bound; see internal/resilience).
-	InterleaveRing bool
+	InterleaveRing bool `json:"interleaveRing,omitempty"`
 	// BytesPerRank is the collective size D (default 4 MiB).
-	BytesPerRank int64
+	BytesPerRank int64 `json:"bytesPerRank,omitempty"`
 	// Iterations is the training length (default 8).
-	Iterations int
+	Iterations int `json:"iterations,omitempty"`
 	// JitterMax is the per-rank, per-iteration uniform start delay.
-	JitterMax sim.Duration
+	JitterMax sim.Duration `json:"jitterMaxPS,omitempty"`
 	// PreExisting lists disconnected (known-faulty) links.
-	PreExisting []LeafSpineLink
+	PreExisting []LeafSpineLink `json:"preExisting,omitempty"`
 	// Faults is the silent-fault schedule: Runtime.Train arms (and heals)
 	// each entry when the first job completes the entry's iteration.
 	// Build rejects a link outside the topology, a rate outside [0,1], a
 	// flap down for longer than its period, an Onset or Heal the training
 	// never reaches, and two entries live on one link at once.
-	Faults []FaultSpec
+	Faults []FaultSpec `json:"faults,omitempty"`
 	// Background, when positive, runs a Low-priority random-pair
 	// traffic generator with this mean inter-message gap. Background
 	// load does not enter the measurement (it is untagged and
 	// deprioritized, §5.1) but it does perturb the spray decisions the
 	// collective's packets see — the realistic noise source behind
 	// nonzero false-positive rates at low thresholds.
-	Background sim.Duration
+	Background sim.Duration `json:"backgroundPS,omitempty"`
 	// BackgroundBytes is the background message payload (default 64 KiB).
-	BackgroundBytes int
+	BackgroundBytes int `json:"backgroundBytes,omitempty"`
 	// Congestion bundles the adversarial-traffic and ECN/DCQCN knobs.
 	// The zero value is fully off, and a scenario with it off builds
 	// byte-identically to earlier releases.
-	Congestion CongestionSpec
+	Congestion CongestionSpec `json:"congestion,omitzero"`
 	// Divergence bundles the control-plane fault knobs: injected
 	// belief/truth splits and the plane's verification posture. The
 	// zero value is fully off — a verified plane whose belief tracks
 	// truth exactly — and runs byte-identically to earlier releases.
-	Divergence DivergenceSpec
+	Divergence DivergenceSpec `json:"divergence,omitzero"`
 	// Job is the training job id.
-	Job uint16
+	Job uint16 `json:"job,omitempty"`
 	// Jobs, when non-empty, makes this a multi-job scenario (§7
 	// "Parallel Jobs"): each entry is one concurrent training job on
 	// its own host slice. Scenario-level workload fields (Collective,
 	// BytesPerRank, Iterations, …) become per-job defaults, and
 	// Scenario.Job names Jobs[0] when that entry leaves Job zero.
-	Jobs []JobScenario
+	Jobs []JobScenario `json:"jobs,omitempty"`
 	// Seed roots every random stream in the scenario.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Shards picks the partition the one event engine (sim.Group) runs
 	// the fabric on. 0 (the default) is the one-domain partition: a
 	// single-threaded run, byte-compatible with earlier releases. N ≥ 1
@@ -113,7 +123,9 @@ type Scenario struct {
 	// never the schedule) but differ microscopically from the one-domain
 	// schedule; see DESIGN.md decision 12. Either way the runtime is
 	// driven via Runtime.Train (or Run) and released with Runtime.Close.
-	Shards int
+	// It is how the run executes, not what it simulates, so it has no
+	// JSON key: flowpulse-sim's -shards and simtest.Options.Shards set it.
+	Shards int `json:"-"`
 }
 
 // CongestionSpec describes a scenario's congestion regime: transport
@@ -129,12 +141,13 @@ type CongestionSpec struct {
 	// keeps the defaults): sensitive fabrics mark mild queue build-up
 	// that the default knee lets pass unmarked, trading mark volume for
 	// congestion evidence on lightly perturbed windows.
-	ECN              bool
-	ECNKMin, ECNKMax int64
+	ECN     bool  `json:"ecn,omitempty"`
+	ECNKMin int64 `json:"ecnKMin,omitempty"`
+	ECNKMax int64 `json:"ecnKMax,omitempty"`
 	// DCQCN enables the transport's per-pair rate limiter, the reaction
 	// point of the ECN loop. Meaningful only with ECN (no marks, no
 	// cuts).
-	DCQCN bool
+	DCQCN bool `json:"dcqcn,omitempty"`
 	// Incast, when positive, runs an N→1 burst generator with this mean
 	// inter-burst gap: IncastFanout sources (default: every non-victim
 	// host) each fire IncastBytes (default 128 KiB) at a random host of
@@ -143,23 +156,23 @@ type CongestionSpec struct {
 	// build-up both delays the collective (mimicking loss) and draws CE
 	// marks onto the measured packets behind it, which is exactly the
 	// signal detect.Config.CEDiscount keys on.
-	Incast       sim.Duration
-	IncastLeaf   int
-	IncastFanout int
-	IncastBytes  int
-	IncastHigh   bool
+	Incast       sim.Duration `json:"incastPS,omitempty"`
+	IncastLeaf   int          `json:"incastLeaf,omitempty"`
+	IncastFanout int          `json:"incastFanout,omitempty"`
+	IncastBytes  int          `json:"incastBytes,omitempty"`
+	IncastHigh   bool         `json:"incastHigh,omitempty"`
 	// Storm, when positive, runs a bursty on/off heavy-flow generator —
 	// a multi-tenant neighbor in the measured traffic class — with this
 	// mean in-burst message gap (StormBytes per message, default
 	// 256 KiB; default 50 µs on / 150 µs off phases).
-	Storm      sim.Duration
-	StormBytes int
+	Storm      sim.Duration `json:"stormPS,omitempty"`
+	StormBytes int          `json:"stormBytes,omitempty"`
 	// Straggler, when positive, delays the ranks hosted on leaf
 	// StragglerLeaf by this fixed offset at every iteration start — the
 	// topology-asymmetric straggler that skews temporal symmetry with
 	// no network involvement at all.
-	Straggler     sim.Duration
-	StragglerLeaf int
+	Straggler     sim.Duration `json:"stragglerPS,omitempty"`
+	StragglerLeaf int          `json:"stragglerLeaf,omitempty"`
 }
 
 // DivergenceSpec describes a scenario's control-plane fault regime:
@@ -170,34 +183,35 @@ type DivergenceSpec struct {
 	// FailSkip and FailPushes drive fault.DivergeFailedPush: let
 	// FailSkip administrative pushes through untouched, then silently
 	// drop the next FailPushes. FailPushes 0 injects nothing.
-	FailSkip, FailPushes int
+	FailSkip   int `json:"failSkip,omitempty"`
+	FailPushes int `json:"failPushes,omitempty"`
 	// PartialOps, when positive, drives fault.DivergePartialRollout:
 	// the next ChangeSet with more operations lands only its first
 	// PartialOps on the fabric.
-	PartialOps int
+	PartialOps int `json:"partialOps,omitempty"`
 	// Stale lists fault.DivergeStaleLSDB injections: advertisement
 	// corruptions that land at their times with no write involved.
-	Stale []StaleSpec
+	Stale []StaleSpec `json:"stale,omitempty"`
 	// Unverified disables verify-own-writes AND reconciliation: the
 	// control plane trusts that every push landed, committing intent
 	// straight to belief. This is the baseline arm of the divergence
 	// experiment — the posture most production controllers ship with.
-	Unverified bool
+	Unverified bool `json:"unverified,omitempty"`
 	// AuditEvery, when positive, runs the periodic belief-vs-truth
 	// audit at this cadence on the remediation tick (verified planes
 	// only). The backstop that catches stale-LSDB decay even when no
 	// deviation ever reaches the remediator.
-	AuditEvery sim.Duration
+	AuditEvery sim.Duration `json:"auditEveryPS,omitempty"`
 }
 
 // StaleSpec is one scheduled advertisement corruption.
 type StaleSpec struct {
 	// At is when the corruption lands (on the plane's next tick).
-	At sim.Time
+	At sim.Time `json:"atPS,omitempty"`
 	// Link names the link whose advertisement is overwritten.
-	Link LeafSpineLink
+	Link LeafSpineLink `json:"link,omitzero"`
 	// Up is the (wrong) advertised state.
-	Up bool
+	Up bool `json:"up,omitempty"`
 }
 
 // Enabled reports whether any divergence is injected or the plane's
@@ -212,21 +226,22 @@ func (d *DivergenceSpec) Enabled() bool {
 type JobScenario struct {
 	// Job is the job id. Jobs[0] defaults to Scenario.Job; entry i>0
 	// defaults to id i. Ids must be distinct across entries.
-	Job uint16
+	Job uint16 `json:"job,omitempty"`
 	// Collective, BytesPerRank, Iterations, and JitterMax
 	// override the scenario-level fields for this job.
-	Collective   CollectiveKind
-	BytesPerRank int64
-	Iterations   int
-	JitterMax    sim.Duration
+	Collective   CollectiveKind `json:"collective,omitempty"`
+	BytesPerRank int64          `json:"bytesPerRank,omitempty"`
+	Iterations   int            `json:"iterations,omitempty"`
+	JitterMax    sim.Duration   `json:"jitterMaxPS,omitempty"`
 	// HostIx selects which host on each leaf carries this job's ranks
 	// (0 ≤ HostIx < HostsPerLeaf): jobs sharing a leaf span stay on
 	// disjoint hosts.
-	HostIx int
+	HostIx int `json:"hostIx,omitempty"`
 	// LeafFirst and LeafCount restrict the job's ranks to a
 	// contiguous span of leaves. LeafCount 0 spans every leaf from
 	// LeafFirst on.
-	LeafFirst, LeafCount int
+	LeafFirst int `json:"leafFirst,omitempty"`
+	LeafCount int `json:"leafCount,omitempty"`
 }
 
 func (sc *Scenario) setDefaults() {

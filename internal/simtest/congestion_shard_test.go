@@ -21,7 +21,7 @@ func TestCongestionShardedDeterminism(t *testing.T) {
 	ran := 0
 	for seed := uint64(0); seed < 200 && ran < want; seed++ {
 		spec := WithCongestion(Generate(seed))
-		if !spec.Congest.Active() {
+		if !congested(&spec.Scenario.Congestion) {
 			continue
 		}
 		base := Run(spec, Options{Shards: 1})

@@ -1,6 +1,10 @@
 package simtest
 
-import "testing"
+import (
+	"testing"
+
+	"flowpulse/internal/sim"
+)
 
 // TestWithDivergenceEnvelope: the -divergence sweep helper turns
 // remediated single-job fat-tree seeds into normalized divergence
@@ -11,50 +15,51 @@ func TestWithDivergenceEnvelope(t *testing.T) {
 	for seed := uint64(0); seed < 300; seed++ {
 		spec := Generate(seed)
 		got := WithDivergence(spec)
-		if !spec.Work.Remediate || spec.Topo.Kind != FatTree2 || spec.Work.Jobs != 0 {
+		if !spec.Remediate || spec.Scenario.Pods != 0 || len(spec.Scenario.Jobs) != 0 {
 			plain++
-			if got != spec {
+			if got.MarshalCompact() != spec.MarshalCompact() {
 				t.Fatalf("seed %d: WithDivergence changed a spec outside the envelope", seed)
 			}
 			continue
 		}
 		forced++
-		d := got.Diverge
-		if !d.Active() {
+		d := got.Scenario.Divergence
+		if !d.Enabled() {
 			t.Fatalf("seed %d: WithDivergence left a remediated spec without divergence: %s", seed, got.MarshalCompact())
 		}
-		norm := got
+		norm := got.clone()
 		norm.normalize()
-		if norm != got {
+		if norm.MarshalCompact() != got.MarshalCompact() {
 			t.Fatalf("seed %d: WithDivergence returned a non-normalized spec: %s", seed, got.MarshalCompact())
 		}
-		if got.Work.Resilience || got.Congest.Active() {
+		if got.Resilience || congested(&got.Scenario.Congestion) || got.CEDiscount != 0 {
 			t.Fatalf("seed %d: divergence spec kept the resilience/congestion twists: %s", seed, got.MarshalCompact())
 		}
-		if got.Work.Iterations < 8 {
-			t.Fatalf("seed %d: divergence spec too short (%d iterations)", seed, got.Work.Iterations)
+		if got.Scenario.Iterations < 8 {
+			t.Fatalf("seed %d: divergence spec too short (%d iterations)", seed, got.Scenario.Iterations)
 		}
 		if d.FailPushes < 1 || d.FailPushes > 2 {
 			t.Fatalf("seed %d: FailPushes %d outside the retry budget", seed, d.FailPushes)
 		}
-		est := int64(estIterTime(&got))
-		if d.AuditPS < est || d.AuditPS > 3*est {
-			t.Fatalf("seed %d: AuditPS %d outside [est, 3·est] (est %d)", seed, d.AuditPS, est)
+		est := estIterTime(&got)
+		if d.AuditEvery < est || d.AuditEvery > 3*est {
+			t.Fatalf("seed %d: AuditEvery %d outside [est, 3·est] (est %d)", seed, d.AuditEvery, est)
 		}
+		if len(d.Stale) == 0 || len(d.Stale) > 2 {
+			t.Fatalf("seed %d: %d stale flips, want 1 or 2", seed, len(d.Stale))
+		}
+		sc := got.Scenario
 		for i, st := range d.Stale {
-			if st.AtPS == 0 {
-				if st != (StaleFlip{}) {
-					t.Fatalf("seed %d: unused stale slot %d carries fields: %+v", seed, i, st)
-				}
-				continue
-			}
 			// The last flip must leave ≥4 iterations of headroom so the
 			// audit provably runs after it (real iterations are never
 			// shorter than the estimate).
-			if st.AtPS < est || st.AtPS > int64(got.Work.Iterations-4)*est {
-				t.Fatalf("seed %d: stale flip %d at %dps outside [est, (iters-4)·est]", seed, i, st.AtPS)
+			if st.At < sim.Time(est) || st.At > sim.Time(sc.Iterations-4)*sim.Time(est) {
+				t.Fatalf("seed %d: stale flip %d at %dps outside [est, (iters-4)·est]", seed, i, st.At)
 			}
-			if st.Leaf >= got.Topo.Leaves || st.Spine >= got.Topo.Spines || st.Trunk >= got.Topo.Trunk {
+			if st.Up {
+				t.Fatalf("seed %d: stale flip %d advertises up", seed, i)
+			}
+			if l := st.Link; l.LeafOrd >= sc.Leaves || l.SpineOrd >= sc.Spines || l.Trunk >= sc.Trunk {
 				t.Fatalf("seed %d: stale flip %d names a link outside the fabric: %+v", seed, i, st)
 			}
 		}
@@ -71,7 +76,7 @@ func TestDivergenceSpecJSONRoundTrip(t *testing.T) {
 	ran := 0
 	for seed := uint64(0); seed < 200; seed++ {
 		spec := WithDivergence(Generate(seed))
-		if !spec.Diverge.Active() {
+		if !spec.Scenario.Divergence.Enabled() {
 			continue
 		}
 		ran++
@@ -79,7 +84,7 @@ func TestDivergenceSpecJSONRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if back != spec {
+		if back.MarshalCompact() != spec.MarshalCompact() {
 			t.Fatalf("seed %d: round trip changed the spec:\n%s\n%s", seed, spec.MarshalCompact(), back.MarshalCompact())
 		}
 	}
@@ -91,41 +96,41 @@ func TestDivergenceSpecJSONRoundTrip(t *testing.T) {
 // TestNormalizeClearsDivergenceOutsideEnvelope: divergence cannot
 // escape its envelope — hand-written specs (or shrink candidates) that
 // drop remediation, add a second job, or switch topologies lose the
-// DivergeSpec entirely rather than running injections no oracle
+// DivergenceSpec entirely rather than running injections no oracle
 // covers.
 func TestNormalizeClearsDivergenceOutsideEnvelope(t *testing.T) {
 	var base Spec
 	for seed := uint64(0); seed < 300; seed++ {
 		base = WithDivergence(Generate(seed))
-		if base.Diverge.Active() {
+		if base.Scenario.Divergence.Enabled() {
 			break
 		}
 	}
-	if !base.Diverge.Active() {
+	if !base.Scenario.Divergence.Enabled() {
 		t.Fatal("no divergence spec in 300 seeds — WithDivergence broken")
 	}
 	cases := []struct {
 		name   string
 		mutate func(*Spec)
 	}{
-		{"unremediated", func(s *Spec) { s.Work.Remediate = false }},
-		{"two-job", func(s *Spec) { s.Work.Jobs = 2 }},
-		{"clos3", func(s *Spec) { s.Topo.Kind = Clos3 }},
+		{"unremediated", func(s *Spec) { s.Remediate = false }},
+		{"two-job", func(s *Spec) { s.Scenario.Jobs = twoJobs() }},
+		{"clos3", func(s *Spec) { s.Scenario.Pods = 2 }},
 	}
 	for _, tc := range cases {
-		spec := base
+		spec := base.clone()
 		tc.mutate(&spec)
 		spec.normalize()
-		if spec.Diverge != (DivergeSpec{}) {
-			t.Errorf("%s: normalize kept divergence outside the envelope: %+v", tc.name, spec.Diverge)
+		if d := spec.Scenario.Divergence; d.FailSkip != 0 || d.FailPushes != 0 || d.Stale != nil || d.AuditEvery != 0 {
+			t.Errorf("%s: normalize kept divergence outside the envelope: %+v", tc.name, d)
 		}
 	}
 	// Inside the envelope the stale schedule is clamped, not cleared.
-	spec := base
-	spec.Diverge.Stale[0].AtPS = 1 // far below est
+	spec := base.clone()
+	spec.Scenario.Divergence.Stale[0].At = 1 // far below est
 	spec.normalize()
-	if est := int64(estIterTime(&spec)); spec.Diverge.Stale[0].AtPS < est {
-		t.Errorf("normalize left a stale flip before the first iteration: %d < %d", spec.Diverge.Stale[0].AtPS, est)
+	if est := sim.Time(estIterTime(&spec)); spec.Scenario.Divergence.Stale[0].At < est {
+		t.Errorf("normalize left a stale flip before the first iteration: %d < %d", spec.Scenario.Divergence.Stale[0].At, est)
 	}
 }
 
@@ -141,7 +146,7 @@ func TestDivergenceSeedsRun(t *testing.T) {
 	ran := 0
 	for seed := uint64(0); seed < 300 && ran < want; seed++ {
 		spec := WithDivergence(Generate(seed))
-		if !spec.Diverge.Active() {
+		if !spec.Scenario.Divergence.Enabled() {
 			continue
 		}
 		if res := Run(spec, Options{}); !res.OK() {
@@ -162,7 +167,7 @@ func TestDivergenceFingerprintStable(t *testing.T) {
 	found := false
 	for seed := uint64(0); seed < 300; seed++ {
 		spec = WithDivergence(Generate(seed))
-		if spec.Diverge.Active() {
+		if spec.Scenario.Divergence.Enabled() {
 			found = true
 			break
 		}

@@ -29,11 +29,11 @@ type Options struct {
 	// before attach. This is the self-test hook: plant a detector bug
 	// (e.g. a 10× threshold) and the oracles must catch it.
 	MutateDetect func(*detect.Config)
-	// Shards selects the engine mode for every execution (see
-	// core.Scenario.Shards): 0 is the classic single-threaded engine,
-	// N >= 1 the sharded parallel engine with N workers. Fingerprints
-	// depend on the mode (0 vs >= 1) but not on N, so a failure found
-	// at one shard count reproduces at any other count >= 1.
+	// Shards picks the partition every execution runs on (see
+	// core.Scenario.Shards): 0 is the one-domain partition, a
+	// single-threaded run; N >= 1 is one domain per switch on N workers.
+	// Fingerprints depend on the partition (0 vs >= 1) but not on N, so a
+	// failure found at one shard count reproduces at any other count >= 1.
 	Shards int
 }
 
@@ -131,57 +131,27 @@ func Run(spec Spec, opts Options) *Result {
 	return res
 }
 
-// execute runs a spec: one job over every host, or — Work.Jobs == 2 —
-// two full-span jobs, one per host column, whose fault (when present)
-// is a downstream Bernoulli drop (normalize() pinned that envelope, with
-// congestion, divergence, remediation and resilience all off). A Clos3 spec is the same run on
-// a three-level fabric: learned model, spines monitored too, the fault
-// on a pod-local spine→leaf or core→spine link, and no trace (the .fpt
-// format records two-level fabrics).
+// execute runs a normalized spec's scenario on the options' partition:
+// one job over every host, or two full-span jobs, one per host column,
+// whose fault (when present) is a downstream Bernoulli drop (normalize()
+// pinned that envelope, with congestion, divergence, remediation and
+// resilience all off). A Clos3 spec is the same run on a three-level
+// fabric: learned model, spines monitored too, the fault on a pod-local
+// spine→leaf or core→spine link, and no trace (the .fpt format records
+// two-level fabrics).
 func execute(spec Spec, opts Options) (*runData, error) {
-	clos3 := spec.Topo.Kind == Clos3
-	sc := core.Scenario{
-		Leaves: spec.Topo.Leaves, Spines: spec.Topo.Spines,
-		HostsPerLeaf: spec.Topo.HostsPerLeaf, Trunk: spec.Topo.Trunk,
-		Collective:     spec.Work.Collective,
-		InterleaveRing: spec.Work.Resilience,
-		BytesPerRank:   spec.Work.BytesPerRank,
-		Iterations:     spec.Work.Iterations,
-		JitterMax:      sim.Duration(spec.Work.JitterPS),
-		Seed:           spec.Seed,
-		Shards:         opts.Shards,
-		Congestion: core.CongestionSpec{
-			ECN:           spec.Congest.ECN,
-			DCQCN:         spec.Congest.DCQCN,
-			Incast:        sim.Duration(spec.Congest.IncastGapPS),
-			IncastLeaf:    spec.Congest.IncastLeaf,
-			IncastFanout:  spec.Congest.IncastFanout,
-			IncastBytes:   spec.Congest.IncastBytes,
-			IncastHigh:    spec.Congest.IncastHigh,
-			Storm:         sim.Duration(spec.Congest.StormGapPS),
-			StormBytes:    spec.Congest.StormBytes,
-			Straggler:     sim.Duration(spec.Congest.StragglerPS),
-			StragglerLeaf: spec.Congest.StragglerLeaf,
-		},
-		Divergence: divergenceScenario(spec),
-	}
-	if spec.Fault.Kind != faultNone {
-		sc.Faults = []core.FaultSpec{spec.Fault}
-	}
-	if clos3 {
-		sc.Pods, sc.CoresPerGroup = spec.Topo.Pods, spec.Topo.CoresPerGroup
-		sc.Leaves, sc.Spines = spec.Topo.LeavesPerPod, spec.Topo.SpinesPerPod
-	}
+	clos3 := spec.Scenario.Pods > 0
+	sc := spec.Scenario
+	sc.Shards = opts.Shards
 	label := "simtest"
-	if spec.Work.Jobs == 2 {
-		sc.Jobs = []core.JobScenario{{Job: 1, HostIx: 0}, {Job: 2, HostIx: 1}}
+	if len(sc.Jobs) != 0 {
 		label = "simtest-shared"
 	}
 	job := core.JobConfig{
-		Kind: spec.Work.Predictor,
+		Kind: spec.Predictor,
 		Detect: detect.Config{
 			Threshold:  spec.DetectThreshold(),
-			CEDiscount: spec.Congest.CEDiscount,
+			CEDiscount: spec.CEDiscount,
 		},
 	}
 	if opts.MutateDetect != nil {
@@ -198,10 +168,10 @@ func execute(spec Spec, opts Options) (*runData, error) {
 	if !clos3 {
 		attach.Trace, attach.TraceLabel = trace.NewWriter(&traceBuf), label
 	}
-	if spec.Work.Remediate {
+	if spec.Remediate {
 		attach.Remediate = &remediate.Config{}
 	}
-	if spec.Work.Resilience {
+	if spec.Resilience {
 		attach.Resilience = &resilience.Config{}
 		rt.Goodput = &metrics.GoodputTimeline{}
 	}
@@ -211,7 +181,7 @@ func execute(spec Spec, opts Options) (*runData, error) {
 	}
 
 	data := &runData{}
-	if f := spec.Fault; f.Kind != faultNone && !clos3 {
+	if f := spec.fault(); f != nil && !clos3 {
 		spine := rt.Topo.Spines()[f.Spine]
 		data.blamedGroup = rt.Topo.TrunkLinks(rt.Topo.Leaves()[f.Leaf], spine)
 		if f.Kind == core.FaultFlap {
@@ -221,7 +191,7 @@ func execute(spec Spec, opts Options) (*runData, error) {
 			// cannot tell that remote uplink from its own local link
 			// (localize's single-sender ambiguity), so blaming the
 			// successor's link to the same spine is equally correct.
-			succ := rt.Topo.Leaves()[(f.Leaf+1)%spec.Topo.Leaves]
+			succ := rt.Topo.Leaves()[(f.Leaf+1)%sc.Leaves]
 			data.blamedGroup = append(data.blamedGroup, rt.Topo.TrunkLinks(succ, spine)...)
 		}
 	}
@@ -254,7 +224,7 @@ func execute(spec Spec, opts Options) (*runData, error) {
 		data.goodput = rt.Goodput.Report(0.9)
 	}
 	data.fingerprint = fingerprint(rt, sys)
-	if spec.Diverge.Active() {
+	if sc.Divergence.Enabled() {
 		data.divergent = rt.Plane.Divergent()
 		data.planeStats = rt.Plane.Stats()
 		for id := range rt.Topo.Links {
@@ -272,31 +242,6 @@ func execute(spec Spec, opts Options) (*runData, error) {
 		data.traceViolations = checkTraceReplay(sys.TraceWriter(), &traceBuf)
 	}
 	return data, nil
-}
-
-// divergenceScenario maps a spec's divergence regime onto the scenario
-// knobs (zero when off, so the build path is byte-identical).
-func divergenceScenario(spec Spec) core.DivergenceSpec {
-	d := spec.Diverge
-	if !d.Active() {
-		return core.DivergenceSpec{}
-	}
-	out := core.DivergenceSpec{
-		FailSkip:   d.FailSkip,
-		FailPushes: d.FailPushes,
-		AuditEvery: sim.Duration(d.AuditPS),
-	}
-	for _, st := range d.Stale {
-		if st.AtPS <= 0 {
-			continue
-		}
-		out.Stale = append(out.Stale, core.StaleSpec{
-			At:   sim.Time(st.AtPS),
-			Link: core.LeafSpineLink{LeafOrd: st.Leaf, SpineOrd: st.Spine, Trunk: st.Trunk},
-			Up:   false,
-		})
-	}
-	return out
 }
 
 // fingerprintDivergence folds the control plane's observable state into
@@ -366,14 +311,14 @@ func checkOracles(spec Spec, opts Options, d *runData) []string {
 	// Oracle 1b: offline replay of the run's own recording is
 	// bit-identical (fat-tree runs; see checkTraceReplay).
 	bad = append(bad, d.traceViolations...)
-	if d.itersDone != spec.Work.Iterations {
-		add("workload: completed %d of %d iterations", d.itersDone, spec.Work.Iterations)
+	if d.itersDone != spec.Scenario.Iterations {
+		add("workload: completed %d of %d iterations", d.itersDone, spec.Scenario.Iterations)
 	}
 
-	if spec.Work.Jobs == 2 {
+	if len(spec.Scenario.Jobs) != 0 {
 		return append(bad, checkSharedOracles(spec, opts, d)...)
 	}
-	if spec.Diverge.Active() {
+	if spec.Scenario.Divergence.Enabled() {
 		// Divergence runs swap the detection/localization/remediation
 		// oracles (a stale belief legitimately alerts on healthy links
 		// and withholds quarantines) for the convergence pair below.
@@ -383,16 +328,16 @@ func checkOracles(spec Spec, opts Options, d *runData) []string {
 	// A three-level run has a second tier of events, and its fault is
 	// seen by exactly one of the two: the spines for a core→spine link,
 	// the leaves otherwise (always, on a two-level fabric).
-	f := spec.Fault
-	clos3 := spec.Topo.Kind == Clos3
+	f := spec.fault()
+	clos3 := spec.Scenario.Pods > 0
 	leaf := d.jobs[0].events
 	victim, victimTier := leaf, topology.Leaf
-	if clos3 && f.CoreSpine {
+	if clos3 && f != nil && f.CoreSpine {
 		victim, victimTier = d.spineEvents, topology.Spine
 	}
 	events := append(leaf[:len(leaf):len(leaf)], d.spineEvents...)
-	congested := spec.Congest.Active()
-	if f.Kind == faultNone {
+	congested := congested(&spec.Scenario.Congestion)
+	if f == nil {
 		if congested {
 			// Oracle 2 (congestion form): adversarial traffic may trip
 			// deviation alerts — incast queues and storms genuinely skew
@@ -478,7 +423,7 @@ func checkOracles(spec Spec, opts Options, d *runData) []string {
 		// signature, and it pins the loss to the same trunk group the
 		// deficit would have.
 		if f.Kind == core.FaultFlap && a.Deviation > 0 &&
-			(a.LeafOrdinal == f.Leaf || a.LeafOrdinal == (f.Leaf+1)%spec.Topo.Leaves) {
+			(a.LeafOrdinal == f.Leaf || a.LeafOrdinal == (f.Leaf+1)%spec.Scenario.Leaves) {
 			detected = true
 			localized = true
 		}
@@ -500,13 +445,13 @@ func checkOracles(spec Spec, opts Options, d *runData) []string {
 	// runs waive it: storm-shifted spray balance can implicate
 	// bystanders the innocent-quarantine check would flag, and the
 	// combined envelope's burden is the detection deadline above.
-	if spec.Work.Remediate && !congested {
+	if spec.Remediate && !congested {
 		bad = append(bad, checkRemediation(spec, d)...)
 	}
 	// Oracle 5: a quarantine that halved the victim leaf must have
 	// re-planned the ring, and the workload must have recovered.
 	// (normalize disables Resilience whenever congestion is active.)
-	if spec.Work.Resilience {
+	if spec.Resilience {
 		bad = append(bad, checkResilience(spec, d)...)
 	}
 	return bad
@@ -538,7 +483,7 @@ func checkResilience(spec Spec, d *runData) []string {
 			replans++
 		}
 	}
-	f := spec.Fault
+	f := spec.fault()
 	if replans == 0 {
 		bad = append(bad, fmt.Sprintf(
 			"resilience: quarantine halved leaf %d but the ring was never re-planned", f.Leaf))
@@ -588,7 +533,7 @@ func checkDivergenceOracles(spec Spec, d *runData) []string {
 func checkRemediation(spec Spec, d *runData) []string {
 	var bad []string
 	add := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
-	f := spec.Fault
+	f := spec.fault()
 
 	// No innocent link is quarantined under a near-threshold steady
 	// loss *before the true link is caught*. (A blackhole is exempt:
@@ -669,9 +614,9 @@ func checkRemediation(spec Spec, d *runData) []string {
 func checkSharedOracles(spec Spec, opts Options, d *runData) []string {
 	var bad []string
 	add := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
-	f := spec.Fault
+	f := spec.fault()
 
-	if f.Kind == faultNone {
+	if f == nil {
 		for _, j := range d.jobs {
 			if len(j.events) != 0 {
 				add("clean shared run: job %d alert %s", j.id, j.events[0].Alert)

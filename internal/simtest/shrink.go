@@ -14,150 +14,71 @@ import "flowpulse/internal/core"
 // spend.
 const ShrinkBudget = 40
 
-// shrinkStep is one candidate simplification. It returns false when it
-// does not apply (already minimal).
+// shrinkStep is one candidate simplification. A step that does not
+// apply (already minimal, or undone by normalize) leaves the normalized
+// spec as it was, and Shrink moves on without spending a run.
 type shrinkStep struct {
 	name  string
-	apply func(*Spec) bool
+	apply func(*Spec)
 }
 
 var shrinkSteps = []shrinkStep{
-	{"fewer-iterations", func(s *Spec) bool {
-		next := s.Work.Iterations / 2
-		if next >= s.Work.Iterations {
-			return false
+	// normalize() restores the floors these halvings cross.
+	{"fewer-iterations", func(s *Spec) { s.Scenario.Iterations /= 2 }},
+	{"smaller-collective", func(s *Spec) { s.Scenario.BytesPerRank /= 2 }},
+	{"fewer-leaves", func(s *Spec) {
+		if s.Scenario.Pods == 0 {
+			s.Scenario.Leaves = s.Scenario.Leaves/2 + 2
 		}
-		s.Work.Iterations = next // normalize() restores the floor
-		return true
 	}},
-	{"smaller-collective", func(s *Spec) bool {
-		if s.Work.BytesPerRank <= 256<<10 {
-			return false
+	{"fewer-spines", func(s *Spec) {
+		if s.Scenario.Pods == 0 {
+			s.Scenario.Spines = s.Scenario.Spines/2 + 1
 		}
-		s.Work.BytesPerRank /= 2
-		return true
 	}},
-	{"fewer-leaves", func(s *Spec) bool {
-		if s.Topo.Kind != FatTree2 || s.Topo.Leaves <= 4 {
-			return false
+	// Drop the shared plane first: a bug that survives as a plain
+	// single-job run reproduces without the 2-job machinery (and frees
+	// single-host-leaves below to shrink further).
+	{"single-job", func(s *Spec) { s.Scenario.Jobs = nil }},
+	{"single-host-leaves", func(s *Spec) { s.Scenario.HostsPerLeaf = 1 }},
+	{"untrunked", func(s *Spec) {
+		s.Scenario.Trunk = 1
+		if f := s.fault(); f != nil {
+			f.Trunk = 0
 		}
-		s.Topo.Leaves = s.Topo.Leaves/2 + 2
-		return true
 	}},
-	{"fewer-spines", func(s *Spec) bool {
-		if s.Topo.Kind != FatTree2 || s.Topo.Spines <= 2 {
-			return false
+	{"no-jitter", func(s *Spec) { s.Scenario.JitterMax = 0 }},
+	{"ring-collective", func(s *Spec) { s.Scenario.Collective = core.RingAllReduce }},
+	// The earliest-failing prefix of the fault schedule: pull the onset
+	// to the front (normalize keeps learned-model warm-up).
+	{"earlier-onset", func(s *Spec) {
+		if f := s.fault(); f != nil {
+			f.Onset = 0
 		}
-		s.Topo.Spines = s.Topo.Spines/2 + 1
-		return true
 	}},
-	{"single-job", func(s *Spec) bool {
-		// Drop the shared plane first: a bug that survives as a plain
-		// single-job run reproduces without the 2-job machinery (and
-		// frees single-host-leaves below to shrink further).
-		if s.Work.Jobs == 0 {
-			return false
+	// Drop the workload re-planner before the control loop: a bug that
+	// survives as a plain remediated run reproduces without the re-rank
+	// machinery (and frees the oversubscribed-shape pins).
+	{"no-resilience", func(s *Spec) { s.Resilience = false }},
+	{"one-stale-flip", func(s *Spec) {
+		if d := &s.Scenario.Divergence; len(d.Stale) > 1 {
+			d.Stale = d.Stale[:1]
 		}
-		s.Work.Jobs = 0
-		return true
 	}},
-	{"single-host-leaves", func(s *Spec) bool {
-		if s.Topo.Kind != FatTree2 || s.Topo.HostsPerLeaf <= 1 {
-			return false
+	{"no-failed-pushes", func(s *Spec) {
+		if d := &s.Scenario.Divergence; d.FailPushes != 0 {
+			d.FailSkip, d.FailPushes = 0, 0
 		}
-		s.Topo.HostsPerLeaf = 1
-		return true
 	}},
-	{"untrunked", func(s *Spec) bool {
-		if s.Topo.Kind != FatTree2 || s.Topo.Trunk <= 1 {
-			return false
+	// Drop the control-plane faults before the control loop itself: a
+	// bug that survives as a plain remediated run reproduces without the
+	// belief/truth machinery.
+	{"no-divergence", func(s *Spec) { s.Scenario.Divergence = core.DivergenceSpec{} }},
+	{"no-remediation", func(s *Spec) { s.Remediate = false }},
+	{"smaller-clos", func(s *Spec) {
+		if sc := &s.Scenario; sc.Pods != 0 {
+			sc.Pods, sc.Leaves, sc.CoresPerGroup = min(sc.Pods, 2), min(sc.Leaves, 2), min(sc.CoresPerGroup, 2)
 		}
-		s.Topo.Trunk = 1
-		s.Fault.Trunk = 0
-		return true
-	}},
-	{"no-jitter", func(s *Spec) bool {
-		if s.Work.JitterPS == 0 {
-			return false
-		}
-		s.Work.JitterPS = 0
-		return true
-	}},
-	{"ring-collective", func(s *Spec) bool {
-		if s.Topo.Kind != FatTree2 || s.Work.Collective == core.RingAllReduce {
-			return false
-		}
-		s.Work.Collective = core.RingAllReduce
-		return true
-	}},
-	{"earlier-onset", func(s *Spec) bool {
-		// The earliest-failing prefix of the fault schedule: pull the
-		// onset to the front (normalize keeps learned-model warm-up).
-		if s.Fault.Kind == faultNone || s.Fault.Onset == 0 {
-			return false
-		}
-		s.Fault.Onset = 0
-		return true
-	}},
-	{"no-resilience", func(s *Spec) bool {
-		// Drop the workload re-planner before the control loop: a bug
-		// that survives as a plain remediated run reproduces without the
-		// re-rank machinery (and frees the oversubscribed-shape pins).
-		if !s.Work.Resilience {
-			return false
-		}
-		s.Work.Resilience = false
-		return true
-	}},
-	{"one-stale-flip", func(s *Spec) bool {
-		if s.Diverge.Stale[1].AtPS <= 0 {
-			return false
-		}
-		s.Diverge.Stale[1] = StaleFlip{}
-		return true
-	}},
-	{"no-failed-pushes", func(s *Spec) bool {
-		if s.Diverge.FailPushes == 0 {
-			return false
-		}
-		s.Diverge.FailSkip, s.Diverge.FailPushes = 0, 0
-		return true
-	}},
-	{"no-divergence", func(s *Spec) bool {
-		// Drop the control-plane faults before the control loop itself:
-		// a bug that survives as a plain remediated run reproduces
-		// without the belief/truth machinery.
-		if !s.Diverge.Active() {
-			return false
-		}
-		s.Diverge = DivergeSpec{}
-		return true
-	}},
-	{"no-remediation", func(s *Spec) bool {
-		if !s.Work.Remediate {
-			return false
-		}
-		s.Work.Remediate = false
-		return true
-	}},
-	{"smaller-clos", func(s *Spec) bool {
-		if s.Topo.Kind != Clos3 {
-			return false
-		}
-		shrunk := false
-		if s.Topo.Pods > 2 {
-			s.Topo.Pods = 2
-			shrunk = true
-		}
-		if s.Topo.LeavesPerPod > 2 {
-			s.Topo.LeavesPerPod = 2
-			shrunk = true
-		}
-		if s.Topo.CoresPerGroup > 2 {
-			s.Topo.CoresPerGroup = 2
-			shrunk = true
-		}
-		return shrunk
 	}},
 }
 
@@ -177,13 +98,13 @@ func Shrink(spec Spec, opts Options, budget int) (Spec, int) {
 			if runs >= budget {
 				return spec, runs
 			}
-			cand := spec
-			if !step.apply(&cand) {
-				continue
-			}
+			// A deep copy: a step that edits the fault entry must not
+			// edit the accepted spec through a shared slice.
+			cand := spec.clone()
+			step.apply(&cand)
 			cand.normalize()
-			if cand == spec {
-				continue // the step bounced off normalize's floor
+			if cand.MarshalCompact() == spec.MarshalCompact() {
+				continue // the step did not apply, or bounced off normalize's floor
 			}
 			runs++
 			if res := Run(cand, opts); !res.OK() {

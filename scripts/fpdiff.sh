@@ -20,11 +20,11 @@
 # Facade leg: build flowpulse-sim and every examples/* main at both and
 # compare their whole stdout — the public flowpulse.New → Monitor →
 # Train path, which neither flowpulse-check nor flowpulse-eval drives.
-# flowpulse-sim runs the invocations of its usage header (default,
-# clean, closed loop, simulation and learned predictors, two jobs,
-# resilience, flap) and one per remaining fault flag (-fault-at 0,
-# -upstream, -heal-after, an unremediated -flap-period), each on the
-# classic engine and the sharded one.
+# flowpulse-sim runs its built-in scenario and every committed scenario
+# file in the working tree's cmd/flowpulse-sim/testdata (clean, closed
+# loop, simulation and learned predictors, two jobs, resilience, flaps,
+# onset 0, upstream, heal, control-plane divergence), both builds on the
+# same file, each on the one-domain partition and the per-switch one.
 #
 # Exits 1 if any line differs in any leg. The ref is unpacked with
 # git archive into a temporary directory; nothing is left behind in
@@ -101,23 +101,10 @@ for seed in 1 7; do
 done
 
 for shards in 0 2; do
-  while read -r args; do
-    # shellcheck disable=SC2086 # $args is a flag list
-    compare -sim -shards "$shards" $args
-  done << 'ARGS'
-
--drop 0
--remediate
--predictor simulation
--predictor learned -iters 12 -heal-after 6
--jobs 2 -leaves 8 -spines 4 -size 4 -remediate
--resilience -interleave -leaves 8 -spines 2 -hosts 4 -size 2 -iters 20 -fault-leaf 4 -fault-spine 0 -drop 0.05
--remediate -leaves 8 -spines 4 -size 8 -iters 48 -fault-leaf 4 -drop 0.3 -flap-period 2040 -flap-down 1020
--fault-at 0
--upstream
--heal-after 4
--drop 0.3 -flap-period 500
-ARGS
+  compare -sim -shards "$shards"
+  for file in cmd/flowpulse-sim/testdata/*.json; do
+    compare -sim -shards "$shards" -scenario "$file"
+  done
 done
 for ex in $examples; do
   compare "-ex-$ex"
