@@ -30,7 +30,6 @@ var deadExportAllow = map[string]string{
 	"flowpulse.Nanosecond":    "completes the Duration units next to Microsecond and Millisecond",
 
 	"flowpulse.Monitor.DetectorStats": "README \"Parallel jobs\" documents it among the whole-monitor answers",
-	"flowpulse.Monitor.System":        "README \"Parallel jobs\" documents it as the way down to core.System",
 
 	"flowpulse/internal/sim.Engine.Step":    "reference implementation: the heap and typed-timer property tests step the engine as the oracle for Run's order",
 	"flowpulse/internal/sim.Engine.Stop":    "halts a run from inside an event on both engines; removing it rewrites the event loops, which the one-engine item owns",

@@ -177,10 +177,11 @@ func BenchmarkAblationPredictors(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				tr := experiments.Trial{
-					Scenario:   core.Scenario{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, Seed: uint64(i)},
-					Kind:       kind,
-					Fault:      core.FaultSpec{Kind: core.FaultBernoulli, Leaf: 3, Spine: 1, Rate: 0.05},
-					CleanIters: 3, FaultIters: 2,
+					Scenario: core.Scenario{
+						Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, Iterations: 5, Seed: uint64(i),
+						Faults: []core.FaultSpec{{Kind: core.FaultBernoulli, Leaf: 3, Spine: 1, Rate: 0.05, Onset: 3}},
+					},
+					Monitor: core.MonitorSpec{Predictor: kind},
 				}
 				if _, err := tr.Run(); err != nil {
 					b.Fatal(err)

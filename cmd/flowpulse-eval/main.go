@@ -36,7 +36,7 @@ func main() {
 		seed   = flag.Uint64("seed", 1, "root random seed")
 		csvDir = flag.String("csv", "", "also write plottable results as CSV files into this directory")
 		trcDir = flag.String("trace-dir", "", "record trace-capable experiments as .fpt traces into this directory")
-		shards = flag.Int("shards", runtime.GOMAXPROCS(0), "engine worker shards for the sharded experiments; results are identical for every value >= 1 (0 = classic single-threaded engine, byte-compatible with older releases)")
+		shards = flag.Int("shards", runtime.GOMAXPROCS(0), "engine worker shards for the sharded experiments: 0 = the one-domain partition, a single-threaded run; N >= 1 = one domain per switch on N workers, with identical results for every N >= 1")
 		cpu    = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		mem    = flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	)

@@ -3,15 +3,17 @@
 // scenario, the injected fault, every alert with its localization
 // verdict, and traffic/transport statistics.
 //
-// The run is a scenario file: a flowpulse.Scenario in its JSON form
-// (lowerCamel field names, durations in picoseconds under keys ending
-// in PS, an absent field is the default) plus the monitor to deploy:
+// The run is a scenario file (core.ReadRun, which flowpulse-trace record
+// reads too): a flowpulse.Scenario in its JSON form (lowerCamel field
+// names, durations in picoseconds under keys ending in PS, an absent
+// field is the default) plus the monitor to deploy, a core.MonitorSpec:
 //
 //	{"scenario": {"leaves": 8, "spines": 4, "bytesPerRank": 4194304, "iterations": 6,
 //	              "faults": [{"kind": "bernoulli", "rate": 0.015, "leaf": 3, "spine": 1, "onset": 2}]},
 //	 "monitor": {"predictor": "learned", "threshold": 0.01, "remediate": true}}
 //
-// A key the format does not have is an error. Without -scenario the run
+// A key the format does not have is an error, and so is a negative or
+// non-finite threshold. Without -scenario the run
 // is the built-in one, cmd/flowpulse-sim/testdata/default.json: the
 // paper's 32×16 fat tree, 16 MiB per rank, 6 iterations, a 1.5% silent
 // drop on leaf 3 / spine 1 after iteration 2, seed 1.
@@ -37,7 +39,7 @@
 package main
 
 import (
-	"encoding/json"
+	_ "embed"
 	"flag"
 	"fmt"
 	"io"
@@ -48,65 +50,31 @@ import (
 	"time"
 
 	"flowpulse"
+	"flowpulse/internal/core"
 	"flowpulse/internal/serve"
 )
 
-// document is a -scenario file: the run and the monitor deployed on it.
-type document struct {
-	Scenario flowpulse.Scenario `json:"scenario"`
-	Monitor  monitorChoice      `json:"monitor,omitzero"`
-}
-
-// monitorChoice is the monitor a document deploys; a zero field is the
-// default.
-type monitorChoice struct {
-	// Predictor is the load model (default analytical).
-	Predictor flowpulse.PredictorKind `json:"predictor,omitempty"`
-	// Threshold is the detection threshold (default the paper's 1%).
-	Threshold float64 `json:"threshold,omitempty"`
-	// Remediate closes the loop: confirm, quarantine, probe, re-admit.
-	Remediate bool `json:"remediate,omitempty"`
-	// Resilience extends the loop into the workload: re-plan the ring
-	// when a quarantine degrades a leaf below 90% capacity. It implies
-	// Remediate.
-	Resilience bool `json:"resilience,omitempty"`
-}
-
 // builtin is the run without -scenario.
-func builtin() document {
-	return document{Scenario: flowpulse.Scenario{
-		BytesPerRank: 16 << 20, Iterations: 6, Seed: 1,
-		Faults: []flowpulse.FaultSpec{{Kind: flowpulse.FaultBernoulli, Rate: 0.015, Leaf: 3, Spine: 1, Onset: 2}},
-	}}
+//
+//go:embed testdata/default.json
+var builtin []byte
+
+// load reads a -scenario file (the built-in run for ""). The monitor is
+// deployed through the facade, whose MonitorConfig has no CE discount.
+func load(path string) (core.RunDoc, error) {
+	doc, err := core.ReadRun(path, builtin)
+	if err == nil && doc.Monitor.CEDiscount != 0 {
+		err = fmt.Errorf("%s: monitor.ceDiscount is not supported here (flowpulse-trace record runs it)", path)
+	}
+	return doc, err
 }
 
-// load reads a -scenario file (the built-in run for ""), refusing keys
-// the format does not have, and fills in the monitor's defaults.
-func load(path string) (document, error) {
-	var doc document
-	if path == "" {
-		doc = builtin()
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			return document{}, err
-		}
-		defer f.Close()
-		dec := json.NewDecoder(f)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&doc); err != nil {
-			return document{}, fmt.Errorf("%s: %w", path, err)
-		}
+// exitOn reports a fatal error and exits 1 (deferred calls do not run).
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	m := &doc.Monitor
-	if m.Predictor == "" {
-		m.Predictor = flowpulse.Analytical
-	}
-	if m.Threshold == 0 {
-		m.Threshold = 0.01
-	}
-	m.Remediate = m.Remediate || m.Resilience
-	return doc, nil
 }
 
 func main() {
@@ -125,44 +93,31 @@ func main() {
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(pprof.StartCPUProfile(f))
 		defer pprof.StopCPUProfile()
 	}
 
 	doc, err := load(*scenario)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "seed" {
 			doc.Scenario.Seed = *seed
 		}
 	})
 	doc.Scenario.Shards = *shards
-	choice := doc.Monitor
+	opts := doc.Monitor.AttachOptions()
 
 	cluster, err := flowpulse.New(doc.Scenario)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	defer cluster.Close()
 	sc := cluster.Scenario()
 	multi := len(sc.Jobs) > 1
 	monCfg := flowpulse.MonitorConfig{
-		Predictor:  choice.Predictor,
-		Threshold:  choice.Threshold,
-		TracePath:  *tracePath,
-		TraceLabel: "flowpulse-sim",
+		Predictor: opts.Job.Kind, Threshold: opts.Job.Detect.Threshold,
+		Remediate: opts.Remediate, Resilience: opts.Resilience,
+		TracePath: *tracePath, TraceLabel: "flowpulse-sim",
 	}
 	// -stream turns this run into a live producer: the same .fpt frames
 	// that would land in -trace go down a TCP connection to a
@@ -171,36 +126,21 @@ func main() {
 	var producer *serve.Producer
 	if *stream != "" {
 		p, err := serve.DialProducer(*stream, *streamTok, *streamMode, "flowpulse-sim", 5*time.Second)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		producer = p
 		monCfg.TracePath = ""
 		monCfg.TraceSink = io.Writer(p)
 		if *tracePath != "" {
 			f, err := os.Create(*tracePath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			exitOn(err)
 			defer f.Close()
 			monCfg.TraceSink = io.MultiWriter(f, p)
 		}
 	}
-	if choice.Remediate {
-		monCfg.Remediate = &flowpulse.RemediateConfig{}
-	}
-	if choice.Resilience {
-		monCfg.Resilience = &flowpulse.ResilienceConfig{}
-	}
 	mon, err := cluster.Monitor(monCfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	var goodput *flowpulse.GoodputTimeline
-	if choice.Resilience && !multi {
+	if opts.Resilience != nil && !multi {
 		goodput = cluster.TrackGoodput()
 	}
 
@@ -213,7 +153,8 @@ func main() {
 	if multi {
 		fmt.Printf("jobs: %d concurrent (one shared tap per switch, per-job pipelines)\n", len(sc.Jobs))
 	}
-	fmt.Printf("predictor=%s threshold=%.2f%% pre-existing=%d\n", choice.Predictor, choice.Threshold*100, len(sc.PreExisting))
+	det := mon.System().Jobs()[0].Detector
+	fmt.Printf("predictor=%s threshold=%.2f%% pre-existing=%d\n", mon.PredictorName(), det.Threshold()*100, len(sc.PreExisting))
 	if *shards >= 1 {
 		fmt.Printf("engine: sharded (%d workers, one domain per switch)\n", *shards)
 	} else {
@@ -225,10 +166,10 @@ func main() {
 	if len(sc.Faults) == 0 {
 		fmt.Println("fault: none (clean run)")
 	}
-	if choice.Remediate {
+	if opts.Remediate != nil {
 		fmt.Println("remediation: enabled (confirm K=3, probe M=3, flap damping)")
 	}
-	if choice.Resilience {
+	if opts.Resilience != nil {
 		fmt.Println("resilience: enabled (ring re-plan when a quarantine degrades a leaf)")
 	}
 	if d := sc.Divergence; d.Enabled() {
@@ -262,19 +203,13 @@ func main() {
 			}
 		}
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	exitOn(err)
 	if *tracePath != "" {
 		fmt.Printf("trace recorded to %s\n", *tracePath)
 	}
 	if producer != nil {
 		st, err := producer.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(err)
 		fmt.Printf("streamed to %s: session=%s mode=%s windows=%d events=%d actions=%d fingerprint=%016x parity=%s\n",
 			*stream, st.Session, st.Mode, st.Windows, st.Events, st.Actions, st.Fingerprint, st.Parity)
 	}
@@ -318,7 +253,7 @@ func main() {
 		printScores("", mon.IterationScores())
 	}
 
-	if choice.Remediate {
+	if opts.Remediate != nil {
 		fmt.Println()
 		timeline := mon.RemediationTimeline()
 		if len(timeline) == 0 {

@@ -3,17 +3,17 @@ package main
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
 	"flowpulse"
+	"flowpulse/internal/core"
 )
 
 // build builds a document's scenario on the one-domain partition and
 // returns the defaulted scenario the cluster runs.
-func build(t *testing.T, doc document) flowpulse.Scenario {
+func build(t *testing.T, doc core.RunDoc) flowpulse.Scenario {
 	t.Helper()
 	doc.Scenario.Shards = 0
 	cluster, err := flowpulse.New(doc.Scenario)
@@ -44,58 +44,49 @@ func TestScenarioFilesDecodeAndBuild(t *testing.T) {
 	}
 }
 
-// TestDefaultFileIsTheBuiltinRun: testdata/default.json spells out the
-// run flowpulse-sim makes without -scenario.
-func TestDefaultFileIsTheBuiltinRun(t *testing.T) {
-	file, err := load("testdata/default.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := load("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if file.Monitor != def.Monitor {
-		t.Errorf("monitor: file %+v, built-in %+v", file.Monitor, def.Monitor)
-	}
-	if a, b := build(t, file), build(t, def); !reflect.DeepEqual(a, b) {
-		t.Errorf("scenario: file %+v\nbuilt-in %+v", a, b)
-	}
-}
-
 // TestLoadRejectsUnknownKeys: a typo'd key is an error that names it,
-// never a field silently left at its default.
+// never a field silently left at its default; so is a monitor setting
+// no detector can run with, and one this command cannot deploy.
 func TestLoadRejectsUnknownKeys(t *testing.T) {
 	good, err := os.ReadFile("testdata/remediate.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for typo, key := range map[string]string{`"remediate"`: "remediated", `"iterations"`: "iters", `"onset"`: "faultAt"} {
-		bad := strings.Replace(string(good), typo, `"`+key+`"`, 1)
-		path := filepath.Join(t.TempDir(), "typo.json")
+	for edit, want := range map[[2]string]string{
+		{`"remediate"`, `"remediated"`}:            `unknown field "remediated"`,
+		{`"iterations"`, `"iters"`}:                `unknown field "iters"`,
+		{`"onset"`, `"faultAt"`}:                   `unknown field "faultAt"`,
+		{`"threshold": 0.01`, `"threshold": -0.5`}: "threshold -0.5 must be finite and ≥ 0",
+		{`"threshold": 0.01`, `"ceDiscount": 2`}:   "ceDiscount is not supported",
+	} {
+		bad := strings.Replace(string(good), edit[0], edit[1], 1)
+		path := filepath.Join(t.TempDir(), "bad.json")
 		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := load(path); err == nil || !strings.Contains(err.Error(), `unknown field "`+key+`"`) {
-			t.Errorf("typo %q: err = %v, want one naming the key", key, err)
+		if _, err := load(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", edit[1], err, want)
 		}
 	}
 }
 
-// TestReadmeScenariosExist: every `-scenario <file>` README cites is a
-// committed file that decodes.
+// TestReadmeScenariosExist: every `-scenario <file>` README cites, for
+// flowpulse-sim or for flowpulse-trace record, is a committed file that
+// decodes.
 func TestReadmeScenariosExist(t *testing.T) {
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cited := regexp.MustCompile(`-scenario (\S+\.json)`).FindAllStringSubmatch(string(readme), -1)
-	if len(cited) == 0 {
-		t.Fatal("README cites no -scenario file")
-	}
+	cited := regexp.MustCompile(`(flowpulse-sim|flowpulse-trace record)\s[^\n]*-scenario (\S+\.json)`).FindAllStringSubmatch(string(readme), -1)
+	by := map[string]int{}
 	for _, m := range cited {
-		if _, err := load(filepath.Join("../..", m[1])); err != nil {
-			t.Errorf("README cites %s: %v", m[1], err)
+		by[m[1]]++
+		if _, err := core.ReadRun(filepath.Join("../..", m[2]), nil); err != nil {
+			t.Errorf("README cites %s: %v", m[2], err)
 		}
+	}
+	if by["flowpulse-sim"] == 0 || by["flowpulse-trace record"] == 0 {
+		t.Fatalf("README cites -scenario files %v times per command, want both commands", by)
 	}
 }

@@ -8,9 +8,17 @@
 // under what-if overrides — and `sweep` reproduces a full ROC curve
 // from one recording without re-simulating anything.
 //
-// Usage:
+// `record` runs a run file — the {"scenario": …, "monitor": …} document
+// flowpulse-sim reads — and records it; without -scenario the run is the
+// built-in one, testdata/default.json: an 8×4 fat tree, 4 MiB per rank,
+// 8 iterations, a 2% silent drop on leaf 2 / spine 1 after iteration 3,
+// background traffic every 4 µs, seed 1.
 //
-//	flowpulse-trace record -o run.fpt -drop 0.02          # simulate + record
+// Usage (from the repository root; testdata is cmd/flowpulse-trace/testdata):
+//
+//	flowpulse-trace record -o run.fpt                     # simulate + record the built-in run
+//	flowpulse-trace record -scenario testdata/remediate.json -o run.fpt
+//	                                                      # a run file: closed loop, 5% drop
 //	flowpulse-trace replay run.fpt                        # verify bit-identical replay
 //	flowpulse-trace replay -threshold 0.02 run.fpt        # what-if: different threshold
 //	flowpulse-trace replay -predictor learned run.fpt     # what-if: learned model
@@ -22,6 +30,7 @@
 package main
 
 import (
+	_ "embed"
 	"flag"
 	"fmt"
 	"io"
@@ -32,6 +41,7 @@ import (
 	"time"
 
 	"flowpulse/internal/core"
+	"flowpulse/internal/detect"
 	"flowpulse/internal/experiments"
 	"flowpulse/internal/metrics"
 	"flowpulse/internal/serve"
@@ -46,7 +56,7 @@ func main() {
 const usage = `usage: flowpulse-trace <command> [flags] [trace.fpt ...]
 
 commands:
-  record   simulate one faulted training run and record it
+  record   simulate one run file (default: the built-in run) and record it
   replay   re-run a recording through detect -> localize -> remediate offline
   sweep    compute ROC points across thresholds from recording(s)
   stat     print header, record counts, and fingerprint
@@ -87,56 +97,68 @@ func ratesLine(threshold float64, samples []metrics.Sample) string {
 	return fmt.Sprintf("@ %.2f%%: FPR %.2f%% / FNR %.2f%%", 100*threshold, 100*fpr, 100*fnr)
 }
 
+// builtin is the run `record` makes without -scenario.
+//
+//go:embed testdata/default.json
+var builtin []byte
+
+// parseThreshold parses a threshold under the detector's validity rule.
+func parseThreshold(s string) (float64, error) {
+	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	if err == nil {
+		err = detect.Config{Threshold: v}.Validate()
+	}
+	return v, err
+}
+
+// thresholdFlag defines a threshold flag: parsing refuses a value
+// parseThreshold refuses, naming the flag.
+func thresholdFlag(fs *flag.FlagSet, name string, v float64, usage string) *float64 {
+	fs.Func(name, usage, func(s string) (err error) {
+		v, err = parseThreshold(s)
+		return err
+	})
+	return &v
+}
+
 func cmdRecord(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("record", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		out        = fs.String("o", "trace.fpt", "output trace file")
-		leaves     = fs.Int("leaves", 8, "leaf switches")
-		spines     = fs.Int("spines", 4, "spine switches")
-		sizeMB     = fs.Int64("size", 4, "collective size per rank (MiB)")
-		clean      = fs.Int("clean", 3, "fault-free iterations before injection")
-		faultIters = fs.Int("fault-iters", 5, "iterations with the fault active")
-		drop       = fs.Float64("drop", 0.02, "silent drop rate (0 = clean run)")
-		faultLeaf  = fs.Int("fault-leaf", 2, "faulty link: leaf ordinal")
-		faultSpine = fs.Int("fault-spine", 1, "faulty link: spine ordinal")
-		upstream   = fs.Bool("upstream", false, "fault the leaf-to-spine direction instead")
-		remediated = fs.Bool("remediate", false, "attach the closed-loop remediator")
-		predictor  = fs.String("predictor", "analytical", "load model (analytical|simulation|learned)")
-		noiseUS    = fs.Int64("background-us", 4, "background-traffic interval (µs, 0 = none)")
-		at         = fs.Float64("at", 0.01, "report the online operating point at this threshold")
-		label      = fs.String("label", "flowpulse-trace record", "trace header label")
-		seed       = fs.Uint64("seed", 1, "random seed")
-		shards     = fs.Int("shards", 0, "engine worker shards (0 = classic single-threaded engine, byte-compatible with existing recordings; traces are identical for every value >= 1)")
+		out      = fs.String("o", "trace.fpt", "output trace file")
+		scenario = fs.String("scenario", "", "record this run file, as flowpulse-sim runs one (default: the built-in run, testdata/default.json)")
+		seed     = fs.Uint64("seed", 0, "random seed, replacing the run file's (the built-in run's is 1)")
+		shards   = fs.Int("shards", 0, "engine worker shards: 0 = the one-domain partition, a single-threaded run; N >= 1 = one domain per switch on N workers, with identical recordings for every N >= 1")
+		at       = thresholdFlag(fs, "at", 0.01, "report the online operating point at this threshold (default 0.01)")
+		label    = fs.String("label", "flowpulse-trace record", "trace header label")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	tr := experiments.Trial{
-		Scenario: core.Scenario{
-			Leaves: *leaves, Spines: *spines,
-			BytesPerRank: *sizeMB << 20,
-			Background:   sim.Duration(*noiseUS) * sim.Microsecond,
-			Seed:         *seed,
-			Shards:       *shards,
-		},
-		Kind:       core.PredictorKind(*predictor),
-		CleanIters: *clean,
-		FaultIters: *faultIters,
-		Remediate:  *remediated,
-		TracePath:  *out,
-		TraceLabel: *label,
-	}
-	if *drop > 0 {
-		tr.Fault = core.FaultSpec{Kind: core.FaultBernoulli, Leaf: *faultLeaf, Spine: *faultSpine, Upstream: *upstream, Rate: *drop}
-	}
-	res, err := tr.Run()
+	doc, err := core.ReadRun(*scenario, builtin)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			doc.Scenario.Seed = *seed
+		}
+	})
+	doc.Scenario.Shards = *shards
+	res, err := experiments.Trial{Scenario: doc.Scenario, Monitor: doc.Monitor, TracePath: *out, TraceLabel: *label}.Run()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	faulty := 0
+	for _, s := range res.Samples[:res.Iterations] {
+		if s.Positive {
+			faulty++
+		}
+	}
 	fmt.Fprintf(stdout, "recorded %s: %d iterations (%d clean + %d faulty), %d event(s)\n",
-		*out, tr.CleanIters+tr.FaultIters, tr.CleanIters, tr.FaultIters, len(res.Events))
+		*out, res.Iterations, res.Iterations-faulty, faulty, len(res.Events))
 	fmt.Fprintln(stdout, ratesLine(*at, res.Samples))
 	return 0
 }
@@ -154,7 +176,7 @@ func cmdReplay(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		threshold = fs.Float64("threshold", 0, "override the detection threshold (0 = recorded)")
+		threshold = thresholdFlag(fs, "threshold", 0, "override the detection threshold (0 = recorded)")
 		predictor = fs.String("predictor", "", "override the load model: recorded|learned")
 		first     = fs.Uint("first", 0, "replay iterations >= this (0 = from start)")
 		last      = fs.Uint("last", 0, "replay iterations <= this (0 = to end)")
@@ -216,12 +238,9 @@ func cmdReplay(args []string, stdout, stderr io.Writer) int {
 }
 
 func parseThresholds(s string) ([]float64, error) {
-	if s == "" {
-		return experiments.DefaultThresholds(), nil
-	}
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		v, err := parseThreshold(part)
 		if err != nil {
 			return nil, fmt.Errorf("bad threshold %q: %v", part, err)
 		}
@@ -233,20 +252,17 @@ func parseThresholds(s string) ([]float64, error) {
 func cmdSweep(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		ths = fs.String("thresholds", "", "comma-separated thresholds (default: the paper's 0.1%..5% sweep)")
-		at  = fs.Float64("at", 0, "also report the operating point at this threshold")
-	)
+	thresholds := experiments.DefaultThresholds()
+	fs.Func("thresholds", "comma-separated thresholds (default: the paper's 0.1%..5% sweep)", func(s string) (err error) {
+		thresholds, err = parseThresholds(s)
+		return err
+	})
+	at := thresholdFlag(fs, "at", 0, "also report the operating point at this threshold")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() == 0 {
 		fmt.Fprintln(stderr, "usage: flowpulse-trace sweep [flags] <trace.fpt ...>")
-		return 2
-	}
-	thresholds, err := parseThresholds(*ths)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	var samples []metrics.Sample

@@ -31,6 +31,8 @@ func main() {
 	// Deploy FlowPulse on every leaf switch: analytical load model,
 	// the paper's 1% detection threshold.
 	monitor, err := cluster.Monitor(flowpulse.MonitorConfig{
+		Predictor: flowpulse.Analytical,
+		Threshold: 0.01,
 		OnEvent: func(e flowpulse.Event) {
 			fmt.Printf("  ALERT %v\n", e.Alert)
 			if e.Alert.Deviation < 0 {

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 
+	"flowpulse/internal/detect"
 	"flowpulse/internal/remediate"
 	"flowpulse/internal/resilience"
 	"flowpulse/internal/sim"
@@ -31,6 +35,68 @@ type AttachOptions struct {
 	TracePath  string
 	Trace      *trace.Writer
 	TraceLabel string
+}
+
+// MonitorSpec is the monitor a run deploys, written down: the "monitor"
+// half of a run document (ReadRun) and the monitor keys of the simtest
+// repro format. A zero field is the default.
+type MonitorSpec struct {
+	// Predictor is the load model (default analytical).
+	Predictor PredictorKind `json:"predictor,omitempty"`
+	// Threshold is the detection threshold (default the paper's 1%).
+	Threshold float64 `json:"threshold,omitempty"`
+	// Remediate closes the loop: confirm, quarantine, probe, re-admit.
+	Remediate bool `json:"remediate,omitempty"`
+	// Resilience extends the loop into the workload: re-plan the
+	// collective when a quarantine degrades a leaf below its recovery
+	// target. It implies Remediate.
+	Resilience bool `json:"resilience,omitempty"`
+	// CEDiscount is the detector's congestion-mitigation weight
+	// (detect.Config.CEDiscount).
+	CEDiscount float64 `json:"ceDiscount,omitempty"`
+}
+
+// AttachOptions is the spec as Attach takes it, closed loops at their
+// default configurations.
+func (m MonitorSpec) AttachOptions() AttachOptions {
+	opts := AttachOptions{Job: JobConfig{Kind: m.Predictor, Detect: detect.Config{Threshold: m.Threshold, CEDiscount: m.CEDiscount}}}
+	if m.Remediate || m.Resilience {
+		opts.Remediate = &remediate.Config{}
+	}
+	if m.Resilience {
+		opts.Resilience = &resilience.Config{}
+	}
+	return opts
+}
+
+// RunDoc is a run written down: the scenario and the monitor deployed on
+// it. Its JSON form is what flowpulse-sim runs and flowpulse-trace
+// records.
+type RunDoc struct {
+	Scenario Scenario    `json:"scenario"`
+	Monitor  MonitorSpec `json:"monitor,omitzero"`
+}
+
+// ReadRun reads the run document at path, or builtin — a command's own
+// default run — when path is empty. A key the format does not have is an
+// error, not a field silently left at its default, and so is a detector
+// setting detect.Config.Validate refuses.
+func ReadRun(path string, builtin []byte) (doc RunDoc, err error) {
+	data := builtin
+	if path != "" {
+		if data, err = os.ReadFile(path); err != nil {
+			return doc, err
+		}
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err = dec.Decode(&doc); err == nil {
+		err = doc.Monitor.AttachOptions().Job.Detect.Validate()
+	}
+	if err != nil && path != "" {
+		err = fmt.Errorf("%s: %w", path, err)
+	}
+	return doc, err
 }
 
 // Attach deploys FlowPulse on every job of the runtime, over its fabric,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -110,3 +111,32 @@ var errDiskFull = errors.New("disk full")
 type failingWriter struct{}
 
 func (failingWriter) Write(p []byte) (int, error) { return 0, errDiskFull }
+
+// TestMonitorSpecAttachOptions: the one conversion from the written-down
+// monitor to Attach's options — detector fields through, the closed
+// loops at their defaults, and Resilience bringing Remediate with it.
+func TestMonitorSpecAttachOptions(t *testing.T) {
+	if opts := (MonitorSpec{}).AttachOptions(); opts.Remediate != nil || opts.Resilience != nil || opts.Job.Kind != "" {
+		t.Errorf("zero spec: %+v, want the open-loop defaults", opts)
+	}
+	opts := MonitorSpec{Predictor: LearnedModel, Threshold: 0.02, CEDiscount: 2, Resilience: true}.AttachOptions()
+	if opts.Job.Kind != LearnedModel || opts.Job.Detect.Threshold != 0.02 || opts.Job.Detect.CEDiscount != 2 {
+		t.Errorf("job %+v lost a field", opts.Job)
+	}
+	if opts.Remediate == nil || opts.Resilience == nil {
+		t.Errorf("resilience without remediation: %+v", opts)
+	}
+}
+
+// TestMonitorSpecJSONKeys: the monitor's keys, in field order, are the
+// ones run files and the simtest repro line spell.
+func TestMonitorSpecJSONKeys(t *testing.T) {
+	b, err := json.Marshal(MonitorSpec{Predictor: AnalyticalModel, Threshold: 0.01, Remediate: true, Resilience: true, CEDiscount: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"predictor":"analytical","threshold":0.01,"remediate":true,"resilience":true,"ceDiscount":1}`
+	if string(b) != want {
+		t.Errorf("got %s, want %s", b, want)
+	}
+}

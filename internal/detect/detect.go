@@ -54,6 +54,21 @@ type Config struct {
 	CEDiscount float64
 }
 
+// Validate is the one validity rule for a detector setting, applied
+// before defaulting wherever a value arrives from outside (a run file, a
+// flag, a recorded header): Threshold, MinPredicted and CEDiscount must
+// each be finite and ≥ 0, zero taking the default. A negative threshold
+// would pass every boundary.
+func (c Config) Validate() error {
+	names := [...]string{"threshold", "minPredicted", "ceDiscount"}
+	for i, v := range [...]float64{c.Threshold, c.MinPredicted, c.CEDiscount} {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("detect: %s %v must be finite and ≥ 0", names[i], v)
+		}
+	}
+	return nil
+}
+
 func (c *Config) setDefaults() {
 	if c.Threshold == 0 {
 		c.Threshold = 0.01

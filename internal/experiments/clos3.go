@@ -61,7 +61,7 @@ func Clos3(cfg Clos3Config) (*Clos3Result, error) {
 		sc.Faults = []core.FaultSpec{f}
 		r, err := simulate(runSpec{
 			scenario: sc,
-			job:      core.JobConfig{Kind: core.LearnedModel, Learned: predict.LearnedConfig{Warmup: 3}},
+			attach:   core.AttachOptions{Job: core.JobConfig{Kind: core.LearnedModel, Learned: predict.LearnedConfig{Warmup: 3}}},
 		})
 		if err != nil {
 			return c, err

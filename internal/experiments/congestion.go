@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"flowpulse/internal/core"
-	"flowpulse/internal/detect"
 	"flowpulse/internal/metrics"
 	"flowpulse/internal/sim"
 )
@@ -109,9 +108,9 @@ func Congestion(cfg CongestionConfig) (*CongestionResult, error) {
 				}
 				trial := cfg.trial(sc, tr)
 				if i%2 == 0 {
-					trial.Fault = core.FaultSpec{}
+					trial.Scenario.Faults = nil
 				}
-				trial.Detect = detect.Config{CEDiscount: discount}
+				trial.Monitor.CEDiscount = discount
 				return trial
 			})
 			if err != nil {

@@ -84,7 +84,7 @@ func Divergence(cfg DivergenceConfig) (*DivergenceResult, error) {
 	// sees the attached system so scripted operator actions can refresh
 	// the predictor baseline the way the remediator's own actions do.
 	trial := func(scenario, arm string, sc core.Scenario, script func(r simRun, now sim.Time, iter uint32)) error {
-		r, err := simulate(runSpec{scenario: sc, remediate: &remediate.Config{}, onIter: script})
+		r, err := simulate(runSpec{scenario: sc, attach: core.AttachOptions{Remediate: &remediate.Config{}}, onIter: script})
 		if err == nil {
 			res.Rows = append(res.Rows, divergenceRow(scenario, arm, r))
 		}

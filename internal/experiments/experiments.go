@@ -19,10 +19,8 @@ import (
 	"sync/atomic"
 
 	"flowpulse/internal/core"
-	"flowpulse/internal/detect"
 	"flowpulse/internal/fabric"
 	"flowpulse/internal/metrics"
-	"flowpulse/internal/remediate"
 	"flowpulse/internal/sim"
 	"flowpulse/internal/topology"
 )
@@ -56,12 +54,16 @@ func (g Grid) scenario(seed uint64) core.Scenario {
 }
 
 // trial is the grid's standard trial on sc: background noise on, the
-// n-th fault location, the grid's drop rate and phase lengths.
+// grid's phase lengths, and the n-th fault location at the grid's drop
+// rate, armed after the clean phase. The fault schedule is the trial's
+// own: callers edit Faults[0] freely.
 func (g Grid) trial(sc core.Scenario, n int) Trial {
-	return Trial{
-		Scenario: withNoise(sc), Fault: faultFor(sc, n, g.DropRate),
-		CleanIters: g.CleanIters, FaultIters: g.FaultIters,
-	}
+	sc = withNoise(sc)
+	sc.Iterations = g.CleanIters + g.FaultIters
+	f := faultFor(sc, n, g.DropRate)
+	f.Onset = g.CleanIters
+	sc.Faults = []core.FaultSpec{f}
+	return Trial{Scenario: sc}
 }
 
 // fillZero sets every zero field of cfg — the embedded Grid's fields
@@ -78,26 +80,17 @@ func fillZero(cfg, def reflect.Value) {
 	}
 }
 
-// Trial is one simulation run: CleanIters fault-free iterations
-// followed by FaultIters iterations with a silent fault on one link.
+// Trial is one monitored simulation run: a scenario, whose fault
+// schedule is the ground truth the trial's samples are labeled by, and
+// the monitor deployed on it.
 type Trial struct {
-	// Scenario shapes the network and workload. Iterations is
-	// overridden to CleanIters+FaultIters.
+	// Scenario is the run. A Bernoulli drop of rate 0 in its Faults is
+	// no fault (the standard trial of a Grid with no DropRate runs
+	// clean).
 	Scenario core.Scenario
-	// Kind selects the load model (default analytical, as in §6).
-	Kind core.PredictorKind
-	// Fault is the silent fault; Run sets its Onset to CleanIters. The
-	// zero value runs fault-free, and so does a Bernoulli drop of rate 0
-	// (the standard trial of a Grid with no DropRate).
-	Fault core.FaultSpec
-	// CleanIters and FaultIters split the run.
-	CleanIters, FaultIters int
-	// Detect tunes the detector; the zero value keeps the paper
-	// defaults. Experiments that sweep detector mitigations (the
-	// congestion study's CE discount) set it per trial.
-	Detect detect.Config
-	// Remediate attaches the default closed-loop control plane.
-	Remediate bool
+	// Monitor is the monitor deployed on it (the zero value: the
+	// analytical model at the paper's 1%, open loop, as in §6).
+	Monitor core.MonitorSpec
 	// TracePath records the run (windows, events, remediation, fault
 	// schedule) to a .fpt trace for offline replay; TraceLabel
 	// annotates its header.
@@ -106,21 +99,23 @@ type Trial struct {
 
 // TrialResult is the outcome of one Trial.
 type TrialResult struct {
-	// Samples holds one classifier sample per iteration: the max
-	// absolute deviation across all leaves and ports, labeled by
-	// whether the fault was active.
+	// Samples holds one classifier sample per iteration of each job, job
+	// by job: the max absolute deviation across all leaves and ports,
+	// labeled by whether a fault of the built schedule was active — the
+	// samples trace.Replay derives from the run's recording.
 	Samples []metrics.Sample
-	// Events are the detections raised (with localization).
+	// Iterations is the number of iterations the first job ran, whose
+	// samples lead Samples.
+	Iterations int
+	// Events are the detections raised (with localization), job by job.
 	Events []core.Event
-	// FirstDetection is the iteration of the first fault-phase alert
-	// (0 = never detected).
+	// FirstDetection is the iteration of the first alert raised while a
+	// fault was active (0 = never detected).
 	FirstDetection uint32
-	// FalseAlerts counts alerts raised during the clean phase.
+	// FalseAlerts counts alerts raised while no fault was active.
 	FalseAlerts int
-	// Elapsed is the simulated duration of the whole run.
-	Elapsed sim.Duration
-	// FaultLink is the fabric link the fault was injected on (unset for
-	// fault-free trials).
+	// FaultLink is the fabric link the first scheduled fault was
+	// injected on (unset for fault-free trials).
 	FaultLink topology.LinkID
 	// Fabric holds the network-wide counters at the end of the run.
 	Fabric fabric.Stats
@@ -129,50 +124,50 @@ type TrialResult struct {
 // Run executes the trial.
 func (tr Trial) Run() (*TrialResult, error) {
 	sc := tr.Scenario
-	sc.Iterations = tr.CleanIters + tr.FaultIters
-	if tr.Kind == "" {
-		tr.Kind = core.AnalyticalModel
+	sc.Faults = nil
+	for _, f := range tr.Scenario.Faults {
+		if f.Kind != core.FaultBernoulli || f.Rate > 0 {
+			sc.Faults = append(sc.Faults, f)
+		}
 	}
-	faulty := tr.Fault.Kind != "" && (tr.Fault.Kind != core.FaultBernoulli || tr.Fault.Rate > 0)
-	if faulty {
-		tr.Fault.Onset = tr.CleanIters
-		sc.Faults = []core.FaultSpec{tr.Fault}
-	}
-	spec := runSpec{
-		scenario:  sc,
-		job:       core.JobConfig{Kind: tr.Kind, Detect: tr.Detect},
-		tracePath: tr.TracePath, traceLabel: tr.TraceLabel,
-	}
-	if tr.Remediate {
-		spec.remediate = &remediate.Config{}
-	}
-	r, err := simulate(spec)
+	attach := tr.Monitor.AttachOptions()
+	attach.TracePath, attach.TraceLabel = tr.TracePath, tr.TraceLabel
+	r, err := simulate(runSpec{scenario: sc, attach: attach})
 	if err != nil {
 		return nil, err
 	}
-	res := &TrialResult{}
-	if faulty {
-		res.FaultLink = r.rt.Link(core.LeafSpineLink{LeafOrd: tr.Fault.Leaf, SpineOrd: tr.Fault.Spine, Trunk: tr.Fault.Trunk})
+	faults := r.rt.Scenario.Faults
+	res := &TrialResult{Iterations: r.rt.Jobs[0].Spec.Iterations, Fabric: r.rt.Net.Stats()}
+	if len(faults) > 0 {
+		f := faults[0]
+		res.FaultLink = r.rt.Link(core.LeafSpineLink{LeafOrd: f.Leaf, SpineOrd: f.Spine, Trunk: f.Trunk})
 	}
-
-	pipe := r.sys.Jobs()[0].Pipeline
-	res.Events, res.Elapsed, res.Fabric = pipe.Events, sim.Duration(r.rt.Engine.Now()), r.rt.Net.Stats()
-	scores := pipe.IterationScores()
-	res.Samples = make([]metrics.Sample, 0, sc.Iterations)
-	for iter := 1; iter <= sc.Iterations; iter++ {
-		res.Samples = append(res.Samples, metrics.Sample{
-			Score:    scores[uint32(iter)],
-			Positive: faulty && iter > tr.CleanIters,
-		})
-	}
-	for _, e := range pipe.Events {
-		if int(e.Alert.Iter) <= tr.CleanIters {
-			res.FalseAlerts++
-		} else if res.FirstDetection == 0 {
-			res.FirstDetection = e.Alert.Iter
+	for i, j := range r.sys.Jobs() {
+		scores := j.Pipeline.IterationScores()
+		for iter := 1; iter <= r.rt.Jobs[i].Spec.Iterations; iter++ {
+			res.Samples = append(res.Samples, metrics.Sample{Score: scores[uint32(iter)], Positive: faultActive(faults, iter)})
 		}
+		for _, e := range j.Pipeline.Events {
+			if !faultActive(faults, int(e.Alert.Iter)) {
+				res.FalseAlerts++
+			} else if res.FirstDetection == 0 {
+				res.FirstDetection = e.Alert.Iter
+			}
+		}
+		res.Events = append(res.Events, j.Pipeline.Events...)
 	}
 	return res, nil
+}
+
+// faultActive reports whether a fault of the schedule is live during
+// iteration iter: armed after its onset and not yet healed.
+func faultActive(faults []core.FaultSpec, iter int) bool {
+	for _, f := range faults {
+		if iter > f.Onset && (f.Heal == 0 || iter <= f.Heal) {
+			return true
+		}
+	}
+	return false
 }
 
 // RunAll executes trials concurrently (bounded by GOMAXPROCS) and

@@ -13,10 +13,7 @@ import (
 // and benchmarks run the paper-scale versions.
 
 func TestTrialCleanHasNoPositives(t *testing.T) {
-	tr := Trial{
-		Scenario:   core.Scenario{Leaves: 8, Spines: 4, BytesPerRank: 2 << 20, Seed: 1},
-		CleanIters: 2, FaultIters: 0,
-	}
+	tr := Trial{Scenario: core.Scenario{Leaves: 8, Spines: 4, BytesPerRank: 2 << 20, Iterations: 2, Seed: 1}}
 	out, err := tr.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -52,12 +49,29 @@ func TestGridTrialWithoutDropRateIsFaultFree(t *testing.T) {
 	}
 }
 
-func TestTrialLabelsFaultPhase(t *testing.T) {
-	tr := Trial{
-		Scenario:   core.Scenario{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, Seed: 2},
-		Fault:      core.FaultSpec{Kind: core.FaultBernoulli, Leaf: 3, Spine: 1, Rate: 0.05},
-		CleanIters: 2, FaultIters: 2,
+// TestGridTrialsOwnTheirFaults: two trials of one Grid never share a
+// Faults backing array, so a caller editing one trial's fault (as every
+// sweep does) never edits another's.
+func TestGridTrialsOwnTheirFaults(t *testing.T) {
+	g := Grid{Leaves: 8, Spines: 4, DropRate: 0.02, CleanIters: 1, FaultIters: 2}
+	sc := g.scenario(1)
+	sc.Faults = []core.FaultSpec{{Kind: core.FaultBernoulli, Rate: 0.5}}
+	a, b := g.trial(sc, 0), g.trial(sc, 0)
+	a.Scenario.Faults[0].Rate = 0.3
+	if b.Scenario.Faults[0].Rate != 0.02 || sc.Faults[0].Rate != 0.5 {
+		t.Fatalf("an edit to one trial's fault showed through: other trial %+v, scenario %+v",
+			b.Scenario.Faults[0], sc.Faults[0])
 	}
+	if f := b.Scenario.Faults[0]; f.Onset != 1 || b.Scenario.Iterations != 3 {
+		t.Fatalf("fault %+v over %d iterations, want onset 1 of 3", f, b.Scenario.Iterations)
+	}
+}
+
+func TestTrialLabelsFaultPhase(t *testing.T) {
+	tr := Trial{Scenario: core.Scenario{
+		Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, Iterations: 4, Seed: 2,
+		Faults: []core.FaultSpec{{Kind: core.FaultBernoulli, Leaf: 3, Spine: 1, Rate: 0.05, Onset: 2}},
+	}}
 	out, err := tr.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -78,12 +92,9 @@ func TestTrialLabelsFaultPhase(t *testing.T) {
 func TestRunAllPreservesOrder(t *testing.T) {
 	var trials []Trial
 	for i := 0; i < 3; i++ {
-		tr := Trial{
-			Scenario:   core.Scenario{Leaves: 4, Spines: 2, BytesPerRank: 1 << 20, Seed: uint64(i)},
-			CleanIters: 1, FaultIters: 1,
-		}
+		tr := Trial{Scenario: core.Scenario{Leaves: 4, Spines: 2, BytesPerRank: 1 << 20, Iterations: 2, Seed: uint64(i)}}
 		if i > 0 { // trial 0 is clean
-			tr.Fault = core.FaultSpec{Kind: core.FaultBernoulli, Leaf: 1, Spine: 0, Rate: float64(i) * 0.05}
+			tr.Scenario.Faults = []core.FaultSpec{{Kind: core.FaultBernoulli, Leaf: 1, Spine: 0, Rate: float64(i) * 0.05, Onset: 1}}
 		}
 		trials = append(trials, tr)
 	}

@@ -78,7 +78,8 @@ func FaultTypes(cfg FaultTypesConfig) (*FaultTypesResult, error) {
 	for _, spec := range faultTypes {
 		results, samples, err := runCell(cfg.Trials, func(tr int) Trial {
 			trial := cfg.trial(cfg.scenario(cfg.Seed+uint64(tr)*977), tr)
-			trial.Fault.Kind, trial.Fault.Model = core.FaultModel, spec.model(trial.Scenario.Seed)
+			f := &trial.Scenario.Faults[0]
+			f.Kind, f.Model = core.FaultModel, spec.model(trial.Scenario.Seed)
 			return trial
 		})
 		if err != nil {

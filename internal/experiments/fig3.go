@@ -58,7 +58,7 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 	var sys *core.System
 	r, err := simulate(runSpec{
 		scenario: sc,
-		job: core.JobConfig{
+		attach: core.AttachOptions{Job: core.JobConfig{
 			Kind: core.LearnedModel,
 			OnWindow: func(ws core.WindowScore) {
 				if ws.Window.LeafOrdinal != cfg.Fault.LeafOrd {
@@ -68,7 +68,7 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 					baselines[ws.Window.Iter] = l.PortLoad(cfg.Fault.LeafOrd)[cfg.Fault.SpineOrd]
 				}
 			},
-		},
+		}},
 		onIter: func(r simRun, _ sim.Time, iter uint32) {
 			switch int(iter) {
 			case 0:

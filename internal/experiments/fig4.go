@@ -60,10 +60,8 @@ func Fig4(cfg Fig4Config) (*Fig4Result, error) {
 			sc.Collective = core.AllToAllKind
 			f := faultFor(sc, tr, rate)
 			f.Upstream = upstream
-			return Trial{
-				Scenario: sc, Fault: f,
-				FaultIters: cfg.FaultIters,
-			}
+			sc.Iterations, sc.Faults = cfg.FaultIters, []core.FaultSpec{f}
+			return Trial{Scenario: sc}
 		})
 		if err != nil {
 			return c, err

@@ -54,7 +54,7 @@ func Fig5a(cfg Fig5aConfig) (*Fig5aResult, error) {
 			sc := cfg.scenario(cfg.Seed + uint64(tr)*7919 + uint64(rate*1e5))
 			sc.Shards = cfg.Shards
 			trial := cfg.trial(sc, tr)
-			trial.Fault.Rate = rate
+			trial.Scenario.Faults[0].Rate = rate
 			if cfg.TraceDir != "" {
 				trial.TracePath = filepath.Join(cfg.TraceDir, fmt.Sprintf("fig5a-r%.4f-t%d.fpt", rate, tr))
 				trial.TraceLabel = fmt.Sprintf("fig5a rate=%.4f trial=%d", rate, tr)
@@ -207,7 +207,7 @@ func Fig5c(cfg Fig5cConfig) (*Fig5cResult, error) {
 				sc := cfg.scenario(cfg.Seed + uint64(size>>18) + uint64(rate*1e5) + uint64(tr)*31)
 				sc.BytesPerRank = size
 				trial := cfg.trial(sc, tr)
-				trial.Fault.Rate = rate
+				trial.Scenario.Faults[0].Rate = rate
 				return trial
 			})
 			if err != nil {

@@ -41,7 +41,8 @@ type HeadlineResult struct {
 func Headline(cfg HeadlineConfig) (*HeadlineResult, error) {
 	cfg = resolve("headline", cfg)
 	tr := cfg.trial(cfg.scenario(cfg.Seed), 0)
-	tr.Fault.Leaf, tr.Fault.Spine = 11, 5
+	f := &tr.Scenario.Faults[0]
+	f.Leaf, f.Spine = 11, 5
 	out, err := tr.Run()
 	if err != nil {
 		return nil, err
@@ -52,7 +53,7 @@ func Headline(cfg HeadlineConfig) (*HeadlineResult, error) {
 		res.DetectionLatencyIters = int(out.FirstDetection) - cfg.CleanIters
 	}
 	for _, e := range out.Events {
-		if e.Alert.Deviation < 0 && (e.Alert.LeafOrdinal != tr.Fault.Leaf || e.Alert.Uplink != tr.Fault.Spine) {
+		if e.Alert.Deviation < 0 && (e.Alert.LeafOrdinal != f.Leaf || e.Alert.Uplink != f.Spine) {
 			res.CorrectPort = false
 		}
 	}

@@ -58,7 +58,7 @@ type ParallelJobsResult struct {
 func parallelRun(name string, sc core.Scenario, rcfg remediate.Config, ref core.LeafSpineLink, cfg ParallelJobsConfig) (ParallelJobsRow, error) {
 	row := ParallelJobsRow{Name: name}
 	sc.Faults = []core.FaultSpec{{Kind: core.FaultBernoulli, Leaf: ref.LeafOrd, Spine: ref.SpineOrd, Rate: cfg.DropRate, Onset: cfg.CleanIters}}
-	run, err := simulate(runSpec{scenario: sc, remediate: &rcfg})
+	run, err := simulate(runSpec{scenario: sc, attach: core.AttachOptions{Remediate: &rcfg}})
 	if err != nil {
 		return row, err
 	}

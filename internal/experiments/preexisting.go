@@ -74,8 +74,8 @@ func PreExisting(cfg PreExistingConfig) (*PreExistingResult, error) {
 			_, samples, err := runCell(cfg.Trials, func(tr int) Trial {
 				sc := cfg.scenario(cfg.Seed + uint64(count*100+tr) + uint64(rate*1e5))
 				trial := cfg.trial(sc, tr)
-				trial.Fault.Rate = rate
-				trial.Scenario.PreExisting = preExistingLinks(count, cfg.Leaves, cfg.Spines, trial.Fault, sc.Seed)
+				trial.Scenario.Faults[0].Rate = rate
+				trial.Scenario.PreExisting = preExistingLinks(count, cfg.Leaves, cfg.Spines, trial.Scenario.Faults[0], sc.Seed)
 				return trial
 			})
 			if err != nil {

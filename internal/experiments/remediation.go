@@ -115,7 +115,7 @@ func Remediation(cfg RemediationConfig) (*RemediationResult, error) {
 	}
 
 	// Calibrate the clean iteration duration (sizes the flap cycle).
-	cal, err := simulate(runSpec{scenario: scenario(2), remediate: &remediate.Config{}})
+	cal, err := simulate(runSpec{scenario: scenario(2), attach: core.AttachOptions{Remediate: &remediate.Config{}}})
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func Remediation(cfg RemediationConfig) (*RemediationResult, error) {
 		scenario: scenario(cfg.CleanIters+cfg.FaultIters, core.FaultSpec{
 			Kind: core.FaultBernoulli, Leaf: ref.LeafOrd, Spine: ref.SpineOrd, Rate: cfg.DropRate, Onset: cfg.CleanIters,
 		}),
-		remediate: &remediate.Config{},
+		attach: core.AttachOptions{Remediate: &remediate.Config{}},
 	})
 	if err != nil {
 		return nil, err
@@ -148,7 +148,7 @@ func Remediation(cfg RemediationConfig) (*RemediationResult, error) {
 			Kind: core.FaultFlap, Leaf: ref.LeafOrd, Spine: ref.SpineOrd, Rate: cfg.FlapLoss,
 			FlapPeriod: 6 * iterDur, FlapDown: 3 * iterDur, FlapPhase: onset,
 		}),
-		remediate: &remediate.Config{Suppress: 1500},
+		attach: core.AttachOptions{Remediate: &remediate.Config{Suppress: 1500}},
 	})
 	if err != nil {
 		return nil, err

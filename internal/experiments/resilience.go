@@ -91,13 +91,13 @@ func resilienceArm(cfg ResilienceConfig, replan bool) (*ResilienceArm, error) {
 	sc.Iterations = cfg.CleanIters + cfg.FaultIters
 	sc.Faults = []core.FaultSpec{{Kind: core.FaultBernoulli, Leaf: cfg.Leaves / 2, Spine: 0, Rate: cfg.DropRate, Onset: cfg.CleanIters}}
 	spec := runSpec{
-		scenario:  sc,
-		remediate: &remediate.Config{},
+		scenario: sc,
+		attach:   core.AttachOptions{Remediate: &remediate.Config{}},
 		// The injector marks the fault on the timeline.
 		onIter: after(0, func(r simRun, _ sim.Time) { r.rt.Goodput = &metrics.GoodputTimeline{} }),
 	}
 	if replan {
-		spec.resilience = &resilience.Config{RecoverTarget: cfg.RecoverTarget}
+		spec.attach.Resilience = &resilience.Config{RecoverTarget: cfg.RecoverTarget}
 	}
 	run, err := simulate(spec)
 	if err != nil {

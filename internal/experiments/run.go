@@ -2,22 +2,15 @@ package experiments
 
 import (
 	"flowpulse/internal/core"
-	"flowpulse/internal/remediate"
-	"flowpulse/internal/resilience"
 	"flowpulse/internal/sim"
 )
 
 // runSpec describes one monitored simulation.
 type runSpec struct {
 	scenario core.Scenario
-	// job is the template for every job's monitor: model kind,
-	// detector tuning, hooks.
-	job core.JobConfig
-	// remediate and resilience attach the closed loops.
-	remediate  *remediate.Config
-	resilience *resilience.Config
-	// tracePath records the run to a .fpt trace labeled traceLabel.
-	tracePath, traceLabel string
+	// attach deploys the monitor: the template for every job's
+	// pipeline, the closed loops, the recording.
+	attach core.AttachOptions
 	// onIter runs after every completed iteration of the first job, and
 	// once with iter 0 when the monitor is attached and training is about
 	// to start (goodput timelines). Faults are scenario.Faults.
@@ -54,11 +47,7 @@ func simulate(spec runSpec) (simRun, error) {
 		return simRun{}, err
 	}
 	defer rt.Close()
-	sys, err := rt.Attach(core.AttachOptions{
-		Job:       spec.job,
-		Remediate: spec.remediate, Resilience: spec.resilience,
-		TracePath: spec.tracePath, TraceLabel: spec.traceLabel,
-	})
+	sys, err := rt.Attach(spec.attach)
 	if err != nil {
 		return simRun{}, err
 	}

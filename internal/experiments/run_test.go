@@ -30,7 +30,7 @@ func TestSimulateReleasesShardWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	rejected := smallRun(2)
-	rejected.resilience = &resilience.Config{} // needs remediate: Attach refuses
+	rejected.attach.Resilience = &resilience.Config{} // needs remediate: Attach refuses
 	if _, err := simulate(rejected); err == nil {
 		t.Fatal("Attach accepted resilience without remediation")
 	}
@@ -46,7 +46,7 @@ func TestSimulateReleasesShardWorkers(t *testing.T) {
 // first job's iteration end times.
 func TestSimulateBindsWorkloadAndTimesIterations(t *testing.T) {
 	spec := smallRun(0)
-	spec.remediate, spec.resilience = &remediate.Config{}, &resilience.Config{}
+	spec.attach.Remediate, spec.attach.Resilience = &remediate.Config{}, &resilience.Config{}
 	r, err := simulate(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestSimulateReportsTraceWriteError(t *testing.T) {
 		f.Close()
 	}
 	spec := smallRun(0)
-	spec.tracePath = "/dev/full"
+	spec.attach.TracePath = "/dev/full"
 	if _, err := simulate(spec); err == nil {
 		t.Fatal("run recorded to a full device without an error")
 	}
@@ -79,9 +79,11 @@ func TestSimulateReportsTraceWriteError(t *testing.T) {
 // id its own runtime resolved (Fig4 scores verdicts against it), which
 // is the id any build of the same scenario resolves.
 func TestTrialReportsFaultLink(t *testing.T) {
-	sc := core.Scenario{Leaves: 4, Spines: 2, BytesPerRank: 1 << 20, Seed: 3}
+	sc := core.Scenario{Leaves: 4, Spines: 2, BytesPerRank: 1 << 20, Iterations: 1, Seed: 3}
 	ref := core.LeafSpineLink{LeafOrd: 2, SpineOrd: 1}
-	out, err := Trial{Scenario: sc, Fault: core.FaultSpec{Kind: core.FaultBernoulli, Leaf: 2, Spine: 1, Rate: 0.05}, FaultIters: 1}.Run()
+	faulty := sc
+	faulty.Faults = []core.FaultSpec{{Kind: core.FaultBernoulli, Leaf: 2, Spine: 1, Rate: 0.05}}
+	out, err := Trial{Scenario: faulty}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +104,12 @@ func TestTrialReportsFaultLink(t *testing.T) {
 // iterations faulty.
 func TestTrialCallerInjection(t *testing.T) {
 	out, err := Trial{
-		Scenario: core.Scenario{Leaves: 4, Spines: 2, BytesPerRank: 1 << 20, Seed: 3},
-		Fault: core.FaultSpec{
-			Kind: core.FaultModel, Leaf: 2, Spine: 1,
-			Model: fault.NewBernoulliDrop(0.2, sim.NewRNG(3, "caller")),
+		Scenario: core.Scenario{Leaves: 4, Spines: 2, BytesPerRank: 1 << 20, Iterations: 3, Seed: 3,
+			Faults: []core.FaultSpec{{
+				Kind: core.FaultModel, Leaf: 2, Spine: 1, Onset: 1,
+				Model: fault.NewBernoulliDrop(0.2, sim.NewRNG(3, "caller")),
+			}},
 		},
-		CleanIters: 1, FaultIters: 2,
 	}.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"flowpulse/internal/core"
 	"flowpulse/internal/metrics"
 )
 
@@ -41,16 +40,12 @@ type TrunkResult struct {
 func Trunks(cfg TrunkConfig) (*TrunkResult, error) {
 	cfg = resolve("trunks", cfg)
 	res := &TrunkResult{Config: cfg}
-	member := func(tr int) core.FaultSpec {
-		fault := faultFor(cfg.scenario(0), tr, cfg.DropRate)
-		fault.Trunk = 1 % cfg.Trunk
-		return fault
-	}
+	member := 1 % cfg.Trunk
 	results, samples, err := runCell(cfg.Trials, func(tr int) Trial {
 		sc := cfg.scenario(cfg.Seed + uint64(tr)*631)
 		sc.Trunk = cfg.Trunk
 		trial := cfg.trial(sc, tr)
-		trial.Fault = member(tr)
+		trial.Scenario.Faults[0].Trunk = member
 		return trial
 	})
 	if err != nil {
@@ -59,8 +54,8 @@ func Trunks(cfg TrunkConfig) (*TrunkResult, error) {
 	for tr, out := range results {
 		// The faulty member's uplink index at the leaf: spine ordinal ×
 		// trunk + member.
-		fault := member(tr)
-		wantUplink := fault.Spine*cfg.Trunk + fault.Trunk
+		fault := faultFor(cfg.scenario(0), tr, cfg.DropRate)
+		wantUplink := fault.Spine*cfg.Trunk + member
 		for _, e := range out.Events {
 			if e.Alert.Deviation >= 0 || int(e.Alert.Iter) <= cfg.CleanIters {
 				continue

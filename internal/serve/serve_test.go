@@ -30,13 +30,12 @@ func recordRun(t *testing.T, remediated bool, seed uint64) []byte {
 		Scenario: core.Scenario{
 			Leaves: 4, Spines: 2,
 			BytesPerRank: 1 << 20,
+			Iterations:   6,
+			Faults:       []core.FaultSpec{{Kind: core.FaultBernoulli, Leaf: 2, Spine: 1, Rate: 0.05, Onset: 2}},
 			Background:   4 * sim.Microsecond,
 			Seed:         seed,
 		},
-		Fault:      core.FaultSpec{Kind: core.FaultBernoulli, Leaf: 2, Spine: 1, Rate: 0.05},
-		CleanIters: 2,
-		FaultIters: 4,
-		Remediate:  remediated,
+		Monitor:    core.MonitorSpec{Remediate: remediated},
 		TracePath:  path,
 		TraceLabel: fmt.Sprintf("serve-test-%d", seed),
 	}
@@ -401,6 +400,27 @@ func TestDrainRefusesNewStreams(t *testing.T) {
 // TestTornStreamReported: a producer dying mid-frame yields a status
 // with the torn-stream error, and everything decoded before the tear
 // still processed.
+// TestBadHeaderRefused: a stream whose header carries a detector setting
+// no detector can run with is refused at the header, by name.
+func TestBadHeaderRefused(t *testing.T) {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	if err := w.Begin(trace.Header{
+		Leaves: 4, Spines: 2, HostsPerLeaf: 1, Trunk: 1,
+		Jobs: []trace.JobHeader{{Predictor: "analytical", Threshold: -0.5}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Finish(0); err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, Config{})
+	defer srv.Drain(5 * time.Second)
+	if _, err := srv.IngestStream(&buf, ModeSeq, "bad-header"); err == nil || !strings.Contains(err.Error(), "threshold -0.5") {
+		t.Fatalf("err = %v, want the header refused naming the threshold", err)
+	}
+}
+
 func TestTornStreamReported(t *testing.T) {
 	raw := recordRun(t, false, 51)
 	srv := newTestServer(t, Config{})

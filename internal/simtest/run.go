@@ -14,7 +14,6 @@ import (
 	"flowpulse/internal/fabric"
 	"flowpulse/internal/metrics"
 	"flowpulse/internal/remediate"
-	"flowpulse/internal/resilience"
 	"flowpulse/internal/sim"
 	"flowpulse/internal/topology"
 	"flowpulse/internal/trace"
@@ -147,15 +146,11 @@ func execute(spec Spec, opts Options) (*runData, error) {
 	if len(sc.Jobs) != 0 {
 		label = "simtest-shared"
 	}
-	job := core.JobConfig{
-		Kind: spec.Predictor,
-		Detect: detect.Config{
-			Threshold:  spec.DetectThreshold(),
-			CEDiscount: spec.CEDiscount,
-		},
-	}
+	mon := spec.MonitorSpec
+	mon.Threshold = spec.DetectThreshold()
+	attach := mon.AttachOptions()
 	if opts.MutateDetect != nil {
-		opts.MutateDetect(&job.Detect)
+		opts.MutateDetect(&attach.Job.Detect)
 	}
 	rt, err := sc.Build()
 	if err != nil {
@@ -164,15 +159,11 @@ func execute(spec Spec, opts Options) (*runData, error) {
 	defer rt.Close()
 	var traceBuf bytes.Buffer
 	// The reference run is as long as the run it predicts.
-	attach := core.AttachOptions{Job: job, ReferenceIterations: rt.Scenario.Iterations}
+	attach.ReferenceIterations = rt.Scenario.Iterations
 	if !clos3 {
 		attach.Trace, attach.TraceLabel = trace.NewWriter(&traceBuf), label
 	}
-	if spec.Remediate {
-		attach.Remediate = &remediate.Config{}
-	}
 	if spec.Resilience {
-		attach.Resilience = &resilience.Config{}
 		rt.Goodput = &metrics.GoodputTimeline{}
 	}
 	sys, err := rt.Attach(attach)

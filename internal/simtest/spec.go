@@ -25,6 +25,20 @@ import (
 // and the monitor the fuzzer attaches to it. The zero of every field is
 // meaningful, so a Spec round-trips through JSON losslessly and the
 // compact encoding is the repro format.
+//
+// The monitor's keys sit flat beside "scenario". Its Predictor is the
+// load model (fat tree; Clos runs learned at both levels); Threshold is
+// always derived (DetectThreshold), never drawn, so normalize zeroes it;
+// Remediate attaches the closed loop (fat tree only); CEDiscount is for
+// congestion runs only. Resilience extends the loop into the workload
+// (remediated fat-tree runs only): the ring is interleaved across leaves
+// (Scenario.InterleaveRing), and a quarantine that cuts a leaf below the
+// recovery target re-ranks it contiguous at the next iteration barrier.
+// normalize() pins the envelope the re-planner is specified for — the
+// 2:1 oversubscribed shape (2 spines, 4 hosts/leaf, untrunked, 2 MiB
+// ranks) under at most a downstream Bernoulli fault with onset ≥ 2, so
+// the quarantine halves the victim leaf's uplink capacity and the
+// re-rank restores the uplink-gated baseline.
 type Spec struct {
 	// Scenario is the run, built as is once normalize has clamped it into
 	// the envelope the oracles cover. Pods > 0 makes it a three-level
@@ -39,25 +53,7 @@ type Spec struct {
 	// from Generate, so the scenarios existing seeds produce are
 	// untouched.
 	Scenario core.Scenario `json:"scenario"`
-	// Predictor selects the load model (fat tree; Clos runs learned at
-	// both levels).
-	Predictor core.PredictorKind `json:"predictor,omitempty"`
-	// Remediate attaches the closed-loop control plane (fat tree only).
-	Remediate bool `json:"remediate,omitempty"`
-	// Resilience extends the remediation loop into the workload
-	// (remediated fat-tree runs only): the ring is interleaved across
-	// leaves (Scenario.InterleaveRing), and a quarantine that cuts a leaf
-	// below the recovery target re-ranks it contiguous at the next
-	// iteration barrier. normalize() pins the envelope the re-planner is
-	// specified for — the 2:1 oversubscribed shape (2 spines, 4
-	// hosts/leaf, untrunked, 2 MiB ranks) under at most a downstream
-	// Bernoulli fault with onset ≥ 2, so the quarantine halves the victim
-	// leaf's uplink capacity and the re-rank restores the uplink-gated
-	// baseline.
-	Resilience bool `json:"resilience,omitempty"`
-	// CEDiscount is the detector's congestion-mitigation weight
-	// (congestion runs only).
-	CEDiscount float64 `json:"ceDiscount,omitempty"`
+	core.MonitorSpec
 }
 
 // fault returns the spec's one fault-schedule entry, nil on a clean run.
@@ -310,6 +306,7 @@ func estIterTime(s *Spec) sim.Duration {
 // envelopes below is zeroed.
 func (s *Spec) normalize() {
 	sc := &s.Scenario
+	s.MonitorSpec.Threshold = 0 // derived: DetectThreshold
 	sc.Shards, sc.Spray, sc.Transport = 0, "", transport.Config{}
 	sc.PreExisting, sc.Background, sc.BackgroundBytes = nil, 0, 0
 	sc.Congestion.ECNKMin, sc.Congestion.ECNKMax = 0, 0

@@ -145,6 +145,11 @@ func (r *Reader) ensureHeader() error {
 	if h.FormatVersion < 1 || h.FormatVersion > Version {
 		return r.fail(fmt.Errorf("trace: format version %d unsupported (reader speaks ≤ %d)", h.FormatVersion, Version))
 	}
+	for _, j := range h.Jobs {
+		if err := j.DetectConfig().Validate(); err != nil {
+			return r.fail(fmt.Errorf("trace: header job %d: %w", j.Job, err))
+		}
+	}
 	// Bound the fabric before building it, so a corrupt header cannot
 	// drive a giant allocation (same spirit as maxFrame).
 	for _, dim := range [...]int{h.Leaves, h.Spines, h.HostsPerLeaf, h.Trunk} {

@@ -16,6 +16,9 @@ import (
 	"flowpulse/internal/trace"
 )
 
+// quickClean is quickTrial's fault onset: its clean iterations.
+const quickClean = 2
+
 // quickTrial is a small faulted run that records to path: 6×3 fabric,
 // 2 clean + 5 faulty iterations with a 2% silent drop, background
 // noise on (as the evaluation harness runs).
@@ -24,12 +27,11 @@ func quickTrial(path string) experiments.Trial {
 		Scenario: core.Scenario{
 			Leaves: 6, Spines: 3,
 			BytesPerRank: 2 << 20,
+			Iterations:   7,
+			Faults:       []core.FaultSpec{{Kind: core.FaultBernoulli, Leaf: 2, Spine: 1, Rate: 0.02, Onset: quickClean}},
 			Seed:         7,
 			Background:   4 * sim.Microsecond,
 		},
-		Fault:      core.FaultSpec{Kind: core.FaultBernoulli, Leaf: 2, Spine: 1, Rate: 0.02},
-		CleanIters: 2,
-		FaultIters: 5,
 		TracePath:  path,
 		TraceLabel: "quick-trial",
 	}
@@ -88,9 +90,9 @@ func TestReplayMatchesOnline(t *testing.T) {
 	if len(rr.Faults) != 1 {
 		t.Fatalf("faults = %d, want 1", len(rr.Faults))
 	}
-	f := rr.Faults[0]
-	if f.LeafOrd != tr.Fault.Leaf || f.SpineOrd != tr.Fault.Spine ||
-		f.Rate != tr.Fault.Rate || int(f.OnsetIter) != tr.CleanIters {
+	f, want := rr.Faults[0], tr.Scenario.Faults[0]
+	if f.LeafOrd != want.Leaf || f.SpineOrd != want.Spine ||
+		f.Rate != want.Rate || int(f.OnsetIter) != want.Onset {
 		t.Errorf("fault record %+v does not match injected fault", *f)
 	}
 	// The offline events must be field-identical to the online ones,
@@ -104,12 +106,12 @@ func TestReplayMatchesOnline(t *testing.T) {
 
 func TestReplayRemediation(t *testing.T) {
 	tr := quickTrial(filepath.Join(t.TempDir(), "t.fpt"))
-	tr.Remediate = true
+	tr.Monitor.Remediate = true
 	// A harder fault alerts every iteration, so the K=3 consecutive-
 	// window streak confirms and quarantine (plus probe rounds) makes
 	// it into the trace.
-	tr.Fault.Rate = 0.05
-	tr.FaultIters = 8
+	tr.Scenario.Faults[0].Rate = 0.05
+	tr.Scenario.Iterations = quickClean + 8
 	_, raw := record(t, tr)
 
 	rr := replay(t, raw, trace.ReplayOptions{})
@@ -179,7 +181,7 @@ func TestReplayThresholdOverride(t *testing.T) {
 
 func TestReplayLearnedPredictor(t *testing.T) {
 	tr := quickTrial(filepath.Join(t.TempDir(), "t.fpt"))
-	tr.Remediate = true
+	tr.Monitor.Remediate = true
 	_, raw := record(t, tr)
 
 	rr := replay(t, raw, trace.ReplayOptions{Predictor: "learned"})
@@ -200,11 +202,11 @@ func TestReplayWindowFilter(t *testing.T) {
 	_, raw := record(t, tr)
 
 	full := replay(t, raw, trace.ReplayOptions{})
-	clipped := replay(t, raw, trace.ReplayOptions{LastIter: uint32(tr.CleanIters)})
+	clipped := replay(t, raw, trace.ReplayOptions{LastIter: uint32(quickClean)})
 	if clipped.Windows == 0 || clipped.Windows >= full.Windows {
 		t.Errorf("clipped windows = %d, full = %d; want 0 < clipped < full", clipped.Windows, full.Windows)
 	}
-	tail := replay(t, raw, trace.ReplayOptions{FirstIter: uint32(tr.CleanIters + 1)})
+	tail := replay(t, raw, trace.ReplayOptions{FirstIter: uint32(quickClean + 1)})
 	if tail.Windows+clipped.Windows != full.Windows {
 		t.Errorf("head %d + tail %d != full %d", clipped.Windows, tail.Windows, full.Windows)
 	}
@@ -286,9 +288,9 @@ func TestReplayHistoryMatchesClones(t *testing.T) {
 // the outcome must equal a replay fed freshly allocated records.
 func TestFeedLeavesSlotToCaller(t *testing.T) {
 	tr := quickTrial(filepath.Join(t.TempDir(), "t.fpt"))
-	tr.Remediate = true // probe callbacks outlive the window that queued them
-	tr.Fault.Rate = 0.05
-	tr.FaultIters = 8
+	tr.Monitor.Remediate = true // probe callbacks outlive the window that queued them
+	tr.Scenario.Faults[0].Rate = 0.05
+	tr.Scenario.Iterations = quickClean + 8
 	_, raw := record(t, tr)
 
 	drive := func(next func(rd *trace.Reader) (trace.Record, error), after func(*trace.Record)) *trace.ReplayResult {

@@ -330,6 +330,20 @@ func TestReaderErrors(t *testing.T) {
 			t.Fatalf("err = %v", err)
 		}
 	})
+	t.Run("bad detector setting", func(t *testing.T) {
+		for _, bad := range []func(*JobHeader){
+			func(j *JobHeader) { j.Threshold = -1 },
+			func(j *JobHeader) { j.MinPredicted = math.NaN() },
+			func(j *JobHeader) { j.CEDiscount = math.Inf(1) },
+		} {
+			h := testHeader()
+			bad(&h.Jobs[0])
+			raw := record(t, h, func(w *Writer) {})
+			if _, err := NewReader(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "must be finite and ≥ 0") {
+				t.Errorf("header job %+v: err = %v", h.Jobs[0], err)
+			}
+		}
+	})
 	t.Run("bad topology", func(t *testing.T) {
 		h := testHeader()
 		h.Leaves = 0
