@@ -40,7 +40,6 @@ var deadExportAllow = map[string]string{
 
 	"flowpulse/internal/monitor.Plane.UnroutedWindows": "routing-health counter: core's clean-run contract asserts it stays zero for every job count and tier",
 	"flowpulse/internal/transport.Stack.PairRateBPS":   "test probe: TestDCQCNRateRecoveryShape samples the paced rate to check the cut-and-recover shape of the DCQCN loop",
-	"flowpulse/internal/trace.StreamFP.Action":         "internal/trace is out of this audit's scope (ISSUE 21); the action half of the stream fingerprint whose Event half internal/serve uses",
 }
 
 // TestNoDeadExports is the API audit: every exported function, method,

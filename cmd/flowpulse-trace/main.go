@@ -383,6 +383,9 @@ func cmdStat(args []string, stdout, stderr io.Writer) int {
 // catStream turns a recording into a producer: pipe the raw .fpt bytes
 // to a flowpulse-serve instance and print the session status it
 // returns — the streamed/offline parity check from the command line.
+// The server checks a sequential stream against the trailer itself; a
+// fan-out stream's order-insensitive sum is checked here, against an
+// offline replay of the same file.
 func catStream(f *os.File, path, addr, token, mode, label string, stdout, stderr io.Writer) int {
 	if label == "" {
 		label = filepath.Base(path)
@@ -409,8 +412,24 @@ func catStream(f *os.File, path, addr, token, mode, label string, stdout, stderr
 		st.Session, st.Mode, st.Windows, st.Events, st.Actions)
 	fmt.Fprintf(stdout, "fingerprint: %#016x (trailer %#016x) parity=%s\n",
 		st.Fingerprint, st.TrailerFingerprint, st.Parity)
-	if st.Parity == "mismatch" {
+	switch st.Parity {
+	case "mismatch":
 		return 1
+	case "bucket":
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		rr, err := trace.Replay(f, trace.ReplayOptions{NoHistory: true})
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		if rr.BucketFingerprint != st.Fingerprint {
+			fmt.Fprintf(stdout, "bucket parity: MISMATCH (offline %#016x)\n", rr.BucketFingerprint)
+			return 1
+		}
+		fmt.Fprintln(stdout, "bucket parity: match")
 	}
 	return 0
 }

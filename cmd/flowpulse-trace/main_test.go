@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"flag"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +16,7 @@ import (
 	"flowpulse/internal/core"
 	"flowpulse/internal/experiments"
 	"flowpulse/internal/metrics"
+	"flowpulse/internal/serve"
 	"flowpulse/internal/trace"
 )
 
@@ -203,6 +208,53 @@ func TestThresholdFlagsRefuseBadValues(t *testing.T) {
 		code := run(tc.args, &stdout, &stderr)
 		if code != tc.code || !strings.Contains(stderr.String(), tc.want) {
 			t.Errorf("%v: exit %d, stderr %q; want exit %d naming %q", tc.args, code, stderr.String(), tc.code, tc.want)
+		}
+	}
+}
+
+// TestCatStreamChecksBucketParity: a fan-out session's fingerprint is
+// checked against the offline replay of the streamed file, and a
+// mismatch exits 1. A stand-in server answers every stream with a
+// fixed status.
+func TestCatStreamChecksBucketParity(t *testing.T) {
+	f, err := os.Open(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := trace.Replay(f, trace.ReplayOptions{})
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		fp   uint64
+		code int
+		want string
+	}{
+		{rr.BucketFingerprint, 0, "bucket parity: match"},
+		{rr.BucketFingerprint ^ 1, 1, "bucket parity: MISMATCH"},
+	} {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			br := bufio.NewReader(conn)
+			br.ReadString('\n')     // preamble
+			io.Copy(io.Discard, br) // the recording, up to the half-close
+			json.NewEncoder(conn).Encode(serve.SessionStatus{Mode: serve.ModeFanout, Parity: "bucket", Fingerprint: tc.fp})
+		}()
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"cat", "-stream", l.Addr().String(), "-mode", serve.ModeFanout, fixture}, &stdout, &stderr)
+		l.Close()
+		if code != tc.code || !strings.Contains(stdout.String(), tc.want) {
+			t.Errorf("fingerprint %#016x: exit %d, stdout %q, stderr %q; want exit %d and %q",
+				tc.fp, code, stdout.String(), stderr.String(), tc.code, tc.want)
 		}
 	}
 }

@@ -155,14 +155,13 @@ func TestClos3AttachRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, mutate := range map[string]func(*Config){
-		"analytical model": func(c *Config) { c.Jobs[0].Kind = AnalyticalModel },
-		"simulation model": func(c *Config) { c.Jobs[0].Kind = SimulationModel },
-		"trace writer":     func(c *Config) { c.Trace = trace.NewWriter(io.Discard) },
+	defer rt.Close()
+	for name, opts := range map[string]AttachOptions{
+		"analytical model": {Job: JobConfig{Kind: AnalyticalModel}},
+		"simulation model": {Job: JobConfig{Kind: SimulationModel}},
+		"trace writer":     {Job: JobConfig{Kind: LearnedModel}, Trace: trace.NewWriter(io.Discard)},
 	} {
-		cfg := rt.monitorConfig(JobConfig{Kind: LearnedModel})
-		mutate(&cfg)
-		if _, err := Attach(cfg); err == nil || !strings.Contains(err.Error(), "two-level") {
+		if _, err := rt.Attach(opts); err == nil || !strings.Contains(err.Error(), "two-level") {
 			t.Errorf("%s on a three-level fabric: error = %v, want the two-level rejection", name, err)
 		}
 	}

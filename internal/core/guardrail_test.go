@@ -21,9 +21,10 @@ type sourceScan struct {
 
 var (
 	// runSequence matches a hand-rolled piece of the run sequence:
-	// attaching a System from a Config, or starting and binding jobs one by
-	// one. The last three names are unexported today; they stay in the
-	// pattern so that re-exporting one does not quietly reopen the door.
+	// attaching a System other than through Runtime.Attach, or starting
+	// and binding jobs one by one. None of these names exists outside a
+	// Runtime method today; they stay in the pattern so that exporting
+	// one does not quietly reopen the door.
 	runSequence = sourceScan{
 		regexp.MustCompile(`core\.(Must)?Attach\(|\.(StartAllJobs|StartTraining|BindWorkload)\(`),
 		[]string{"internal/core/"}, nil,
@@ -112,15 +113,16 @@ func (sc sourceScan) repo(t *testing.T) []string {
 
 // TestRunSequenceLivesInCore keeps "a monitored run" one thing, at the
 // source level: outside this package no non-test Go file — bench/
-// included — may attach a System from a hand-assembled Config or start
-// and bind jobs itself. Every rig calls Runtime.Attach and Runtime.Train,
-// so the multi-job guard, the reference run, the workload binding, the
-// final flush, the trace writer's error and the release of the workers
-// cannot be forgotten by the next copy. Give AttachOptions or Train's
-// hook what a new rig needs instead of adding a call site.
+// included — may attach a System past Runtime.Attach or start and bind
+// jobs itself. Runtime.Attach is the one System builder and every rig
+// calls it and Runtime.Train, so the multi-job guard, the reference run,
+// the workload binding, the final flush, the trace writer's error and
+// the release of the workers cannot be forgotten by the next copy. Give
+// AttachOptions or Train's hook what a new rig needs instead of adding a
+// call site.
 func TestRunSequenceLivesInCore(t *testing.T) {
 	if offenders := runSequence.repo(t); len(offenders) > 0 {
-		t.Errorf("run sequence assembled outside internal/core — call Runtime.Attach and Runtime.Train instead:\n  %s",
+		t.Errorf("run sequence assembled outside internal/core — Runtime.Attach builds the System; call it and Runtime.Train instead:\n  %s",
 			strings.Join(offenders, "\n  "))
 	}
 }

@@ -22,16 +22,34 @@ import (
 // built scenario.
 type AttachOptions struct {
 	// Job is the template for every job's pipeline — model kind, detector
-	// tuning, hooks. Attach fills in each job's id and demand matrix and,
-	// for SimulationModel, the reference windows.
+	// tuning, hooks.
 	Job JobConfig
 	// ReferenceIterations sizes the reference run a SimulationModel
 	// template is built from (default 3).
 	ReferenceIterations int
-	// Remediate, Resilience, TracePath, Trace and TraceLabel are the
-	// Config fields of the same names.
-	Remediate  *remediate.Config
+	// Remediate, when set, attaches ONE closed-loop control plane for
+	// every pipeline: alert confirmation, link quarantine, re-baseline,
+	// and probed re-admission with flap damping. Quarantine is
+	// fabric-scoped (an admin-down reroutes everyone), so a link
+	// confirmed through any job's windows — or corroborated across jobs
+	// — is quarantined exactly once. Use &remediate.Config{} for the
+	// defaults.
+	Remediate *remediate.Config
+	// Resilience, when set (requires Remediate), extends the loop into
+	// the workload: a quarantine that degrades a leaf below the recovery
+	// target re-plans the collective (re-rank or degraded-mode ring) of
+	// every job Train binds — each keeps its own re-planner, its own
+	// ring, its own capacity exposure — and the predictors re-baseline
+	// against the new demand matrices. Use &resilience.Config{} for the
+	// defaults. Not supported with the simulation model, whose reference
+	// run cannot be re-derived for a new schedule.
 	Resilience *resilience.Config
+	// TracePath, when set, records the run — every job's windows with
+	// their live predictions, events, the remediation stream, the fault
+	// schedule — to one .fpt trace file for offline replay (see
+	// internal/trace). Trace streams to an existing Writer instead (the
+	// caller keeps ownership); set at most one of the two. TraceLabel
+	// annotates the trace header.
 	TracePath  string
 	Trace      *trace.Writer
 	TraceLabel string
@@ -97,57 +115,6 @@ func ReadRun(path string, builtin []byte) (doc RunDoc, err error) {
 		err = fmt.Errorf("%s: %w", path, err)
 	}
 	return doc, err
-}
-
-// Attach deploys FlowPulse on every job of the runtime, over its fabric,
-// transport and control plane (so injected divergence reaches the
-// predictor and remediator). The system is remembered for Train;
-// attaching twice is an error.
-func (rt *Runtime) Attach(opts AttachOptions) (*System, error) {
-	if rt.sys != nil {
-		return nil, fmt.Errorf("core: a monitor is already attached to this runtime")
-	}
-	job := opts.Job
-	if job.Kind == SimulationModel {
-		// referenceRun taps Jobs[0] only: its windows are no other job's
-		// baseline.
-		if len(rt.Jobs) > 1 {
-			return nil, fmt.Errorf("core: the simulation model needs a per-job reference run and is not supported on multi-job scenarios")
-		}
-		iters := opts.ReferenceIterations
-		if iters == 0 {
-			iters = 3
-		}
-		var err error
-		if job.ReferenceWindows, err = referenceRun(rt.Scenario, iters); err != nil {
-			return nil, fmt.Errorf("core: reference run: %w", err)
-		}
-	}
-	cfg := rt.monitorConfig(job)
-	cfg.Remediate, cfg.Resilience = opts.Remediate, opts.Resilience
-	cfg.TracePath, cfg.Trace, cfg.TraceLabel = opts.TracePath, opts.Trace, opts.TraceLabel
-	sys, err := Attach(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rt.sys = sys
-	for _, a := range rt.armed { // injected before the monitor was attached
-		rt.recordFault(a.spec, false)
-	}
-	return sys, nil
-}
-
-// monitorConfig returns the Config that monitors every job of this
-// runtime: the fabric, transport and control plane, and one JobConfig
-// per job — each a copy of tmpl with the job's id and demand matrix
-// filled in.
-func (rt *Runtime) monitorConfig(tmpl JobConfig) Config {
-	cfg := Config{Net: rt.Net, Stack: rt.Stack, Control: rt.Plane}
-	for _, jr := range rt.Jobs {
-		tmpl.Job, tmpl.Demand = jr.Spec.Job, jr.Coll.Demand()
-		cfg.Jobs = append(cfg.Jobs, tmpl)
-	}
-	return cfg
 }
 
 // Train runs every job of the scenario (plus the background and

@@ -11,7 +11,6 @@ import (
 	"flowpulse/internal/collective"
 	"flowpulse/internal/control"
 	"flowpulse/internal/detect"
-	"flowpulse/internal/fabric"
 	"flowpulse/internal/monitor"
 	"flowpulse/internal/predict"
 	"flowpulse/internal/remediate"
@@ -48,19 +47,13 @@ type Event = monitor.Event
 // monitor package's WindowScore).
 type WindowScore = monitor.WindowScore
 
-// JobConfig configures one job's pipeline: its load model and detector
-// tuning.
+// JobConfig is the template every job's pipeline is built from: its
+// load model, detector tuning and hooks. Runtime.Attach supplies each
+// job's id, demand matrix and, for SimulationModel, the reference run's
+// windows.
 type JobConfig struct {
-	// Job is the job id this pipeline owns.
-	Job uint16
-	// Demand is the job's demand matrix (required for the analytical
-	// model).
-	Demand *collective.DemandMatrix
 	// Kind selects the load model. Defaults to AnalyticalModel.
 	Kind PredictorKind
-	// ReferenceWindows feed the simulation model (Runtime.Attach runs the
-	// reference simulation).
-	ReferenceWindows []*telemetry.Window
 	// Learned tunes the learned model.
 	Learned predict.LearnedConfig
 	// Detect tunes the detector (threshold defaults to the paper's 1%).
@@ -71,52 +64,6 @@ type JobConfig struct {
 	// the learned model observes it — the hook experiment harnesses use
 	// to snapshot the baseline in effect when the window was checked.
 	OnWindow func(ws WindowScore)
-}
-
-// Config assembles a System: one tap, one pipeline per job, one
-// arbiter.
-type Config struct {
-	// Net and Stack are the fabric and transport under observation.
-	Net   *fabric.Network
-	Stack *transport.Stack
-	// Jobs lists the monitored jobs, one or more. Order is the plane's
-	// registration order (deterministic fan-out and flush).
-	Jobs []JobConfig
-	// Control is the (single, fabric-scoped) control plane holding the
-	// believed topology view: every job's predictor reads its believed
-	// FIB and the remediator mutates links only through it. Nil builds a
-	// fresh verified plane over Net (belief initialized from live state)
-	// — equivalent for every run that does not inject divergence.
-	// Scenario runs pass Runtime.Plane so injected divergence reaches
-	// the monitor.
-	Control *control.Plane
-	// Remediate, when set, attaches ONE closed-loop control plane for
-	// every pipeline: alert confirmation, link quarantine, re-baseline,
-	// and probed re-admission with flap damping. Quarantine is
-	// fabric-scoped (an admin-down reroutes everyone), so a link
-	// confirmed through any job's windows — or corroborated across jobs
-	// — is quarantined exactly once. Use &remediate.Config{} for the
-	// defaults.
-	Remediate *remediate.Config
-	// Resilience, when set (requires Remediate), extends the loop into
-	// the workload: a quarantine that degrades a leaf below the recovery
-	// target re-plans the collective (re-rank or degraded-mode ring) of
-	// every job Runtime.Train binds — each keeps its own re-planner,
-	// its own ring, its own capacity exposure — and the predictors
-	// re-baseline against the new demand matrices. Use
-	// &resilience.Config{} for the defaults. Not supported for jobs on
-	// the simulation model, whose reference run cannot be re-derived for
-	// a new schedule.
-	Resilience *resilience.Config
-	// TracePath, when set, records the run — every job's windows with
-	// their live predictions, events, the remediation stream, the fault
-	// schedule — to one .fpt trace file for offline replay (see
-	// internal/trace). Trace streams to an existing Writer instead (the
-	// caller keeps ownership); set at most one of the two. TraceLabel
-	// annotates the trace header.
-	TracePath  string
-	Trace      *trace.Writer
-	TraceLabel string
 }
 
 // Tier is one job's stack for one tier of monitored switches: the load
@@ -139,7 +86,7 @@ type Job struct {
 	// on a two-level fabric.
 	Spine *Tier
 	// Replanner is nil until Runtime.Train arms it (and always when
-	// Config.Resilience was not set).
+	// AttachOptions.Resilience was not set).
 	Replanner *resilience.Replanner
 
 	work *workload.Job // set by bindWorkload
@@ -182,37 +129,57 @@ func (j *Job) Learned() *predict.Learned {
 // details appear only with several jobs, which keeps single-job
 // recordings and fingerprints what they have always been.
 type System struct {
-	cfg        Config
+	topo       *topology.Topology
+	resilience *resilience.Config // nil unless AttachOptions.Resilience set
 	plane      *monitor.Plane
 	ctrl       *control.Plane
 	faults     *predict.FaultSet
-	remediator *remediate.Remediator // nil unless Config.Remediate set
+	remediator *remediate.Remediator // nil unless AttachOptions.Remediate set
 	trc        *trace.Writer         // nil unless tracing
 	jobs       []*Job                // registration order
 }
 
-// Attach deploys FlowPulse on a network. It registers telemetry hooks
-// on every monitored switch; the caller then runs the workload and
-// reads the jobs' pipelines.
-func Attach(cfg Config) (*System, error) {
-	if cfg.Net == nil || cfg.Stack == nil {
-		return nil, fmt.Errorf("core: Config.Net and Config.Stack are required")
+// Attach deploys FlowPulse on every job of the runtime, over its fabric,
+// transport and control plane (so injected divergence reaches the
+// predictor and remediator): it registers telemetry hooks on every
+// monitored switch and builds one pipeline per (tier, job) from
+// opts.Job. The system is remembered for Train; attaching twice is an
+// error.
+func (rt *Runtime) Attach(opts AttachOptions) (*System, error) {
+	if rt.sys != nil {
+		return nil, fmt.Errorf("core: a monitor is already attached to this runtime")
 	}
-	if len(cfg.Jobs) == 0 {
-		return nil, fmt.Errorf("core: Config.Jobs is empty")
-	}
-	if cfg.Resilience != nil && cfg.Remediate == nil {
+	jc, topo, first := opts.Job, rt.Topo, rt.Jobs[0].Spec.Job
+	// The configuration checks come before the reference run, so a
+	// rejected configuration simulates nothing.
+	switch {
+	case opts.Resilience != nil && opts.Remediate == nil:
 		return nil, fmt.Errorf("core: Config.Resilience requires Config.Remediate (re-plans are quarantine-triggered)")
-	}
-	if cfg.Trace != nil && cfg.TracePath != "" {
+	case opts.Trace != nil && opts.TracePath != "":
 		return nil, fmt.Errorf("core: set TracePath or Trace, not both")
+	case opts.Resilience != nil && jc.Kind == SimulationModel:
+		return nil, fmt.Errorf("core: job %d: resilience is not supported with the simulation model: its reference run was recorded for the original schedule and cannot be re-derived mid-job", first)
+	case topo.Levels != 2 && jc.Kind != LearnedModel:
+		return nil, fmt.Errorf("core: job %d: the analytical and simulation models cover two-level fabrics; use the learned model for multi-level Clos", first)
+	case jc.Kind == SimulationModel && len(rt.Jobs) > 1:
+		// referenceRun taps Jobs[0] only: its windows are no other job's
+		// baseline.
+		return nil, fmt.Errorf("core: the simulation model needs a per-job reference run and is not supported on multi-job scenarios")
 	}
-	topo := cfg.Net.Topology()
-	if cfg.Control == nil {
-		cfg.Control = control.New(control.Config{Verify: true}, cfg.Net)
+	var ref []*telemetry.Window
+	if jc.Kind == SimulationModel {
+		iters := opts.ReferenceIterations
+		if iters == 0 {
+			iters = 3
+		}
+		var err error
+		if ref, err = referenceRun(rt.Scenario, iters); err != nil {
+			return nil, fmt.Errorf("core: reference run: %w", err)
+		}
 	}
-	s := &System{cfg: cfg, ctrl: cfg.Control, faults: predict.NewFaultSet()}
-	multi := len(cfg.Jobs) > 1
+
+	s := &System{topo: topo, resilience: opts.Resilience, ctrl: rt.Plane, faults: predict.NewFaultSet()}
+	multi := len(rt.Jobs) > 1
 	switches := []int{topology.Leaf: len(topo.Leaves()), topology.Spine: len(topo.Spines())}
 
 	// Predictors first: the remediator's rebaseline closure spans all
@@ -222,37 +189,31 @@ func Attach(cfg Config) (*System, error) {
 	// controller's stale model would. Belief and truth are identical
 	// (bit for bit — same table-build code, same predicate) unless
 	// divergence is injected.
-	for _, jc := range cfg.Jobs {
-		if s.Job(jc.Job) != nil {
-			return nil, fmt.Errorf("core: duplicate job id %d in Config.Jobs", jc.Job)
-		}
-		if cfg.Resilience != nil && jc.Kind == SimulationModel {
-			return nil, fmt.Errorf("core: job %d: resilience is not supported with the simulation model: its reference run was recorded for the original schedule and cannot be re-derived mid-job", jc.Job)
-		}
-		j := &Job{ID: jc.Job}
+	for _, jr := range rt.Jobs {
+		j := &Job{ID: jr.Spec.Job}
 		if topo.Levels == 3 {
 			j.Spine = &Tier{}
 		}
 		for kind, t := range j.tiers() {
 			var err error
-			if t.Predictor, err = buildPredictor(topo, switches[kind], s.ctrl, cfg.Stack, jc, s.faults); err != nil {
-				return nil, fmt.Errorf("core: job %d: %w", jc.Job, err)
+			if t.Predictor, err = buildPredictor(topo, switches[kind], s.ctrl, rt.Stack, jc, jr.Coll.Demand(), ref, s.faults); err != nil {
+				return nil, fmt.Errorf("core: job %d: %w", j.ID, err)
 			}
 		}
 		s.jobs = append(s.jobs, j)
 	}
 	var rem monitor.RemediateStage
-	if cfg.Remediate != nil {
-		s.remediator = remediate.New(s.ctrl, s.faults, func() { s.Rebaseline() }, *cfg.Remediate)
+	if opts.Remediate != nil {
+		s.remediator = remediate.New(s.ctrl, s.faults, func() { s.Rebaseline() }, *opts.Remediate)
 		rem = s.remediator
 	}
-	if cfg.Resilience != nil {
+	if opts.Resilience != nil {
 		// A re-plan migrates flows onto surviving paths whose RTTs the
 		// transport's per-pair estimators have not seen; without pair-
 		// level timer backoff the stale timeouts melt down into a
 		// self-sustaining spurious-retransmission storm on the repair
 		// seam (see transport.Config.PairBackoff).
-		cfg.Stack.EnableMigrationHardening()
+		rt.Stack.EnableMigrationHardening()
 		// One fabric event fans out to every bound job, in binding
 		// order. The hooks fire before the remediation loop's own
 		// rebaseline, so the re-planned demand matrices are what the
@@ -277,24 +238,23 @@ func Attach(cfg Config) (*System, error) {
 	// The topology is checked before TracePath is opened: a rejected
 	// attach must not truncate a previous recording.
 	var hdr trace.Header
-	if cfg.Trace != nil || cfg.TracePath != "" {
+	if opts.Trace != nil || opts.TracePath != "" {
 		var err error
-		if hdr, err = traceHeader(topo, cfg.TraceLabel, multi, s.remediator); err != nil {
+		if hdr, err = traceHeader(topo, opts.TraceLabel, multi, s.remediator); err != nil {
 			return nil, err
 		}
-		if s.trc = cfg.Trace; s.trc == nil {
-			if s.trc, err = trace.Create(cfg.TracePath); err != nil {
+		if s.trc = opts.Trace; s.trc == nil {
+			if s.trc, err = trace.Create(opts.TracePath); err != nil {
 				return nil, err
 			}
 		}
 	}
 
+	if multi {
+		jc.Detect.AggregateSymmetry = true
+	}
 	pipelines := make(map[monitor.Key]*monitor.Pipeline, len(s.jobs))
-	for i, jc := range cfg.Jobs {
-		j := s.jobs[i]
-		if multi {
-			jc.Detect.AggregateSymmetry = true
-		}
+	for _, j := range s.jobs {
 		onEvent, onWindow := jc.OnEvent, jc.OnWindow
 		if s.trc != nil {
 			// The trace hooks wrap the caller's: the window record is
@@ -333,9 +293,9 @@ func Attach(cfg Config) (*System, error) {
 	}
 	if s.trc != nil {
 		if err := s.trc.Begin(hdr); err != nil {
-			if cfg.TracePath != "" {
+			if opts.TracePath != "" {
 				s.trc.Finish(0) // closes the file; the error is already err
-				os.Remove(cfg.TracePath)
+				os.Remove(opts.TracePath)
 			}
 			return nil, err
 		}
@@ -344,28 +304,27 @@ func Attach(cfg Config) (*System, error) {
 			s.remediator.OnProbeRound = s.trc.ProbeRound
 		}
 	}
-	s.plane = monitor.NewPlane(cfg.Net, pipelines)
+	s.plane = monitor.NewPlane(rt.Net, pipelines)
+	rt.sys = s
+	for _, a := range rt.armed { // injected before the monitor was attached
+		rt.recordFault(a.spec, false)
+	}
 	return s, nil
 }
 
 // buildPredictor constructs one of §5.2's load models for one tier of
-// n switches of a job; faults is the known-fault set the analytical
-// model consults.
+// n switches of a job: demand is the job's demand matrix (the
+// analytical model), ref the reference run's windows (the simulation
+// model), faults the known-fault set the analytical model consults.
 func buildPredictor(topo *topology.Topology, n int, fib predict.FIBView, stack *transport.Stack,
-	jc JobConfig, faults *predict.FaultSet) (predict.Predictor, error) {
-	if topo.Levels != 2 && jc.Kind != LearnedModel {
-		return nil, fmt.Errorf("the analytical and simulation models cover two-level fabrics; use the learned model for multi-level Clos")
-	}
+	jc JobConfig, demand *collective.DemandMatrix, ref []*telemetry.Window, faults *predict.FaultSet) (predict.Predictor, error) {
 	switch jc.Kind {
 	case "", AnalyticalModel:
-		if jc.Demand == nil {
-			return nil, fmt.Errorf("analytical model needs JobConfig.Demand")
-		}
-		a := predict.NewAnalytical(topo, fib, stack, jc.Demand)
+		a := predict.NewAnalytical(topo, fib, stack, demand)
 		a.SetFaults(faults)
 		return a, nil
 	case SimulationModel:
-		sp, err := predict.NewSimulation(n, jc.ReferenceWindows)
+		sp, err := predict.NewSimulation(n, ref)
 		if err != nil {
 			return nil, fmt.Errorf("simulation model: %w", err)
 		}
@@ -418,7 +377,7 @@ func (s *System) Job(id uint16) *Job {
 }
 
 // Remediator returns the closed-loop remediation engine shared by every
-// pipeline, or nil when Config.Remediate was not set.
+// pipeline, or nil when AttachOptions.Remediate was not set.
 func (s *System) Remediator() *remediate.Remediator { return s.remediator }
 
 // TraceWriter returns the attached trace writer, or nil when the
@@ -431,11 +390,11 @@ func (s *System) TraceWriter() *trace.Writer { return s.trc }
 // resilience loop. The job gets its own re-planner, armed with its
 // current ring order; from then on a quarantine that degrades a leaf
 // below the recovery target re-plans the collective at the job's next
-// iteration barrier. A no-op when Config.Resilience was not set;
+// iteration barrier. A no-op when AttachOptions.Resilience was not set;
 // errors when the job is not monitored or its collective cannot be
 // re-planned.
 func (s *System) bindWorkload(job uint16, w *workload.Job) error {
-	if s.cfg.Resilience == nil {
+	if s.resilience == nil {
 		return nil
 	}
 	j := s.Job(job)
@@ -447,7 +406,7 @@ func (s *System) bindWorkload(job uint16, w *workload.Job) error {
 		return fmt.Errorf("core: job %d: resilience needs a re-plannable collective, %s is not", job, coll.Name())
 	}
 	j.work = w
-	j.Replanner = resilience.New(s.cfg.Net.Topology(), coll.Demand().Hosts, *s.cfg.Resilience)
+	j.Replanner = resilience.New(s.topo, coll.Demand().Hosts, *s.resilience)
 	return nil
 }
 

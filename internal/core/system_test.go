@@ -387,61 +387,57 @@ func TestIterationScores(t *testing.T) {
 }
 
 func TestAttachValidation(t *testing.T) {
-	sc := small(11)
-	rt, err := sc.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	demand := rt.Coll.Demand()
-	base := func(jobs ...JobConfig) Config { return Config{Net: rt.Net, Stack: rt.Stack, Jobs: jobs} }
-	with := func(cfg Config, mut func(*Config)) Config { mut(&cfg); return cfg }
+	dup := twoJobs(11)
+	dup.Jobs[0].Job, dup.Jobs[1].Job = 3, 3
 	cases := []struct {
 		name string
-		cfg  Config
+		sc   Scenario
+		opts AttachOptions
 		want string // substring of the error
 	}{
-		{"empty config", Config{}, "Net and Config.Stack"},
-		{"no jobs", base(), "Jobs is empty"},
-		{"analytical without demand", base(JobConfig{Kind: AnalyticalModel}), "needs JobConfig.Demand"},
-		{"default kind without demand", base(JobConfig{}), "needs JobConfig.Demand"},
-		{"unknown kind", base(JobConfig{Kind: "bogus", Demand: demand}), "unknown predictor kind"},
-		{"simulation without reference", base(JobConfig{Kind: SimulationModel}), "simulation model"},
-		{"duplicate job ids", base(JobConfig{Job: 3, Demand: demand}, JobConfig{Job: 3, Demand: demand}), "duplicate job id 3"},
-		{"second job invalid", base(JobConfig{Job: 1, Demand: demand}, JobConfig{Job: 2}), "job 2"},
-		{"resilience without remediate", with(base(JobConfig{Demand: demand}), func(c *Config) {
-			c.Resilience = &resilience.Config{}
-		}), "requires Config.Remediate"},
-		{"trace path and writer", with(base(JobConfig{Demand: demand}), func(c *Config) {
-			c.TracePath, c.Trace = filepath.Join(t.TempDir(), "x.fpt"), trace.NewWriter(&bytes.Buffer{})
-		}), "not both"},
+		// Attach monitors the jobs Build made, so a run with two jobs of
+		// one id never reaches it.
+		{"duplicate job ids", dup, AttachOptions{}, "duplicate job id 3"},
+		{"unknown kind", small(11), AttachOptions{Job: JobConfig{Kind: "bogus"}}, "unknown predictor kind"},
+		// A multi-job scenario has no reference run for its other jobs:
+		// the run taps one job.
+		{"simulation without reference", twoJobs(11), AttachOptions{Job: JobConfig{Kind: SimulationModel}}, "simulation model"},
+		{"resilience without remediate", small(11), AttachOptions{Resilience: &resilience.Config{}}, "requires Config.Remediate"},
+		{"trace path and writer", small(11), AttachOptions{
+			TracePath: filepath.Join(t.TempDir(), "x.fpt"), Trace: trace.NewWriter(&bytes.Buffer{}),
+		}, "not both"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Attach(tc.cfg)
+			rt, err := tc.sc.Build()
+			if err == nil {
+				defer rt.Close()
+				_, err = rt.Attach(tc.opts)
+			}
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Attach error = %v, want one containing %q", err, tc.want)
+				t.Fatalf("Build+Attach error = %v, want one containing %q", err, tc.want)
 			}
 		})
 	}
 }
 
-// TestResilienceRejectsSimulationModelAtAttach: the rule is checked per
-// job when the system is attached — not deferred to Train's bind — with
-// one error text for any number of jobs.
+// TestResilienceRejectsSimulationModelAtAttach: the rule is checked
+// when the system is attached — before the reference run, not deferred
+// to Train's bind — with one error text for any number of jobs.
 func TestResilienceRejectsSimulationModelAtAttach(t *testing.T) {
 	for _, sc := range []Scenario{small(13), twoJobs(13)} {
 		rt, err := sc.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := rt.monitorConfig(JobConfig{})
-		last := &cfg.Jobs[len(cfg.Jobs)-1]
-		last.Kind, last.ReferenceWindows = SimulationModel, []*telemetry.Window{{}}
-		cfg.Remediate, cfg.Resilience = &remediate.Config{}, &resilience.Config{}
-		_, err = Attach(cfg)
+		_, err = rt.Attach(AttachOptions{
+			Job:       JobConfig{Kind: SimulationModel},
+			Remediate: &remediate.Config{}, Resilience: &resilience.Config{},
+		})
+		rt.Close()
 		want := "resilience is not supported with the simulation model"
 		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%d job(s): Attach error = %v, want one containing %q", len(cfg.Jobs), err, want)
+			t.Errorf("%d job(s): Attach error = %v, want one containing %q", len(rt.Jobs), err, want)
 		}
 	}
 }
@@ -461,11 +457,7 @@ func TestRejectedAttachLeavesTracePathAlone(t *testing.T) {
 	if err := os.WriteFile(path, previous, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Attach(Config{
-		Net: rt.Net, Stack: rt.Stack,
-		Jobs:      []JobConfig{{Kind: LearnedModel}},
-		TracePath: path,
-	})
+	_, err = rt.Attach(AttachOptions{Job: JobConfig{Kind: LearnedModel}, TracePath: path})
 	if err == nil || !strings.Contains(err.Error(), "two-level") {
 		t.Fatalf("Attach on a three-level fabric with TracePath: error = %v, want the two-level rejection", err)
 	}
@@ -492,26 +484,25 @@ func TestDerivedFromJobCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		cfg := rt.monitorConfig(JobConfig{})
-		cfg.Trace = trace.NewWriter(&buf)
-		sys, err := Attach(cfg)
+		sys, err := rt.Attach(AttachOptions{Trace: trace.NewWriter(&buf)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sys.Flush(0)
+		rt.Close()
 		rd, err := trace.NewReader(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := rd.Header().Shared; got != tc.multi {
-			t.Errorf("%d job(s): header Shared = %v", len(cfg.Jobs), got)
+			t.Errorf("%d job(s): header Shared = %v", len(rt.Jobs), got)
 		}
-		if len(rd.Header().Jobs) != len(cfg.Jobs) {
-			t.Errorf("header lists %d jobs, want %d", len(rd.Header().Jobs), len(cfg.Jobs))
+		if len(rd.Header().Jobs) != len(rt.Jobs) {
+			t.Errorf("header lists %d jobs, want %d", len(rd.Header().Jobs), len(rt.Jobs))
 		}
 		for _, j := range sys.Jobs() {
 			if got := j.Detector.Config().AggregateSymmetry; got != tc.multi {
-				t.Errorf("%d job(s): job %d AggregateSymmetry = %v", len(cfg.Jobs), j.ID, got)
+				t.Errorf("%d job(s): job %d AggregateSymmetry = %v", len(rt.Jobs), j.ID, got)
 			}
 		}
 	}

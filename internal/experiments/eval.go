@@ -204,11 +204,10 @@ type EvalOverrides struct {
 	// Config has a TraceDir) record their trials as .fpt traces under
 	// this directory.
 	TraceDir string
-	// Shards selects the engine mode for experiments wired to the
-	// sharded engine (those whose Config has a Shards): 0 keeps the
-	// classic single-threaded engine, N ≥ 1 runs the sharded parallel
-	// engine with N workers. Results are bit-identical for every N ≥ 1
-	// (DESIGN.md decision 12).
+	// Shards selects the engine partition for experiments whose Config
+	// has a Shards: 0 is the one-domain partition, a single-threaded
+	// run; N ≥ 1 is one domain per switch on N workers. Results are
+	// bit-identical for every N ≥ 1 (DESIGN.md decision 12).
 	Shards int
 }
 

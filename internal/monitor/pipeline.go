@@ -148,9 +148,9 @@ func (p *Pipeline) OnWindow(w *telemetry.Window) {
 	}
 }
 
-// OnOwnedWindow is OnWindow on the serve path, where the caller reuses
-// the window's storage for every record: only valid with NoHistory set,
-// so nothing is retained and the hot ingestion path stays
+// OnOwnedWindow is OnWindow for a caller that reuses the window's
+// storage for every record (bench/'s per-layer probes): only valid with
+// NoHistory set, so nothing is retained and the hot path stays
 // allocation-free.
 func (p *Pipeline) OnOwnedWindow(w *telemetry.Window) {
 	if !p.cfg.NoHistory {

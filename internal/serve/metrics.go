@@ -65,10 +65,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 	s.mu.Unlock()
 	for _, sess := range sessions {
 		for _, b := range sess.allBuckets() {
-			if b.shard != nil {
-				depth[b.shard.id] += b.ring.depth()
-			}
-			if b.pipe != nil {
+			depth[b.shard.id] += b.ring.depth()
+			if b.rp.OnWindow != nil {
 				d := math.Float64frombits(b.lastScore.Load())
 				k := devKey{sess.label, b.job}
 				if d > devs[k] {

@@ -6,13 +6,13 @@
 // results operationally: Prometheus-text metrics, a streaming NDJSON
 // alert feed, and a rule engine routing alerts to sinks.
 //
-// The ingestion path is the same code that runs embedded: frames
+// The ingestion path is the same code that runs offline: frames
 // decode with the internal/trace follow Reader straight into
-// ring-slot-owned storage, windows flow through internal/monitor
-// pipelines, and alerts fold into the same FNV-64a fingerprints the
-// trace trailer pins — which is what makes the service verifiable:
-// alerts raised on a streamed recording are fingerprint-identical to
-// an offline replay of the same file.
+// ring-slot-owned storage, every bucket feeds them to a trace.Replayer,
+// and alerts fold into the same FNV-64a fingerprints the trace trailer
+// pins — which is what makes the service verifiable: alerts raised on
+// a streamed recording are fingerprint-identical to an offline replay
+// of the same file.
 package serve
 
 import (

@@ -5,11 +5,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -96,34 +100,169 @@ func TestSequentialParity(t *testing.T) {
 	}
 }
 
-// TestFanoutBucketParity: the sharded fan-out path preserves only
-// per-(job, leaf) order, so its combined fingerprint must equal
-// offline replay's order-insensitive BucketFingerprint.
-func TestFanoutBucketParity(t *testing.T) {
-	raw := recordRun(t, false, 11)
-	rr, err := trace.Replay(bytes.NewReader(raw), trace.ReplayOptions{})
+// recordFile records one of flowpulse-trace's run files and returns the
+// .fpt bytes.
+func recordFile(t *testing.T, name string) []byte {
+	t.Helper()
+	doc, err := core.ReadRun(filepath.Join("..", "..", "cmd", "flowpulse-trace", "testdata", name+".json"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rr.Events) == 0 {
-		t.Fatal("recording produced no events")
+	path := filepath.Join(t.TempDir(), name+".fpt")
+	if _, err := (experiments.Trial{Scenario: doc.Scenario, Monitor: doc.Monitor, TracePath: path, TraceLabel: name}).Run(); err != nil {
+		t.Fatalf("recording %s: %v", name, err)
 	}
-
-	srv := newTestServer(t, Config{Shards: 4})
-	defer srv.Drain(5 * time.Second)
-	st, err := srv.IngestStream(bytes.NewReader(raw), ModeFanout, "fanout")
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("IngestStream: %v", err)
+		t.Fatal(err)
 	}
-	if st.Mode != ModeFanout || st.Parity != "bucket" {
-		t.Fatalf("mode=%q parity=%q", st.Mode, st.Parity)
+	return raw
+}
+
+// TestFanoutBucketParity: over every run file, in both modes, the
+// service sees the windows and raises the events offline replay does.
+// The sequential path reproduces the global fingerprint (parity=exact);
+// the sharded fan-out path preserves only per-(job, leaf) order, so its
+// combined fingerprint must equal offline replay's order-insensitive
+// BucketFingerprint (parity=bucket).
+func TestFanoutBucketParity(t *testing.T) {
+	for _, name := range []string{"default", "fault-at-0", "heal", "two-jobs"} {
+		raw := recordFile(t, name)
+		rr, err := trace.Replay(bytes.NewReader(raw), trace.ReplayOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rr.EventCount == 0 {
+			t.Fatalf("%s: recording produced no events", name)
+		}
+		for _, tc := range []struct {
+			mode, parity string
+			fp           uint64
+		}{{ModeSeq, "exact", rr.Fingerprint}, {ModeFanout, "bucket", rr.BucketFingerprint}} {
+			t.Run(name+"/"+tc.mode, func(t *testing.T) {
+				srv := newTestServer(t, Config{Shards: 4})
+				defer srv.Drain(5 * time.Second)
+				st, err := srv.IngestStream(bytes.NewReader(raw), tc.mode, name)
+				if err != nil {
+					t.Fatalf("IngestStream: %v", err)
+				}
+				if st.Mode != tc.mode || st.Parity != tc.parity {
+					t.Fatalf("mode=%q parity=%q, want %q %q", st.Mode, st.Parity, tc.mode, tc.parity)
+				}
+				if st.Fingerprint != tc.fp {
+					t.Errorf("service fp %016x != offline %016x", st.Fingerprint, tc.fp)
+				}
+				if st.Windows != int64(rr.Windows) || st.Events != int64(rr.EventCount) {
+					t.Errorf("service %d windows / %d events, offline %d / %d", st.Windows, st.Events, rr.Windows, rr.EventCount)
+				}
+			})
+		}
 	}
-	if st.Fingerprint != rr.BucketFingerprint {
-		t.Fatalf("service bucket fp %016x != offline bucket fp %016x", st.Fingerprint, rr.BucketFingerprint)
+}
+
+// scrapeLive streams raw into a new session of srv through a pipe it
+// holds open, waits until the shards have processed every one of the
+// recording's windows, and returns /metrics as it reads then, while the
+// session is still live; then it ends the stream.
+func scrapeLive(t *testing.T, srv *Server, raw []byte, windows int, mode, label string) string {
+	t.Helper()
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		_, err := srv.IngestStream(pr, mode, label)
+		pr.Close() // a session that ends early fails the Write below
+		done <- err
+	}()
+	if _, err := pw.Write(raw); err != nil {
+		t.Fatal(err)
 	}
-	if st.Events != int64(len(rr.Events)) {
-		t.Fatalf("service %d events, offline %d", st.Events, len(rr.Events))
+	for deadline := time.Now().Add(5 * time.Second); srv.met.windowsTotal.Load() < int64(windows); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d windows published", srv.met.windowsTotal.Load(), windows)
+		}
 	}
+	srv.mu.Lock()
+	var sessions []*session
+	for _, sess := range srv.sessions {
+		sessions = append(sessions, sess)
+	}
+	srv.mu.Unlock()
+	for _, sess := range sessions {
+		sess.quiesce()
+	}
+	var buf bytes.Buffer
+	srv.writeMetrics(&buf)
+	pw.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestDeviationGauge pins the flowpulse_deviation series set: a fan-out
+// session exports one finite, positive gauge per job; a sequential
+// session, whose one bucket spans jobs and leaves, exports none.
+func TestDeviationGauge(t *testing.T) {
+	raw := recordFile(t, "two-jobs")
+	rr, err := trace.Replay(bytes.NewReader(raw), trace.ReplayOptions{NoHistory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []string{ModeFanout, ModeSeq} {
+		srv := newTestServer(t, Config{Shards: 2})
+		text := scrapeLive(t, srv, raw, rr.Windows, mode, "gauge")
+		srv.Drain(5 * time.Second)
+		var jobs []string
+		for _, line := range strings.Split(text, "\n") {
+			if !strings.HasPrefix(line, "flowpulse_deviation{") {
+				continue
+			}
+			labels, val, _ := strings.Cut(strings.TrimPrefix(line, "flowpulse_deviation"), " ")
+			d, err := strconv.ParseFloat(val, 64)
+			if err != nil || math.IsInf(d, 0) || math.IsNaN(d) || d <= 0 {
+				t.Errorf("%s: %s: want a finite, positive deviation", mode, line)
+			}
+			jobs = append(jobs, labels)
+		}
+		want := []string{`{session="gauge",job="1"}`, `{session="gauge",job="2"}`}
+		if mode == ModeSeq {
+			want = nil
+		}
+		if !slices.Equal(jobs, want) {
+			t.Errorf("%s: deviation series %q, want %q", mode, jobs, want)
+		}
+	}
+}
+
+// TestMetricsScrapeDuringIngest: a /metrics scrape walks the live
+// bucket registry while producers open buckets in it. Run under -race.
+func TestMetricsScrapeDuringIngest(t *testing.T) {
+	raw := buildCleanStream(t, 64)
+	srv := newTestServer(t, Config{Shards: 4, Logf: func(string, ...any) {}})
+	defer srv.Drain(5 * time.Second)
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				srv.writeMetrics(io.Discard)
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		st, err := srv.IngestStream(bytes.NewReader(raw), ModeFanout, fmt.Sprintf("scraped-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Windows != 64 {
+			t.Fatalf("session %d: %d windows, want 64", i, st.Windows)
+		}
+	}
+	close(stop)
+	<-stopped
 }
 
 // TestRemediatedStreamForcesSequential: a fan-out request for a

@@ -15,11 +15,13 @@ import (
 	"flowpulse/internal/trace"
 )
 
-// Stream modes. Sequential preserves the recording's global order
-// through one bucket — the whole detect → localize → remediate stack
-// replays and the alert/action fingerprint is bit-identical to offline
-// replay (and to the trailer). Fanout splits the stream into (job,
-// leaf) buckets across shards for parallelism; per-bucket fingerprints
+// Stream modes: the routing rule from records to buckets, each bucket
+// a trace.Replayer. Sequential routes every record to one bucket, which
+// preserves the recording's global order — the whole detect → localize
+// → remediate stack replays and the alert/action fingerprint is
+// bit-identical to offline replay (and to the trailer). Fanout routes
+// each window to its (job, leaf) bucket, spread across shards for
+// parallelism, and drops the other records; the buckets' fingerprints
 // XOR into the order-insensitive combined sum offline replay exposes
 // as BucketFingerprint. Remediated recordings force sequential: a
 // fan-out stream cannot replay the probe loop's global order.
@@ -64,10 +66,8 @@ type session struct {
 	topo  *topology.Topology
 	jobMu sync.Mutex // guards buckets map against /metrics scrapes
 
-	seq     *bucket
-	buckets map[uint64]*bucket // fanout: (job, leafOrd) key
+	buckets map[uint64]*bucket // (job, leafOrd) key; (0, 0) in sequential mode
 	trailer *trace.Trailer     // fanout: noted for the status line
-	windows atomic.Int64
 	events  atomic.Int64
 	actions atomic.Int64
 
@@ -190,8 +190,7 @@ func (s *session) run() (*SessionStatus, error) {
 			// The window decoded straight into the reserved ring slot.
 			reserved.rec = rec
 			dst.ring.push()
-			s.shardFor(dst).enqueue(dst)
-			s.windows.Add(1)
+			dst.shard.enqueue(dst)
 			s.srv.met.windowsTotal.Add(1)
 		case rec.Kind == trace.KindWindow:
 			// Slot refused (poisoned while routing): drop and abort.
@@ -207,7 +206,7 @@ func (s *session) run() (*SessionStatus, error) {
 			e := b.ring.reserve()
 			e.rec = rec
 			b.ring.push()
-			s.shardFor(b).enqueue(b)
+			b.shard.enqueue(b)
 		case rec.Kind == trace.KindTrailer:
 			s.trailer = rec.Trailer
 		}
@@ -246,29 +245,31 @@ func (s *session) adoptHeader() {
 }
 
 // bucketFor resolves (and lazily opens) the bucket owning one record
-// stream: the single sequential bucket, or the (job, leaf) fan-out
-// bucket.
+// stream: the session's one bucket in sequential mode, the (job, leaf)
+// bucket in fan-out mode. A bucket is published under jobMu only once
+// it is whole, so a /metrics scrape never sees one half-built.
 func (s *session) bucketFor(job uint16, leafOrd int) (*bucket, error) {
 	if s.hdr == nil {
 		s.adoptHeader()
 	}
 	if s.mode == ModeSeq {
-		if s.seq == nil {
-			b, err := newSeqBucket(s)
-			if err != nil {
-				return nil, err
-			}
-			s.jobMu.Lock()
-			s.seq = b
-			s.jobMu.Unlock()
-		}
-		return s.seq, nil
+		job, leafOrd = 0, 0
 	}
 	k := bucketKey(job, leafOrd)
 	if b := s.buckets[k]; b != nil {
 		return b, nil
 	}
-	b, err := newFanoutBucket(s, job, leafOrd)
+	if s.mode == ModeFanout {
+		// Refused before a bucket opens for it, so a stream of bogus
+		// keys cannot open buckets without bound.
+		if s.hdr.Job(s.hdr.PipelineJob(job)) == nil {
+			return nil, fmt.Errorf("serve: window for job %d not in stream header", job)
+		}
+		if leafOrd < 0 || leafOrd >= len(s.topo.Leaves()) {
+			return nil, fmt.Errorf("serve: window leaf ordinal %d out of range", leafOrd)
+		}
+	}
+	b, err := newBucket(s, job, leafOrd)
 	if err != nil {
 		return nil, err
 	}
@@ -276,13 +277,6 @@ func (s *session) bucketFor(job uint16, leafOrd int) (*bucket, error) {
 	s.buckets[k] = b
 	s.jobMu.Unlock()
 	return b, nil
-}
-
-func (s *session) shardFor(b *bucket) *shard {
-	if b.shard == nil {
-		b.shard = s.srv.shards[bucketShard(len(s.srv.shards), s.id, b.job, b.leafOrd)]
-	}
-	return b.shard
 }
 
 // quiesce waits until every record this session published has been
@@ -308,10 +302,7 @@ func (s *session) quiesce() {
 func (s *session) allBuckets() []*bucket {
 	s.jobMu.Lock()
 	defer s.jobMu.Unlock()
-	out := make([]*bucket, 0, len(s.buckets)+1)
-	if s.seq != nil {
-		out = append(out, s.seq)
-	}
+	out := make([]*bucket, 0, len(s.buckets))
 	for _, b := range s.buckets {
 		out = append(out, b)
 	}
@@ -329,31 +320,28 @@ func (s *session) status(streamErr error) *SessionStatus {
 	if streamErr != nil {
 		st.Error = streamErr.Error()
 	}
-	switch {
-	case s.seq != nil:
-		st.Windows = int64(s.seq.rp.Result().Windows)
-		st.Fingerprint = s.seq.rp.Fingerprint()
-		if tr := s.seq.rp.Trailer(); tr != nil {
-			st.TrailerFingerprint = tr.Fingerprint
-			if st.Fingerprint == tr.Fingerprint {
+	buckets := s.allBuckets()
+	if s.mode == ModeSeq && len(buckets) == 1 {
+		res := buckets[0].rp.Result()
+		st.Windows, st.Fingerprint = int64(res.Windows), res.Fingerprint
+		st.Parity = "none"
+		if res.Trailer != nil {
+			st.TrailerFingerprint = res.Trailer.Fingerprint
+			st.Parity = "mismatch"
+			if res.Matches() {
 				st.Parity = "exact"
-			} else {
-				st.Parity = "mismatch"
-			}
-		} else {
-			st.Parity = "none"
-		}
-	default:
-		for _, b := range s.allBuckets() {
-			st.Windows += b.windows.Load()
-			if b.fp.Count() > 0 {
-				st.Fingerprint ^= b.fp.Sum()
 			}
 		}
-		st.Parity = "bucket"
-		if s.trailer != nil {
-			st.TrailerFingerprint = s.trailer.Fingerprint
-		}
+		return st
+	}
+	for _, b := range buckets {
+		res := b.rp.Result()
+		st.Windows += int64(res.Windows)
+		st.Fingerprint ^= res.BucketFingerprint
+	}
+	st.Parity = "bucket"
+	if s.trailer != nil {
+		st.TrailerFingerprint = s.trailer.Fingerprint
 	}
 	return st
 }

@@ -151,9 +151,9 @@ func sameFaultSite(a, b *FaultRecord) bool {
 // It implements predict.IterPredictor so the detector takes the same
 // iteration-aligned code path it took online; every method answers
 // from the window currently being replayed, which is exactly the
-// snapshot the online detector consumed for it. The offline replay and
-// flowpulse-serve's fan-out buckets both drive their pipelines with
-// one.
+// snapshot the online detector consumed for it. The Replayer drives
+// every job's pipeline with one, offline and in every flowpulse-serve
+// bucket.
 type SnapshotPredictor struct {
 	ready  bool
 	port   []float64
@@ -173,30 +173,6 @@ func (p *SnapshotPredictor) PortLoad(int) []float64               { return p.por
 func (p *SnapshotPredictor) SenderLoad(int) [][]float64           { return p.sender }
 func (p *SnapshotPredictor) PortLoadAt(int, uint32) []float64     { return p.port }
 func (p *SnapshotPredictor) SenderLoadAt(int, uint32) [][]float64 { return p.sender }
-
-// StreamFP accumulates the alert/remediation stream fingerprint: the
-// same FNV-64a fold the online Writer seals into the trailer and the
-// offline replay reproduces. flowpulse-serve folds one per (job, leaf)
-// bucket on its fan-out path.
-type StreamFP struct {
-	s fpState
-	n uint64
-}
-
-// NewStreamFP returns an empty fingerprint accumulator.
-func NewStreamFP() StreamFP { return StreamFP{s: newFP()} }
-
-// Event folds one localized detection.
-func (f *StreamFP) Event(e *monitor.Event) { fpEvent(&f.s, e); f.n++ }
-
-// Action folds one remediation action.
-func (f *StreamFP) Action(a *remediate.Action) { fpAction(&f.s, a); f.n++ }
-
-// Sum returns the fingerprint so far.
-func (f *StreamFP) Sum() uint64 { return f.s.h }
-
-// Count returns how many events and actions folded in.
-func (f *StreamFP) Count() uint64 { return f.n }
 
 // offlinePlane answers the remediator's control-plane calls during
 // replay: quarantine/re-admit ChangeSets commit unconditionally as
@@ -254,14 +230,17 @@ type Replayer struct {
 
 	res     *ReplayResult
 	fp      fpState
-	buckets map[uint64]*StreamFP
+	buckets map[uint64]*fpState // per (job, leaf) of the events folded in
 	fab     *offlinePlane
 	jobs    map[uint16]*replayJob
 
 	// OnEvent and OnAction, when set, observe the offline stream as it
 	// is re-derived (flowpulse-serve routes them to its alert hub).
+	// OnWindow, when set, sees every replayed window with its detector
+	// score (flowpulse-serve's deviation gauge).
 	OnEvent  func(e monitor.Event)
 	OnAction func(a remediate.Action)
+	OnWindow func(ws monitor.WindowScore)
 }
 
 // NewReplayer builds the offline stack for a decoded header. topo must
@@ -285,7 +264,7 @@ func NewReplayer(hdr *Header, topo *topology.Topology, opts ReplayOptions) (*Rep
 		opts:    opts,
 		res:     &ReplayResult{Header: hdr, Topo: topo},
 		fp:      newFP(),
-		buckets: map[uint64]*StreamFP{},
+		buckets: map[uint64]*fpState{},
 		fab:     &offlinePlane{topo: topo, pending: map[topology.LinkID][]func(sim.Time, bool){}},
 		jobs:    make(map[uint16]*replayJob, len(hdr.Jobs)),
 	}
@@ -334,16 +313,22 @@ func NewReplayer(hdr *Header, topo *topology.Topology, opts ReplayOptions) (*Rep
 				bk := cacheKey(e.Alert.Job, e.Alert.LeafOrdinal)
 				b := rp.buckets[bk]
 				if b == nil {
-					b = &StreamFP{s: newFP()}
+					fp := newFP()
+					b = &fp
 					rp.buckets[bk] = b
 				}
-				b.Event(&e)
+				fpEvent(b, &e)
 				rp.res.EventCount++
 				if !rp.opts.NoHistory {
 					rp.res.Events = append(rp.res.Events, e)
 				}
 				if rp.OnEvent != nil {
 					rp.OnEvent(e)
+				}
+			},
+			OnWindow: func(ws monitor.WindowScore) {
+				if rp.OnWindow != nil {
+					rp.OnWindow(ws)
 				}
 			},
 		})
@@ -405,29 +390,13 @@ func (rp *Replayer) Feed(rec *Record) error {
 	return nil
 }
 
-// Fingerprint returns the offline event/action fingerprint so far.
-func (rp *Replayer) Fingerprint() uint64 { return rp.fp.h }
-
-// BucketFingerprint returns the order-insensitive per-(job, leaf)
-// combined fingerprint so far (see ReplayResult.BucketFingerprint).
-func (rp *Replayer) BucketFingerprint() uint64 {
-	var x uint64
-	for _, b := range rp.buckets {
-		if b.Count() > 0 {
-			x ^= b.Sum()
-		}
-	}
-	return x
-}
-
-// Trailer returns the decoded trailer, nil before it streams in.
-func (rp *Replayer) Trailer() *Trailer { return rp.res.Trailer }
-
 // Result seals and returns the replay outcome. The Replayer may keep
 // being fed afterwards; Result reflects everything fed so far.
 func (rp *Replayer) Result() *ReplayResult {
-	rp.res.Fingerprint = rp.fp.h
-	rp.res.BucketFingerprint = rp.BucketFingerprint()
+	rp.res.Fingerprint, rp.res.BucketFingerprint = rp.fp.h, 0
+	for _, b := range rp.buckets {
+		rp.res.BucketFingerprint ^= b.h
+	}
 	return rp.res
 }
 

@@ -18,7 +18,7 @@ import (
 )
 
 // Writer streams a trace. It is attached to a live run by core
-// (Config.TracePath / Config.Trace): Begin writes the header, then the
+// (AttachOptions.TracePath / Trace): Begin writes the header, then the
 // monitor and remediator hooks feed it windows, events, actions and
 // probe rounds, and Finish seals the trailer. Errors are sticky — the
 // hot path never returns them; check Err (or Finish) once at the end.
