@@ -482,7 +482,7 @@ func cmdCat(args []string, stdout, stderr io.Writer) int {
 				ready = " (predictor warming up)"
 			}
 			fmt.Fprintf(stdout, "window  job=%d leaf=%d iter=%d ports=%d senders=%d packets=%d closed=%v%s\n",
-				w.Job, w.LeafOrd, w.Iter, len(w.PortBytes), len(w.SenderBytes), w.Packets,
+				w.Job, w.LeafOrd, w.Iter, len(w.PortBytes), len(w.Senders()), w.Packets,
 				sim.Duration(w.ClosedAt), ready)
 		case trace.KindEvent:
 			fmt.Fprintf(stdout, "event   %v | %v\n", rec.Event.Alert, rec.Event.Verdict)

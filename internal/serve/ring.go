@@ -10,7 +10,10 @@ import (
 // storage it decodes into. Window records point rec.Window at &win, so
 // a slot reused for the same (job, leaf) stream reaches a steady state
 // where decoding allocates nothing; other record kinds carry their own
-// freshly decoded payloads.
+// freshly decoded payloads. win owns everything the shard reads, the
+// copy of the deferred sender section and the prediction rows included,
+// so the session may decode the bucket's next windows into the slots
+// ahead while this one waits.
 type entry struct {
 	rec trace.Record
 	win trace.WindowRecord

@@ -71,8 +71,11 @@ type session struct {
 	events  atomic.Int64
 	actions atomic.Int64
 
-	errMu sync.Mutex
-	err   error
+	// failed is set once err is: the read loop checks it per record
+	// without taking errMu.
+	errMu  sync.Mutex
+	err    error
+	failed atomic.Bool
 }
 
 func bucketKey(job uint16, leafOrd int) uint64 {
@@ -85,11 +88,15 @@ func (s *session) poison(err error) {
 	s.errMu.Lock()
 	if s.err == nil {
 		s.err = err
+		s.failed.Store(true)
 	}
 	s.errMu.Unlock()
 }
 
 func (s *session) poisoned() error {
+	if !s.failed.Load() {
+		return nil
+	}
 	s.errMu.Lock()
 	defer s.errMu.Unlock()
 	return s.err

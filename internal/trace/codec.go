@@ -66,8 +66,7 @@ func (d *dec) kind() byte {
 
 // u reads one uvarint. A value below 0x80 is one byte — nearly every
 // scalar and length in a window — and is read in place; multi-byte
-// values, truncation and the sticky error go through uSlow, which is
-// where the encoding/binary call and the re-slice now live.
+// values, truncation and the sticky error go through uSlow.
 func (d *dec) u() uint64 {
 	if d.err == nil && d.off < len(d.b) {
 		if c := d.b[d.off]; c < 0x80 {
@@ -82,7 +81,7 @@ func (d *dec) uSlow() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(d.b[d.off:])
+	v, n := uvarint(d.b, d.off)
 	if n <= 0 {
 		d.fail("trace: bad uvarint at offset %d", d.off)
 		return 0
@@ -106,13 +105,42 @@ func (d *dec) iSlow() int64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(d.b[d.off:])
+	v, n := uvarint(d.b, d.off)
 	if n <= 0 {
 		d.fail("trace: bad varint at offset %d", d.off)
 		return 0
 	}
 	d.off += n
-	return v
+	return unzigzag(v)
+}
+
+func unzigzag(v uint64) int64 { return int64(v>>1) ^ -int64(v&1) }
+
+// Varint bytes carry their continuation flag in the high bit; in a
+// little-endian 64-bit load those are the bits of contMask.
+const contMask = 0x8080808080808080
+
+// uvarint decodes the uvarint at b[off:] and returns its value and
+// width, n ≤ 0 on failure exactly as binary.Uvarint reports it. A value
+// of up to eight bytes with eight bytes to load decodes from one 64-bit
+// load: the lowest clear continuation bit marks the last byte, a mask
+// drops the bytes past it and the flags, and three mask-and-shift steps
+// close the 7-bit groups up. Longer values (9 and 10 bytes, where
+// overflow is possible), the last seven bytes of the payload and
+// malformed input go through encoding/binary, so every error is the
+// one a value-at-a-time decode reports, at the same offset.
+func uvarint(b []byte, off int) (uint64, int) {
+	if off+8 <= len(b) {
+		x := binary.LittleEndian.Uint64(b[off:])
+		if ends := ^x & contMask; ends != 0 {
+			x &= (ends ^ (ends - 1)) &^ contMask // the value's bytes, flags cleared
+			x = x&0x007f007f007f007f | x>>1&0x3f803f803f803f80
+			x = x&0x00003fff00003fff | x>>2&0x0fffc0000fffc000
+			x = x&0x000000000fffffff | x>>4&0x00fffffff0000000
+			return x, bits.TrailingZeros64(ends)>>3 + 1
+		}
+	}
+	return binary.Uvarint(b[off:])
 }
 
 // zeroRun returns how many of b's leading bytes are 0x00, looking at
@@ -134,100 +162,123 @@ func zeroRun(b []byte, max int) int {
 // in a local and the sticky error is checked once, not per value. They
 // are built around what the format produces for a stable baseline —
 // runs of 0x00, one per unchanged value — and consume those up to eight
-// per load. Any other byte takes the same single-byte / encoding/binary
-// steps as u and i, so non-canonical encodings (0x80 0x00) decode and
+// per load. Any other byte takes the same single-byte / uvarint steps
+// as u and i, so non-canonical encodings (0x80 0x00) decode and
 // truncated or overlong ones fail exactly as value-at-a-time reads do,
-// at the same offset. After a failure the rest of the row is filled as
-// if every remaining read had returned zero, which is what the sticky
-// error made them do.
+// at the same offset. After a failure the row is left as it is: a
+// failed window is never handed out.
 
 // deltaRow decodes len(row) zigzag varints as consecutive deltas and
 // stores their running sum (PortBytes, explicit AggPortBytes and each
 // SenderBytes row). A zero byte repeats the previous value.
 func (d *dec) deltaRow(row []int64) {
+	if d.err != nil {
+		return
+	}
 	var prev int64
-	j := 0
-	if d.err == nil {
-		b, off := d.b, d.off
-		for j < len(row) {
-			if off < len(b) {
-				if c := b[off]; c == 0 {
-					n := zeroRun(b[off:], len(row)-j)
-					run := row[j : j+n]
-					for k := range run {
-						run[k] = prev
-					}
-					off += n
-					j += n
-					continue
-				} else if c < 0x80 {
-					off++
-					prev += int64(c>>1) ^ -int64(c&1)
-					row[j] = prev
-					j++
-					continue
+	b, off := d.b, d.off
+	for j := 0; j < len(row); {
+		if off < len(b) {
+			if c := b[off]; c == 0 {
+				n := zeroRun(b[off:], len(row)-j)
+				run := row[j : j+n]
+				for k := range run {
+					run[k] = prev
 				}
+				off += n
+				j += n
+				continue
+			} else if c < 0x80 {
+				off++
+				prev += unzigzag(uint64(c))
+				row[j] = prev
+				j++
+				continue
 			}
-			v, n := binary.Varint(b[off:])
-			if n <= 0 {
-				d.fail("trace: bad varint at offset %d", off)
-				break
-			}
-			off += n
-			prev += v
-			row[j] = prev
-			j++
 		}
-		d.off = off
-	}
-	for ; j < len(row); j++ {
+		v, n := uvarint(b, off)
+		if n <= 0 {
+			d.fail("trace: bad varint at offset %d", off)
+			return
+		}
+		off += n
+		prev += unzigzag(v)
 		row[j] = prev
+		j++
 	}
+	d.off = off
 }
 
-// xorRow decodes len(row) uvarints, XORs each into its word of cache
-// (the leaf's previous prediction, len(cache) ≥ len(row)) and stores
-// the result as a float. A zero byte leaves the cached word as it is
-// and copies it out.
-func (d *dec) xorRow(row []float64, cache []uint64) {
-	cache = cache[:len(row)]
-	j := 0
-	if d.err == nil {
-		b, off := d.b, d.off
-		for j < len(row) {
-			if off < len(b) {
-				if c := b[off]; c == 0 {
-					n := zeroRun(b[off:], len(row)-j)
-					run, kept := row[j:j+n], cache[j:j+n]
-					for k := range run {
-						run[k] = math.Float64frombits(kept[k])
-					}
-					off += n
-					j += n
-					continue
-				} else if c < 0x80 {
-					off++
-					cache[j] ^= uint64(c)
-					row[j] = math.Float64frombits(cache[j])
-					j++
-					continue
-				}
+// xorFold decodes len(cache) uvarints and XORs each into its word of
+// cache (the leaf's previous prediction), in place. A zero byte leaves
+// the cached word as it is, without a write.
+func (d *dec) xorFold(cache []float64) {
+	if d.err != nil {
+		return
+	}
+	b, off := d.b, d.off
+	for j := 0; j < len(cache); {
+		if off < len(b) {
+			if c := b[off]; c == 0 {
+				n := zeroRun(b[off:], len(cache)-j)
+				off += n
+				j += n
+				continue
+			} else if c < 0x80 {
+				off++
+				cache[j] = math.Float64frombits(math.Float64bits(cache[j]) ^ uint64(c))
+				j++
+				continue
 			}
-			v, n := binary.Uvarint(b[off:])
-			if n <= 0 {
-				d.fail("trace: bad uvarint at offset %d", off)
-				break
-			}
-			off += n
-			cache[j] ^= v
-			row[j] = math.Float64frombits(cache[j])
-			j++
 		}
-		d.off = off
+		v, n := uvarint(b, off)
+		if n <= 0 {
+			d.fail("trace: bad uvarint at offset %d", off)
+			return
+		}
+		off += n
+		cache[j] = math.Float64frombits(math.Float64bits(cache[j]) ^ v)
+		j++
 	}
-	for ; j < len(row); j++ {
-		row[j] = math.Float64frombits(cache[j])
+	d.off = off
+}
+
+// skipVarints steps over n varints without decoding them, failing where
+// reading them would fail. Each 64-bit load counts the varints that end
+// in it — one per clear continuation bit — so a row of small values or
+// zeros costs a load per eight. A value still open after eight bytes
+// (nine or ten bytes long, or malformed) and the last seven bytes of
+// the payload go through encoding/binary.
+func (d *dec) skipVarints(n int) {
+	if d.err != nil {
+		return
 	}
+	b, off := d.b, d.off
+	for n > 0 {
+		if off+8 <= len(b) {
+			if ends := ^binary.LittleEndian.Uint64(b[off:]) & contMask; ends != 0 {
+				k := bits.OnesCount64(ends)
+				if k > n {
+					for ; n > 1; n-- { // make the nth end the lowest bit
+						ends &= ends - 1
+					}
+					d.off = off + bits.TrailingZeros64(ends)>>3 + 1
+					return
+				}
+				n -= k
+				off += (63-bits.LeadingZeros64(ends))>>3 + 1
+				continue
+			}
+		}
+		_, w := binary.Uvarint(b[off:])
+		if w <= 0 {
+			d.fail("trace: bad varint at offset %d", off)
+			return
+		}
+		off += w
+		n--
+	}
+	d.off = off
 }
 
 func (d *dec) raw64() uint64 {
@@ -295,16 +346,16 @@ func (d *dec) done() error {
 // XOR folding runs against: a prediction that did not change since the
 // leaf's previous window encodes as a single zero byte.
 type predCache struct {
-	port   []uint64
-	sender []uint64
+	port   []float64
+	sender []float64
 }
 
 func (c *predCache) size(ports, senders int) {
 	if len(c.port) != ports {
-		c.port = make([]uint64, ports)
+		c.port = make([]float64, ports)
 	}
 	if len(c.sender) != senders {
-		c.sender = make([]uint64, senders)
+		c.sender = make([]float64, senders)
 	}
 }
 

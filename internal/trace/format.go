@@ -148,7 +148,11 @@ type WindowRecord struct {
 	Packets            int64
 	PortBytes          []int64
 	AggPortBytes       []int64
-	SenderBytes        [][]int64
+	// SenderBytes is the per-sender matrix, which only localization
+	// reads. Reader.Next returns it built; NextInto leaves it empty
+	// until Senders builds it from the record's own copy of the encoded
+	// section.
+	SenderBytes [][]int64
 	// Ready mirrors Predictor.Ready at window close; PortPred and
 	// SenderPred are only present when true.
 	Ready      bool
@@ -157,11 +161,46 @@ type WindowRecord struct {
 	// CEBytes is the window's ECN congestion-experienced byte count
 	// (format v2; zero when replaying v1 traces or ECN-less fabrics).
 	CEBytes int64
+
+	// sec is the per-sender section as encoded (row count, then each
+	// row's length and deltas), copied out of the frame and checked
+	// when the window was decoded; pending says SenderBytes is not yet
+	// built from it. predFlat backs the SenderPred rows.
+	sec      []byte
+	pending  bool
+	predFlat []float64
+}
+
+// Senders returns the per-sender matrix, first building SenderBytes
+// from the record's section if NextInto deferred it. The record owns
+// the section, so this is valid for as long as the record is, however
+// far the Reader has moved on.
+func (wr *WindowRecord) Senders() [][]int64 {
+	if wr.pending {
+		wr.buildSenders()
+	}
+	return wr.SenderBytes
+}
+
+// buildSenders decodes the deferred section into SenderBytes. The
+// decoder checked every length and varint of it already, so the error
+// is always nil; the fuzz targets hold it to that.
+func (wr *WindowRecord) buildSenders() error {
+	d := dec{b: wr.sec}
+	n := d.count(1)
+	wr.SenderBytes = i64Rows(wr.SenderBytes, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		wr.SenderBytes[i] = i64Slice(wr.SenderBytes[i], d.count(1))
+		d.deltaRow(wr.SenderBytes[i])
+	}
+	wr.pending = false
+	return d.done()
 }
 
 // Window returns the record as the telemetry window a pipeline
-// consumes. The slices are shared with the record, not copied, and
-// LeafOrd must already be checked against topo.
+// consumes. The slices are shared with the record, not copied (a
+// deferred SenderBytes stays empty: see Senders), and LeafOrd must
+// already be checked against topo.
 func (wr *WindowRecord) Window(topo *topology.Topology) telemetry.Window {
 	return telemetry.Window{
 		Leaf:         topo.Leaves()[wr.LeafOrd],

@@ -316,8 +316,8 @@ func (r *refReader) decodeWindow(d *refDec) *WindowRecord {
 		c.size(nPort, len(c.sender))
 		w.PortPred = make([]float64, nPort)
 		for i := range w.PortPred {
-			bits := d.u() ^ c.port[i]
-			c.port[i] = bits
+			bits := d.u() ^ math.Float64bits(c.port[i])
+			c.port[i] = math.Float64frombits(bits)
 			w.PortPred[i] = math.Float64frombits(bits)
 		}
 		nPred := d.count()
@@ -336,8 +336,8 @@ func (r *refReader) decodeWindow(d *refDec) *WindowRecord {
 			}
 			row := make([]float64, n)
 			for j := range row {
-				bits := d.u() ^ c.sender[k2]
-				c.sender[k2] = bits
+				bits := d.u() ^ math.Float64bits(c.sender[k2])
+				c.sender[k2] = math.Float64frombits(bits)
 				row[j] = math.Float64frombits(bits)
 				k2++
 			}
@@ -393,7 +393,7 @@ func sameCaches(a, b map[uint64]*predCache) bool {
 	}
 	for k, ca := range a {
 		cb := b[k]
-		if cb == nil || !slices.Equal(ca.port, cb.port) || !slices.Equal(ca.sender, cb.sender) {
+		if cb == nil || !floatsBitEqual(ca.port, cb.port) || !floatsBitEqual(ca.sender, cb.sender) {
 			return false
 		}
 	}
@@ -434,7 +434,14 @@ func diffSeeds() []diffSeed {
 	ce0, ce := []byte{0}, []byte{0x2a}
 	overlong := append(bytes.Repeat([]byte{0x80}, 10), 0x01) // 11 bytes: overflows
 	longest := append(bytes.Repeat([]byte{0xff}, 9), 0x01)   // 10 bytes: the largest legal value
-	agg := func(mode ...byte) []byte {                       // 4 ports, the given aggregate, no senders
+	overflow := append(bytes.Repeat([]byte{0xff}, 9), 0x02)  // 10 bytes: the 10th above 1
+	width := func(n int) []byte {                            // one legal value exactly n bytes long
+		return append(bytes.Repeat([]byte{0xaa}, n-1), 0x01)
+	}
+	row := func(v []byte) []byte { // 1 port, one deferred sender row holding v
+		return cat(head, []byte{1}, big, []byte{aggSame, 1, 1}, v)
+	}
+	agg := func(mode ...byte) []byte { // 4 ports, the given aggregate, no senders
 		return cat(head, []byte{4}, big, zeros(3), mode, []byte{0})
 	}
 	return []diffSeed{
@@ -464,14 +471,42 @@ func diffSeeds() []diffSeed {
 		{name: "agg-bad-mode", first: cat(agg(4), notReady, ce0)},
 		{name: "pred-rows-exceed-declared", first: cat(agg(aggSame), []byte{1, 4}, zeros(4), []byte{2, 2, 2, 0, 0, 2, 0, 0}, ce0)},
 		{name: "trailing-bytes", first: cat(agg(aggSame), notReady, ce0, ce0)},
+		// One-load varints: an 8-byte value is the longest one load
+		// decodes; a 9- or 10-byte one falls back to encoding/binary, as
+		// does any value that starts with fewer than eight bytes left.
+		// As the CE count a value starts with exactly its own width left;
+		// as a deferred sender delta, with the ready bit (and CE) after it.
+		{name: "varint8-with-8-left", first: cat(agg(aggSame), notReady, width(8))},
+		{name: "varint9-with-9-left", first: cat(agg(aggSame), notReady, width(9))},
+		{name: "varint10-with-10-left", first: cat(agg(aggSame), notReady, width(10))},
+		{name: "varint8-with-9-left", first: cat(row(width(8)), notReady), v1: true},
+		{name: "varint8-with-10-left", first: cat(row(width(8)), notReady, ce0)},
+		{name: "varint9-with-10-left", first: cat(row(width(9)), notReady), v1: true},
+		{name: "varint10-with-12-left", first: cat(row(width(10)), notReady, ce0)},
+		{name: "varint8-with-7-left", first: cat(agg(aggSame), notReady, width(8)[:7])},
+		{name: "varint9-with-8-left", first: cat(agg(aggSame), notReady, width(9)[:8])},
+		{name: "varint10-with-9-left", first: cat(agg(aggSame), notReady, width(10)[:9])},
+		{name: "sender-deltas-8-9-10", first: cat(head, []byte{1}, big, []byte{aggSame, 2, 3}, width(8), width(9), width(10),
+			[]byte{2}, zeros(1), width(8), notReady, ce0)},
+		{name: "xor-words-8-9-10", first: cat(agg(aggSame), []byte{1, 3}, width(8), width(9), width(10), []byte{0, 0}, ce0)},
+		// A 10th byte above 1 overflows 64 bits, in a deferred row too.
+		{name: "overflow-10th-byte", first: cat(agg(aggSame), notReady, overflow)},
+		{name: "overflow-in-deferred-row", first: cat(row(overflow), notReady, ce0)},
+		// A non-canonical zero inside a deferred row decodes as zero;
+		// cut short, it fails at its first byte.
+		{name: "noncanonical-in-deferred-row", first: cat(head, []byte{1}, big, []byte{aggSame, 2, 4, 0x02, 0x80, 0x80, 0x00, 0, 0x80, 0x00,
+			3, 0x80, 0x00, 0x04, 0x80, 0x80, 0x80, 0x00}, notReady, ce0)},
+		{name: "noncanonical-cut-in-deferred-row", first: cat(head, []byte{1}, big, []byte{aggSame, 1, 2, 0x02, 0x80, 0x80})},
 	}
 }
 
 // FuzzWindowDecodeDifferential decodes arbitrary window payloads with
-// the production decoder (row kernels, one reused slot) and with refDec
-// above, and requires the same error or else the same record, and the
-// same reader state afterwards — prediction caches included — whatever
-// the bytes.
+// the production decoder (row kernels, one-load varints, the deferred
+// sender section, one reused slot) and with refDec above, and requires
+// the same error or else the same record, and the same reader state
+// afterwards — prediction caches included — whatever the bytes. The
+// error must surface at decode: building the section of a window that
+// decoded may not fail.
 // That is the proof behind "readers still accept every byte string they
 // accepted before".
 func FuzzWindowDecodeDifferential(f *testing.F) {
@@ -507,6 +542,11 @@ func FuzzWindowDecodeDifferential(f *testing.F) {
 				// slot (stale fields included) is nobody's to read.
 				return
 			}
+			// Every error surfaced above: the deferred sender section of
+			// a window that decoded must build.
+			if err := got.buildSenders(); err != nil {
+				t.Fatalf("window %d: building the checked sender section: %v", i, err)
+			}
 			if !sameWindow(got, want) {
 				t.Fatalf("window %d:\n got %+v\nwant %+v", i, got, want)
 			}
@@ -518,13 +558,19 @@ func FuzzWindowDecodeDifferential(f *testing.F) {
 // what their names say: which decode cleanly and which must fail.
 func TestWindowDecodeDifferentialSeeds(t *testing.T) {
 	wantErr := map[string]string{
-		"overlong-delta":            "bad varint",
-		"overlong-xor-word":         "bad uvarint",
-		"truncated-mid-run":         "bad varint",
-		"truncated-mid-run-xor":     "bad uvarint",
-		"agg-bad-mode":              "bad agg mode",
-		"pred-rows-exceed-declared": "exceed declared count",
-		"trailing-bytes":            "trailing bytes",
+		"overlong-delta":                   "bad varint",
+		"overlong-xor-word":                "bad uvarint",
+		"truncated-mid-run":                "bad varint",
+		"truncated-mid-run-xor":            "bad uvarint",
+		"agg-bad-mode":                     "bad agg mode",
+		"pred-rows-exceed-declared":        "exceed declared count",
+		"trailing-bytes":                   "trailing bytes",
+		"varint8-with-7-left":              "bad varint",
+		"varint9-with-8-left":              "bad varint",
+		"varint10-with-9-left":             "bad varint",
+		"overflow-10th-byte":               "bad varint",
+		"overflow-in-deferred-row":         "bad varint",
+		"noncanonical-cut-in-deferred-row": "bad varint",
 	}
 	for _, s := range diffSeeds() {
 		version := Version

@@ -183,23 +183,30 @@ type WindowSlot func(job uint16, leafOrd int) *WindowRecord
 // with kinds this reader does not know are skipped. On a follow
 // Reader, a torn tail frame returns ErrAwaitMore (retry when the
 // source has more bytes). The Record and everything it points to are
-// freshly allocated and belong to the caller — keep them as long as you
-// like; a loop that drops each window after use should call NextInto
-// with one reused slot instead.
+// freshly allocated, fully built (SenderBytes included) and belong to
+// the caller — keep them as long as you like; a loop that drops each
+// window after use should call NextInto with one reused slot instead.
 func (r *Reader) Next() (*Record, error) {
 	rec, err := r.NextInto(nil)
 	if err != nil {
 		return nil, err
 	}
-	out := rec
-	return &out, nil
+	if w := rec.Window; w != nil {
+		w.Senders()
+		w.sec = nil // the fresh record keeps its matrix, not the encoding
+	}
+	return &rec, nil
 }
 
 // NextInto is Next with caller-owned window storage: window records
 // decode into the slot the dest callback picks (see WindowSlot), other
 // kinds allocate as usual. The returned Record's Window points at that
-// slot, so it is valid until the slot is handed out again. dest == nil
-// behaves like Next.
+// slot, so it is valid until the slot is handed out again. A window's
+// per-sender section is checked here — a malformed one fails this call,
+// as any other malformed field does — but SenderBytes is left empty
+// until Senders builds it from the slot's own copy of the section; the
+// other fields, SenderPred included, are complete and owned by the
+// slot. dest == nil decodes into a fresh record, with the same deferral.
 func (r *Reader) NextInto(dest WindowSlot) (Record, error) {
 	if r.err != nil {
 		return Record{}, r.err
@@ -432,13 +439,17 @@ func (r *Reader) decodeWindow(d *dec, dest WindowSlot) *WindowRecord {
 		d.fail("trace: bad agg mode %d", mode)
 	}
 
+	// The sender section is only checked and copied out here: its one
+	// reader, localization, builds it through Senders on an alerted
+	// window.
+	start := d.off
 	nRows := d.count(1)
-	w.SenderBytes = i64Rows(w.SenderBytes, nRows)
 	for i := 0; i < nRows && d.err == nil; i++ {
-		n := d.count(1)
-		w.SenderBytes[i] = i64Slice(w.SenderBytes[i], n)
-		d.deltaRow(w.SenderBytes[i])
+		d.skipVarints(d.count(1))
 	}
+	w.sec = append(w.sec[:0], d.b[start:d.off]...)
+	w.pending = true
+	w.SenderBytes = w.SenderBytes[:0]
 
 	w.Ready = d.bit()
 	if !w.Ready {
@@ -446,14 +457,19 @@ func (r *Reader) decodeWindow(d *dec, dest WindowSlot) *WindowRecord {
 		w.SenderPred = w.SenderPred[:0]
 	}
 	if w.Ready && d.err == nil {
+		// Every word folds into the leaf's cache in stream order (the
+		// next window's XOR reads it); the record's rows are then one
+		// copy of the cache, so the record stays valid after the
+		// Reader decodes the leaf's next window.
 		c := r.cache(w.Job, w.LeafOrd)
 		nPort := d.count(1)
 		if d.err != nil {
 			return w
 		}
 		c.size(nPort, len(c.sender))
+		d.xorFold(c.port)
 		w.PortPred = f64Slice(w.PortPred, nPort)
-		d.xorRow(w.PortPred, c.port)
+		copy(w.PortPred, c.port)
 		// The flattened sender count precedes the rows (see Writer) so
 		// the XOR cache can be sized before their lengths are known.
 		nPred := d.count(1)
@@ -461,6 +477,7 @@ func (r *Reader) decodeWindow(d *dec, dest WindowSlot) *WindowRecord {
 			return w
 		}
 		c.size(nPort, nPred)
+		w.predFlat = f64Slice(w.predFlat, nPred)
 		nPredRows := d.count(1)
 		w.SenderPred = f64Rows(w.SenderPred, nPredRows)
 		k := 0
@@ -470,13 +487,14 @@ func (r *Reader) decodeWindow(d *dec, dest WindowSlot) *WindowRecord {
 				d.fail("trace: sender prediction rows exceed declared count %d", nPred)
 				return w
 			}
-			w.SenderPred[i] = f64Slice(w.SenderPred[i], n)
-			d.xorRow(w.SenderPred[i], c.sender[k:])
+			d.xorFold(c.sender[k : k+n])
+			w.SenderPred[i] = w.predFlat[k : k+n : k+n]
 			k += n
 		}
 		if d.err == nil && k != nPred {
 			d.fail("trace: sender prediction count %d, declared %d", k, nPred)
 		}
+		copy(w.predFlat, c.sender)
 	}
 	if r.hdr.FormatVersion >= 2 {
 		w.CEBytes = d.i()

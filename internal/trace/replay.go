@@ -158,6 +158,10 @@ type SnapshotPredictor struct {
 	ready  bool
 	port   []float64
 	sender [][]float64
+	// job, under a Replayer, is the job being fed: asking for the
+	// sender reference — which the pipeline does only to localize an
+	// alert — first builds that window's deferred sender matrix.
+	job *replayJob
 }
 
 // Set loads the snapshot recorded with the window about to be fed. The
@@ -167,12 +171,21 @@ func (p *SnapshotPredictor) Set(ready bool, port []float64, sender [][]float64) 
 	p.ready, p.port, p.sender = ready, port, sender
 }
 
-func (p *SnapshotPredictor) Name() string                         { return "recorded" }
-func (p *SnapshotPredictor) Ready(int) bool                       { return p.ready }
-func (p *SnapshotPredictor) PortLoad(int) []float64               { return p.port }
-func (p *SnapshotPredictor) SenderLoad(int) [][]float64           { return p.sender }
-func (p *SnapshotPredictor) PortLoadAt(int, uint32) []float64     { return p.port }
-func (p *SnapshotPredictor) SenderLoadAt(int, uint32) [][]float64 { return p.sender }
+func (p *SnapshotPredictor) Name() string                     { return "recorded" }
+func (p *SnapshotPredictor) Ready(int) bool                   { return p.ready }
+func (p *SnapshotPredictor) PortLoad(int) []float64           { return p.port }
+func (p *SnapshotPredictor) PortLoadAt(int, uint32) []float64 { return p.port }
+
+func (p *SnapshotPredictor) SenderLoad(int) [][]float64 {
+	if p.job != nil {
+		p.job.buildSenders()
+	}
+	return p.sender
+}
+
+func (p *SnapshotPredictor) SenderLoadAt(leafOrdinal int, _ uint32) [][]float64 {
+	return p.SenderLoad(leafOrdinal)
+}
 
 // offlinePlane answers the remediator's control-plane calls during
 // replay: quarantine/re-admit ChangeSets commit unconditionally as
@@ -217,6 +230,24 @@ type replayJob struct {
 	jr   *JobReplay
 	pred *SnapshotPredictor // nil under the learned counterfactual
 	win  telemetry.Window   // reused per fed window
+
+	// rec is the record behind win while Feed runs, nil once its
+	// sender matrix is in win; built counts the matrices built.
+	rec   *WindowRecord
+	built int
+}
+
+// buildSenders puts the fed window's sender matrix into win, building
+// it from the record's section the first time it is asked for.
+func (j *replayJob) buildSenders() {
+	if j.rec == nil {
+		return
+	}
+	if j.rec.pending {
+		j.built++
+	}
+	j.win.SenderBytes = j.rec.Senders()
+	j.rec = nil
 }
 
 // Replayer re-drives the detect → localize → remediate stack from
@@ -302,7 +333,7 @@ func NewReplayer(hdr *Header, topo *topology.Topology, opts ReplayOptions) (*Rep
 		if useLearned {
 			pred = predict.NewLearned(len(topo.Leaves()), predict.LearnedConfig{})
 		} else {
-			j.pred = &SnapshotPredictor{}
+			j.pred = &SnapshotPredictor{job: j}
 			pred = j.pred
 		}
 		j.jr.Pipeline, _ = monitor.Build(monitor.Spec{
@@ -344,8 +375,12 @@ func NewReplayer(hdr *Header, topo *topology.Topology, opts ReplayOptions) (*Rep
 // into its own score records, and the job's SnapshotPredictor only borrows
 // PortPred/SenderPred until the next Feed. So the caller may overwrite
 // the Record and the WindowRecord — a NextInto slot — as soon as Feed
-// returns. The other payloads (Event, Action, Fault, Trailer) are
-// retained by pointer; the Reader allocates those fresh per record.
+// returns. A window's sender matrix is built (WindowRecord.Senders) only
+// when something reads it: the localizer, through the SnapshotPredictor,
+// on a window that raised an alert, or the learned counterfactual's
+// observer, on every window. The other payloads (Event, Action, Fault,
+// Trailer) are retained by pointer; the Reader allocates those fresh
+// per record.
 func (rp *Replayer) Feed(rec *Record) error {
 	switch rec.Kind {
 	case KindWindow:
@@ -363,14 +398,17 @@ func (rp *Replayer) Feed(rec *Record) error {
 		if wr.LeafOrd < 0 || wr.LeafOrd >= len(rp.topo.Leaves()) {
 			return fmt.Errorf("trace: window leaf ordinal %d out of range", wr.LeafOrd)
 		}
-		if j.pred != nil {
-			j.pred.Set(wr.Ready, wr.PortPred, wr.SenderPred)
-		}
 		if wr.Iter > j.jr.MaxIter {
 			j.jr.MaxIter = wr.Iter
 		}
-		j.win = wr.Window(rp.topo)
+		j.win, j.rec = wr.Window(rp.topo), wr
+		if j.pred != nil {
+			j.pred.Set(wr.Ready, wr.PortPred, wr.SenderPred)
+		} else {
+			j.buildSenders()
+		}
 		j.jr.Pipeline.OnWindow(&j.win)
+		j.rec = nil
 		rp.res.Windows++
 	case KindProbe:
 		rp.fab.deliver(rec.Probe)

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"flowpulse/internal/core"
 	"flowpulse/internal/experiments"
@@ -369,5 +370,139 @@ func TestFeedLeavesSlotToCaller(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Events, want.Events) || !reflect.DeepEqual(got.Actions, want.Actions) {
 		t.Error("events or actions differ from the fresh-record replay")
+	}
+}
+
+// TestDecodeAheadOwnsRows is flowpulse-serve's access pattern: the
+// reader decodes a (job, leaf)'s next window into a second ring slot
+// while the first still waits for its shard. Window k's sender rows,
+// read only after window k+1 is decoded, must be what Next returns for
+// window k: a slot may borrow neither the Reader's frame buffer (the
+// one-byte source restages every frame over the previous one) nor its
+// prediction cache (which moves on to window k+1).
+func TestDecodeAheadOwnsRows(t *testing.T) {
+	raw, _ := benchRecording(t, 2, 2, 6, true)
+	const leaf = 1
+	var want []*trace.WindowRecord
+	rd, err := trace.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Kind == trace.KindWindow && rec.Window.LeafOrd == leaf {
+			want = append(want, rec.Window)
+		}
+	}
+
+	rd, err = trace.NewReader(iotest.OneByteReader(bytes.NewReader(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slots [2]trace.WindowRecord
+	var other trace.WindowRecord
+	k := 0 // windows of leaf decoded so far
+	dest := func(_ uint16, leafOrd int) *trace.WindowRecord {
+		if leafOrd != leaf {
+			return &other
+		}
+		return &slots[k%2]
+	}
+	for {
+		rec, err := rd.NextInto(dest)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Kind != trace.KindWindow || rec.Window.LeafOrd != leaf {
+			continue
+		}
+		if k++; k < 2 {
+			continue
+		}
+		// Windows k-2 and k-1 are both decoded; check the older one.
+		got, ref := &slots[k%2], want[k-2]
+		if got.Iter != ref.Iter {
+			t.Fatalf("slot holds iter %d, want %d", got.Iter, ref.Iter)
+		}
+		if !reflect.DeepEqual(got.Senders(), ref.SenderBytes) {
+			t.Errorf("iter %d sender bytes after decoding ahead:\n got %v\nwant %v", ref.Iter, got.SenderBytes, ref.SenderBytes)
+		}
+		if !reflect.DeepEqual(got.SenderPred, ref.SenderPred) {
+			t.Errorf("iter %d sender prediction after decoding ahead:\n got %v\nwant %v", ref.Iter, got.SenderPred, ref.SenderPred)
+		}
+	}
+	if k != len(want) || k < 3 {
+		t.Fatalf("decoded %d windows of leaf %d, Next saw %d", k, leaf, len(want))
+	}
+}
+
+// TestReplayBuildsSectionsOnlyForAlerts counts the deferred sender
+// sections a replay builds: one per window that raised an alert (the
+// localizer reads it), none on a clean recording, every one under the
+// learned counterfactual (its observer reads every window).
+func TestReplayBuildsSectionsOnlyForAlerts(t *testing.T) {
+	faulty := quickTrial(filepath.Join(t.TempDir(), "faulty.fpt"))
+	clean := quickTrial(filepath.Join(t.TempDir(), "clean.fpt"))
+	clean.Scenario.Faults = nil
+	_, faultyRaw := record(t, faulty)
+	_, cleanRaw := record(t, clean)
+
+	run := func(raw []byte, opts trace.ReplayOptions) (*trace.ReplayResult, int) {
+		t.Helper()
+		rd, err := trace.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, err := trace.NewReplayer(rd.Header(), rd.Topo(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var slot trace.WindowRecord
+		for {
+			rec, err := rd.NextInto(func(uint16, int) *trace.WindowRecord { return &slot })
+			if err == io.EOF {
+				return rp.Result(), rp.SectionsBuilt()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rp.Feed(&rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	alerted := func(rr *trace.ReplayResult) int {
+		type key struct {
+			job  uint16
+			leaf int
+			iter uint32
+		}
+		seen := map[key]bool{}
+		for _, e := range rr.Events {
+			seen[key{e.Alert.Job, e.Alert.LeafOrdinal, e.Alert.Iter}] = true
+		}
+		return len(seen)
+	}
+
+	rr, built := run(faultyRaw, trace.ReplayOptions{})
+	if k := alerted(rr); k == 0 || built != k {
+		t.Errorf("faulty recording: built %d sections for %d alerted windows of %d", built, k, rr.Windows)
+	}
+	rr, built = run(cleanRaw, trace.ReplayOptions{})
+	if k := alerted(rr); k != 0 || built != 0 {
+		t.Errorf("clean recording: built %d sections, %d alerted windows", built, k)
+	}
+	rr, built = run(faultyRaw, trace.ReplayOptions{Predictor: "learned"})
+	if built != rr.Windows {
+		t.Errorf("learned counterfactual: built %d sections for %d windows", built, rr.Windows)
 	}
 }

@@ -217,9 +217,8 @@ func (w *Writer) Window(win *telemetry.Window, ready bool, port []float64, sende
 		c.size(len(port), nPred)
 		e.u(uint64(len(port)))
 		for i, v := range port {
-			bits := math.Float64bits(v)
-			e.u(bits ^ c.port[i])
-			c.port[i] = bits
+			e.u(math.Float64bits(v) ^ math.Float64bits(c.port[i]))
+			c.port[i] = v
 		}
 		// The flattened sender-prediction count precedes the rows so a
 		// reader can (re)size its XOR cache before decoding them.
@@ -229,9 +228,8 @@ func (w *Writer) Window(win *telemetry.Window, ready bool, port []float64, sende
 		for _, row := range sender {
 			e.u(uint64(len(row)))
 			for _, v := range row {
-				bits := math.Float64bits(v)
-				e.u(bits ^ c.sender[k])
-				c.sender[k] = bits
+				e.u(math.Float64bits(v) ^ math.Float64bits(c.sender[k]))
+				c.sender[k] = v
 				k++
 			}
 		}
