@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"flowpulse/internal/sim"
@@ -15,6 +16,14 @@ import (
 // detector scores every one and alerts on none — the service's steady
 // state) + trailer.
 func buildCleanStream(tb testing.TB, nWindows int) []byte {
+	tb.Helper()
+	return buildStream(tb, nWindows, -1)
+}
+
+// buildStream is buildCleanStream with window number deviant (if in
+// range) carrying only a tenth of its second uplink's predicted bytes:
+// one planted deviation, one alert.
+func buildStream(tb testing.TB, nWindows, deviant int) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
@@ -39,6 +48,10 @@ func buildCleanStream(tb testing.TB, nWindows int) []byte {
 		win.Iter = uint32(i/4 + 1)
 		win.OpenedAt = sim.Time(i) * step
 		win.ClosedAt = win.OpenedAt + step
+		win.PortBytes[1] = 1000
+		if i == deviant {
+			win.PortBytes[1] = 100
+		}
 		w.Window(&win, true, port, senders)
 	}
 	if err := w.Finish(sim.Time(nWindows) * step); err != nil {
@@ -109,6 +122,57 @@ func BenchmarkServeIngest(b *testing.B) {
 				b.Fatalf("ingested %d windows, want %d", st.Windows, b.N)
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "windows/s")
+		})
+	}
+}
+
+// BenchmarkRingHop is the ring hop alone, one op per record: a
+// producer pushes b.N records through one 256-slot ring and publishes
+// every batch of them (and before waiting on a full ring, as a session
+// does); a consumer goroutine takes each published batch, reads every
+// record and releases the batch. batch=1 is the per-record hand-off,
+// batch=32 a socket read's worth of small windows.
+func BenchmarkRingHop(b *testing.B) {
+	for _, batch := range []int{1, 32} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			r := newRing(256)
+			n := uint64(b.N)
+			var sum uint64
+			done := make(chan struct{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			go func() {
+				defer close(done)
+				for got := uint64(0); got < n; {
+					h, t := r.batch()
+					if h == t {
+						runtime.Gosched()
+						continue
+					}
+					for i := h; i != t; i++ {
+						sum += uint64(r.at(i).win.Iter)
+					}
+					got += t - h
+					r.release(t)
+				}
+			}()
+			for i := 0; i < b.N; i++ {
+				if r.full() {
+					r.publish()
+				}
+				r.reserve().win.Iter = uint32(i)
+				r.push()
+				if (i+1)%batch == 0 {
+					r.publish()
+				}
+			}
+			r.publish()
+			<-done
+			b.StopTimer()
+			if want := n * (n - 1) / 2; sum != want {
+				b.Fatalf("consumer read sum %d, want %d", sum, want)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/record")
 		})
 	}
 }

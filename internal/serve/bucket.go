@@ -30,6 +30,10 @@ type bucket struct {
 	// so a bucket is never queued twice.
 	queued atomic.Int32
 
+	// marked: the session goroutine's note that the ring holds pushed,
+	// unpublished records (see session.push).
+	marked bool
+
 	// lastScore is the bucket's most recent detector score bits
 	// (math.Float64bits), exported as a deviation gauge.
 	lastScore atomic.Uint64
@@ -61,19 +65,17 @@ func newBucket(s *session, job uint16, leafOrd int) (*bucket, error) {
 	return b, nil
 }
 
-// drain processes every published entry, on the shard goroutine.
+// drain feeds one batch — every entry published when it starts — on
+// the shard goroutine, then frees the batch with one release.
 func (b *bucket) drain() {
-	for {
-		e := b.ring.peek()
-		if e == nil {
-			return
-		}
+	h, t := b.ring.batch()
+	for i := h; i != t; i++ {
 		if b.err == nil {
-			if err := b.rp.Feed(&e.rec); err != nil {
+			if err := b.rp.Feed(&b.ring.at(i).rec); err != nil {
 				b.err = err
 				b.sess.poison(err)
 			}
 		}
-		b.ring.pop()
 	}
+	b.ring.release(t)
 }

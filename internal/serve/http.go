@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 )
@@ -89,7 +90,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad token", http.StatusUnauthorized)
 		return
 	}
-	st, err := s.IngestStream(r.Body, r.URL.Query().Get("mode"), r.URL.Query().Get("label"))
+	st, err := s.IngestStream(smallReads{r.Body}, r.URL.Query().Get("mode"), r.URL.Query().Get("label"))
 	w.Header().Set("Content-Type", "application/json")
 	if err != nil && st == nil {
 		w.WriteHeader(http.StatusBadRequest)
@@ -101,3 +102,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	json.NewEncoder(w).Encode(st)
 }
+
+// smallReads caps each read of an HTTP body at 4 KiB. The trace.Reader
+// grows its reads, up to 64 KiB, while a source fills them, and a
+// chunked body of small windows always does: every HTTP session would
+// hold a 64 KiB stash for its life. With small windows a 4 KiB read
+// already carries dozens of frames, and the larger reads measured no
+// faster.
+type smallReads struct{ r io.Reader }
+
+func (s smallReads) Read(p []byte) (int, error) { return s.r.Read(p[:min(len(p), 4<<10)]) }

@@ -21,27 +21,36 @@ type entry struct {
 
 // ring is the SPSC queue between one session's reader goroutine
 // (producer) and the shard goroutine that owns the bucket (consumer).
-// Single producer, single consumer, fixed capacity: the producer
-// reserves the slot at tail, decodes into it, and publishes by
-// advancing tail; the consumer processes [head, tail) and advances
-// head. A full ring is backpressure — the producer waits on space,
-// which stalls its TCP read loop, which stalls the remote producer:
-// flow control end to end with no drops.
+// Single producer, single consumer, fixed capacity, and both sides
+// work in batches: the producer reserves the slot at its private next,
+// decodes into it and pushes (next++), then publishes everything
+// pushed so far with one store to tail; the consumer takes [head, tail)
+// as one batch, processes it, and frees it with one store to head and
+// one space signal. A full ring is backpressure — the producer waits on
+// space, which stalls its TCP read loop, which stalls the remote
+// producer: flow control end to end with no drops.
 //
 // head is written by the shard goroutine and tail by the session
-// goroutine, each on every record; side by side in one cache line,
-// every advance by one core would invalidate the line under the other
-// (false sharing). The pads keep each counter on a line of its own,
-// away from the read-only fields too.
+// goroutine; side by side in one cache line, every store by one core
+// would invalidate the line under the other (false sharing). The pads
+// keep each counter on a line of its own, away from the read-only
+// fields too, and the producer's private cursor on a third line the
+// consumer never reads.
 type ring struct {
 	slots []entry
 	mask  uint64
-	space chan struct{} // consumer → producer: slots freed
+	space chan struct{} // consumer → producer: a batch was freed
 	_     [cacheLine]byte
 	head  atomic.Uint64 // consumer position
 	_     [cacheLine - 8]byte
-	tail  atomic.Uint64 // producer position
+	tail  atomic.Uint64 // published producer position
 	_     [cacheLine - 8]byte
+	// Producer-private: next is one past the last pushed slot (≥ tail);
+	// headSeen is head as the producer last loaded it, reloaded only
+	// when the ring looks full.
+	next     uint64
+	headSeen uint64
+	_        [cacheLine - 16]byte
 }
 
 // cacheLine is the coherence granule the ring pads to (64 bytes on
@@ -61,43 +70,55 @@ func newRing(capacity int) *ring {
 	}
 }
 
+// full reports whether every slot is pushed and not yet freed by the
+// consumer. Only the producer calls it.
+func (r *ring) full() bool {
+	if r.next-r.headSeen < uint64(len(r.slots)) {
+		return false
+	}
+	r.headSeen = r.head.Load()
+	return r.next-r.headSeen >= uint64(len(r.slots))
+}
+
 // reserve returns the producer-side slot to decode into, blocking
-// while the ring is full (backpressure). Only the producer calls it;
-// reserving does not publish — the slot stays invisible to the
-// consumer until push.
+// while the ring is full (backpressure). Only the producer calls it,
+// and it must publish before reserving on a full ring: the consumer
+// frees only published slots. The slot stays invisible to the consumer
+// until push and publish.
 func (r *ring) reserve() *entry {
-	for {
-		t := r.tail.Load()
-		if t-r.head.Load() < uint64(len(r.slots)) {
-			return &r.slots[t&r.mask]
-		}
-		// Full: wait for the consumer to free slots. The signal channel
-		// holds at most one token, so re-check before sleeping again.
+	for r.full() {
+		// The signal channel holds at most one token, so re-check
+		// before sleeping again.
 		<-r.space
 	}
+	return &r.slots[r.next&r.mask]
 }
 
-// push publishes the previously reserved slot.
-func (r *ring) push() { r.tail.Add(1) }
+// push commits the previously reserved slot; publish makes it visible.
+func (r *ring) push() { r.next++ }
 
-// peek returns the consumer-side slot at head, nil when empty. Only
-// the consumer calls it; the slot stays valid until pop.
-func (r *ring) peek() *entry {
-	h := r.head.Load()
-	if h == r.tail.Load() {
-		return nil
-	}
-	return &r.slots[h&r.mask]
-}
+// publish makes every slot pushed since the last publish visible to
+// the consumer with one store.
+func (r *ring) publish() { r.tail.Store(r.next) }
 
-// pop releases the slot returned by peek and signals the producer.
-func (r *ring) pop() {
-	r.head.Add(1)
+// batch returns the consumer's view: the published, unconsumed
+// positions [head, tail). Only the consumer calls it.
+func (r *ring) batch() (head, tail uint64) { return r.head.Load(), r.tail.Load() }
+
+// at returns the slot at position i.
+func (r *ring) at(i uint64) *entry { return &r.slots[i&r.mask] }
+
+// release frees every slot before head and signals the producer, once
+// per batch. The consumer calls it after each batch, an empty one too:
+// quiesce waits on the signal for the shard's last word on a bucket.
+func (r *ring) release(head uint64) {
+	r.head.Store(head)
 	select {
 	case r.space <- struct{}{}:
 	default:
 	}
 }
 
-// depth reports the queued record count (either side may call it).
+// depth reports the published, unconsumed record count (either side
+// may call it).
 func (r *ring) depth() int { return int(r.tail.Load() - r.head.Load()) }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -320,6 +321,7 @@ func TestTCPMultiProducer(t *testing.T) {
 	defer srv.Drain(10 * time.Second)
 
 	var wg sync.WaitGroup
+	windows := make([]int64, producers)
 	for i := 0; i < producers; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -347,6 +349,7 @@ func TestTCPMultiProducer(t *testing.T) {
 				errs[i] = err
 				return
 			}
+			windows[i] = st.Windows
 			if st.Fingerprint != wants[i] {
 				errs[i] = fmt.Errorf("producer %d: fp %016x, want %016x (parity %s)", i, st.Fingerprint, wants[i], st.Parity)
 			}
@@ -357,6 +360,71 @@ func TestTCPMultiProducer(t *testing.T) {
 		if err != nil {
 			t.Errorf("producer %d: %v", i, err)
 		}
+	}
+	// The service counters are added once per batch: every session's
+	// batches must still sum to what the sessions acknowledged.
+	var sum int64
+	for _, w := range windows {
+		sum += w
+	}
+	if got := srv.met.windowsTotal.Load(); got != sum {
+		t.Errorf("flowpulse_windows_total %d, sessions acknowledged %d windows", got, sum)
+	}
+}
+
+// TestNothingWaitsBehindARead: a producer that has sent k whole frames
+// and then goes quiet — connection open, no trailer — must already
+// have all k windows counted and its alert on the /alerts hub. A
+// session that published only when a ring filled (or at the end of the
+// stream) would hold them while it blocks in the next read.
+func TestNothingWaitsBehindARead(t *testing.T) {
+	const k, deviant = 24, 17
+	raw := buildStream(t, k, deviant)
+	// Cut the trailer off: header + k window frames.
+	off := len(trace.Magic)
+	for off < len(raw) {
+		n, w := binary.Uvarint(raw[off:])
+		if raw[off+w] == trace.KindTrailer {
+			break
+		}
+		off += w + int(n) + 4
+	}
+	raw = raw[:off]
+	for _, mode := range []string{ModeSeq, ModeFanout} {
+		t.Run(mode, func(t *testing.T) {
+			srv := newTestServer(t, Config{Shards: 2})
+			defer srv.Drain(5 * time.Second)
+			alerts, cancel := srv.hub.subscribe(16)
+			defer cancel()
+			pr, pw := io.Pipe()
+			done := make(chan error, 1)
+			go func() {
+				_, err := srv.IngestStream(pr, mode, "held-open")
+				done <- err
+			}()
+			go pw.Write(raw)
+			deadline := time.Now().Add(2 * time.Second)
+			for srv.met.windowsTotal.Load() < k {
+				if time.Now().After(deadline) {
+					pw.Close()
+					t.Fatalf("flowpulse_windows_total %d of %d sent while the source stays open", srv.met.windowsTotal.Load(), k)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			select {
+			case line := <-alerts:
+				if !strings.Contains(string(line), `"type":"alert"`) {
+					t.Errorf("first /alerts line is not an alert: %s", line)
+				}
+			case <-time.After(time.Until(deadline)):
+				pw.Close()
+				t.Fatal("no alert on the hub while the source stays open")
+			}
+			pw.Close()
+			if err := <-done; err != nil {
+				t.Fatalf("IngestStream: %v", err)
+			}
+		})
 	}
 }
 

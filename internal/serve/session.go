@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"flowpulse/internal/topology"
 	"flowpulse/internal/trace"
@@ -70,6 +69,12 @@ type session struct {
 	trailer *trace.Trailer     // fanout: noted for the status line
 	events  atomic.Int64
 	actions atomic.Int64
+
+	// The batch since the last flush: buckets holding pushed, unpublished
+	// records, and the windows and records not yet on the service
+	// counters.
+	marked           []*bucket
+	windows, records int64
 
 	// failed is set once err is: the read loop checks it per record
 	// without taking errMu.
@@ -151,7 +156,10 @@ func (s *Server) ingest(src io.Reader, conn net.Conn, mode, label string) (*Sess
 }
 
 // run is the session read loop: the producer's goroutine decodes
-// frames and publishes records onto bucket rings; shards do the rest.
+// frames and pushes records onto bucket rings; shards do the rest.
+// Records are published in batches, at the two points where the loop
+// could otherwise sit on them: before a read that can block on the
+// source, and before waiting on a full ring.
 func (s *session) run() (*SessionStatus, error) {
 	s.rd = trace.NewFollowReader(&countingReader{r: s.src, n: &s.srv.met.bytesTotal})
 
@@ -164,7 +172,7 @@ func (s *session) run() (*SessionStatus, error) {
 			return nil // decode into a throwaway record; loop aborts next
 		}
 		dst = b
-		reserved = b.ring.reserve()
+		reserved = s.reserve(b)
 		return &reserved.win
 	}
 
@@ -173,6 +181,9 @@ func (s *session) run() (*SessionStatus, error) {
 		if err := s.poisoned(); err != nil {
 			streamErr = err
 			break
+		}
+		if !s.rd.HasFrame() {
+			s.flush() // the next record needs a read, which may block
 		}
 		dst, reserved = nil, nil
 		rec, err := s.rd.NextInto(slot)
@@ -196,9 +207,8 @@ func (s *session) run() (*SessionStatus, error) {
 		case rec.Kind == trace.KindWindow && dst != nil:
 			// The window decoded straight into the reserved ring slot.
 			reserved.rec = rec
-			dst.ring.push()
-			dst.shard.enqueue(dst)
-			s.srv.met.windowsTotal.Add(1)
+			s.push(dst)
+			s.windows++
 		case rec.Kind == trace.KindWindow:
 			// Slot refused (poisoned while routing): drop and abort.
 		case s.mode == ModeSeq:
@@ -210,19 +220,18 @@ func (s *session) run() (*SessionStatus, error) {
 				streamErr = err
 				break
 			}
-			e := b.ring.reserve()
-			e.rec = rec
-			b.ring.push()
-			b.shard.enqueue(b)
+			s.reserve(b).rec = rec
+			s.push(b)
 		case rec.Kind == trace.KindTrailer:
 			s.trailer = rec.Trailer
 		}
 		if streamErr != nil {
 			break
 		}
-		s.srv.met.recordsTotal.Add(1)
+		s.records++
 	}
 
+	s.flush()
 	s.quiesce()
 	st := s.status(streamErr)
 	if streamErr == nil {
@@ -234,6 +243,40 @@ func (s *session) run() (*SessionStatus, error) {
 	s.srv.cfg.Logf("serve: %s done: mode=%s windows=%d events=%d actions=%d fp=%016x parity=%s err=%q",
 		s.label, st.Mode, st.Windows, st.Events, st.Actions, st.Fingerprint, st.Parity, st.Error)
 	return st, streamErr
+}
+
+// reserve returns b's next ring slot, publishing the batch first when
+// the ring is full: the shard frees only slots it has been shown.
+func (s *session) reserve(b *bucket) *entry {
+	if b.ring.full() {
+		s.flush()
+	}
+	return b.ring.reserve()
+}
+
+// push commits b's reserved slot to the current batch.
+func (s *session) push(b *bucket) {
+	b.ring.push()
+	if !b.marked {
+		b.marked = true
+		s.marked = append(s.marked, b)
+	}
+}
+
+// flush ends the batch: one publish and at most one shard wake-up per
+// bucket it touched, one add per service counter.
+func (s *session) flush() {
+	for _, b := range s.marked {
+		b.marked = false
+		b.ring.publish()
+		b.shard.enqueue(b)
+	}
+	s.marked = s.marked[:0]
+	if s.records > 0 {
+		s.srv.met.windowsTotal.Add(s.windows)
+		s.srv.met.recordsTotal.Add(s.records)
+		s.windows, s.records = 0, 0
+	}
 }
 
 // adoptHeader runs once the follow reader has decoded the stream
@@ -287,22 +330,16 @@ func (s *session) bucketFor(job uint16, leafOrd int) (*bucket, error) {
 }
 
 // quiesce waits until every record this session published has been
-// consumed by its shard. Producers have stopped, so depth only falls;
-// the atomic head/tail reads give the happens-before edge that makes
-// the shard-side state (fingerprints, counters) safe to read after.
+// consumed by its shard. Producers have stopped, so depth only falls.
+// The shard signals space after every batch, and after clearing queued,
+// so each wake-up re-checks a bucket's state; the atomic head read
+// gives the happens-before edge that makes the shard-side state
+// (fingerprints, counters) safe to read after.
 func (s *session) quiesce() {
-	for {
-		busy := false
-		for _, b := range s.allBuckets() {
-			if b.ring.depth() > 0 || b.queued.Load() != 0 {
-				busy = true
-				break
-			}
+	for _, b := range s.allBuckets() {
+		for b.ring.depth() > 0 || b.queued.Load() != 0 {
+			<-b.ring.space
 		}
-		if !busy {
-			return
-		}
-		time.Sleep(100 * time.Microsecond)
 	}
 }
 

@@ -44,7 +44,7 @@ func (s *shard) run(wg *sync.WaitGroup) {
 
 // consume drains a bucket handed over through the work queue. queued
 // clears BEFORE draining, so a producer publishing mid-drain either
-// gets its record drained or wins the 0→1 edge; the re-check loop then
+// gets its batch drained or wins the 0→1 edge; the re-check loop then
 // reclaims the token locally instead of self-enqueueing (the shard
 // must never block sending to its own queue).
 func (s *shard) consume(b *bucket) {
@@ -58,7 +58,7 @@ func (s *shard) consume(b *bucket) {
 }
 
 // enqueue hands a bucket with fresh records to its shard. Called by
-// the producer after push; the 0→1 edge on queued deduplicates, and a
+// the producer after publish; the 0→1 edge on queued deduplicates, and a
 // full work queue blocks the producer (backpressure), never the shard.
 func (s *shard) enqueue(b *bucket) {
 	if b.queued.CompareAndSwap(0, 1) {

@@ -48,6 +48,9 @@ type Reader struct {
 	off       int
 	pending   int
 	magicDone bool
+	// chunk is the next read's minimum request: minRead, doubled up to
+	// maxRead each time the source fills a request completely.
+	chunk int
 
 	lastTime sim.Time
 	caches   map[uint64]*predCache
@@ -58,7 +61,7 @@ type Reader struct {
 // recorded topology. The source must already hold a complete header;
 // use NewFollowReader to decode a stream that is still being written.
 func NewReader(r io.Reader) (*Reader, error) {
-	rd := &Reader{src: r, caches: make(map[uint64]*predCache)}
+	rd := &Reader{src: r, chunk: minRead, caches: make(map[uint64]*predCache)}
 	if err := rd.ensureHeader(); err != nil {
 		return nil, err
 	}
@@ -72,7 +75,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 // after the source grows (os.File reads return fresh bytes after a
 // previous EOF) or block in r's own Read (net.Conn).
 func NewFollowReader(r io.Reader) *Reader {
-	return &Reader{src: r, follow: true, caches: make(map[uint64]*predCache)}
+	return &Reader{src: r, follow: true, chunk: minRead, caches: make(map[uint64]*predCache)}
 }
 
 // Header returns the trace header (nil on a follow Reader that has not
@@ -87,6 +90,29 @@ func (r *Reader) Topo() *topology.Topology { return r.topo }
 // last consumed frame — non-zero after ErrAwaitMore exactly when the
 // stream ended inside a frame.
 func (r *Reader) Buffered() int { return len(r.stash) - r.off - r.pending }
+
+// HasFrame reports whether the next NextInto call can return a record
+// from bytes already staged, without reading from the source: past the
+// current record sits a whole frame of a kind NextInto decodes (frames
+// of kinds it skips are looked past). A false answer is only caution —
+// NextInto may still not need to read — so a caller can use it to do
+// its pending work before a read that could block.
+func (r *Reader) HasFrame() bool {
+	if r.hdr == nil {
+		return false
+	}
+	b := r.staged()[r.pending:]
+	for {
+		n, w := binary.Uvarint(b)
+		if w <= 0 || n == 0 || n > maxFrame || len(b) < w+int(n)+4 {
+			return false
+		}
+		if k := b[w]; k >= KindHeader && k <= KindTrailer {
+			return true
+		}
+		b = b[w+int(n)+4:]
+	}
+}
 
 // staged returns the unconsumed byte view.
 func (r *Reader) staged() []byte { return r.stash[r.off:] }
@@ -312,6 +338,17 @@ func (r *Reader) torn(err error) ([]byte, error) {
 	return nil, fmt.Errorf("trace: truncated frame: %w", err)
 }
 
+// Read sizing: fillTo asks the source for at least minRead bytes, and
+// doubles the request up to maxRead while each read fills it
+// completely. A source that is ahead (a file, a loopback producer) is
+// read in maxRead requests; a trickling one (a session that sends only
+// a header, a producer paced slower than the reader) never fills a
+// request, so its stash stays at minRead (or its largest frame).
+const (
+	minRead = 4 << 10
+	maxRead = 64 << 10
+)
+
 // fillTo reads from src until the staged view holds at least total
 // bytes. It returns io.EOF (every byte read so far stays staged) when
 // the source runs dry first.
@@ -324,18 +361,19 @@ func (r *Reader) fillTo(total int) error {
 			r.stash = r.stash[:k]
 			r.off = 0
 		}
-		// Grow capacity in chunks and read whatever is available, not
-		// just the remainder, to amortize syscalls on network sources.
-		want := total
-		if min := len(r.stash) + 4096; want < min {
-			want = min
-		}
+		// Read whatever is available, not just the remainder, to
+		// amortize syscalls on network sources.
+		want := max(total, len(r.stash)+r.chunk)
 		if cap(r.stash) < want {
 			grown := make([]byte, len(r.stash), want)
 			copy(grown, r.stash)
 			r.stash = grown
 		}
-		k, err := r.src.Read(r.stash[len(r.stash):cap(r.stash)])
+		req := r.stash[len(r.stash):cap(r.stash)]
+		k, err := r.src.Read(req)
+		if k == len(req) && r.chunk < maxRead {
+			r.chunk *= 2
+		}
 		if k > 0 {
 			r.stash = r.stash[:len(r.stash)+k]
 			continue
