@@ -59,7 +59,7 @@ func main() {
 		httpAddr = flag.String("http", ":9466", "HTTP listener address for /metrics, /alerts, /healthz, /ingest (empty: disabled)")
 		token    = flag.String("token", "", "require this producer token (TCP preamble token=, HTTP bearer)")
 		shards   = flag.Int("shards", 4, "ingestion shard goroutines")
-		ring     = flag.Int("ring", 256, "per-bucket SPSC ring capacity (full ring stalls its producer)")
+		ring     = flag.Int("ring", 256, "per-session SPSC ring capacity (full ring stalls its producer)")
 		drainTO  = flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight sessions on shutdown")
 	)
 	flag.Var(&rules, "rule", "alert routing rule, k=v CSV (min_dev=, job=, kind=, actions=, sink=stream|log|file, path=, name=); repeatable")

@@ -85,7 +85,7 @@ func main() {
 		tracePath  = flag.String("trace", "", "record the run to this .fpt trace file for offline replay (see flowpulse-trace)")
 		stream     = flag.String("stream", "", "stream the live trace to a flowpulse-serve instance at this host:port (combine with -trace for a local copy)")
 		streamTok  = flag.String("stream-token", "", "producer token for -stream")
-		streamMode = flag.String("stream-mode", "", "serve ingestion mode for -stream (seq|fanout; default seq)")
+		streamMode = flag.String("stream-mode", "", "fingerprint the serve session reports for -stream: seq (global, checked against the trailer) or fanout (per-(job, leaf) sum); default seq")
 		stats      = flag.Bool("stats", false, "print the engine's event counters on stderr: events executed, events per packet, and how many schedulings went to a FIFO lane vs the heap")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (shard workers carry pprof shard=N labels)")
 	)

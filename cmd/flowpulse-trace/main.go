@@ -440,7 +440,7 @@ func cmdCat(args []string, stdout, stderr io.Writer) int {
 	var (
 		stream = fs.String("stream", "", "instead of dumping, replay the recording into a flowpulse-serve instance at this host:port and print its status")
 		token  = fs.String("token", "", "producer token for -stream")
-		mode   = fs.String("mode", "", "serve ingestion mode for -stream (seq|fanout; default seq)")
+		mode   = fs.String("mode", "", "fingerprint the serve session reports for -stream: seq (global, checked against the trailer) or fanout (per-(job, leaf) sum, checked here against offline replay); default seq")
 		label  = fs.String("label", "", "session label for -stream (default: the file name)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -25,11 +25,24 @@ func buildCleanStream(tb testing.TB, nWindows int) []byte {
 // one planted deviation, one alert.
 func buildStream(tb testing.TB, nWindows, deviant int) []byte {
 	tb.Helper()
+	return encodeStream(tb, false, nWindows, func(i int, win *telemetry.Window) {
+		if i == deviant {
+			win.PortBytes[1] = 100
+		}
+	})
+}
+
+// encodeStream encodes a 4×2 recording of one job (job 0): header,
+// nWindows windows whose observation equals their prediction, each
+// handed to edit just before it is written, and trailer. shared marks
+// the header multi-job, so a window's job tag must name a header job.
+func encodeStream(tb testing.TB, shared bool, nWindows int, edit func(i int, win *telemetry.Window)) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
 	h := trace.Header{
 		Label:  "bench",
-		Leaves: 4, Spines: 2, HostsPerLeaf: 1, Trunk: 1,
+		Leaves: 4, Spines: 2, HostsPerLeaf: 1, Trunk: 1, Shared: shared,
 		Jobs: []trace.JobHeader{{Job: 0, Predictor: "analytical", Threshold: 0.05, MinPredicted: 1}},
 	}
 	if err := w.Begin(h); err != nil {
@@ -44,14 +57,13 @@ func buildStream(tb testing.TB, nWindows, deviant int) []byte {
 	}
 	step := sim.Time(50 * sim.Microsecond)
 	for i := 0; i < nWindows; i++ {
+		win.Job = 0
 		win.LeafOrdinal = i % 4
 		win.Iter = uint32(i/4 + 1)
 		win.OpenedAt = sim.Time(i) * step
 		win.ClosedAt = win.OpenedAt + step
 		win.PortBytes[1] = 1000
-		if i == deviant {
-			win.PortBytes[1] = 100
-		}
+		edit(i, &win)
 		w.Window(&win, true, port, senders)
 	}
 	if err := w.Finish(sim.Time(nWindows) * step); err != nil {

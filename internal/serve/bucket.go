@@ -6,23 +6,21 @@ import (
 
 	"flowpulse/internal/monitor"
 	"flowpulse/internal/remediate"
+	"flowpulse/internal/topology"
 	"flowpulse/internal/trace"
 )
 
-// bucket is the unit of sharded work: one ordered record stream with
-// its own SPSC ring and its own trace.Replayer, pinned to one shard
-// goroutine by hash. Which records reach it is the session's routing
-// rule (see the mode constants): a sequential session opens one bucket
-// for the whole stream, which therefore replays the global event/action
-// order and reproduces the trailer fingerprint bit for bit; a fan-out
-// session opens one per (job, leaf) — the finest split that preserves
-// the ordering the detector's baseline and the per-bucket fingerprint
-// need — and routes only that substream's windows to it.
+// bucket is a session's unit of sharded work: one SPSC ring, one
+// trace.Replayer and the shard goroutine that feeds the one to the
+// other. Every record but the trailer reaches it in stream order, so
+// the replayer re-derives the recording's global event/action stream
+// (the trailer's fingerprint) and, alongside it, the per-(job, leaf)
+// BucketFingerprint; the session's mode only picks which one its
+// status reports.
 type bucket struct {
 	sess  *session
 	shard *shard
 	ring  *ring
-	job   uint16 // the deviation gauge's label
 	rp    *trace.Replayer
 
 	// queued: 1 while the bucket sits in (or is being handed to) the
@@ -34,35 +32,64 @@ type bucket struct {
 	// unpublished records (see session.push).
 	marked bool
 
-	// lastScore is the bucket's most recent detector score bits
-	// (math.Float64bits), exported as a deviation gauge.
-	lastScore atomic.Uint64
+	// dev holds the deviation gauge's inputs, one entry per header job.
+	dev []jobScores
 
 	err error // first processing error; poisons the session
 }
 
-// newBucket builds the bucket for (job, leafOrd) and pins it to its
-// shard. Only fan-out buckets feed the deviation gauge (rp.OnWindow
-// set): a sequential bucket spans jobs and leaves.
-func newBucket(s *session, job uint16, leafOrd int) (*bucket, error) {
-	rp, err := trace.NewReplayer(s.hdr, s.topo, trace.ReplayOptions{NoHistory: true})
+// jobScores is one job's latest detector score per leaf, written by
+// the shard and read by /metrics scrapes.
+type jobScores struct {
+	job    uint16
+	scored atomic.Bool     // set once any of the job's windows scored
+	leaf   []atomic.Uint64 // math.Float64bits of each leaf's latest score
+}
+
+// newBucket builds a session's bucket from its stream header and pins
+// it to the session's shard.
+func newBucket(s *session, hdr *trace.Header, topo *topology.Topology) (*bucket, error) {
+	rp, err := trace.NewReplayer(hdr, topo, trace.ReplayOptions{NoHistory: true})
 	if err != nil {
 		return nil, err
 	}
 	b := &bucket{
-		sess: s, ring: newRing(s.srv.cfg.RingSize), job: job, rp: rp,
-		shard: s.srv.shards[bucketShard(len(s.srv.shards), s.id, job, leafOrd)],
+		sess: s, ring: newRing(s.srv.cfg.RingSize), rp: rp,
+		shard: s.srv.shards[s.id%uint64(len(s.srv.shards))],
+		dev:   make([]jobScores, len(hdr.Jobs)),
+	}
+	for i := range b.dev {
+		b.dev[i].job = hdr.Jobs[i].Job
+		b.dev[i].leaf = make([]atomic.Uint64, len(topo.Leaves()))
 	}
 	rp.OnEvent = func(e monitor.Event) { s.srv.publishEvent(s, &e) }
 	rp.OnAction = func(a remediate.Action) { s.srv.publishAction(s, &a) }
-	if s.mode == ModeFanout {
-		rp.OnWindow = func(ws monitor.WindowScore) {
-			if ws.Scored {
-				b.lastScore.Store(math.Float64bits(ws.Score))
+	rp.OnWindow = func(ws monitor.WindowScore) {
+		if !ws.Scored {
+			return
+		}
+		job := hdr.PipelineJob(ws.Window.Job)
+		for i := range b.dev {
+			if js := &b.dev[i]; js.job == job {
+				js.leaf[ws.Window.LeafOrdinal].Store(math.Float64bits(ws.Score))
+				if !js.scored.Load() {
+					js.scored.Store(true)
+				}
+				return
 			}
 		}
 	}
 	return b, nil
+}
+
+// deviation is the job's gauge value: the largest of its leaves'
+// latest scores.
+func (js *jobScores) deviation() float64 {
+	d := 0.0
+	for i := range js.leaf {
+		d = max(d, math.Float64frombits(js.leaf[i].Load()))
+	}
+	return d
 }
 
 // drain feeds one batch — every entry published when it starts — on

@@ -13,7 +13,8 @@ import (
 //	GET  /metrics  — Prometheus text exposition
 //	GET  /alerts   — streaming NDJSON alert subscription
 //	POST /ingest   — one .fpt stream as the (chunked) request body;
-//	                 ?mode=seq|fanout, ?label=...; auth via
+//	                 ?mode=seq|fanout picks the fingerprint the status
+//	                 reports (see ModeSeq), ?label=...; auth via
 //	                 Authorization: Bearer <token> or X-FlowPulse-Token
 func (s *Server) HTTPHandler() http.Handler {
 	mux := http.NewServeMux()

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -24,7 +23,7 @@ type metrics struct {
 
 // writeMetrics renders the Prometheus text exposition: totals, a
 // windows/sec rate, per-shard queue depth, and per-(session, job)
-// deviation gauges from the fan-out buckets.
+// deviation gauges: the largest of the job's leaves' latest scores.
 func (s *Server) writeMetrics(w io.Writer) {
 	now := time.Now()
 	s.rateMu.Lock()
@@ -48,9 +47,9 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE flowpulse_auth_failures_total counter\nflowpulse_auth_failures_total %d\n", s.met.authFailures.Load())
 	fmt.Fprintf(w, "# TYPE flowpulse_windows_per_second gauge\nflowpulse_windows_per_second %g\n", rate)
 
-	// Shard depth and deviation gauges walk the live session/bucket
-	// registry; scrapes are rare, so the locks here are off the hot
-	// path.
+	// Shard depth and deviation gauges walk the live sessions; scrapes
+	// are rare, so the registry lock here is off the hot path, and each
+	// bucket reads lock-free once published.
 	depth := make([]int, len(s.shards))
 	type devKey struct {
 		label string
@@ -64,14 +63,15 @@ func (s *Server) writeMetrics(w io.Writer) {
 	}
 	s.mu.Unlock()
 	for _, sess := range sessions {
-		for _, b := range sess.allBuckets() {
-			depth[b.shard.id] += b.ring.depth()
-			if b.rp.OnWindow != nil {
-				d := math.Float64frombits(b.lastScore.Load())
-				k := devKey{sess.label, b.job}
-				if d > devs[k] {
-					devs[k] = d
-				}
+		b := sess.bucket.Load()
+		if b == nil {
+			continue
+		}
+		depth[b.shard.id] += b.ring.depth()
+		for i := range b.dev {
+			if js := &b.dev[i]; js.scored.Load() {
+				k := devKey{sess.label, js.job}
+				devs[k] = max(devs[k], js.deviation())
 			}
 		}
 	}

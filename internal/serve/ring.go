@@ -8,12 +8,11 @@ import (
 
 // entry is one ring slot: a decoded record plus the slot-owned window
 // storage it decodes into. Window records point rec.Window at &win, so
-// a slot reused for the same (job, leaf) stream reaches a steady state
-// where decoding allocates nothing; other record kinds carry their own
-// freshly decoded payloads. win owns everything the shard reads, the
-// copy of the deferred sender section and the prediction rows included,
-// so the session may decode the bucket's next windows into the slots
-// ahead while this one waits.
+// a reused slot reaches a steady state where decoding allocates
+// nothing; other record kinds carry their own freshly decoded payloads.
+// win owns everything the shard reads, the copy of the deferred sender
+// section and the prediction rows included, so the session may decode
+// the next windows into the slots ahead while this one waits.
 type entry struct {
 	rec trace.Record
 	win trace.WindowRecord
@@ -21,14 +20,16 @@ type entry struct {
 
 // ring is the SPSC queue between one session's reader goroutine
 // (producer) and the shard goroutine that owns the bucket (consumer).
-// Single producer, single consumer, fixed capacity, and both sides
-// work in batches: the producer reserves the slot at its private next,
-// decodes into it and pushes (next++), then publishes everything
-// pushed so far with one store to tail; the consumer takes [head, tail)
-// as one batch, processes it, and frees it with one store to head and
-// one space signal. A full ring is backpressure — the producer waits on
-// space, which stalls its TCP read loop, which stalls the remote
-// producer: flow control end to end with no drops.
+// Single producer, single consumer, fixed capacity, slots allocated at
+// the first reserve (a session that sends only a header and a trailer
+// never allocates them), and both sides work in batches: the producer
+// reserves the slot at its private next, decodes into it and pushes
+// (next++), then publishes everything pushed so far with one store to
+// tail; the consumer takes [head, tail) as one batch, processes it, and
+// frees it with one store to head and one space signal. A full ring is
+// backpressure — the producer waits on space, which stalls its TCP read
+// loop, which stalls the remote producer: flow control end to end with
+// no drops.
 //
 // head is written by the shard goroutine and tail by the session
 // goroutine; side by side in one cache line, every store by one core
@@ -57,27 +58,24 @@ type ring struct {
 // amd64 and most arm64 parts).
 const cacheLine = 64
 
-// newRing sizes the queue to the next power of two ≥ capacity.
+// newRing sizes the queue to the next power of two ≥ capacity; the
+// slots themselves wait for the first reserve.
 func newRing(capacity int) *ring {
 	n := 1
 	for n < capacity {
 		n <<= 1
 	}
-	return &ring{
-		slots: make([]entry, n),
-		mask:  uint64(n - 1),
-		space: make(chan struct{}, 1),
-	}
+	return &ring{mask: uint64(n - 1), space: make(chan struct{}, 1)}
 }
 
 // full reports whether every slot is pushed and not yet freed by the
 // consumer. Only the producer calls it.
 func (r *ring) full() bool {
-	if r.next-r.headSeen < uint64(len(r.slots)) {
+	if r.next-r.headSeen <= r.mask {
 		return false
 	}
 	r.headSeen = r.head.Load()
-	return r.next-r.headSeen >= uint64(len(r.slots))
+	return r.next-r.headSeen > r.mask
 }
 
 // reserve returns the producer-side slot to decode into, blocking
@@ -90,6 +88,11 @@ func (r *ring) reserve() *entry {
 		// The signal channel holds at most one token, so re-check
 		// before sleeping again.
 		<-r.space
+	}
+	if r.slots == nil {
+		// Published before the consumer can look: the tail store
+		// orders this allocation before every at.
+		r.slots = make([]entry, r.mask+1)
 	}
 	return &r.slots[r.next&r.mask]
 }

@@ -87,7 +87,7 @@ func TestRingSPSCOrder(t *testing.T) {
 // TestRingSizesToPowerOfTwo: capacity rounds up so the mask works.
 func TestRingSizesToPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{{1, 1}, {3, 4}, {256, 256}, {257, 512}} {
-		if got := len(newRing(tc.in).slots); got != tc.want {
+		if got := int(newRing(tc.in).mask) + 1; got != tc.want {
 			t.Errorf("newRing(%d) -> %d slots, want %d", tc.in, got, tc.want)
 		}
 	}

@@ -152,6 +152,34 @@ type alertLine struct {
 	AtNanos   int64   `json:"at_ns"`
 }
 
+// marshal encodes the line. JSON has no number for a non-finite float,
+// and a ghost-traffic alert's deviation is +Inf by design
+// (detect.Deviation): a line carrying one writes that field as null
+// rather than failing to encode and never reaching a sink.
+func (al *alertLine) marshal() ([]byte, error) {
+	if finite(al.Deviation) && finite(al.Predicted) && finite(al.Observed) {
+		return json.Marshal(al)
+	}
+	return json.Marshal(struct {
+		*alertLine
+		Deviation jsonFloat `json:"deviation,omitempty"`
+		Predicted jsonFloat `json:"predicted,omitempty"`
+		Observed  jsonFloat `json:"observed,omitempty"`
+	}{al, jsonFloat(al.Deviation), jsonFloat(al.Predicted), jsonFloat(al.Observed)})
+}
+
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
+
+// jsonFloat is a float64 that encodes a non-finite value as null.
+type jsonFloat float64
+
+func (f jsonFloat) MarshalJSON() ([]byte, error) {
+	if !finite(float64(f)) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(f))
+}
+
 // dispatch routes one detection. Runs on the shard goroutine; the
 // event may reference ring-slot storage, so the line is fully
 // serialized here and only the copy travels.
@@ -210,7 +238,7 @@ func (rs *ruleSet) route(h *hub, al *alertLine, absDev float64, isAction bool) {
 		}
 		if line == nil {
 			var err error
-			if line, err = json.Marshal(al); err != nil {
+			if line, err = al.marshal(); err != nil {
 				rs.logf("serve: marshal alert: %v", err)
 				return
 			}

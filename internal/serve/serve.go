@@ -8,11 +8,11 @@
 //
 // The ingestion path is the same code that runs offline: frames
 // decode with the internal/trace follow Reader straight into
-// ring-slot-owned storage, every bucket feeds them to a trace.Replayer,
-// and alerts fold into the same FNV-64a fingerprints the trace trailer
-// pins — which is what makes the service verifiable: alerts raised on
-// a streamed recording are fingerprint-identical to an offline replay
-// of the same file.
+// ring-slot-owned storage, each session's shard feeds them to its
+// trace.Replayer, and alerts fold into the same FNV-64a fingerprints
+// the trace trailer pins — which is what makes the service verifiable:
+// alerts raised on a streamed recording are fingerprint-identical to
+// an offline replay of the same file.
 package serve
 
 import (
@@ -33,7 +33,7 @@ type Config struct {
 	Token string
 	// Shards is the number of ingestion goroutines (0: 4).
 	Shards int
-	// RingSize is each bucket's SPSC ring capacity in records (0: 256).
+	// RingSize is each session's SPSC ring capacity in records (0: 256).
 	// A full ring stalls its producer — backpressure, not drops.
 	RingSize int
 	// Rules route alerts to sinks. Empty: one catch-all rule feeding

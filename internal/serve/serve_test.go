@@ -21,8 +21,11 @@ import (
 	"time"
 
 	"flowpulse/internal/core"
+	"flowpulse/internal/detect"
 	"flowpulse/internal/experiments"
+	"flowpulse/internal/monitor"
 	"flowpulse/internal/sim"
+	"flowpulse/internal/telemetry"
 	"flowpulse/internal/trace"
 )
 
@@ -200,43 +203,45 @@ func scrapeLive(t *testing.T, srv *Server, raw []byte, windows int, mode, label 
 	return buf.String()
 }
 
-// TestDeviationGauge pins the flowpulse_deviation series set: a fan-out
-// session exports one finite, positive gauge per job; a sequential
-// session, whose one bucket spans jobs and leaves, exports none.
+// TestDeviationGauge pins the flowpulse_deviation series set: per
+// (session, job), the largest of the job's leaves' latest scores. One
+// replayer scores every window in either mode, so both modes export
+// the same finite, positive gauge per job.
 func TestDeviationGauge(t *testing.T) {
 	raw := recordFile(t, "two-jobs")
 	rr, err := trace.Replay(bytes.NewReader(raw), trace.ReplayOptions{NoHistory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	series := map[string][]string{}
 	for _, mode := range []string{ModeFanout, ModeSeq} {
 		srv := newTestServer(t, Config{Shards: 2})
 		text := scrapeLive(t, srv, raw, rr.Windows, mode, "gauge")
 		srv.Drain(5 * time.Second)
-		var jobs []string
 		for _, line := range strings.Split(text, "\n") {
 			if !strings.HasPrefix(line, "flowpulse_deviation{") {
 				continue
 			}
-			labels, val, _ := strings.Cut(strings.TrimPrefix(line, "flowpulse_deviation"), " ")
+			_, val, _ := strings.Cut(line, " ")
 			d, err := strconv.ParseFloat(val, 64)
 			if err != nil || math.IsInf(d, 0) || math.IsNaN(d) || d <= 0 {
 				t.Errorf("%s: %s: want a finite, positive deviation", mode, line)
 			}
-			jobs = append(jobs, labels)
+			series[mode] = append(series[mode], line)
 		}
-		want := []string{`{session="gauge",job="1"}`, `{session="gauge",job="2"}`}
-		if mode == ModeSeq {
-			want = nil
-		}
-		if !slices.Equal(jobs, want) {
-			t.Errorf("%s: deviation series %q, want %q", mode, jobs, want)
-		}
+	}
+	if n := len(series[ModeSeq]); n != 2 || !strings.Contains(series[ModeSeq][0], `{session="gauge",job="1"}`) ||
+		!strings.Contains(series[ModeSeq][1], `{session="gauge",job="2"}`) {
+		t.Errorf("seq: deviation series %q, want one for each of jobs 1 and 2", series[ModeSeq])
+	}
+	if !slices.Equal(series[ModeFanout], series[ModeSeq]) {
+		t.Errorf("fanout series %q differ from seq %q", series[ModeFanout], series[ModeSeq])
 	}
 }
 
 // TestMetricsScrapeDuringIngest: a /metrics scrape walks the live
-// bucket registry while producers open buckets in it. Run under -race.
+// sessions while producers publish and feed their buckets. Run under
+// -race.
 func TestMetricsScrapeDuringIngest(t *testing.T) {
 	raw := buildCleanStream(t, 64)
 	srv := newTestServer(t, Config{Shards: 4, Logf: func(string, ...any) {}})
@@ -638,5 +643,128 @@ func TestTornStreamReported(t *testing.T) {
 	}
 	if st == nil || st.Windows == 0 {
 		t.Fatalf("pre-tear windows lost: %+v", st)
+	}
+}
+
+// TestEmptySessionAllocatesNoRing: a session that carries only a header
+// and a trailer, as a set-up probe does, reports what an empty replay
+// gives and never allocates its ring's slots — the trailer, the one
+// record it sent, stays with the session.
+func TestEmptySessionAllocatesNoRing(t *testing.T) {
+	raw := buildCleanStream(t, 0)
+	for _, tc := range []struct{ mode, parity string }{{ModeSeq, "exact"}, {ModeFanout, "bucket"}} {
+		t.Run(tc.mode, func(t *testing.T) {
+			srv := newTestServer(t, Config{Shards: 2})
+			defer srv.Drain(5 * time.Second)
+			pr, pw := io.Pipe()
+			done := make(chan *SessionStatus, 1)
+			go func() {
+				st, err := srv.IngestStream(pr, tc.mode, "empty")
+				if err != nil {
+					t.Error(err)
+				}
+				done <- st
+			}()
+			go pw.Write(raw)
+			// The trailer reaches the record counter only once the
+			// session waits in its next read, with the stream still open.
+			for deadline := time.Now().Add(5 * time.Second); srv.met.recordsTotal.Load() < 1; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("trailer never counted")
+				}
+			}
+			srv.mu.Lock()
+			for _, sess := range srv.sessions {
+				if b := sess.bucket.Load(); b == nil {
+					t.Error("no bucket after the header")
+				} else if b.ring.slots != nil {
+					t.Errorf("ring holds %d slots with no record through it", len(b.ring.slots))
+				}
+			}
+			srv.mu.Unlock()
+			pw.Close()
+			st := <-done
+			if st == nil || st.Parity != tc.parity || st.Windows != 0 || st.TrailerFingerprint == 0 || st.Error != "" {
+				t.Fatalf("status %+v, want parity=%s over 0 windows against the trailer", st, tc.parity)
+			}
+		})
+	}
+}
+
+// TestBadWindowPoisonsSession: a window whose job tag is not in its
+// multi-job header, or whose leaf ordinal lies past the topology, is
+// refused by the session's replayer. In either mode the session ends
+// with that error and counts only the windows before it.
+func TestBadWindowPoisonsSession(t *testing.T) {
+	const good, total = 10, 64
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*telemetry.Window)
+	}{
+		{"job", "window for job 7 not in header", func(w *telemetry.Window) { w.Job = 7 }},
+		{"leaf", "window leaf ordinal 9 out of range", func(w *telemetry.Window) { w.LeafOrdinal = 9 }},
+	} {
+		raw := encodeStream(t, true, total, func(i int, w *telemetry.Window) {
+			if i == good {
+				tc.edit(w)
+			}
+		})
+		for _, mode := range []string{ModeSeq, ModeFanout} {
+			t.Run(tc.name+"/"+mode, func(t *testing.T) {
+				srv := newTestServer(t, Config{Shards: 2, RingSize: 4})
+				defer srv.Drain(5 * time.Second)
+				st, err := srv.IngestStream(bytes.NewReader(raw), mode, "bad-"+tc.name)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("err = %v, want %q", err, tc.want)
+				}
+				if st == nil || !strings.Contains(st.Error, tc.want) || st.Windows != good {
+					t.Fatalf("status %+v, want error %q after %d windows", st, tc.want, good)
+				}
+			})
+		}
+	}
+}
+
+// TestNonFiniteAlertReachesSink: a ghost-traffic alert — traffic on a
+// port predicted idle, deviation +Inf by design — reaches a file sink
+// like any other, with its non-finite field written as null, and every
+// sunk line parses.
+func TestNonFiniteAlertReachesSink(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "alerts.ndjson")
+	var logged []string
+	rs, err := compileRules([]Rule{{Name: "all", Sink: "file", Path: path}}, func(f string, a ...any) {
+		logged = append(logged, fmt.Sprintf(f, a...))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHub()
+	for _, dev := range []float64{0.5, math.Inf(1), -0.25} {
+		rs.dispatch(h, "ghost", &monitor.Event{Alert: detect.Alert{Job: 1, Observed: 4096, Predicted: 1, Deviation: dev}})
+	}
+	rs.close()
+	h.close()
+	if len(logged) != 0 {
+		t.Errorf("route logged %q", logged)
+	}
+	sunk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(sunk), "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("file sink got %d lines, want 3:\n%s", len(lines), sunk)
+	}
+	for i, line := range lines {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("line %d does not parse: %v: %s", i, err, line)
+		}
+		if dev, ok := m["deviation"]; !ok || (i == 1) != (dev == nil) {
+			t.Errorf("line %d: deviation %v, want null only for the +Inf alert", i, dev)
+		}
+		if m["session"] != "ghost" || m["job"] != 1.0 || m["observed"] != 4096.0 || m["predicted"] != 1.0 {
+			t.Errorf("line %d lost a field: %s", i, line)
+		}
 	}
 }

@@ -10,20 +10,19 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"flowpulse/internal/topology"
 	"flowpulse/internal/trace"
 )
 
-// Stream modes: the routing rule from records to buckets, each bucket
-// a trace.Replayer. Sequential routes every record to one bucket, which
-// preserves the recording's global order — the whole detect → localize
-// → remediate stack replays and the alert/action fingerprint is
-// bit-identical to offline replay (and to the trailer). Fanout routes
-// each window to its (job, leaf) bucket, spread across shards for
-// parallelism, and drops the other records; the buckets' fingerprints
-// XOR into the order-insensitive combined sum offline replay exposes
-// as BucketFingerprint. Remediated recordings force sequential: a
-// fan-out stream cannot replay the probe loop's global order.
+// Stream modes: what a session's status reports. Either way the
+// session feeds every record but the trailer, in stream order, to one
+// trace.Replayer, which re-derives both fingerprints. Sequential
+// reports the global alert/action fingerprint, bit-identical to
+// offline replay and to the trailer. Fanout reports the per-(job,
+// leaf) BucketFingerprint: the order-insensitive sum a consumer that
+// keeps only each (job, leaf) substream's order would produce, which
+// offline replay exposes too. Remediated recordings force sequential:
+// their fingerprint folds in the probe loop's actions, which no
+// per-(job, leaf) sum carries.
 const (
 	ModeSeq    = "seq"
 	ModeFanout = "fanout"
@@ -39,7 +38,7 @@ type SessionStatus struct {
 	Actions int64  `json:"actions"`
 	// Fingerprint is the service-side alert/action stream fingerprint:
 	// the global FNV-64a sum in sequential mode, the XOR-combined
-	// per-bucket sum in fanout mode.
+	// per-(job, leaf) sum in fanout mode.
 	Fingerprint uint64 `json:"fingerprint"`
 	// TrailerFingerprint echoes the recording's own trailer (0 if the
 	// stream ended without one); Parity reports the comparison:
@@ -58,22 +57,19 @@ type session struct {
 	label string
 	mode  string
 
-	src   io.Reader
-	conn  net.Conn // nil for HTTP/in-process streams
-	rd    *trace.Reader
-	hdr   *trace.Header
-	topo  *topology.Topology
-	jobMu sync.Mutex // guards buckets map against /metrics scrapes
+	src  io.Reader
+	conn net.Conn // nil for HTTP/in-process streams
+	rd   *trace.Reader
 
-	buckets map[uint64]*bucket // (job, leafOrd) key; (0, 0) in sequential mode
-	trailer *trace.Trailer     // fanout: noted for the status line
+	// bucket is built when the header decodes and published only once
+	// whole, so a /metrics scrape never sees one half-built.
+	bucket  atomic.Pointer[bucket]
+	trailer *trace.Trailer // kept for the status line
 	events  atomic.Int64
 	actions atomic.Int64
 
-	// The batch since the last flush: buckets holding pushed, unpublished
-	// records, and the windows and records not yet on the service
-	// counters.
-	marked           []*bucket
+	// The windows and records since the last flush, not yet on the
+	// service counters.
 	windows, records int64
 
 	// failed is set once err is: the read loop checks it per record
@@ -81,10 +77,6 @@ type session struct {
 	errMu  sync.Mutex
 	err    error
 	failed atomic.Bool
-}
-
-func bucketKey(job uint16, leafOrd int) uint64 {
-	return uint64(job)<<32 | uint64(uint32(leafOrd))
 }
 
 // poison records the first fatal processing error (shard side or
@@ -115,10 +107,11 @@ func (s *session) abort() {
 }
 
 // IngestStream runs one producer stream to completion: decode frames
-// from src, shard the records, wait for the shards to finish, and
-// return the session's status. mode is ModeSeq or ModeFanout (""
-// defaults to ModeSeq); label names the session in alerts and logs.
-// It blocks until the stream ends — callers own the goroutine.
+// from src, hand the records to the session's shard, wait for it to
+// finish, and return the session's status. mode is ModeSeq or
+// ModeFanout ("" defaults to ModeSeq); label names the session in
+// alerts and logs. It blocks until the stream ends — callers own the
+// goroutine.
 func (s *Server) IngestStream(src io.Reader, mode, label string) (*SessionStatus, error) {
 	return s.ingest(src, nil, mode, label)
 }
@@ -134,13 +127,12 @@ func (s *Server) ingest(src io.Reader, conn net.Conn, mode, label string) (*Sess
 		return nil, fmt.Errorf("serve: unknown mode %q", mode)
 	}
 	sess := &session{
-		srv:     s,
-		id:      s.nextSession.Add(1),
-		label:   label,
-		mode:    mode,
-		src:     src,
-		conn:    conn,
-		buckets: map[uint64]*bucket{},
+		srv:   s,
+		id:    s.nextSession.Add(1),
+		label: label,
+		mode:  mode,
+		src:   src,
+		conn:  conn,
 	}
 	if sess.label == "" {
 		sess.label = fmt.Sprintf("session-%d", sess.id)
@@ -156,23 +148,20 @@ func (s *Server) ingest(src io.Reader, conn net.Conn, mode, label string) (*Sess
 }
 
 // run is the session read loop: the producer's goroutine decodes
-// frames and pushes records onto bucket rings; shards do the rest.
-// Records are published in batches, at the two points where the loop
-// could otherwise sit on them: before a read that can block on the
-// source, and before waiting on a full ring.
+// frames and pushes records onto the bucket's ring; the shard does the
+// rest. Records are published in batches, at the two points where the
+// loop could otherwise sit on them: before a read that can block on
+// the source, and before waiting on a full ring.
 func (s *session) run() (*SessionStatus, error) {
 	s.rd = trace.NewFollowReader(&countingReader{r: s.src, n: &s.srv.met.bytesTotal})
 
 	var reserved *entry
-	var dst *bucket
-	slot := func(job uint16, leafOrd int) *trace.WindowRecord {
-		b, err := s.bucketFor(job, leafOrd)
-		if err != nil {
+	slot := func(uint16, int) *trace.WindowRecord {
+		if err := s.open(); err != nil {
 			s.poison(err)
 			return nil // decode into a throwaway record; loop aborts next
 		}
-		dst = b
-		reserved = s.reserve(b)
+		reserved = s.reserve()
 		return &reserved.win
 	}
 
@@ -185,7 +174,7 @@ func (s *session) run() (*SessionStatus, error) {
 		if !s.rd.HasFrame() {
 			s.flush() // the next record needs a read, which may block
 		}
-		dst, reserved = nil, nil
+		reserved = nil
 		rec, err := s.rd.NextInto(slot)
 		if err == io.EOF {
 			break
@@ -196,38 +185,29 @@ func (s *session) run() (*SessionStatus, error) {
 			streamErr = fmt.Errorf("serve: stream ended mid-frame (%d bytes torn)", s.rd.Buffered())
 			break
 		}
+		if err == nil {
+			err = s.open()
+		}
 		if err != nil {
 			streamErr = err
 			break
 		}
-		if s.hdr == nil {
-			s.adoptHeader()
-		}
 		switch {
-		case rec.Kind == trace.KindWindow && dst != nil:
-			// The window decoded straight into the reserved ring slot.
-			reserved.rec = rec
-			s.push(dst)
-			s.windows++
-		case rec.Kind == trace.KindWindow:
-			// Slot refused (poisoned while routing): drop and abort.
-		case s.mode == ModeSeq:
-			// Everything else flows through the sequential bucket in
-			// stream order. Non-window payloads are freshly allocated by
-			// the decoder, so publishing the Record copy is safe.
-			b, err := s.bucketFor(0, 0)
-			if err != nil {
-				streamErr = err
-				break
-			}
-			s.reserve(b).rec = rec
-			s.push(b)
 		case rec.Kind == trace.KindTrailer:
 			s.trailer = rec.Trailer
+		case rec.Kind != trace.KindWindow:
+			// Non-window payloads are freshly allocated by the decoder,
+			// so publishing the Record copy is safe.
+			s.reserve().rec = rec
+			s.push()
+		case reserved != nil:
+			// The window decoded straight into the reserved ring slot.
+			reserved.rec = rec
+			s.push()
+			s.windows++
 		}
-		if streamErr != nil {
-			break
-		}
+		// A window without a slot was refused (poisoned): dropped, and
+		// the loop aborts next.
 		s.records++
 	}
 
@@ -245,33 +225,54 @@ func (s *session) run() (*SessionStatus, error) {
 	return st, streamErr
 }
 
-// reserve returns b's next ring slot, publishing the batch first when
-// the ring is full: the shard frees only slots it has been shown.
-func (s *session) reserve(b *bucket) *entry {
-	if b.ring.full() {
+// open runs once the follow reader has decoded the stream header:
+// settle the effective mode — remediated recordings force sequential
+// (see the mode docs) — and build the session's bucket. The first
+// window's slot callback fires mid-decode, before the read loop sees
+// the record, so the callback opens too; the reader guarantees the
+// header is decoded before any record.
+func (s *session) open() error {
+	if s.bucket.Load() != nil {
+		return nil
+	}
+	hdr := s.rd.Header()
+	if hdr.Remediate != nil && s.mode == ModeFanout {
+		s.srv.cfg.Logf("serve: %s: remediated recording, forcing sequential mode", s.label)
+		s.mode = ModeSeq
+	}
+	b, err := newBucket(s, hdr, s.rd.Topo())
+	if err != nil {
+		return err
+	}
+	s.bucket.Store(b)
+	return nil
+}
+
+// reserve returns the ring's next slot, publishing the batch first
+// when the ring is full: the shard frees only slots it has been shown.
+func (s *session) reserve() *entry {
+	r := s.bucket.Load().ring
+	if r.full() {
 		s.flush()
 	}
-	return b.ring.reserve()
+	return r.reserve()
 }
 
-// push commits b's reserved slot to the current batch.
-func (s *session) push(b *bucket) {
+// push commits the reserved slot to the current batch.
+func (s *session) push() {
+	b := s.bucket.Load()
 	b.ring.push()
-	if !b.marked {
-		b.marked = true
-		s.marked = append(s.marked, b)
-	}
+	b.marked = true
 }
 
-// flush ends the batch: one publish and at most one shard wake-up per
-// bucket it touched, one add per service counter.
+// flush ends the batch: one publish and at most one shard wake-up,
+// one add per service counter.
 func (s *session) flush() {
-	for _, b := range s.marked {
+	if b := s.bucket.Load(); b != nil && b.marked {
 		b.marked = false
 		b.ring.publish()
 		b.shard.enqueue(b)
 	}
-	s.marked = s.marked[:0]
 	if s.records > 0 {
 		s.srv.met.windowsTotal.Add(s.windows)
 		s.srv.met.recordsTotal.Add(s.records)
@@ -279,78 +280,20 @@ func (s *session) flush() {
 	}
 }
 
-// adoptHeader runs once the follow reader has decoded the stream
-// header: resolve topology and the effective mode. Remediated
-// recordings force sequential (see mode docs). The first window's slot
-// callback fires mid-decode — before the read loop sees the record —
-// so bucketFor adopts eagerly; the reader guarantees the header is
-// decoded before any record.
-func (s *session) adoptHeader() {
-	s.hdr = s.rd.Header()
-	s.topo = s.rd.Topo()
-	if s.hdr.Remediate != nil && s.mode == ModeFanout {
-		s.srv.cfg.Logf("serve: %s: remediated recording, forcing sequential mode", s.label)
-		s.mode = ModeSeq
-	}
-}
-
-// bucketFor resolves (and lazily opens) the bucket owning one record
-// stream: the session's one bucket in sequential mode, the (job, leaf)
-// bucket in fan-out mode. A bucket is published under jobMu only once
-// it is whole, so a /metrics scrape never sees one half-built.
-func (s *session) bucketFor(job uint16, leafOrd int) (*bucket, error) {
-	if s.hdr == nil {
-		s.adoptHeader()
-	}
-	if s.mode == ModeSeq {
-		job, leafOrd = 0, 0
-	}
-	k := bucketKey(job, leafOrd)
-	if b := s.buckets[k]; b != nil {
-		return b, nil
-	}
-	if s.mode == ModeFanout {
-		// Refused before a bucket opens for it, so a stream of bogus
-		// keys cannot open buckets without bound.
-		if s.hdr.Job(s.hdr.PipelineJob(job)) == nil {
-			return nil, fmt.Errorf("serve: window for job %d not in stream header", job)
-		}
-		if leafOrd < 0 || leafOrd >= len(s.topo.Leaves()) {
-			return nil, fmt.Errorf("serve: window leaf ordinal %d out of range", leafOrd)
-		}
-	}
-	b, err := newBucket(s, job, leafOrd)
-	if err != nil {
-		return nil, err
-	}
-	s.jobMu.Lock()
-	s.buckets[k] = b
-	s.jobMu.Unlock()
-	return b, nil
-}
-
 // quiesce waits until every record this session published has been
 // consumed by its shard. Producers have stopped, so depth only falls.
 // The shard signals space after every batch, and after clearing queued,
-// so each wake-up re-checks a bucket's state; the atomic head read
+// so each wake-up re-checks the bucket's state; the atomic head read
 // gives the happens-before edge that makes the shard-side state
 // (fingerprints, counters) safe to read after.
 func (s *session) quiesce() {
-	for _, b := range s.allBuckets() {
-		for b.ring.depth() > 0 || b.queued.Load() != 0 {
-			<-b.ring.space
-		}
+	b := s.bucket.Load()
+	if b == nil {
+		return
 	}
-}
-
-func (s *session) allBuckets() []*bucket {
-	s.jobMu.Lock()
-	defer s.jobMu.Unlock()
-	out := make([]*bucket, 0, len(s.buckets))
-	for _, b := range s.buckets {
-		out = append(out, b)
+	for b.ring.depth() > 0 || b.queued.Load() != 0 {
+		<-b.ring.space
 	}
-	return out
 }
 
 // status seals the session outcome after quiesce.
@@ -364,28 +307,23 @@ func (s *session) status(streamErr error) *SessionStatus {
 	if streamErr != nil {
 		st.Error = streamErr.Error()
 	}
-	buckets := s.allBuckets()
-	if s.mode == ModeSeq && len(buckets) == 1 {
-		res := buckets[0].rp.Result()
-		st.Windows, st.Fingerprint = int64(res.Windows), res.Fingerprint
-		st.Parity = "none"
-		if res.Trailer != nil {
-			st.TrailerFingerprint = res.Trailer.Fingerprint
-			st.Parity = "mismatch"
-			if res.Matches() {
-				st.Parity = "exact"
-			}
-		}
-		return st
+	res := &trace.ReplayResult{} // no header decoded: nothing replayed
+	if b := s.bucket.Load(); b != nil {
+		res = b.rp.Result()
 	}
-	for _, b := range buckets {
-		res := b.rp.Result()
-		st.Windows += int64(res.Windows)
-		st.Fingerprint ^= res.BucketFingerprint
-	}
-	st.Parity = "bucket"
+	st.Windows = int64(res.Windows)
 	if s.trailer != nil {
 		st.TrailerFingerprint = s.trailer.Fingerprint
+	}
+	switch {
+	case s.mode == ModeFanout:
+		st.Fingerprint, st.Parity = res.BucketFingerprint, "bucket"
+	case s.trailer == nil:
+		st.Fingerprint, st.Parity = res.Fingerprint, "none"
+	case res.Fingerprint == s.trailer.Fingerprint:
+		st.Fingerprint, st.Parity = res.Fingerprint, "exact"
+	default:
+		st.Fingerprint, st.Parity = res.Fingerprint, "mismatch"
 	}
 	return st
 }

@@ -1,16 +1,12 @@
 package serve
 
-import (
-	"hash/fnv"
-	"sync"
-)
+import "sync"
 
-// shard is one goroutine-owned lane of the ingestion path. Buckets are
-// pinned to shards by (session, job, leaf) hash, so one bucket's
-// records are always processed by the same goroutine, in ring order —
-// the SPSC discipline every pipeline requires — while different
-// buckets (different jobs, different leaves, different producers)
-// progress in parallel across shards.
+// shard is one goroutine-owned lane of the ingestion path. A session's
+// bucket is pinned to shard id % shards, so its records are always
+// processed by the same goroutine, in ring order — the SPSC discipline
+// every pipeline requires — while different producers progress in
+// parallel across shards.
 type shard struct {
 	id   int
 	work chan *bucket
@@ -67,16 +63,3 @@ func (s *shard) enqueue(b *bucket) {
 }
 
 func (s *shard) stop() { close(s.done) }
-
-// bucketShard pins a bucket key to a shard.
-func bucketShard(nShards int, sessionID uint64, job uint16, leafOrd int) int {
-	h := fnv.New64a()
-	var k [8 + 2 + 4]byte
-	for i := 0; i < 8; i++ {
-		k[i] = byte(sessionID >> (8 * i))
-	}
-	k[8], k[9] = byte(job), byte(job>>8)
-	k[10], k[11], k[12], k[13] = byte(leafOrd), byte(leafOrd>>8), byte(leafOrd>>16), byte(leafOrd>>24)
-	h.Write(k[:])
-	return int(h.Sum64() % uint64(nShards))
-}

@@ -125,16 +125,6 @@ func (h *Header) PipelineJob(job uint16) uint16 {
 	return h.Jobs[0].Job
 }
 
-// Job returns the header entry for one job id, nil when absent.
-func (h *Header) Job(id uint16) *JobHeader {
-	for i := range h.Jobs {
-		if h.Jobs[i].Job == id {
-			return &h.Jobs[i]
-		}
-	}
-	return nil
-}
-
 // WindowRecord is one recorded measurement window plus the prediction
 // that was live when the online detector checked it. Snapshotting the
 // prediction per window is what makes replay robust against baseline

@@ -65,12 +65,11 @@ type ReplayResult struct {
 
 	// BucketFingerprint is the order-insensitive variant: events fold
 	// into one FNV-64a stream per (job, leaf) bucket — the subsequence
-	// order a sharded consumer preserves — and the per-bucket sums XOR
-	// together. flowpulse-serve's fan-out ingestion path, which
-	// processes (job, leaf) streams on concurrent shards, reproduces
-	// exactly this sum; when all events came from a single bucket it
-	// equals Fingerprint. Actions never fold here (fan-out streams run
-	// without a remediator).
+	// order a consumer sharded by (job, leaf) would preserve — and the
+	// per-bucket sums XOR together. It is what a flowpulse-serve fanout
+	// session reports; when all events came from a single bucket it
+	// equals Fingerprint. Actions never fold here (a remediated stream
+	// is served sequentially).
 	BucketFingerprint uint64
 
 	// EventCount and ActionCount survive NoHistory replays.
