@@ -38,6 +38,15 @@ import (
 	"flowpulse/internal/serve"
 )
 
+// A client gets readHeaderTimeout to send its request headers and a
+// kept-alive connection is closed after idleTimeout without a request.
+// There is no read or write timeout: /ingest bodies and the /alerts
+// feed stream for as long as their session lasts.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // ruleFlags collects repeatable -rule occurrences.
 type ruleFlags []serve.Rule
 
@@ -100,7 +109,11 @@ func main() {
 			os.Exit(1)
 		}
 		logger.Printf("serve: HTTP on %s (/metrics /alerts /healthz /ingest)", hl.Addr())
-		httpSrv = &http.Server{Handler: srv.HTTPHandler()}
+		httpSrv = &http.Server{
+			Handler:           srv.HTTPHandler(),
+			ReadHeaderTimeout: readHeaderTimeout,
+			IdleTimeout:       idleTimeout,
+		}
 		go httpSrv.Serve(hl)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -13,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -766,5 +768,148 @@ func TestNonFiniteAlertReachesSink(t *testing.T) {
 		if m["session"] != "ghost" || m["job"] != 1.0 || m["observed"] != 4096.0 || m["predicted"] != 1.0 {
 			t.Errorf("line %d lost a field: %s", i, line)
 		}
+	}
+}
+
+// TestPreambleBounded: a producer whose preamble never ends is refused
+// once the connection's read buffer is full, not read into memory.
+func TestPreambleBounded(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeTCP(l)
+	defer srv.Drain(time.Second)
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	chunk := bytes.Repeat([]byte{'x'}, 64<<10)
+	resp := bufio.NewReader(conn)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sent := make(chan struct{})
+	go func() { // 1 MiB without a newline, then the end of the stream
+		defer close(sent)
+		for i := 0; i < 16; i++ {
+			if _, err := conn.Write(chunk); err != nil {
+				return // refused and closed: the rest is not wanted
+			}
+		}
+		conn.(*net.TCPConn).CloseWrite()
+	}()
+	line, err := resp.ReadString('\n')
+	runtime.ReadMemStats(&after)
+	<-sent
+	if !strings.Contains(line, "preamble too long") {
+		t.Fatalf("reply %q (err %v), want the preamble refused", line, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+		t.Fatalf("refusing a 1 MiB preamble allocated %d bytes", alloc)
+	}
+}
+
+// TestDrainAbortsStalledProducer: a TCP producer that sends its
+// preamble, the header, some windows and half a frame, then stalls,
+// holds Drain to its deadline. Drain reports it (false) and cuts the
+// connection; every goroutine ends, and the windows counted service-wide
+// are the ones the sessions report.
+func TestDrainAbortsStalledProducer(t *testing.T) {
+	const whole = 12
+	raw := buildStream(t, whole+4, -1)
+	// Header plus whole windows, then half of the next frame.
+	off, frames := len(trace.Magic), -1 // the header frame counts as -1
+	for frames < whole {
+		n, w := binary.Uvarint(raw[off:])
+		off += w + int(n) + 4
+		frames++
+	}
+	n, w := binary.Uvarint(raw[off:])
+	stalled := raw[:off+(w+int(n)+4)/2]
+
+	base := runtime.NumGoroutine()
+	var mu sync.Mutex
+	var logged []string
+	srv := newTestServer(t, Config{Shards: 2, Logf: func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeTCP(l)
+
+	// One producer finishes normally.
+	p, err := DialProducer(l.Addr().String(), "", ModeSeq, "whole", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	st, err := p.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The other stalls mid-frame.
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(append([]byte("FPS1 label=stalled\n"), stalled...)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.met.windowsTotal.Load() < st.Windows+whole {
+		if time.Now().After(deadline) {
+			t.Fatalf("flowpulse_windows_total %d, want %d before draining", srv.met.windowsTotal.Load(), st.Windows+whole)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if srv.Drain(50 * time.Millisecond) {
+		t.Fatal("Drain reported clean with a producer stalled mid-frame")
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("stalled producer's connection still open after Drain: %v", err)
+	}
+	conn.Close()
+
+	var sum int64
+	sessions := 0
+	mu.Lock()
+	for _, line := range logged {
+		if !strings.Contains(line, " done: ") {
+			continue
+		}
+		_, after, _ := strings.Cut(line, " windows=")
+		n, err := strconv.ParseInt(strings.Fields(after)[0], 10, 64)
+		if err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		sum += n
+		sessions++
+	}
+	mu.Unlock()
+	if got := srv.met.windowsTotal.Load(); sessions != 2 || got != sum {
+		t.Errorf("flowpulse_windows_total %d, the %d sessions report %d windows", got, sessions, sum)
+	}
+	if sum != st.Windows+whole {
+		t.Errorf("sessions report %d windows, want %d", sum, st.Windows+whole)
+	}
+
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Drain, %d before the server", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

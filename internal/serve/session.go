@@ -333,15 +333,20 @@ func (s *session) status(streamErr error) *SessionStatus {
 //	FPS1 token=<tok> mode=<seq|fanout> label=<name>\n
 //
 // then raw .fpt bytes until the producer half-closes; the server
-// replies with one JSON SessionStatus line and closes.
+// replies with one JSON SessionStatus line and closes. A preamble that
+// does not end within the read buffer is refused.
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 4096)
-	line, err := br.ReadString('\n')
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		fmt.Fprintf(conn, `{"error":"preamble too long"}`+"\n")
+		return
+	}
 	if err != nil {
 		return
 	}
-	fields := strings.Fields(strings.TrimSpace(line))
+	fields := strings.Fields(string(line))
 	if len(fields) == 0 || fields[0] != "FPS1" {
 		fmt.Fprintf(conn, `{"error":"bad preamble (want FPS1)"}`+"\n")
 		return

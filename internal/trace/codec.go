@@ -123,50 +123,74 @@ const contMask = 0x8080808080808080
 // uvarint decodes the uvarint at b[off:] and returns its value and
 // width, n ≤ 0 on failure exactly as binary.Uvarint reports it. A value
 // of up to eight bytes with eight bytes to load decodes from one 64-bit
-// load: the lowest clear continuation bit marks the last byte, a mask
-// drops the bytes past it and the flags, and three mask-and-shift steps
-// close the 7-bit groups up. Longer values (9 and 10 bytes, where
-// overflow is possible), the last seven bytes of the payload and
-// malformed input go through encoding/binary, so every error is the
-// one a value-at-a-time decode reports, at the same offset.
+// load (inWord). Longer values (9 and 10 bytes, where overflow is
+// possible), the last seven bytes of the payload and malformed input go
+// through encoding/binary, so every error is the one a value-at-a-time
+// decode reports, at the same offset.
 func uvarint(b []byte, off int) (uint64, int) {
 	if off+8 <= len(b) {
 		x := binary.LittleEndian.Uint64(b[off:])
 		if ends := ^x & contMask; ends != 0 {
-			x &= (ends ^ (ends - 1)) &^ contMask // the value's bytes, flags cleared
-			x = x&0x007f007f007f007f | x>>1&0x3f803f803f803f80
-			x = x&0x00003fff00003fff | x>>2&0x0fffc0000fffc000
-			x = x&0x000000000fffffff | x>>4&0x00fffffff0000000
-			return x, bits.TrailingZeros64(ends)>>3 + 1
+			return inWord(x, ends)
 		}
 	}
 	return binary.Uvarint(b[off:])
 }
 
-// zeroRun returns how many of b's leading bytes are 0x00, looking at
-// most eight ahead (one 64-bit load; one byte when fewer than eight are
-// left) and reporting at most max. b[0] must be zero and max ≥ 1.
-func zeroRun(b []byte, max int) int {
-	n := 1
-	if len(b) >= 8 {
-		// Little-endian load: leading zero bytes are trailing zero bits.
-		n = bits.TrailingZeros64(binary.LittleEndian.Uint64(b)) >> 3
-	}
-	if n > max {
-		n = max
-	}
-	return n
+// inWord decodes the uvarint that starts at the low byte of the
+// little-endian word x and ends inside it; ends is x's clear
+// continuation bits, nonzero. The lowest marks the value's last byte, a
+// mask drops the bytes past it and the flags, and three mask-and-shift
+// steps close the 7-bit groups up.
+func inWord(x, ends uint64) (uint64, int) {
+	x &= (ends ^ (ends - 1)) &^ contMask
+	x = x&0x007f007f007f007f | x>>1&0x3f803f803f803f80
+	x = x&0x00003fff00003fff | x>>2&0x0fffc0000fffc000
+	x = x&0x000000000fffffff | x>>4&0x00fffffff0000000
+	return x, bits.TrailingZeros64(ends)>>3 + 1
 }
 
-// The row kernels below decode a whole row per call: the offset lives
-// in a local and the sticky error is checked once, not per value. They
-// are built around what the format produces for a stable baseline —
-// runs of 0x00, one per unchanged value — and consume those up to eight
-// per load. Any other byte takes the same single-byte / uvarint steps
-// as u and i, so non-canonical encodings (0x80 0x00) decode and
-// truncated or overlong ones fail exactly as value-at-a-time reads do,
-// at the same offset. After a failure the row is left as it is: a
-// failed window is never handed out.
+// word returns the eight bytes at b[off:] as a little-endian word, ok
+// false at the end of b. Within the last seven bytes the word is made
+// up of what is left, and the bytes past the end read as 0x80: a value
+// that runs into them does not end, and fails in encoding/binary as a
+// value-at-a-time read of it would.
+func word(b []byte, off int) (uint64, bool) {
+	if off <= len(b)-8 {
+		return binary.LittleEndian.Uint64(b[off:]), true
+	}
+	return tailWord(b, off)
+}
+
+// tailWord is word within the last seven bytes, apart so that word
+// stays small enough to inline.
+func tailWord(b []byte, off int) (uint64, bool) {
+	if off >= len(b) {
+		return 0, false
+	}
+	x := uint64(contMask)
+	for i := len(b) - 1; i >= off; i-- {
+		x = x<<8 | uint64(b[i])
+	}
+	return x, true
+}
+
+// lowBytes masks the k ≤ 8 low bytes of a word.
+func lowBytes(k int) uint64 { return ^uint64(0) >> (uint(64-8*k) & 63) }
+
+// The window kernels below walk a whole row or section per call, with
+// the offset in a local and the sticky error checked once. They are
+// built around what the format produces for a stable baseline: runs of
+// one-byte values, 0x00 for each unchanged one. A word whose next k
+// values (the rest of the row, at most eight) are one byte each is
+// consumed whole, so the next load is the k bytes after it, an address
+// that does not wait on what the last load held. Any other value of up
+// to eight bytes decodes from the word already loaded (inWord; in the
+// last seven bytes, from what is left of them: word); a longer one, or
+// one cut short, goes through encoding/binary, so non-canonical
+// encodings (0x80 0x00) decode and truncated or overlong ones fail
+// exactly as value-at-a-time reads do, at the same offset. After a
+// failure the row is left as it is: a failed window is never handed out.
 
 // deltaRow decodes len(row) zigzag varints as consecutive deltas and
 // stores their running sum (PortBytes, explicit AggPortBytes and each
@@ -178,25 +202,40 @@ func (d *dec) deltaRow(row []int64) {
 	var prev int64
 	b, off := d.b, d.off
 	for j := 0; j < len(row); {
-		if off < len(b) {
-			if c := b[off]; c == 0 {
-				n := zeroRun(b[off:], len(row)-j)
-				run := row[j : j+n]
-				for k := range run {
-					run[k] = prev
+		if x, ok := word(b, off); ok {
+			k := min(len(row)-j, 8)
+			// The values up to the first multi-byte one: all k of them in
+			// a word of one-byte values.
+			if c := x & lowBytes(k) & contMask; c != 0 {
+				k = bits.TrailingZeros64(c) >> 3
+			}
+			if k > 0 {
+				run := row[j : j+k]
+				if m := x & lowBytes(k); m == 0 {
+					for i := range run {
+						run[i] = prev
+					}
+				} else {
+					for i := range run {
+						prev += unzigzag(m & 0xff)
+						run[i] = prev
+						m >>= 8
+					}
 				}
-				off += n
-				j += n
+				off += k
+				j += k
 				continue
-			} else if c < 0x80 {
-				off++
-				prev += unzigzag(uint64(c))
+			}
+			if ends := ^x & contMask; ends != 0 {
+				v, n := inWord(x, ends)
+				off += n
+				prev += unzigzag(v)
 				row[j] = prev
 				j++
 				continue
 			}
 		}
-		v, n := uvarint(b, off)
+		v, n := binary.Uvarint(b[off:])
 		if n <= 0 {
 			d.fail("trace: bad varint at offset %d", off)
 			return
@@ -210,75 +249,174 @@ func (d *dec) deltaRow(row []int64) {
 }
 
 // xorFold decodes len(cache) uvarints and XORs each into its word of
-// cache (the leaf's previous prediction), in place. A zero byte leaves
-// the cached word as it is, without a write.
+// cache (the leaf's previous prediction), in place.
 func (d *dec) xorFold(cache []float64) {
 	if d.err != nil {
 		return
 	}
-	b, off := d.b, d.off
-	for j := 0; j < len(cache); {
-		if off < len(b) {
-			if c := b[off]; c == 0 {
-				n := zeroRun(b[off:], len(cache)-j)
-				off += n
-				j += n
-				continue
-			} else if c < 0x80 {
-				off++
-				cache[j] = math.Float64frombits(math.Float64bits(cache[j]) ^ uint64(c))
-				j++
-				continue
-			}
-		}
-		v, n := uvarint(b, off)
-		if n <= 0 {
-			d.fail("trace: bad uvarint at offset %d", off)
-			return
-		}
-		off += n
-		cache[j] = math.Float64frombits(math.Float64bits(cache[j]) ^ v)
-		j++
+	off, ok := foldSpan(d.b, d.off, cache)
+	if !ok {
+		d.fail("trace: bad uvarint at offset %d", off)
+		return
 	}
 	d.off = off
 }
 
-// skipVarints steps over n varints without decoding them, failing where
-// reading them would fail. Each 64-bit load counts the varints that end
-// in it — one per clear continuation bit — so a row of small values or
-// zeros costs a load per eight. A value still open after eight bytes
-// (nine or ten bytes long, or malformed) and the last seven bytes of
-// the payload go through encoding/binary.
-func (d *dec) skipVarints(n int) {
+// foldRows decodes len(rows) rows, each a length and then that many
+// uvarints folded into the next words of cache as xorFold does, and
+// points rows[i] at the same words of flat. A row's length is read in
+// place (count1) where it is one byte. It returns how many words the
+// rows held; more than len(cache) fails before the row that overflows
+// is folded.
+func (d *dec) foldRows(cache, flat []float64, rows [][]float64) int {
 	if d.err != nil {
-		return
+		return 0
 	}
 	b, off := d.b, d.off
-	for n > 0 {
-		if off+8 <= len(b) {
-			if ends := ^binary.LittleEndian.Uint64(b[off:]) & contMask; ends != 0 {
-				k := bits.OnesCount64(ends)
-				if k > n {
-					for ; n > 1; n-- { // make the nth end the lowest bit
-						ends &= ends - 1
-					}
-					d.off = off + bits.TrailingZeros64(ends)>>3 + 1
-					return
-				}
-				n -= k
-				off += (63-bits.LeadingZeros64(ends))>>3 + 1
-				continue
+	k := 0
+	for i := range rows {
+		n, next, ok := count1(b, off)
+		if !ok {
+			d.off = off
+			if n = d.count(1); d.err != nil {
+				return k
 			}
+			next = d.off
 		}
-		_, w := binary.Uvarint(b[off:])
-		if w <= 0 {
-			d.fail("trace: bad varint at offset %d", off)
-			return
+		if k+n > len(cache) {
+			d.fail("trace: sender prediction rows exceed declared count %d", len(cache))
+			return k
 		}
-		off += w
-		n--
+		if off, ok = foldSpan(b, next, cache[k:k+n]); !ok {
+			d.fail("trace: bad uvarint at offset %d", off)
+			return k
+		}
+		rows[i] = flat[k : k+n : k+n]
+		k += n
 	}
 	d.off = off
+	return k
+}
+
+// foldSpan XORs the len(row) uvarints at b[off:] into row and returns
+// the offset past them, or a bad value's offset and false. A zero byte
+// leaves its word as it is, without a write.
+func foldSpan(b []byte, off int, row []float64) (int, bool) {
+	for j := 0; j < len(row); {
+		x, ok := word(b, off)
+		k := min(len(row)-j, 8)
+		if m := x & lowBytes(k); ok && m&contMask == 0 {
+			for i := j; m != 0; i++ {
+				row[i] = math.Float64frombits(math.Float64bits(row[i]) ^ m&0xff)
+				m >>= 8
+			}
+			off += k
+			j += k
+			// After an unchanged word, the rest of a stable prediction
+			// eight unchanged words at a time.
+			for x == 0 && j+8 <= len(row) && off <= len(b)-8 && binary.LittleEndian.Uint64(b[off:]) == 0 {
+				off += 8
+				j += 8
+			}
+			continue
+		}
+		if ends := ^x & contMask; ok && ends != 0 {
+			v, n := inWord(x, ends)
+			off += n
+			row[j] = math.Float64frombits(math.Float64bits(row[j]) ^ v)
+			j++
+			continue
+		}
+		v, n := binary.Uvarint(b[off:])
+		if n <= 0 {
+			return off, false
+		}
+		off += n
+		row[j] = math.Float64frombits(math.Float64bits(row[j]) ^ v)
+		j++
+	}
+	return off, true
+}
+
+// sectionEnd checks the per-sender section at b[off:] (a row count,
+// then each row's length and deltas) and returns where it ends, without
+// decoding a value. A row of n values spans at least n bytes, so the
+// words in its first n bytes are loaded back to back, each taking the
+// values that end in it (its clear continuation bits) off the row. The
+// fewer than eight left end in one more word, where a byte-wise running
+// count of ends finds the row's last byte. ok is false on anything else
+// a section may hold — a count or row length of two bytes or more, or
+// over the payload; a value longer than eight bytes; fewer than eight
+// bytes left to load — and the caller walks the section value at a time
+// from its start (skipSection), failing where and as a malformed one
+// must.
+func sectionEnd(b []byte, off int) (int, bool) {
+	rows, off, ok := count1(b, off)
+	for ; ok && rows > 0; rows-- {
+		var left int
+		if left, off, ok = count1(b, off); !ok {
+			break
+		}
+		// A value is nine bytes or longer exactly when the ends of the
+		// word before it all lie below the lowest end of the word it
+		// ends in: prev is the last word's ends, as if one ended just
+		// before the row.
+		prev := uint64(1) << 63
+		for left >= 8 {
+			end := off + left&^7
+			if end > len(b) {
+				return 0, false
+			}
+			for ; off < end; off += 8 {
+				ends := ^binary.LittleEndian.Uint64(b[off:]) & contMask
+				if prev <= ends&-ends-1 {
+					return 0, false
+				}
+				left -= bits.OnesCount64(ends)
+				prev = ends
+			}
+		}
+		for left > 0 {
+			if off+8 > len(b) {
+				return 0, false
+			}
+			ends := ^binary.LittleEndian.Uint64(b[off:]) & contMask
+			if prev <= ends&-ends-1 {
+				return 0, false
+			}
+			if k := bits.OnesCount64(ends); k < left {
+				left -= k
+				prev = ends
+				off += 8
+				continue
+			}
+			// Byte i of c counts the ends in bytes 0..i: the first
+			// count to reach left is at the row's last byte.
+			c := ends >> 7 * 0x0101010101010101
+			off += bits.TrailingZeros64((c+uint64(0x80-left)*0x0101010101010101)&contMask)>>3 + 1
+			left = 0
+		}
+	}
+	return off, ok
+}
+
+// count1 is count(1) on a one-byte length: the length at b[off] and the
+// offset past it, ok false where count would read more or fail.
+func count1(b []byte, off int) (int, int, bool) {
+	if off < len(b) && b[off] < 0x80 && int(b[off]) <= len(b)-off {
+		return int(b[off]), off + 1, true
+	}
+	return 0, off, false
+}
+
+// skipSection steps over the per-sender section value at a time: the
+// fallback of sectionEnd, and the check every malformed section fails.
+func (d *dec) skipSection() {
+	for rows := d.count(1); rows > 0 && d.err == nil; rows-- {
+		for n := d.count(1); n > 0; n-- {
+			d.i()
+		}
+	}
 }
 
 func (d *dec) raw64() uint64 {
@@ -316,6 +454,10 @@ func (d *dec) s() string {
 // payload (minBytes is the smallest possible encoding of one element),
 // so a corrupt length cannot drive a giant allocation.
 func (d *dec) count(minBytes int) int {
+	if n, off, ok := count1(d.b, d.off); ok && minBytes == 1 && d.err == nil {
+		d.off = off // every row length in a window
+		return n
+	}
 	n := d.u()
 	if d.err != nil {
 		return 0

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -444,7 +445,7 @@ func diffSeeds() []diffSeed {
 	agg := func(mode ...byte) []byte { // 4 ports, the given aggregate, no senders
 		return cat(head, []byte{4}, big, zeros(3), mode, []byte{0})
 	}
-	return []diffSeed{
+	seeds := []diffSeed{
 		{name: "stable-then-stable", first: cat(counters, fresh, ce), second: cat(counters, stable, ce0)},
 		{name: "run-ends-at-frame-end-v1", first: cat(counters, stable), second: cat(counters, stable), v1: true},
 		{name: "run-then-zero-ce", first: cat(counters, stable, ce0), second: cat(counters, notReady, ce0)},
@@ -497,7 +498,45 @@ func diffSeeds() []diffSeed {
 		{name: "noncanonical-in-deferred-row", first: cat(head, []byte{1}, big, []byte{aggSame, 2, 4, 0x02, 0x80, 0x80, 0x00, 0, 0x80, 0x00,
 			3, 0x80, 0x00, 0x04, 0x80, 0x80, 0x80, 0x00}, notReady, ce0)},
 		{name: "noncanonical-cut-in-deferred-row", first: cat(head, []byte{1}, big, []byte{aggSame, 1, 2, 0x02, 0x80, 0x80})},
+		// Row boundaries of the one-pass walks. Rows of five values and
+		// of three words end inside a word, and the next row's length
+		// is read from that same word.
+		{name: "row-boundaries-mid-word", first: cat(head, []byte{2}, big, zeros(1), []byte{aggSame, 3},
+			[]byte{5, 2, 0, 4, 0, 1}, []byte{5, 0, 3, 0, 0, 2}, []byte{5, 1, 1, 1, 1, 1},
+			[]byte{1, 2, 0x05, 0, 9, 3}, []byte{3, 1, 0, 2}, []byte{3, 0, 0, 0}, []byte{3, 4, 0, 7}, ce0)},
+		// A row's last value ends on the seventh byte of a word, the next
+		// row's two-byte length starts on the eighth: the word holds
+		// exactly the row's remaining values.
+		{name: "two-byte-row-length", first: cat(head, []byte{1}, big, []byte{aggSame, 2, 7}, zeros(7),
+			[]byte{0x80, 0x01}, zeros(128), notReady, ce0)},
+		{name: "two-byte-pred-row-length", first: cat(agg(aggSame), []byte{1, 0, 0x82, 0x01, 2, 2, 0, 0, 0x80, 0x01}, zeros(128), ce0)},
+		// Nine- and ten-byte values inside a row: one straddling two
+		// words, one inside the words a row is known to span.
+		{name: "value9-inside-row", first: cat(head, []byte{1}, big, []byte{aggSame, 1, 12}, zeros(3), width(9), zeros(8), notReady, ce0)},
+		{name: "value10-inside-row", first: cat(head, []byte{1}, big, []byte{aggSame, 1, 20}, zeros(5), width(10), zeros(14), notReady, ce0)},
+		{name: "no-sender-rows", first: cat(head, []byte{2}, big, zeros(1), []byte{aggSame, 0}, []byte{1, 2, 0, 0, 0, 0}, ce0)},
+		// Zero words that run past a row's end: the port row into the
+		// aggregate mode and the section, a five-value row into three
+		// empty rows (deferred, then folded).
+		{name: "zero-word-straddles-rows", first: cat(head, []byte{4}, zeros(4), []byte{aggSame, 4, 5}, zeros(5), zeros(3),
+			[]byte{1, 4}, zeros(4), []byte{5, 4, 5}, zeros(5), zeros(3), ce0)},
 	}
+	// A section of one nine-value row followed by 0–8 payload bytes:
+	// none (truncated), the ready bit (v1), then the ready bit and a CE
+	// count one to seven bytes wide.
+	for left := 0; left <= 8; left++ {
+		s := diffSeed{name: fmt.Sprintf("section-end-%d-left", left),
+			first: cat(head, []byte{1}, big, []byte{aggSame, 1, 9}, zeros(9))}
+		switch left {
+		case 0:
+		case 1:
+			s.first, s.v1 = append(s.first, notReady...), true
+		default:
+			s.first = cat(s.first, notReady, width(left-1))
+		}
+		seeds = append(seeds, s)
+	}
+	return seeds
 }
 
 // FuzzWindowDecodeDifferential decodes arbitrary window payloads with
@@ -571,6 +610,7 @@ func TestWindowDecodeDifferentialSeeds(t *testing.T) {
 		"overflow-10th-byte":               "bad varint",
 		"overflow-in-deferred-row":         "bad varint",
 		"noncanonical-cut-in-deferred-row": "bad varint",
+		"section-end-0-left":               "truncated record",
 	}
 	for _, s := range diffSeeds() {
 		version := Version
@@ -594,6 +634,118 @@ func TestWindowDecodeDifferentialSeeds(t *testing.T) {
 			t.Errorf("seed %s: error %v, want one containing %q", s.name, err, want)
 		}
 	}
+}
+
+// refSectionSpan returns where a window payload's per-sender section
+// starts and ends, read value at a time: start is -1 when the payload
+// fails before the section, ok false when it fails inside it.
+func refSectionSpan(p []byte) (start, end int, ok bool) {
+	d := refDec{b: p}
+	d.u()
+	d.u()
+	d.u()
+	d.i()
+	d.i()
+	d.i()
+	nPorts := d.count()
+	for i := 0; i < nPorts; i++ {
+		d.i()
+	}
+	switch d.kind() {
+	case aggDelta:
+		for i := 0; i < nPorts; i++ {
+			d.i()
+		}
+	case aggExplicit:
+		for n := d.count(); n > 0; n-- {
+			d.i()
+		}
+	}
+	if d.err != nil {
+		return -1, 0, false
+	}
+	start = d.off
+	for rows := d.count(); rows > 0 && d.err == nil; rows-- {
+		for n := d.count(); n > 0; n-- {
+			d.i()
+		}
+	}
+	return start, d.off, d.err == nil
+}
+
+// sectionEndOffByOne is sectionEnd with one planted bug at a row
+// boundary: a word that holds exactly the values left in the row is
+// taken whole, as if the row ended on the word's last byte. It is wrong
+// only when the bytes after the row's last value are all continuation
+// bytes — the next row's length being two bytes or more.
+func sectionEndOffByOne(b []byte, off int) (int, bool) {
+	rows, off, ok := count1(b, off)
+	for ; ok && rows > 0; rows-- {
+		var left int
+		if left, off, ok = count1(b, off); !ok {
+			break
+		}
+		prev := uint64(1) << 63
+		for left >= 8 {
+			end := off + left&^7
+			if end > len(b) {
+				return 0, false
+			}
+			for ; off < end; off += 8 {
+				ends := ^binary.LittleEndian.Uint64(b[off:]) & contMask
+				if prev <= ends&-ends-1 {
+					return 0, false
+				}
+				left -= bits.OnesCount64(ends)
+				prev = ends
+			}
+		}
+		for left > 0 {
+			if off+8 > len(b) {
+				return 0, false
+			}
+			ends := ^binary.LittleEndian.Uint64(b[off:]) & contMask
+			if prev <= ends&-ends-1 {
+				return 0, false
+			}
+			if k := bits.OnesCount64(ends); k <= left { // the bug: < is right
+				left -= k
+				prev = ends
+				off += 8
+				continue
+			}
+			c := ends >> 7 * 0x0101010101010101
+			off += bits.TrailingZeros64((c+uint64(0x80-left)*0x0101010101010101)&contMask)>>3 + 1
+			left = 0
+		}
+	}
+	return off, ok
+}
+
+// TestSectionWalkMutantCaught checks the one-pass section walk on every
+// seed against the section's value-at-a-time end — where the walk
+// answers, it must answer right — and shows that the seeds tell an
+// off-by-one at a row boundary apart from the reference.
+func TestSectionWalkMutantCaught(t *testing.T) {
+	var caught []string
+	for _, s := range diffSeeds() {
+		for _, p := range [][]byte{s.first, s.second} {
+			start, want, wantOK := refSectionSpan(p)
+			if start < 0 {
+				continue
+			}
+			if end, ok := sectionEnd(p, start); ok && (!wantOK || end != want) {
+				t.Errorf("seed %s: sectionEnd ends the section at %d, the reference at %d (ok %v)", s.name, end, want, wantOK)
+			}
+			if end, ok := sectionEndOffByOne(p, start); ok && (!wantOK || end != want) {
+				caught = append(caught, s.name)
+			}
+		}
+	}
+	if !slices.Contains(caught, "two-byte-row-length") {
+		t.Fatalf("the off-by-one row walk passes every seed but %v; want two-byte-row-length to catch it", caught)
+	}
+	t.Logf("off-by-one row walk caught by %v", caught)
 }
 
 // TestRegenFuzzCorpus rewrites the committed seed corpus (the same

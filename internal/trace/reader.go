@@ -481,9 +481,10 @@ func (r *Reader) decodeWindow(d *dec, dest WindowSlot) *WindowRecord {
 	// reader, localization, builds it through Senders on an alerted
 	// window.
 	start := d.off
-	nRows := d.count(1)
-	for i := 0; i < nRows && d.err == nil; i++ {
-		d.skipVarints(d.count(1))
+	if end, ok := sectionEnd(d.b, start); ok && d.err == nil {
+		d.off = end
+	} else {
+		d.skipSection()
 	}
 	w.sec = append(w.sec[:0], d.b[start:d.off]...)
 	w.pending = true
@@ -518,18 +519,7 @@ func (r *Reader) decodeWindow(d *dec, dest WindowSlot) *WindowRecord {
 		w.predFlat = f64Slice(w.predFlat, nPred)
 		nPredRows := d.count(1)
 		w.SenderPred = f64Rows(w.SenderPred, nPredRows)
-		k := 0
-		for i := 0; i < nPredRows && d.err == nil; i++ {
-			n := d.count(1)
-			if k+n > nPred {
-				d.fail("trace: sender prediction rows exceed declared count %d", nPred)
-				return w
-			}
-			d.xorFold(c.sender[k : k+n])
-			w.SenderPred[i] = w.predFlat[k : k+n : k+n]
-			k += n
-		}
-		if d.err == nil && k != nPred {
+		if k := d.foldRows(c.sender, w.predFlat, w.SenderPred); d.err == nil && k != nPred {
 			d.fail("trace: sender prediction count %d, declared %d", k, nPred)
 		}
 		copy(w.predFlat, c.sender)
