@@ -4,7 +4,7 @@
 // verdict, and traffic/transport statistics.
 //
 // The run is a scenario file (core.ReadRun, which flowpulse-trace record
-// reads too): a flowpulse.Scenario in its JSON form (lowerCamel field
+// reads too): a core.Scenario in its JSON form (lowerCamel field
 // names, durations in picoseconds under keys ending in PS, an absent
 // field is the default) plus the monitor to deploy, a core.MonitorSpec:
 //
@@ -49,9 +49,10 @@ import (
 	"sort"
 	"time"
 
-	"flowpulse"
 	"flowpulse/internal/core"
 	"flowpulse/internal/serve"
+	"flowpulse/internal/sim"
+	"flowpulse/internal/trace"
 )
 
 // builtin is the run without -scenario.
@@ -59,171 +60,180 @@ import (
 //go:embed testdata/default.json
 var builtin []byte
 
-// load reads a -scenario file (the built-in run for ""). The monitor is
-// deployed through the facade, whose MonitorConfig has no CE discount.
-func load(path string) (core.RunDoc, error) {
-	doc, err := core.ReadRun(path, builtin)
-	if err == nil && doc.Monitor.CEDiscount != 0 {
-		err = fmt.Errorf("%s: monitor.ceDiscount is not supported here (flowpulse-trace record runs it)", path)
-	}
-	return doc, err
-}
-
-// exitOn reports a fatal error and exits 1 (deferred calls do not run).
-func exitOn(err error) {
-	if err != nil {
+func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func main() {
+// run is the command: the report goes to stdout, -stats to stderr. A bad
+// flag exits 2 from the flag parser.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("flowpulse-sim", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		scenario   = flag.String("scenario", "", "run this scenario file (see the package documentation; default: the built-in run)")
-		seed       = flag.Uint64("seed", 0, "random seed, replacing the scenario's (the built-in run's is 1)")
-		shards     = flag.Int("shards", runtime.GOMAXPROCS(0), "engine worker shards: 0 = the one-domain partition, a single-threaded run; N >= 1 = one domain per switch on N workers, with identical results for every N >= 1")
-		tracePath  = flag.String("trace", "", "record the run to this .fpt trace file for offline replay (see flowpulse-trace)")
-		stream     = flag.String("stream", "", "stream the live trace to a flowpulse-serve instance at this host:port (combine with -trace for a local copy)")
-		streamTok  = flag.String("stream-token", "", "producer token for -stream")
-		streamMode = flag.String("stream-mode", "", "fingerprint the serve session reports for -stream: seq (global, checked against the trailer) or fanout (per-(job, leaf) sum); default seq")
-		stats      = flag.Bool("stats", false, "print the engine's event counters on stderr: events executed, events per packet, and how many schedulings went to a FIFO lane vs the heap")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (shard workers carry pprof shard=N labels)")
+		scenario   = fs.String("scenario", "", "run this scenario file (see the package documentation; default: the built-in run)")
+		seed       = fs.Uint64("seed", 0, "random seed, replacing the scenario's (the built-in run's is 1)")
+		shards     = fs.Int("shards", runtime.GOMAXPROCS(0), "engine worker shards: 0 = the one-domain partition, a single-threaded run; N >= 1 = one domain per switch on N workers, with identical results for every N >= 1")
+		tracePath  = fs.String("trace", "", "record the run to this .fpt trace file for offline replay (see flowpulse-trace)")
+		stream     = fs.String("stream", "", "stream the live trace to a flowpulse-serve instance at this host:port (combine with -trace for a local copy)")
+		streamTok  = fs.String("stream-token", "", "producer token for -stream")
+		streamMode = fs.String("stream-mode", "", "fingerprint the serve session reports for -stream: seq (global, checked against the trailer) or fanout (per-(job, leaf) sum); default seq")
+		stats      = fs.Bool("stats", false, "print the engine's event counters on stderr: events executed, events per packet, and how many schedulings went to a FIFO lane vs the heap")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file (shard workers carry pprof shard=N labels)")
 	)
-	flag.Parse()
-
+	fs.Parse(args)
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
-		exitOn(err)
+		if err != nil {
+			return err
+		}
 		defer f.Close()
-		exitOn(pprof.StartCPUProfile(f))
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
 		defer pprof.StopCPUProfile()
 	}
-
-	doc, err := load(*scenario)
-	exitOn(err)
-	flag.Visit(func(f *flag.Flag) {
+	doc, err := core.ReadRun(*scenario, builtin)
+	if err != nil {
+		return err
+	}
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "seed" {
 			doc.Scenario.Seed = *seed
 		}
 	})
 	doc.Scenario.Shards = *shards
 	opts := doc.Monitor.AttachOptions()
-
-	cluster, err := flowpulse.New(doc.Scenario)
-	exitOn(err)
-	defer cluster.Close()
-	sc := cluster.Scenario()
-	multi := len(sc.Jobs) > 1
-	monCfg := flowpulse.MonitorConfig{
-		Predictor: opts.Job.Kind, Threshold: opts.Job.Detect.Threshold,
-		Remediate: opts.Remediate, Resilience: opts.Resilience,
-		TracePath: *tracePath, TraceLabel: "flowpulse-sim",
-	}
+	opts.TracePath, opts.TraceLabel = *tracePath, "flowpulse-sim"
 	// -stream turns this run into a live producer: the same .fpt frames
 	// that would land in -trace go down a TCP connection to a
 	// flowpulse-serve instance, which detects server-side and reports
 	// parity back when the stream closes.
 	var producer *serve.Producer
 	if *stream != "" {
-		p, err := serve.DialProducer(*stream, *streamTok, *streamMode, "flowpulse-sim", 5*time.Second)
-		exitOn(err)
-		producer = p
-		monCfg.TracePath = ""
-		monCfg.TraceSink = io.Writer(p)
+		if producer, err = serve.DialProducer(*stream, *streamTok, *streamMode, "flowpulse-sim", 5*time.Second); err != nil {
+			return err
+		}
+		sink := io.Writer(producer)
 		if *tracePath != "" {
 			f, err := os.Create(*tracePath)
-			exitOn(err)
+			if err != nil {
+				return err
+			}
 			defer f.Close()
-			monCfg.TraceSink = io.MultiWriter(f, p)
+			sink = io.MultiWriter(f, producer)
 		}
-	}
-	mon, err := cluster.Monitor(monCfg)
-	exitOn(err)
-	var goodput *flowpulse.GoodputTimeline
-	if opts.Resilience != nil && !multi {
-		goodput = cluster.TrackGoodput()
+		opts.TracePath, opts.Trace = "", trace.NewWriter(sink)
 	}
 
+	rt, sys, err := core.Run(doc.Scenario, opts, func(rt *core.Runtime, sys *core.System, now sim.Time, job uint16, iter uint32) {
+		sc := &rt.Scenario
+		switch {
+		case iter == 0:
+			header(stdout, sc, sys, opts, *shards)
+			return
+		case len(sc.Jobs) > 1:
+			fmt.Fprintf(stdout, "job %d iteration %2d complete at %v\n", job, iter, sim.Duration(now))
+		default:
+			fmt.Fprintf(stdout, "iteration %2d complete at %v\n", iter, sim.Duration(now))
+		}
+		// Run applied the schedule on the first job's clock, just
+		// before this hook.
+		if job != rt.Jobs[0].Spec.Job {
+			return
+		}
+		for _, f := range sc.Faults {
+			if int(iter) == f.Onset {
+				fmt.Fprintf(stdout, "  >> fault injected\n")
+			}
+			if int(iter) == f.Heal {
+				fmt.Fprintf(stdout, "  >> fault healed\n")
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if *tracePath != "" {
+		fmt.Fprintf(stdout, "trace recorded to %s\n", *tracePath)
+	}
+	if producer != nil {
+		st, err := producer.Close()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "streamed to %s: session=%s mode=%s windows=%d events=%d actions=%d fingerprint=%016x parity=%s\n",
+			*stream, st.Session, st.Mode, st.Windows, st.Events, st.Actions, st.Fingerprint, st.Parity)
+	}
+	report(stdout, rt, sys, opts)
+	if *stats {
+		ev, q := rt.EngineStats()
+		pushes := q.LanePushes + q.HeapPushes
+		fmt.Fprintf(stderr, "engine: executed=%d events (%.2f per packet) scheduled=%d lane=%d (%.1f%%) heap=%d peak-pending=%d\n",
+			ev, float64(ev)/float64(rt.Net.Stats().Sent), pushes, q.LanePushes, 100*float64(q.LanePushes)/float64(pushes), q.HeapPushes, q.PeakPending)
+	}
+	return nil
+}
+
+// header describes the run before it trains: the defaulted scenario and
+// the deployed monitor.
+func header(w io.Writer, sc *core.Scenario, sys *core.System, opts core.AttachOptions, shards int) {
 	fabric := fmt.Sprintf("%dx%d fat tree", sc.Leaves, sc.Spines)
 	if sc.Pods > 0 {
 		fabric = fmt.Sprintf("%d-pod Clos of %dx%d pods (%d cores per spine group)", sc.Pods, sc.Leaves, sc.Spines, sc.CoresPerGroup)
 	}
-	fmt.Printf("FlowPulse simulation: %s, %d host(s)/leaf, %s, %g MiB/rank, %d iterations\n",
+	fmt.Fprintf(w, "FlowPulse simulation: %s, %d host(s)/leaf, %s, %g MiB/rank, %d iterations\n",
 		fabric, sc.HostsPerLeaf, sc.Collective, float64(sc.BytesPerRank)/(1<<20), sc.Iterations)
-	if multi {
-		fmt.Printf("jobs: %d concurrent (one shared tap per switch, per-job pipelines)\n", len(sc.Jobs))
+	if len(sc.Jobs) > 1 {
+		fmt.Fprintf(w, "jobs: %d concurrent (one shared tap per switch, per-job pipelines)\n", len(sc.Jobs))
 	}
-	det := mon.System().Jobs()[0].Detector
-	fmt.Printf("predictor=%s threshold=%.2f%% pre-existing=%d\n", mon.PredictorName(), det.Threshold()*100, len(sc.PreExisting))
-	if *shards >= 1 {
-		fmt.Printf("engine: sharded (%d workers, one domain per switch)\n", *shards)
+	job := sys.Jobs()[0]
+	fmt.Fprintf(w, "predictor=%s threshold=%.2f%% pre-existing=%d\n", job.Predictor.Name(), job.Detector.Threshold()*100, len(sc.PreExisting))
+	if shards >= 1 {
+		fmt.Fprintf(w, "engine: sharded (%d workers, one domain per switch)\n", shards)
 	} else {
-		fmt.Println("engine: single-threaded")
+		fmt.Fprintln(w, "engine: single-threaded")
 	}
 	for _, f := range sc.Faults {
-		fmt.Printf("fault: %v\n", f)
+		fmt.Fprintf(w, "fault: %v\n", f)
 	}
 	if len(sc.Faults) == 0 {
-		fmt.Println("fault: none (clean run)")
+		fmt.Fprintln(w, "fault: none (clean run)")
 	}
 	if opts.Remediate != nil {
-		fmt.Println("remediation: enabled (confirm K=3, probe M=3, flap damping)")
+		fmt.Fprintln(w, "remediation: enabled (confirm K=3, probe M=3, flap damping)")
 	}
 	if opts.Resilience != nil {
-		fmt.Println("resilience: enabled (ring re-plan when a quarantine degrades a leaf)")
+		fmt.Fprintln(w, "resilience: enabled (ring re-plan when a quarantine degrades a leaf)")
 	}
 	if d := sc.Divergence; d.Enabled() {
 		posture := "verified (verify-own-writes + reconciliation)"
 		if d.Unverified {
 			posture = "UNVERIFIED (pushes trusted blindly)"
 		}
-		fmt.Printf("control plane: %s; injecting fail-pushes=%d (skip %d) partial-ops=%d stale-flips=%d audit-every=%dµs\n",
-			posture, d.FailPushes, d.FailSkip, d.PartialOps, len(d.Stale), d.AuditEvery/flowpulse.Microsecond)
+		fmt.Fprintf(w, "control plane: %s; injecting fail-pushes=%d (skip %d) partial-ops=%d stale-flips=%d audit-every=%dµs\n",
+			posture, d.FailPushes, d.FailSkip, d.PartialOps, len(d.Stale), d.AuditEvery/sim.Microsecond)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+}
 
-	first := cluster.Runtime().Jobs[0].Spec.Job
-	err = cluster.TrainAll(func(now flowpulse.Duration, job uint16, iter uint32) {
-		if multi {
-			fmt.Printf("job %d iteration %2d complete at %v\n", job, iter, now)
-		} else {
-			fmt.Printf("iteration %2d complete at %v\n", iter, now)
-		}
-		// Train applied the schedule on the first job's clock, just before
-		// this hook.
-		if job != first {
-			return
-		}
-		for _, f := range sc.Faults {
-			if int(iter) == f.Onset {
-				fmt.Printf("  >> fault injected\n")
-			}
-			if int(iter) == f.Heal {
-				fmt.Printf("  >> fault healed\n")
-			}
-		}
-	})
-	exitOn(err)
-	if *tracePath != "" {
-		fmt.Printf("trace recorded to %s\n", *tracePath)
-	}
-	if producer != nil {
-		st, err := producer.Close()
-		exitOn(err)
-		fmt.Printf("streamed to %s: session=%s mode=%s windows=%d events=%d actions=%d fingerprint=%016x parity=%s\n",
-			*stream, st.Session, st.Mode, st.Windows, st.Events, st.Actions, st.Fingerprint, st.Parity)
-	}
-
-	printEvents := func(prefix string, events []flowpulse.Event) {
+// report prints what the finished run found: alerts and per-iteration
+// scores, the remediation timeline, goodput recovery, the control
+// plane's divergence, and the fabric and transport counters.
+func report(w io.Writer, rt *core.Runtime, sys *core.System, opts core.AttachOptions) {
+	sc := &rt.Scenario
+	printEvents := func(prefix string, events []core.Event) {
 		if len(events) == 0 {
-			fmt.Printf("%sno faults detected\n", prefix)
+			fmt.Fprintf(w, "%sno faults detected\n", prefix)
 			return
 		}
-		fmt.Printf("%s%d alert(s):\n", prefix, len(events))
+		fmt.Fprintf(w, "%s%d alert(s):\n", prefix, len(events))
 		for _, e := range events {
-			fmt.Printf("%s  %v\n", prefix, e.Alert)
+			fmt.Fprintf(w, "%s  %v\n", prefix, e.Alert)
 			if e.Alert.Deviation < 0 {
-				fmt.Printf("%s    localization: %v\n", prefix, e.Verdict)
+				fmt.Fprintf(w, "%s    localization: %v\n", prefix, e.Verdict)
 			}
 		}
 	}
@@ -234,90 +244,79 @@ func main() {
 		}
 		sort.Ints(iterKeys)
 		for _, it := range iterKeys {
-			fmt.Printf("%s  iter %2d: %6.3f%%\n", prefix, it, 100*scores[uint32(it)])
+			fmt.Fprintf(w, "%s  iter %2d: %6.3f%%\n", prefix, it, 100*scores[uint32(it)])
 		}
 	}
 
-	fmt.Println()
-	if jms := mon.Jobs(); len(jms) > 0 {
-		for _, jm := range jms {
-			fmt.Printf("job %d:\n", jm.ID())
-			printEvents("  ", jm.Events())
-			fmt.Println("  per-iteration max |deviation| across all leaf ports:")
-			printScores("  ", jm.IterationScores())
+	fmt.Fprintln(w)
+	if len(sc.Jobs) > 0 {
+		for _, j := range sys.Jobs() {
+			fmt.Fprintf(w, "job %d:\n", j.ID)
+			printEvents("  ", j.Pipeline.Events)
+			fmt.Fprintln(w, "  per-iteration max |deviation| across all leaf ports:")
+			printScores("  ", j.Pipeline.IterationScores())
 		}
 	} else {
-		printEvents("", mon.Events())
-		fmt.Println()
-		fmt.Println("per-iteration max |deviation| across all leaf ports:")
-		printScores("", mon.IterationScores())
+		job := sys.Jobs()[0]
+		printEvents("", job.Pipeline.Events)
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "per-iteration max |deviation| across all leaf ports:")
+		printScores("", job.Pipeline.IterationScores())
 	}
 
-	if opts.Remediate != nil {
-		fmt.Println()
-		timeline := mon.RemediationTimeline()
-		if len(timeline) == 0 {
-			fmt.Println("remediation timeline: (no actions)")
+	if r := sys.Remediator(); r != nil {
+		fmt.Fprintln(w)
+		if len(r.Timeline) == 0 {
+			fmt.Fprintln(w, "remediation timeline: (no actions)")
 		} else {
-			fmt.Println("remediation timeline:")
-			for _, a := range timeline {
-				fmt.Printf("  %v\n", a)
+			fmt.Fprintln(w, "remediation timeline:")
+			for _, a := range r.Timeline {
+				fmt.Fprintf(w, "  %v\n", a)
 			}
 		}
-		rs := mon.RemediationStats()
-		fmt.Printf("remediation: confirmations=%d quarantines=%d probe-rounds=%d readmissions=%d suppressed=%d\n",
+		rs := r.Stats()
+		fmt.Fprintf(w, "remediation: confirmations=%d quarantines=%d probe-rounds=%d readmissions=%d suppressed=%d\n",
 			rs.Confirmations, rs.Quarantines, rs.ProbeRounds, rs.Readmissions, rs.SuppressedReadmits)
-		if q := mon.Quarantined(); len(q) > 0 {
-			fmt.Printf("still quarantined: links %v\n", q)
+		if q := r.Quarantined(); len(q) > 0 {
+			fmt.Fprintf(w, "still quarantined: links %v\n", q)
 		}
 	}
 
-	if goodput != nil {
-		rep := goodput.Report(0.9)
-		fmt.Println()
-		fmt.Printf("goodput: baseline=%.3f it/ms during=%.3f it/ms stall=%v\n",
-			rep.Baseline*float64(flowpulse.Millisecond),
-			rep.During*float64(flowpulse.Millisecond),
-			flowpulse.Duration(rep.Stall))
+	if opts.Resilience != nil && len(sc.Jobs) <= 1 {
+		rep := rt.Goodput.Report(0.9)
+		fmt.Fprintln(w)
+		fmt.Fprintf(w, "goodput: baseline=%.3f it/ms during=%.3f it/ms stall=%v\n",
+			rep.Baseline*float64(sim.Millisecond), rep.During*float64(sim.Millisecond), sim.Duration(rep.Stall))
 		switch {
 		case !rep.Faulted:
-			fmt.Println("recovery: n/a (no fault marked)")
+			fmt.Fprintln(w, "recovery: n/a (no fault marked)")
 		case rep.Recovered:
-			fmt.Printf("recovery: %v after the fault (iteration %d, post rate %.3f it/ms)\n",
-				flowpulse.Duration(rep.RecoveryTime), rep.RecoveryIter,
-				rep.Post*float64(flowpulse.Millisecond))
+			fmt.Fprintf(w, "recovery: %v after the fault (iteration %d, post rate %.3f it/ms)\n",
+				sim.Duration(rep.RecoveryTime), rep.RecoveryIter, rep.Post*float64(sim.Millisecond))
 		default:
-			fmt.Println("recovery: NOT RECOVERED (run ended below 90% of baseline)")
+			fmt.Fprintln(w, "recovery: NOT RECOVERED (run ended below 90% of baseline)")
 		}
 	}
 
 	if sc.Divergence.Enabled() {
-		plane := cluster.ControlPlane()
-		ps := plane.Stats()
-		fmt.Println()
-		fmt.Printf("control plane: changesets=%d committed=%d rolled-back=%d retries=%d verify-mismatches=%d pushes-dropped=%d\n",
+		ps := rt.Plane.Stats()
+		fmt.Fprintln(w)
+		fmt.Fprintf(w, "control plane: changesets=%d committed=%d rolled-back=%d retries=%d verify-mismatches=%d pushes-dropped=%d\n",
 			ps.ChangeSets, ps.Committed, ps.RolledBack, ps.Retries, ps.VerifyMismatches, ps.PushesDropped)
-		fmt.Printf("divergence: episodes=%d reconciles=%d audits=%d audit-repairs=%d stale-adopted=%d total-diverged=%v\n",
+		fmt.Fprintf(w, "divergence: episodes=%d reconciles=%d audits=%d audit-repairs=%d stale-adopted=%d total-diverged=%v\n",
 			ps.Divergences, ps.Reconciles, ps.Audits, ps.AuditRepairs, ps.StaleAdopted, ps.TotalDiverged)
-		if d := plane.Divergent(); len(d) > 0 {
-			fmt.Printf("STILL DIVERGENT at end of run: links %v\n", d)
+		if d := rt.Plane.Divergent(); len(d) > 0 {
+			fmt.Fprintf(w, "STILL DIVERGENT at end of run: links %v\n", d)
 		} else {
-			fmt.Println("belief == truth at end of run")
+			fmt.Fprintln(w, "belief == truth at end of run")
 		}
 	}
 
-	fmt.Println()
-	ns := cluster.NetworkStats()
-	ts := cluster.TransportStats()
-	fmt.Printf("network: sent=%d delivered=%d silently-dropped=%d pfc-pauses=%d\n",
+	fmt.Fprintln(w)
+	ns, ts := rt.Net.Stats(), rt.Stack.Stats()
+	fmt.Fprintf(w, "network: sent=%d delivered=%d silently-dropped=%d pfc-pauses=%d\n",
 		ns.Sent, ns.Delivered, ns.FaultDropped, ns.PFCPauses)
-	fmt.Printf("transport: messages=%d retransmits=%d spurious=%d duplicates=%d\n",
+	fmt.Fprintf(w, "transport: messages=%d retransmits=%d spurious=%d duplicates=%d\n",
 		ts.MessagesSent, ts.Retransmits, ts.SpuriousRetransmits, ts.DuplicatesReceived)
-	fmt.Printf("simulated time: %v\n", cluster.Now())
-	if *stats {
-		ev, q := cluster.Runtime().EngineStats()
-		pushes := q.LanePushes + q.HeapPushes
-		fmt.Fprintf(os.Stderr, "engine: executed=%d events (%.2f per packet) scheduled=%d lane=%d (%.1f%%) heap=%d peak-pending=%d\n",
-			ev, float64(ev)/float64(ns.Sent), pushes, q.LanePushes, 100*float64(q.LanePushes)/float64(pushes), q.HeapPushes, q.PeakPending)
-	}
+	fmt.Fprintf(w, "simulated time: %v\n", sim.Duration(rt.Engine.Now()))
 }

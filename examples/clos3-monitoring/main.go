@@ -4,7 +4,7 @@
 // link is invisible to every leaf monitor — only the spine deployment
 // catches it.
 //
-// It is the ordinary Scenario → Attach → Train sequence: Pods and
+// It is the ordinary run, core.Run of a Scenario and a monitor: Pods and
 // CoresPerGroup make the fabric three-level, and every job then gets
 // the same pipeline at both tiers (Job.Pipeline for the leaves,
 // Job.Spine one tier up). Both use the learned load model: the
@@ -30,24 +30,17 @@ func main() {
 		Iterations:    10,
 		Seed:          5,
 	}
-	rt, err := sc.Build()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("fabric: %d pods x %d leaves x %d spines + %d cores, ring over %d hosts\n",
-		sc.Pods, sc.Leaves, sc.Spines, len(rt.Topo.Cores()), len(rt.Group))
-
-	sys, err := rt.Attach(core.AttachOptions{Job: core.JobConfig{
+	opts := core.AttachOptions{Job: core.JobConfig{
 		Kind: core.LearnedModel, Learned: predict.LearnedConfig{Warmup: 3},
-	}})
-	if err != nil {
-		panic(err)
-	}
-
-	// After warm-up, a core→spine link in pod 2 starts dropping 8% of
-	// its packets. No leaf is attached to that link.
-	err = rt.Train(func(_ sim.Time, _ uint16, iter uint32) {
-		if iter == 5 {
+	}}
+	_, sys, err := core.Run(sc, opts, func(rt *core.Runtime, _ *core.System, _ sim.Time, _ uint16, iter uint32) {
+		switch iter {
+		case 0:
+			fmt.Printf("fabric: %d pods x %d leaves x %d spines + %d cores, ring over %d hosts\n",
+				sc.Pods, sc.Leaves, sc.Spines, len(rt.Topo.Cores()), len(rt.Group))
+		case 5:
+			// After warm-up, a core→spine link in pod 2 starts dropping 8%
+			// of its packets. No leaf is attached to that link.
 			link, err := rt.Inject(core.FaultSpec{Kind: core.FaultBernoulli, CoreSpine: true, Pod: 2, SpineInPod: 1, Rate: 0.08})
 			if err != nil {
 				panic(err)

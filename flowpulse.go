@@ -34,14 +34,11 @@ package flowpulse
 import (
 	"io"
 
-	"flowpulse/internal/control"
 	"flowpulse/internal/core"
 	"flowpulse/internal/detect"
 	"flowpulse/internal/fabric"
-	"flowpulse/internal/metrics"
 	"flowpulse/internal/monitor"
 	"flowpulse/internal/remediate"
-	"flowpulse/internal/resilience"
 	"flowpulse/internal/sim"
 	"flowpulse/internal/topology"
 	"flowpulse/internal/trace"
@@ -80,7 +77,6 @@ type Duration = sim.Duration
 
 // Convenient duration units.
 const (
-	Nanosecond  = sim.Nanosecond
 	Microsecond = sim.Microsecond
 	Millisecond = sim.Millisecond
 )
@@ -115,18 +111,6 @@ type RemediationAction = remediate.Action
 // RemediationStats counts remediation activity.
 type RemediationStats = remediate.Stats
 
-// ResilienceConfig tunes the workload re-planner: the goodput fraction
-// below which a quarantined leaf triggers a collective re-plan, and
-// the smallest ring degraded mode may leave. The zero value uses the
-// documented defaults (0.9, 2).
-type ResilienceConfig = resilience.Config
-
-// GoodputTimeline accumulates per-iteration training throughput; arm
-// one with Cluster.TrackGoodput before Train and read its Report
-// afterwards: baseline/during/post rates around a fault, total stall,
-// and time-to-recovery.
-type GoodputTimeline = metrics.GoodputTimeline
-
 // MonitorConfig tunes the FlowPulse deployment on a cluster.
 type MonitorConfig struct {
 	// Predictor selects the load model; defaults to Analytical (the
@@ -141,25 +125,12 @@ type MonitorConfig struct {
 	// re-admission, with flap damping. Use &RemediateConfig{} for the
 	// defaults.
 	Remediate *RemediateConfig
-	// Resilience, when non-nil (requires Remediate), extends the loop
-	// into the workload: a quarantine that degrades a leaf below the
-	// recovery target re-plans the training collective (ring re-rank,
-	// or a degraded-mode ring when the leaf is unreachable) at the next
-	// iteration barrier, and the load model re-baselines against the
-	// new demand matrix. Use &ResilienceConfig{} for the defaults. Not
-	// supported with the Simulation predictor.
-	Resilience *ResilienceConfig
-	// TracePath records the run — every measurement window with the
-	// prediction in effect, every detection, every remediation action,
-	// and the fault schedule — to a .fpt trace file for offline replay
-	// and threshold sweeps with flowpulse-trace. TraceLabel annotates
-	// the trace header.
-	TracePath, TraceLabel string
-	// TraceSink streams the same .fpt recording to an arbitrary writer
-	// instead of a file — e.g. a serve.Producer connected to a
-	// flowpulse-serve instance, turning the live run into a producer.
-	// Mutually exclusive with TracePath (wrap both in an io.MultiWriter
-	// to get a local copy while streaming).
+	// TraceSink, when set, records the run — every measurement window
+	// with the prediction in effect, every detection, every remediation
+	// action, and the fault schedule — as a .fpt stream for offline
+	// replay and threshold sweeps with flowpulse-trace: to a file, or to
+	// a serve.Producer connected to a flowpulse-serve instance, turning
+	// the live run into a producer.
 	TraceSink io.Writer
 }
 
@@ -194,8 +165,7 @@ func (c *Cluster) Monitor(cfg MonitorConfig) (*Monitor, error) {
 			Detect:  detect.Config{Threshold: cfg.Threshold},
 			OnEvent: cfg.OnEvent,
 		},
-		Remediate: cfg.Remediate, Resilience: cfg.Resilience,
-		TracePath: cfg.TracePath, TraceLabel: cfg.TraceLabel,
+		Remediate: cfg.Remediate,
 	}
 	if cfg.TraceSink != nil {
 		opts.Trace = trace.NewWriter(cfg.TraceSink)
@@ -256,11 +226,6 @@ func (c *Cluster) HealLink(l Link) {
 	}
 }
 
-// ControlPlane exposes the cluster's control plane — the believed
-// topology view, the ChangeSet ledger, and the divergence episode
-// metrics — for advanced use.
-func (c *Cluster) ControlPlane() *control.Plane { return c.rt.Plane }
-
 // FlapLink makes a link periodically degrade: for downFor out of every
 // period it silently drops each packet with probability lossRate (both
 // directions), then runs clean for the rest of the cycle — the
@@ -270,24 +235,12 @@ func (c *Cluster) FlapLink(l Link, period, downFor, phase Duration, lossRate flo
 	c.inject(FaultSpec{Kind: FaultFlap, Rate: lossRate, FlapPeriod: period, FlapDown: downFor, FlapPhase: phase}, l)
 }
 
-// TrackGoodput arms the per-iteration goodput timeline on the (first
-// job's) training loop and returns it. Call before Train; mark fault
-// onset on the returned timeline (MarkFault) and read Report after
-// training. Repeated calls return the same timeline.
-func (c *Cluster) TrackGoodput() *GoodputTimeline {
-	if c.rt.Goodput == nil {
-		c.rt.Goodput = &metrics.GoodputTimeline{}
-	}
-	return c.rt.Goodput
-}
-
 // Train runs the scenario's training to completion, arming and healing
 // the faults of Scenario.Faults on the way. onIteration (optional) fires
 // after each iteration of the first job with the simulated time and
 // iteration number — call BreakLink or HealLink from it to script what a
-// schedule cannot phrase. The error is a recording's I/O error
-// (MonitorConfig.TracePath, TraceSink) or a collective the Resilience
-// loop cannot re-plan.
+// schedule cannot phrase. The error is the recording's I/O error
+// (MonitorConfig.TraceSink).
 func (c *Cluster) Train(onIteration func(now Duration, iter uint32)) error {
 	if onIteration == nil {
 		return c.TrainAll(nil)
@@ -457,14 +410,11 @@ func (m *Monitor) Quarantined() []LinkID {
 	return nil
 }
 
-// TraceWriter returns the attached trace writer (nil when neither
-// MonitorConfig.TracePath nor TraceSink was set). Harnesses read the
-// stream fingerprint from it; the injector writes the ground-truth fault
+// TraceWriter returns the attached trace writer (nil when
+// MonitorConfig.TraceSink was not set). Harnesses read the stream
+// fingerprint from it; the injector writes the ground-truth fault
 // records.
 func (m *Monitor) TraceWriter() *trace.Writer { return m.sys.TraceWriter() }
-
-// System exposes the underlying core.System for advanced use.
-func (m *Monitor) System() *core.System { return m.sys }
 
 // JobMonitor is one job's view of a monitor: the results of that job's
 // analysis pipeline on the monitoring plane.

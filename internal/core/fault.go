@@ -324,9 +324,7 @@ func (rt *Runtime) Inject(f FaultSpec) (topology.LinkID, error) {
 			arms = []arm{{fabric.DirBoth, flap(rng("flap/%d", s.link))}}
 		}
 	}
-	if rt.Goodput != nil {
-		rt.Goodput.MarkFault(int64(rt.Engine.Now()))
-	}
+	rt.Goodput.MarkFault(int64(rt.Engine.Now()))
 	for _, a := range arms {
 		rt.Net.InjectFault(s.link, a.dir, a.m)
 	}

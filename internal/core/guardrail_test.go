@@ -20,14 +20,19 @@ type sourceScan struct {
 }
 
 var (
-	// runSequence matches a hand-rolled piece of the run sequence:
-	// attaching a System other than through Runtime.Attach, or starting
-	// and binding jobs one by one. None of these names exists outside a
+	// runSequence matches a hand-rolled piece of the run sequence: a
+	// runtime attached or trained by hand instead of through Run, a
+	// System attached other than through Runtime.Attach, or jobs started
+	// and bound one by one. The last names exist nowhere outside a
 	// Runtime method today; they stay in the pattern so that exporting
 	// one does not quietly reopen the door.
 	runSequence = sourceScan{
-		regexp.MustCompile(`core\.(Must)?Attach\(|\.(StartAllJobs|StartTraining|BindWorkload)\(`),
-		[]string{"internal/core/"}, nil,
+		regexp.MustCompile(`\brt\.(Attach|Train)\(|core\.(Must)?Attach\(|\.(StartAllJobs|StartTraining|BindWorkload)\(`),
+		[]string{"internal/core/"},
+		map[string]int{
+			"flowpulse.go":                 3, // the facade: bench/ times Build, Attach and Train separately
+			"internal/experiments/fig2.go": 1, // a tap-only run: the raw windows are the figure, no System to attach
+		},
 	}
 	// faultInjection matches a silent fault armed or cleared on the fabric
 	// directly, past Runtime.Inject and Runtime.Heal.
@@ -113,16 +118,16 @@ func (sc sourceScan) repo(t *testing.T) []string {
 
 // TestRunSequenceLivesInCore keeps "a monitored run" one thing, at the
 // source level: outside this package no non-test Go file — bench/
-// included — may attach a System past Runtime.Attach or start and bind
-// jobs itself. Runtime.Attach is the one System builder and every rig
-// calls it and Runtime.Train, so the multi-job guard, the reference run,
-// the workload binding, the final flush, the trace writer's error and
-// the release of the workers cannot be forgotten by the next copy. Give
-// AttachOptions or Train's hook what a new rig needs instead of adding a
-// call site.
+// included — may attach or train a runtime itself, attach a System past
+// Runtime.Attach, or start and bind jobs. Every rig calls Run, so the
+// multi-job guard, the reference run, the workload binding, the final
+// flush, the trace writer's error and the release of the workers cannot
+// be forgotten by the next copy. The facade takes the steps one by one
+// because its callers time them. Give AttachOptions or Run's hook what a
+// new rig needs instead of adding a call site.
 func TestRunSequenceLivesInCore(t *testing.T) {
 	if offenders := runSequence.repo(t); len(offenders) > 0 {
-		t.Errorf("run sequence assembled outside internal/core — Runtime.Attach builds the System; call it and Runtime.Train instead:\n  %s",
+		t.Errorf("run sequence assembled outside internal/core — call core.Run instead:\n  %s",
 			strings.Join(offenders, "\n  "))
 	}
 }
@@ -146,8 +151,25 @@ func run(rt *core.Runtime) {
 			t.Errorf("%s is exempt, scan flagged %q", exempt, got)
 		}
 	}
-	if got := runSequence.in("internal/rig/run.go", "sys, err := rt.Attach(core.AttachOptions{})\nerr = rt.Train(nil)\n"); got != nil {
-		t.Errorf("scan flagged the two steps themselves: %q", got)
+	const handRolledRun = `package main
+
+func main() {
+	rt, _ := sc.Build()
+	sys, _ := rt.Attach(core.AttachOptions{})
+	rt.Train(nil)
+}
+`
+	if got := runSequence.in("cmd/flowpulse-rig/main.go", handRolledRun); len(got) != 2 {
+		t.Errorf("scan flagged %d lines of a hand-rolled Build, Attach, Train, want 2: %q", len(got), got)
+	}
+	if got := runSequence.in("internal/experiments/fig2.go", handRolledRun); len(got) != 2 {
+		t.Errorf("an Attach beside fig2's one Train went unflagged: %q", got)
+	}
+	if got := runSequence.in("flowpulse.go", "sys, err := c.rt.Attach(opts)\nreturn c.rt.Train(nil)\n"); got != nil {
+		t.Errorf("scan flagged the facade's steps: %q", got)
+	}
+	if got := runSequence.in("cmd/flowpulse-rig/main.go", "rt, sys, err := core.Run(sc, opts, nil)\n"); got != nil {
+		t.Errorf("scan flagged the run itself: %q", got)
 	}
 }
 

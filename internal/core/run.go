@@ -13,10 +13,37 @@ import (
 	"flowpulse/internal/trace"
 )
 
-// A monitored run is two steps on a built Runtime — Attach, then Train —
-// and every rig (experiments, the simtest fuzzer, the public facade, the
-// examples) takes exactly these two. They are two calls rather than one
-// because rigs time them separately.
+// Run is a monitored run start to finish — Build, Attach, Train — and
+// every rig (experiments, the simtest fuzzer, both commands, the
+// three-level example) calls it. Only the public facade, whose callers
+// time building, deploying and training separately, takes the three
+// steps itself.
+//
+// hook, when set, gets one call with the first job's id and iteration 0
+// after the monitor is attached and before training starts, then one
+// after each completed iteration of each job. The runtime and system it
+// returns have drained, been flushed and been closed: counters,
+// pipelines and timelines are final.
+func Run(sc Scenario, opts AttachOptions, hook func(rt *Runtime, sys *System, now sim.Time, job uint16, iter uint32)) (*Runtime, *System, error) {
+	rt, err := sc.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	sys, err := rt.Attach(opts)
+	if err != nil {
+		rt.Close()
+		return nil, nil, err
+	}
+	var onIter func(now sim.Time, job uint16, iter uint32)
+	if hook != nil {
+		hook(rt, sys, rt.Engine.Now(), rt.Jobs[0].Spec.Job, 0)
+		onIter = func(now sim.Time, job uint16, iter uint32) { hook(rt, sys, now, job, iter) }
+	}
+	if err := rt.Train(onIter); err != nil {
+		return nil, nil, err
+	}
+	return rt, sys, nil
+}
 
 // AttachOptions is what a rig chooses when it deploys the monitor on a
 // built scenario.

@@ -3,11 +3,16 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"os"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"flowpulse/internal/remediate"
 	"flowpulse/internal/resilience"
+	"flowpulse/internal/sim"
 	"flowpulse/internal/trace"
 )
 
@@ -138,5 +143,99 @@ func TestMonitorSpecJSONKeys(t *testing.T) {
 	want := `{"predictor":"analytical","threshold":0.01,"remediate":true,"resilience":true,"ceDiscount":1}`
 	if string(b) != want {
 		t.Errorf("got %s, want %s", b, want)
+	}
+}
+
+// tiny is a 4×2, two-iteration scenario: enough to drive Run.
+func tiny(shards int) Scenario {
+	return Scenario{Leaves: 4, Spines: 2, BytesPerRank: 1 << 20, Iterations: 2, Seed: 1, Shards: shards}
+}
+
+// TestRunReleasesShardWorkers: Run closes its runtime on every path, so
+// a sharded scenario's worker pool is gone when it returns — after a
+// finished run, after an Attach the monitor rejects, and after a Train
+// that fails (resilience over all-to-all, which cannot be re-planned).
+// Workers exit asynchronously once their start channel closes, so the
+// count is polled back down to where it started.
+func TestRunReleasesShardWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if _, _, err := Run(tiny(2), AttachOptions{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Run(tiny(2), AttachOptions{Resilience: &resilience.Config{}}, nil); err == nil {
+		t.Fatal("Attach accepted resilience without remediation")
+	}
+	a2a := tiny(2)
+	a2a.Collective = AllToAllKind
+	if _, _, err := Run(a2a, AttachOptions{Remediate: &remediate.Config{}, Resilience: &resilience.Config{}}, nil); err == nil || !strings.Contains(err.Error(), "re-plannable") {
+		t.Fatalf("resilience over all-to-all: error = %v, want the re-plannable rejection", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the runs, %d before them: shard workers leaked", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// TestRunBindsWorkloadAndTimesIterations: every run binds its jobs to
+// the resilience loop (a no-op without one), the hook's first call comes
+// after Attach and before any iteration, and the first job's iterations
+// are timed on the runtime's goodput timeline.
+func TestRunBindsWorkloadAndTimesIterations(t *testing.T) {
+	var calls []uint32
+	rt, sys, err := Run(tiny(0), AttachOptions{Remediate: &remediate.Config{}, Resilience: &resilience.Config{}},
+		func(_ *Runtime, s *System, now sim.Time, _ uint16, iter uint32) {
+			if len(calls) == 0 && (s == nil || now != 0) {
+				t.Errorf("first hook call: system %v at %v, want the attached system before training", s, now)
+			}
+			calls = append(calls, iter)
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Jobs()[0].Replanner == nil {
+		t.Fatal("the job was not bound to the resilience loop")
+	}
+	if !slices.Equal(calls, []uint32{0, 1, 2}) {
+		t.Errorf("hook saw iterations %v, want [0 1 2]", calls)
+	}
+	if p := rt.Goodput.Points(); len(p) != 2 || p[0].End <= 0 || p[1].End <= p[0].End {
+		t.Fatalf("iteration timeline %v, want two increasing instants", p)
+	}
+}
+
+// TestRunReportsTraceWriteError: a recording that cannot be written
+// fails the run instead of leaving a truncated trace behind a nil error.
+// /dev/full accepts the open and fails every write.
+func TestRunReportsTraceWriteError(t *testing.T) {
+	if f, err := os.OpenFile("/dev/full", os.O_WRONLY, 0); err != nil {
+		t.Skip("no /dev/full here")
+	} else {
+		f.Close()
+	}
+	if _, _, err := Run(tiny(0), AttachOptions{TracePath: "/dev/full"}, nil); err == nil {
+		t.Fatal("run recorded to a full device without an error")
+	}
+}
+
+// TestGoodputIsAlwaysTracked: nothing arms the goodput timeline — a
+// runtime keeps one from Build, and it holds one point per iteration of
+// the first job, on both partitions and beside a second job.
+func TestGoodputIsAlwaysTracked(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		sc := twoJobs(24)
+		sc.Iterations, sc.Shards = 3, shards
+		sc.Jobs[1].Iterations = 5
+		rt, _, err := Run(sc, AttachOptions{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var iters []uint32
+		for _, p := range rt.Goodput.Points() {
+			iters = append(iters, p.Iter)
+		}
+		if !slices.Equal(iters, []uint32{1, 2, 3}) {
+			t.Errorf("shards %d: goodput points for iterations %v, want the first job's [1 2 3]", shards, iters)
+		}
 	}
 }

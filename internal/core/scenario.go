@@ -302,11 +302,10 @@ type Runtime struct {
 	// materialized, or — when that is empty — the one all-hosts job the
 	// scenario-level fields describe (Group and Coll above).
 	Jobs []JobRuntime
-	// Goodput, when set before training starts, receives every
-	// completed iteration of Jobs[0]'s training loop — the raw material
-	// of the goodput/stall/recovery metric family. Call MarkFault on it
-	// at fault onset to split the timeline.
-	Goodput *metrics.GoodputTimeline
+	// Goodput receives every completed iteration of Jobs[0]'s training
+	// loop — the raw material of the goodput/stall/recovery metric
+	// family — and Inject marks the first fault's onset on it.
+	Goodput metrics.GoodputTimeline
 
 	sys     *System      // set by Attach
 	armed   []armedFault // Inject's, until Heal
@@ -573,7 +572,7 @@ func (rt *Runtime) startJobs(onIter func(now sim.Time, job uint16, iter uint32))
 		spec := jr.Spec
 		var goodput *metrics.GoodputTimeline
 		if i == 0 {
-			goodput = rt.Goodput
+			goodput = &rt.Goodput
 		}
 		jobs[i] = workload.StartJob(rt.Stack, workload.JobConfig{
 			Job:              spec.Job,

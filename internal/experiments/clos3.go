@@ -59,15 +59,12 @@ func Clos3(cfg Clos3Config) (*Clos3Result, error) {
 			f.CoreSpine, f.Pod, f.SpineInPod, f.Rate = true, 2%cfg.Pods, 1%cfg.Spines, cfg.DropRate*1.6
 		}
 		sc.Faults = []core.FaultSpec{f}
-		r, err := simulate(runSpec{
-			scenario: sc,
-			attach:   core.AttachOptions{Job: core.JobConfig{Kind: core.LearnedModel, Learned: predict.LearnedConfig{Warmup: 3}}},
-		})
+		_, sys, err := core.Run(sc, core.AttachOptions{Job: core.JobConfig{Kind: core.LearnedModel, Learned: predict.LearnedConfig{Warmup: 3}}}, nil)
 		if err != nil {
 			return c, err
 		}
 
-		job := r.sys.Jobs()[0]
+		job := sys.Jobs()[0]
 		expected, other := job.Pipeline.Events, job.Spine.Pipeline.Events
 		c.DetectionLevel = "leaf"
 		if coreLevel {

@@ -57,8 +57,7 @@ type DivergenceResult struct {
 }
 
 // divergenceRow reduces one finished trial.
-func divergenceRow(scenario, arm string, r simRun) DivergenceRow {
-	rt, sys := r.rt, r.sys
+func divergenceRow(scenario, arm string, rt *core.Runtime, sys *core.System) DivergenceRow {
 	ps := rt.Plane.Stats()
 	rs := sys.Remediator().Stats()
 	return DivergenceRow{
@@ -83,10 +82,10 @@ func Divergence(cfg DivergenceConfig) (*DivergenceResult, error) {
 	// control plane and an optional per-iteration script. The script
 	// sees the attached system so scripted operator actions can refresh
 	// the predictor baseline the way the remediator's own actions do.
-	trial := func(scenario, arm string, sc core.Scenario, script func(r simRun, now sim.Time, iter uint32)) error {
-		r, err := simulate(runSpec{scenario: sc, attach: core.AttachOptions{Remediate: &remediate.Config{}}, onIter: script})
+	trial := func(scenario, arm string, sc core.Scenario, script func(rt *core.Runtime, sys *core.System, now sim.Time, job uint16, iter uint32)) error {
+		rt, sys, err := core.Run(sc, core.AttachOptions{Remediate: &remediate.Config{}}, script)
 		if err == nil {
-			res.Rows = append(res.Rows, divergenceRow(scenario, arm, r))
+			res.Rows = append(res.Rows, divergenceRow(scenario, arm, rt, sys))
 		}
 		return err
 	}
@@ -110,10 +109,12 @@ func Divergence(cfg DivergenceConfig) (*DivergenceResult, error) {
 		sc.Divergence = core.DivergenceSpec{
 			FailSkip: 1, FailPushes: 1, Unverified: arm.unverified,
 		}
-		if err := trial("failed-push readmit", arm.name, sc, after(cfg.CleanIters, func(r simRun, now sim.Time) {
-			r.rt.Plane.Readmit(now, r.rt.Link(target))
-			r.sys.Rebaseline()
-		})); err != nil {
+		if err := trial("failed-push readmit", arm.name, sc, func(rt *core.Runtime, sys *core.System, now sim.Time, _ uint16, iter uint32) {
+			if int(iter) == cfg.CleanIters {
+				rt.Plane.Readmit(now, rt.Link(target))
+				sys.Rebaseline()
+			}
+		}); err != nil {
 			return nil, err
 		}
 
@@ -128,15 +129,15 @@ func Divergence(cfg DivergenceConfig) (*DivergenceResult, error) {
 		// deficit.
 		sc = base
 		sc.Divergence = core.DivergenceSpec{Unverified: arm.unverified}
-		if err := trial("stale LSDB advert", arm.name, sc, func(r simRun, now sim.Time, iter uint32) {
+		if err := trial("stale LSDB advert", arm.name, sc, func(rt *core.Runtime, sys *core.System, now sim.Time, _ uint16, iter uint32) {
 			switch int(iter) {
 			case cfg.CleanIters:
-				r.rt.Plane.Inject(fault.Divergence{
+				rt.Plane.Inject(fault.Divergence{
 					Kind: fault.DivergeStaleLSDB,
-					At:   now, Link: r.rt.Link(target), Up: false,
+					At:   now, Link: rt.Link(target), Up: false,
 				})
 			case cfg.CleanIters + 1:
-				r.sys.Rebaseline()
+				sys.Rebaseline()
 			}
 		}); err != nil {
 			return nil, err

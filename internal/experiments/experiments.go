@@ -1,14 +1,14 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§6, §7). The package is three things: one Grid
 // (the nine values every experiment is described by), one runner
-// (simulate — the only place a scenario is built and a monitor
-// attached), and one table (eval.go: name, paper reference, full-scale
-// defaults, quick-scale overrides, run func, in paper order). Each
-// experiment adds a Config holding the Grid plus what is special to
-// it, a Result with the rows/series the paper reports, and a String
-// renderer the flowpulse-eval CLI prints. DESIGN.md maps each
-// experiment to the paper figure it reproduces; EXPERIMENTS.md records
-// paper-vs-measured outcomes.
+// (core.Run, which builds every scenario and attaches every monitor
+// here but Fig. 2's tap-only run), and one table (eval.go: name, paper
+// reference, full-scale defaults, quick-scale overrides, run func, in
+// paper order). Each experiment adds a Config holding the Grid plus
+// what is special to it, a Result with the rows/series the paper
+// reports, and a String renderer the flowpulse-eval CLI prints.
+// DESIGN.md maps each experiment to the paper figure it reproduces;
+// EXPERIMENTS.md records paper-vs-measured outcomes.
 package experiments
 
 import (
@@ -132,19 +132,19 @@ func (tr Trial) Run() (*TrialResult, error) {
 	}
 	attach := tr.Monitor.AttachOptions()
 	attach.TracePath, attach.TraceLabel = tr.TracePath, tr.TraceLabel
-	r, err := simulate(runSpec{scenario: sc, attach: attach})
+	rt, sys, err := core.Run(sc, attach, nil)
 	if err != nil {
 		return nil, err
 	}
-	faults := r.rt.Scenario.Faults
-	res := &TrialResult{Iterations: r.rt.Jobs[0].Spec.Iterations, Fabric: r.rt.Net.Stats()}
+	faults := rt.Scenario.Faults
+	res := &TrialResult{Iterations: rt.Jobs[0].Spec.Iterations, Fabric: rt.Net.Stats()}
 	if len(faults) > 0 {
 		f := faults[0]
-		res.FaultLink = r.rt.Link(core.LeafSpineLink{LeafOrd: f.Leaf, SpineOrd: f.Spine, Trunk: f.Trunk})
+		res.FaultLink = rt.Link(core.LeafSpineLink{LeafOrd: f.Leaf, SpineOrd: f.Spine, Trunk: f.Trunk})
 	}
-	for i, j := range r.sys.Jobs() {
+	for i, j := range sys.Jobs() {
 		scores := j.Pipeline.IterationScores()
-		for iter := 1; iter <= r.rt.Jobs[i].Spec.Iterations; iter++ {
+		for iter := 1; iter <= rt.Jobs[i].Spec.Iterations; iter++ {
 			res.Samples = append(res.Samples, metrics.Sample{Score: scores[uint32(iter)], Positive: faultActive(faults, iter)})
 		}
 		for _, e := range j.Pipeline.Events {

@@ -57,7 +57,7 @@ func Fig2(cfg Fig2Config) (*Fig2Result, error) {
 		Seed: cfg.Seed,
 	}
 	// No detector here — the raw windows are the result — so Fig2 drives
-	// its own runtime instead of going through simulate.
+	// its own runtime instead of going through core.Run.
 	rt, err := sc.Build()
 	if err != nil {
 		return nil, err

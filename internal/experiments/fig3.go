@@ -53,33 +53,25 @@ func Fig3(cfg Fig3Config) (*Fig3Result, error) {
 		Rate: cfg.DropRate, Heal: cfg.FaultIters,
 	}}
 
-	// Snapshot the baseline in effect at each window check.
+	// Snapshot the baseline in effect at each window check. The window
+	// hook reads the system Run's hook hands over before training.
 	baselines := map[uint32]float64{}
 	var sys *core.System
-	r, err := simulate(runSpec{
-		scenario: sc,
-		attach: core.AttachOptions{Job: core.JobConfig{
-			Kind: core.LearnedModel,
-			OnWindow: func(ws core.WindowScore) {
-				if ws.Window.LeafOrdinal != cfg.Fault.LeafOrd {
-					return
-				}
-				if l := sys.Jobs()[0].Learned(); l.Ready(cfg.Fault.LeafOrd) {
-					baselines[ws.Window.Iter] = l.PortLoad(cfg.Fault.LeafOrd)[cfg.Fault.SpineOrd]
-				}
-			},
-		}},
-		onIter: func(r simRun, _ sim.Time, iter uint32) {
-			switch int(iter) {
-			case 0:
-				sys = r.sys
+	_, sys, err := core.Run(sc, core.AttachOptions{Job: core.JobConfig{
+		Kind: core.LearnedModel,
+		OnWindow: func(ws core.WindowScore) {
+			if ws.Window.LeafOrdinal != cfg.Fault.LeafOrd {
+				return
+			}
+			if l := sys.Jobs()[0].Learned(); l.Ready(cfg.Fault.LeafOrd) {
+				baselines[ws.Window.Iter] = l.PortLoad(cfg.Fault.LeafOrd)[cfg.Fault.SpineOrd]
 			}
 		},
-	})
+	}}, func(_ *core.Runtime, s *core.System, _ sim.Time, _ uint16, _ uint32) { sys = s })
 	if err != nil {
 		return nil, err
 	}
-	job := r.sys.Jobs()[0]
+	job := sys.Jobs()[0]
 
 	res := &Fig3Result{Config: cfg, Series: make([]Fig3Point, 0, sc.Iterations)}
 	rebases := 0

@@ -58,11 +58,11 @@ type ParallelJobsResult struct {
 func parallelRun(name string, sc core.Scenario, rcfg remediate.Config, ref core.LeafSpineLink, cfg ParallelJobsConfig) (ParallelJobsRow, error) {
 	row := ParallelJobsRow{Name: name}
 	sc.Faults = []core.FaultSpec{{Kind: core.FaultBernoulli, Leaf: ref.LeafOrd, Spine: ref.SpineOrd, Rate: cfg.DropRate, Onset: cfg.CleanIters}}
-	run, err := simulate(runSpec{scenario: sc, attach: core.AttachOptions{Remediate: &rcfg}})
+	rt, sys, err := core.Run(sc, core.AttachOptions{Remediate: &rcfg}, nil)
 	if err != nil {
 		return row, err
 	}
-	sys, onsetAt := run.sys, run.iterEnd[cfg.CleanIters]
+	onsetAt := iterEnd(rt, cfg.CleanIters)
 
 	row.AlertsJob1 = len(sys.Jobs()[0].Pipeline.Events)
 	row.AlertsJob2 = len(sys.Jobs()[1].Pipeline.Events)

@@ -59,10 +59,18 @@ type RemediationResult struct {
 	Rows    []RemediationRow
 }
 
+// iterEnd is when the first job of a finished run completed iteration
+// i; iteration 0 ends when training starts, at time 0.
+func iterEnd(rt *core.Runtime, i int) sim.Time {
+	if i == 0 {
+		return 0
+	}
+	return sim.Time(rt.Goodput.Points()[i-1].End)
+}
+
 // summarize reduces one run to a row. onsetAt is when the fault
 // activated.
-func summarize(name string, run simRun, onsetAt sim.Time) RemediationRow {
-	rt, sys := run.rt, run.sys
+func summarize(name string, rt *core.Runtime, sys *core.System, onsetAt sim.Time) RemediationRow {
 	r := sys.Remediator()
 	st := r.Stats()
 	row := RemediationRow{
@@ -115,11 +123,11 @@ func Remediation(cfg RemediationConfig) (*RemediationResult, error) {
 	}
 
 	// Calibrate the clean iteration duration (sizes the flap cycle).
-	cal, err := simulate(runSpec{scenario: scenario(2), attach: core.AttachOptions{Remediate: &remediate.Config{}}})
+	cal, _, err := core.Run(scenario(2), core.AttachOptions{Remediate: &remediate.Config{}}, nil)
 	if err != nil {
 		return nil, err
 	}
-	iterDur := sim.Duration(cal.iterEnd[2] - cal.iterEnd[1])
+	iterDur := sim.Duration(iterEnd(cal, 2) - iterEnd(cal, 1))
 	if iterDur <= 0 {
 		return nil, fmt.Errorf("experiments: iteration calibration failed")
 	}
@@ -127,33 +135,27 @@ func Remediation(cfg RemediationConfig) (*RemediationResult, error) {
 
 	// Persistent fault: quarantined once, probes keep failing, no
 	// re-admission.
-	persist, err := simulate(runSpec{
-		scenario: scenario(cfg.CleanIters+cfg.FaultIters, core.FaultSpec{
-			Kind: core.FaultBernoulli, Leaf: ref.LeafOrd, Spine: ref.SpineOrd, Rate: cfg.DropRate, Onset: cfg.CleanIters,
-		}),
-		attach: core.AttachOptions{Remediate: &remediate.Config{}},
-	})
+	rt, sys, err := core.Run(scenario(cfg.CleanIters+cfg.FaultIters, core.FaultSpec{
+		Kind: core.FaultBernoulli, Leaf: ref.LeafOrd, Spine: ref.SpineOrd, Rate: cfg.DropRate, Onset: cfg.CleanIters,
+	}), core.AttachOptions{Remediate: &remediate.Config{}}, nil)
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = append(res.Rows, summarize(fmt.Sprintf("persistent %s", pct(cfg.DropRate)), persist, persist.iterEnd[cfg.CleanIters]))
+	res.Rows = append(res.Rows, summarize(fmt.Sprintf("persistent %s", pct(cfg.DropRate)), rt, sys, iterEnd(rt, cfg.CleanIters)))
 
 	// Flapping link: degraded half the time, cycle sized in iteration
 	// units so down phases span whole windows. Suppress is tightened so
 	// the second quarantine already pins the link and the run stays
 	// short.
 	onset := sim.Duration(cfg.CleanIters) * iterDur
-	flap, err := simulate(runSpec{
-		scenario: scenario(cfg.FlapIters, core.FaultSpec{
-			Kind: core.FaultFlap, Leaf: ref.LeafOrd, Spine: ref.SpineOrd, Rate: cfg.FlapLoss,
-			FlapPeriod: 6 * iterDur, FlapDown: 3 * iterDur, FlapPhase: onset,
-		}),
-		attach: core.AttachOptions{Remediate: &remediate.Config{Suppress: 1500}},
-	})
+	rt, sys, err = core.Run(scenario(cfg.FlapIters, core.FaultSpec{
+		Kind: core.FaultFlap, Leaf: ref.LeafOrd, Spine: ref.SpineOrd, Rate: cfg.FlapLoss,
+		FlapPeriod: 6 * iterDur, FlapDown: 3 * iterDur, FlapPhase: onset,
+	}), core.AttachOptions{Remediate: &remediate.Config{Suppress: 1500}}, nil)
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = append(res.Rows, summarize(fmt.Sprintf("flapping %s duty 0.50", pct(cfg.FlapLoss)), flap, sim.Time(onset)))
+	res.Rows = append(res.Rows, summarize(fmt.Sprintf("flapping %s duty 0.50", pct(cfg.FlapLoss)), rt, sys, sim.Time(onset)))
 	return res, nil
 }
 

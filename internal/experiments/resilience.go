@@ -90,20 +90,15 @@ func resilienceArm(cfg ResilienceConfig, replan bool) (*ResilienceArm, error) {
 	sc.HostsPerLeaf, sc.InterleaveRing = cfg.HostsPerLeaf, true
 	sc.Iterations = cfg.CleanIters + cfg.FaultIters
 	sc.Faults = []core.FaultSpec{{Kind: core.FaultBernoulli, Leaf: cfg.Leaves / 2, Spine: 0, Rate: cfg.DropRate, Onset: cfg.CleanIters}}
-	spec := runSpec{
-		scenario: sc,
-		attach:   core.AttachOptions{Remediate: &remediate.Config{}},
-		// The injector marks the fault on the timeline.
-		onIter: after(0, func(r simRun, _ sim.Time) { r.rt.Goodput = &metrics.GoodputTimeline{} }),
-	}
+	attach := core.AttachOptions{Remediate: &remediate.Config{}}
 	if replan {
-		spec.attach.Resilience = &resilience.Config{RecoverTarget: cfg.RecoverTarget}
+		attach.Resilience = &resilience.Config{RecoverTarget: cfg.RecoverTarget}
 	}
-	run, err := simulate(spec)
+	// The injector marks the fault on the runtime's goodput timeline.
+	rt, sys, err := core.Run(sc, attach, nil)
 	if err != nil {
 		return nil, err
 	}
-	rt, sys := run.rt, run.sys
 
 	name := "re-plan off"
 	if replan {

@@ -77,7 +77,8 @@ type runData struct {
 	divergent  []topology.LinkID // links where belief or intent != truth
 	adminDown  []topology.LinkID // links admin-down on the fabric (truth)
 	planeStats control.Stats
-	// Resilience runs: the goodput report at the 90% recovery target.
+	// The goodput report at the 90% recovery target (the resilience
+	// oracle reads it).
 	goodput metrics.GoodputReport
 
 	// Three-level Clos: the (single) job's spine-tier events.
@@ -152,26 +153,18 @@ func execute(spec Spec, opts Options) (*runData, error) {
 	if opts.MutateDetect != nil {
 		opts.MutateDetect(&attach.Job.Detect)
 	}
-	rt, err := sc.Build()
-	if err != nil {
-		return nil, err
-	}
-	defer rt.Close()
 	var traceBuf bytes.Buffer
 	// The reference run is as long as the run it predicts.
-	attach.ReferenceIterations = rt.Scenario.Iterations
+	attach.ReferenceIterations = sc.Iterations
 	if !clos3 {
 		attach.Trace, attach.TraceLabel = trace.NewWriter(&traceBuf), label
 	}
-	if spec.Resilience {
-		rt.Goodput = &metrics.GoodputTimeline{}
-	}
-	sys, err := rt.Attach(attach)
+	rt, sys, err := core.Run(sc, attach, nil)
 	if err != nil {
 		return nil, err
 	}
 
-	data := &runData{}
+	data := &runData{itersDone: len(rt.Goodput.Points())}
 	if f := spec.fault(); f != nil && !clos3 {
 		spine := rt.Topo.Spines()[f.Spine]
 		data.blamedGroup = rt.Topo.TrunkLinks(rt.Topo.Leaves()[f.Leaf], spine)
@@ -185,15 +178,6 @@ func execute(spec Spec, opts Options) (*runData, error) {
 			succ := rt.Topo.Leaves()[(f.Leaf+1)%sc.Leaves]
 			data.blamedGroup = append(data.blamedGroup, rt.Topo.TrunkLinks(succ, spine)...)
 		}
-	}
-	first := rt.Jobs[0].Spec.Job
-	err = rt.Train(func(_ sim.Time, job uint16, _ uint32) {
-		if job == first {
-			data.itersDone++
-		}
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	for _, j := range sys.Jobs() {
@@ -211,9 +195,7 @@ func execute(spec Spec, opts Options) (*runData, error) {
 		data.timeline = rem.Timeline
 		data.quarantined = rem.Quarantined()
 	}
-	if rt.Goodput != nil {
-		data.goodput = rt.Goodput.Report(0.9)
-	}
+	data.goodput = rt.Goodput.Report(0.9)
 	data.fingerprint = fingerprint(rt, sys)
 	if sc.Divergence.Enabled() {
 		data.divergent = rt.Plane.Divergent()

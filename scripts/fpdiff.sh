@@ -17,9 +17,10 @@
 # read it), minus the wall-clock "completed in" lines — the same proof
 # for the experiment drivers, which flowpulse-check does not run.
 #
-# Facade leg: build flowpulse-sim and every examples/* main at both and
-# compare their whole stdout — the public flowpulse.New → Monitor →
-# Train path, which neither flowpulse-check nor flowpulse-eval drives.
+# Stdout leg: build flowpulse-sim and every examples/* main at both and
+# compare their whole stdout — flowpulse-sim's report of a core.Run, and
+# the examples, the callers of the public flowpulse.New → Monitor →
+# Train facade, which neither flowpulse-check nor flowpulse-eval drives.
 # flowpulse-sim runs its built-in scenario and every committed scenario
 # file in the working tree's cmd/flowpulse-sim/testdata (clean, closed
 # loop, simulation and learned predictors, two jobs, resilience, flaps,
