@@ -1,12 +1,12 @@
 // Command flowpulse-serve runs FlowPulse detection as a standalone
 // streaming service: producers (flowpulse-sim -stream, flowpulse-trace
 // cat -stream, or anything speaking the one-line FPS1 preamble + raw
-// .fpt bytes) connect over TCP or HTTP chunked POST, their frames are
-// demuxed onto a sharded allocation-free ingestion path, and the
-// detect → localize stack runs server-side per job. Results surface
+// .fpt bytes) connect over TCP or HTTP chunked POST, each session
+// decodes its frames on a goroutine of its own, allocation-free per
+// window, and the detect → localize stack runs server-side per job. Results surface
 // operationally:
 //
-//	GET  /metrics   Prometheus text (windows/sec, shard depth, deviation, alerts)
+//	GET  /metrics   Prometheus text (windows/sec, deviation, alerts)
 //	GET  /alerts    streaming NDJSON alert feed
 //	GET  /healthz   200 while serving, 503 once draining
 //	POST /ingest    HTTP producer endpoint (?mode=&label=)
@@ -17,11 +17,10 @@
 //	flowpulse-serve -listen :7000 -http :7001 -token hunter2
 //	flowpulse-serve -rule 'min_dev=0.05,sink=log' \
 //	                -rule 'job=2,sink=file,path=/var/log/fp-job2.ndjson'
-//	flowpulse-serve -shards 8 -ring 512
 //
 // SIGTERM/SIGINT triggers a graceful drain: listeners close, in-flight
-// sessions get -drain-timeout to finish, every queued record is
-// flushed, and each session's parity verdict is logged.
+// sessions get -drain-timeout to finish, and each session's parity
+// verdict is logged.
 package main
 
 import (
@@ -67,8 +66,6 @@ func main() {
 		listen   = flag.String("listen", ":9465", "TCP raw-stream listener address (empty: disabled)")
 		httpAddr = flag.String("http", ":9466", "HTTP listener address for /metrics, /alerts, /healthz, /ingest (empty: disabled)")
 		token    = flag.String("token", "", "require this producer token (TCP preamble token=, HTTP bearer)")
-		shards   = flag.Int("shards", 4, "ingestion shard goroutines")
-		ring     = flag.Int("ring", 256, "per-session SPSC ring capacity (full ring stalls its producer)")
 		drainTO  = flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight sessions on shutdown")
 	)
 	flag.Var(&rules, "rule", "alert routing rule, k=v CSV (min_dev=, job=, kind=, actions=, sink=stream|log|file, path=, name=); repeatable")
@@ -76,11 +73,9 @@ func main() {
 
 	logger := log.New(os.Stderr, "", log.LstdFlags|log.Lmicroseconds)
 	srv, err := serve.New(serve.Config{
-		Token:    *token,
-		Shards:   *shards,
-		RingSize: *ring,
-		Rules:    rules,
-		Logf:     logger.Printf,
+		Token: *token,
+		Rules: rules,
+		Logf:  logger.Printf,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

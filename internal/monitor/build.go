@@ -9,9 +9,9 @@ import (
 
 // Spec is everything one job's detect → localize (→ remediate)
 // pipeline for one switch tier is assembled from. Where its windows
-// come from — a switch tap, a decoded .fpt record, a serve ring slot —
-// is the caller's business and the only thing that differs between the
-// live system, offline replay and flowpulse-serve.
+// come from — a switch tap or a decoded .fpt record — is the caller's
+// business and the only thing that differs between the live system,
+// offline replay and flowpulse-serve.
 type Spec struct {
 	Topo *topology.Topology
 	// Pred is the job's load model. A model that also learns from

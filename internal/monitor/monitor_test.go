@@ -131,7 +131,7 @@ func TestPipelineIterationScores(t *testing.T) {
 }
 
 // feedReused drives n windows through onWindow the way trace.Replay's
-// reused slot and flowpulse-serve's ring slots do: one caller window
+// and flowpulse-serve's reused slots do: one caller window
 // whose slices are refilled before each call and scribbled over after
 // it. Row lengths vary (a 300-port window forces an early slab
 // replacement, every third window has no aggregate row) and n crosses

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"flowpulse/internal/sim"
@@ -73,11 +72,9 @@ func encodeStream(tb testing.TB, shared bool, nWindows int, edit func(i int, win
 }
 
 // TestServeIngestAllocFree is the acceptance gate for the hot path:
-// past session setup (handshake, header, ring-slot and XOR-cache
+// past session setup (handshake, header, window-storage and XOR-cache
 // warm-up — identical for both stream lengths, so it cancels in the
 // difference), ingesting one window allocates NOTHING, in both modes.
-// RingSize is kept small so every ring slot's grow-only storage
-// reaches steady state within the short stream.
 func TestServeIngestAllocFree(t *testing.T) {
 	const (
 		base  = 64
@@ -87,7 +84,7 @@ func TestServeIngestAllocFree(t *testing.T) {
 	big := buildCleanStream(t, base+extra)
 	for _, mode := range []string{ModeSeq, ModeFanout} {
 		t.Run(mode, func(t *testing.T) {
-			srv, err := New(Config{Shards: 2, RingSize: 8})
+			srv, err := New(Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,12 +109,12 @@ func TestServeIngestAllocFree(t *testing.T) {
 }
 
 // BenchmarkServeIngest measures end-to-end ingestion throughput of the
-// sharded path: decode, ring hop, detect, score. Reported windows/s is
+// session path: decode, detect, score. Reported windows/s is
 // the EXPERIMENTS.md "ingestion throughput" number.
 func BenchmarkServeIngest(b *testing.B) {
 	for _, mode := range []string{ModeSeq, ModeFanout} {
 		b.Run(mode, func(b *testing.B) {
-			srv, err := New(Config{Shards: 4})
+			srv, err := New(Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -134,57 +131,6 @@ func BenchmarkServeIngest(b *testing.B) {
 				b.Fatalf("ingested %d windows, want %d", st.Windows, b.N)
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "windows/s")
-		})
-	}
-}
-
-// BenchmarkRingHop is the ring hop alone, one op per record: a
-// producer pushes b.N records through one 256-slot ring and publishes
-// every batch of them (and before waiting on a full ring, as a session
-// does); a consumer goroutine takes each published batch, reads every
-// record and releases the batch. batch=1 is the per-record hand-off,
-// batch=32 a socket read's worth of small windows.
-func BenchmarkRingHop(b *testing.B) {
-	for _, batch := range []int{1, 32} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			r := newRing(256)
-			n := uint64(b.N)
-			var sum uint64
-			done := make(chan struct{})
-			b.ReportAllocs()
-			b.ResetTimer()
-			go func() {
-				defer close(done)
-				for got := uint64(0); got < n; {
-					h, t := r.batch()
-					if h == t {
-						runtime.Gosched()
-						continue
-					}
-					for i := h; i != t; i++ {
-						sum += uint64(r.at(i).win.Iter)
-					}
-					got += t - h
-					r.release(t)
-				}
-			}()
-			for i := 0; i < b.N; i++ {
-				if r.full() {
-					r.publish()
-				}
-				r.reserve().win.Iter = uint32(i)
-				r.push()
-				if (i+1)%batch == 0 {
-					r.publish()
-				}
-			}
-			r.publish()
-			<-done
-			b.StopTimer()
-			if want := n * (n - 1) / 2; sum != want {
-				b.Fatalf("consumer read sum %d, want %d", sum, want)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/record")
 		})
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -21,9 +22,27 @@ type metrics struct {
 	authFailures   atomic.Int64
 }
 
+// jobScores is one job's latest detector score per leaf, written by
+// its session and read by /metrics scrapes.
+type jobScores struct {
+	job    uint16
+	scored atomic.Bool     // set once any of the job's windows scored
+	leaf   []atomic.Uint64 // math.Float64bits of each leaf's latest score
+}
+
+// deviation is the job's gauge value: the largest of its leaves'
+// latest scores.
+func (js *jobScores) deviation() float64 {
+	d := 0.0
+	for i := range js.leaf {
+		d = max(d, math.Float64frombits(js.leaf[i].Load()))
+	}
+	return d
+}
+
 // writeMetrics renders the Prometheus text exposition: totals, a
-// windows/sec rate, per-shard queue depth, and per-(session, job)
-// deviation gauges: the largest of the job's leaves' latest scores.
+// windows/sec rate, and per-(session, job) deviation gauges: the
+// largest of the job's leaves' latest scores.
 func (s *Server) writeMetrics(w io.Writer) {
 	now := time.Now()
 	s.rateMu.Lock()
@@ -47,10 +66,9 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE flowpulse_auth_failures_total counter\nflowpulse_auth_failures_total %d\n", s.met.authFailures.Load())
 	fmt.Fprintf(w, "# TYPE flowpulse_windows_per_second gauge\nflowpulse_windows_per_second %g\n", rate)
 
-	// Shard depth and deviation gauges walk the live sessions; scrapes
-	// are rare, so the registry lock here is off the hot path, and each
-	// bucket reads lock-free once published.
-	depth := make([]int, len(s.shards))
+	// Deviation gauges walk the live sessions; scrapes are rare, so the
+	// registry lock here is off the hot path, and each session's gauge
+	// inputs read lock-free once published.
 	type devKey struct {
 		label string
 		job   uint16
@@ -63,21 +81,16 @@ func (s *Server) writeMetrics(w io.Writer) {
 	}
 	s.mu.Unlock()
 	for _, sess := range sessions {
-		b := sess.bucket.Load()
-		if b == nil {
+		dev := sess.dev.Load()
+		if dev == nil {
 			continue
 		}
-		depth[b.shard.id] += b.ring.depth()
-		for i := range b.dev {
-			if js := &b.dev[i]; js.scored.Load() {
+		for i := range *dev {
+			if js := &(*dev)[i]; js.scored.Load() {
 				k := devKey{sess.label, js.job}
 				devs[k] = max(devs[k], js.deviation())
 			}
 		}
-	}
-	fmt.Fprintf(w, "# TYPE flowpulse_shard_depth gauge\n")
-	for i, d := range depth {
-		fmt.Fprintf(w, "flowpulse_shard_depth{shard=\"%d\"} %d\n", i, d)
 	}
 	keys := make([]devKey, 0, len(devs))
 	for k := range devs {

@@ -180,9 +180,9 @@ func (f jsonFloat) MarshalJSON() ([]byte, error) {
 	return json.Marshal(float64(f))
 }
 
-// dispatch routes one detection. Runs on the shard goroutine; the
-// event may reference ring-slot storage, so the line is fully
-// serialized here and only the copy travels.
+// dispatch routes one detection. Runs on the session goroutine; the
+// event may reference the session's window storage, so the line is
+// fully serialized here and only the copy travels.
 func (rs *ruleSet) dispatch(h *hub, session string, e *monitor.Event) {
 	al := alertLine{
 		Type:      "alert",

@@ -2,17 +2,18 @@
 // long-running, stdlib-only service that ingests streamed .fpt frames
 // from many concurrent producers (simulators, recorded traces, and —
 // eventually — real fabric taps), runs the per-job detect → localize
-// stack server-side on a sharded allocation-free path, and exposes the
+// stack server-side on an allocation-free path, and exposes the
 // results operationally: Prometheus-text metrics, a streaming NDJSON
 // alert feed, and a rule engine routing alerts to sinks.
 //
-// The ingestion path is the same code that runs offline: frames
-// decode with the internal/trace follow Reader straight into
-// ring-slot-owned storage, each session's shard feeds them to its
-// trace.Replayer, and alerts fold into the same FNV-64a fingerprints
-// the trace trailer pins — which is what makes the service verifiable:
-// alerts raised on a streamed recording are fingerprint-identical to
-// an offline replay of the same file.
+// The ingestion path is the same code that runs offline: each session
+// runs on one goroutine, which decodes a frame with the internal/trace
+// follow Reader into the session's one window record and feeds it to
+// the session's trace.Replayer before it reads the next. Alerts fold
+// into the same FNV-64a fingerprints the trace trailer pins — which is
+// what makes the service verifiable: alerts raised on a streamed
+// recording are fingerprint-identical to an offline replay of the same
+// file.
 package serve
 
 import (
@@ -21,9 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"flowpulse/internal/monitor"
-	"flowpulse/internal/remediate"
 )
 
 // Config tunes a Server. The zero value works.
@@ -31,11 +29,9 @@ type Config struct {
 	// Token, when non-empty, must be presented by every producer (TCP
 	// preamble token=, HTTP Authorization: Bearer or X-FlowPulse-Token).
 	Token string
-	// Shards is the number of ingestion goroutines (0: 4).
+	// Shards is ignored: every session decodes and detects on its own
+	// goroutine. It is kept for callers that still set it.
 	Shards int
-	// RingSize is each session's SPSC ring capacity in records (0: 256).
-	// A full ring stalls its producer — backpressure, not drops.
-	RingSize int
 	// Rules route alerts to sinks. Empty: one catch-all rule feeding
 	// the /alerts stream.
 	Rules []Rule
@@ -43,26 +39,9 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// shardQueue bounds each shard's bucket work queue.
-const shardQueue = 1024
-
-func (c *Config) defaults() {
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = 256
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
-}
-
 // Server is one flowpulse-serve instance.
 type Server struct {
-	cfg    Config
-	shards []*shard
-	wg     sync.WaitGroup // shard goroutines
+	cfg Config
 
 	mu        sync.Mutex
 	sessions  map[uint64]*session
@@ -82,28 +61,23 @@ type Server struct {
 	rateWins int64
 }
 
-// New builds and starts a Server's shard pool. Callers then attach
-// listeners (ServeTCP / HTTPHandler) or feed streams directly
-// (IngestStream), and finish with Drain.
+// New builds a Server. Callers then attach listeners (ServeTCP /
+// HTTPHandler) or feed streams directly (IngestStream), and finish
+// with Drain.
 func New(cfg Config) (*Server, error) {
-	cfg.defaults()
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
 	rules, err := compileRules(cfg.Rules, cfg.Logf)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
+	return &Server{
 		cfg:      cfg,
 		sessions: map[uint64]*session{},
 		hub:      newHub(),
 		rules:    rules,
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		sh := newShard(i, shardQueue)
-		s.shards = append(s.shards, sh)
-		s.wg.Add(1)
-		go sh.run(&s.wg)
-	}
-	return s, nil
+	}, nil
 }
 
 // ServeTCP accepts raw-stream producers on l until the listener closes
@@ -151,11 +125,9 @@ func (s *Server) unregister(sess *session) {
 }
 
 // Drain stops the service gracefully: close listeners (no new
-// streams), wait up to timeout for in-flight sessions to finish, then
-// stop the shard pool — flushing every queued record — and report each
-// finished session's trailer fingerprints through Logf. It returns
-// false if sessions were still running at the deadline (their
-// producers were cut off mid-stream).
+// streams) and wait up to timeout for in-flight sessions to finish.
+// It returns false if sessions were still running at the deadline
+// (their producers were cut off mid-stream).
 func (s *Server) Drain(timeout time.Duration) bool {
 	s.mu.Lock()
 	s.draining = true
@@ -182,31 +154,9 @@ func (s *Server) Drain(timeout time.Duration) bool {
 		<-done
 	}
 
-	for _, sh := range s.shards {
-		sh.stop()
-	}
-	s.wg.Wait()
 	s.hub.close()
 	s.rules.close()
 	s.cfg.Logf("serve: drained (clean=%v, sessions=%d, windows=%d, alerts=%d)",
 		clean, s.met.sessionsTotal.Load(), s.met.windowsTotal.Load(), s.met.alertsTotal.Load())
 	return clean
-}
-
-// publishEvent fans one server-side detection out: counters, rule
-// sinks, alert stream. It runs synchronously on the shard goroutine —
-// the verdict may reference ring-slot storage, so everything
-// serializes before returning.
-func (s *Server) publishEvent(sess *session, e *monitor.Event) {
-	s.met.alertsTotal.Add(1)
-	sess.events.Add(1)
-	s.rules.dispatch(s.hub, sess.label, e)
-}
-
-// publishAction mirrors publishEvent for replayed remediation actions
-// (sequential sessions only).
-func (s *Server) publishAction(sess *session, a *remediate.Action) {
-	s.met.actionsTotal.Add(1)
-	sess.actions.Add(1)
-	s.rules.dispatchAction(s.hub, sess.label, a)
 }

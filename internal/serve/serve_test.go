@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strconv"
@@ -85,7 +86,7 @@ func TestSequentialParity(t *testing.T) {
 		t.Fatal("recording produced no events; fixture too tame for a parity test")
 	}
 
-	srv := newTestServer(t, Config{Shards: 3})
+	srv := newTestServer(t, Config{})
 	defer srv.Drain(5 * time.Second)
 	st, err := srv.IngestStream(bytes.NewReader(raw), ModeSeq, "parity")
 	if err != nil {
@@ -128,7 +129,7 @@ func recordFile(t *testing.T, name string) []byte {
 // TestFanoutBucketParity: over every run file, in both modes, the
 // service sees the windows and raises the events offline replay does.
 // The sequential path reproduces the global fingerprint (parity=exact);
-// the sharded fan-out path preserves only per-(job, leaf) order, so its
+// the fan-out fingerprint keeps only per-(job, leaf) order, so its
 // combined fingerprint must equal offline replay's order-insensitive
 // BucketFingerprint (parity=bucket).
 func TestFanoutBucketParity(t *testing.T) {
@@ -146,7 +147,7 @@ func TestFanoutBucketParity(t *testing.T) {
 			fp           uint64
 		}{{ModeSeq, "exact", rr.Fingerprint}, {ModeFanout, "bucket", rr.BucketFingerprint}} {
 			t.Run(name+"/"+tc.mode, func(t *testing.T) {
-				srv := newTestServer(t, Config{Shards: 4})
+				srv := newTestServer(t, Config{})
 				defer srv.Drain(5 * time.Second)
 				st, err := srv.IngestStream(bytes.NewReader(raw), tc.mode, name)
 				if err != nil {
@@ -167,7 +168,7 @@ func TestFanoutBucketParity(t *testing.T) {
 }
 
 // scrapeLive streams raw into a new session of srv through a pipe it
-// holds open, waits until the shards have processed every one of the
+// holds open, waits until the session has fed every one of the
 // recording's windows, and returns /metrics as it reads then, while the
 // session is still live; then it ends the stream.
 func scrapeLive(t *testing.T, srv *Server, raw []byte, windows int, mode, label string) string {
@@ -184,17 +185,8 @@ func scrapeLive(t *testing.T, srv *Server, raw []byte, windows int, mode, label 
 	}
 	for deadline := time.Now().Add(5 * time.Second); srv.met.windowsTotal.Load() < int64(windows); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d windows published", srv.met.windowsTotal.Load(), windows)
+			t.Fatalf("%d of %d windows fed", srv.met.windowsTotal.Load(), windows)
 		}
-	}
-	srv.mu.Lock()
-	var sessions []*session
-	for _, sess := range srv.sessions {
-		sessions = append(sessions, sess)
-	}
-	srv.mu.Unlock()
-	for _, sess := range sessions {
-		sess.quiesce()
 	}
 	var buf bytes.Buffer
 	srv.writeMetrics(&buf)
@@ -217,7 +209,7 @@ func TestDeviationGauge(t *testing.T) {
 	}
 	series := map[string][]string{}
 	for _, mode := range []string{ModeFanout, ModeSeq} {
-		srv := newTestServer(t, Config{Shards: 2})
+		srv := newTestServer(t, Config{})
 		text := scrapeLive(t, srv, raw, rr.Windows, mode, "gauge")
 		srv.Drain(5 * time.Second)
 		for _, line := range strings.Split(text, "\n") {
@@ -242,11 +234,10 @@ func TestDeviationGauge(t *testing.T) {
 }
 
 // TestMetricsScrapeDuringIngest: a /metrics scrape walks the live
-// sessions while producers publish and feed their buckets. Run under
-// -race.
+// sessions while they feed their replayers. Run under -race.
 func TestMetricsScrapeDuringIngest(t *testing.T) {
 	raw := buildCleanStream(t, 64)
-	srv := newTestServer(t, Config{Shards: 4, Logf: func(string, ...any) {}})
+	srv := newTestServer(t, Config{Logf: func(string, ...any) {}})
 	defer srv.Drain(5 * time.Second)
 	stop, stopped := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -319,7 +310,7 @@ func TestTCPMultiProducer(t *testing.T) {
 		}
 	}
 
-	srv := newTestServer(t, Config{Token: "hunter2", Shards: 4, RingSize: 32})
+	srv := newTestServer(t, Config{Token: "hunter2"})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -368,8 +359,8 @@ func TestTCPMultiProducer(t *testing.T) {
 			t.Errorf("producer %d: %v", i, err)
 		}
 	}
-	// The service counters are added once per batch: every session's
-	// batches must still sum to what the sessions acknowledged.
+	// The service counters are added once per source read: every
+	// session's adds must still sum to what the sessions acknowledged.
 	var sum int64
 	for _, w := range windows {
 		sum += w
@@ -382,8 +373,8 @@ func TestTCPMultiProducer(t *testing.T) {
 // TestNothingWaitsBehindARead: a producer that has sent k whole frames
 // and then goes quiet — connection open, no trailer — must already
 // have all k windows counted and its alert on the /alerts hub. A
-// session that published only when a ring filled (or at the end of the
-// stream) would hold them while it blocks in the next read.
+// session that counted only at the end of the stream would hold them
+// while it blocks in the next read.
 func TestNothingWaitsBehindARead(t *testing.T) {
 	const k, deviant = 24, 17
 	raw := buildStream(t, k, deviant)
@@ -399,7 +390,7 @@ func TestNothingWaitsBehindARead(t *testing.T) {
 	raw = raw[:off]
 	for _, mode := range []string{ModeSeq, ModeFanout} {
 		t.Run(mode, func(t *testing.T) {
-			srv := newTestServer(t, Config{Shards: 2})
+			srv := newTestServer(t, Config{})
 			defer srv.Drain(5 * time.Second)
 			alerts, cancel := srv.hub.subscribe(16)
 			defer cancel()
@@ -432,6 +423,58 @@ func TestNothingWaitsBehindARead(t *testing.T) {
 				t.Fatalf("IngestStream: %v", err)
 			}
 		})
+	}
+}
+
+// TestSlowSinkStallsOnlyItsSession: a sink that blocks on one
+// session's alert holds that session, and only that one. A second
+// session streaming a clean recording, which raises no alert and so
+// never reaches the sink, must still finish.
+func TestSlowSinkStallsOnlyItsSession(t *testing.T) {
+	slow, fast := buildStream(t, 24, 17), buildCleanStream(t, 64)
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	srv := newTestServer(t, Config{
+		Rules: []Rule{{Name: "slow-sink", Sink: "log"}},
+		Logf: func(format string, args ...any) {
+			if strings.Contains(fmt.Sprintf(format, args...), `"session":"slow"`) {
+				once.Do(func() { close(held) })
+				<-release
+			}
+		},
+	})
+	defer srv.Drain(5 * time.Second)
+	slowDone := make(chan error, 1)
+	go func() {
+		_, err := srv.IngestStream(bytes.NewReader(slow), ModeSeq, "slow")
+		slowDone <- err
+	}()
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("the slow session's alert never reached its sink")
+	}
+	fastDone := make(chan *SessionStatus, 1)
+	go func() {
+		st, _ := srv.IngestStream(bytes.NewReader(fast), ModeSeq, "fast")
+		fastDone <- st
+	}()
+	var st *SessionStatus
+	select {
+	case st = <-fastDone:
+	case <-time.After(2 * time.Second):
+		t.Error("a clean session stalled behind another session's sink")
+	}
+	close(release)
+	if st == nil {
+		st = <-fastDone
+	}
+	if st == nil || st.Windows != 64 || st.Parity != "exact" || st.Error != "" {
+		t.Errorf("fast session status %+v, want 64 windows at parity=exact", st)
+	}
+	if err := <-slowDone; err != nil {
+		t.Fatalf("slow session: %v", err)
 	}
 }
 
@@ -539,8 +582,7 @@ func TestHTTPSurface(t *testing.T) {
 	metricsText := mbuf.String()
 	for _, want := range []string{
 		"flowpulse_windows_total", "flowpulse_alerts_total",
-		"flowpulse_sessions_total 1", "flowpulse_shard_depth{shard=\"0\"}",
-		"flowpulse_windows_per_second",
+		"flowpulse_sessions_total 1", "flowpulse_windows_per_second",
 	} {
 		if !strings.Contains(metricsText, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metricsText)
@@ -650,13 +692,12 @@ func TestTornStreamReported(t *testing.T) {
 
 // TestEmptySessionAllocatesNoRing: a session that carries only a header
 // and a trailer, as a set-up probe does, reports what an empty replay
-// gives and never allocates its ring's slots — the trailer, the one
-// record it sent, stays with the session.
+// gives and never grows its window storage.
 func TestEmptySessionAllocatesNoRing(t *testing.T) {
 	raw := buildCleanStream(t, 0)
 	for _, tc := range []struct{ mode, parity string }{{ModeSeq, "exact"}, {ModeFanout, "bucket"}} {
 		t.Run(tc.mode, func(t *testing.T) {
-			srv := newTestServer(t, Config{Shards: 2})
+			srv := newTestServer(t, Config{})
 			defer srv.Drain(5 * time.Second)
 			pr, pw := io.Pipe()
 			done := make(chan *SessionStatus, 1)
@@ -677,10 +718,10 @@ func TestEmptySessionAllocatesNoRing(t *testing.T) {
 			}
 			srv.mu.Lock()
 			for _, sess := range srv.sessions {
-				if b := sess.bucket.Load(); b == nil {
-					t.Error("no bucket after the header")
-				} else if b.ring.slots != nil {
-					t.Errorf("ring holds %d slots with no record through it", len(b.ring.slots))
+				if sess.rp == nil {
+					t.Error("no replayer after the header")
+				} else if !reflect.ValueOf(sess.win).IsZero() {
+					t.Errorf("window storage grown with no window through it: %+v", sess.win)
 				}
 			}
 			srv.mu.Unlock()
@@ -713,7 +754,7 @@ func TestBadWindowPoisonsSession(t *testing.T) {
 		})
 		for _, mode := range []string{ModeSeq, ModeFanout} {
 			t.Run(tc.name+"/"+mode, func(t *testing.T) {
-				srv := newTestServer(t, Config{Shards: 2, RingSize: 4})
+				srv := newTestServer(t, Config{})
 				defer srv.Drain(5 * time.Second)
 				st, err := srv.IngestStream(bytes.NewReader(raw), mode, "bad-"+tc.name)
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -833,7 +874,7 @@ func TestDrainAbortsStalledProducer(t *testing.T) {
 	base := runtime.NumGoroutine()
 	var mu sync.Mutex
 	var logged []string
-	srv := newTestServer(t, Config{Shards: 2, Logf: func(format string, args ...any) {
+	srv := newTestServer(t, Config{Logf: func(format string, args ...any) {
 		mu.Lock()
 		logged = append(logged, fmt.Sprintf(format, args...))
 		mu.Unlock()

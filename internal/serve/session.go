@@ -5,24 +5,25 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strings"
-	"sync"
 	"sync/atomic"
 
+	"flowpulse/internal/monitor"
+	"flowpulse/internal/remediate"
 	"flowpulse/internal/trace"
 )
 
 // Stream modes: what a session's status reports. Either way the
-// session feeds every record but the trailer, in stream order, to one
-// trace.Replayer, which re-derives both fingerprints. Sequential
-// reports the global alert/action fingerprint, bit-identical to
-// offline replay and to the trailer. Fanout reports the per-(job,
-// leaf) BucketFingerprint: the order-insensitive sum a consumer that
-// keeps only each (job, leaf) substream's order would produce, which
-// offline replay exposes too. Remediated recordings force sequential:
-// their fingerprint folds in the probe loop's actions, which no
-// per-(job, leaf) sum carries.
+// session feeds every record, in stream order, to one trace.Replayer,
+// which re-derives both fingerprints. Sequential reports the global
+// alert/action fingerprint, bit-identical to offline replay and to the
+// trailer. Fanout reports the per-(job, leaf) BucketFingerprint: the
+// order-insensitive sum a consumer that keeps only each (job, leaf)
+// substream's order would produce, which offline replay exposes too.
+// Remediated recordings force sequential: their fingerprint folds in
+// the probe loop's actions, which no per-(job, leaf) sum carries.
 const (
 	ModeSeq    = "seq"
 	ModeFanout = "fanout"
@@ -50,7 +51,8 @@ type SessionStatus struct {
 	Error              string `json:"error,omitempty"`
 }
 
-// session is one producer's stream through the service.
+// session is one producer's stream through the service. One goroutine
+// owns it: the one that decodes its frames also runs its detection.
 type session struct {
 	srv   *Server
 	id    uint64
@@ -60,43 +62,17 @@ type session struct {
 	src  io.Reader
 	conn net.Conn // nil for HTTP/in-process streams
 	rd   *trace.Reader
+	rp   *trace.Replayer    // built when the header decodes
+	win  trace.WindowRecord // every window decodes into it
 
-	// bucket is built when the header decodes and published only once
-	// whole, so a /metrics scrape never sees one half-built.
-	bucket  atomic.Pointer[bucket]
-	trailer *trace.Trailer // kept for the status line
-	events  atomic.Int64
-	actions atomic.Int64
+	// dev holds the deviation gauge's inputs, one entry per header job,
+	// published only once whole, so a /metrics scrape never sees it
+	// half-built.
+	dev atomic.Pointer[[]jobScores]
 
-	// The windows and records since the last flush, not yet on the
+	// The windows and records fed since the last flush, not yet on the
 	// service counters.
 	windows, records int64
-
-	// failed is set once err is: the read loop checks it per record
-	// without taking errMu.
-	errMu  sync.Mutex
-	err    error
-	failed atomic.Bool
-}
-
-// poison records the first fatal processing error (shard side or
-// session side); the read loop notices and aborts the stream.
-func (s *session) poison(err error) {
-	s.errMu.Lock()
-	if s.err == nil {
-		s.err = err
-		s.failed.Store(true)
-	}
-	s.errMu.Unlock()
-}
-
-func (s *session) poisoned() error {
-	if !s.failed.Load() {
-		return nil
-	}
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.err
 }
 
 // abort cuts the producer's connection (drain deadline).
@@ -107,11 +83,10 @@ func (s *session) abort() {
 }
 
 // IngestStream runs one producer stream to completion: decode frames
-// from src, hand the records to the session's shard, wait for it to
-// finish, and return the session's status. mode is ModeSeq or
-// ModeFanout ("" defaults to ModeSeq); label names the session in
-// alerts and logs. It blocks until the stream ends — callers own the
-// goroutine.
+// from src, feed each record to the session's replayer, and return the
+// session's status. mode is ModeSeq or ModeFanout ("" defaults to
+// ModeSeq); label names the session in alerts and logs. It blocks
+// until the stream ends — callers own the goroutine.
 func (s *Server) IngestStream(src io.Reader, mode, label string) (*SessionStatus, error) {
 	return s.ingest(src, nil, mode, label)
 }
@@ -147,34 +122,14 @@ func (s *Server) ingest(src io.Reader, conn net.Conn, mode, label string) (*Sess
 	return sess.run()
 }
 
-// run is the session read loop: the producer's goroutine decodes
-// frames and pushes records onto the bucket's ring; the shard does the
-// rest. Records are published in batches, at the two points where the
-// loop could otherwise sit on them: before a read that can block on
-// the source, and before waiting on a full ring.
+// run is the session loop: decode a record, feed it to the session's
+// replayer, read the next. A session busy detecting is not reading, so
+// its producer's flow control is the backpressure.
 func (s *session) run() (*SessionStatus, error) {
-	s.rd = trace.NewFollowReader(&countingReader{r: s.src, n: &s.srv.met.bytesTotal})
-
-	var reserved *entry
-	slot := func(uint16, int) *trace.WindowRecord {
-		if err := s.open(); err != nil {
-			s.poison(err)
-			return nil // decode into a throwaway record; loop aborts next
-		}
-		reserved = s.reserve()
-		return &reserved.win
-	}
-
+	s.rd = trace.NewFollowReader(countingReader{s})
+	slot := func(uint16, int) *trace.WindowRecord { return &s.win }
 	var streamErr error
 	for {
-		if err := s.poisoned(); err != nil {
-			streamErr = err
-			break
-		}
-		if !s.rd.HasFrame() {
-			s.flush() // the next record needs a read, which may block
-		}
-		reserved = nil
 		rec, err := s.rd.NextInto(slot)
 		if err == io.EOF {
 			break
@@ -182,44 +137,26 @@ func (s *session) run() (*SessionStatus, error) {
 		if err == trace.ErrAwaitMore {
 			// The source ended mid-frame: a producer died. Everything
 			// decoded so far stands; report the tear.
-			streamErr = fmt.Errorf("serve: stream ended mid-frame (%d bytes torn)", s.rd.Buffered())
-			break
+			err = fmt.Errorf("serve: stream ended mid-frame (%d bytes torn)", s.rd.Buffered())
 		}
 		if err == nil {
 			err = s.open()
+		}
+		if err == nil {
+			err = s.rp.Feed(&rec)
 		}
 		if err != nil {
 			streamErr = err
 			break
 		}
-		switch {
-		case rec.Kind == trace.KindTrailer:
-			s.trailer = rec.Trailer
-		case rec.Kind != trace.KindWindow:
-			// Non-window payloads are freshly allocated by the decoder,
-			// so publishing the Record copy is safe.
-			s.reserve().rec = rec
-			s.push()
-		case reserved != nil:
-			// The window decoded straight into the reserved ring slot.
-			reserved.rec = rec
-			s.push()
+		if rec.Kind == trace.KindWindow {
 			s.windows++
 		}
-		// A window without a slot was refused (poisoned): dropped, and
-		// the loop aborts next.
 		s.records++
 	}
 
 	s.flush()
-	s.quiesce()
 	st := s.status(streamErr)
-	if streamErr == nil {
-		if err := s.poisoned(); err != nil {
-			streamErr = err
-			st.Error = err.Error()
-		}
-	}
 	s.srv.cfg.Logf("serve: %s done: mode=%s windows=%d events=%d actions=%d fp=%016x parity=%s err=%q",
 		s.label, st.Mode, st.Windows, st.Events, st.Actions, st.Fingerprint, st.Parity, st.Error)
 	return st, streamErr
@@ -227,12 +164,10 @@ func (s *session) run() (*SessionStatus, error) {
 
 // open runs once the follow reader has decoded the stream header:
 // settle the effective mode — remediated recordings force sequential
-// (see the mode docs) — and build the session's bucket. The first
-// window's slot callback fires mid-decode, before the read loop sees
-// the record, so the callback opens too; the reader guarantees the
-// header is decoded before any record.
+// (see the mode docs) — and build the session's replayer, its alert
+// routing and its deviation gauge.
 func (s *session) open() error {
-	if s.bucket.Load() != nil {
+	if s.rp != nil {
 		return nil
 	}
 	hdr := s.rd.Header()
@@ -240,39 +175,46 @@ func (s *session) open() error {
 		s.srv.cfg.Logf("serve: %s: remediated recording, forcing sequential mode", s.label)
 		s.mode = ModeSeq
 	}
-	b, err := newBucket(s, hdr, s.rd.Topo())
+	rp, err := trace.NewReplayer(hdr, s.rd.Topo(), trace.ReplayOptions{NoHistory: true})
 	if err != nil {
 		return err
 	}
-	s.bucket.Store(b)
+	rp.OnEvent = func(e monitor.Event) {
+		s.srv.met.alertsTotal.Add(1)
+		s.srv.rules.dispatch(s.srv.hub, s.label, &e)
+	}
+	rp.OnAction = func(a remediate.Action) {
+		s.srv.met.actionsTotal.Add(1)
+		s.srv.rules.dispatchAction(s.srv.hub, s.label, &a)
+	}
+	dev := make([]jobScores, len(hdr.Jobs))
+	for i := range dev {
+		dev[i].job = hdr.Jobs[i].Job
+		dev[i].leaf = make([]atomic.Uint64, len(s.rd.Topo().Leaves()))
+	}
+	rp.OnWindow = func(ws monitor.WindowScore) {
+		if !ws.Scored {
+			return
+		}
+		job := hdr.PipelineJob(ws.Window.Job)
+		for i := range dev {
+			if js := &dev[i]; js.job == job {
+				js.leaf[ws.Window.LeafOrdinal].Store(math.Float64bits(ws.Score))
+				if !js.scored.Load() {
+					js.scored.Store(true)
+				}
+				return
+			}
+		}
+	}
+	s.rp = rp
+	s.dev.Store(&dev)
 	return nil
 }
 
-// reserve returns the ring's next slot, publishing the batch first
-// when the ring is full: the shard frees only slots it has been shown.
-func (s *session) reserve() *entry {
-	r := s.bucket.Load().ring
-	if r.full() {
-		s.flush()
-	}
-	return r.reserve()
-}
-
-// push commits the reserved slot to the current batch.
-func (s *session) push() {
-	b := s.bucket.Load()
-	b.ring.push()
-	b.marked = true
-}
-
-// flush ends the batch: one publish and at most one shard wake-up,
-// one add per service counter.
+// flush moves the session's pending counts onto the service counters,
+// one add each.
 func (s *session) flush() {
-	if b := s.bucket.Load(); b != nil && b.marked {
-		b.marked = false
-		b.ring.publish()
-		b.shard.enqueue(b)
-	}
 	if s.records > 0 {
 		s.srv.met.windowsTotal.Add(s.windows)
 		s.srv.met.recordsTotal.Add(s.records)
@@ -280,47 +222,31 @@ func (s *session) flush() {
 	}
 }
 
-// quiesce waits until every record this session published has been
-// consumed by its shard. Producers have stopped, so depth only falls.
-// The shard signals space after every batch, and after clearing queued,
-// so each wake-up re-checks the bucket's state; the atomic head read
-// gives the happens-before edge that makes the shard-side state
-// (fingerprints, counters) safe to read after.
-func (s *session) quiesce() {
-	b := s.bucket.Load()
-	if b == nil {
-		return
-	}
-	for b.ring.depth() > 0 || b.queued.Load() != 0 {
-		<-b.ring.space
-	}
-}
-
-// status seals the session outcome after quiesce.
+// status seals the session outcome once the loop has ended.
 func (s *session) status(streamErr error) *SessionStatus {
+	res := &trace.ReplayResult{} // no header decoded: nothing replayed
+	if s.rp != nil {
+		res = s.rp.Result()
+	}
 	st := &SessionStatus{
 		Session: s.label,
 		Mode:    s.mode,
-		Events:  s.events.Load(),
-		Actions: s.actions.Load(),
+		Windows: int64(res.Windows),
+		Events:  int64(res.EventCount),
+		Actions: int64(res.ActionCount),
 	}
 	if streamErr != nil {
 		st.Error = streamErr.Error()
 	}
-	res := &trace.ReplayResult{} // no header decoded: nothing replayed
-	if b := s.bucket.Load(); b != nil {
-		res = b.rp.Result()
-	}
-	st.Windows = int64(res.Windows)
-	if s.trailer != nil {
-		st.TrailerFingerprint = s.trailer.Fingerprint
+	if res.Trailer != nil {
+		st.TrailerFingerprint = res.Trailer.Fingerprint
 	}
 	switch {
 	case s.mode == ModeFanout:
 		st.Fingerprint, st.Parity = res.BucketFingerprint, "bucket"
-	case s.trailer == nil:
+	case res.Trailer == nil:
 		st.Fingerprint, st.Parity = res.Fingerprint, "none"
-	case res.Fingerprint == s.trailer.Fingerprint:
+	case res.Fingerprint == res.Trailer.Fingerprint:
 		st.Fingerprint, st.Parity = res.Fingerprint, "exact"
 	default:
 		st.Fingerprint, st.Parity = res.Fingerprint, "mismatch"
@@ -376,14 +302,15 @@ func (s *Server) handleConn(conn net.Conn) {
 	json.NewEncoder(conn).Encode(st)
 }
 
-// countingReader tracks ingested byte volume for /metrics.
-type countingReader struct {
-	r io.Reader
-	n *atomic.Int64
-}
+// countingReader is a session's source as its trace.Reader sees it.
+// Each read may block, so it first flushes the session's counts —
+// nothing the session has fed waits uncounted behind a quiet producer —
+// then counts the bytes read for /metrics.
+type countingReader struct{ s *session }
 
-func (c *countingReader) Read(p []byte) (int, error) {
-	k, err := c.r.Read(p)
-	c.n.Add(int64(k))
+func (c countingReader) Read(p []byte) (int, error) {
+	c.s.flush()
+	k, err := c.s.src.Read(p)
+	c.s.srv.met.bytesTotal.Add(int64(k))
 	return k, err
 }

@@ -91,29 +91,6 @@ func (r *Reader) Topo() *topology.Topology { return r.topo }
 // stream ended inside a frame.
 func (r *Reader) Buffered() int { return len(r.stash) - r.off - r.pending }
 
-// HasFrame reports whether the next NextInto call can return a record
-// from bytes already staged, without reading from the source: past the
-// current record sits a whole frame of a kind NextInto decodes (frames
-// of kinds it skips are looked past). A false answer is only caution —
-// NextInto may still not need to read — so a caller can use it to do
-// its pending work before a read that could block.
-func (r *Reader) HasFrame() bool {
-	if r.hdr == nil {
-		return false
-	}
-	b := r.staged()[r.pending:]
-	for {
-		n, w := binary.Uvarint(b)
-		if w <= 0 || n == 0 || n > maxFrame || len(b) < w+int(n)+4 {
-			return false
-		}
-		if k := b[w]; k >= KindHeader && k <= KindTrailer {
-			return true
-		}
-		b = b[w+int(n)+4:]
-	}
-}
-
 // staged returns the unconsumed byte view.
 func (r *Reader) staged() []byte { return r.stash[r.off:] }
 

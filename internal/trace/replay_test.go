@@ -373,13 +373,12 @@ func TestFeedLeavesSlotToCaller(t *testing.T) {
 	}
 }
 
-// TestDecodeAheadOwnsRows is flowpulse-serve's access pattern: the
-// reader decodes a (job, leaf)'s next window into a second ring slot
-// while the first still waits for its shard. Window k's sender rows,
-// read only after window k+1 is decoded, must be what Next returns for
-// window k: a slot may borrow neither the Reader's frame buffer (the
-// one-byte source restages every frame over the previous one) nor its
-// prediction cache (which moves on to window k+1).
+// TestDecodeAheadOwnsRows: the reader decodes a (job, leaf)'s next
+// window into a second slot while the first is still held. Window k's
+// sender rows, read only after window k+1 is decoded, must be what Next
+// returns for window k: a slot may borrow neither the Reader's frame
+// buffer (the one-byte source restages every frame over the previous
+// one) nor its prediction cache (which moves on to window k+1).
 func TestDecodeAheadOwnsRows(t *testing.T) {
 	raw, _ := benchRecording(t, 2, 2, 6, true)
 	const leaf = 1
