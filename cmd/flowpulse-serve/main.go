@@ -24,6 +24,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -118,7 +119,13 @@ func main() {
 	logger.Printf("serve: %v — draining (timeout %v)", got, *drainTO)
 	clean := srv.Drain(*drainTO)
 	if httpSrv != nil {
-		httpSrv.Close()
+		// Every /ingest handler has written its status; Shutdown lets
+		// the response finish before it closes the connection.
+		ctx, cancel := context.WithTimeout(context.Background(), *drainTO)
+		if httpSrv.Shutdown(ctx) != nil {
+			httpSrv.Close()
+		}
+		cancel()
 	}
 	if !clean {
 		logger.Printf("serve: drain deadline hit, streams were cut off")

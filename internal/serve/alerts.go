@@ -2,23 +2,22 @@ package serve
 
 import (
 	"sync"
+	"sync/atomic"
 )
 
 // hub fans finished NDJSON alert lines out to /alerts subscribers.
 // Publishers never block: a subscriber that falls behind its buffer
-// has lines dropped (and counted), because a stalled curl must not
-// backpressure the ingestion path.
+// has lines dropped (and counted in dropped), because a stalled curl
+// must not backpressure the ingestion path.
 type hub struct {
 	mu      sync.Mutex
-	subs    map[chan []byte]*subState
+	subs    map[chan []byte]struct{}
 	closed  bool
-	dropped int64
+	dropped atomic.Int64
 }
 
-type subState struct{ dropped int64 }
-
 func newHub() *hub {
-	return &hub{subs: map[chan []byte]*subState{}}
+	return &hub{subs: map[chan []byte]struct{}{}}
 }
 
 // subscribe registers a new consumer. The returned cancel func must be
@@ -31,7 +30,7 @@ func (h *hub) subscribe(buffer int) (<-chan []byte, func()) {
 		close(ch)
 		return ch, func() {}
 	}
-	h.subs[ch] = &subState{}
+	h.subs[ch] = struct{}{}
 	h.mu.Unlock()
 	return ch, func() {
 		h.mu.Lock()
@@ -47,12 +46,11 @@ func (h *hub) subscribe(buffer int) (<-chan []byte, func()) {
 // mutated afterwards (callers hand over a fresh copy).
 func (h *hub) publish(line []byte) {
 	h.mu.Lock()
-	for ch, st := range h.subs {
+	for ch := range h.subs {
 		select {
 		case ch <- line:
 		default:
-			st.dropped++
-			h.dropped++
+			h.dropped.Add(1)
 		}
 	}
 	h.mu.Unlock()

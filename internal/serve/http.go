@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"time"
 )
 
 // HTTPHandler serves the operational surface:
@@ -91,13 +92,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad token", http.StatusUnauthorized)
 		return
 	}
-	st, err := s.IngestStream(smallReads{r.Body}, r.URL.Query().Get("mode"), r.URL.Query().Get("label"))
+	sess, err := s.admit(smallReads{r.Body, w}, r.URL.Query().Get("mode"), r.URL.Query().Get("label"), "session")
 	w.Header().Set("Content-Type", "application/json")
-	if err != nil && st == nil {
+	if err != nil {
 		w.WriteHeader(http.StatusBadRequest)
 		json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 		return
 	}
+	defer s.unregister(sess)
+	st, _ := sess.run()
 	if st.Error != "" {
 		w.WriteHeader(http.StatusUnprocessableEntity)
 	}
@@ -110,6 +113,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // hold a 64 KiB stash for its life. With small windows a 4 KiB read
 // already carries dozens of frames, and the larger reads measured no
 // faster.
-type smallReads struct{ r io.Reader }
+type smallReads struct {
+	r io.Reader
+	w http.ResponseWriter
+}
 
 func (s smallReads) Read(p []byte) (int, error) { return s.r.Read(p[:min(len(p), 4<<10)]) }
+
+// Close ends the pending body read by moving the connection's read
+// deadline to now: closing the body itself would block behind that
+// read.
+func (s smallReads) Close() error {
+	return http.NewResponseController(s.w).SetReadDeadline(time.Now())
+}

@@ -12,14 +12,13 @@ import (
 // metrics are the service counters, all lock-free atomics so the hot
 // path never serializes on observability.
 type metrics struct {
-	windowsTotal   atomic.Int64
-	recordsTotal   atomic.Int64
-	bytesTotal     atomic.Int64
-	alertsTotal    atomic.Int64
-	actionsTotal   atomic.Int64
-	sessionsActive atomic.Int64
-	sessionsTotal  atomic.Int64
-	authFailures   atomic.Int64
+	windowsTotal  atomic.Int64
+	recordsTotal  atomic.Int64
+	bytesTotal    atomic.Int64
+	alertsTotal   atomic.Int64
+	actionsTotal  atomic.Int64
+	sessionsTotal atomic.Int64
+	authFailures  atomic.Int64
 }
 
 // jobScores is one job's latest detector score per leaf, written by
@@ -56,30 +55,32 @@ func (s *Server) writeMetrics(w io.Writer) {
 	s.rateAt, s.rateWins = now, wins
 	s.rateMu.Unlock()
 
-	fmt.Fprintf(w, "# TYPE flowpulse_windows_total counter\nflowpulse_windows_total %d\n", wins)
-	fmt.Fprintf(w, "# TYPE flowpulse_records_total counter\nflowpulse_records_total %d\n", s.met.recordsTotal.Load())
-	fmt.Fprintf(w, "# TYPE flowpulse_ingest_bytes_total counter\nflowpulse_ingest_bytes_total %d\n", s.met.bytesTotal.Load())
-	fmt.Fprintf(w, "# TYPE flowpulse_alerts_total counter\nflowpulse_alerts_total %d\n", s.met.alertsTotal.Load())
-	fmt.Fprintf(w, "# TYPE flowpulse_actions_total counter\nflowpulse_actions_total %d\n", s.met.actionsTotal.Load())
-	fmt.Fprintf(w, "# TYPE flowpulse_sessions_active gauge\nflowpulse_sessions_active %d\n", s.met.sessionsActive.Load())
-	fmt.Fprintf(w, "# TYPE flowpulse_sessions_total counter\nflowpulse_sessions_total %d\n", s.met.sessionsTotal.Load())
-	fmt.Fprintf(w, "# TYPE flowpulse_auth_failures_total counter\nflowpulse_auth_failures_total %d\n", s.met.authFailures.Load())
-	fmt.Fprintf(w, "# TYPE flowpulse_windows_per_second gauge\nflowpulse_windows_per_second %g\n", rate)
-
-	// Deviation gauges walk the live sessions; scrapes are rare, so the
-	// registry lock here is off the hot path, and each session's gauge
-	// inputs read lock-free once published.
-	type devKey struct {
-		label string
-		job   uint16
-	}
-	devs := map[devKey]float64{}
 	s.mu.Lock()
 	sessions := make([]*session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
 		sessions = append(sessions, sess)
 	}
 	s.mu.Unlock()
+
+	fmt.Fprintf(w, "# TYPE flowpulse_windows_total counter\nflowpulse_windows_total %d\n", wins)
+	fmt.Fprintf(w, "# TYPE flowpulse_records_total counter\nflowpulse_records_total %d\n", s.met.recordsTotal.Load())
+	fmt.Fprintf(w, "# TYPE flowpulse_ingest_bytes_total counter\nflowpulse_ingest_bytes_total %d\n", s.met.bytesTotal.Load())
+	fmt.Fprintf(w, "# TYPE flowpulse_alerts_total counter\nflowpulse_alerts_total %d\n", s.met.alertsTotal.Load())
+	fmt.Fprintf(w, "# TYPE flowpulse_alerts_dropped_total counter\nflowpulse_alerts_dropped_total %d\n", s.hub.dropped.Load())
+	fmt.Fprintf(w, "# TYPE flowpulse_actions_total counter\nflowpulse_actions_total %d\n", s.met.actionsTotal.Load())
+	fmt.Fprintf(w, "# TYPE flowpulse_sessions_active gauge\nflowpulse_sessions_active %d\n", len(sessions))
+	fmt.Fprintf(w, "# TYPE flowpulse_sessions_total counter\nflowpulse_sessions_total %d\n", s.met.sessionsTotal.Load())
+	fmt.Fprintf(w, "# TYPE flowpulse_auth_failures_total counter\nflowpulse_auth_failures_total %d\n", s.met.authFailures.Load())
+	fmt.Fprintf(w, "# TYPE flowpulse_windows_per_second gauge\nflowpulse_windows_per_second %g\n", rate)
+
+	// Deviation gauges walk the live sessions, listed above; scrapes are
+	// rare, so the registry lock is off the hot path, and each session's
+	// gauge inputs read lock-free once published.
+	type devKey struct {
+		label string
+		job   uint16
+	}
+	devs := map[devKey]float64{}
 	for _, sess := range sessions {
 		dev := sess.dev.Load()
 		if dev == nil {

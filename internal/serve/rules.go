@@ -7,7 +7,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 
 	"flowpulse/internal/monitor"
 	"flowpulse/internal/remediate"
@@ -16,7 +15,8 @@ import (
 // Rule routes matching alerts to one sink. Matchers AND together; the
 // zero matcher matches everything.
 type Rule struct {
-	// Name labels the rule in logs and the flowpulse_rule_hits metric.
+	// Name labels the rule's lines in the log sink and its errors in
+	// the server log (default "rule-<index>").
 	Name string `json:"name"`
 	// MinDeviation matches alerts whose |deviation| is at least this.
 	MinDeviation float64 `json:"min_deviation"`
@@ -83,13 +83,14 @@ func ParseRule(s string) (Rule, error) {
 type compiledRule struct {
 	Rule
 	file *os.File
-	hits int64
 }
 
 // ruleSet evaluates every alert against the configured routes. With no
-// rules configured, one catch-all feeds the alert stream.
+// rules configured, one catch-all feeds the alert stream. It is
+// immutable once compiled, so sessions route concurrently with no lock
+// of its own: each sink serializes its own writers (the hub its mutex,
+// os.File.Write per file, Logf by contract).
 type ruleSet struct {
-	mu    sync.Mutex
 	rules []*compiledRule
 	logf  func(format string, args ...any)
 }
@@ -123,9 +124,8 @@ func compileRules(rules []Rule, logf func(string, ...any)) (*ruleSet, error) {
 	return rs, nil
 }
 
+// close closes the file sinks; nothing may route afterwards.
 func (rs *ruleSet) close() {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
 	for _, r := range rs.rules {
 		if r.file != nil {
 			r.file.Close()
@@ -218,20 +218,13 @@ func (rs *ruleSet) dispatchAction(h *hub, session string, a *remediate.Action) {
 
 func (rs *ruleSet) route(h *hub, al *alertLine, absDev float64, isAction bool) {
 	var line []byte
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
 	for _, r := range rs.rules {
 		if isAction {
 			if !r.Actions {
 				continue
 			}
-		} else {
-			if absDev < r.MinDeviation {
-				continue
-			}
-			if r.Kind != "" && r.Kind != al.Verdict {
-				continue
-			}
+		} else if absDev < r.MinDeviation || r.Kind != "" && r.Kind != al.Verdict {
+			continue
 		}
 		if r.Job != nil && *r.Job != al.Job {
 			continue
@@ -244,7 +237,6 @@ func (rs *ruleSet) route(h *hub, al *alertLine, absDev float64, isAction bool) {
 			}
 			line = append(line, '\n')
 		}
-		r.hits++
 		switch r.Sink {
 		case "stream":
 			h.publish(line)

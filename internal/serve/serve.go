@@ -35,7 +35,8 @@ type Config struct {
 	// Rules route alerts to sinks. Empty: one catch-all rule feeding
 	// the /alerts stream.
 	Rules []Rule
-	// Logf receives operational log lines (nil: discarded).
+	// Logf receives operational log lines (nil: discarded). Sessions
+	// call it concurrently, so it must be safe for concurrent use.
 	Logf func(format string, args ...any)
 }
 
@@ -81,7 +82,8 @@ func New(cfg Config) (*Server, error) {
 }
 
 // ServeTCP accepts raw-stream producers on l until the listener closes
-// (Drain closes it). Each connection runs its own session goroutine.
+// (Drain closes it). Each connection runs on its own goroutine, and is
+// a session once its preamble has been read.
 func (s *Server) ServeTCP(l net.Listener) {
 	s.mu.Lock()
 	if s.draining {
@@ -96,15 +98,14 @@ func (s *Server) ServeTCP(l net.Listener) {
 		if err != nil {
 			return
 		}
-		s.sessWG.Add(1)
-		go func() {
-			defer s.sessWG.Done()
-			s.handleConn(conn)
-		}()
+		go s.handleConn(conn)
 	}
 }
 
-// register installs a session; refused while draining.
+// register installs a session for Drain to wait for and, at its
+// deadline, abort; refused while draining. Every kind of session — TCP,
+// HTTP, in-process — goes through it, and through unregister once its
+// producer has its status reply.
 func (s *Server) register(sess *session) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -112,7 +113,7 @@ func (s *Server) register(sess *session) error {
 		return fmt.Errorf("serve: draining, not accepting new streams")
 	}
 	s.sessions[sess.id] = sess
-	s.met.sessionsActive.Add(1)
+	s.sessWG.Add(1)
 	s.met.sessionsTotal.Add(1)
 	return nil
 }
@@ -121,13 +122,16 @@ func (s *Server) unregister(sess *session) {
 	s.mu.Lock()
 	delete(s.sessions, sess.id)
 	s.mu.Unlock()
-	s.met.sessionsActive.Add(-1)
+	s.sessWG.Done()
 }
 
 // Drain stops the service gracefully: close listeners (no new
-// streams) and wait up to timeout for in-flight sessions to finish.
-// It returns false if sessions were still running at the deadline
-// (their producers were cut off mid-stream).
+// streams) and wait up to timeout for in-flight sessions to finish,
+// each with its status reply written. It returns false if sessions
+// were still running at the deadline; their sources were then closed
+// (see session.abort) and Drain waited for them to end. A connection
+// still sending its preamble is not a session yet, and is not waited
+// for.
 func (s *Server) Drain(timeout time.Duration) bool {
 	s.mu.Lock()
 	s.draining = true
@@ -145,7 +149,10 @@ func (s *Server) Drain(timeout time.Duration) bool {
 	case <-done:
 	case <-time.After(timeout):
 		clean = false
-		// Cut the stragglers' connections so their goroutines end.
+		// Close the stragglers' sources so their goroutines end. Under
+		// s.mu, every session closed here is still registered, so its
+		// source is still its own (an HTTP body's ResponseWriter is not
+		// used once the handler has returned).
 		s.mu.Lock()
 		for _, sess := range s.sessions {
 			sess.abort()

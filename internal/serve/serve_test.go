@@ -609,9 +609,10 @@ func TestRulesRouting(t *testing.T) {
 
 	raw := recordRun(t, false, 41)
 	sinkPath := filepath.Join(t.TempDir(), "alerts.ndjson")
+	nonePath := filepath.Join(t.TempDir(), "none.ndjson")
 	srv := newTestServer(t, Config{Rules: []Rule{
 		{Name: "everything", Sink: "file", Path: sinkPath},
-		{Name: "impossible", MinDeviation: 99, Sink: "log"},
+		{Name: "impossible", MinDeviation: 99, Sink: "file", Path: nonePath},
 	}})
 	st, err := srv.IngestStream(bytes.NewReader(raw), ModeFanout, "ruled")
 	if err != nil {
@@ -636,8 +637,8 @@ func TestRulesRouting(t *testing.T) {
 	if first.Session != "ruled" || first.Type != "alert" {
 		t.Fatalf("sink line: %+v", first)
 	}
-	if srv.rules.rules[1].hits != 0 {
-		t.Fatalf("min_dev=99 rule matched %d alerts", srv.rules.rules[1].hits)
+	if none, err := os.ReadFile(nonePath); err != nil || len(none) != 0 {
+		t.Fatalf("min_dev=99 rule's file holds %d bytes (%v), want none", len(none), err)
 	}
 }
 
@@ -809,6 +810,35 @@ func TestNonFiniteAlertReachesSink(t *testing.T) {
 		if m["session"] != "ghost" || m["job"] != 1.0 || m["observed"] != 4096.0 || m["predicted"] != 1.0 {
 			t.Errorf("line %d lost a field: %s", i, line)
 		}
+	}
+}
+
+// TestAlertsDroppedCounted: an /alerts subscriber that never reads
+// keeps its buffer's worth of lines and misses the rest, and
+// flowpulse_alerts_dropped_total counts every line it missed.
+func TestAlertsDroppedCounted(t *testing.T) {
+	raw := encodeStream(t, false, 64, func(i int, w *telemetry.Window) {
+		if i%4 == 1 {
+			w.PortBytes[1] = 100
+		}
+	})
+	srv := newTestServer(t, Config{})
+	defer srv.Drain(5 * time.Second)
+	const buffer = 2
+	ch, cancel := srv.hub.subscribe(buffer)
+	defer cancel()
+	st, err := srv.IngestStream(bytes.NewReader(raw), ModeSeq, "unread")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Events <= buffer {
+		t.Fatalf("%d alerts, want more than the subscriber's buffer of %d", st.Events, buffer)
+	}
+	var m strings.Builder
+	srv.writeMetrics(&m)
+	want := fmt.Sprintf("flowpulse_alerts_dropped_total %d\n", st.Events-buffer)
+	if len(ch) != buffer || !strings.Contains(m.String(), want) {
+		t.Errorf("subscriber kept %d lines; want %d kept and %q:\n%s", len(ch), buffer, want, m.String())
 	}
 }
 

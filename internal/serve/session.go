@@ -9,6 +9,7 @@ import (
 	"net"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"flowpulse/internal/monitor"
 	"flowpulse/internal/remediate"
@@ -59,11 +60,10 @@ type session struct {
 	label string
 	mode  string
 
-	src  io.Reader
-	conn net.Conn // nil for HTTP/in-process streams
-	rd   *trace.Reader
-	rp   *trace.Replayer    // built when the header decodes
-	win  trace.WindowRecord // every window decodes into it
+	src io.Reader
+	rd  *trace.Reader
+	rp  *trace.Replayer    // built when the header decodes
+	win trace.WindowRecord // every window decodes into it
 
 	// dev holds the deviation gauge's inputs, one entry per header job,
 	// published only once whole, so a /metrics scrape never sees it
@@ -75,10 +75,11 @@ type session struct {
 	windows, records int64
 }
 
-// abort cuts the producer's connection (drain deadline).
+// abort ends the session's next or pending read at the drain deadline
+// by closing its source, if the source is an io.Closer.
 func (s *session) abort() {
-	if s.conn != nil {
-		s.conn.Close()
+	if c, ok := s.src.(io.Closer); ok {
+		c.Close()
 	}
 }
 
@@ -86,15 +87,22 @@ func (s *session) abort() {
 // from src, feed each record to the session's replayer, and return the
 // session's status. mode is ModeSeq or ModeFanout ("" defaults to
 // ModeSeq); label names the session in alerts and logs. It blocks
-// until the stream ends — callers own the goroutine.
+// until the stream ends — callers own the goroutine. Drain waits for
+// the session, and closes src at its deadline if src is an io.Closer.
 func (s *Server) IngestStream(src io.Reader, mode, label string) (*SessionStatus, error) {
-	return s.ingest(src, nil, mode, label)
+	sess, err := s.admit(src, mode, label, "session")
+	if err != nil {
+		return nil, err
+	}
+	defer s.unregister(sess)
+	return sess.run()
 }
 
-// ingest is the one session setup: validate the mode, default the
-// label, register for the session's lifetime, run the read loop. conn
-// is the producer's TCP connection (nil for HTTP/in-process streams).
-func (s *Server) ingest(src io.Reader, conn net.Conn, mode, label string) (*SessionStatus, error) {
+// admit is the one session setup: validate the mode, default the label
+// to "<origin>-<id>" (origin is formatted only then), and register the
+// session. The caller unregisters it once the producer has its reply,
+// so Drain waits for the reply too.
+func (s *Server) admit(src io.Reader, mode, label string, origin any) (*session, error) {
 	if mode == "" {
 		mode = ModeSeq
 	}
@@ -107,19 +115,14 @@ func (s *Server) ingest(src io.Reader, conn net.Conn, mode, label string) (*Sess
 		label: label,
 		mode:  mode,
 		src:   src,
-		conn:  conn,
 	}
 	if sess.label == "" {
-		sess.label = fmt.Sprintf("session-%d", sess.id)
-		if conn != nil {
-			sess.label = fmt.Sprintf("%s-%d", conn.RemoteAddr(), sess.id)
-		}
+		sess.label = fmt.Sprintf("%v-%d", origin, sess.id)
 	}
 	if err := s.register(sess); err != nil {
 		return nil, err
 	}
-	defer s.unregister(sess)
-	return sess.run()
+	return sess, nil
 }
 
 // run is the session loop: decode a record, feed it to the session's
@@ -254,16 +257,22 @@ func (s *session) status(streamErr error) *SessionStatus {
 	return st
 }
 
+// preambleTimeout bounds how long a TCP producer may take to send its
+// preamble line, as an HTTP client's request headers are bounded.
+const preambleTimeout = 10 * time.Second
+
 // handleConn speaks the TCP producer protocol: one preamble line
 //
 //	FPS1 token=<tok> mode=<seq|fanout> label=<name>\n
 //
 // then raw .fpt bytes until the producer half-closes; the server
 // replies with one JSON SessionStatus line and closes. A preamble that
-// does not end within the read buffer is refused.
+// does not end within the read buffer is refused; one that takes
+// longer than preambleTimeout ends the connection.
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 4096)
+	conn.SetReadDeadline(time.Now().Add(preambleTimeout))
 	line, err := br.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
 		fmt.Fprintf(conn, `{"error":"preamble too long"}`+"\n")
@@ -294,11 +303,17 @@ func (s *Server) handleConn(conn net.Conn) {
 		fmt.Fprintf(conn, `{"error":"bad token"}`+"\n")
 		return
 	}
-	st, err := s.ingest(br, conn, mode, label)
-	if err != nil && st == nil {
+	conn.SetReadDeadline(time.Time{})
+	sess, err := s.admit(struct {
+		io.Reader
+		io.Closer
+	}{br, conn}, mode, label, conn.RemoteAddr())
+	if err != nil {
 		fmt.Fprintf(conn, `{"error":%q}`+"\n", err.Error())
 		return
 	}
+	defer s.unregister(sess)
+	st, _ := sess.run()
 	json.NewEncoder(conn).Encode(st)
 }
 
