@@ -3,10 +3,10 @@
 // scenario, the injected fault, every alert with its localization
 // verdict, and traffic/transport statistics.
 //
-// The run is a scenario file (core.ReadRun, which flowpulse-trace record
-// reads too): a core.Scenario in its JSON form (lowerCamel field
-// names, durations in picoseconds under keys ending in PS, an absent
-// field is the default) plus the monitor to deploy, a core.MonitorSpec:
+// The run is a scenario file (core.ReadRun): a core.Scenario in its
+// JSON form (lowerCamel field names, durations in picoseconds under keys
+// ending in PS, an absent field is the default) plus the monitor to
+// deploy, a core.MonitorSpec:
 //
 //	{"scenario": {"leaves": 8, "spines": 4, "bytesPerRank": 4194304, "iterations": 6,
 //	              "faults": [{"kind": "bernoulli", "rate": 0.015, "leaf": 3, "spine": 1, "onset": 2}]},
@@ -16,7 +16,9 @@
 // non-finite threshold. Without -scenario the run
 // is the built-in one, cmd/flowpulse-sim/testdata/default.json: the
 // paper's 32×16 fat tree, 16 MiB per rank, 6 iterations, a 1.5% silent
-// drop on leaf 3 / spine 1 after iteration 2, seed 1.
+// drop on leaf 3 / spine 1 after iteration 2, seed 1. -trace records
+// the run to a .fpt file for flowpulse-trace; it is the one way to
+// record a run file.
 //
 // Usage (from the repository root; testdata is cmd/flowpulse-sim/testdata):
 //
@@ -32,6 +34,9 @@
 //	                                                 # verify-own-writes re-pushes it
 //	flowpulse-sim -scenario testdata/stale-lsdb.json # corrupt the LSDB mid-run;
 //	                                                 # the audit reconciles it
+//	flowpulse-sim -shards 0 -scenario testdata/bg-remediate.json -trace run.fpt
+//	                                                 # record the run for offline
+//	                                                 # replay (flowpulse-trace)
 //	flowpulse-sim -seed 7 -shards 0 -stats           # engine counters on stderr
 //	flowpulse-sim -stream localhost:9465             # live producer: stream the
 //	                                                 # trace to flowpulse-serve,

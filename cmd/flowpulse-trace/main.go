@@ -1,24 +1,18 @@
-// Command flowpulse-trace records and analyzes .fpt traces: versioned
-// binary recordings of a monitored run (measurement windows with their
-// live predictions, detections, remediation actions, probe rounds, and
-// the injected fault schedule as ground truth).
+// Command flowpulse-trace analyzes .fpt traces: versioned binary
+// recordings of a monitored run (measurement windows with their live
+// predictions, detections, remediation actions, probe rounds, and the
+// injected fault schedule as ground truth). flowpulse-sim -trace records
+// one.
 //
 // A recording decouples simulation from analysis: `replay` re-runs the
 // detect → localize → remediate stack offline — bit-identically, or
 // under what-if overrides — and `sweep` reproduces a full ROC curve
 // from one recording without re-simulating anything.
 //
-// `record` runs a run file — the {"scenario": …, "monitor": …} document
-// flowpulse-sim reads — and records it; without -scenario the run is the
-// built-in one, testdata/default.json: an 8×4 fat tree, 4 MiB per rank,
-// 8 iterations, a 2% silent drop on leaf 2 / spine 1 after iteration 3,
-// background traffic every 4 µs, seed 1.
+// Usage (from the repository root):
 //
-// Usage (from the repository root; testdata is cmd/flowpulse-trace/testdata):
-//
-//	flowpulse-trace record -o run.fpt                     # simulate + record the built-in run
-//	flowpulse-trace record -scenario testdata/remediate.json -o run.fpt
-//	                                                      # a run file: closed loop, 5% drop
+//	flowpulse-sim -shards 0 -scenario cmd/flowpulse-sim/testdata/bg-remediate.json -trace run.fpt
+//	                                                      # simulate + record a run file
 //	flowpulse-trace replay run.fpt                        # verify bit-identical replay
 //	flowpulse-trace replay -threshold 0.02 run.fpt        # what-if: different threshold
 //	flowpulse-trace replay -predictor learned run.fpt     # what-if: learned model
@@ -30,7 +24,6 @@
 package main
 
 import (
-	_ "embed"
 	"flag"
 	"fmt"
 	"io"
@@ -40,9 +33,7 @@ import (
 	"strings"
 	"time"
 
-	"flowpulse/internal/core"
 	"flowpulse/internal/detect"
-	"flowpulse/internal/experiments"
 	"flowpulse/internal/metrics"
 	"flowpulse/internal/serve"
 	"flowpulse/internal/sim"
@@ -56,7 +47,6 @@ func main() {
 const usage = `usage: flowpulse-trace <command> [flags] [trace.fpt ...]
 
 commands:
-  record   simulate one run file (default: the built-in run) and record it
   replay   re-run a recording through detect -> localize -> remediate offline
   sweep    compute ROC points across thresholds from recording(s)
   stat     print header, record counts, and fingerprint
@@ -71,8 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cmd, rest := args[0], args[1:]
 	switch cmd {
-	case "record":
-		return cmdRecord(rest, stdout, stderr)
 	case "replay":
 		return cmdReplay(rest, stdout, stderr)
 	case "sweep":
@@ -88,19 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "flowpulse-trace: unknown command %q\n%s\n", cmd, usage)
 	return 2
 }
-
-// ratesLine is the shared operating-point format: `record` prints the
-// online rates and `sweep -at` the offline ones, so equality of the two
-// lines is a string-comparable replay check.
-func ratesLine(threshold float64, samples []metrics.Sample) string {
-	fpr, fnr := metrics.RatesAt(samples, threshold)
-	return fmt.Sprintf("@ %.2f%%: FPR %.2f%% / FNR %.2f%%", 100*threshold, 100*fpr, 100*fnr)
-}
-
-// builtin is the run `record` makes without -scenario.
-//
-//go:embed testdata/default.json
-var builtin []byte
 
 // parseThreshold parses a threshold under the detector's validity rule.
 func parseThreshold(s string) (float64, error) {
@@ -119,48 +94,6 @@ func thresholdFlag(fs *flag.FlagSet, name string, v float64, usage string) *floa
 		return err
 	})
 	return &v
-}
-
-func cmdRecord(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("record", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		out      = fs.String("o", "trace.fpt", "output trace file")
-		scenario = fs.String("scenario", "", "record this run file, as flowpulse-sim runs one (default: the built-in run, testdata/default.json)")
-		seed     = fs.Uint64("seed", 0, "random seed, replacing the run file's (the built-in run's is 1)")
-		shards   = fs.Int("shards", 0, "engine worker shards: 0 = the one-domain partition, a single-threaded run; N >= 1 = one domain per switch on N workers, with identical recordings for every N >= 1")
-		at       = thresholdFlag(fs, "at", 0.01, "report the online operating point at this threshold (default 0.01)")
-		label    = fs.String("label", "flowpulse-trace record", "trace header label")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	doc, err := core.ReadRun(*scenario, builtin)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			doc.Scenario.Seed = *seed
-		}
-	})
-	doc.Scenario.Shards = *shards
-	res, err := experiments.Trial{Scenario: doc.Scenario, Monitor: doc.Monitor, TracePath: *out, TraceLabel: *label}.Run()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	faulty := 0
-	for _, s := range res.Samples[:res.Iterations] {
-		if s.Positive {
-			faulty++
-		}
-	}
-	fmt.Fprintf(stdout, "recorded %s: %d iterations (%d clean + %d faulty), %d event(s)\n",
-		*out, res.Iterations, res.Iterations-faulty, faulty, len(res.Events))
-	fmt.Fprintln(stdout, ratesLine(*at, res.Samples))
-	return 0
 }
 
 func openTrace(path string, stderr io.Writer) (*os.File, bool) {
@@ -252,7 +185,7 @@ func parseThresholds(s string) ([]float64, error) {
 func cmdSweep(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	thresholds := experiments.DefaultThresholds()
+	thresholds := metrics.DefaultThresholds()
 	fs.Func("thresholds", "comma-separated thresholds (default: the paper's 0.1%..5% sweep)", func(s string) (err error) {
 		thresholds, err = parseThresholds(s)
 		return err
@@ -285,7 +218,8 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%9.2f%% %7.2f%% %7.2f%%\n", 100*p.Threshold, 100*p.FPR, 100*p.FNR)
 	}
 	if *at > 0 {
-		fmt.Fprintln(stdout, ratesLine(*at, samples))
+		fpr, fnr := metrics.RatesAt(samples, *at)
+		fmt.Fprintf(stdout, "@ %.2f%%: FPR %.2f%% / FNR %.2f%%\n", 100**at, 100*fpr, 100*fnr)
 	}
 	return 0
 }

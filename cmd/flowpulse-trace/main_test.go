@@ -9,23 +9,21 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
 	"flowpulse/internal/core"
-	"flowpulse/internal/experiments"
-	"flowpulse/internal/metrics"
 	"flowpulse/internal/serve"
 	"flowpulse/internal/trace"
 )
 
 var update = flag.Bool("update", false, "re-record testdata/quick.fpt and rewrite testdata/stat.golden")
 
-// fixture is a small committed recording of testdata/fixture.json: a
-// 6x3 fabric, 2 clean + 8 faulty iterations at 5% drop with remediation
-// on, so the trace holds every record kind (windows, events, actions,
-// probe rounds, fault, trailer).
+// fixture is a small committed recording of
+// ../flowpulse-sim/testdata/bg-fixture.json: a 6x3 fabric, 2 clean + 8
+// faulty iterations at 5% drop with remediation on, so the trace holds
+// every record kind (windows, events, actions, probe rounds, fault,
+// trailer).
 var fixture = filepath.Join("testdata", "quick.fpt")
 
 // TestStatGolden pins the exact text `flowpulse-trace stat` prints for
@@ -40,15 +38,15 @@ var fixture = filepath.Join("testdata", "quick.fpt")
 func TestStatGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "stat.golden")
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		doc, err := core.ReadRun(filepath.Join("..", "flowpulse-sim", "testdata", "bg-fixture.json"), nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var out, errb bytes.Buffer
-		code := run([]string{"record", "-o", fixture,
-			"-scenario", filepath.Join("testdata", "fixture.json"), "-label", "stat-golden fixture",
-		}, &out, &errb)
-		if code != 0 {
-			t.Fatalf("record exited %d: %s", code, errb.String())
+		doc.Scenario.Shards = 0
+		opts := doc.Monitor.AttachOptions()
+		opts.TracePath, opts.TraceLabel = fixture, "stat-golden fixture"
+		if _, _, err := core.Run(doc.Scenario, opts, nil); err != nil {
+			t.Fatalf("recording the fixture: %v", err)
 		}
 	}
 
@@ -88,117 +86,14 @@ func TestReplayFixture(t *testing.T) {
 	}
 }
 
-// trial is the experiments.Trial `record` runs for a run file, recording
-// to a temporary file whose path it returns.
-func trial(t *testing.T, path string) (experiments.Trial, string) {
-	t.Helper()
-	doc, err := core.ReadRun(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(t.TempDir(), "run.fpt")
-	return experiments.Trial{Scenario: doc.Scenario, Monitor: doc.Monitor, TracePath: out}, out
-}
-
-func replaySamples(t *testing.T, path string) []metrics.Sample {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rr, err := trace.Replay(f, trace.ReplayOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rr.Samples()
-}
-
-// TestOnlineLabelsMatchReplay: for every run file here, the samples a
-// trial labels online from its built fault schedule are the samples
-// offline replay labels from the recorded one, element for element —
-// clean phases, onset 0, a healed fault, and both jobs of a shared
-// plane. The committed fixture is fixture.json's recording, so its
-// replay must give the same samples too.
-func TestOnlineLabelsMatchReplay(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) < 6 {
-		t.Fatalf("%d run files, want the 6 CI records", len(files))
-	}
-	for _, path := range files {
-		tr, out := trial(t, path)
-		res, err := tr.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		jobs := max(len(tr.Scenario.Jobs), 1)
-		if len(res.Samples) != jobs*res.Iterations {
-			t.Errorf("%s: %d samples, want %d jobs × %d iterations", path, len(res.Samples), jobs, res.Iterations)
-		}
-		want := [][]metrics.Sample{replaySamples(t, out)}
-		if filepath.Base(path) == "fixture.json" {
-			want = append(want, replaySamples(t, fixture))
-		}
-		for _, w := range want {
-			if !reflect.DeepEqual(res.Samples, w) {
-				t.Errorf("%s: online samples differ from replay:\nonline %+v\nreplay %+v", path, res.Samples, w)
-			}
-		}
-	}
-}
-
-// TestRecordCountsBuiltIterations: a run file without "iterations" runs
-// the scenario default, and record reports, samples and labels exactly
-// the iterations that ran.
-func TestRecordCountsBuiltIterations(t *testing.T) {
-	dir := t.TempDir()
-	path, out := filepath.Join(dir, "clean.json"), filepath.Join(dir, "clean.fpt")
-	doc := `{"scenario": {"leaves": 4, "spines": 2, "bytesPerRank": 1048576}}`
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"record", "-scenario", path, "-o", out}, &stdout, &stderr); code != 0 {
-		t.Fatalf("record exited %d: %s", code, stderr.String())
-	}
-	if want := "8 iterations (8 clean + 0 faulty)"; !strings.Contains(stdout.String(), want) {
-		t.Errorf("record said %q, want %q", stdout.String(), want)
-	}
-	if n := len(replaySamples(t, out)); n != 8 {
-		t.Errorf("the recording replays %d samples, want 8", n)
-	}
-	stdout.Reset()
-	if code := run([]string{"stat", out}, &stdout, &stderr); code != 0 || !strings.Contains(stdout.String(), "windows=32 ") {
-		t.Errorf("stat exited %d: %s", code, stdout.String())
-	}
-	tr, _ := trial(t, path)
-	res, err := tr.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations != 8 || len(res.Samples) != 8 {
-		t.Errorf("trial ran %d iterations, sampled %d; want 8 and 8", res.Iterations, len(res.Samples))
-	}
-}
-
-// TestThresholdFlagsRefuseBadValues: every threshold a flag or a run
-// file supplies passes the detector's validity rule, and a refusal names
-// the value.
+// TestThresholdFlagsRefuseBadValues: every threshold a flag supplies
+// passes the detector's validity rule, and a refusal names the value.
 func TestThresholdFlagsRefuseBadValues(t *testing.T) {
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"scenario": {"leaves": 4, "spines": 2}, "monitor": {"threshold": -0.5}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		args []string
 		code int
 		want string
 	}{
-		{[]string{"record", "-scenario", bad, "-o", filepath.Join(t.TempDir(), "x.fpt")}, 1, "threshold -0.5 must be finite"},
-		{[]string{"record", "-at", "-0.01"}, 2, "flag -at: detect: threshold -0.01"},
 		{[]string{"replay", "-threshold", "-1", fixture}, 2, "flag -threshold: detect: threshold -1"},
 		{[]string{"replay", "-threshold", "NaN", fixture}, 2, "flag -threshold: detect: threshold NaN"},
 		{[]string{"sweep", "-thresholds", "0.01,-0.02", fixture}, 2, "flag -thresholds: bad threshold \"-0.02\": detect: threshold -0.02"},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"flowpulse/internal/collective"
 	"flowpulse/internal/control"
@@ -85,7 +86,8 @@ type Scenario struct {
 	// each entry when the first job completes the entry's iteration.
 	// Build rejects a link outside the topology, a rate outside [0,1], a
 	// flap down for longer than its period, an Onset or Heal the training
-	// never reaches, and two entries live on one link at once.
+	// never reaches, and two entries live on one link at once; it then
+	// drops a Bernoulli entry of rate 0, which is no fault.
 	Faults []FaultSpec `json:"faults,omitempty"`
 	// Background, when positive, runs a Low-priority random-pair
 	// traffic generator with this mean inter-message gap. Background
@@ -436,6 +438,11 @@ func (sc Scenario) Build() (rt *Runtime, err error) {
 	if err := checkFaults(sc.Faults, topo, rt.Jobs[0].Spec.Iterations); err != nil {
 		return nil, err
 	}
+	// A Bernoulli drop of rate 0 is no fault: it leaves the schedule, so
+	// Train never arms it and no run labels or records it as ground truth.
+	rt.Scenario.Faults = slices.DeleteFunc(slices.Clone(sc.Faults), func(f FaultSpec) bool {
+		return f.Kind == FaultBernoulli && f.Rate == 0
+	})
 	return rt, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"flowpulse/internal/core"
+	"flowpulse/internal/metrics"
 	"flowpulse/internal/sim"
 	"flowpulse/internal/spray"
 )
@@ -64,7 +65,7 @@ func init() {
 			Fig5aConfig{
 				Grid:       Grid{Leaves: 32, Spines: 16, BytesPerRank: 16 << 20, Trials: 3, CleanIters: 3, FaultIters: 3},
 				DropRates:  []float64{0.005, 0.008, 0.01, 0.015, 0.025, 0.05},
-				Thresholds: DefaultThresholds(),
+				Thresholds: metrics.DefaultThresholds(),
 			},
 			Fig5aConfig{Grid: Grid{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, Trials: 1}},
 			entry(Fig5a)},
@@ -149,7 +150,7 @@ func init() {
 		{"congestion", "congestion vs faults: ROC before/after the CE discount",
 			CongestionConfig{
 				Grid:       Grid{Leaves: 16, Spines: 8, BytesPerRank: 16 << 20, DropRate: 0.12, Trials: 2, CleanIters: 3, FaultIters: 3},
-				Thresholds: DefaultThresholds(),
+				Thresholds: metrics.DefaultThresholds(),
 				CEDiscount: 1.5,
 			},
 			CongestionConfig{Grid: Grid{Leaves: 8, Spines: 4, BytesPerRank: 4 << 20, Trials: 1}},

@@ -85,16 +85,16 @@ func fillZero(cfg, def reflect.Value) {
 // the monitor deployed on it.
 type Trial struct {
 	// Scenario is the run. A Bernoulli drop of rate 0 in its Faults is
-	// no fault (the standard trial of a Grid with no DropRate runs
-	// clean).
+	// no fault (Build drops it), so the standard trial of a Grid with no
+	// DropRate runs clean.
 	Scenario core.Scenario
 	// Monitor is the monitor deployed on it (the zero value: the
 	// analytical model at the paper's 1%, open loop, as in §6).
 	Monitor core.MonitorSpec
-	// TracePath records the run (windows, events, remediation, fault
-	// schedule) to a .fpt trace for offline replay; TraceLabel
+	// tracePath records the run (windows, events, remediation, fault
+	// schedule) to a .fpt trace for offline replay; traceLabel
 	// annotates its header.
-	TracePath, TraceLabel string
+	tracePath, traceLabel string
 }
 
 // TrialResult is the outcome of one Trial.
@@ -123,16 +123,9 @@ type TrialResult struct {
 
 // Run executes the trial.
 func (tr Trial) Run() (*TrialResult, error) {
-	sc := tr.Scenario
-	sc.Faults = nil
-	for _, f := range tr.Scenario.Faults {
-		if f.Kind != core.FaultBernoulli || f.Rate > 0 {
-			sc.Faults = append(sc.Faults, f)
-		}
-	}
 	attach := tr.Monitor.AttachOptions()
-	attach.TracePath, attach.TraceLabel = tr.TracePath, tr.TraceLabel
-	rt, sys, err := core.Run(sc, attach, nil)
+	attach.TracePath, attach.TraceLabel = tr.tracePath, tr.traceLabel
+	rt, sys, err := core.Run(tr.Scenario, attach, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -232,12 +225,6 @@ func cleanNoise(samples []metrics.Sample) float64 {
 		}
 	}
 	return noise
-}
-
-// DefaultThresholds is the threshold sweep of the ROC analysis:
-// 0.1% … 5%.
-func DefaultThresholds() []float64 {
-	return []float64{0.001, 0.002, 0.003, 0.005, 0.0075, 0.01, 0.015, 0.02, 0.03, 0.05}
 }
 
 func pct(x float64) string { return fmt.Sprintf("%.2f%%", 100*x) }

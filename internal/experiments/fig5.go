@@ -56,8 +56,8 @@ func Fig5a(cfg Fig5aConfig) (*Fig5aResult, error) {
 			trial := cfg.trial(sc, tr)
 			trial.Scenario.Faults[0].Rate = rate
 			if cfg.TraceDir != "" {
-				trial.TracePath = filepath.Join(cfg.TraceDir, fmt.Sprintf("fig5a-r%.4f-t%d.fpt", rate, tr))
-				trial.TraceLabel = fmt.Sprintf("fig5a rate=%.4f trial=%d", rate, tr)
+				trial.tracePath = filepath.Join(cfg.TraceDir, fmt.Sprintf("fig5a-r%.4f-t%d.fpt", rate, tr))
+				trial.traceLabel = fmt.Sprintf("fig5a rate=%.4f trial=%d", rate, tr)
 			}
 			return trial
 		})

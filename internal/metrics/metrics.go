@@ -63,6 +63,12 @@ func ROC(samples []Sample, thresholds []float64) []ROCPoint {
 	return points
 }
 
+// DefaultThresholds is the threshold sweep of the ROC analysis:
+// 0.1% … 5%.
+func DefaultThresholds() []float64 {
+	return []float64{0.001, 0.002, 0.003, 0.005, 0.0075, 0.01, 0.015, 0.02, 0.03, 0.05}
+}
+
 // AUC integrates the ROC curve (trapezoidal over FPR-sorted points).
 // A perfect classifier scores 1, a random one 0.5.
 func AUC(points []ROCPoint) float64 {

@@ -25,7 +25,6 @@ import (
 
 	"flowpulse/internal/core"
 	"flowpulse/internal/detect"
-	"flowpulse/internal/experiments"
 	"flowpulse/internal/monitor"
 	"flowpulse/internal/sim"
 	"flowpulse/internal/telemetry"
@@ -36,24 +35,26 @@ import (
 // recording bytes (the serve e2e input).
 func recordRun(t *testing.T, remediated bool, seed uint64) []byte {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "run.fpt")
-	tr := experiments.Trial{
-		Scenario: core.Scenario{
-			Leaves: 4, Spines: 2,
-			BytesPerRank: 1 << 20,
-			Iterations:   6,
-			Faults:       []core.FaultSpec{{Kind: core.FaultBernoulli, Leaf: 2, Spine: 1, Rate: 0.05, Onset: 2}},
-			Background:   4 * sim.Microsecond,
-			Seed:         seed,
-		},
-		Monitor:    core.MonitorSpec{Remediate: remediated},
-		TracePath:  path,
-		TraceLabel: fmt.Sprintf("serve-test-%d", seed),
+	sc := core.Scenario{
+		Leaves: 4, Spines: 2,
+		BytesPerRank: 1 << 20,
+		Iterations:   6,
+		Faults:       []core.FaultSpec{{Kind: core.FaultBernoulli, Leaf: 2, Spine: 1, Rate: 0.05, Onset: 2}},
+		Background:   4 * sim.Microsecond,
+		Seed:         seed,
 	}
-	if _, err := tr.Run(); err != nil {
-		t.Fatalf("recording run: %v", err)
+	return record(t, sc, core.MonitorSpec{Remediate: remediated}, fmt.Sprintf("serve-test-%d", seed))
+}
+
+// record runs sc under the monitor and returns the run's .fpt bytes.
+func record(t *testing.T, sc core.Scenario, mon core.MonitorSpec, label string) []byte {
+	t.Helper()
+	opts := mon.AttachOptions()
+	opts.TracePath, opts.TraceLabel = filepath.Join(t.TempDir(), "run.fpt"), label
+	if _, _, err := core.Run(sc, opts, nil); err != nil {
+		t.Fatalf("recording %s: %v", label, err)
 	}
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(opts.TracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,23 +108,15 @@ func TestSequentialParity(t *testing.T) {
 	}
 }
 
-// recordFile records one of flowpulse-trace's run files and returns the
-// .fpt bytes.
+// recordFile records one of flowpulse-sim's bg-* run files and returns
+// the .fpt bytes.
 func recordFile(t *testing.T, name string) []byte {
 	t.Helper()
-	doc, err := core.ReadRun(filepath.Join("..", "..", "cmd", "flowpulse-trace", "testdata", name+".json"), nil)
+	doc, err := core.ReadRun(filepath.Join("..", "..", "cmd", "flowpulse-sim", "testdata", "bg-"+name+".json"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), name+".fpt")
-	if _, err := (experiments.Trial{Scenario: doc.Scenario, Monitor: doc.Monitor, TracePath: path, TraceLabel: name}).Run(); err != nil {
-		t.Fatalf("recording %s: %v", name, err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
+	return record(t, doc.Scenario, doc.Monitor, name)
 }
 
 // TestFanoutBucketParity: over every run file, in both modes, the

@@ -11,6 +11,7 @@ import (
 
 	"flowpulse/internal/core"
 	"flowpulse/internal/experiments"
+	"flowpulse/internal/metrics"
 	"flowpulse/internal/monitor"
 	"flowpulse/internal/sim"
 	"flowpulse/internal/telemetry"
@@ -20,10 +21,10 @@ import (
 // quickClean is quickTrial's fault onset: its clean iterations.
 const quickClean = 2
 
-// quickTrial is a small faulted run that records to path: 6×3 fabric,
-// 2 clean + 5 faulty iterations with a 2% silent drop, background
-// noise on (as the evaluation harness runs).
-func quickTrial(path string) experiments.Trial {
+// quickTrial is a small faulted run: 6×3 fabric, 2 clean + 5 faulty
+// iterations with a 2% silent drop, background noise on (as the
+// evaluation harness runs).
+func quickTrial() experiments.Trial {
 	return experiments.Trial{
 		Scenario: core.Scenario{
 			Leaves: 6, Spines: 3,
@@ -33,24 +34,28 @@ func quickTrial(path string) experiments.Trial {
 			Seed:         7,
 			Background:   4 * sim.Microsecond,
 		},
-		TracePath:  path,
-		TraceLabel: "quick-trial",
 	}
 }
 
-// record runs the trial and returns its online result plus the raw
-// trace bytes.
-func record(t *testing.T, tr experiments.Trial) (*experiments.TrialResult, []byte) {
+// record runs the trial's scenario and monitor with tracing on and
+// returns the online events plus the raw trace bytes.
+func record(t *testing.T, tr experiments.Trial) ([]core.Event, []byte) {
 	t.Helper()
-	res, err := tr.Run()
+	opts := tr.Monitor.AttachOptions()
+	opts.TracePath, opts.TraceLabel = filepath.Join(t.TempDir(), "t.fpt"), "quick-trial"
+	_, sys, err := core.Run(tr.Scenario, opts, nil)
 	if err != nil {
-		t.Fatalf("Trial.Run: %v", err)
+		t.Fatalf("core.Run: %v", err)
 	}
-	raw, err := os.ReadFile(tr.TracePath)
+	raw, err := os.ReadFile(opts.TracePath)
 	if err != nil {
 		t.Fatalf("read trace: %v", err)
 	}
-	return res, raw
+	var events []core.Event
+	for _, j := range sys.Jobs() {
+		events = append(events, j.Pipeline.Events...)
+	}
+	return events, raw
 }
 
 func replay(t *testing.T, raw []byte, opts trace.ReplayOptions) *trace.ReplayResult {
@@ -63,9 +68,9 @@ func replay(t *testing.T, raw []byte, opts trace.ReplayOptions) *trace.ReplayRes
 }
 
 func TestReplayMatchesOnline(t *testing.T) {
-	tr := quickTrial(filepath.Join(t.TempDir(), "t.fpt"))
-	res, raw := record(t, tr)
-	if len(res.Events) == 0 {
+	tr := quickTrial()
+	events, raw := record(t, tr)
+	if len(events) == 0 {
 		t.Fatal("online run raised no events; trial too weak to test replay")
 	}
 
@@ -76,16 +81,16 @@ func TestReplayMatchesOnline(t *testing.T) {
 	if !rr.Matches() {
 		t.Errorf("offline fingerprint %#x != recorded %#x", rr.Fingerprint, rr.Trailer.Fingerprint)
 	}
-	if got, want := len(rr.Events), len(res.Events); got != want {
+	if got, want := len(rr.Events), len(events); got != want {
 		t.Errorf("offline events = %d, online = %d", got, want)
 	}
-	if got, want := len(rr.RecordedEvents), len(res.Events); got != want {
+	if got, want := len(rr.RecordedEvents), len(events); got != want {
 		t.Errorf("recorded events = %d, online = %d", got, want)
 	}
 	if got, want := uint64(rr.Windows), rr.Trailer.Windows; got != want {
 		t.Errorf("replayed windows = %d, trailer says %d", got, want)
 	}
-	if got, want := rr.Trailer.Events, uint64(len(res.Events)); got != want {
+	if got, want := rr.Trailer.Events, uint64(len(events)); got != want {
 		t.Errorf("trailer events = %d, online = %d", got, want)
 	}
 	if len(rr.Faults) != 1 {
@@ -99,14 +104,14 @@ func TestReplayMatchesOnline(t *testing.T) {
 	// The offline events must be field-identical to the online ones,
 	// not just fingerprint-equal.
 	for i := range rr.Events {
-		if !reflect.DeepEqual(rr.Events[i], res.Events[i]) {
-			t.Errorf("event %d differs:\noffline %+v\nonline  %+v", i, rr.Events[i], res.Events[i])
+		if !reflect.DeepEqual(rr.Events[i], events[i]) {
+			t.Errorf("event %d differs:\noffline %+v\nonline  %+v", i, rr.Events[i], events[i])
 		}
 	}
 }
 
 func TestReplayRemediation(t *testing.T) {
-	tr := quickTrial(filepath.Join(t.TempDir(), "t.fpt"))
+	tr := quickTrial()
 	tr.Monitor.Remediate = true
 	// A harder fault alerts every iteration, so the K=3 consecutive-
 	// window streak confirms and quarantine (plus probe rounds) makes
@@ -142,8 +147,14 @@ func TestReplayRemediation(t *testing.T) {
 }
 
 func TestSweepMatchesOnline(t *testing.T) {
-	tr := quickTrial(filepath.Join(t.TempDir(), "t.fpt"))
-	res, raw := record(t, tr)
+	tr := quickTrial()
+	_, raw := record(t, tr)
+	// The run is deterministic: the trial's own run labels what the
+	// recording's did.
+	res, err := tr.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	rr := replay(t, raw, trace.ReplayOptions{})
 	got := rr.Samples()
@@ -152,7 +163,7 @@ func TestSweepMatchesOnline(t *testing.T) {
 	}
 	// Identical samples make every derived ROC point identical; spot
 	// check the paper threshold anyway.
-	ths := experiments.DefaultThresholds()
+	ths := metrics.DefaultThresholds()
 	off := rr.Sweep(ths)
 	if len(off) != len(ths) {
 		t.Fatalf("sweep returned %d points for %d thresholds", len(off), len(ths))
@@ -160,9 +171,9 @@ func TestSweepMatchesOnline(t *testing.T) {
 }
 
 func TestReplayThresholdOverride(t *testing.T) {
-	tr := quickTrial(filepath.Join(t.TempDir(), "t.fpt"))
-	res, raw := record(t, tr)
-	if len(res.Events) == 0 {
+	tr := quickTrial()
+	events, raw := record(t, tr)
+	if len(events) == 0 {
 		t.Fatal("online run raised no events")
 	}
 
@@ -175,13 +186,13 @@ func TestReplayThresholdOverride(t *testing.T) {
 	if rr.Matches() {
 		t.Error("what-if replay claims to match the recording")
 	}
-	if got, want := len(rr.RecordedEvents), len(res.Events); got != want {
+	if got, want := len(rr.RecordedEvents), len(events); got != want {
 		t.Errorf("recorded events = %d, online = %d", got, want)
 	}
 }
 
 func TestReplayLearnedPredictor(t *testing.T) {
-	tr := quickTrial(filepath.Join(t.TempDir(), "t.fpt"))
+	tr := quickTrial()
 	tr.Monitor.Remediate = true
 	_, raw := record(t, tr)
 
@@ -199,7 +210,7 @@ func TestReplayLearnedPredictor(t *testing.T) {
 }
 
 func TestReplayWindowFilter(t *testing.T) {
-	tr := quickTrial(filepath.Join(t.TempDir(), "t.fpt"))
+	tr := quickTrial()
 	_, raw := record(t, tr)
 
 	full := replay(t, raw, trace.ReplayOptions{})
@@ -276,7 +287,7 @@ func TestReplayHistoryMatchesClones(t *testing.T) {
 	if got, want := rr.Samples(), ref.Samples(); !reflect.DeepEqual(got, want) {
 		t.Errorf("samples %+v, from clones %+v", got, want)
 	}
-	ths := experiments.DefaultThresholds()
+	ths := metrics.DefaultThresholds()
 	if got, want := rr.Sweep(ths), ref.Sweep(ths); !reflect.DeepEqual(got, want) {
 		t.Errorf("sweep %+v, from clones %+v", got, want)
 	}
@@ -288,7 +299,7 @@ func TestReplayHistoryMatchesClones(t *testing.T) {
 // decodes into one slot that is filled with garbage after each Feed;
 // the outcome must equal a replay fed freshly allocated records.
 func TestFeedLeavesSlotToCaller(t *testing.T) {
-	tr := quickTrial(filepath.Join(t.TempDir(), "t.fpt"))
+	tr := quickTrial()
 	tr.Monitor.Remediate = true // probe callbacks outlive the window that queued them
 	tr.Scenario.Faults[0].Rate = 0.05
 	tr.Scenario.Iterations = quickClean + 8
@@ -449,8 +460,8 @@ func TestDecodeAheadOwnsRows(t *testing.T) {
 // localizer reads it), none on a clean recording, every one under the
 // learned counterfactual (its observer reads every window).
 func TestReplayBuildsSectionsOnlyForAlerts(t *testing.T) {
-	faulty := quickTrial(filepath.Join(t.TempDir(), "faulty.fpt"))
-	clean := quickTrial(filepath.Join(t.TempDir(), "clean.fpt"))
+	faulty := quickTrial()
+	clean := quickTrial()
 	clean.Scenario.Faults = nil
 	_, faultyRaw := record(t, faulty)
 	_, cleanRaw := record(t, clean)

@@ -24,8 +24,10 @@
 # flowpulse-sim runs its built-in scenario and every committed scenario
 # file in the working tree's cmd/flowpulse-sim/testdata (clean, closed
 # loop, simulation and learned predictors, two jobs, resilience, flaps,
-# onset 0, upstream, heal, control-plane divergence), both builds on the
-# same file, each on the one-domain partition and the per-switch one.
+# onset 0, upstream, heal, control-plane divergence, and the small bg-*
+# runs under background traffic that CI records and replays), both
+# builds on the same file, each on the one-domain partition and the
+# per-switch one.
 #
 # Exits 1 if any line differs in any leg. The ref is unpacked with
 # git archive into a temporary directory; nothing is left behind in
